@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import run_monte_carlo, share_bounds
-from .config import AppConfig, load_config, serialize, with_overrides
+from .config import FORMATS, AppConfig, load_config, serialize, with_overrides
 from .core import comparative_statics, simulate_transition, steady_state
 from .errors import ConfigError, DomainError
 from .estimators import (
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("STRUCTLABOR_OUT") or None,
         help="override run.out output directory (default from STRUCTLABOR_OUT)",
     )
-    common.add_argument("--format", choices=("csv", "json", "both"), default=None, help="series output format")
+    common.add_argument("--format", choices=FORMATS, default=None, help="series output format")
     common.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     sub.add_parser("steady-state", parents=[common], help="long-run allocation, prices, and sensitivities")
@@ -96,18 +96,11 @@ def _write_series(out: str, name: str, fmt: str, columns, rows) -> list[str]:
     return files
 
 
-def _params_dict(params) -> dict:
-    return {
-        name: getattr(params, name)
-        for name in ("alpha", "gamma", "r", "delta_k", "eta", "A_bar", "K", "L_bar")
-    }
-
-
 def _cmd_steady_state(cfg: AppConfig) -> tuple[list[str], list[str]]:
     ss = steady_state(cfg.baseline)
     ds_dgamma, ds_dr, ds_ddelta = comparative_statics(cfg.baseline)
     payload = {
-        "params": _params_dict(cfg.baseline),
+        "params": serialize(cfg)["baseline"],
         "steady_state": {
             "s_star": ss.s_star,
             "L_S_star": ss.L_S_star,
@@ -179,7 +172,7 @@ def _cmd_simulate(cfg: AppConfig) -> tuple[list[str], list[str]]:
     files = _write_series(cfg.run.out, "path", cfg.run.format, PATH_COLUMNS, rows)
     last = path.points[-1]
     payload = {
-        "params": _params_dict(cfg.baseline),
+        "params": serialize(cfg)["baseline"],
         "initial": {"k0": k0, "L_S0": l_s0},
         "damping": path.damping,
         "converged": path.converged,

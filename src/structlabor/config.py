@@ -1,17 +1,16 @@
-"""Run configuration: parsing, validation, and canonical serialization.
+"""Run configuration: one field table drives parsing, validation and serialization.
 
-Configurations are YAML mappings (JSON, being a YAML subset, is accepted
-too).  Every field has a default, so the empty document is a valid
-configuration; unknown keys are rejected with their dotted path rather
-than silently ignored, and every value error names the field it came
-from.  ``serialize`` produces the fully resolved mapping that feeds the
-run manifest's config digest, and parsing that mapping reproduces the
-configuration exactly.
+Unknown keys and bad values are reported with the dotted path of the one
+field at fault.  ``serialize`` returns the resolved mapping behind the run
+manifest's config digest; parsing it reproduces the configuration exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+import math
+from collections import namedtuple
+from types import SimpleNamespace
 from typing import Any
 
 import yaml
@@ -32,432 +31,239 @@ from .roy import RoyExperiment
 
 FORMATS = ("csv", "json", "both")
 
+# Kinds beyond Python types: a [lo, hi] pair with lo <= hi, and one number per
+# family (a scalar is broadcast).
+PAIR = "pair"
+PER_FAMILY = "per-family"
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+# Constraints as (predicate, wording), applied to every entry of a list.
+POSITIVE = (lambda x: x > 0, "must be positive")
+NONNEGATIVE = (lambda x: x >= 0, "must be nonnegative")
+OPEN_UNIT = (lambda x: 0 < x < 1, "must lie in (0, 1)")
+CLOSED_UNIT = (lambda x: 0 <= x <= 1, "must lie in [0, 1]")
+STEP = (lambda x: 0 < x <= 1, "must lie in (0, 1]")
+COUNT = (lambda x: x >= 1, "must be an integer >= 1")
+RHO = (lambda x: x <= 1 and x != 0, "must satisfy rho <= 1, rho != 0")
+SEED = (lambda x: 0 <= x <= 2**64 - 1, "must lie in [0, 2**64 - 1]")
+NONEMPTY = (lambda x: x != "", "must be a nonempty path")
+
+# One row per leaf: dotted path, kind (float, int, bool, str, PAIR, PER_FAMILY or a
+# tuple of choices), default and constraint.  Null is accepted only where the default is null.
+Field = namedtuple("Field", "path kind default check", defaults=(None,))
+
+FIELDS = (
+    Field("run.seed", int, 0, SEED),
+    Field("run.out", str, "out", NONEMPTY),
+    Field("run.format", FORMATS, "csv"),
+    Field("baseline.alpha", float, 0.36, OPEN_UNIT),
+    Field("baseline.gamma", float, 0.05, OPEN_UNIT),
+    Field("baseline.r", float, 0.04, POSITIVE),
+    Field("baseline.delta_k", float, 0.15, OPEN_UNIT),
+    Field("baseline.eta", float, 0.2, POSITIVE),
+    Field("baseline.A_bar", float, 1.0, POSITIVE),
+    Field("baseline.K", float, 1.0, POSITIVE),
+    Field("baseline.L_bar", float, 1.0, POSITIVE),
+    Field("priors.alpha", PAIR, [0.33, 0.40], OPEN_UNIT),
+    Field("priors.r", PAIR, [0.03, 0.05], POSITIVE),
+    Field("priors.delta_k", PAIR, [0.08, 0.25], OPEN_UNIT),
+    Field("priors.gamma", PAIR, [0.02, 0.08], OPEN_UNIT),
+    Field("priors.n_draws", int, 200_000, COUNT),
+    Field("transition.k0", float, None, POSITIVE),  # null: half the long-run stock
+    Field("transition.L_S0", float, None, NONNEGATIVE),  # null: half the long-run labor
+    Field("transition.T", int, 500, COUNT),
+    Field("transition.damping", float, None, STEP),  # null: the model-implied stable factor
+    Field("transition.tol", float, 1e-10, POSITIVE),
+    Field("portfolio.n_families", int, 8, COUNT),
+    Field("portfolio.omega", PER_FAMILY, 1.0, POSITIVE),
+    Field("portfolio.delta_j", PER_FAMILY, 0.15, OPEN_UNIT),
+    Field("portfolio.k0", PER_FAMILY, 1.0, NONNEGATIVE),
+    Field("portfolio.aggregator", ("additive", "ces"), "ces"),
+    Field("portfolio.rho", float, 0.5, RHO),
+    Field("portfolio.epsilon_floor", float, 1e-6, POSITIVE),
+    Field("portfolio.beta", float, 0.5, OPEN_UNIT),
+    Field("portfolio.Lambda", float, 1.0, POSITIVE),
+    Field("portfolio.labor_budget", float, 1.0, NONNEGATIVE),
+    Field("portfolio.T", int, 100, COUNT),
+    Field("portfolio.entry.mu", float, 0.2, NONNEGATIVE),
+    Field("portfolio.entry.k_seed", float, 1e-3, NONNEGATIVE),
+    Field("portfolio.entry.omega_median", float, 1.0, POSITIVE),
+    Field("portfolio.entry.omega_sigma", float, 0.5, NONNEGATIVE),
+    Field("portfolio.entry.delta_j", PAIR, [0.08, 0.25], OPEN_UNIT),
+    Field("portfolio.drift.enabled", bool, False),
+    Field("portfolio.drift.env_hazard", float, 0.05, CLOSED_UNIT),
+    Field("portfolio.drift.tech_hazard", float, 0.10, CLOSED_UNIT),
+    Field("portfolio.drift.org_hazard", float, 0.03, CLOSED_UNIT),
+    Field("portfolio.drift.tech_start", int, 1, NONNEGATIVE),
+    Field("portfolio.drift.tech_every", int, 5, COUNT),
+    Field("portfolio.drift.org_start", int, 3, NONNEGATIVE),
+    Field("portfolio.drift.org_every", int, 7, COUNT),
+    Field("portfolio.drift.drop_frac", float, 0.5, OPEN_UNIT),
+    Field("roy.n_initial", int, 6, COUNT),
+    Field("roy.initial_k", float, 1.0, NONNEGATIVE),
+    Field("roy.omega", float, 1.0, POSITIVE),
+    Field("roy.delta_j", PAIR, [0.08, 0.25], OPEN_UNIT),
+    Field("roy.rho", float, 0.5, RHO),
+    Field("roy.beta", float, 0.5, OPEN_UNIT),
+    Field("roy.Lambda", float, 1.0, POSITIVE),
+    Field("roy.epsilon_floor", float, 0.25, POSITIVE),
+    Field("roy.labor_budget", float, 1.0, NONNEGATIVE),
+    Field("roy.T", int, 40, COUNT),
+    Field("roy.mu", float, 0.25, NONNEGATIVE),
+    Field("roy.k_seed", float, 1e-3, NONNEGATIVE),
+    Field("roy.omega_sigma", float, 0.5, NONNEGATIVE),
+    Field("roy.n_workers", int, 400, COUNT),
+    Field("roy.sigma_young", float, 1.5, NONNEGATIVE),
+    Field("roy.sigma_mature", float, 0.2, NONNEGATIVE),
+    Field("roy.k_ref", float, 1.0, POSITIVE),
+    Field("roy.damping", float, 0.3, STEP),
+    Field("roy.tol", float, 1e-9, POSITIVE),
+    Field("roy.max_iter", int, 500, COUNT),
+    Field("roy.eval_window", int, 12, COUNT),
+    Field("roy.treatment", ("mu", "delta"), "mu"),
+    Field("roy.factor", float, 2.0, POSITIVE),
+    Field("roy.replications", int, 10, COUNT),
+    Field("estimate.panel", str, None, NONEMPTY),  # null simulates the panel
+    Field("estimate.rel_drop", float, 0.2, OPEN_UNIT),
+    Field("estimate.horizon", int, 1, COUNT),
+)
+
+# Cross-field rules as (reported path, predicate over resolved values, wording).
+RULES = (
+    ("transition.L_S0", lambda c: (c["transition.L_S0"] or 0.0) <= c["baseline.L_bar"], "must be <= L_bar"),
+    ("roy.eval_window", lambda c: c["roy.eval_window"] <= c["roy.T"] + 1, "must be <= T + 1"),
+    ("roy.sigma_mature", lambda c: c["roy.sigma_mature"] <= c["roy.sigma_young"], "must be <= sigma_young"),
+    (
+        "portfolio.drift.env_hazard",
+        lambda c: sum(c[f"portfolio.drift.{k}_hazard"] for k in ("env", "tech", "org")) <= 1.0,
+        "+ tech_hazard + org_hazard must be <= 1",
+    ),
+)
+
+_PATHS = {f.path for f in FIELDS}
+_SECTIONS = {f.path.rpartition(".")[0] for f in FIELDS}
+_WANTED = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
 
 
-def _as_section(value: Any, path: str) -> dict:
+def _flatten(value: Any, path: str = "") -> dict:
+    """The leaves of a config mapping by dotted path; a null section is empty."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(path, "must be a mapping")
-    return dict(value)
+    flat = {}
+    for key, item in value.items():
+        sub = f"{path}.{key}" if path else str(key)
+        if sub not in _PATHS and sub not in _SECTIONS:
+            raise ConfigError(sub, "unknown key")
+        flat.update(_flatten(item, sub) if sub in _SECTIONS else {sub: item})
+    return flat
 
 
-def _reject_unknown(section: dict, path: str) -> None:
-    if section:
-        key = sorted(section)[0]
-        raise ConfigError(_join(path, str(key)), "unknown key")
+def _typed(value: Any, path: str, kind: type) -> Any:
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(path, f"expected {_WANTED[kind]}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(path, "must be finite")
+    return float(value) if kind is float else value
 
 
-def _pop_float(section: dict, key: str, path: str, default: float | None) -> float | None:
-    if key not in section:
-        return default
-    value = section.pop(key)
-    if value is None:
+def _coerce(f: Field, value: Any, resolved: dict) -> Any:
+    """Check one value against its row; pairs and per-family values become lists."""
+    if value is None and f.default is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(_join(path, key), f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _pop_int(section: dict, key: str, path: str, default: int | None) -> int | None:
-    if key not in section:
-        return default
-    value = section.pop(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(_join(path, key), f"expected an integer, got {type(value).__name__}")
-    return value
-
-def _pop_bool(section: dict, key: str, path: str, default: bool) -> bool:
-    if key not in section:
-        return default
-    value = section.pop(key)
-    if not isinstance(value, bool):
-        raise ConfigError(_join(path, key), f"expected a boolean, got {type(value).__name__}")
-    return value
-
-
-def _pop_str(section: dict, key: str, path: str, default: str | None, choices: tuple[str, ...] | None = None) -> str | None:
-    if key not in section:
-        return default
-    value = section.pop(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise ConfigError(_join(path, key), f"expected a string, got {type(value).__name__}")
-    if choices is not None and value not in choices:
-        raise ConfigError(_join(path, key), f"must be one of {', '.join(choices)}")
+    if isinstance(f.kind, tuple):
+        if value not in f.kind:
+            raise ConfigError(f.path, f"must be one of {', '.join(f.kind)}")
+    elif f.kind in (PAIR, PER_FAMILY):
+        n = 2 if f.kind is PAIR else resolved["portfolio.n_families"]
+        if f.kind is PER_FAMILY and not isinstance(value, (list, tuple)):
+            value = [value] * n
+        if not isinstance(value, (list, tuple)) or len(value) != n:
+            raise ConfigError(f.path, f"expected a list of {n} numbers")
+        value = [_typed(v, f.path, float) for v in value]
+        if f.kind is PAIR and value[0] > value[1]:
+            raise ConfigError(f.path, "must have lo <= hi")
+    else:
+        value = _typed(value, f.path, f.kind)
+    if f.check is not None and not all(map(f.check[0], value if isinstance(value, list) else [value])):
+        raise ConfigError(f.path, f"{f.path.rpartition('.')[2]} {f.check[1]}")
     return value
 
 
-def _pop_pair(section: dict, key: str, path: str, default: tuple[float, float]) -> tuple[float, float]:
-    if key not in section:
-        return default
-    value = section.pop(key)
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
-        raise ConfigError(_join(path, key), "expected a [lo, hi] pair of numbers")
-    return float(value[0]), float(value[1])
+def _resolve(data: Any) -> dict:
+    """Validate a config mapping into the nested mapping of every resolved field."""
+    given = _flatten(data)
+    flat, nested = {}, {}
+    for f in FIELDS:
+        *sections, key = f.path.split(".")
+        node = nested
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = flat[f.path] = _coerce(f, given.get(f.path, f.default), flat)
+    for path, holds, wording in RULES:
+        if not holds(flat):
+            raise ConfigError(path, f"{path.rpartition('.')[2]} {wording}")
+    return nested
 
 
-def _pop_float_or_list(
-    section: dict, key: str, path: str, default: float, n: int
-) -> tuple[float, ...]:
-    if key not in section:
-        return (default,) * n
-    value = section.pop(key)
-    if isinstance(value, (list, tuple)):
-        if len(value) != n:
-            raise ConfigError(_join(path, key), f"expected {n} entries, got {len(value)}")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-            raise ConfigError(_join(path, key), "entries must be numbers")
-        return tuple(float(v) for v in value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(_join(path, key), f"expected a number or list, got {type(value).__name__}")
-    return (float(value),) * n
+def _split_delta(section: dict, drop: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments from a section, its ``delta_j`` pair split into ``delta_lo``, ``delta_hi``."""
+    kwargs = {k: v for k, v in section.items() if k != "delta_j" and k not in drop}
+    kwargs["delta_lo"], kwargs["delta_hi"] = section["delta_j"]
+    return kwargs
 
 
-@dataclass(frozen=True)
-class RunSection:
-    seed: int = 0
-    out: str = "out"
-    format: str = "csv"
-
-
-@dataclass(frozen=True)
-class TransitionSection:
-    """Initial conditions default to half the long-run stock and labor."""
-
-    k0: float | None = None
-    L_S0: float | None = None
-    T: int = 500
-    damping: float | None = None
-    tol: float = 1e-10
-
-
-@dataclass(frozen=True)
-class DriftSection:
-    enabled: bool = False
-    env_hazard: float = 0.05
-    tech_hazard: float = 0.10
-    org_hazard: float = 0.03
-    tech_start: int = 1
-    tech_every: int = 5
-    org_start: int = 3
-    org_every: int = 7
-    drop_frac: float = 0.5
-
-    def to_drift(self, T: int) -> DriftConfig | None:
-        """Materialize hazard windows for a horizon of T transitions."""
-        if not self.enabled:
-            return None
-        return DriftConfig(
-            env_hazard=self.env_hazard,
-            tech_hazard=self.tech_hazard,
-            org_hazard=self.org_hazard,
-            tech_windows=periodic_windows(self.tech_start, self.tech_every, T),
-            org_windows=periodic_windows(self.org_start, self.org_every, T),
-            drop_frac=self.drop_frac,
-        )
-
-
-@dataclass(frozen=True)
-class PortfolioSection:
-    n_families: int = 8
-    omega: tuple[float, ...] = (1.0,) * 8
-    delta_j: tuple[float, ...] = (0.15,) * 8
-    k0: tuple[float, ...] = (1.0,) * 8
-    aggregator: str = "ces"
-    rho: float = 0.5
-    epsilon_floor: float = 1e-6
-    beta: float = 0.5
-    Lambda: float = 1.0
-    labor_budget: float = 1.0
-    T: int = 100
-    entry: EntryConfig = field(default_factory=lambda: EntryConfig(mu=0.2))
-    drift: DriftSection = field(default_factory=DriftSection)
-
+class PortfolioSection(SimpleNamespace):
     def initial_portfolio(self) -> Portfolio:
+        """The period-0 families under this section's aggregator and technology."""
         families = tuple(
             TaskFamily(id=i, omega=self.omega[i], delta_j=self.delta_j[i], k_j=self.k0[i], born_at=0)
             for i in range(self.n_families)
         )
-        spec = AggregatorSpec(
-            kind=self.aggregator,
-            rho=self.rho if self.aggregator == "ces" else None,
-            epsilon_floor=self.epsilon_floor,
+        rho = self.rho if self.aggregator == "ces" else None
+        spec = AggregatorSpec(self.aggregator, rho, self.epsilon_floor)
+        return Portfolio(families, spec, PowerCodification(self.beta), self.Lambda)
+
+
+class DriftSection(SimpleNamespace):
+    def to_drift(self, T: int) -> DriftConfig | None:
+        """Hazard windows over T transitions; None when disabled, but checked either way."""
+        drift = DriftConfig(
+            **{k: getattr(self, k) for k in ("env_hazard", "tech_hazard", "org_hazard", "drop_frac")},
+            tech_windows=periodic_windows(self.tech_start, self.tech_every, T),
+            org_windows=periodic_windows(self.org_start, self.org_every, T),
         )
-        return Portfolio(
-            families=families,
-            aggregator=spec,
-            tech=PowerCodification(beta=self.beta),
-            Lambda=self.Lambda,
-        )
+        return drift if self.enabled else None
 
 
-@dataclass(frozen=True)
-class RoySection:
-    experiment: RoyExperiment = field(default_factory=RoyExperiment)
-    treatment: str = "mu"
-    factor: float = 2.0
-    replications: int = 10
-
-
-@dataclass(frozen=True)
-class EstimateSection:
-    panel: str | None = None
-    rel_drop: float = 0.2
-    horizon: int = 1
-
-
-@dataclass(frozen=True)
 class AppConfig:
-    run: RunSection = field(default_factory=RunSection)
-    baseline: BaselineParams = field(
-        default_factory=lambda: BaselineParams(alpha=0.36, gamma=0.05, r=0.04, delta_k=0.15, eta=0.2)
-    )
-    priors: PriorSpec = field(default_factory=PriorSpec)
-    transition: TransitionSection = field(default_factory=TransitionSection)
-    portfolio: PortfolioSection = field(default_factory=PortfolioSection)
-    roy: RoySection = field(default_factory=RoySection)
-    estimate: EstimateSection = field(default_factory=EstimateSection)
+    """A validated configuration whose section keys read as attributes; ``AppConfig()`` is all defaults."""
 
-
-def _parse_run(section: dict, path: str) -> RunSection:
-    seed = _pop_int(section, "seed", path, 0)
-    out = _pop_str(section, "out", path, "out")
-    fmt = _pop_str(section, "format", path, "csv", choices=FORMATS)
-    _reject_unknown(section, path)
-    if seed is None or not 0 <= seed <= 2**64 - 1:
-        raise ConfigError(_join(path, "seed"), "must lie in [0, 2**64 - 1]")
-    if not out:
-        raise ConfigError(_join(path, "out"), "must be a nonempty path")
-    return RunSection(seed=seed, out=out, format=fmt)
-
-
-def _parse_baseline(section: dict, path: str) -> BaselineParams:
-    kwargs = {}
-    defaults = AppConfig().baseline
-    for name in ("alpha", "gamma", "r", "delta_k", "eta", "A_bar", "K", "L_bar"):
-        kwargs[name] = _pop_float(section, name, path, getattr(defaults, name))
-        if kwargs[name] is None:
-            raise ConfigError(_join(path, name), "must be a number")
-    _reject_unknown(section, path)
-    try:
-        return BaselineParams(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-def _parse_priors(section: dict, path: str) -> PriorSpec:
-    d = PriorSpec()
-    alpha = _pop_pair(section, "alpha", path, (d.alpha_lo, d.alpha_hi))
-    r = _pop_pair(section, "r", path, (d.r_lo, d.r_hi))
-    delta = _pop_pair(section, "delta_k", path, (d.delta_lo, d.delta_hi))
-    gamma = _pop_pair(section, "gamma", path, (d.gamma_lo, d.gamma_hi))
-    n_draws = _pop_int(section, "n_draws", path, d.n_draws)
-    _reject_unknown(section, path)
-    try:
-        return PriorSpec(
-            alpha_lo=alpha[0],
-            alpha_hi=alpha[1],
-            r_lo=r[0],
-            r_hi=r[1],
-            delta_lo=delta[0],
-            delta_hi=delta[1],
-            gamma_lo=gamma[0],
-            gamma_hi=gamma[1],
-            n_draws=n_draws,
-        )
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-def _parse_transition(section: dict, path: str) -> TransitionSection:
-    d = TransitionSection()
-    k0 = _pop_float(section, "k0", path, d.k0)
-    l_s0 = _pop_float(section, "L_S0", path, d.L_S0)
-    T = _pop_int(section, "T", path, d.T)
-    damping = _pop_float(section, "damping", path, d.damping)
-    tol = _pop_float(section, "tol", path, d.tol)
-    _reject_unknown(section, path)
-    if T is None or T < 1:
-        raise ConfigError(_join(path, "T"), "must be an integer >= 1")
-    if tol is None or tol <= 0:
-        raise ConfigError(_join(path, "tol"), "must be positive")
-    return TransitionSection(k0=k0, L_S0=l_s0, T=T, damping=damping, tol=tol)
-
-
-def _parse_entry(section: dict, path: str) -> EntryConfig:
-    d = EntryConfig(mu=0.2)
-    mu = _pop_float(section, "mu", path, d.mu)
-    k_seed = _pop_float(section, "k_seed", path, d.k_seed)
-    omega_median = _pop_float(section, "omega_median", path, d.omega_median)
-    omega_sigma = _pop_float(section, "omega_sigma", path, d.omega_sigma)
-    delta = _pop_pair(section, "delta_j", path, (d.delta_lo, d.delta_hi))
-    _reject_unknown(section, path)
-    try:
-        return EntryConfig(
-            mu=mu,
-            k_seed=k_seed,
-            omega_median=omega_median,
-            omega_sigma=omega_sigma,
-            delta_lo=delta[0],
-            delta_hi=delta[1],
-        )
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-def _parse_drift(section: dict, path: str) -> DriftSection:
-    d = DriftSection()
-    parsed = DriftSection(
-        enabled=_pop_bool(section, "enabled", path, d.enabled),
-        env_hazard=_pop_float(section, "env_hazard", path, d.env_hazard),
-        tech_hazard=_pop_float(section, "tech_hazard", path, d.tech_hazard),
-        org_hazard=_pop_float(section, "org_hazard", path, d.org_hazard),
-        tech_start=_pop_int(section, "tech_start", path, d.tech_start),
-        tech_every=_pop_int(section, "tech_every", path, d.tech_every),
-        org_start=_pop_int(section, "org_start", path, d.org_start),
-        org_every=_pop_int(section, "org_every", path, d.org_every),
-        drop_frac=_pop_float(section, "drop_frac", path, d.drop_frac),
-    )
-    _reject_unknown(section, path)
-    # Validate the numeric fields even when drift is disabled, so a bad
-    # value does not lurk until someone flips the switch.
-    try:
-        DriftConfig(
-            env_hazard=parsed.env_hazard,
-            tech_hazard=parsed.tech_hazard,
-            org_hazard=parsed.org_hazard,
-            tech_windows=periodic_windows(parsed.tech_start, parsed.tech_every, parsed.tech_start + 1),
-            org_windows=periodic_windows(parsed.org_start, parsed.org_every, parsed.org_start + 1),
-            drop_frac=parsed.drop_frac,
-        )
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from None
-    return parsed
-
-
-def _parse_portfolio(section: dict, path: str) -> PortfolioSection:
-    d = PortfolioSection()
-    n = _pop_int(section, "n_families", path, d.n_families)
-    if n is None or n < 1:
-        raise ConfigError(_join(path, "n_families"), "must be an integer >= 1")
-    omega = _pop_float_or_list(section, "omega", path, 1.0, n)
-    delta_j = _pop_float_or_list(section, "delta_j", path, 0.15, n)
-    k0 = _pop_float_or_list(section, "k0", path, 1.0, n)
-    aggregator = _pop_str(section, "aggregator", path, d.aggregator, choices=("additive", "ces"))
-    rho = _pop_float(section, "rho", path, d.rho)
-    epsilon_floor = _pop_float(section, "epsilon_floor", path, d.epsilon_floor)
-    beta = _pop_float(section, "beta", path, d.beta)
-    lam = _pop_float(section, "Lambda", path, d.Lambda)
-    labor_budget = _pop_float(section, "labor_budget", path, d.labor_budget)
-    T = _pop_int(section, "T", path, d.T)
-    entry = _parse_entry(_as_section(section.pop("entry", None), _join(path, "entry")), _join(path, "entry"))
-    drift = _parse_drift(_as_section(section.pop("drift", None), _join(path, "drift")), _join(path, "drift"))
-    _reject_unknown(section, path)
-    if T is None or T < 1:
-        raise ConfigError(_join(path, "T"), "must be an integer >= 1")
-    if labor_budget is None or labor_budget < 0:
-        raise ConfigError(_join(path, "labor_budget"), "must be nonnegative")
-    parsed = PortfolioSection(
-        n_families=n,
-        omega=omega,
-        delta_j=delta_j,
-        k0=k0,
-        aggregator=aggregator,
-        rho=rho,
-        epsilon_floor=epsilon_floor,
-        beta=beta,
-        Lambda=lam,
-        labor_budget=labor_budget,
-        T=T,
-        entry=entry,
-        drift=drift,
-    )
-    try:
-        parsed.initial_portfolio()
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from None
-    return parsed
-
-
-def _parse_roy(section: dict, path: str) -> RoySection:
-    d = RoyExperiment()
-    exp_kwargs = dict(
-        n_initial=_pop_int(section, "n_initial", path, d.n_initial),
-        initial_k=_pop_float(section, "initial_k", path, d.initial_k),
-        omega=_pop_float(section, "omega", path, d.omega),
-        rho=_pop_float(section, "rho", path, d.rho),
-        beta=_pop_float(section, "beta", path, d.beta),
-        Lambda=_pop_float(section, "Lambda", path, d.Lambda),
-        epsilon_floor=_pop_float(section, "epsilon_floor", path, d.epsilon_floor),
-        labor_budget=_pop_float(section, "labor_budget", path, d.labor_budget),
-        T=_pop_int(section, "T", path, d.T),
-        mu=_pop_float(section, "mu", path, d.mu),
-        k_seed=_pop_float(section, "k_seed", path, d.k_seed),
-        omega_sigma=_pop_float(section, "omega_sigma", path, d.omega_sigma),
-        n_workers=_pop_int(section, "n_workers", path, d.n_workers),
-        sigma_young=_pop_float(section, "sigma_young", path, d.sigma_young),
-        sigma_mature=_pop_float(section, "sigma_mature", path, d.sigma_mature),
-        k_ref=_pop_float(section, "k_ref", path, d.k_ref),
-        damping=_pop_float(section, "damping", path, d.damping),
-        tol=_pop_float(section, "tol", path, d.tol),
-        max_iter=_pop_int(section, "max_iter", path, d.max_iter),
-        eval_window=_pop_int(section, "eval_window", path, d.eval_window),
-    )
-    delta = _pop_pair(section, "delta_j", path, (d.delta_lo, d.delta_hi))
-    exp_kwargs["delta_lo"], exp_kwargs["delta_hi"] = delta
-    treatment = _pop_str(section, "treatment", path, "mu", choices=("mu", "delta"))
-    factor = _pop_float(section, "factor", path, 2.0)
-    replications = _pop_int(section, "replications", path, 10)
-    _reject_unknown(section, path)
-    if factor is None or factor <= 0:
-        raise ConfigError(_join(path, "factor"), "must be positive")
-    if replications is None or replications < 1:
-        raise ConfigError(_join(path, "replications"), "must be an integer >= 1")
-    try:
-        experiment = RoyExperiment(**exp_kwargs)
-    except (DomainError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from None
-    return RoySection(experiment=experiment, treatment=treatment, factor=factor, replications=replications)
-
-
-def _parse_estimate(section: dict, path: str) -> EstimateSection:
-    d = EstimateSection()
-    panel = _pop_str(section, "panel", path, d.panel)
-    rel_drop = _pop_float(section, "rel_drop", path, d.rel_drop)
-    horizon = _pop_int(section, "horizon", path, d.horizon)
-    _reject_unknown(section, path)
-    if rel_drop is None or not 0.0 < rel_drop < 1.0:
-        raise ConfigError(_join(path, "rel_drop"), "must lie in (0, 1)")
-    if horizon is None or horizon < 1:
-        raise ConfigError(_join(path, "horizon"), "must be an integer >= 1")
-    return EstimateSection(panel=panel, rel_drop=rel_drop, horizon=horizon)
+    def __init__(self, data: Any = None) -> None:
+        self._resolved = c = _resolve(data)
+        pr, p, r = c["priors"], c["portfolio"], c["roy"]
+        self.run = SimpleNamespace(**c["run"])
+        self.transition = SimpleNamespace(**c["transition"])
+        self.estimate = SimpleNamespace(**c["estimate"])
+        # Every object a command builds is built here.  The table covers every
+        # check these classes make, so the handler fires only if the two diverge.
+        try:
+            self.baseline = BaselineParams(**c["baseline"])
+            self.priors = PriorSpec(*pr["alpha"], *pr["r"], *pr["delta_k"], *pr["gamma"], pr["n_draws"])
+            entry = EntryConfig(**_split_delta(p["entry"]))
+            self.portfolio = PortfolioSection(**{**p, "entry": entry, "drift": DriftSection(**p["drift"])})
+            self.portfolio.initial_portfolio()
+            self.portfolio.drift.to_drift(p["T"])
+            experiment = RoyExperiment(**_split_delta(r, drop=("treatment", "factor", "replications")))
+            self.roy = SimpleNamespace(**r, experiment=experiment)
+        except DomainError as exc:
+            raise ConfigError("", str(exc)) from None
 
 
 def parse_config(data: Any) -> AppConfig:
     """Validate a configuration mapping and fill in defaults."""
-    root = _as_section(data, "")
-    cfg = AppConfig(
-        run=_parse_run(_as_section(root.pop("run", None), "run"), "run"),
-        baseline=_parse_baseline(_as_section(root.pop("baseline", None), "baseline"), "baseline"),
-        priors=_parse_priors(_as_section(root.pop("priors", None), "priors"), "priors"),
-        transition=_parse_transition(_as_section(root.pop("transition", None), "transition"), "transition"),
-        portfolio=_parse_portfolio(_as_section(root.pop("portfolio", None), "portfolio"), "portfolio"),
-        roy=_parse_roy(_as_section(root.pop("roy", None), "roy"), "roy"),
-        estimate=_parse_estimate(_as_section(root.pop("estimate", None), "estimate"), "estimate"),
-    )
-    _reject_unknown(root, "")
-    return cfg
+    return AppConfig(data)
 
 
 def load_config(path: str | None) -> AppConfig:
@@ -466,11 +272,9 @@ def load_config(path: str | None) -> AppConfig:
         return parse_config({})
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            data = yaml.safe_load(handle)
     except OSError as exc:
         raise ConfigError("", f"cannot read config file {path}: {exc}") from None
-    try:
-        data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError("", f"invalid config syntax: {exc}") from None
     return parse_config(data)
@@ -478,90 +282,7 @@ def load_config(path: str | None) -> AppConfig:
 
 def serialize(cfg: AppConfig) -> dict:
     """Fully resolved configuration mapping; parsing it reproduces ``cfg``."""
-    exp = cfg.roy.experiment
-    return {
-        "run": {"seed": cfg.run.seed, "out": cfg.run.out, "format": cfg.run.format},
-        "baseline": {
-            name: getattr(cfg.baseline, name)
-            for name in ("alpha", "gamma", "r", "delta_k", "eta", "A_bar", "K", "L_bar")
-        },
-        "priors": {
-            "alpha": [cfg.priors.alpha_lo, cfg.priors.alpha_hi],
-            "r": [cfg.priors.r_lo, cfg.priors.r_hi],
-            "delta_k": [cfg.priors.delta_lo, cfg.priors.delta_hi],
-            "gamma": [cfg.priors.gamma_lo, cfg.priors.gamma_hi],
-            "n_draws": cfg.priors.n_draws,
-        },
-        "transition": {
-            "k0": cfg.transition.k0,
-            "L_S0": cfg.transition.L_S0,
-            "T": cfg.transition.T,
-            "damping": cfg.transition.damping,
-            "tol": cfg.transition.tol,
-        },
-        "portfolio": {
-            "n_families": cfg.portfolio.n_families,
-            "omega": list(cfg.portfolio.omega),
-            "delta_j": list(cfg.portfolio.delta_j),
-            "k0": list(cfg.portfolio.k0),
-            "aggregator": cfg.portfolio.aggregator,
-            "rho": cfg.portfolio.rho,
-            "epsilon_floor": cfg.portfolio.epsilon_floor,
-            "beta": cfg.portfolio.beta,
-            "Lambda": cfg.portfolio.Lambda,
-            "labor_budget": cfg.portfolio.labor_budget,
-            "T": cfg.portfolio.T,
-            "entry": {
-                "mu": cfg.portfolio.entry.mu,
-                "k_seed": cfg.portfolio.entry.k_seed,
-                "omega_median": cfg.portfolio.entry.omega_median,
-                "omega_sigma": cfg.portfolio.entry.omega_sigma,
-                "delta_j": [cfg.portfolio.entry.delta_lo, cfg.portfolio.entry.delta_hi],
-            },
-            "drift": {
-                "enabled": cfg.portfolio.drift.enabled,
-                "env_hazard": cfg.portfolio.drift.env_hazard,
-                "tech_hazard": cfg.portfolio.drift.tech_hazard,
-                "org_hazard": cfg.portfolio.drift.org_hazard,
-                "tech_start": cfg.portfolio.drift.tech_start,
-                "tech_every": cfg.portfolio.drift.tech_every,
-                "org_start": cfg.portfolio.drift.org_start,
-                "org_every": cfg.portfolio.drift.org_every,
-                "drop_frac": cfg.portfolio.drift.drop_frac,
-            },
-        },
-        "roy": {
-            "n_initial": exp.n_initial,
-            "initial_k": exp.initial_k,
-            "omega": exp.omega,
-            "delta_j": [exp.delta_lo, exp.delta_hi],
-            "rho": exp.rho,
-            "beta": exp.beta,
-            "Lambda": exp.Lambda,
-            "epsilon_floor": exp.epsilon_floor,
-            "labor_budget": exp.labor_budget,
-            "T": exp.T,
-            "mu": exp.mu,
-            "k_seed": exp.k_seed,
-            "omega_sigma": exp.omega_sigma,
-            "n_workers": exp.n_workers,
-            "sigma_young": exp.sigma_young,
-            "sigma_mature": exp.sigma_mature,
-            "k_ref": exp.k_ref,
-            "damping": exp.damping,
-            "tol": exp.tol,
-            "max_iter": exp.max_iter,
-            "eval_window": exp.eval_window,
-            "treatment": cfg.roy.treatment,
-            "factor": cfg.roy.factor,
-            "replications": cfg.roy.replications,
-        },
-        "estimate": {
-            "panel": cfg.estimate.panel,
-            "rel_drop": cfg.estimate.rel_drop,
-            "horizon": cfg.estimate.horizon,
-        },
-    }
+    return copy.deepcopy(cfg._resolved)
 
 
 def dump_yaml(cfg: AppConfig) -> str:
@@ -570,21 +291,9 @@ def dump_yaml(cfg: AppConfig) -> str:
 
 
 def with_overrides(
-    cfg: AppConfig,
-    seed: int | None = None,
-    out: str | None = None,
-    fmt: str | None = None,
+    cfg: AppConfig, seed: int | None = None, out: str | None = None, fmt: str | None = None
 ) -> AppConfig:
-    """Apply command-line overrides to the run section."""
-    run = cfg.run
-    if seed is not None:
-        if not 0 <= seed <= 2**64 - 1:
-            raise ConfigError("run.seed", "must lie in [0, 2**64 - 1]")
-        run = replace(run, seed=seed)
-    if out is not None:
-        run = replace(run, out=out)
-    if fmt is not None:
-        if fmt not in FORMATS:
-            raise ConfigError("run.format", f"must be one of {', '.join(FORMATS)}")
-        run = replace(run, format=fmt)
-    return replace(cfg, run=run)
+    """Apply command-line overrides to the run section, checked by the same rows."""
+    data = serialize(cfg)
+    data["run"].update({k: v for k, v in (("seed", seed), ("out", out), ("format", fmt)) if v is not None})
+    return parse_config(data)

@@ -178,8 +178,143 @@ def test_bad_config_value_exits_two_with_json_error(tmp_path, capsys):
     assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "config"
-    assert err["error"]["path"] == "baseline"
+    assert err["error"]["path"] == "baseline.gamma"
     assert "gamma must lie in (0, 1)" in err["error"]["message"]
+
+
+def nested(path, value):
+    """A config mapping that sets one dotted path."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+# One out-of-range or wrong-type value for every config field.
+BAD_VALUES = [
+    ("run.seed", -1),
+    ("run.out", ""),
+    ("run.format", "xml"),
+    ("baseline.alpha", 1.5),
+    ("baseline.gamma", 0.0),
+    ("baseline.r", 0.0),
+    ("baseline.delta_k", 1.0),
+    ("baseline.eta", -0.2),
+    ("baseline.A_bar", 0.0),
+    ("baseline.K", "big"),
+    ("baseline.L_bar", True),
+    ("priors.alpha", [0.3, 1.2]),
+    ("priors.r", [0.0, 0.05]),
+    ("priors.delta_k", [0.08]),
+    ("priors.gamma", "wide"),
+    ("priors.n_draws", 0),
+    ("transition.k0", -1.0),
+    ("transition.L_S0", -0.5),
+    ("transition.T", 2.5),
+    ("transition.damping", 5.0),
+    ("transition.tol", 0.0),
+    ("portfolio.n_families", 0),
+    ("portfolio.omega", [1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+    ("portfolio.delta_j", 1.5),
+    ("portfolio.k0", -1.0),
+    ("portfolio.aggregator", "geometric"),
+    ("portfolio.rho", 0.0),
+    ("portfolio.epsilon_floor", 0.0),
+    ("portfolio.beta", 1.0),
+    ("portfolio.Lambda", 0.0),
+    ("portfolio.labor_budget", -1.0),
+    ("portfolio.T", 0),
+    ("portfolio.entry.mu", -0.1),
+    ("portfolio.entry.k_seed", -1.0),
+    ("portfolio.entry.omega_median", 0.0),
+    ("portfolio.entry.omega_sigma", -0.5),
+    ("portfolio.entry.delta_j", [0.0, 0.25]),
+    ("portfolio.drift.enabled", "yes"),
+    ("portfolio.drift.env_hazard", 1.5),
+    ("portfolio.drift.tech_hazard", -0.1),
+    ("portfolio.drift.org_hazard", 2.0),
+    ("portfolio.drift.tech_start", -1),
+    ("portfolio.drift.tech_every", 0),
+    ("portfolio.drift.org_start", 1.5),
+    ("portfolio.drift.org_every", 0),
+    ("portfolio.drift.drop_frac", 1.0),
+    ("roy.n_initial", 0),
+    ("roy.initial_k", -1.0),
+    ("roy.omega", 0.0),
+    ("roy.delta_j", [0.08, 1.0]),
+    ("roy.rho", 0.0),
+    ("roy.beta", 1.5),
+    ("roy.Lambda", -1.0),
+    ("roy.epsilon_floor", 0.0),
+    ("roy.labor_budget", -1.0),
+    ("roy.T", 0),
+    ("roy.mu", -0.25),
+    ("roy.k_seed", -0.001),
+    ("roy.omega_sigma", -0.5),
+    ("roy.n_workers", 0),
+    ("roy.sigma_young", -1.5),
+    ("roy.sigma_mature", -0.2),
+    ("roy.k_ref", 0.0),
+    ("roy.damping", 5.0),
+    ("roy.tol", -1.0),
+    ("roy.max_iter", 0),
+    ("roy.eval_window", 0),
+    ("roy.treatment", "sigma"),
+    ("roy.factor", 0.0),
+    ("roy.replications", 0),
+    ("estimate.panel", ""),
+    ("estimate.rel_drop", 1.0),
+    ("estimate.horizon", 0),
+]
+
+NULLABLE = {"transition.k0", "transition.L_S0", "transition.damping", "estimate.panel"}
+
+# Values that break a rule spanning fields, and the one path each reports.
+CROSS_FIELD = [
+    ({"priors": {"gamma": [0.08, 0.02]}}, "priors.gamma"),
+    ({"portfolio": {"entry": {"delta_j": [0.25, 0.08]}}}, "portfolio.entry.delta_j"),
+    ({"roy": {"delta_j": [0.25, 0.08]}}, "roy.delta_j"),
+    ({"transition": {"L_S0": 5.0}}, "transition.L_S0"),
+    ({"baseline": {"L_bar": 2.0}, "transition": {"L_S0": 3.0}}, "transition.L_S0"),
+    ({"roy": {"T": 5, "eval_window": 7}}, "roy.eval_window"),
+    ({"roy": {"sigma_mature": 2.0}}, "roy.sigma_mature"),
+    (
+        {"portfolio": {"drift": {"env_hazard": 0.5, "tech_hazard": 0.4, "org_hazard": 0.3}}},
+        "portfolio.drift.env_hazard",
+    ),
+    ({"portfolio": {"n_families": 3, "omega": [1.0, 2.0]}}, "portfolio.omega"),
+    ({"portfolio": {"n_families": 2, "delta_j": [0.1, 0.2, 0.3]}}, "portfolio.delta_j"),
+    ({"portfolio": {"k0": [1.0]}}, "portfolio.k0"),
+]
+
+# The command that would consume each section.
+COMMAND = {
+    "run": "steady-state", "baseline": "steady-state", "priors": "calibrate", "transition": "simulate",
+    "portfolio": "portfolio", "roy": "roy", "estimate": "estimate",
+}
+
+BAD_CASES = (
+    [pytest.param(nested(p, v), p, id=f"{p}={v!r}") for p, v in BAD_VALUES]
+    + [pytest.param(nested(p, None), p, id=f"{p}=null") for p, _ in BAD_VALUES if p not in NULLABLE]
+    + [pytest.param(c, p, id=f"rule:{p}:{json.dumps(c)}") for c, p in CROSS_FIELD]
+)
+
+
+def test_bad_values_cover_every_field():
+    from structlabor.config import FIELDS
+
+    assert sorted(p for p, _ in BAD_VALUES) == sorted(f.path for f in FIELDS)
+    assert len(FIELDS) == 73
+
+
+@pytest.mark.parametrize("data, path", BAD_CASES)
+def test_every_bad_value_exits_two_with_its_dotted_path(tmp_path, capsys, data, path):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, data)
+    assert main([COMMAND[path.split(".")[0]], "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config"
+    assert err["path"] == path
+    assert not out.exists()
 
 
 def test_unknown_key_error_names_the_path(tmp_path, capsys):

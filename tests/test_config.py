@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -184,3 +186,25 @@ def test_serialized_config_is_plain_data():
     yaml.safe_dump(blob)
     assert blob["roy"]["delta_j"] == [0.08, 0.25]
     assert blob["portfolio"]["entry"]["delta_j"] == [0.08, 0.25]
+
+
+def _matches_readme(documented, actual):
+    """Compare a README value with the code's, reading ``[...]`` as a wildcard."""
+    if documented == ["..."]:
+        return True
+    if isinstance(documented, dict) and isinstance(actual, dict):
+        return documented.keys() == actual.keys() and all(
+            _matches_readme(documented[k], actual[k]) for k in documented
+        )
+    return documented == actual
+
+
+def test_readme_default_block_matches_the_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = yaml.safe_load(block)
+    actual = serialize(parse_config({}))
+    assert documented.keys() == actual.keys()
+    for name in actual:
+        assert _matches_readme(documented[name], actual[name]), name
