@@ -84,14 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_series(out: str, name: str, fmt: str, columns, rows) -> list[str]:
-    rows = [list(r) for r in rows]
+def _write_series(out: str, name: str, fmt: str, header, columns) -> list[str]:
     files = []
     if fmt in ("csv", "both"):
-        write_csv(os.path.join(out, f"{name}.csv"), columns, rows)
+        write_csv(os.path.join(out, f"{name}.csv"), header, columns)
         files.append(f"{name}.csv")
     if fmt in ("json", "both"):
-        write_json(os.path.join(out, f"{name}.json"), {"columns": list(columns), "rows": rows})
+        rows = [list(r) for r in zip(*(np.asarray(c).tolist() for c in columns))]
+        write_json(os.path.join(out, f"{name}.json"), {"columns": list(header), "rows": rows})
         files.append(f"{name}.json")
     return files
 
@@ -168,8 +168,8 @@ def _cmd_simulate(cfg: AppConfig) -> tuple[list[str], list[str]]:
         damping=cfg.transition.damping,
         tol=cfg.transition.tol,
     )
-    rows = [(p.t, p.k, p.L_S, p.L_U, p.Y, p.w_U, p.w_S) for p in path.points]
-    files = _write_series(cfg.run.out, "path", cfg.run.format, PATH_COLUMNS, rows)
+    columns = [[getattr(p, name) for p in path.points] for name in PATH_COLUMNS]
+    files = _write_series(cfg.run.out, "path", cfg.run.format, PATH_COLUMNS, columns)
     last = path.points[-1]
     payload = {
         "params": serialize(cfg)["baseline"],
@@ -201,31 +201,18 @@ def _run_configured_scenario(cfg: AppConfig):
     )
 
 
-def _panel_rows(scenario) -> list[tuple]:
-    return list(
-        zip(
-            scenario.family_id,
-            scenario.period,
-            scenario.maturity,
-            scenario.labor,
-            scenario.effective_weight,
-            scenario.tech_window,
-            scenario.org_window,
-        )
-    )
-
-
 def _cmd_portfolio(cfg: AppConfig) -> tuple[list[str], list[str]]:
     scenario = _run_configured_scenario(cfg)
-    files = _write_series(cfg.run.out, "panel", cfg.run.format, PANEL_COLUMNS, _panel_rows(scenario))
-    cap_rows = [
-        (int(t), float(scenario.capability[t]), float(scenario.labor_budget[t]))
-        for t in scenario.periods
-    ]
+    panel = [getattr(scenario, name) for name in PANEL_COLUMNS]
+    files = _write_series(cfg.run.out, "panel", cfg.run.format, PANEL_COLUMNS, panel)
     files += _write_series(
-        cfg.run.out, "capability", cfg.run.format, ("t", "capability", "labor_budget"), cap_rows
+        cfg.run.out,
+        "capability",
+        cfg.run.format,
+        ("t", "capability", "labor_budget"),
+        (scenario.periods, scenario.capability, scenario.labor_budget),
     )
-    births = count_births(scenario.final.families, T=cfg.portfolio.T)
+    births = count_births(scenario.final.born_at, T=cfg.portfolio.T)
     payload = {
         "T": cfg.portfolio.T,
         "n_families_initial": cfg.portfolio.n_families,
@@ -288,7 +275,7 @@ def _births_from_panel(panel: MaturityPanel) -> np.ndarray:
     fam = panel.family_id[order]
     per = panel.period[order]
     _, first = np.unique(fam, return_index=True)
-    return count_births([int(b) for b in per[first]], T=int(panel.period.max()))
+    return count_births(per[first], T=int(panel.period.max()))
 
 
 def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
@@ -303,26 +290,24 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
             org_window=arrays["org_window"],
         )
         births = _births_from_panel(panel)
-        index_rows = None
+        index_columns = None
     else:
         scenario = _run_configured_scenario(cfg)
         panel = MaturityPanel.from_scenario(scenario)
-        births = count_births(scenario.final.families, T=cfg.portfolio.T)
-        weights = {f.id: f.omega for f in scenario.final.families}
-        spec = scenario.final.aggregator
-        index_rows = []
-        for t in scenario.periods:
-            point = indices(
-                panel,
-                int(t),
-                weights,
-                labor_total=float(scenario.labor_budget[t]),
-                L_bar=cfg.baseline.L_bar,
-                aggregator=spec,
-            )
-            index_rows.append(
-                (point.period, point.capability, point.maintenance_share, point.n_families)
-            )
+        final = scenario.final
+        births = count_births(final.born_at, T=cfg.portfolio.T)
+        points = indices(
+            panel,
+            scenario.periods,
+            dict(zip(final.id.tolist(), final.omega.tolist())),
+            labor_total=scenario.labor_budget,
+            L_bar=cfg.baseline.L_bar,
+            aggregator=final.aggregator,
+        )
+        index_columns = [
+            [getattr(point, name) for point in points]
+            for name in ("period", "capability", "maintenance_share", "n_families")
+        ]
 
     flags = detect_degradation(panel, rel_drop=cfg.estimate.rel_drop, horizon=cfg.estimate.horizon)
     est = estimate_hazard_decomposition(flags)
@@ -345,15 +330,15 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
         "births",
         cfg.run.format,
         ("t", "births"),
-        [(int(t), int(b)) for t, b in enumerate(births)],
+        (np.arange(births.shape[0]), births),
     )
-    if index_rows is not None:
+    if index_columns is not None:
         files += _write_series(
             cfg.run.out,
             "indices",
             cfg.run.format,
             ("t", "capability", "maintenance_share", "n_families"),
-            index_rows,
+            index_columns,
         )
 
     def show(x: float | None) -> str:

@@ -13,6 +13,7 @@ from collections import namedtuple
 from types import SimpleNamespace
 from typing import Any
 
+import numpy as np
 import yaml
 
 from .calibration import PriorSpec
@@ -24,7 +25,6 @@ from .portfolio import (
     EntryConfig,
     Portfolio,
     PowerCodification,
-    TaskFamily,
     periodic_windows,
 )
 from .roy import RoyExperiment
@@ -217,13 +217,13 @@ def _split_delta(section: dict, drop: tuple[str, ...] = ()) -> dict:
 class PortfolioSection(SimpleNamespace):
     def initial_portfolio(self) -> Portfolio:
         """The period-0 families under this section's aggregator and technology."""
-        families = tuple(
-            TaskFamily(id=i, omega=self.omega[i], delta_j=self.delta_j[i], k_j=self.k0[i], born_at=0)
-            for i in range(self.n_families)
-        )
+        n = self.n_families
         rho = self.rho if self.aggregator == "ces" else None
         spec = AggregatorSpec(self.aggregator, rho, self.epsilon_floor)
-        return Portfolio(families, spec, PowerCodification(self.beta), self.Lambda)
+        return Portfolio(
+            np.arange(n), self.omega, self.delta_j, self.k0, np.zeros(n, dtype=np.int64),
+            spec, PowerCodification(self.beta), self.Lambda,
+        )
 
 
 class DriftSection(SimpleNamespace):

@@ -66,36 +66,6 @@ class BaselineParams:
 
 
 @dataclass(frozen=True)
-class EconomyState:
-    """A point-in-time state: capability stock and the labor split."""
-
-    t: int
-    k: float
-    L_S: float
-    L_U: float
-
-    def __post_init__(self) -> None:
-        _require(isinstance(self.t, int) and self.t >= 0, "t must be a nonnegative integer")
-        _require_finite(self.k, "k")
-        _require(self.k > 0.0, "capability stock must be positive")
-        _require_finite(self.L_S, "L_S")
-        _require_finite(self.L_U, "L_U")
-        _require(self.L_S >= 0.0, "L_S must be nonnegative")
-        _require(self.L_U >= 0.0, "L_U must be nonnegative")
-
-    @classmethod
-    def from_allocation(cls, params: BaselineParams, t: int, k: float, L_S: float) -> "EconomyState":
-        """Build a state from the maintenance-labor choice.
-
-        Production labor is the remainder of the endowment, so the labor
-        identity L_S + L_U = L_bar holds by construction.
-        """
-        _require_finite(L_S, "L_S")
-        _require(0.0 <= L_S <= params.L_bar, "L_S must lie in [0, L_bar]")
-        return cls(t=t, k=float(k), L_S=float(L_S), L_U=params.L_bar - float(L_S))
-
-
-@dataclass(frozen=True)
 class SteadyState:
     """Long-run allocation and prices.
 

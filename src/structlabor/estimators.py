@@ -238,25 +238,22 @@ def estimate_hazard_decomposition(flags: DegradationFlags) -> HazardEstimate:
     )
 
 
-def count_births(registry: Iterable, T: int | None = None) -> np.ndarray:
-    """Births per period from a family registry.
+def count_births(born_at, T: int | None = None) -> np.ndarray:
+    """Births per period from the families' birth periods.
 
-    ``registry`` yields task families (or plain birth periods).  Returns
-    the per-period birth counts, the empirical counterpart of the entry
-    intensity; index t holds the number of families first appearing at t.
-    Families born at period zero are the initial stock and are included.
+    Returns the per-period birth counts, the empirical counterpart of the
+    entry intensity; index t holds the number of families first appearing
+    at t.  Families born at period zero are the initial stock and are
+    included.
     """
-    born = [int(getattr(f, "born_at", f)) for f in registry]
-    _require(all(b >= 0 for b in born), "birth periods must be nonnegative")
-    horizon = (max(born) + 1) if born else 0
+    born = np.asarray(born_at, dtype=np.int64)
+    _require(bool(np.all(born >= 0)), "birth periods must be nonnegative")
+    horizon = int(born.max()) + 1 if born.size else 0
     if T is not None:
         _require(isinstance(T, int) and T >= 0, "T must be a nonnegative integer")
         _require(horizon <= T + 1, "registry contains births beyond T")
         horizon = T + 1
-    counts = np.zeros(horizon, dtype=np.int64)
-    for b in born:
-        counts[b] += 1
-    return counts
+    return np.bincount(born, minlength=horizon).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -272,45 +269,66 @@ class IndexPoint:
 
 def indices(
     panel: MaturityPanel,
-    t: int,
+    periods,
     weights: Mapping[int, float],
-    labor_total: float,
+    labor_total,
     L_bar: float,
     aggregator=None,
-) -> IndexPoint:
-    """Rebuild the aggregate capability index and maintenance share at t.
+) -> list[IndexPoint]:
+    """Rebuild the aggregate capability index and maintenance share at each period.
 
-    ``weights`` maps family id to its importance weight; families present
-    at t but missing from the map are skipped and reported.  With no
-    ``aggregator`` the index is the weighted sum of maturities; passing
-    an :class:`~structlabor.portfolio.AggregatorSpec` applies its CES
-    form instead.  The maintenance share is labor_total / L_bar.
+    ``periods`` lists the periods to rebuild and ``labor_total`` the
+    labor spent in each.  ``weights`` maps family id to its importance
+    weight; families present at a period but missing from the map are
+    skipped and reported.  With no ``aggregator`` the index is the
+    weighted sum of maturities; passing an
+    :class:`~structlabor.portfolio.AggregatorSpec` applies its CES form
+    instead.  The maintenance share is labor_total / L_bar.  The panel is
+    sorted by period once and each period is one slice of it.
     """
     _require(panel.n_obs > 0, "panel is empty")
     _require(L_bar > 0.0, "L_bar must be positive")
-    _require(math.isfinite(labor_total) and labor_total >= 0.0, "labor_total must be nonnegative")
-    at_t = panel.period == t
-    _require(bool(np.any(at_t)), f"panel has no observations at period {t}")
-    fams = panel.family_id[at_t]
-    mats = panel.maturity[at_t]
-    known = np.asarray([int(f) in weights for f in fams], dtype=bool)
-    missing = tuple(int(f) for f in fams[~known])
-    fams = fams[known]
-    mats = mats[known]
-    _require(fams.shape[0] > 0, f"no weighted families at period {t}")
-    w = np.asarray([float(weights[int(f)]) for f in fams])
-    if aggregator is None or aggregator.kind == "additive":
-        cap = float(np.dot(w, mats))
-    else:
-        rho = float(aggregator.rho)
-        if rho < 0.0 and np.any(mats == 0.0):
-            cap = 0.0
+    periods = np.asarray(periods, dtype=np.int64)
+    labor = np.asarray(labor_total, dtype=float)
+    _require(periods.ndim == 1 and labor.shape == periods.shape, "labor_total must have one entry per period")
+    _require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor_total must be nonnegative")
+
+    order = np.argsort(panel.period, kind="stable")
+    per = panel.period[order]
+    fams = panel.family_id[order]
+    mats = panel.maturity[order]
+    # Weight of every observation, looked up in the map's ids sorted once.
+    ids = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
+    values = np.fromiter(weights.values(), dtype=float, count=len(weights))
+    by_id = np.argsort(ids)
+    ids, values = ids[by_id], values[by_id]
+    pos = np.searchsorted(ids, fams)
+    known = np.isin(fams, ids)
+
+    points = []
+    bounds = np.searchsorted(per, np.stack([periods, periods + 1]))
+    for t, lo, hi, labor_t in zip(periods.tolist(), *bounds.tolist(), labor.tolist()):
+        _require(hi > lo, f"panel has no observations at period {t}")
+        have = known[lo:hi]
+        missing = tuple(fams[lo:hi][~have].tolist())
+        w = values[pos[lo:hi][have]]
+        m = mats[lo:hi][have]
+        _require(w.shape[0] > 0, f"no weighted families at period {t}")
+        if aggregator is None or aggregator.kind == "additive":
+            cap = float(np.dot(w, m))
         else:
-            cap = float(np.dot(w, np.power(mats, rho)) ** (1.0 / rho))
-    return IndexPoint(
-        period=int(t),
-        capability=cap,
-        maintenance_share=labor_total / L_bar,
-        n_families=int(fams.shape[0]),
-        missing_weights=missing,
-    )
+            rho = float(aggregator.rho)
+            if rho < 0.0 and np.any(m == 0.0):
+                cap = 0.0
+            else:
+                cap = float(np.dot(w, np.power(m, rho)) ** (1.0 / rho))
+        points.append(
+            IndexPoint(
+                period=t,
+                capability=cap,
+                maintenance_share=labor_t / L_bar,
+                n_families=int(w.shape[0]),
+                missing_weights=missing,
+            )
+        )
+    return points

@@ -37,30 +37,17 @@ PANEL_COLUMNS = (
 )
 
 
-def format_value(value: Any) -> str:
-    """Render one CSV cell deterministically.
-
-    Floats use ``repr`` (shortest round-trip form); booleans become 0/1;
-    integers render as plain decimals.
-    """
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, str):
-        return value
-    raise DomainError(f"cannot format value of type {type(value).__name__}")
+# Rows rendered and written per step, so a large table never exists as one string.
+CHUNK_ROWS = 65536
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, parts: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,15 +55,40 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write a CSV file atomically with deterministic cell formatting."""
-    lines = [",".join(header)]
-    width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise DomainError(f"row width {len(row)} does not match header width {width}")
-        lines.append(",".join(format_value(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+def _cells(column: np.ndarray) -> list[str]:
+    """One column's cells: booleans as 1/0, integers in decimal, floats by ``repr``."""
+    kind = column.dtype.kind
+    if kind == "b":
+        return np.where(column, "1", "0").tolist()
+    if kind == "f":
+        return list(map(repr, column.tolist()))
+    return list(map(str, column.tolist()))
+
+
+def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
+    """Write a CSV file atomically from parallel columns, formatted by dtype.
+
+    Columns must be one-dimensional, of equal length, and of boolean,
+    integer or float dtype.  Rows are rendered and written in chunks of
+    ``CHUNK_ROWS``.
+    """
+    cols = [np.asarray(c) for c in columns]
+    if len(cols) != len(header):
+        raise DomainError(f"{len(cols)} columns do not match header width {len(header)}")
+    n = cols[0].shape[0] if cols and cols[0].ndim == 1 else 0
+    for name, col in zip(header, cols):
+        if col.shape != (n,):
+            raise DomainError(f"column {name} has shape {col.shape}, expected ({n},)")
+        if col.dtype.kind not in "biuf":
+            raise DomainError(f"cannot format column {name} of dtype {col.dtype}")
+
+    def parts():
+        yield ",".join(header) + "\n"
+        for lo in range(0, n, CHUNK_ROWS):
+            cells = [_cells(c[lo : lo + CHUNK_ROWS]) for c in cols]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _atomic_write(path, parts())
 
 
 def _sanitize(obj: Any) -> Any:
@@ -104,7 +116,7 @@ def _sanitize(obj: Any) -> Any:
 def write_json(path: str, obj: Any) -> None:
     """Write a JSON file atomically with sorted keys and stable floats."""
     text = json.dumps(_sanitize(obj), indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write_text(path, text + "\n")
+    _atomic_write(path, [text, "\n"])
 
 
 def sha256_file(path: str) -> str:
@@ -161,26 +173,6 @@ def write_manifest(
     path = os.path.join(out_dir, "run.manifest.json")
     write_json(path, manifest)
     return path
-
-
-def write_path_csv(path: str, points: Iterable) -> None:
-    """Emit a transition path with the contractual column order."""
-    rows = [(p.t, p.k, p.L_S, p.L_U, p.Y, p.w_U, p.w_S) for p in points]
-    write_csv(path, PATH_COLUMNS, rows)
-
-
-def write_panel_csv(path: str, scenario) -> None:
-    """Emit a maturity panel with the contractual column order."""
-    rows = zip(
-        scenario.family_id,
-        scenario.period,
-        scenario.maturity,
-        scenario.labor,
-        scenario.effective_weight,
-        scenario.tech_window,
-        scenario.org_window,
-    )
-    write_csv(path, PANEL_COLUMNS, rows)
 
 
 def _parse_bool(text: str, path: str, line: int) -> bool:

@@ -22,8 +22,6 @@ import numpy as np
 from .errors import DomainError
 from .rng import poisson_inverse_cdf, stream
 
-_BISECT_STEPS = 200
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -34,25 +32,6 @@ def _finite(value: float, name: str) -> float:
     value = float(value)
     _require(math.isfinite(value), f"{name} must be finite")
     return value
-
-
-@dataclass(frozen=True)
-class TaskFamily:
-    """One task family: importance weight, decay rate, maturity, birth period."""
-
-    id: int
-    omega: float
-    delta_j: float
-    k_j: float
-    born_at: int = 0
-
-    def __post_init__(self) -> None:
-        _require(isinstance(self.id, int) and self.id >= 0, "family id must be a nonnegative integer")
-        _require(_finite(self.omega, "omega") > 0.0, "omega must be positive")
-        _finite(self.delta_j, "delta_j")
-        _require(0.0 < self.delta_j < 1.0, "delta_j must lie in (0, 1)")
-        _require(_finite(self.k_j, "k_j") >= 0.0, "maturity must be nonnegative")
-        _require(isinstance(self.born_at, int) and self.born_at >= 0, "born_at must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -87,32 +66,6 @@ class PowerCodification:
         return np.power(np.asarray(m, dtype=float) / self.beta, -1.0 / (1.0 - self.beta))
 
 
-def validate_codification(tech, points: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0)) -> None:
-    """Numerically check the shape restrictions on a codification technology.
-
-    Requires g(0) = 0, a positive and strictly decreasing marginal
-    product at the sample points, and consistent inverses.  Raises
-    :class:`DomainError` on the first violation.
-    """
-    _require(float(tech.g(0.0)) == 0.0, "codification must satisfy g(0) = 0")
-    pts = sorted(float(p) for p in points)
-    _require(len(pts) >= 2 and pts[0] > 0.0, "need at least two positive sample points")
-    previous = math.inf
-    for p in pts:
-        m = float(tech.g_prime(p))
-        _require(m > 0.0, "marginal codification product must be positive")
-        _require(m < previous, "marginal codification product must be strictly decreasing")
-        previous = m
-        _require(
-            abs(float(tech.g_inv(float(tech.g(p)))) - p) <= 1e-9 * max(1.0, p),
-            "g_inv must invert g",
-        )
-        _require(
-            abs(float(tech.g_prime_inv(m)) - p) <= 1e-9 * max(1.0, p),
-            "g_prime_inv must invert g_prime",
-        )
-
-
 @dataclass(frozen=True)
 class AggregatorSpec:
     """How family maturities combine into the economy-wide capability index.
@@ -138,41 +91,58 @@ class AggregatorSpec:
         _require(_finite(self.epsilon_floor, "epsilon_floor") > 0.0, "epsilon_floor must be positive")
 
 
-@dataclass(frozen=True)
-class Portfolio:
-    """A set of task families plus the aggregator, technology, and scale.
+def _int_column(values, msg: str) -> np.ndarray:
+    col = np.asarray(values)
+    _require(col.dtype.kind in "iu" or col.size == 0, msg)
+    col = col.astype(np.int64, copy=False)
+    _require(bool(np.all(col >= 0)), msg)
+    return col
 
-    ``Lambda`` is the economy-wide value of a marginal unit of aggregate
-    capability; it scales effective weights and prices but cancels out of
-    the labor allocation.  Families are kept sorted by id.
+
+@dataclass(frozen=True, eq=False)
+class Portfolio:
+    """Task families as parallel columns, plus the aggregator, technology, and scale.
+
+    Row j is one family: its ``id``, importance weight ``omega``, decay
+    rate ``delta``, maturity ``k`` and birth period ``born_at``.  Rows
+    are sorted by id and ids are unique.  ``Lambda`` is the economy-wide
+    value of a marginal unit of aggregate capability; it scales effective
+    weights and prices but cancels out of the labor allocation.
     """
 
-    families: tuple[TaskFamily, ...]
+    id: np.ndarray
+    omega: np.ndarray
+    delta: np.ndarray
+    k: np.ndarray
+    born_at: np.ndarray
     aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
     tech: PowerCodification = field(default_factory=PowerCodification)
     Lambda: float = 1.0
 
     def __post_init__(self) -> None:
+        ids = _int_column(self.id, "family id must be a nonnegative integer")
+        born = _int_column(self.born_at, "born_at must be a nonnegative integer")
+        omega, delta, k = (np.asarray(c, dtype=float) for c in (self.omega, self.delta, self.k))
+        n = ids.shape[0] if ids.ndim == 1 else -1
+        _require(
+            all(c.shape == (n,) for c in (omega, delta, k, born)), "family columns must be parallel 1-d arrays"
+        )
+        _require(bool(np.all(np.isfinite(omega))), "omega must be finite")
+        _require(bool(np.all(omega > 0.0)), "omega must be positive")
+        _require(bool(np.all(np.isfinite(delta))), "delta_j must be finite")
+        _require(bool(np.all((0.0 < delta) & (delta < 1.0))), "delta_j must lie in (0, 1)")
+        _require(bool(np.all(np.isfinite(k))), "k_j must be finite")
+        _require(bool(np.all(k >= 0.0)), "maturity must be nonnegative")
         _require(_finite(self.Lambda, "Lambda") > 0.0, "Lambda must be positive")
-        ids = [f.id for f in self.families]
-        _require(len(set(ids)) == len(ids), "family ids must be unique")
-        _require(list(ids) == sorted(ids), "families must be sorted by id")
+        if not bool(np.all(ids[1:] > ids[:-1])):
+            unique = np.unique(ids).shape[0] == n
+            raise DomainError("families must be sorted by id" if unique else "family ids must be unique")
+        for name, col in (("id", ids), ("omega", omega), ("delta", delta), ("k", k), ("born_at", born)):
+            object.__setattr__(self, name, col)
 
     @property
     def size(self) -> int:
-        return len(self.families)
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(f.id for f in self.families)
-
-    def omegas(self) -> np.ndarray:
-        return np.array([f.omega for f in self.families], dtype=float)
-
-    def deltas(self) -> np.ndarray:
-        return np.array([f.delta_j for f in self.families], dtype=float)
-
-    def stocks(self) -> np.ndarray:
-        return np.array([f.k_j for f in self.families], dtype=float)
+        return int(self.id.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,20 +151,22 @@ class AllocationResult:
 
     ``kkt_residual`` is the spread of weighted marginal products across
     families that received labor; it is zero at an exact optimum.
+    ``weights`` are the effective weights the split was computed for.
     """
 
-    family_ids: tuple[int, ...]
+    family_ids: np.ndarray
     labor: np.ndarray
     total: float
     multiplier: float
     kkt_residual: float
+    weights: np.ndarray
 
 
 def aggregate_capability(portfolio: Portfolio) -> float:
     """Economy-wide capability index implied by current maturities."""
     _require(portfolio.size >= 1, "portfolio has no families")
-    omega = portfolio.omegas()
-    k = portfolio.stocks()
+    omega = portfolio.omega
+    k = portfolio.k
     agg = portfolio.aggregator
     if agg.kind == "additive":
         return float(np.dot(omega, k))
@@ -214,102 +186,60 @@ def effective_weights(portfolio: Portfolio) -> np.ndarray:
     get large but finite weights.
     """
     _require(portfolio.size >= 1, "portfolio has no families")
-    omega = portfolio.omegas()
+    omega = portfolio.omega
     agg = portfolio.aggregator
     if agg.kind == "additive":
         return portfolio.Lambda * omega
     rho = float(agg.rho)
-    k = np.maximum(portfolio.stocks(), agg.epsilon_floor)
+    k = np.maximum(portfolio.k, agg.epsilon_floor)
     inner = float(np.dot(omega, np.power(k, rho)))
     # d/dk_j of (sum omega k^rho)^(1/rho) = omega_j k_j^(rho-1) * index^(1-rho)
     return portfolio.Lambda * omega * np.power(k, rho - 1.0) * inner ** ((1.0 - rho) / rho)
 
 
-def allocate_labor(portfolio: Portfolio, L_S: float, solver: str = "auto") -> AllocationResult:
+def allocate_labor(portfolio: Portfolio, L_S: float) -> AllocationResult:
     """Split the labor budget to maximize weighted codification output.
 
     Maximizes sum_j w_j * g(l_j) subject to sum_j l_j = L_S, l_j >= 0,
     where w_j are the effective weights.  The optimum equalizes
-    w_j * g'(l_j) across served families at the multiplier nu.
-
-    solver "closed_form" uses the power-technology solution
-    l_j proportional to w_j**(1/(1-beta)); "bisection" solves the
-    multiplier equation sum_j g'^{-1}(nu / w_j) = L_S by monotone
-    bisection and works for any concave technology; "auto" picks the
-    closed form for :class:`PowerCodification`.
+    w_j * g'(l_j) across served families at the multiplier nu; for the
+    power technology that gives l_j proportional to w_j**(1/(1-beta)).
     """
     _require(portfolio.size >= 1, "portfolio has no families")
     _require(_finite(L_S, "L_S") >= 0.0, "labor budget must be nonnegative")
-    _require(solver in ("auto", "closed_form", "bisection"), "unknown solver")
     w = effective_weights(portfolio)
-    ids = portfolio.ids()
     if L_S == 0.0:
         return AllocationResult(
-            family_ids=ids,
+            family_ids=portfolio.id,
             labor=np.zeros(portfolio.size),
             total=0.0,
             multiplier=math.inf,
             kkt_residual=0.0,
+            weights=w,
         )
 
     tech = portfolio.tech
-    if solver == "closed_form" or (solver == "auto" and isinstance(tech, PowerCodification)):
-        shares = np.power(w, 1.0 / (1.0 - tech.beta))
-        labor = L_S * shares / shares.sum()
-    else:
-        labor = _allocate_bisection(tech, w, L_S)
-        # Uniform rescale to land exactly on the budget; for power-law
-        # technologies this leaves the marginal conditions untouched.
-        labor = labor * (L_S / labor.sum())
-
+    shares = np.power(w, 1.0 / (1.0 - tech.beta))
+    labor = L_S * shares / shares.sum()
     active = labor > 0.0
     marginal = w[active] * np.asarray(tech.g_prime(labor[active]), dtype=float)
     return AllocationResult(
-        family_ids=ids,
+        family_ids=portfolio.id,
         labor=labor,
         total=float(labor.sum()),
         multiplier=float(np.max(marginal)),
         kkt_residual=float(np.max(marginal) - np.min(marginal)),
+        weights=w,
     )
 
 
-def _allocate_bisection(tech, w: np.ndarray, L_S: float) -> np.ndarray:
-    """Solve the allocation multiplier by bisection.
+def maintenance_labor(portfolio: Portfolio) -> np.ndarray:
+    """Labor per family that exactly offsets one period of decay at current maturity.
 
-    Total labor demand sum_j g'^{-1}(nu / w_j) is continuous and strictly
-    decreasing in nu, diverges as nu -> 0, and vanishes as nu -> inf, so
-    the budget constraint has a unique root.
+    Solves g(l_j) = delta_j * k_j, the inflow needed to hold each
+    family's maturity constant.
     """
-
-    def demand(nu: float) -> float:
-        return float(np.sum(tech.g_prime_inv(nu / w)))
-
-    nu = float(np.median(w) * tech.g_prime(L_S / len(w)))
-    lo = hi = nu
-    while demand(lo) < L_S:
-        lo /= 2.0
-        _require(lo > 0.0, "bisection failed to bracket the multiplier from below")
-    while demand(hi) > L_S:
-        hi *= 2.0
-        _require(math.isfinite(hi), "bisection failed to bracket the multiplier from above")
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if demand(mid) > L_S:
-            lo = mid
-        else:
-            hi = mid
-    return np.asarray(tech.g_prime_inv(0.5 * (lo + hi) / w), dtype=float)
-
-
-def maintenance_labor(family: TaskFamily, tech) -> float:
-    """Labor that exactly offsets one period of decay at current maturity.
-
-    Solves g(l) = delta_j * k_j, the inflow needed to hold the family's
-    maturity constant.
-    """
-    return float(tech.g_inv(family.delta_j * family.k_j))
+    return np.asarray(portfolio.tech.g_inv(portfolio.delta * portfolio.k), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -339,10 +269,8 @@ class EntryConfig:
         _require(0.0 < self.delta_lo <= self.delta_hi < 1.0, "entry delta range must lie in (0, 1)")
 
 
-def _draw_entrants(
-    entry: EntryConfig, gen: np.random.Generator, next_id: int, born_at: int
-) -> list[TaskFamily]:
-    """Draw the period's entrants.
+def _draw_entrants(entry: EntryConfig, gen: np.random.Generator) -> tuple[list[float], list[float]]:
+    """Draw the period's entrants: their weights and decay rates.
 
     One uniform decides the birth count by inversion; each entrant then
     consumes one normal (weight) and one uniform (decay) in slot order,
@@ -350,20 +278,11 @@ def _draw_entrants(
     entrants even if one run goes on to draw more.
     """
     count = poisson_inverse_cdf(gen, entry.mu)
-    entrants = []
-    for slot in range(count):
-        omega = entry.omega_median * math.exp(entry.omega_sigma * gen.standard_normal())
-        delta = gen.uniform(entry.delta_lo, entry.delta_hi)
-        entrants.append(
-            TaskFamily(
-                id=next_id + slot,
-                omega=float(omega),
-                delta_j=float(delta),
-                k_j=entry.k_seed,
-                born_at=born_at,
-            )
-        )
-    return entrants
+    omegas, deltas = [], []
+    for _ in range(count):
+        omegas.append(entry.omega_median * math.exp(entry.omega_sigma * gen.standard_normal()))
+        deltas.append(gen.uniform(entry.delta_lo, entry.delta_hi))
+    return omegas, deltas
 
 
 def step_portfolio(
@@ -377,30 +296,22 @@ def step_portfolio(
 
     Each family decays and receives its allocated codification inflow:
     k' = (1 - delta_j) * k_j + g(l_j).  Entrants are appended with
-    ``born_at = next_period`` and ids continuing after the current
-    maximum.  Families never exit.
+    maturity ``entry.k_seed``, ``born_at = next_period`` and ids
+    continuing after the current maximum.  Families never exit.
     """
-    _require(allocation.family_ids == portfolio.ids(), "allocation does not match portfolio families")
+    _require(np.array_equal(allocation.family_ids, portfolio.id), "allocation does not match portfolio families")
     _require(isinstance(next_period, int) and next_period >= 1, "next_period must be an integer >= 1")
     inflow = np.asarray(portfolio.tech.g(allocation.labor), dtype=float)
-    updated = [
-        TaskFamily(
-            id=f.id,
-            omega=f.omega,
-            delta_j=f.delta_j,
-            k_j=float((1.0 - f.delta_j) * f.k_j + inflow[i]),
-            born_at=f.born_at,
-        )
-        for i, f in enumerate(portfolio.families)
-    ]
-    next_id = updated[-1].id + 1 if updated else 0
-    updated.extend(_draw_entrants(entry, gen, next_id, next_period))
-    return Portfolio(
-        families=tuple(updated),
-        aggregator=portfolio.aggregator,
-        tech=portfolio.tech,
-        Lambda=portfolio.Lambda,
-    )
+    k = (1.0 - portfolio.delta) * portfolio.k + inflow
+    columns = [portfolio.id, portfolio.omega, portfolio.delta, k, portfolio.born_at]
+    omegas, deltas = _draw_entrants(entry, gen)
+    if omegas:
+        n = len(omegas)
+        next_id = int(portfolio.id[-1]) + 1 if portfolio.size else 0
+        ids = np.arange(next_id, next_id + n)
+        added = [ids, omegas, deltas, np.full(n, entry.k_seed), np.full(n, next_period)]
+        columns = [np.concatenate([old, new]) for old, new in zip(columns, added)]
+    return Portfolio(*columns, portfolio.aggregator, portfolio.tech, portfolio.Lambda)
 
 
 @dataclass(frozen=True)
@@ -470,24 +381,15 @@ class ScenarioResult:
     final: Portfolio
     events: tuple[tuple[int, int], ...]
 
-    def birth_registry(self) -> tuple[TaskFamily, ...]:
-        return self.final.families
-
     def portfolio_at(self, t: int) -> Portfolio:
         """Reconstruct the portfolio as it stood at the start of period t."""
-        at_t = self.period == t
-        _require(bool(np.any(at_t)), f"scenario has no period {t}")
-        stocks = {int(f): float(k) for f, k in zip(self.family_id[at_t], self.maturity[at_t])}
-        families = tuple(
-            TaskFamily(id=f.id, omega=f.omega, delta_j=f.delta_j, k_j=stocks[f.id], born_at=f.born_at)
-            for f in self.final.families
-            if f.id in stocks
-        )
+        lo, hi = np.searchsorted(self.period, [t, t + 1])
+        _require(hi > lo, f"scenario has no period {t}")
+        final = self.final
+        rows = np.searchsorted(final.id, self.family_id[lo:hi])
         return Portfolio(
-            families=families,
-            aggregator=self.final.aggregator,
-            tech=self.final.tech,
-            Lambda=self.final.Lambda,
+            final.id[rows], final.omega[rows], final.delta[rows], self.maturity[lo:hi], final.born_at[rows],
+            final.aggregator, final.tech, final.Lambda,
         )
 
 
@@ -521,68 +423,47 @@ def run_portfolio_scenario(
         _require(budgets.shape == (T + 1,), "labor budget path must have length T + 1")
     _require(bool(np.all(np.isfinite(budgets)) and np.all(budgets >= 0.0)), "labor budgets must be nonnegative")
 
-    fam_id: list[int] = []
-    per: list[int] = []
-    mat: list[float] = []
-    lab: list[float] = []
-    eff: list[float] = []
-    techw: list[bool] = []
-    orgw: list[bool] = []
+    ids: list[np.ndarray] = []
+    stocks: list[np.ndarray] = []
+    labor: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
     capability = np.empty(T + 1)
     events: list[tuple[int, int]] = []
 
     p = portfolio
     for t in range(T + 1):
         alloc = allocate_labor(p, float(budgets[t]))
-        w = effective_weights(p)
-        in_tech = drift is not None and t in drift.tech_windows
-        in_org = drift is not None and t in drift.org_windows
-        for i, f in enumerate(p.families):
-            fam_id.append(f.id)
-            per.append(t)
-            mat.append(f.k_j)
-            lab.append(float(alloc.labor[i]))
-            eff.append(float(w[i]))
-            techw.append(in_tech)
-            orgw.append(in_org)
+        ids.append(p.id)
+        stocks.append(p.k)
+        labor.append(alloc.labor)
+        weights.append(alloc.weights)
         capability[t] = aggregate_capability(p)
         if t == T:
             break
 
         stepped = step_portfolio(p, alloc, entry, stream(seed, "entry", t), next_period=t + 1)
         if drift is not None:
-            hazard = drift.hazard_at(t)
-            u = stream(seed, "drift", t).uniform(size=p.size)
-            hit = u < hazard
+            hit = stream(seed, "drift", t).uniform(size=p.size) < drift.hazard_at(t)
             if np.any(hit):
-                families = list(stepped.families)
-                for i in np.flatnonzero(hit):
-                    f = families[i]
-                    families[i] = TaskFamily(
-                        id=f.id,
-                        omega=f.omega,
-                        delta_j=f.delta_j,
-                        k_j=f.k_j * (1.0 - drift.drop_frac),
-                        born_at=f.born_at,
-                    )
-                    events.append((f.id, t))
-                stepped = Portfolio(
-                    families=tuple(families),
-                    aggregator=stepped.aggregator,
-                    tech=stepped.tech,
-                    Lambda=stepped.Lambda,
-                )
+                # stepped.k is a fresh array; entrants sit past p.size and are never hit.
+                k = stepped.k[: p.size]
+                k[hit] = k[hit] * (1.0 - drift.drop_frac)
+                events.extend((i, t) for i in p.id[hit].tolist())
         p = stepped
 
+    periods = np.arange(T + 1, dtype=np.int64)
+    sizes = [block.shape[0] for block in ids]
+    in_tech = [drift is not None and t in drift.tech_windows for t in range(T + 1)]
+    in_org = [drift is not None and t in drift.org_windows for t in range(T + 1)]
     return ScenarioResult(
-        family_id=np.asarray(fam_id, dtype=np.int64),
-        period=np.asarray(per, dtype=np.int64),
-        maturity=np.asarray(mat, dtype=float),
-        labor=np.asarray(lab, dtype=float),
-        effective_weight=np.asarray(eff, dtype=float),
-        tech_window=np.asarray(techw, dtype=bool),
-        org_window=np.asarray(orgw, dtype=bool),
-        periods=np.arange(T + 1, dtype=np.int64),
+        family_id=np.concatenate(ids),
+        period=np.repeat(periods, sizes),
+        maturity=np.concatenate(stocks),
+        labor=np.concatenate(labor),
+        effective_weight=np.concatenate(weights),
+        tech_window=np.repeat(np.asarray(in_tech, dtype=bool), sizes),
+        org_window=np.repeat(np.asarray(in_org, dtype=bool), sizes),
+        periods=periods,
         capability=capability,
         labor_budget=budgets,
         final=p,

@@ -23,7 +23,6 @@ from .portfolio import (
     EntryConfig,
     Portfolio,
     PowerCodification,
-    TaskFamily,
     AggregatorSpec,
     effective_weights,
     run_portfolio_scenario,
@@ -62,7 +61,7 @@ class WorkerSkillMatrix:
     def generate(
         cls,
         n_workers: int,
-        families: Sequence[TaskFamily],
+        portfolio: Portfolio,
         seed: int,
         mu_ln: float = 0.0,
         sigma_ln: "float | Sequence[float]" = 0.5,
@@ -70,7 +69,7 @@ class WorkerSkillMatrix:
         """Draw log-normal skills, one stream per family identity.
 
         ``sigma_ln`` may be a scalar or one log-scale per family (in
-        family-id order).  A family's stream is keyed by its birth period
+        the portfolio's family-id order).  A family's stream is keyed by its birth period
         and its rank within that birth cohort rather than by its id, and
         the scale is applied outside the raw normal draws, so two
         scenarios that produced the same early families give those
@@ -78,22 +77,22 @@ class WorkerSkillMatrix:
         scales differed.
         """
         _require(isinstance(n_workers, int) and n_workers >= 1, "n_workers must be an integer >= 1")
-        _require(len(families) >= 1, "need at least one family")
-        ordered = sorted(families, key=lambda f: f.id)
+        n = portfolio.size
+        _require(n >= 1, "need at least one family")
         if np.isscalar(sigma_ln):
-            sigmas = np.full(len(ordered), float(sigma_ln))
+            sigmas = np.full(n, float(sigma_ln))
         else:
             sigmas = np.asarray(sigma_ln, dtype=float)
-            _require(sigmas.shape == (len(ordered),), "sigma_ln must have one entry per family")
+            _require(sigmas.shape == (n,), "sigma_ln must have one entry per family")
         _require(bool(np.all(np.isfinite(sigmas)) and np.all(sigmas >= 0.0)), "sigma_ln must be nonnegative")
         slot_within_cohort: dict[int, int] = {}
         columns = []
-        for f, sigma in zip(ordered, sigmas):
-            slot = slot_within_cohort.get(f.born_at, 0)
-            slot_within_cohort[f.born_at] = slot + 1
-            z = stream(seed, f"skills:{f.born_at}:{slot}").standard_normal(n_workers)
+        for born, sigma in zip(portfolio.born_at.tolist(), sigmas):
+            slot = slot_within_cohort.get(born, 0)
+            slot_within_cohort[born] = slot + 1
+            z = stream(seed, f"skills:{born}:{slot}").standard_normal(n_workers)
             columns.append(np.exp(mu_ln + sigma * z))
-        return cls(a=np.column_stack(columns), family_ids=tuple(f.id for f in ordered))
+        return cls(a=np.column_stack(columns), family_ids=tuple(portfolio.id.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +150,7 @@ def family_prices(portfolio: Portfolio, labor: np.ndarray, labor_floor: float = 
     _require(math.isfinite(labor_floor) and labor_floor > 0.0, "labor_floor must be positive")
     w = effective_weights(portfolio)
     rates = w * np.asarray(portfolio.tech.g_prime(np.maximum(labor, labor_floor)), dtype=float)
-    return PriceVector(p=rates, family_ids=portfolio.ids())
+    return PriceVector(p=rates, family_ids=tuple(portfolio.id.tolist()))
 
 
 def solve_roy(
@@ -176,7 +175,7 @@ def solve_roy(
     carries ``converged=False`` and the residual that remained.  The
     reported wages are always optimal against the reported rates.
     """
-    _require(skills.family_ids == portfolio.ids(), "skill columns must match portfolio families")
+    _require(skills.family_ids == tuple(portfolio.id.tolist()), "skill columns must match portfolio families")
     _require(0.0 < damping <= 1.0, "damping must lie in (0, 1]")
     _require(tol > 0.0, "tol must be positive")
     _require(isinstance(max_iter, int) and max_iter >= 1, "max_iter must be an integer >= 1")
@@ -331,18 +330,13 @@ class ExperimentResult:
 def _run_arm(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: float) -> ArmOutcome:
     init_gen = stream(rep_seed, "init-delta")
     deltas = init_gen.uniform(exp.delta_lo, exp.delta_hi, size=exp.n_initial)
-    families = tuple(
-        TaskFamily(
-            id=i,
-            omega=exp.omega,
-            delta_j=float(min(_DELTA_CAP, deltas[i] * delta_factor)),
-            k_j=exp.initial_k,
-            born_at=0,
-        )
-        for i in range(exp.n_initial)
-    )
+    n = exp.n_initial
     p0 = Portfolio(
-        families=families,
+        id=np.arange(n),
+        omega=np.full(n, exp.omega),
+        delta=np.minimum(_DELTA_CAP, deltas * delta_factor),
+        k=np.full(n, exp.initial_k),
+        born_at=np.zeros(n, dtype=np.int64),
         aggregator=AggregatorSpec(kind="ces", rho=exp.rho, epsilon_floor=exp.epsilon_floor),
         tech=PowerCodification(beta=exp.beta),
         Lambda=exp.Lambda,
@@ -367,12 +361,8 @@ def _run_arm(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: 
     all_converged = True
     for t in range(exp.T - exp.eval_window + 1, exp.T + 1):
         pt = scenario.portfolio_at(t)
-        sigmas = maturity_skill_sigma(
-            [f.k_j for f in pt.families], exp.sigma_young, exp.sigma_mature, exp.k_ref
-        )
-        skills = WorkerSkillMatrix.generate(
-            exp.n_workers, pt.families, seed=skills_seed, sigma_ln=sigmas
-        )
+        sigmas = maturity_skill_sigma(pt.k, exp.sigma_young, exp.sigma_mature, exp.k_ref)
+        skills = WorkerSkillMatrix.generate(exp.n_workers, pt, seed=skills_seed, sigma_ln=sigmas)
         eq = solve_roy(
             skills, pt, damping=exp.damping, tol=exp.tol, max_iter=exp.max_iter
         )

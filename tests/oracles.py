@@ -10,9 +10,12 @@ solvers.  Slow and simple on purpose.
 from __future__ import annotations
 
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
+
+from structlabor.errors import DomainError
 
 mp.mp.dps = 50
 
@@ -125,6 +128,76 @@ def allocation_value(weights, beta: float, labor) -> float:
     w = np.asarray(weights, dtype=float)
     labor = np.asarray(labor, dtype=float)
     return float(np.sum(w * labor**beta))
+
+
+def allocate_bisection(tech, w, L_S: float, steps: int = 200) -> tuple[np.ndarray, float]:
+    """Labor split by bisection on the allocation multiplier, with its KKT residual.
+
+    Total labor demand sum_j g'^{-1}(nu / w_j) is continuous and strictly
+    decreasing in nu, diverges as nu -> 0, and vanishes as nu -> inf, so
+    the budget constraint has a unique root.  Works for any concave
+    technology; the split is rescaled uniformly to land exactly on the
+    budget, which leaves the marginal conditions of a power technology
+    untouched.  The residual is the spread of w_j * g'(l_j) over served
+    families.
+    """
+    w = np.asarray(w, dtype=float)
+
+    def demand(nu: float) -> float:
+        return float(np.sum(tech.g_prime_inv(nu / w)))
+
+    nu = float(np.median(w) * tech.g_prime(L_S / len(w)))
+    lo = hi = nu
+    while demand(lo) < L_S:
+        lo /= 2.0
+        assert lo > 0.0, "bisection failed to bracket the multiplier from below"
+    while demand(hi) > L_S:
+        hi *= 2.0
+        assert math.isfinite(hi), "bisection failed to bracket the multiplier from above"
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if demand(mid) > L_S:
+            lo = mid
+        else:
+            hi = mid
+    labor = np.asarray(tech.g_prime_inv(0.5 * (lo + hi) / w), dtype=float)
+    labor = labor * (L_S / labor.sum())
+    active = labor > 0.0
+    marginal = w[active] * np.asarray(tech.g_prime(labor[active]), dtype=float)
+    return labor, float(np.max(marginal) - np.min(marginal))
+
+
+def validate_codification(tech, points=(0.25, 0.5, 1.0, 2.0, 4.0)) -> None:
+    """Numerically check the shape restrictions on a codification technology.
+
+    Requires g(0) = 0, a positive and strictly decreasing marginal
+    product at the sample points, and consistent inverses.  Raises
+    :class:`DomainError` on the first violation.
+    """
+
+    def require(cond: bool, msg: str) -> None:
+        if not cond:
+            raise DomainError(msg)
+
+    require(float(tech.g(0.0)) == 0.0, "codification must satisfy g(0) = 0")
+    pts = sorted(float(p) for p in points)
+    require(len(pts) >= 2 and pts[0] > 0.0, "need at least two positive sample points")
+    previous = math.inf
+    for p in pts:
+        m = float(tech.g_prime(p))
+        require(m > 0.0, "marginal codification product must be positive")
+        require(m < previous, "marginal codification product must be strictly decreasing")
+        previous = m
+        require(
+            abs(float(tech.g_inv(float(tech.g(p)))) - p) <= 1e-9 * max(1.0, p),
+            "g_inv must invert g",
+        )
+        require(
+            abs(float(tech.g_prime_inv(m)) - p) <= 1e-9 * max(1.0, p),
+            "g_prime_inv must invert g_prime",
+        )
 
 
 def roy_consistent_assignments(

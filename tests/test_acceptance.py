@@ -25,7 +25,6 @@ from structlabor import (
     PowerCodification,
     PriorSpec,
     RoyExperiment,
-    TaskFamily,
     WorkerSkillMatrix,
     aggregate_capability,
     allocate_labor,
@@ -48,6 +47,7 @@ from structlabor import (
 )
 
 from oracles import (
+    allocate_bisection,
     allocation_value,
     fd_share_partials,
     grid_allocation_value,
@@ -159,17 +159,19 @@ def test_criterion_04_comparative_statics():
     )
 
 
+def columns(J, omega, delta, k):
+    """Keyword columns for a portfolio of J period-0 families with ids 0..J-1."""
+    return {"id": np.arange(J), "omega": omega, "delta": delta, "k": k, "born_at": np.zeros(J, dtype=np.int64)}
+
+
 def random_portfolio(rng, J, aggregator):
-    fams = tuple(
-        TaskFamily(
-            id=i,
-            omega=float(rng.uniform(0.5, 2.0)),
-            delta_j=float(rng.uniform(0.05, 0.3)),
-            k_j=float(rng.uniform(0.2, 3.0)),
-        )
-        for i in range(J)
-    )
-    return Portfolio(families=fams, aggregator=aggregator, tech=TECH)
+    # Draw omega, delta and k family by family, in that order.
+    draws = [
+        (float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.2, 3.0)))
+        for _ in range(J)
+    ]
+    omega, delta, k = (list(c) for c in zip(*draws))
+    return Portfolio(**columns(J, omega, delta, k), aggregator=aggregator, tech=TECH)
 
 
 def test_criterion_05_allocation_optimality():
@@ -181,10 +183,10 @@ def test_criterion_05_allocation_optimality():
         kind = AggregatorSpec(kind="ces", rho=0.5) if rng.uniform() < 0.5 else AggregatorSpec(kind="additive")
         p = random_portfolio(rng, J, kind)
         budget = float(rng.uniform(0.1, 3.0))
-        a = allocate_labor(p, budget, solver="closed_form")
-        b = allocate_labor(p, budget, solver="bisection")
-        worst_kkt = max(worst_kkt, a.kkt_residual, b.kkt_residual)
-        worst_gap = max(worst_gap, float(np.max(np.abs(a.labor - b.labor))))
+        a = allocate_labor(p, budget)
+        b_labor, b_kkt_residual = allocate_bisection(p.tech, effective_weights(p), budget)
+        worst_kkt = max(worst_kkt, a.kkt_residual, b_kkt_residual)
+        worst_gap = max(worst_gap, float(np.max(np.abs(a.labor - b_labor))))
     value_ok = True
     for _ in range(50):
         p = random_portfolio(rng, 3, AggregatorSpec(kind="ces", rho=0.5))
@@ -215,7 +217,7 @@ def test_criterion_06_ces_correctness():
             rho = 0.5
         p = random_portfolio(rng, J, AggregatorSpec(kind="ces", rho=rho))
         agg = aggregate_capability(p)
-        euler = float(np.dot(p.stocks(), effective_weights(p)))
+        euler = float(np.dot(p.k, effective_weights(p)))
         worst_euler = max(worst_euler, abs(euler - agg) / agg)
 
     worst_limit = 0.0
@@ -223,13 +225,10 @@ def test_criterion_06_ces_correctness():
         J = int(rng.integers(2, 7))
         stocks = rng.uniform(0.2, 3.0, size=J)
         omegas = rng.uniform(0.5, 2.0, size=J)
-        fams_near = tuple(
-            TaskFamily(id=i, omega=float(omegas[i]), delta_j=0.1, k_j=float(stocks[i]))
-            for i in range(J)
-        )
-        near = Portfolio(families=fams_near, aggregator=AggregatorSpec(kind="ces", rho=1.0 - 1e-8), tech=TECH)
-        add = Portfolio(families=fams_near, aggregator=AggregatorSpec(kind="additive"), tech=TECH)
-        exact = Portfolio(families=fams_near, aggregator=AggregatorSpec(kind="ces", rho=1.0), tech=TECH)
+        fams_near = columns(J, omegas, np.full(J, 0.1), stocks)
+        near = Portfolio(**fams_near, aggregator=AggregatorSpec(kind="ces", rho=1.0 - 1e-8), tech=TECH)
+        add = Portfolio(**fams_near, aggregator=AggregatorSpec(kind="additive"), tech=TECH)
+        exact = Portfolio(**fams_near, aggregator=AggregatorSpec(kind="ces", rho=1.0), tech=TECH)
         a, b, c = aggregate_capability(near), aggregate_capability(add), aggregate_capability(exact)
         worst_limit = max(worst_limit, abs(a - b) / b, abs(c - b) / b)
 
@@ -239,11 +238,8 @@ def test_criterion_06_ces_correctness():
         grid = np.linspace(0.2, 3.0, 12)
         weights = []
         for k in grid:
-            fams = (
-                TaskFamily(id=0, omega=1.0, delta_j=0.1, k_j=float(k)),
-                TaskFamily(id=1, omega=1.0, delta_j=0.1, k_j=1.5),
-            )
-            weights.append(effective_weights(Portfolio(families=fams, aggregator=spec, tech=TECH))[0])
+            fams = columns(2, [1.0, 1.0], [0.1, 0.1], [float(k), 1.5])
+            weights.append(effective_weights(Portfolio(**fams, aggregator=spec, tech=TECH))[0])
         monotone = monotone and bool(np.all(np.diff(weights) < 0))
 
     ok = worst_euler <= 1e-10 and worst_limit <= 1e-6 and monotone
@@ -264,29 +260,26 @@ def test_criterion_07_maintenance_and_saturation():
     for _ in range(20):
         p = random_portfolio(rng, int(rng.integers(1, 6)), AggregatorSpec(kind="ces", rho=0.5))
         # Feed each family exactly the labor that offsets its decay.
-        labor = np.array([maintenance_labor(f, TECH) for f in p.families])
+        labor = maintenance_labor(p)
         exact = AllocationResult(
-            family_ids=p.ids(),
+            family_ids=p.id,
             labor=labor,
             total=float(labor.sum()),
             multiplier=0.0,
             kkt_residual=0.0,
+            weights=effective_weights(p),
         )
         stepped = p
         for t in range(1, 4):
             stepped = step_portfolio(stepped, exact, EntryConfig(mu=0.0), generator(0), next_period=t)
-        worst_drift = max(worst_drift, float(np.max(np.abs(stepped.stocks() - p.stocks()))))
+        worst_drift = max(worst_drift, float(np.max(np.abs(stepped.k - p.k))))
 
     decay_ok = True
-    fams = tuple(
-        TaskFamily(id=i, omega=1.0, delta_j=d, k_j=1.0)
-        for i, d in enumerate((0.05, 0.15, 0.30))
-    )
-    p = Portfolio(families=fams, aggregator=AggregatorSpec(kind="additive"), tech=TECH)
-    bounds = [math.ceil(math.log(1e-6) / math.log(1.0 - f.delta_j)) for f in p.families]
+    p = Portfolio(**columns(3, [1.0] * 3, [0.05, 0.15, 0.30], [1.0] * 3), aggregator=AggregatorSpec(kind="additive"), tech=TECH)
+    bounds = [math.ceil(math.log(1e-6) / math.log(1.0 - d)) for d in p.delta.tolist()]
     scenario = run_portfolio_scenario(p, 0.0, EntryConfig(mu=0.0), T=max(bounds), seed=0)
-    for f, bound in zip(p.families, bounds):
-        at = (scenario.family_id == f.id) & (scenario.period == bound)
+    for family_id, bound in zip(p.id.tolist(), bounds):
+        at = (scenario.family_id == family_id) & (scenario.period == bound)
         decay_ok = decay_ok and float(scenario.maturity[at][0]) < 1e-6 * 1.0
 
     ok = worst_drift <= 1e-12 and decay_ok
@@ -306,22 +299,21 @@ def test_criterion_08_frontier_reallocation():
         attempt += 1
         rng = np.random.Generator(np.random.Philox(key=derive_seed(108, "trial", attempt)))
         J = int(rng.integers(2, 7))
-        fams = tuple(
-            TaskFamily(id=i, omega=1.0, delta_j=float(rng.uniform(0.05, 0.3)), k_j=float(rng.uniform(0.3, 3.0)))
-            for i in range(J)
-        )
-        p = Portfolio(families=fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
+        # Draw delta and k family by family, in that order.
+        draws = [(float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.3, 3.0))) for _ in range(J)]
+        delta, k = (list(c) for c in zip(*draws))
+        p = Portfolio(**columns(J, [1.0] * J, delta, k), aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
         alloc = allocate_labor(p, 1.0)
         entry = EntryConfig(mu=0.5, k_seed=1e-3, omega_median=1.0, omega_sigma=0.0, delta_lo=0.1, delta_hi=0.2)
         stepped = step_portfolio(p, alloc, entry, generator(derive_seed(108, "entry", attempt)), next_period=1)
-        entrants = [f for f in stepped.families if f.born_at == 1]
+        entrants = stepped.id[stepped.born_at == 1].tolist()
         if len(entrants) != 1:
             continue
         trials += 1
         nxt = allocate_labor(stepped, 1.0)
-        labor = {fid: ell for fid, ell in zip(nxt.family_ids, nxt.labor)}
-        entrant_labor = labor[entrants[0].id]
-        incumbent_max = max(ell for fid, ell in labor.items() if fid != entrants[0].id)
+        labor = {fid: ell for fid, ell in zip(nxt.family_ids.tolist(), nxt.labor)}
+        entrant_labor = labor[entrants[0]]
+        incumbent_max = max(ell for fid, ell in labor.items() if fid != entrants[0])
         if entrant_labor > incumbent_max:
             successes += 1
     ok = successes == 50
@@ -334,12 +326,9 @@ def test_criterion_08_frontier_reallocation():
 
 
 def test_criterion_09_roy_equilibrium_and_dispersion():
-    fams = (
-        TaskFamily(id=0, omega=1.0, delta_j=0.1, k_j=1.0),
-        TaskFamily(id=1, omega=1.0, delta_j=0.1, k_j=0.5),
-    )
-    p = Portfolio(families=fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
-    skills = WorkerSkillMatrix.generate(5, p.families, seed=0, sigma_ln=0.6)
+    fams = columns(2, [1.0, 1.0], [0.1, 0.1], [1.0, 0.5])
+    p = Portfolio(**fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
+    skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=0.6)
     oracle = roy_consistent_assignments(skills.a, effective_weights(p), beta=0.5)
     eq = solve_roy(skills, p)
     fixed_point_ok = (
@@ -348,7 +337,7 @@ def test_criterion_09_roy_equilibrium_and_dispersion():
         and tuple(int(x) for x in eq.assignment) in oracle
     )
 
-    scaled = Portfolio(families=fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH, Lambda=4.0)
+    scaled = Portfolio(**fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH, Lambda=4.0)
     eq_scaled = solve_roy(skills, scaled)
     scaling_ok = np.array_equal(eq.assignment, eq_scaled.assignment)
 
@@ -379,8 +368,7 @@ def test_criterion_09_roy_equilibrium_and_dispersion():
 def test_criterion_10_estimator_recovery():
     J, T = 50, 200
     kbar = TECH.g(1.0 / J) / 0.15
-    fams = tuple(TaskFamily(id=i, omega=1.0, delta_j=0.15, k_j=kbar) for i in range(J))
-    p = Portfolio(families=fams, aggregator=AggregatorSpec(kind="additive"), tech=TECH)
+    p = Portfolio(**columns(J, np.ones(J), np.full(J, 0.15), np.full(J, kbar)), aggregator=AggregatorSpec(kind="additive"), tech=TECH)
     drift = DriftConfig(
         env_hazard=0.05, tech_hazard=0.10, org_hazard=0.03,
         tech_windows=periodic_windows(1, 4, T),

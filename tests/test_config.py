@@ -119,8 +119,8 @@ def test_portfolio_list_lengths_must_match():
         parse_config({"portfolio": {"n_families": 3, "omega": [1.0, 2.0]}})
     cfg = parse_config({"portfolio": {"n_families": 2, "omega": [1.0, 2.0], "k0": [0.5, 0.7]}})
     p = cfg.portfolio.initial_portfolio()
-    assert list(p.omegas()) == [1.0, 2.0]
-    assert list(p.stocks()) == [0.5, 0.7]
+    assert list(p.omega) == [1.0, 2.0]
+    assert list(p.k) == [0.5, 0.7]
 
 
 def test_drift_numbers_validated_even_when_disabled():

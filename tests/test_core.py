@@ -6,7 +6,6 @@ import pytest
 from structlabor import (
     BaselineParams,
     DomainError,
-    EconomyState,
     comparative_statics,
     default_damping,
     marginals,
@@ -36,16 +35,6 @@ def test_baseline_params_bounds():
         BaselineParams(alpha=0.36, gamma=0.05, r=0.04, delta_k=0.15, eta=0.0)
     with pytest.raises(DomainError):
         BaselineParams(alpha=math.nan, gamma=0.05, r=0.04, delta_k=0.15)
-
-
-def test_economy_state_from_allocation_preserves_endowment():
-    state = EconomyState.from_allocation(BASELINE, t=3, k=0.5, L_S=0.2)
-    assert state.L_S + state.L_U == BASELINE.L_bar
-    assert state.t == 3
-    with pytest.raises(DomainError):
-        EconomyState.from_allocation(BASELINE, t=0, k=0.5, L_S=1.5)
-    with pytest.raises(DomainError):
-        EconomyState(t=0, k=0.0, L_S=0.1, L_U=0.9)
 
 
 def test_output_matches_high_precision_reference():

@@ -12,7 +12,6 @@ from structlabor import (
     MaturityPanel,
     Portfolio,
     PowerCodification,
-    TaskFamily,
     count_births,
     detect_degradation,
     estimate_hazard_decomposition,
@@ -162,8 +161,10 @@ def stationary_scenario(J, T, seed, env=0.05, tech=0.10, org=0.03):
     # Families start at the stock level their equal labor share maintains,
     # so only drift events move maturity.
     kbar = TECH.g(1.0 / J) / 0.15
-    fams = tuple(TaskFamily(id=i, omega=1.0, delta_j=0.15, k_j=kbar) for i in range(J))
-    p = Portfolio(families=fams, aggregator=AggregatorSpec(kind="additive"), tech=TECH)
+    p = Portfolio(
+        id=np.arange(J), omega=np.ones(J), delta=np.full(J, 0.15), k=np.full(J, kbar),
+        born_at=np.zeros(J, dtype=np.int64), aggregator=AggregatorSpec(kind="additive"), tech=TECH,
+    )
     drift = DriftConfig(
         env_hazard=env, tech_hazard=tech, org_hazard=org,
         tech_windows=periodic_windows(1, 4, T),
@@ -203,16 +204,12 @@ def test_estimates_tighten_with_panel_size():
 
 
 def test_count_births():
-    fams = (
-        TaskFamily(id=0, omega=1.0, delta_j=0.1, k_j=1.0, born_at=0),
-        TaskFamily(id=1, omega=1.0, delta_j=0.1, k_j=1.0, born_at=2),
-        TaskFamily(id=2, omega=1.0, delta_j=0.1, k_j=1.0, born_at=2),
-    )
-    assert list(count_births(fams)) == [1, 0, 2]
-    assert list(count_births(fams, T=5)) == [1, 0, 2, 0, 0, 0]
+    born = Portfolio(id=[0, 1, 2], omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 2, 2]).born_at
+    assert list(count_births(born)) == [1, 0, 2]
+    assert list(count_births(born, T=5)) == [1, 0, 2, 0, 0, 0]
     assert list(count_births([0, 3, 3, 1])) == [1, 1, 0, 2]
     with pytest.raises(DomainError):
-        count_births(fams, T=1)
+        count_births(born, T=1)
     assert list(count_births([], T=2)) == [0, 0, 0]
 
 
@@ -222,7 +219,7 @@ def test_indices_weighted_sum_and_shares():
         (1, 4, 3.0, False, False),
         (2, 4, 1.0, False, False),
     ])
-    point = indices(p, 4, {0: 1.0, 1: 0.5, 2: 2.0}, labor_total=0.3, L_bar=1.5)
+    [point] = indices(p, [4], {0: 1.0, 1: 0.5, 2: 2.0}, labor_total=[0.3], L_bar=1.5)
     assert point.capability == pytest.approx(1.0 * 2.0 + 0.5 * 3.0 + 2.0 * 1.0)
     assert point.maintenance_share == pytest.approx(0.2)
     assert point.n_families == 3
@@ -232,11 +229,11 @@ def test_indices_weighted_sum_and_shares():
 def test_indices_ces_aggregator():
     p = panel_from([(0, 0, 1.0, False, False), (1, 0, 4.0, False, False)])
     spec = AggregatorSpec(kind="ces", rho=0.5)
-    point = indices(p, 0, {0: 1.0, 1: 1.0}, labor_total=0.0, L_bar=1.0, aggregator=spec)
+    [point] = indices(p, [0], {0: 1.0, 1: 1.0}, labor_total=[0.0], L_bar=1.0, aggregator=spec)
     assert point.capability == pytest.approx((1.0 + 2.0) ** 2, rel=1e-14)
     neg = AggregatorSpec(kind="ces", rho=-1.0)
     zero = panel_from([(0, 0, 0.0, False, False), (1, 0, 4.0, False, False)])
-    point = indices(zero, 0, {0: 1.0, 1: 1.0}, labor_total=0.0, L_bar=1.0, aggregator=neg)
+    [point] = indices(zero, [0], {0: 1.0, 1: 1.0}, labor_total=[0.0], L_bar=1.0, aggregator=neg)
     assert point.capability == 0.0
 
 
@@ -245,7 +242,7 @@ def test_indices_reports_missing_weights():
         (0, 1, 2.0, False, False),
         (7, 1, 3.0, False, False),
     ])
-    point = indices(p, 1, {0: 1.0}, labor_total=0.1, L_bar=1.0)
+    [point] = indices(p, [1], {0: 1.0}, labor_total=[0.1], L_bar=1.0)
     assert point.missing_weights == (7,)
     assert point.capability == pytest.approx(2.0)
     assert point.n_families == 1
@@ -254,10 +251,10 @@ def test_indices_reports_missing_weights():
 def test_indices_validation():
     p = panel_from([(0, 1, 2.0, False, False)])
     with pytest.raises(DomainError):
-        indices(p, 9, {0: 1.0}, labor_total=0.1, L_bar=1.0)
+        indices(p, [9], {0: 1.0}, labor_total=[0.1], L_bar=1.0)
     with pytest.raises(DomainError):
-        indices(p, 1, {5: 1.0}, labor_total=0.1, L_bar=1.0)
+        indices(p, [1], {5: 1.0}, labor_total=[0.1], L_bar=1.0)
     with pytest.raises(DomainError):
-        indices(p, 1, {0: 1.0}, labor_total=0.1, L_bar=0.0)
+        indices(p, [1], {0: 1.0}, labor_total=[0.1], L_bar=0.0)
     with pytest.raises(DomainError):
-        indices(p, 1, {0: 1.0}, labor_total=-0.1, L_bar=1.0)
+        indices(p, [1], {0: 1.0}, labor_total=[-0.1], L_bar=1.0)

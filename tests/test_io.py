@@ -11,70 +11,77 @@ from structlabor import (
     PANEL_COLUMNS,
     PATH_COLUMNS,
     config_digest,
-    format_value,
     read_panel_csv,
     sha256_file,
     simulate_transition,
     write_csv,
     write_json,
     write_manifest,
-    write_panel_csv,
-    write_path_csv,
 )
 from structlabor.core import BaselineParams
+from structlabor.io import CHUNK_ROWS
 from structlabor.portfolio import (
     AggregatorSpec,
     Portfolio,
     PowerCodification,
-    TaskFamily,
     run_portfolio_scenario,
 )
 
 
-def test_format_value_cases():
-    assert format_value(True) == "1"
-    assert format_value(False) == "0"
-    assert format_value(np.bool_(True)) == "1"
-    assert format_value(3) == "3"
-    assert format_value(np.int64(-7)) == "-7"
-    assert format_value(0.1) == "0.1"
-    assert format_value(1 / 3) == "0.3333333333333333"
-    assert format_value(np.float64(2.5)) == "2.5"
-    assert format_value(math.inf) == "inf"
-    assert format_value("plain") == "plain"
-    with pytest.raises(DomainError):
-        format_value(object())
-    with pytest.raises(DomainError):
-        format_value([1.0])
-
-
-def test_format_value_round_trips_doubles():
+def test_write_csv_matches_per_cell_rendering(tmp_path):
+    # Longer than one chunk, so chunk seams are covered; each cell must read
+    # as repr for floats, str for integers and 1/0 for booleans.
+    n = 2 * CHUNK_ROWS + 17
     rng = np.random.Generator(np.random.Philox(key=1))
-    for x in rng.uniform(-1e6, 1e6, size=200):
-        assert float(format_value(float(x))) == float(x)
+    ints = rng.integers(-(2**62), 2**62, size=n, dtype=np.int64)
+    flags = rng.uniform(size=n) < 0.5
+    floats = rng.uniform(-1e6, 1e6, size=n)
+    special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1 / 3, 2.5, 1e16, 1e-5]
+    floats[: len(special)] = special
+    floats[CHUNK_ROWS - 3 : CHUNK_ROWS + 7] = special
+    path = str(tmp_path / "table.csv")
+    write_csv(path, ("i", "b", "f"), [ints, flags, floats])
+    expected = "i,b,f\n" + "".join(
+        f"{i},{'1' if b else '0'},{f!r}\n" for i, b, f in zip(ints.tolist(), flags.tolist(), floats.tolist())
+    )
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode("utf-8")
+    back = np.array([float(line.rsplit(",", 1)[1]) for line in expected.splitlines()[1:]])
+    assert np.array_equal(back.view(np.int64), floats.view(np.int64))
 
 
 def test_write_csv_round_trip(tmp_path):
     path = str(tmp_path / "table.csv")
-    write_csv(path, ("a", "b", "c"), [(1, 0.5, True), (2, 1 / 3, False)])
+    write_csv(path, ("a", "b", "c"), [[1, 2], [0.5, 1 / 3], [True, False]])
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines == ["a,b,c", "1,0.5,1", "2,0.3333333333333333,0"]
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
+    # Columns of unequal length, a two-dimensional column, or fewer columns than the header.
     path = str(tmp_path / "bad.csv")
-    with pytest.raises(DomainError):
-        write_csv(path, ("a", "b"), [(1, 2), (3,)])
+    for columns in ([[1, 2], [3]], [[1, 2], [[3, 4], [5, 6]]], [[1, 2]]):
+        with pytest.raises(DomainError):
+            write_csv(path, ("a", "b"), columns)
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_csv_rejects_unsupported_dtypes(tmp_path):
+    path = str(tmp_path / "bad.csv")
+    for column in (["x", "y"], [object(), object()], [1 + 2j, 3j]):
+        with pytest.raises(DomainError, match="cannot format column b"):
+            write_csv(path, ("a", "b"), [[1, 2], column])
+    assert os.listdir(tmp_path) == []
 
 
 def test_writes_are_atomic(tmp_path):
     path = str(tmp_path / "data.csv")
-    write_csv(path, ("a",), [(1,)])
+    write_csv(path, ("a",), [[1]])
     before = open(path, encoding="utf-8").read()
     # A failing write must leave the previous file intact and no temp files.
     with pytest.raises(DomainError):
-        write_csv(path, ("a",), [(object(),)])
+        write_csv(path, ("a",), [[object()]])
     assert open(path, encoding="utf-8").read() == before
     assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
@@ -112,7 +119,7 @@ def test_config_digest_is_key_order_invariant():
 
 def test_write_manifest_structure(tmp_path):
     out = str(tmp_path)
-    write_csv(os.path.join(out, "b.csv"), ("a",), [(1,)])
+    write_csv(os.path.join(out, "b.csv"), ("a",), [[1]])
     write_json(os.path.join(out, "a.json"), {"k": 1})
     path = write_manifest(
         out, command="simulate", seed=5, digest="d" * 64,
@@ -135,7 +142,7 @@ def test_path_csv_header_and_round_trip(tmp_path):
     params = BaselineParams(alpha=0.36, gamma=0.05, r=0.04, delta_k=0.15, eta=0.2)
     path_points = simulate_transition(params, k0=0.02, L_S0=0.01, T=5, tol=1e-16).points
     csv_path = str(tmp_path / "path.csv")
-    write_path_csv(csv_path, path_points)
+    write_csv(csv_path, PATH_COLUMNS, [[getattr(p, name) for p in path_points] for name in PATH_COLUMNS])
     lines = open(csv_path, encoding="utf-8").read().splitlines()
     assert lines[0] == ",".join(PATH_COLUMNS)
     assert len(lines) == len(path_points) + 1
@@ -146,11 +153,13 @@ def test_path_csv_header_and_round_trip(tmp_path):
 
 def test_panel_csv_round_trip_is_bitwise(tmp_path):
     tech = PowerCodification(beta=0.5)
-    fams = tuple(TaskFamily(id=i, omega=1.0, delta_j=0.1, k_j=1.0 + i) for i in range(3))
-    p = Portfolio(families=fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=tech)
+    p = Portfolio(
+        id=np.arange(3), omega=np.ones(3), delta=np.full(3, 0.1), k=1.0 + np.arange(3),
+        born_at=np.zeros(3, dtype=np.int64), aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=tech,
+    )
     scenario = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.3), T=8, seed=13)
     csv_path = str(tmp_path / "panel.csv")
-    write_panel_csv(csv_path, scenario)
+    write_csv(csv_path, PANEL_COLUMNS, [getattr(scenario, name) for name in PANEL_COLUMNS])
     lines = open(csv_path, encoding="utf-8").read().splitlines()
     assert lines[0] == ",".join(PANEL_COLUMNS)
     back = read_panel_csv(csv_path)

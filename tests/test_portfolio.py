@@ -10,7 +10,6 @@ from structlabor import (
     EntryConfig,
     Portfolio,
     PowerCodification,
-    TaskFamily,
     aggregate_capability,
     allocate_labor,
     effective_weights,
@@ -18,10 +17,9 @@ from structlabor import (
     periodic_windows,
     run_portfolio_scenario,
     step_portfolio,
-    validate_codification,
 )
 
-from oracles import allocation_value, grid_allocation_value
+from oracles import allocate_bisection, allocation_value, grid_allocation_value, validate_codification
 
 TECH = PowerCodification(beta=0.5)
 ADD = AggregatorSpec(kind="additive")
@@ -29,48 +27,64 @@ CES = AggregatorSpec(kind="ces", rho=0.5)
 
 
 def make_portfolio(stocks, omegas=None, aggregator=CES, Lambda=1.0, deltas=None):
-    stocks = list(stocks)
-    omegas = list(omegas) if omegas is not None else [1.0] * len(stocks)
-    deltas = list(deltas) if deltas is not None else [0.1] * len(stocks)
-    fams = tuple(
-        TaskFamily(id=i, omega=w, delta_j=d, k_j=k)
-        for i, (k, w, d) in enumerate(zip(stocks, omegas, deltas))
+    n = len(stocks)
+    return Portfolio(
+        id=np.arange(n),
+        omega=omegas if omegas is not None else np.ones(n),
+        delta=deltas if deltas is not None else np.full(n, 0.1),
+        k=stocks,
+        born_at=np.zeros(n, dtype=np.int64),
+        aggregator=aggregator,
+        tech=TECH,
+        Lambda=Lambda,
     )
-    return Portfolio(families=fams, aggregator=aggregator, tech=TECH, Lambda=Lambda)
 
 
-def test_task_family_validation():
-    with pytest.raises(DomainError):
-        TaskFamily(id=0, omega=0.0, delta_j=0.1, k_j=1.0)
-    with pytest.raises(DomainError):
-        TaskFamily(id=0, omega=1.0, delta_j=0.0, k_j=1.0)
-    with pytest.raises(DomainError):
-        TaskFamily(id=0, omega=1.0, delta_j=1.0, k_j=1.0)
-    with pytest.raises(DomainError):
-        TaskFamily(id=0, omega=1.0, delta_j=0.1, k_j=-1.0)
-    with pytest.raises(DomainError):
-        TaskFamily(id=0, omega=1.0, delta_j=0.1, k_j=1.0, born_at=-1)
+TWO_FAMILIES = {"id": [0, 1], "omega": [1.0, 1.0], "delta": [0.1, 0.1], "k": [1.0, 1.0], "born_at": [0, 0]}
+
+# One row per check a portfolio makes on its columns: (column overrides, message).
+COLUMN_CHECKS = {
+    "omega-zero": ({"omega": [1.0, 0.0]}, "omega must be positive"),
+    "omega-negative": ({"omega": [-1.0, 1.0]}, "omega must be positive"),
+    "omega-nan": ({"omega": [1.0, math.nan]}, "omega must be finite"),
+    "omega-inf": ({"omega": [math.inf, 1.0]}, "omega must be finite"),
+    "delta-zero": ({"delta": [0.0, 0.1]}, r"delta_j must lie in \(0, 1\)"),
+    "delta-one": ({"delta": [0.1, 1.0]}, r"delta_j must lie in \(0, 1\)"),
+    "delta-nan": ({"delta": [math.nan, 0.1]}, "delta_j must be finite"),
+    "k-negative": ({"k": [1.0, -1.0]}, "maturity must be nonnegative"),
+    "k-inf": ({"k": [math.inf, 1.0]}, "k_j must be finite"),
+    "k-nan": ({"k": [1.0, math.nan]}, "k_j must be finite"),
+    "born-negative": ({"born_at": [0, -1]}, "born_at must be a nonnegative integer"),
+    "born-fractional": ({"born_at": [0.0, 0.5]}, "born_at must be a nonnegative integer"),
+    "id-negative": ({"id": [-1, 0]}, "family id must be a nonnegative integer"),
+    "id-fractional": ({"id": [0.0, 1.5]}, "family id must be a nonnegative integer"),
+    "ids-duplicate": ({"id": [1, 1]}, "family ids must be unique"),
+    "ids-unsorted": ({"id": [3, 1]}, "families must be sorted by id"),
+    "columns-unequal": ({"k": [1.0, 1.0, 1.0]}, "family columns must be parallel 1-d arrays"),
+    "Lambda-zero": ({"Lambda": 0.0}, "Lambda must be positive"),
+    "Lambda-nan": ({"Lambda": math.nan}, "Lambda must be finite"),
+}
+
+
+@pytest.mark.parametrize("overrides, message", COLUMN_CHECKS.values(), ids=COLUMN_CHECKS.keys())
+def test_portfolio_column_checks(overrides, message):
+    with pytest.raises(DomainError, match=message):
+        Portfolio(**{**TWO_FAMILIES, **overrides}, aggregator=ADD, tech=TECH)
+    Portfolio(**TWO_FAMILIES, aggregator=ADD, tech=TECH)
 
 
 def test_portfolio_requires_unique_ids():
-    fams = (
-        TaskFamily(id=1, omega=1.0, delta_j=0.1, k_j=1.0),
-        TaskFamily(id=1, omega=2.0, delta_j=0.1, k_j=1.0),
-    )
     with pytest.raises(DomainError):
-        Portfolio(families=fams, aggregator=ADD, tech=TECH)
+        Portfolio(id=[1, 1], omega=[1.0, 2.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0], aggregator=ADD, tech=TECH)
 
 
 def test_portfolio_rejects_unsorted_ids():
-    fams = (
-        TaskFamily(id=3, omega=1.0, delta_j=0.1, k_j=3.0),
-        TaskFamily(id=1, omega=1.0, delta_j=0.1, k_j=1.0),
-    )
+    columns = {"omega": [1.0, 1.0], "delta": [0.1, 0.1], "born_at": [0, 0]}
     with pytest.raises(DomainError):
-        Portfolio(families=fams, aggregator=ADD, tech=TECH)
-    p = Portfolio(families=tuple(sorted(fams, key=lambda f: f.id)), aggregator=ADD, tech=TECH)
-    assert p.ids() == (1, 3)
-    assert list(p.stocks()) == [1.0, 3.0]
+        Portfolio(id=[3, 1], k=[3.0, 1.0], **columns, aggregator=ADD, tech=TECH)
+    p = Portfolio(id=[1, 3], k=[1.0, 3.0], **columns, aggregator=ADD, tech=TECH)
+    assert tuple(p.id.tolist()) == (1, 3)
+    assert list(p.k) == [1.0, 3.0]
 
 
 def test_power_codification_shape():
@@ -149,7 +163,7 @@ def test_effective_weights_euler_identity():
     # Degree one homogeneity: capability equals sum_j k_j * weight_j at Lambda 1.
     p = make_portfolio([0.7, 2.3, 1.1], omegas=[1.0, 0.4, 2.0], aggregator=CES)
     w = effective_weights(p)
-    assert float(np.dot(p.stocks(), w)) == pytest.approx(aggregate_capability(p), rel=1e-12)
+    assert float(np.dot(p.k, w)) == pytest.approx(aggregate_capability(p), rel=1e-12)
 
 
 def test_effective_weights_decreasing_in_own_stock():
@@ -170,12 +184,12 @@ def test_effective_weights_floor_protects_entrants():
 
 def test_allocate_labor_closed_form_matches_bisection():
     p = make_portfolio([0.7, 2.3, 1.1], omegas=[1.0, 0.4, 2.0], aggregator=CES)
-    a = allocate_labor(p, 1.3, solver="closed_form")
-    b = allocate_labor(p, 1.3, solver="bisection")
-    assert np.allclose(a.labor, b.labor, rtol=1e-8, atol=0)
+    a = allocate_labor(p, 1.3)
+    b_labor, b_kkt_residual = allocate_bisection(p.tech, effective_weights(p), 1.3)
+    assert np.allclose(a.labor, b_labor, rtol=1e-8, atol=0)
     assert a.total == pytest.approx(1.3, rel=1e-12)
     assert a.kkt_residual < 1e-10
-    assert b.kkt_residual < 1e-10
+    assert b_kkt_residual < 1e-10
 
 
 def test_allocate_labor_zero_budget():
@@ -210,13 +224,11 @@ def test_allocate_labor_validation():
     p = make_portfolio([1.0])
     with pytest.raises(DomainError):
         allocate_labor(p, -0.5)
-    with pytest.raises(DomainError):
-        allocate_labor(p, 1.0, solver="newton")
 
 
 def test_maintenance_labor_holds_stock_constant():
-    fam = TaskFamily(id=0, omega=1.0, delta_j=0.2, k_j=1.5)
-    ell = maintenance_labor(fam, TECH)
+    p = make_portfolio([1.5], deltas=[0.2])
+    ell = maintenance_labor(p)[0]
     assert TECH.g(ell) == pytest.approx(0.2 * 1.5, rel=1e-14)
 
 
@@ -229,8 +241,8 @@ def test_step_portfolio_hand_check():
     nxt = step_portfolio(p, alloc, no_entry, generator(0), next_period=1)
     expected0 = 0.9 * 1.0 + TECH.g(alloc.labor[0])
     expected1 = 0.75 * 4.0 + TECH.g(alloc.labor[1])
-    assert nxt.stocks()[0] == pytest.approx(expected0, rel=1e-14)
-    assert nxt.stocks()[1] == pytest.approx(expected1, rel=1e-14)
+    assert nxt.k[0] == pytest.approx(expected0, rel=1e-14)
+    assert nxt.k[1] == pytest.approx(expected1, rel=1e-14)
     assert nxt.size == 2
 
 
@@ -251,12 +263,12 @@ def test_step_portfolio_entrants_get_fresh_ids_and_birth_period():
     from structlabor import generator
 
     nxt = step_portfolio(p, alloc, entry, generator(5), next_period=7)
-    born = [f for f in nxt.families if f.born_at == 7]
-    assert len(born) >= 1
-    assert all(f.id >= 2 for f in born)
-    assert all(f.k_j == 1e-3 for f in born)
-    assert all(0.1 <= f.delta_j <= 0.2 for f in born)
-    assert nxt.ids() == tuple(sorted(nxt.ids()))
+    born = nxt.born_at == 7
+    assert np.count_nonzero(born) >= 1
+    assert np.all(nxt.id[born] >= 2)
+    assert np.all(nxt.k[born] == 1e-3)
+    assert np.all((0.1 <= nxt.delta[born]) & (nxt.delta[born] <= 0.2))
+    assert tuple(nxt.id.tolist()) == tuple(sorted(nxt.id.tolist()))
 
 
 def test_entry_config_validation():
@@ -281,20 +293,20 @@ def test_maintenance_allocation_is_stationary():
     scenario = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.0), T=30, seed=0)
     for t in (0, 15, 30):
         at = scenario.period == t
-        assert np.allclose(scenario.maturity[at], p.stocks(), rtol=0, atol=1e-12)
+        assert np.allclose(scenario.maturity[at], p.k, rtol=0, atol=1e-12)
 
 
 def test_exact_maintenance_labor_freezes_any_portfolio():
     from structlabor import AllocationResult, generator
 
     p = make_portfolio([1.0, 4.0, 2.5], deltas=[0.1, 0.25, 0.15])
-    ell = np.array([maintenance_labor(f, TECH) for f in p.families])
+    ell = maintenance_labor(p)
     exact = AllocationResult(
-        family_ids=p.ids(), labor=ell, total=float(ell.sum()),
-        multiplier=0.0, kkt_residual=0.0,
+        family_ids=p.id, labor=ell, total=float(ell.sum()),
+        multiplier=0.0, kkt_residual=0.0, weights=effective_weights(p),
     )
     stepped = step_portfolio(p, exact, EntryConfig(mu=0.0), generator(0), next_period=1)
-    assert np.allclose(stepped.stocks(), p.stocks(), rtol=0, atol=1e-12)
+    assert np.allclose(stepped.k, p.k, rtol=0, atol=1e-12)
 
 
 def test_zero_budget_stocks_decay_geometrically():
@@ -396,11 +408,46 @@ def test_portfolio_at_reconstructs_the_recorded_state():
     p = make_portfolio([1.0, 0.5, 2.0])
     entry = EntryConfig(mu=0.5)
     scenario = run_portfolio_scenario(p, 1.0, entry, T=15, seed=4)
-    snap = scenario.portfolio_at(9)
-    at = scenario.period == 9
-    assert snap.ids() == tuple(int(i) for i in scenario.family_id[at])
-    assert np.array_equal(snap.stocks(), scenario.maturity[at])
-    alloc = allocate_labor(snap, 1.0)
-    assert np.allclose(alloc.labor, scenario.labor[at], rtol=0, atol=1e-12)
+    for t in range(16):
+        snap = scenario.portfolio_at(t)
+        at = scenario.period == t
+        assert tuple(snap.id.tolist()) == tuple(int(i) for i in scenario.family_id[at])
+        assert np.array_equal(snap.k, scenario.maturity[at])
+        alloc = allocate_labor(snap, 1.0)
+        assert np.allclose(alloc.labor, scenario.labor[at], rtol=0, atol=1e-12)
     with pytest.raises(DomainError):
         scenario.portfolio_at(16)
+
+
+def test_scenario_timing_contract_holds_in_every_period():
+    # Row t+1 is (1 - delta) k + g(l) from row t, times (1 - drop_frac)
+    # exactly where an event fired at t; entrants first appear at t + 1.
+    T = 40
+    p = make_portfolio([1.0, 0.5, 2.0], deltas=[0.1, 0.2, 0.15])
+    entry = EntryConfig(mu=0.5, k_seed=2e-3)
+    drift = DriftConfig(
+        env_hazard=0.05, tech_hazard=0.2, org_hazard=0.1,
+        tech_windows=periodic_windows(1, 4, T), org_windows=periodic_windows(3, 5, T),
+        drop_frac=0.4,
+    )
+    sc = run_portfolio_scenario(p, 1.0, entry, T=T, seed=21, drift=drift)
+    events = set(sc.events)
+    assert len(events) == len(sc.events) > 0
+    assert sc.final.size > p.size
+    final = sc.final
+    for t in range(T):
+        now = sc.period == t
+        nxt = sc.period == t + 1
+        ids = sc.family_id[now]
+        n = ids.shape[0]
+        assert np.array_equal(sc.family_id[nxt][:n], ids)
+        rows = np.searchsorted(final.id, ids)
+        expect = (1.0 - final.delta[rows]) * sc.maturity[now] + TECH.g(sc.labor[now])
+        hit = np.array([(i, t) in events for i in ids.tolist()], dtype=bool)
+        expect[hit] = expect[hit] * (1.0 - drift.drop_frac)
+        assert np.array_equal(sc.maturity[nxt][:n], expect)
+        entrants = np.searchsorted(final.id, sc.family_id[nxt][n:])
+        assert np.all(final.born_at[entrants] == t + 1)
+        assert np.all(sc.maturity[nxt][n:] == entry.k_seed)
+        assert np.all(final.born_at[rows] <= t)
+    assert {t for _, t in events} <= set(range(T))

@@ -7,7 +7,6 @@ from structlabor import (
     Portfolio,
     PowerCodification,
     RoyExperiment,
-    TaskFamily,
     WorkerSkillMatrix,
     dispersion_experiment,
     effective_weights,
@@ -23,12 +22,11 @@ TECH = PowerCodification(beta=0.5)
 
 
 def two_family_portfolio(k0=1.0, k1=0.5, aggregator=None, Lambda=1.0):
-    fams = (
-        TaskFamily(id=0, omega=1.0, delta_j=0.1, k_j=k0),
-        TaskFamily(id=1, omega=1.0, delta_j=0.1, k_j=k1),
-    )
     agg = aggregator or AggregatorSpec(kind="ces", rho=0.5)
-    return Portfolio(families=fams, aggregator=agg, tech=TECH, Lambda=Lambda)
+    return Portfolio(
+        id=[0, 1], omega=[1.0, 1.0], delta=[0.1, 0.1], k=[k0, k1], born_at=[0, 0],
+        aggregator=agg, tech=TECH, Lambda=Lambda,
+    )
 
 
 def test_skill_matrix_validation():
@@ -44,9 +42,9 @@ def test_skill_matrix_validation():
 
 def test_generate_is_deterministic_in_seed():
     p = two_family_portfolio()
-    a = WorkerSkillMatrix.generate(20, p.families, seed=7)
-    b = WorkerSkillMatrix.generate(20, p.families, seed=7)
-    c = WorkerSkillMatrix.generate(20, p.families, seed=8)
+    a = WorkerSkillMatrix.generate(20, p, seed=7)
+    b = WorkerSkillMatrix.generate(20, p, seed=7)
+    c = WorkerSkillMatrix.generate(20, p, seed=8)
     assert np.array_equal(a.a, b.a)
     assert not np.array_equal(a.a, c.a)
     assert a.n_workers == 20
@@ -56,32 +54,27 @@ def test_generate_is_deterministic_in_seed():
 def test_generate_scale_acts_outside_the_draws():
     # Doubling sigma must square the skill ratios: same z, scaled exponent.
     p = two_family_portfolio()
-    narrow = WorkerSkillMatrix.generate(50, p.families, seed=3, sigma_ln=0.4)
-    wide = WorkerSkillMatrix.generate(50, p.families, seed=3, sigma_ln=0.8)
+    narrow = WorkerSkillMatrix.generate(50, p, seed=3, sigma_ln=0.4)
+    wide = WorkerSkillMatrix.generate(50, p, seed=3, sigma_ln=0.8)
     assert np.allclose(wide.a, narrow.a**2, rtol=1e-12)
 
 
 def test_generate_per_family_scales():
     p = two_family_portfolio()
-    m = WorkerSkillMatrix.generate(4000, p.families, seed=1, sigma_ln=[0.2, 1.0])
+    m = WorkerSkillMatrix.generate(4000, p, seed=1, sigma_ln=[0.2, 1.0])
     spread0 = np.std(np.log(m.a[:, 0]))
     spread1 = np.std(np.log(m.a[:, 1]))
     assert spread1 > 4.0 * spread0
     with pytest.raises(DomainError):
-        WorkerSkillMatrix.generate(10, p.families, seed=1, sigma_ln=[0.2])
+        WorkerSkillMatrix.generate(10, p, seed=1, sigma_ln=[0.2])
 
 
 def test_generate_streams_follow_birth_cohort_not_id():
     # A family born at the same time in the same slot draws the same
     # skills whatever its id turned out to be.
-    fams_a = (
-        TaskFamily(id=0, omega=1.0, delta_j=0.1, k_j=1.0, born_at=0),
-        TaskFamily(id=1, omega=1.0, delta_j=0.1, k_j=1.0, born_at=2),
-    )
-    fams_b = (
-        TaskFamily(id=0, omega=1.0, delta_j=0.1, k_j=1.0, born_at=0),
-        TaskFamily(id=5, omega=1.0, delta_j=0.1, k_j=1.0, born_at=2),
-    )
+    columns = {"omega": [1.0, 1.0], "delta": [0.1, 0.1], "k": [1.0, 1.0], "born_at": [0, 2]}
+    fams_a = Portfolio(id=[0, 1], **columns)
+    fams_b = Portfolio(id=[0, 5], **columns)
     a = WorkerSkillMatrix.generate(10, fams_a, seed=11)
     b = WorkerSkillMatrix.generate(10, fams_b, seed=11)
     assert np.array_equal(a.a, b.a)
@@ -105,7 +98,7 @@ def test_family_prices_formula():
 
 def test_solve_roy_reaches_an_enumerated_fixed_point():
     p = two_family_portfolio()
-    skills = WorkerSkillMatrix.generate(5, p.families, seed=0, sigma_ln=0.6)
+    skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=0.6)
     w = effective_weights(p)
     oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
     assert oracle == [(1, 1, 0, 0, 0)]
@@ -121,7 +114,7 @@ def test_solve_roy_reaches_an_enumerated_fixed_point():
 
 def test_solve_roy_second_instance():
     p = two_family_portfolio()
-    skills = WorkerSkillMatrix.generate(5, p.families, seed=4, sigma_ln=0.6)
+    skills = WorkerSkillMatrix.generate(5, p, seed=4, sigma_ln=0.6)
     w = effective_weights(p)
     oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
     assert oracle == [(0, 1, 1, 0, 1)]
@@ -135,7 +128,7 @@ def test_solve_roy_scale_invariant_assignment():
     # same factor, so choices cannot move.
     base = two_family_portfolio(Lambda=1.0)
     scaled = two_family_portfolio(Lambda=4.0)
-    skills = WorkerSkillMatrix.generate(30, base.families, seed=2, sigma_ln=0.6)
+    skills = WorkerSkillMatrix.generate(30, base, seed=2, sigma_ln=0.6)
     eq_base = solve_roy(skills, base)
     eq_scaled = solve_roy(skills, scaled)
     assert np.array_equal(eq_base.assignment, eq_scaled.assignment)
@@ -146,11 +139,10 @@ def test_solve_roy_scale_invariant_assignment():
 def test_solve_roy_reports_nonexistence_honestly():
     # One worker, two interchangeable families: wherever the worker goes,
     # the empty family pays more.  No fixed point exists.
-    fams = (
-        TaskFamily(id=0, omega=1.0, delta_j=0.1, k_j=1.0),
-        TaskFamily(id=1, omega=1.0, delta_j=0.1, k_j=1.0),
+    p = Portfolio(
+        id=[0, 1], omega=[1.0, 1.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0],
+        aggregator=AggregatorSpec(kind="additive"), tech=TECH,
     )
-    p = Portfolio(families=fams, aggregator=AggregatorSpec(kind="additive"), tech=TECH)
     skills = WorkerSkillMatrix(a=np.array([[1.0, 1.0]]), family_ids=(0, 1))
     w = effective_weights(p)
     assert roy_consistent_assignments(skills.a, w, beta=0.5) == []
