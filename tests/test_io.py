@@ -28,7 +28,31 @@ from structlabor.portfolio import (
 )
 
 
-def test_write_csv_matches_per_cell_rendering(tmp_path):
+def _one_cell(tmp_path, column):
+    path = str(tmp_path / "cell.csv")
+    write_csv(path, ("v",), [column])
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()[1]
+
+
+def test_format_value_cases(tmp_path):
+    # Cells are formatted by column dtype: booleans as 1/0, integers as plain
+    # decimals, floats as repr; anything else is refused.
+    assert _one_cell(tmp_path, [True]) == "1"
+    assert _one_cell(tmp_path, [False]) == "0"
+    assert _one_cell(tmp_path, np.array([True], dtype=np.bool_)) == "1"
+    assert _one_cell(tmp_path, [3]) == "3"
+    assert _one_cell(tmp_path, np.array([-7], dtype=np.int64)) == "-7"
+    assert _one_cell(tmp_path, [0.1]) == "0.1"
+    assert _one_cell(tmp_path, [1 / 3]) == "0.3333333333333333"
+    assert _one_cell(tmp_path, np.array([2.5], dtype=np.float64)) == "2.5"
+    assert _one_cell(tmp_path, [math.inf]) == "inf"
+    for column in (["plain"], [object()], [[1.0]]):
+        with pytest.raises(DomainError):
+            write_csv(str(tmp_path / "bad.csv"), ("v",), [column])
+
+
+def test_format_value_round_trips_doubles(tmp_path):
     # Longer than one chunk, so chunk seams are covered; each cell must read
     # as repr for floats, str for integers and 1/0 for booleans.
     n = 2 * CHUNK_ROWS + 17
