@@ -271,11 +271,9 @@ def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
 
 
 def _births_from_panel(panel: MaturityPanel) -> np.ndarray:
-    order = np.lexsort((panel.period, panel.family_id))
-    fam = panel.family_id[order]
-    per = panel.period[order]
-    _, first = np.unique(fam, return_index=True)
-    return count_births(per[first], T=int(panel.period.max()))
+    # Panel rows are period-major, so a family's first row is its first appearance.
+    _, first = np.unique(panel.family_id, return_index=True)
+    return count_births(panel.period[first], T=int(panel.period.max()))
 
 
 def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
@@ -289,13 +287,11 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
             tech_window=arrays["tech_window"],
             org_window=arrays["org_window"],
         )
-        births = _births_from_panel(panel)
         index_columns = None
     else:
         scenario = _run_configured_scenario(cfg)
         panel = MaturityPanel.from_scenario(scenario)
         final = scenario.final
-        births = count_births(final.born_at, T=cfg.portfolio.T)
         points = indices(
             panel,
             scenario.periods,
@@ -309,6 +305,7 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
             for name in ("period", "capability", "maintenance_share", "n_families")
         ]
 
+    births = _births_from_panel(panel)
     flags = detect_degradation(panel, rel_drop=cfg.estimate.rel_drop, horizon=cfg.estimate.horizon)
     est = estimate_hazard_decomposition(flags)
     payload = {

@@ -28,6 +28,8 @@ class MaturityPanel:
     """Family-period maturity observations with hazard-window flags.
 
     Arrays are parallel; (family_id, period) pairs must be unique.  The
+    panel holds its rows sorted by period, then family_id, whatever the
+    order they were given in; the estimators rely on that order.  The
     panel may be unbalanced: families can enter after period zero, and
     gaps are tolerated (estimators only use consecutive-period pairs).
     """
@@ -50,14 +52,16 @@ class MaturityPanel:
         if n:
             _require(bool(np.all(per >= 0)), "periods must be nonnegative")
             _require(bool(np.all(np.isfinite(mat)) and np.all(mat >= 0.0)), "maturities must be finite and nonnegative")
-            pairs = np.stack([fam, per], axis=1)
-            _require(np.unique(pairs, axis=0).shape[0] == n, "(family_id, period) pairs must be unique")
+        order = np.lexsort((fam, per))
+        fam, per = fam[order], per[order]
+        same = (fam[1:] == fam[:-1]) & (per[1:] == per[:-1])
+        _require(not bool(np.any(same)), "(family_id, period) pairs must be unique")
         for name, arr in (
             ("family_id", fam),
             ("period", per),
-            ("maturity", mat),
-            ("tech_window", tw),
-            ("org_window", ow),
+            ("maturity", mat[order]),
+            ("tech_window", tw[order]),
+            ("org_window", ow[order]),
         ):
             object.__setattr__(self, name, arr)
 
@@ -100,9 +104,9 @@ class DegradationFlags:
     """Per-observation degradation indicators.
 
     One entry per family-period whose next consecutive period is also
-    observed; ``flag`` marks a relative maturity drop beyond the
-    threshold over that transition.  Window flags are those in force at
-    the start of the transition.
+    observed, in the panel's (period, family_id) order; ``flag`` marks a
+    relative maturity drop beyond the threshold over that transition.
+    Window flags are those in force at the start of the transition.
     """
 
     family_id: np.ndarray
@@ -128,19 +132,18 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float = 0.2, horizon: int
     _require(math.isfinite(rel_drop) and 0.0 < rel_drop < 1.0, "rel_drop must lie in (0, 1)")
     _require(isinstance(horizon, int) and horizon >= 1, "horizon must be an integer >= 1")
 
-    order = np.lexsort((panel.period, panel.family_id))
-    fam = panel.family_id[order]
-    per = panel.period[order]
-    mat = panel.maturity[order]
-    tw = panel.tech_window[order]
-    ow = panel.org_window[order]
-
-    # Positions of (family, period + horizon) found by searching the sorted keys.
-    key = fam * (per.max() + horizon + 1) + per
-    target = fam * (per.max() + horizon + 1) + per + horizon
-    pos = np.searchsorted(key, target)
-    pos = np.clip(pos, 0, key.shape[0] - 1)
-    has_next = key[pos] == target
+    fam, per, mat = panel.family_id, panel.period, panel.maturity
+    # Dense ranks keep the keys below n**2; rows sorted by (period, family)
+    # have sorted keys period_rank * n_families + family_rank.
+    families, fam_rank = np.unique(fam, return_inverse=True)
+    periods, per_rank = np.unique(per, return_inverse=True)
+    key = per_rank * families.shape[0] + fam_rank
+    # Row (family, period + horizon) exists only if period + horizon is observed.
+    next_rank = np.searchsorted(periods, per + horizon)
+    has_period = periods[np.minimum(next_rank, periods.shape[0] - 1)] == per + horizon
+    target = next_rank * families.shape[0] + fam_rank
+    pos = np.minimum(np.searchsorted(key, target), key.shape[0] - 1)
+    has_next = has_period & (key[pos] == target)
 
     base = mat[has_next]
     nxt = mat[pos[has_next]]
@@ -149,8 +152,8 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float = 0.2, horizon: int
         family_id=fam[has_next],
         period=per[has_next],
         flag=flags,
-        tech_window=tw[has_next],
-        org_window=ow[has_next],
+        tech_window=panel.tech_window[has_next],
+        org_window=panel.org_window[has_next],
     )
 
 
@@ -283,8 +286,8 @@ def indices(
     skipped and reported.  With no ``aggregator`` the index is the
     weighted sum of maturities; passing an
     :class:`~structlabor.portfolio.AggregatorSpec` applies its CES form
-    instead.  The maintenance share is labor_total / L_bar.  The panel is
-    sorted by period once and each period is one slice of it.
+    instead.  The maintenance share is labor_total / L_bar.  Panel rows
+    are in (period, family_id) order, so each period is one slice of it.
     """
     _require(panel.n_obs > 0, "panel is empty")
     _require(L_bar > 0.0, "L_bar must be positive")
@@ -293,10 +296,7 @@ def indices(
     _require(periods.ndim == 1 and labor.shape == periods.shape, "labor_total must have one entry per period")
     _require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor_total must be nonnegative")
 
-    order = np.argsort(panel.period, kind="stable")
-    per = panel.period[order]
-    fams = panel.family_id[order]
-    mats = panel.maturity[order]
+    per, fams, mats = panel.period, panel.family_id, panel.maturity
     # Weight of every observation, looked up in the map's ids sorted once.
     ids = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
     values = np.fromiter(weights.values(), dtype=float, count=len(weights))

@@ -165,6 +165,32 @@ def test_estimate_panel_file_mode(tmp_path):
     assert os.path.exists(os.path.join(out2, "births.csv"))
 
 
+def test_estimate_modes_agree(tmp_path):
+    # Births and hazards from a panel file match those rebuilt from the
+    # scenario, also when the file's rows come in another order.
+    base = {"portfolio": {"n_families": 8, "T": 50, "entry": {"mu": 0.4}, "drift": {"enabled": True}}}
+    cfg = write_config(tmp_path, base)
+    pf_out = str(tmp_path / "portfolio")
+    assert main(["portfolio", "--config", cfg, "--seed", "5", "--out", pf_out, "--quiet"]) == 0
+    panel_csv = os.path.join(pf_out, "panel.csv")
+    with open(panel_csv, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    order = np.random.default_rng(1).permutation(len(rows))
+    shuffled_csv = tmp_path / "shuffled.csv"
+    shuffled_csv.write_text("\n".join([header] + [rows[i] for i in order]) + "\n", encoding="utf-8")
+
+    def outputs(name, panel):
+        config = write_config(tmp_path, {**base, "estimate": {"panel": panel}}, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["estimate", "--config", config, "--seed", "5", "--out", str(out), "--quiet"]) == 0
+        return [(out / file).read_bytes() for file in ("hazard.json", "births.csv")]
+
+    scenario = outputs("scenario", None)
+    assert scenario[1].count(b"\n") == 52
+    assert outputs("file", panel_csv) == scenario
+    assert outputs("shuffled", str(shuffled_csv)) == scenario
+
+
 def test_estimate_missing_panel_is_a_runtime_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"estimate": {"panel": str(tmp_path / "nowhere.csv")}})
     out = str(tmp_path / "out")

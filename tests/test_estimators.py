@@ -19,6 +19,7 @@ from structlabor import (
     periodic_windows,
     run_portfolio_scenario,
 )
+from structlabor.cli import _births_from_panel
 
 TECH = PowerCodification(beta=0.5)
 
@@ -38,6 +39,29 @@ def test_panel_validation():
         panel_from([(0, 0, math.nan, False, False)])
     p = panel_from([(0, 0, 1.0, False, True), (1, 0, 2.0, True, False)])
     assert p.n_obs == 2
+
+
+def test_panel_holds_rows_in_period_family_order():
+    rows = [
+        (2, 1, 0.5, True, False),
+        (0, 1, 0.7, False, True),
+        (1, 0, 2.0, False, False),
+        (2, 0, 1.0, True, True),
+        (0, 0, 3.0, False, False),
+    ]
+    p = panel_from(rows)
+    expected = sorted(rows, key=lambda row: (row[1], row[0]))
+    assert p.family_id.tolist() == [row[0] for row in expected]
+    assert p.period.tolist() == [row[1] for row in expected]
+    assert p.maturity.tolist() == [row[2] for row in expected]
+    assert p.tech_window.tolist() == [row[3] for row in expected]
+    assert p.org_window.tolist() == [row[4] for row in expected]
+
+
+def test_panel_rejects_non_adjacent_duplicates():
+    rows = [(0, 0, 1.0, False, False), (1, 0, 1.0, False, False), (0, 1, 1.0, False, False), (0, 0, 2.0, False, False)]
+    with pytest.raises(DomainError, match=r"\(family_id, period\) pairs must be unique"):
+        panel_from(rows)
 
 
 def test_detect_degradation_flags_the_right_transitions():
@@ -78,6 +102,36 @@ def test_detect_degradation_skips_gaps():
     assert out.n_obs == 1
     assert list(out.family_id) == [1]
     assert list(out.flag) == [True]
+
+
+def test_detect_degradation_keys_do_not_overflow():
+    # family * (max period + horizon + 1) would pass 2**63 here.
+    t = 2**23 - 1
+    big = 2**40
+    p = panel_from([
+        (0, t, 1.0, False, False),
+        (0, t + 1, 1.0, False, False),
+        (big, t, 1.0, False, False),
+        (big, t + 1, 0.5, False, False),
+    ])
+    out = detect_degradation(p, rel_drop=0.2, horizon=1)
+    assert out.n_obs == 2
+    assert list(out.family_id) == [0, big]
+    assert list(out.flag) == [False, True]
+
+
+def test_detect_degradation_negative_family_ids():
+    p = panel_from([
+        (3, 0, 1.0, False, False),
+        (-5, 1, 0.5, False, False),
+        (-5, 0, 1.0, False, False),
+        (3, 1, 0.9, False, False),
+        (-7, 1, 1.0, False, False),
+    ])
+    out = detect_degradation(p, rel_drop=0.2, horizon=1)
+    assert list(out.family_id) == [-5, 3]
+    assert list(out.period) == [0, 0]
+    assert list(out.flag) == [True, False]
 
 
 def test_detect_degradation_zero_maturity_never_flags():
@@ -201,6 +255,36 @@ def test_estimates_tighten_with_panel_size():
             errs.append(max(abs(est.env - 0.05), abs(est.tech - 0.10), abs(est.org - 0.03)))
         assert errs[1] < errs[0]
         assert errs[1] < 0.005
+
+
+def test_shuffled_panel_gives_the_same_estimates():
+    sc = stationary_scenario(30, 80, seed=4)
+    panel = MaturityPanel.from_scenario(sc)
+    shuffle = np.random.default_rng(0).permutation(panel.n_obs)
+    shuffled = MaturityPanel(
+        family_id=panel.family_id[shuffle],
+        period=panel.period[shuffle],
+        maturity=panel.maturity[shuffle],
+        tech_window=panel.tech_window[shuffle],
+        org_window=panel.org_window[shuffle],
+    )
+
+    def flag_set(flags):
+        columns = (flags.family_id, flags.period, flags.flag, flags.tech_window, flags.org_window)
+        return set(zip(*(c.tolist() for c in columns)))
+
+    flags, shuffled_flags = detect_degradation(panel), detect_degradation(shuffled)
+    assert flag_set(shuffled_flags) == flag_set(flags)
+    est, shuffled_est = estimate_hazard_decomposition(flags), estimate_hazard_decomposition(shuffled_flags)
+    for name in ("delta_hat", "env", "tech", "org", "se_env", "se_tech", "se_org", "n_obs", "cells"):
+        assert getattr(shuffled_est, name) == getattr(est, name)
+
+    weights = dict(zip(sc.final.id.tolist(), sc.final.omega.tolist()))
+    args = (sc.periods, weights, sc.labor_budget, 2.0, sc.final.aggregator)
+    assert indices(shuffled, *args) == indices(panel, *args)
+    births = _births_from_panel(panel)
+    assert births.tolist() == _births_from_panel(shuffled).tolist()
+    assert births.tolist() == count_births(sc.final.born_at, T=80).tolist()
 
 
 def test_count_births():

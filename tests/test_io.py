@@ -228,6 +228,41 @@ def test_read_panel_csv_error_reporting(tmp_path):
         read_panel_csv(str(short_row))
 
 
+def test_read_panel_csv_skips_blank_lines_and_reads_bool_spellings(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        ",".join(PANEL_COLUMNS) + "\n"
+        + "0,0,1.0,0.5,2.0,true,False\n"
+        + "\n"
+        + "1,0,2.0,0.5,2.0,True,false\n"
+        + "\n\n"
+        + "0,1,0.5,0.25,1.5,0,1\n"
+    )
+    back = read_panel_csv(str(path))
+    assert back["family_id"].tolist() == [0, 1, 0]
+    assert back["period"].tolist() == [0, 0, 1]
+    assert back["maturity"].tolist() == [1.0, 2.0, 0.5]
+    assert back["tech_window"].tolist() == [True, True, False]
+    assert back["org_window"].tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("0,2,oops,0.5,2.0,1,0", "could not convert"),
+        ("x,2,1.0,0.5,2.0,1,0", "invalid literal"),
+        ("0,2,1.0,0.5,2.0,1,maybe", "invalid boolean"),
+        ("0,2,1.0", "expected 7 columns"),
+    ],
+)
+def test_read_panel_csv_reports_later_line_numbers(tmp_path, bad_row, message):
+    path = tmp_path / "late.csv"
+    good = ["0,0,1.0,0.5,2.0,1,0", "0,1,1.0,0.5,2.0,0,0"]
+    path.write_text("\n".join([",".join(PANEL_COLUMNS), *good, "", bad_row]) + "\n")
+    with pytest.raises(DomainError, match=rf"late\.csv:5: .*{message}"):
+        read_panel_csv(str(path))
+
+
 def test_column_constants():
     assert PATH_COLUMNS == ("t", "k", "L_S", "L_U", "Y", "w_U", "w_S")
     assert PANEL_COLUMNS == (
