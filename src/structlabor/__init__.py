@@ -4,174 +4,8 @@ Covers the closed-form long-run labor split and its sensitivities, damped
 transition paths, Monte Carlo calibration of the split under parameter
 uncertainty, a disaggregated portfolio of task families with entry and
 drift, worker assignment with wage dispersion experiments, and estimators
-that recover hazards and indices from simulated maturity panels.
+that recover hazards and indices from simulated maturity panels.  Library
+names are imported from their modules (see the README's library layout).
 """
 
-from __future__ import annotations
-
-from .calibration import (
-    CalibrationResult,
-    PriorSpec,
-    run_monte_carlo,
-    sample_parameters,
-    sample_shares,
-    share_bounds,
-)
-from .config import (
-    AppConfig,
-    dump_yaml,
-    load_config,
-    parse_config,
-    serialize,
-    with_overrides,
-)
-from .core import (
-    BaselineParams,
-    PathPoint,
-    SteadyState,
-    TransitionPath,
-    comparative_statics,
-    default_damping,
-    marginals,
-    output,
-    simulate_transition,
-    steady_state,
-    structured_share,
-)
-from .errors import ConfigError, DomainError
-from .estimators import (
-    CellStat,
-    DegradationFlags,
-    HazardEstimate,
-    IndexPoint,
-    MaturityPanel,
-    count_births,
-    detect_degradation,
-    estimate_hazard_decomposition,
-    indices,
-)
-from .io import (
-    PANEL_COLUMNS,
-    PATH_COLUMNS,
-    config_digest,
-    read_panel_csv,
-    sha256_file,
-    write_csv,
-    write_json,
-    write_manifest,
-)
-from .portfolio import (
-    AggregatorSpec,
-    AllocationResult,
-    DriftConfig,
-    EntryConfig,
-    Portfolio,
-    PowerCodification,
-    ScenarioResult,
-    aggregate_capability,
-    allocate_labor,
-    effective_weights,
-    maintenance_labor,
-    periodic_windows,
-    run_portfolio_scenario,
-    step_portfolio,
-)
-from .rng import (
-    derive_seed,
-    generator,
-    indexed_uniforms,
-    poisson_inverse_cdf,
-    stream,
-)
-from .roy import (
-    ArmOutcome,
-    DispersionStats,
-    ExperimentResult,
-    PriceVector,
-    RoyEquilibrium,
-    RoyExperiment,
-    WorkerSkillMatrix,
-    dispersion_experiment,
-    family_prices,
-    maturity_skill_sigma,
-    solve_roy,
-    wage_stats,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregatorSpec",
-    "AllocationResult",
-    "AppConfig",
-    "ArmOutcome",
-    "BaselineParams",
-    "CalibrationResult",
-    "CellStat",
-    "ConfigError",
-    "DegradationFlags",
-    "DispersionStats",
-    "DomainError",
-    "DriftConfig",
-    "EntryConfig",
-    "ExperimentResult",
-    "HazardEstimate",
-    "IndexPoint",
-    "MaturityPanel",
-    "PANEL_COLUMNS",
-    "PATH_COLUMNS",
-    "PathPoint",
-    "Portfolio",
-    "PowerCodification",
-    "PriceVector",
-    "PriorSpec",
-    "RoyEquilibrium",
-    "RoyExperiment",
-    "ScenarioResult",
-    "SteadyState",
-    "TransitionPath",
-    "WorkerSkillMatrix",
-    "aggregate_capability",
-    "allocate_labor",
-    "comparative_statics",
-    "config_digest",
-    "count_births",
-    "default_damping",
-    "derive_seed",
-    "detect_degradation",
-    "dispersion_experiment",
-    "dump_yaml",
-    "effective_weights",
-    "estimate_hazard_decomposition",
-    "family_prices",
-    "generator",
-    "indexed_uniforms",
-    "indices",
-    "load_config",
-    "maintenance_labor",
-    "marginals",
-    "maturity_skill_sigma",
-    "output",
-    "parse_config",
-    "periodic_windows",
-    "poisson_inverse_cdf",
-    "read_panel_csv",
-    "run_monte_carlo",
-    "run_portfolio_scenario",
-    "sample_parameters",
-    "sample_shares",
-    "serialize",
-    "sha256_file",
-    "share_bounds",
-    "simulate_transition",
-    "solve_roy",
-    "steady_state",
-    "step_portfolio",
-    "stream",
-    "structured_share",
-    "wage_stats",
-    "with_overrides",
-    "write_csv",
-    "write_json",
-    "write_manifest",
-]

@@ -285,11 +285,6 @@ def serialize(cfg: AppConfig) -> dict:
     return copy.deepcopy(cfg._resolved)
 
 
-def dump_yaml(cfg: AppConfig) -> str:
-    """Canonical YAML rendering of a resolved configuration."""
-    return yaml.safe_dump(serialize(cfg), sort_keys=True, default_flow_style=False)
-
-
 def with_overrides(
     cfg: AppConfig, seed: int | None = None, out: str | None = None, fmt: str | None = None
 ) -> AppConfig:

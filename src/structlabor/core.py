@@ -15,18 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
-
-
-def _require_finite(value: float, name: str) -> float:
-    value = float(value)
-    _require(math.isfinite(value), f"{name} must be finite")
-    return value
+from .errors import require, require_finite
 
 
 @dataclass(frozen=True)
@@ -54,15 +43,15 @@ class BaselineParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "gamma", "r", "delta_k", "eta", "A_bar", "K", "L_bar"):
-            _require_finite(getattr(self, name), name)
-        _require(0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)")
-        _require(0.0 < self.gamma < 1.0, "gamma must lie in (0, 1)")
-        _require(self.r > 0.0, "r must be positive")
-        _require(0.0 < self.delta_k < 1.0, "delta_k must lie in (0, 1)")
-        _require(self.eta > 0.0, "eta must be positive")
-        _require(self.A_bar > 0.0, "A_bar must be positive")
-        _require(self.K > 0.0, "K must be positive")
-        _require(self.L_bar > 0.0, "L_bar must be positive")
+            require_finite(getattr(self, name), name)
+        require(0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)")
+        require(0.0 < self.gamma < 1.0, "gamma must lie in (0, 1)")
+        require(self.r > 0.0, "r must be positive")
+        require(0.0 < self.delta_k < 1.0, "delta_k must lie in (0, 1)")
+        require(self.eta > 0.0, "eta must be positive")
+        require(self.A_bar > 0.0, "A_bar must be positive")
+        require(self.K > 0.0, "K must be positive")
+        require(self.L_bar > 0.0, "L_bar must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,10 +103,10 @@ def output(params: BaselineParams, k: float, L_U: float) -> float:
     stock entering as an additional productive factor of elasticity
     gamma.  Zero production labor yields zero output.
     """
-    _require_finite(k, "k")
-    _require(k > 0.0, "capability stock must be positive")
-    _require_finite(L_U, "L_U")
-    _require(L_U >= 0.0, "production labor must be nonnegative")
+    require_finite(k, "k")
+    require(k > 0.0, "capability stock must be positive")
+    require_finite(L_U, "L_U")
+    require(L_U >= 0.0, "production labor must be nonnegative")
     if L_U == 0.0:
         return 0.0
     return (
@@ -135,8 +124,8 @@ def marginals(params: BaselineParams, k: float, L_U: float) -> tuple[float, floa
     product at the effective rate ``r + delta_k``.  Requires strictly
     positive production labor since the wage is a per-worker quantity.
     """
-    _require_finite(L_U, "L_U")
-    _require(L_U > 0.0, "marginal products need positive production labor")
+    require_finite(L_U, "L_U")
+    require(L_U > 0.0, "marginal products need positive production labor")
     y = output(params, k, L_U)
     w_u = (1.0 - params.alpha) * y / L_U
     dy_dk = params.gamma * y / k
@@ -249,17 +238,17 @@ def simulate_transition(
 
     Returns a path of at most ``T + 1`` points for periods 0..T.
     """
-    _require_finite(k0, "k0")
-    _require(k0 > 0.0, "initial capability stock must be positive")
-    _require_finite(L_S0, "L_S0")
-    _require(0.0 <= L_S0 <= params.L_bar, "L_S0 must lie in [0, L_bar]")
-    _require(isinstance(T, int) and T >= 1, "T must be an integer >= 1")
-    _require(math.isfinite(tol) and tol > 0.0, "tol must be positive")
+    require_finite(k0, "k0")
+    require(k0 > 0.0, "initial capability stock must be positive")
+    require_finite(L_S0, "L_S0")
+    require(0.0 <= L_S0 <= params.L_bar, "L_S0 must lie in [0, L_bar]")
+    require(isinstance(T, int) and T >= 1, "T must be an integer >= 1")
+    require(math.isfinite(tol) and tol > 0.0, "tol must be positive")
     if damping is None:
         lam = default_damping(params)
     else:
-        lam = _require_finite(damping, "damping")
-        _require(0.0 < lam <= 1.0, "damping must lie in (0, 1]")
+        lam = require_finite(damping, "damping")
+        require(0.0 < lam <= 1.0, "damping must lie in (0, 1]")
 
     ss = steady_state(params)
     c = _labor_response_slope(params)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
 
 from __future__ import annotations
+
+import math
 
 
 class DomainError(ValueError):
@@ -18,3 +20,16 @@ class ConfigError(ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def require(cond: bool, msg: str) -> None:
+    """Raise :class:`DomainError` with ``msg`` unless ``cond`` holds."""
+    if not cond:
+        raise DomainError(msg)
+
+
+def require_finite(value: float, name: str) -> float:
+    """``value`` as a float, or a :class:`DomainError` naming it if not finite."""
+    value = float(value)
+    require(math.isfinite(value), f"{name} must be finite")
+    return value

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
+from .errors import require
+from .portfolio import AggregatorSpec, aggregate_capability
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,16 +42,17 @@ class MaturityPanel:
         mat = np.asarray(self.maturity, dtype=float)
         tw = np.asarray(self.tech_window, dtype=bool)
         ow = np.asarray(self.org_window, dtype=bool)
+        require(fam.ndim == 1, "family_id must be one-dimensional")
         n = fam.shape[0]
         for arr, name in ((per, "period"), (mat, "maturity"), (tw, "tech_window"), (ow, "org_window")):
-            _require(arr.ndim == 1 and arr.shape[0] == n, f"{name} must parallel family_id")
+            require(arr.ndim == 1 and arr.shape[0] == n, f"{name} must parallel family_id")
         if n:
-            _require(bool(np.all(per >= 0)), "periods must be nonnegative")
-            _require(bool(np.all(np.isfinite(mat)) and np.all(mat >= 0.0)), "maturities must be finite and nonnegative")
+            require(bool(np.all(per >= 0)), "periods must be nonnegative")
+            require(bool(np.all(np.isfinite(mat)) and np.all(mat >= 0.0)), "maturities must be finite and nonnegative")
         order = np.lexsort((fam, per))
         fam, per = fam[order], per[order]
         same = (fam[1:] == fam[:-1]) & (per[1:] == per[:-1])
-        _require(not bool(np.any(same)), "(family_id, period) pairs must be unique")
+        require(not bool(np.any(same)), "(family_id, period) pairs must be unique")
         for name, arr in (
             ("family_id", fam),
             ("period", per),
@@ -68,24 +65,6 @@ class MaturityPanel:
     @property
     def n_obs(self) -> int:
         return int(self.family_id.shape[0])
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[tuple[int, int, float, bool, bool]]
-    ) -> "MaturityPanel":
-        """Build a panel from (family_id, period, maturity, tech, org) rows."""
-        rows = list(records)
-        if rows:
-            fam, per, mat, tw, ow = zip(*rows)
-        else:
-            fam = per = mat = tw = ow = ()
-        return cls(
-            family_id=np.asarray(fam, dtype=np.int64),
-            period=np.asarray(per, dtype=np.int64),
-            maturity=np.asarray(mat, dtype=float),
-            tech_window=np.asarray(tw, dtype=bool),
-            org_window=np.asarray(ow, dtype=bool),
-        )
 
     @classmethod
     def from_scenario(cls, scenario) -> "MaturityPanel":
@@ -128,15 +107,18 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float = 0.2, horizon: int
     zero maturity cannot register a further relative drop and is kept
     unflagged.
     """
-    _require(panel.n_obs > 0, "panel is empty")
-    _require(math.isfinite(rel_drop) and 0.0 < rel_drop < 1.0, "rel_drop must lie in (0, 1)")
-    _require(isinstance(horizon, int) and horizon >= 1, "horizon must be an integer >= 1")
+    require(panel.n_obs > 0, "panel is empty")
+    require(math.isfinite(rel_drop) and 0.0 < rel_drop < 1.0, "rel_drop must lie in (0, 1)")
+    require(isinstance(horizon, int) and horizon >= 1, "horizon must be an integer >= 1")
 
     fam, per, mat = panel.family_id, panel.period, panel.maturity
     # Dense ranks keep the keys below n**2; rows sorted by (period, family)
-    # have sorted keys period_rank * n_families + family_rank.
+    # have sorted keys period_rank * n_families + family_rank.  The period
+    # column is already sorted, so its ranks are run counts.
     families, fam_rank = np.unique(fam, return_inverse=True)
-    periods, per_rank = np.unique(per, return_inverse=True)
+    new_period = np.concatenate(([True], per[1:] != per[:-1]))
+    periods = per[new_period]
+    per_rank = np.cumsum(new_period) - 1
     key = per_rank * families.shape[0] + fam_rank
     # Row (family, period + horizon) exists only if period + horizon is observed.
     next_rank = np.searchsorted(periods, per + horizon)
@@ -201,7 +183,7 @@ def estimate_hazard_decomposition(flags: DegradationFlags) -> HazardEstimate:
     non-overlapping windows the components are plain frequency
     differences.  The total ``delta_hat`` sums the identified components.
     """
-    _require(flags.n_obs > 0, "no degradation observations")
+    require(flags.n_obs > 0, "no degradation observations")
     cells: dict[tuple[bool, bool], CellStat] = {}
     for in_tech in (False, True):
         for in_org in (False, True):
@@ -211,7 +193,7 @@ def estimate_hazard_decomposition(flags: DegradationFlags) -> HazardEstimate:
                 cells[(in_tech, in_org)] = CellStat(mean=float(np.mean(flags.flag[mask])), count=count)
 
     base = cells.get((False, False))
-    _require(base is not None, "panel has no observations outside every window")
+    require(base is not None, "panel has no observations outside every window")
 
     env = base.mean
     se_env = _binomial_se(base.mean, base.count)
@@ -250,11 +232,11 @@ def count_births(born_at, T: int | None = None) -> np.ndarray:
     included.
     """
     born = np.asarray(born_at, dtype=np.int64)
-    _require(bool(np.all(born >= 0)), "birth periods must be nonnegative")
+    require(bool(np.all(born >= 0)), "birth periods must be nonnegative")
     horizon = int(born.max()) + 1 if born.size else 0
     if T is not None:
-        _require(isinstance(T, int) and T >= 0, "T must be a nonnegative integer")
-        _require(horizon <= T + 1, "registry contains births beyond T")
+        require(isinstance(T, int) and T >= 0, "T must be a nonnegative integer")
+        require(horizon <= T + 1, "registry contains births beyond T")
         horizon = T + 1
     return np.bincount(born, minlength=horizon).astype(np.int64, copy=False)
 
@@ -267,7 +249,6 @@ class IndexPoint:
     capability: float
     maintenance_share: float
     n_families: int
-    missing_weights: tuple[int, ...]
 
 
 def indices(
@@ -276,25 +257,25 @@ def indices(
     weights: Mapping[int, float],
     labor_total,
     L_bar: float,
-    aggregator=None,
+    aggregator: AggregatorSpec = AggregatorSpec(),
 ) -> list[IndexPoint]:
     """Rebuild the aggregate capability index and maintenance share at each period.
 
     ``periods`` lists the periods to rebuild and ``labor_total`` the
     labor spent in each.  ``weights`` maps family id to its importance
     weight; families present at a period but missing from the map are
-    skipped and reported.  With no ``aggregator`` the index is the
-    weighted sum of maturities; passing an
-    :class:`~structlabor.portfolio.AggregatorSpec` applies its CES form
-    instead.  The maintenance share is labor_total / L_bar.  Panel rows
-    are in (period, family_id) order, so each period is one slice of it.
+    left out of that period's index and of its ``n_families``.  The
+    index is :func:`~structlabor.portfolio.aggregate_capability` under
+    ``aggregator`` (by default the weighted sum of maturities).  The
+    maintenance share is labor_total / L_bar.  Panel rows are in
+    (period, family_id) order, so each period is one slice of it.
     """
-    _require(panel.n_obs > 0, "panel is empty")
-    _require(L_bar > 0.0, "L_bar must be positive")
+    require(panel.n_obs > 0, "panel is empty")
+    require(L_bar > 0.0, "L_bar must be positive")
     periods = np.asarray(periods, dtype=np.int64)
     labor = np.asarray(labor_total, dtype=float)
-    _require(periods.ndim == 1 and labor.shape == periods.shape, "labor_total must have one entry per period")
-    _require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor_total must be nonnegative")
+    require(periods.ndim == 1 and labor.shape == periods.shape, "labor_total must have one entry per period")
+    require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor_total must be nonnegative")
 
     per, fams, mats = panel.period, panel.family_id, panel.maturity
     # Weight of every observation, looked up in the map's ids sorted once.
@@ -308,27 +289,10 @@ def indices(
     points = []
     bounds = np.searchsorted(per, np.stack([periods, periods + 1]))
     for t, lo, hi, labor_t in zip(periods.tolist(), *bounds.tolist(), labor.tolist()):
-        _require(hi > lo, f"panel has no observations at period {t}")
+        require(hi > lo, f"panel has no observations at period {t}")
         have = known[lo:hi]
-        missing = tuple(fams[lo:hi][~have].tolist())
         w = values[pos[lo:hi][have]]
-        m = mats[lo:hi][have]
-        _require(w.shape[0] > 0, f"no weighted families at period {t}")
-        if aggregator is None or aggregator.kind == "additive":
-            cap = float(np.dot(w, m))
-        else:
-            rho = float(aggregator.rho)
-            if rho < 0.0 and np.any(m == 0.0):
-                cap = 0.0
-            else:
-                cap = float(np.dot(w, np.power(m, rho)) ** (1.0 / rho))
-        points.append(
-            IndexPoint(
-                period=t,
-                capability=cap,
-                maintenance_share=labor_t / L_bar,
-                n_families=int(w.shape[0]),
-                missing_weights=missing,
-            )
-        )
+        require(w.shape[0] > 0, f"no weighted families at period {t}")
+        cap = aggregate_capability(w, mats[lo:hi][have], aggregator)
+        points.append(IndexPoint(period=t, capability=cap, maintenance_share=labor_t / L_bar, n_families=w.shape[0]))
     return points

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -133,13 +132,6 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    path: str
-    sha256: str
-    bytes: int
-
-
 def write_manifest(
     out_dir: str,
     command: str,
@@ -184,7 +176,10 @@ def _parse_bool(text: str, path: str, line: int) -> bool:
 
 
 def read_panel_csv(path: str) -> dict[str, np.ndarray]:
-    """Read a maturity panel CSV back into parallel arrays."""
+    """Read a maturity panel CSV back into parallel arrays.
+
+    Errors name the file and the physical line a bad row ends on.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -194,11 +189,12 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray]:
         if tuple(header) != PANEL_COLUMNS:
             raise DomainError(f"{path}: header {header!r} does not match panel schema")
         fam, per, mat, lab, eff, tw, ow = [], [], [], [], [], [], []
-        for i, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != len(PANEL_COLUMNS):
-                raise DomainError(f"{path}:{i}: expected {len(PANEL_COLUMNS)} columns")
+                raise DomainError(f"{path}:{line}: expected {len(PANEL_COLUMNS)} columns")
             try:
                 fam.append(int(row[0]))
                 per.append(int(row[1]))
@@ -206,9 +202,9 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray]:
                 lab.append(float(row[3]))
                 eff.append(float(row[4]))
             except ValueError as exc:
-                raise DomainError(f"{path}:{i}: {exc}") from None
-            tw.append(_parse_bool(row[5], path, i))
-            ow.append(_parse_bool(row[6], path, i))
+                raise DomainError(f"{path}:{line}: {exc}") from None
+            tw.append(_parse_bool(row[5], path, line))
+            ow.append(_parse_bool(row[6], path, line))
     return {
         "family_id": np.asarray(fam, dtype=np.int64),
         "period": np.asarray(per, dtype=np.int64),

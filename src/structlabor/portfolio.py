@@ -19,19 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require, require_finite
 from .rng import poisson_inverse_cdf, stream
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
-
-
-def _finite(value: float, name: str) -> float:
-    value = float(value)
-    _require(math.isfinite(value), f"{name} must be finite")
-    return value
 
 
 @dataclass(frozen=True)
@@ -45,8 +34,8 @@ class PowerCodification:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        _finite(self.beta, "beta")
-        _require(0.0 < self.beta < 1.0, "beta must lie in (0, 1)")
+        require_finite(self.beta, "beta")
+        require(0.0 < self.beta < 1.0, "beta must lie in (0, 1)")
 
     def g(self, labor):
         """Codification output from ``labor`` (scalar or array, >= 0)."""
@@ -60,10 +49,6 @@ class PowerCodification:
     def g_inv(self, y):
         """Labor needed to codify ``y`` units of maturity."""
         return np.power(y, 1.0 / self.beta)
-
-    def g_prime_inv(self, m):
-        """Labor at which the marginal product equals ``m`` (> 0)."""
-        return np.power(np.asarray(m, dtype=float) / self.beta, -1.0 / (1.0 - self.beta))
 
 
 @dataclass(frozen=True)
@@ -83,19 +68,19 @@ class AggregatorSpec:
     epsilon_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        _require(self.kind in ("additive", "ces"), "aggregator kind must be 'additive' or 'ces'")
+        require(self.kind in ("additive", "ces"), "aggregator kind must be 'additive' or 'ces'")
         if self.kind == "ces":
-            _require(self.rho is not None, "ces aggregator needs rho")
-            _finite(self.rho, "rho")
-            _require(self.rho <= 1.0 and self.rho != 0.0, "rho must satisfy rho <= 1, rho != 0")
-        _require(_finite(self.epsilon_floor, "epsilon_floor") > 0.0, "epsilon_floor must be positive")
+            require(self.rho is not None, "ces aggregator needs rho")
+            require_finite(self.rho, "rho")
+            require(self.rho <= 1.0 and self.rho != 0.0, "rho must satisfy rho <= 1, rho != 0")
+        require(require_finite(self.epsilon_floor, "epsilon_floor") > 0.0, "epsilon_floor must be positive")
 
 
 def _int_column(values, msg: str) -> np.ndarray:
     col = np.asarray(values)
-    _require(col.dtype.kind in "iu" or col.size == 0, msg)
+    require(col.dtype.kind in "iu" or col.size == 0, msg)
     col = col.astype(np.int64, copy=False)
-    _require(bool(np.all(col >= 0)), msg)
+    require(bool(np.all(col >= 0)), msg)
     return col
 
 
@@ -124,16 +109,16 @@ class Portfolio:
         born = _int_column(self.born_at, "born_at must be a nonnegative integer")
         omega, delta, k = (np.asarray(c, dtype=float) for c in (self.omega, self.delta, self.k))
         n = ids.shape[0] if ids.ndim == 1 else -1
-        _require(
+        require(
             all(c.shape == (n,) for c in (omega, delta, k, born)), "family columns must be parallel 1-d arrays"
         )
-        _require(bool(np.all(np.isfinite(omega))), "omega must be finite")
-        _require(bool(np.all(omega > 0.0)), "omega must be positive")
-        _require(bool(np.all(np.isfinite(delta))), "delta_j must be finite")
-        _require(bool(np.all((0.0 < delta) & (delta < 1.0))), "delta_j must lie in (0, 1)")
-        _require(bool(np.all(np.isfinite(k))), "k_j must be finite")
-        _require(bool(np.all(k >= 0.0)), "maturity must be nonnegative")
-        _require(_finite(self.Lambda, "Lambda") > 0.0, "Lambda must be positive")
+        require(bool(np.all(np.isfinite(omega))), "omega must be finite")
+        require(bool(np.all(omega > 0.0)), "omega must be positive")
+        require(bool(np.all(np.isfinite(delta))), "delta_j must be finite")
+        require(bool(np.all((0.0 < delta) & (delta < 1.0))), "delta_j must lie in (0, 1)")
+        require(bool(np.all(np.isfinite(k))), "k_j must be finite")
+        require(bool(np.all(k >= 0.0)), "maturity must be nonnegative")
+        require(require_finite(self.Lambda, "Lambda") > 0.0, "Lambda must be positive")
         if not bool(np.all(ids[1:] > ids[:-1])):
             unique = np.unique(ids).shape[0] == n
             raise DomainError("families must be sorted by id" if unique else "family ids must be unique")
@@ -162,15 +147,16 @@ class AllocationResult:
     weights: np.ndarray
 
 
-def aggregate_capability(portfolio: Portfolio) -> float:
-    """Economy-wide capability index implied by current maturities."""
-    _require(portfolio.size >= 1, "portfolio has no families")
-    omega = portfolio.omega
-    k = portfolio.k
-    agg = portfolio.aggregator
-    if agg.kind == "additive":
+def aggregate_capability(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSpec) -> float:
+    """Capability index of one or more families with weights ``omega`` and maturities ``k``.
+
+    The additive index is sum omega_j * k_j; the CES index is
+    (sum omega_j * k_j**rho)**(1/rho).  Both the scenario and the panel
+    estimators compute the index here, so they agree bit for bit.
+    """
+    if aggregator.kind == "additive":
         return float(np.dot(omega, k))
-    rho = float(agg.rho)
+    rho = float(aggregator.rho)
     if rho < 0.0 and np.any(k == 0.0):
         # Complements: one dead family zeroes the index.
         return 0.0
@@ -185,7 +171,7 @@ def effective_weights(portfolio: Portfolio) -> np.ndarray:
     floored at ``epsilon_floor`` so that entrants with (near-)zero stocks
     get large but finite weights.
     """
-    _require(portfolio.size >= 1, "portfolio has no families")
+    require(portfolio.size >= 1, "portfolio has no families")
     omega = portfolio.omega
     agg = portfolio.aggregator
     if agg.kind == "additive":
@@ -205,8 +191,8 @@ def allocate_labor(portfolio: Portfolio, L_S: float) -> AllocationResult:
     w_j * g'(l_j) across served families at the multiplier nu; for the
     power technology that gives l_j proportional to w_j**(1/(1-beta)).
     """
-    _require(portfolio.size >= 1, "portfolio has no families")
-    _require(_finite(L_S, "L_S") >= 0.0, "labor budget must be nonnegative")
+    require(portfolio.size >= 1, "portfolio has no families")
+    require(require_finite(L_S, "L_S") >= 0.0, "labor budget must be nonnegative")
     w = effective_weights(portfolio)
     if L_S == 0.0:
         return AllocationResult(
@@ -233,15 +219,6 @@ def allocate_labor(portfolio: Portfolio, L_S: float) -> AllocationResult:
     )
 
 
-def maintenance_labor(portfolio: Portfolio) -> np.ndarray:
-    """Labor per family that exactly offsets one period of decay at current maturity.
-
-    Solves g(l_j) = delta_j * k_j, the inflow needed to hold each
-    family's maturity constant.
-    """
-    return np.asarray(portfolio.tech.g_inv(portfolio.delta * portfolio.k), dtype=float)
-
-
 @dataclass(frozen=True)
 class EntryConfig:
     """Arrival process for new task families.
@@ -260,13 +237,13 @@ class EntryConfig:
     delta_hi: float = 0.25
 
     def __post_init__(self) -> None:
-        _require(_finite(self.mu, "mu") >= 0.0, "entry intensity must be nonnegative")
-        _require(_finite(self.k_seed, "k_seed") >= 0.0, "k_seed must be nonnegative")
-        _require(_finite(self.omega_median, "omega_median") > 0.0, "omega_median must be positive")
-        _require(_finite(self.omega_sigma, "omega_sigma") >= 0.0, "omega_sigma must be nonnegative")
-        _finite(self.delta_lo, "delta_lo")
-        _finite(self.delta_hi, "delta_hi")
-        _require(0.0 < self.delta_lo <= self.delta_hi < 1.0, "entry delta range must lie in (0, 1)")
+        require(require_finite(self.mu, "mu") >= 0.0, "entry intensity must be nonnegative")
+        require(require_finite(self.k_seed, "k_seed") >= 0.0, "k_seed must be nonnegative")
+        require(require_finite(self.omega_median, "omega_median") > 0.0, "omega_median must be positive")
+        require(require_finite(self.omega_sigma, "omega_sigma") >= 0.0, "omega_sigma must be nonnegative")
+        require_finite(self.delta_lo, "delta_lo")
+        require_finite(self.delta_hi, "delta_hi")
+        require(0.0 < self.delta_lo <= self.delta_hi < 1.0, "entry delta range must lie in (0, 1)")
 
 
 def _draw_entrants(entry: EntryConfig, gen: np.random.Generator) -> tuple[list[float], list[float]]:
@@ -299,8 +276,8 @@ def step_portfolio(
     maturity ``entry.k_seed``, ``born_at = next_period`` and ids
     continuing after the current maximum.  Families never exit.
     """
-    _require(np.array_equal(allocation.family_ids, portfolio.id), "allocation does not match portfolio families")
-    _require(isinstance(next_period, int) and next_period >= 1, "next_period must be an integer >= 1")
+    require(np.array_equal(allocation.family_ids, portfolio.id), "allocation does not match portfolio families")
+    require(isinstance(next_period, int) and next_period >= 1, "next_period must be an integer >= 1")
     inflow = np.asarray(portfolio.tech.g(allocation.labor), dtype=float)
     k = (1.0 - portfolio.delta) * portfolio.k + inflow
     columns = [portfolio.id, portfolio.omega, portfolio.delta, k, portfolio.born_at]
@@ -333,13 +310,13 @@ class DriftConfig:
 
     def __post_init__(self) -> None:
         for name in ("env_hazard", "tech_hazard", "org_hazard"):
-            _require(0.0 <= _finite(getattr(self, name), name) <= 1.0, f"{name} must lie in [0, 1]")
+            require(0.0 <= require_finite(getattr(self, name), name) <= 1.0, f"{name} must lie in [0, 1]")
         total = self.env_hazard + self.tech_hazard + self.org_hazard
-        _require(total <= 1.0, "combined hazard must not exceed 1")
-        _finite(self.drop_frac, "drop_frac")
-        _require(0.0 < self.drop_frac < 1.0, "drop_frac must lie in (0, 1)")
-        _require(all(isinstance(t, int) and t >= 0 for t in self.tech_windows), "window periods must be nonnegative integers")
-        _require(all(isinstance(t, int) and t >= 0 for t in self.org_windows), "window periods must be nonnegative integers")
+        require(total <= 1.0, "combined hazard must not exceed 1")
+        require_finite(self.drop_frac, "drop_frac")
+        require(0.0 < self.drop_frac < 1.0, "drop_frac must lie in (0, 1)")
+        require(all(isinstance(t, int) and t >= 0 for t in self.tech_windows), "window periods must be nonnegative integers")
+        require(all(isinstance(t, int) and t >= 0 for t in self.org_windows), "window periods must be nonnegative integers")
 
     def hazard_at(self, t: int) -> float:
         return (
@@ -351,8 +328,8 @@ class DriftConfig:
 
 def periodic_windows(start: int, every: int, T: int) -> frozenset[int]:
     """Periods start, start+every, ... below T."""
-    _require(isinstance(every, int) and every >= 1, "window spacing must be an integer >= 1")
-    _require(isinstance(start, int) and start >= 0, "window start must be nonnegative")
+    require(isinstance(every, int) and every >= 1, "window spacing must be an integer >= 1")
+    require(isinstance(start, int) and start >= 0, "window start must be nonnegative")
     return frozenset(range(start, T, every))
 
 
@@ -384,7 +361,7 @@ class ScenarioResult:
     def portfolio_at(self, t: int) -> Portfolio:
         """Reconstruct the portfolio as it stood at the start of period t."""
         lo, hi = np.searchsorted(self.period, [t, t + 1])
-        _require(hi > lo, f"scenario has no period {t}")
+        require(hi > lo, f"scenario has no period {t}")
         final = self.final
         rows = np.searchsorted(final.id, self.family_id[lo:hi])
         return Portfolio(
@@ -415,13 +392,13 @@ def run_portfolio_scenario(
     slot order, so scenarios sharing a seed share event and entrant draws
     for every family they have in common.
     """
-    _require(isinstance(T, int) and T >= 1, "T must be an integer >= 1")
+    require(isinstance(T, int) and T >= 1, "T must be an integer >= 1")
     if np.isscalar(labor_budget):
         budgets = np.full(T + 1, float(labor_budget))
     else:
         budgets = np.asarray(labor_budget, dtype=float)
-        _require(budgets.shape == (T + 1,), "labor budget path must have length T + 1")
-    _require(bool(np.all(np.isfinite(budgets)) and np.all(budgets >= 0.0)), "labor budgets must be nonnegative")
+        require(budgets.shape == (T + 1,), "labor budget path must have length T + 1")
+    require(bool(np.all(np.isfinite(budgets)) and np.all(budgets >= 0.0)), "labor budgets must be nonnegative")
 
     ids: list[np.ndarray] = []
     stocks: list[np.ndarray] = []
@@ -437,7 +414,7 @@ def run_portfolio_scenario(
         stocks.append(p.k)
         labor.append(alloc.labor)
         weights.append(alloc.weights)
-        capability[t] = aggregate_capability(p)
+        capability[t] = aggregate_capability(p.omega, p.k, p.aggregator)
         if t == T:
             break
 

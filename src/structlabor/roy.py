@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import require
 from .portfolio import (
     EntryConfig,
     Portfolio,
@@ -32,11 +32,6 @@ from .rng import derive_seed, stream
 _DELTA_CAP = 0.95
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
-
-
 @dataclass(frozen=True, eq=False)
 class WorkerSkillMatrix:
     """Worker-by-family skill levels, all strictly positive."""
@@ -47,11 +42,11 @@ class WorkerSkillMatrix:
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", a)
-        _require(a.ndim == 2, "skill matrix must be two-dimensional")
-        _require(a.shape[0] >= 1 and a.shape[1] >= 1, "skill matrix must be nonempty")
-        _require(a.shape[1] == len(self.family_ids), "one column per family required")
-        _require(len(set(self.family_ids)) == len(self.family_ids), "family ids must be unique")
-        _require(bool(np.all(np.isfinite(a)) and np.all(a > 0.0)), "skills must be finite and positive")
+        require(a.ndim == 2, "skill matrix must be two-dimensional")
+        require(a.shape[0] >= 1 and a.shape[1] >= 1, "skill matrix must be nonempty")
+        require(a.shape[1] == len(self.family_ids), "one column per family required")
+        require(len(set(self.family_ids)) == len(self.family_ids), "family ids must be unique")
+        require(bool(np.all(np.isfinite(a)) and np.all(a > 0.0)), "skills must be finite and positive")
 
     @property
     def n_workers(self) -> int:
@@ -76,15 +71,15 @@ class WorkerSkillMatrix:
         families identical underlying draws even if later entry or the
         scales differed.
         """
-        _require(isinstance(n_workers, int) and n_workers >= 1, "n_workers must be an integer >= 1")
+        require(isinstance(n_workers, int) and n_workers >= 1, "n_workers must be an integer >= 1")
         n = portfolio.size
-        _require(n >= 1, "need at least one family")
+        require(n >= 1, "need at least one family")
         if np.isscalar(sigma_ln):
             sigmas = np.full(n, float(sigma_ln))
         else:
             sigmas = np.asarray(sigma_ln, dtype=float)
-            _require(sigmas.shape == (n,), "sigma_ln must have one entry per family")
-        _require(bool(np.all(np.isfinite(sigmas)) and np.all(sigmas >= 0.0)), "sigma_ln must be nonnegative")
+            require(sigmas.shape == (n,), "sigma_ln must have one entry per family")
+        require(bool(np.all(np.isfinite(sigmas)) and np.all(sigmas >= 0.0)), "sigma_ln must be nonnegative")
         slot_within_cohort: dict[int, int] = {}
         columns = []
         for born, sigma in zip(portfolio.born_at.tolist(), sigmas):
@@ -96,26 +91,15 @@ class WorkerSkillMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class PriceVector:
-    """Per-family piece rates, strictly positive."""
-
-    p: np.ndarray
-    family_ids: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "p", p)
-        _require(p.ndim == 1 and p.shape[0] == len(self.family_ids), "one price per family required")
-        _require(bool(np.all(np.isfinite(p)) and np.all(p > 0.0)), "prices must be finite and positive")
-
-
-@dataclass(frozen=True, eq=False)
 class RoyEquilibrium:
-    """A self-consistent assignment: who works where, at what rates."""
+    """A self-consistent assignment: who works where, at what rates.
+
+    ``prices`` holds one piece rate per family, in the portfolio's family order.
+    """
 
     assignment: np.ndarray
     labor: np.ndarray
-    prices: PriceVector
+    prices: np.ndarray
     wages: np.ndarray
     iterations: int
     residual: float
@@ -132,25 +116,27 @@ class DispersionStats:
     top_decile_share: float
 
     def __post_init__(self) -> None:
-        _require(self.log_wage_variance >= 0.0, "variance must be nonnegative")
-        _require(self.p90_p10 >= 1.0, "P90/P10 must be at least 1")
-        _require(0.0 < self.top_decile_share <= 1.0, "top decile share must lie in (0, 1]")
+        require(self.log_wage_variance >= 0.0, "variance must be nonnegative")
+        require(self.p90_p10 >= 1.0, "P90/P10 must be at least 1")
+        require(0.0 < self.top_decile_share <= 1.0, "top decile share must lie in (0, 1]")
 
 
-def family_prices(portfolio: Portfolio, labor: np.ndarray, labor_floor: float = 1e-6) -> PriceVector:
+def family_prices(portfolio: Portfolio, labor: np.ndarray, labor_floor: float = 1e-6) -> np.ndarray:
     """Piece rates implied by a labor distribution over families.
 
     p_j = w_j * g'(max(l_j, floor)) with w_j the effective weights (which
-    already carry the economy-wide scale Lambda).  The floor keeps rates
-    finite for families nobody currently serves.
+    already carry the economy-wide scale Lambda), one per family in the
+    portfolio's order.  The floor keeps rates finite for families nobody
+    currently serves.
     """
     labor = np.asarray(labor, dtype=float)
-    _require(labor.shape == (portfolio.size,), "labor vector must have one entry per family")
-    _require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor must be nonnegative")
-    _require(math.isfinite(labor_floor) and labor_floor > 0.0, "labor_floor must be positive")
+    require(labor.shape == (portfolio.size,), "labor vector must have one entry per family")
+    require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor must be nonnegative")
+    require(math.isfinite(labor_floor) and labor_floor > 0.0, "labor_floor must be positive")
     w = effective_weights(portfolio)
     rates = w * np.asarray(portfolio.tech.g_prime(np.maximum(labor, labor_floor)), dtype=float)
-    return PriceVector(p=rates, family_ids=tuple(portfolio.id.tolist()))
+    require(bool(np.all(np.isfinite(rates)) and np.all(rates > 0.0)), "prices must be finite and positive")
+    return rates
 
 
 def solve_roy(
@@ -175,10 +161,10 @@ def solve_roy(
     carries ``converged=False`` and the residual that remained.  The
     reported wages are always optimal against the reported rates.
     """
-    _require(skills.family_ids == tuple(portfolio.id.tolist()), "skill columns must match portfolio families")
-    _require(0.0 < damping <= 1.0, "damping must lie in (0, 1]")
-    _require(tol > 0.0, "tol must be positive")
-    _require(isinstance(max_iter, int) and max_iter >= 1, "max_iter must be an integer >= 1")
+    require(skills.family_ids == tuple(portfolio.id.tolist()), "skill columns must match portfolio families")
+    require(0.0 < damping <= 1.0, "damping must lie in (0, 1]")
+    require(tol > 0.0, "tol must be positive")
+    require(isinstance(max_iter, int) and max_iter >= 1, "max_iter must be an integer >= 1")
 
     n, j = skills.a.shape
     labor = np.full(j, n / j, dtype=float)
@@ -188,7 +174,7 @@ def solve_roy(
     iterations = 0
     while True:
         prices = family_prices(portfolio, labor, labor_floor)
-        assignment = np.argmax(skills.a * prices.p, axis=1)
+        assignment = np.argmax(skills.a * prices, axis=1)
         counts = np.bincount(assignment, minlength=j).astype(float)
         residual = float(np.max(np.abs(counts - labor)))
         converged = residual < tol
@@ -205,7 +191,7 @@ def solve_roy(
         labor = (1.0 - lam) * labor + lam * counts
         iterations += 1
 
-    wages = prices.p[assignment] * skills.a[np.arange(n), assignment]
+    wages = prices[assignment] * skills.a[np.arange(n), assignment]
     return RoyEquilibrium(
         assignment=assignment,
         labor=labor,
@@ -225,8 +211,8 @@ def wage_stats(eq: "RoyEquilibrium | np.ndarray") -> DispersionStats:
     ceil(N/10) highest earners.
     """
     wages = eq.wages if isinstance(eq, RoyEquilibrium) else np.asarray(eq, dtype=float)
-    _require(wages.ndim == 1 and wages.size >= 2, "need at least two wages")
-    _require(bool(np.all(np.isfinite(wages)) and np.all(wages > 0.0)), "wages must be finite and positive")
+    require(wages.ndim == 1 and wages.size >= 2, "need at least two wages")
+    require(bool(np.all(np.isfinite(wages)) and np.all(wages > 0.0)), "wages must be finite and positive")
     logs = np.log(wages)
     p10, p90 = np.quantile(wages, [0.10, 0.90], method="linear")
     m = max(1, math.ceil(0.1 * wages.size))
@@ -248,8 +234,8 @@ def maturity_skill_sigma(maturity, sigma_young: float, sigma_mature: float, k_re
     maturity toward ``sigma_mature``, with ``k_ref`` setting how fast
     codification compresses skills.
     """
-    _require(sigma_mature >= 0.0 and sigma_young >= sigma_mature, "need sigma_young >= sigma_mature >= 0")
-    _require(k_ref > 0.0, "k_ref must be positive")
+    require(sigma_mature >= 0.0 and sigma_young >= sigma_mature, "need sigma_young >= sigma_mature >= 0")
+    require(k_ref > 0.0, "k_ref must be positive")
     maturity = np.asarray(maturity, dtype=float)
     return sigma_mature + (sigma_young - sigma_mature) * np.exp(-maturity / k_ref)
 
@@ -291,15 +277,15 @@ class RoyExperiment:
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.n_initial, int) and self.n_initial >= 1, "n_initial must be an integer >= 1")
-        _require(isinstance(self.T, int) and self.T >= 1, "T must be an integer >= 1")
-        _require(0.0 < self.delta_lo <= self.delta_hi < 1.0, "delta range must lie in (0, 1)")
-        _require(self.mu >= 0.0, "mu must be nonnegative")
-        _require(
+        require(isinstance(self.n_initial, int) and self.n_initial >= 1, "n_initial must be an integer >= 1")
+        require(isinstance(self.T, int) and self.T >= 1, "T must be an integer >= 1")
+        require(0.0 < self.delta_lo <= self.delta_hi < 1.0, "delta range must lie in (0, 1)")
+        require(self.mu >= 0.0, "mu must be nonnegative")
+        require(
             0.0 <= self.sigma_mature <= self.sigma_young, "need sigma_young >= sigma_mature >= 0"
         )
-        _require(self.k_ref > 0.0, "k_ref must be positive")
-        _require(
+        require(self.k_ref > 0.0, "k_ref must be positive")
+        require(
             isinstance(self.eval_window, int) and 1 <= self.eval_window <= self.T + 1,
             "eval_window must be an integer in [1, T + 1]",
         )
@@ -396,9 +382,9 @@ def dispersion_experiment(
     through keyed substreams, so a factor of 1 reproduces the base arm
     exactly and differences isolate the treatment.
     """
-    _require(treatment in ("mu", "delta"), "treatment must be 'mu' or 'delta'")
-    _require(math.isfinite(factor) and factor > 0.0, "factor must be positive")
-    _require(isinstance(replications, int) and replications >= 1, "replications must be an integer >= 1")
+    require(treatment in ("mu", "delta"), "treatment must be 'mu' or 'delta'")
+    require(math.isfinite(factor) and factor > 0.0, "factor must be positive")
+    require(isinstance(replications, int) and replications >= 1, "replications must be an integer >= 1")
 
     base: list[ArmOutcome] = []
     treated: list[ArmOutcome] = []

@@ -130,12 +130,26 @@ def allocation_value(weights, beta: float, labor) -> float:
     return float(np.sum(w * labor**beta))
 
 
+def g_prime_inv(tech, m):
+    """Labor at which a power technology's marginal product beta * l**(beta-1) equals ``m`` (> 0)."""
+    return np.power(np.asarray(m, dtype=float) / tech.beta, -1.0 / (1.0 - tech.beta))
+
+
+def maintenance_labor(portfolio) -> np.ndarray:
+    """Labor per family that exactly offsets one period of decay at current maturity.
+
+    Solves g(l_j) = delta_j * k_j, the inflow needed to hold each
+    family's maturity constant.
+    """
+    return np.asarray(portfolio.tech.g_inv(portfolio.delta * portfolio.k), dtype=float)
+
+
 def allocate_bisection(tech, w, L_S: float, steps: int = 200) -> tuple[np.ndarray, float]:
     """Labor split by bisection on the allocation multiplier, with its KKT residual.
 
     Total labor demand sum_j g'^{-1}(nu / w_j) is continuous and strictly
     decreasing in nu, diverges as nu -> 0, and vanishes as nu -> inf, so
-    the budget constraint has a unique root.  Works for any concave
+    the budget constraint has a unique root.  Works for any power
     technology; the split is rescaled uniformly to land exactly on the
     budget, which leaves the marginal conditions of a power technology
     untouched.  The residual is the spread of w_j * g'(l_j) over served
@@ -144,7 +158,7 @@ def allocate_bisection(tech, w, L_S: float, steps: int = 200) -> tuple[np.ndarra
     w = np.asarray(w, dtype=float)
 
     def demand(nu: float) -> float:
-        return float(np.sum(tech.g_prime_inv(nu / w)))
+        return float(np.sum(g_prime_inv(tech, nu / w)))
 
     nu = float(np.median(w) * tech.g_prime(L_S / len(w)))
     lo = hi = nu
@@ -162,7 +176,7 @@ def allocate_bisection(tech, w, L_S: float, steps: int = 200) -> tuple[np.ndarra
             lo = mid
         else:
             hi = mid
-    labor = np.asarray(tech.g_prime_inv(0.5 * (lo + hi) / w), dtype=float)
+    labor = np.asarray(g_prime_inv(tech, 0.5 * (lo + hi) / w), dtype=float)
     labor = labor * (L_S / labor.sum())
     active = labor > 0.0
     marginal = w[active] * np.asarray(tech.g_prime(labor[active]), dtype=float)
@@ -173,7 +187,8 @@ def validate_codification(tech, points=(0.25, 0.5, 1.0, 2.0, 4.0)) -> None:
     """Numerically check the shape restrictions on a codification technology.
 
     Requires g(0) = 0, a positive and strictly decreasing marginal
-    product at the sample points, and consistent inverses.  Raises
+    product at the sample points, ``g_inv`` inverting ``g``, and
+    :func:`g_prime_inv` inverting ``g_prime``.  Raises
     :class:`DomainError` on the first violation.
     """
 
@@ -195,7 +210,7 @@ def validate_codification(tech, points=(0.25, 0.5, 1.0, 2.0, 4.0)) -> None:
             "g_inv must invert g",
         )
         require(
-            abs(float(tech.g_prime_inv(m)) - p) <= 1e-9 * max(1.0, p),
+            abs(float(g_prime_inv(tech, m)) - p) <= 1e-9 * max(1.0, p),
             "g_prime_inv must invert g_prime",
         )
 

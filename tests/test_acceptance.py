@@ -15,47 +15,46 @@ import time
 import numpy as np
 import pytest
 
-from structlabor import (
-    AggregatorSpec,
+from structlabor.calibration import PriorSpec, run_monte_carlo
+from structlabor.core import (
     BaselineParams,
-    DriftConfig,
-    EntryConfig,
-    MaturityPanel,
-    Portfolio,
-    PowerCodification,
-    PriorSpec,
-    RoyExperiment,
-    WorkerSkillMatrix,
-    aggregate_capability,
-    allocate_labor,
     comparative_statics,
-    derive_seed,
-    detect_degradation,
-    dispersion_experiment,
-    effective_weights,
-    estimate_hazard_decomposition,
-    generator,
-    maintenance_labor,
-    periodic_windows,
-    run_monte_carlo,
-    run_portfolio_scenario,
     simulate_transition,
-    solve_roy,
     steady_state,
-    step_portfolio,
     structured_share,
 )
+from structlabor.estimators import MaturityPanel, detect_degradation, estimate_hazard_decomposition
+from structlabor.portfolio import (
+    AggregatorSpec,
+    DriftConfig,
+    EntryConfig,
+    Portfolio,
+    PowerCodification,
+    aggregate_capability,
+    allocate_labor,
+    effective_weights,
+    periodic_windows,
+    run_portfolio_scenario,
+    step_portfolio,
+)
+from structlabor.rng import derive_seed, generator
+from structlabor.roy import RoyExperiment, WorkerSkillMatrix, dispersion_experiment, solve_roy
 
 from oracles import (
     allocate_bisection,
     allocation_value,
     fd_share_partials,
     grid_allocation_value,
+    maintenance_labor,
     roy_consistent_assignments,
     share_bisection,
 )
 
 TECH = PowerCodification(beta=0.5)
+
+
+def capability(p):
+    return aggregate_capability(p.omega, p.k, p.aggregator)
 
 
 def report(number, ok, detail):
@@ -74,7 +73,7 @@ def draw_box_params(rng):
 
 
 def test_criterion_01_calibration_distribution():
-    from structlabor import share_bounds
+    from structlabor.calibration import share_bounds
 
     lo, hi = share_bounds(PriorSpec())
     checks = []
@@ -216,7 +215,7 @@ def test_criterion_06_ces_correctness():
         if abs(rho) < 1e-3:
             rho = 0.5
         p = random_portfolio(rng, J, AggregatorSpec(kind="ces", rho=rho))
-        agg = aggregate_capability(p)
+        agg = capability(p)
         euler = float(np.dot(p.k, effective_weights(p)))
         worst_euler = max(worst_euler, abs(euler - agg) / agg)
 
@@ -229,7 +228,7 @@ def test_criterion_06_ces_correctness():
         near = Portfolio(**fams_near, aggregator=AggregatorSpec(kind="ces", rho=1.0 - 1e-8), tech=TECH)
         add = Portfolio(**fams_near, aggregator=AggregatorSpec(kind="additive"), tech=TECH)
         exact = Portfolio(**fams_near, aggregator=AggregatorSpec(kind="ces", rho=1.0), tech=TECH)
-        a, b, c = aggregate_capability(near), aggregate_capability(add), aggregate_capability(exact)
+        a, b, c = capability(near), capability(add), capability(exact)
         worst_limit = max(worst_limit, abs(a - b) / b, abs(c - b) / b)
 
     monotone = True

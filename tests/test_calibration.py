@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from structlabor import (
+from structlabor.calibration import (
     CalibrationResult,
-    DomainError,
     PriorSpec,
-    indexed_uniforms,
     run_monte_carlo,
     sample_parameters,
     sample_shares,
     share_bounds,
-    structured_share,
 )
+from structlabor.core import structured_share
+from structlabor.errors import DomainError
+from structlabor.rng import indexed_uniforms
 
 from oracles import corner_share_extremes
 

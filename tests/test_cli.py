@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from structlabor import derive_seed, sha256_file
 from structlabor.cli import main
+from structlabor.io import sha256_file
+from structlabor.rng import derive_seed
 
 TINY_ROY = {
     "roy": {

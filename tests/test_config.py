@@ -3,15 +3,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from structlabor import (
+from structlabor.config import (
     AppConfig,
-    ConfigError,
-    dump_yaml,
     load_config,
     parse_config,
     serialize,
     with_overrides,
 )
+from structlabor.errors import ConfigError
 
 
 def test_empty_config_gives_documented_defaults():
@@ -58,7 +57,7 @@ def test_serialize_parse_round_trip():
 
 def test_dump_yaml_round_trip():
     cfg = parse_config({"run": {"seed": 4}, "transition": {"T": 50}})
-    text = dump_yaml(cfg)
+    text = yaml.safe_dump(serialize(cfg), sort_keys=True, default_flow_style=False)
     back = parse_config(yaml.safe_load(text))
     assert serialize(back) == serialize(cfg)
 

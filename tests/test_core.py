@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from structlabor import (
+from structlabor.core import (
     BaselineParams,
-    DomainError,
     comparative_statics,
     default_damping,
     marginals,
@@ -14,6 +13,7 @@ from structlabor import (
     steady_state,
     structured_share,
 )
+from structlabor.errors import DomainError
 
 from oracles import fd_share_partials, mp_long_run, mp_output, share_bisection
 

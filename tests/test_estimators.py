@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from structlabor import (
-    AggregatorSpec,
+from structlabor.errors import DomainError
+from structlabor.estimators import (
     DegradationFlags,
-    DomainError,
-    DriftConfig,
-    EntryConfig,
     MaturityPanel,
-    Portfolio,
-    PowerCodification,
     count_births,
     detect_degradation,
     estimate_hazard_decomposition,
     indices,
+)
+from structlabor.portfolio import (
+    AggregatorSpec,
+    DriftConfig,
+    EntryConfig,
+    Portfolio,
+    PowerCodification,
     periodic_windows,
     run_portfolio_scenario,
 )
@@ -25,7 +27,15 @@ TECH = PowerCodification(beta=0.5)
 
 
 def panel_from(rows):
-    return MaturityPanel.from_records(rows)
+    """A panel from (family_id, period, maturity, tech_window, org_window) rows."""
+    fam, per, mat, tw, ow = zip(*rows) if rows else ((),) * 5
+    return MaturityPanel(
+        family_id=np.asarray(fam, dtype=np.int64),
+        period=np.asarray(per, dtype=np.int64),
+        maturity=np.asarray(mat, dtype=float),
+        tech_window=np.asarray(tw, dtype=bool),
+        org_window=np.asarray(ow, dtype=bool),
+    )
 
 
 def test_panel_validation():
@@ -37,6 +47,10 @@ def test_panel_validation():
         panel_from([(0, 0, -1.0, False, False)])
     with pytest.raises(DomainError):
         panel_from([(0, 0, math.nan, False, False)])
+    with pytest.raises(DomainError, match="family_id must be one-dimensional"):
+        MaturityPanel(
+            family_id=[[0], [1]], period=[0, 0], maturity=[1.0, 1.0], tech_window=[False] * 2, org_window=[False] * 2
+        )
     p = panel_from([(0, 0, 1.0, False, True), (1, 0, 2.0, True, False)])
     assert p.n_obs == 2
 
@@ -307,7 +321,6 @@ def test_indices_weighted_sum_and_shares():
     assert point.capability == pytest.approx(1.0 * 2.0 + 0.5 * 3.0 + 2.0 * 1.0)
     assert point.maintenance_share == pytest.approx(0.2)
     assert point.n_families == 3
-    assert point.missing_weights == ()
 
 
 def test_indices_ces_aggregator():
@@ -321,15 +334,37 @@ def test_indices_ces_aggregator():
     assert point.capability == 0.0
 
 
-def test_indices_reports_missing_weights():
+def test_indices_skips_families_without_weights():
     p = panel_from([
         (0, 1, 2.0, False, False),
         (7, 1, 3.0, False, False),
     ])
     [point] = indices(p, [1], {0: 1.0}, labor_total=[0.1], L_bar=1.0)
-    assert point.missing_weights == (7,)
     assert point.capability == pytest.approx(2.0)
     assert point.n_families == 1
+
+
+@pytest.mark.parametrize(
+    "aggregator",
+    [AggregatorSpec(kind="additive"), AggregatorSpec(kind="ces", rho=-0.5), AggregatorSpec(kind="ces", rho=0.5)],
+    ids=["additive", "ces-complements", "ces-substitutes"],
+)
+def test_scenario_indices_equal_the_scenario_capability(aggregator):
+    # Entry and drift on; family 0 starts at zero maturity, which zeroes a
+    # complements index until labor reaches it.
+    J, T = 6, 60
+    p = Portfolio(
+        id=np.arange(J), omega=np.linspace(0.5, 2.0, J), delta=np.full(J, 0.12),
+        k=np.r_[0.0, np.linspace(0.5, 1.5, J - 1)], born_at=np.zeros(J, dtype=np.int64),
+        aggregator=aggregator, tech=TECH,
+    )
+    drift = DriftConfig(env_hazard=0.05, tech_hazard=0.1, tech_windows=periodic_windows(2, 5, T), drop_frac=0.5)
+    sc = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.4), T=T, seed=11, drift=drift)
+    assert sc.final.size > J and sc.events
+    weights = dict(zip(sc.final.id.tolist(), sc.final.omega.tolist()))
+    points = indices(MaturityPanel.from_scenario(sc), sc.periods, weights, sc.labor_budget, 1.0, aggregator)
+    assert [point.capability for point in points] == sc.capability.tolist()
+    assert [point.n_families for point in points] == np.bincount(sc.period).tolist()
 
 
 def test_indices_validation():

@@ -5,27 +5,20 @@ import os
 import numpy as np
 import pytest
 
-from structlabor import (
-    DomainError,
-    EntryConfig,
+from structlabor.core import BaselineParams, simulate_transition
+from structlabor.errors import DomainError
+from structlabor.io import (
+    CHUNK_ROWS,
     PANEL_COLUMNS,
     PATH_COLUMNS,
     config_digest,
     read_panel_csv,
     sha256_file,
-    simulate_transition,
     write_csv,
     write_json,
     write_manifest,
 )
-from structlabor.core import BaselineParams
-from structlabor.io import CHUNK_ROWS
-from structlabor.portfolio import (
-    AggregatorSpec,
-    Portfolio,
-    PowerCodification,
-    run_portfolio_scenario,
-)
+from structlabor.portfolio import AggregatorSpec, EntryConfig, Portfolio, PowerCodification, run_portfolio_scenario
 
 
 def _one_cell(tmp_path, column):
@@ -260,6 +253,14 @@ def test_read_panel_csv_reports_later_line_numbers(tmp_path, bad_row, message):
     good = ["0,0,1.0,0.5,2.0,1,0", "0,1,1.0,0.5,2.0,0,0"]
     path.write_text("\n".join([",".join(PANEL_COLUMNS), *good, "", bad_row]) + "\n")
     with pytest.raises(DomainError, match=rf"late\.csv:5: .*{message}"):
+        read_panel_csv(str(path))
+
+
+def test_read_panel_csv_counts_physical_lines(tmp_path):
+    # The quoted cell spans lines 2 and 3, so the bad cell sits on line 4.
+    path = tmp_path / "quoted.csv"
+    path.write_text("\n".join([",".join(PANEL_COLUMNS), '0,0,"1.0\n",0.5,2.0,1,0', "0,1,x,0.5,2.0,1,0"]) + "\n")
+    with pytest.raises(DomainError, match=r"quoted\.csv:4: "):
         read_panel_csv(str(path))
 
 

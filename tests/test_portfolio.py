@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from structlabor import (
+from structlabor.errors import DomainError
+from structlabor.portfolio import (
     AggregatorSpec,
-    DomainError,
     DriftConfig,
     EntryConfig,
     Portfolio,
@@ -13,17 +13,29 @@ from structlabor import (
     aggregate_capability,
     allocate_labor,
     effective_weights,
-    maintenance_labor,
     periodic_windows,
     run_portfolio_scenario,
     step_portfolio,
 )
 
-from oracles import allocate_bisection, allocation_value, grid_allocation_value, validate_codification
+from oracles import (
+    allocate_bisection,
+    allocation_value,
+    g_prime_inv,
+    grid_allocation_value,
+    maintenance_labor,
+    validate_codification,
+)
 
 TECH = PowerCodification(beta=0.5)
+
+
 ADD = AggregatorSpec(kind="additive")
 CES = AggregatorSpec(kind="ces", rho=0.5)
+
+
+def capability(p):
+    return aggregate_capability(p.omega, p.k, p.aggregator)
 
 
 def make_portfolio(stocks, omegas=None, aggregator=CES, Lambda=1.0, deltas=None):
@@ -96,7 +108,7 @@ def test_power_codification_shape():
     assert tech.g(4.0) == 2.0
     assert tech.g_inv(2.0) == 4.0
     assert tech.g_prime(4.0) == pytest.approx(0.25)
-    assert tech.g_prime_inv(0.25) == pytest.approx(4.0)
+    assert g_prime_inv(tech, 0.25) == pytest.approx(4.0)
     assert tech.g_prime(0.0) == math.inf
     validate_codification(tech)
 
@@ -111,9 +123,6 @@ def test_validate_codification_catches_broken_technology():
 
         def g_inv(self, y):
             return np.asarray(y, dtype=float)
-
-        def g_prime_inv(self, m):
-            return np.asarray(m, dtype=float)
 
     with pytest.raises(DomainError):
         validate_codification(Flat())
@@ -134,24 +143,24 @@ def test_aggregator_spec_validation():
 
 def test_aggregate_capability_additive_and_ces():
     p_add = make_portfolio([1.0, 4.0], omegas=[2.0, 0.5], aggregator=ADD)
-    assert aggregate_capability(p_add) == pytest.approx(2.0 * 1.0 + 0.5 * 4.0)
+    assert capability(p_add) == pytest.approx(2.0 * 1.0 + 0.5 * 4.0)
     p_ces = make_portfolio([1.0, 4.0], omegas=[2.0, 0.5], aggregator=CES)
     expected = (2.0 * 1.0**0.5 + 0.5 * 4.0**0.5) ** 2.0
-    assert aggregate_capability(p_ces) == pytest.approx(expected, rel=1e-14)
+    assert capability(p_ces) == pytest.approx(expected, rel=1e-14)
 
 
 def test_aggregate_capability_rho_one_equals_additive():
     near = AggregatorSpec(kind="ces", rho=1.0)
     p1 = make_portfolio([1.0, 4.0, 0.3], omegas=[2.0, 0.5, 1.1], aggregator=near)
     p2 = make_portfolio([1.0, 4.0, 0.3], omegas=[2.0, 0.5, 1.1], aggregator=ADD)
-    assert aggregate_capability(p1) == pytest.approx(aggregate_capability(p2), rel=1e-12)
+    assert capability(p1) == pytest.approx(capability(p2), rel=1e-12)
 
 
 def test_aggregate_capability_negative_rho_zero_stock():
     # Complements: one missing capability zeroes the aggregate.
     spec = AggregatorSpec(kind="ces", rho=-1.0)
     p = make_portfolio([1.0, 0.0], aggregator=spec)
-    assert aggregate_capability(p) == 0.0
+    assert capability(p) == 0.0
 
 
 def test_effective_weights_additive_case():
@@ -163,7 +172,7 @@ def test_effective_weights_euler_identity():
     # Degree one homogeneity: capability equals sum_j k_j * weight_j at Lambda 1.
     p = make_portfolio([0.7, 2.3, 1.1], omegas=[1.0, 0.4, 2.0], aggregator=CES)
     w = effective_weights(p)
-    assert float(np.dot(p.k, w)) == pytest.approx(aggregate_capability(p), rel=1e-12)
+    assert float(np.dot(p.k, w)) == pytest.approx(capability(p), rel=1e-12)
 
 
 def test_effective_weights_decreasing_in_own_stock():
@@ -236,7 +245,7 @@ def test_step_portfolio_hand_check():
     p = make_portfolio([1.0, 4.0], deltas=[0.1, 0.25])
     alloc = allocate_labor(p, 1.0)
     no_entry = EntryConfig(mu=0.0)
-    from structlabor import generator
+    from structlabor.rng import generator
 
     nxt = step_portfolio(p, alloc, no_entry, generator(0), next_period=1)
     expected0 = 0.9 * 1.0 + TECH.g(alloc.labor[0])
@@ -250,7 +259,7 @@ def test_step_portfolio_rejects_mismatched_allocation():
     p = make_portfolio([1.0, 4.0])
     other = make_portfolio([1.0, 4.0, 2.0])
     alloc = allocate_labor(other, 1.0)
-    from structlabor import generator
+    from structlabor.rng import generator
 
     with pytest.raises(DomainError):
         step_portfolio(p, alloc, EntryConfig(mu=0.0), generator(0), next_period=1)
@@ -260,7 +269,7 @@ def test_step_portfolio_entrants_get_fresh_ids_and_birth_period():
     p = make_portfolio([1.0, 4.0])
     alloc = allocate_labor(p, 1.0)
     entry = EntryConfig(mu=6.0, k_seed=1e-3, omega_median=1.0, omega_sigma=0.5, delta_lo=0.1, delta_hi=0.2)
-    from structlabor import generator
+    from structlabor.rng import generator
 
     nxt = step_portfolio(p, alloc, entry, generator(5), next_period=7)
     born = nxt.born_at == 7
@@ -297,7 +306,8 @@ def test_maintenance_allocation_is_stationary():
 
 
 def test_exact_maintenance_labor_freezes_any_portfolio():
-    from structlabor import AllocationResult, generator
+    from structlabor.portfolio import AllocationResult
+    from structlabor.rng import generator
 
     p = make_portfolio([1.0, 4.0, 2.5], deltas=[0.1, 0.25, 0.15])
     ell = maintenance_labor(p)

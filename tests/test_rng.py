@@ -4,14 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from structlabor import (
-    DomainError,
-    derive_seed,
-    generator,
-    indexed_uniforms,
-    poisson_inverse_cdf,
-    stream,
-)
+from structlabor.errors import DomainError
+from structlabor.rng import derive_seed, generator, indexed_uniforms, poisson_inverse_cdf, stream
 
 
 def test_check_seed_rejected_values():

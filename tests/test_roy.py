@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from structlabor import (
-    AggregatorSpec,
-    DomainError,
-    Portfolio,
-    PowerCodification,
+from structlabor.errors import DomainError
+from structlabor.portfolio import AggregatorSpec, Portfolio, PowerCodification, effective_weights
+from structlabor.roy import (
     RoyExperiment,
     WorkerSkillMatrix,
     dispersion_experiment,
-    effective_weights,
     family_prices,
     maturity_skill_sigma,
     solve_roy,
@@ -85,11 +82,11 @@ def test_family_prices_formula():
     labor = np.array([3.0, 1.0])
     prices = family_prices(p, labor)
     w = effective_weights(p)
-    assert prices.p[0] == pytest.approx(w[0] * 0.5 * 3.0 ** (-0.5), rel=1e-14)
-    assert prices.p[1] == pytest.approx(w[1] * 0.5 * 1.0 ** (-0.5), rel=1e-14)
+    assert prices[0] == pytest.approx(w[0] * 0.5 * 3.0 ** (-0.5), rel=1e-14)
+    assert prices[1] == pytest.approx(w[1] * 0.5 * 1.0 ** (-0.5), rel=1e-14)
     # The floor keeps an empty family's rate finite.
     floored = family_prices(p, np.array([0.0, 1.0]), labor_floor=1e-6)
-    assert np.isfinite(floored.p[0])
+    assert np.isfinite(floored[0])
     with pytest.raises(DomainError):
         family_prices(p, np.array([1.0]))
     with pytest.raises(DomainError):
@@ -108,7 +105,7 @@ def test_solve_roy_reaches_an_enumerated_fixed_point():
     # Labor has settled onto the head counts of the assignment.
     assert np.allclose(eq.labor, [3.0, 2.0], rtol=0, atol=1e-8)
     # Each wage is the best available at the reported prices.
-    available = skills.a * eq.prices.p
+    available = skills.a * eq.prices
     assert np.allclose(eq.wages, available.max(axis=1), rtol=1e-12)
 
 
@@ -133,7 +130,7 @@ def test_solve_roy_scale_invariant_assignment():
     eq_scaled = solve_roy(skills, scaled)
     assert np.array_equal(eq_base.assignment, eq_scaled.assignment)
     assert np.array_equal(eq_base.labor, eq_scaled.labor)
-    assert np.array_equal(eq_scaled.prices.p, 4.0 * eq_base.prices.p)
+    assert np.array_equal(eq_scaled.prices, 4.0 * eq_base.prices)
 
 
 def test_solve_roy_reports_nonexistence_honestly():
