@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import structured_share
-from .errors import DomainError
+from .errors import require
 from .rng import check_seed, indexed_uniforms
 
 # Column order of the four uniforms consumed by each draw.
@@ -28,12 +28,9 @@ _SUM_CHUNK = 1 << 14
 
 def _check_interval(lo: float, hi: float, name: str, open_lo: float, open_hi: float) -> None:
     for v, side in ((lo, "lo"), (hi, "hi")):
-        if not math.isfinite(v):
-            raise DomainError(f"{name}_{side} must be finite")
-    if not lo <= hi:
-        raise DomainError(f"{name} prior must have lo <= hi")
-    if not (open_lo < lo and hi < open_hi):
-        raise DomainError(f"{name} prior must stay inside ({open_lo}, {open_hi})")
+        require(math.isfinite(v), f"{name}_{side} must be finite")
+    require(lo <= hi, f"{name} prior must have lo <= hi")
+    require(open_lo < lo and hi < open_hi, f"{name} prior must stay inside ({open_lo}, {open_hi})")
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,7 @@ class PriorSpec:
         _check_interval(self.r_lo, self.r_hi, "r", 0.0, math.inf)
         _check_interval(self.delta_lo, self.delta_hi, "delta", 0.0, 1.0)
         _check_interval(self.gamma_lo, self.gamma_hi, "gamma", 0.0, 1.0)
-        if not (isinstance(self.n_draws, int) and self.n_draws >= 1):
-            raise DomainError("n_draws must be an integer >= 1")
+        require(isinstance(self.n_draws, int) and self.n_draws >= 1, "n_draws must be an integer >= 1")
         check_seed(self.seed)
 
 
@@ -95,12 +91,11 @@ class CalibrationResult:
             self.q97_5,
             self.share_max,
         )
-        for lo, hi in zip(chain, chain[1:]):
-            if lo > hi:
-                raise DomainError("quantiles must be nondecreasing")
-        for p in (self.pr_gt_5pct, self.pr_gt_8pct):
-            if not 0.0 <= p <= 1.0:
-                raise DomainError("exceedance probabilities must lie in [0, 1]")
+        require(not any(lo > hi for lo, hi in zip(chain, chain[1:])), "quantiles must be nondecreasing")
+        require(
+            all(0.0 <= p <= 1.0 for p in (self.pr_gt_5pct, self.pr_gt_8pct)),
+            "exceedance probabilities must lie in [0, 1]",
+        )
 
 
 def sample_parameters(
@@ -114,8 +109,9 @@ def sample_parameters(
     """
     if count is None:
         count = priors.n_draws - start
-    if start < 0 or count < 0 or start + count > priors.n_draws:
-        raise DomainError("draw range must lie within [0, n_draws]")
+    require(
+        0 <= start and 0 <= count and start + count <= priors.n_draws, "draw range must lie within [0, n_draws]"
+    )
     u = indexed_uniforms(priors.seed, start, count)
     alpha = priors.alpha_lo + (priors.alpha_hi - priors.alpha_lo) * u[:, 0]
     r = priors.r_lo + (priors.r_hi - priors.r_lo) * u[:, 1]

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -101,15 +101,7 @@ def _cmd_steady_state(cfg: AppConfig) -> tuple[list[str], list[str]]:
     ds_dgamma, ds_dr, ds_ddelta = comparative_statics(cfg.baseline)
     payload = {
         "params": serialize(cfg)["baseline"],
-        "steady_state": {
-            "s_star": ss.s_star,
-            "L_S_star": ss.L_S_star,
-            "L_U_star": ss.L_U_star,
-            "k_star": ss.k_star,
-            "Y_star": ss.Y_star,
-            "wage": ss.wage,
-            "shadow_value": ss.shadow_value,
-        },
+        "steady_state": asdict(ss),
         "comparative_statics": {
             "ds_dgamma": ds_dgamma,
             "ds_dr": ds_dr,
@@ -189,15 +181,13 @@ def _cmd_simulate(cfg: AppConfig) -> tuple[list[str], list[str]]:
 
 def _run_configured_scenario(cfg: AppConfig):
     seed = derive_seed(cfg.run.seed, "portfolio")
-    p0 = cfg.portfolio.initial_portfolio()
-    drift = cfg.portfolio.drift.to_drift(cfg.portfolio.T)
     return run_portfolio_scenario(
-        p0,
+        cfg.portfolio.initial,
         cfg.portfolio.labor_budget,
         cfg.portfolio.entry,
         cfg.portfolio.T,
         seed=seed,
-        drift=drift,
+        drift=cfg.portfolio.drift,
     )
 
 
@@ -241,14 +231,7 @@ def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
     )
 
     def arm_dict(arm) -> dict:
-        return {
-            "log_wage_variance": arm.stats.log_wage_variance,
-            "p90_p10": arm.stats.p90_p10,
-            "top_decile_share": arm.stats.top_decile_share,
-            "mean_wage": arm.stats.mean_wage,
-            "n_families": arm.n_families,
-            "converged": arm.converged,
-        }
+        return {**asdict(arm.stats), "n_families": arm.n_families, "converged": arm.converged}
 
     payload = {
         "treatment": result.treatment,

@@ -214,29 +214,6 @@ def _split_delta(section: dict, drop: tuple[str, ...] = ()) -> dict:
     return kwargs
 
 
-class PortfolioSection(SimpleNamespace):
-    def initial_portfolio(self) -> Portfolio:
-        """The period-0 families under this section's aggregator and technology."""
-        n = self.n_families
-        rho = self.rho if self.aggregator == "ces" else None
-        spec = AggregatorSpec(self.aggregator, rho, self.epsilon_floor)
-        return Portfolio(
-            np.arange(n), self.omega, self.delta_j, self.k0, np.zeros(n, dtype=np.int64),
-            spec, PowerCodification(self.beta), self.Lambda,
-        )
-
-
-class DriftSection(SimpleNamespace):
-    def to_drift(self, T: int) -> DriftConfig | None:
-        """Hazard windows over T transitions; None when disabled, but checked either way."""
-        drift = DriftConfig(
-            **{k: getattr(self, k) for k in ("env_hazard", "tech_hazard", "org_hazard", "drop_frac")},
-            tech_windows=periodic_windows(self.tech_start, self.tech_every, T),
-            org_windows=periodic_windows(self.org_start, self.org_every, T),
-        )
-        return drift if self.enabled else None
-
-
 class AppConfig:
     """A validated configuration whose section keys read as attributes; ``AppConfig()`` is all defaults."""
 
@@ -252,9 +229,21 @@ class AppConfig:
             self.baseline = BaselineParams(**c["baseline"])
             self.priors = PriorSpec(*pr["alpha"], *pr["r"], *pr["delta_k"], *pr["gamma"], pr["n_draws"])
             entry = EntryConfig(**_split_delta(p["entry"]))
-            self.portfolio = PortfolioSection(**{**p, "entry": entry, "drift": DriftSection(**p["drift"])})
-            self.portfolio.initial_portfolio()
-            self.portfolio.drift.to_drift(p["T"])
+            n, agg, d = p["n_families"], p["aggregator"], p["drift"]
+            initial = Portfolio(
+                np.arange(n), p["omega"], p["delta_j"], p["k0"], np.zeros(n, dtype=np.int64),
+                AggregatorSpec(agg, p["rho"] if agg == "ces" else None, p["epsilon_floor"]),
+                PowerCodification(p["beta"]), p["Lambda"],
+            )
+            # Built even when disabled, so its values are checked either way.
+            drift = DriftConfig(
+                **{k: d[k] for k in ("env_hazard", "tech_hazard", "org_hazard", "drop_frac")},
+                tech_windows=periodic_windows(d["tech_start"], d["tech_every"], p["T"]),
+                org_windows=periodic_windows(d["org_start"], d["org_every"], p["T"]),
+            )
+            self.portfolio = SimpleNamespace(
+                **{**p, "entry": entry, "initial": initial, "drift": drift if d["enabled"] else None}
+            )
             experiment = RoyExperiment(**_split_delta(r, drop=("treatment", "factor", "replications")))
             self.roy = SimpleNamespace(**r, experiment=experiment)
         except DomainError as exc:

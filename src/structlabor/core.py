@@ -265,12 +265,8 @@ def simulate_transition(
             l_s = (1.0 - lam) * l_s + lam * target
         l_u = params.L_bar - l_s
         y = output(params, k, l_u)
-        if l_u > 0.0:
-            w_u = (1.0 - params.alpha) * y / l_u
-        else:
-            w_u = math.inf
-        dy_dk = params.gamma * y / k
-        v = dy_dk / (params.r + params.delta_k)
+        # With no production labor output is zero: the wage is unbounded and capability worthless.
+        w_u, _, v = marginals(params, k, l_u) if l_u > 0.0 else (math.inf, 0.0, 0.0)
         points.append(
             PathPoint(t=t, k=k, L_S=l_s, L_U=l_u, Y=y, w_U=w_u, w_S=params.eta * v, shadow_value=v)
         )

@@ -223,22 +223,19 @@ def estimate_hazard_decomposition(flags: DegradationFlags) -> HazardEstimate:
     )
 
 
-def count_births(born_at, T: int | None = None) -> np.ndarray:
-    """Births per period from the families' birth periods.
+def count_births(born_at, T: int) -> np.ndarray:
+    """Births per period 0..T from the families' birth periods.
 
-    Returns the per-period birth counts, the empirical counterpart of the
-    entry intensity; index t holds the number of families first appearing
-    at t.  Families born at period zero are the initial stock and are
-    included.
+    Returns the T + 1 per-period birth counts, the empirical counterpart
+    of the entry intensity; index t holds the number of families first
+    appearing at t.  Families born at period zero are the initial stock
+    and are included.
     """
     born = np.asarray(born_at, dtype=np.int64)
     require(bool(np.all(born >= 0)), "birth periods must be nonnegative")
-    horizon = int(born.max()) + 1 if born.size else 0
-    if T is not None:
-        require(isinstance(T, int) and T >= 0, "T must be a nonnegative integer")
-        require(horizon <= T + 1, "registry contains births beyond T")
-        horizon = T + 1
-    return np.bincount(born, minlength=horizon).astype(np.int64, copy=False)
+    require(isinstance(T, int) and T >= 0, "T must be a nonnegative integer")
+    require(not born.size or int(born.max()) <= T, "registry contains births beyond T")
+    return np.bincount(born, minlength=T + 1).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

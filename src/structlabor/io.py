@@ -21,7 +21,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 
 # Contractual column orders.
 PATH_COLUMNS = ("t", "k", "L_S", "L_U", "Y", "w_U", "w_S")
@@ -72,14 +72,11 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
     ``CHUNK_ROWS``.
     """
     cols = [np.asarray(c) for c in columns]
-    if len(cols) != len(header):
-        raise DomainError(f"{len(cols)} columns do not match header width {len(header)}")
+    require(len(cols) == len(header), f"{len(cols)} columns do not match header width {len(header)}")
     n = cols[0].shape[0] if cols and cols[0].ndim == 1 else 0
     for name, col in zip(header, cols):
-        if col.shape != (n,):
-            raise DomainError(f"column {name} has shape {col.shape}, expected ({n},)")
-        if col.dtype.kind not in "biuf":
-            raise DomainError(f"cannot format column {name} of dtype {col.dtype}")
+        require(col.shape == (n,), f"column {name} has shape {col.shape}, expected ({n},)")
+        require(col.dtype.kind in "biuf", f"cannot format column {name} of dtype {col.dtype}")
 
     def parts():
         yield ",".join(header) + "\n"
@@ -186,8 +183,7 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray]:
             header = next(reader)
         except StopIteration:
             raise DomainError(f"{path}: empty panel file") from None
-        if tuple(header) != PANEL_COLUMNS:
-            raise DomainError(f"{path}: header {header!r} does not match panel schema")
+        require(tuple(header) == PANEL_COLUMNS, f"{path}: header {header!r} does not match panel schema")
         fam, per, mat, lab, eff, tw, ow = [], [], [], [], [], [], []
         for row in reader:
             if not row:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -132,7 +131,7 @@ class Portfolio:
 
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
-    """An optimal labor split: per-family labor, multiplier, and residual.
+    """An optimal labor split: per-family labor and its optimality residual.
 
     ``kkt_residual`` is the spread of weighted marginal products across
     families that received labor; it is zero at an exact optimum.
@@ -141,8 +140,6 @@ class AllocationResult:
 
     family_ids: np.ndarray
     labor: np.ndarray
-    total: float
-    multiplier: float
     kkt_residual: float
     weights: np.ndarray
 
@@ -198,8 +195,6 @@ def allocate_labor(portfolio: Portfolio, L_S: float) -> AllocationResult:
         return AllocationResult(
             family_ids=portfolio.id,
             labor=np.zeros(portfolio.size),
-            total=0.0,
-            multiplier=math.inf,
             kkt_residual=0.0,
             weights=w,
         )
@@ -212,8 +207,6 @@ def allocate_labor(portfolio: Portfolio, L_S: float) -> AllocationResult:
     return AllocationResult(
         family_ids=portfolio.id,
         labor=labor,
-        total=float(labor.sum()),
-        multiplier=float(np.max(marginal)),
         kkt_residual=float(np.max(marginal) - np.min(marginal)),
         weights=w,
     )
@@ -372,7 +365,7 @@ class ScenarioResult:
 
 def run_portfolio_scenario(
     portfolio: Portfolio,
-    labor_budget: float | Sequence[float],
+    labor_budget: float,
     entry: EntryConfig,
     T: int,
     seed: int,
@@ -380,12 +373,12 @@ def run_portfolio_scenario(
 ) -> ScenarioResult:
     """Simulate the portfolio for T transitions and record a maturity panel.
 
-    Timing within period t: allocate the period's budget and record every
-    family's (maturity, labor, effective weight); apply decay and
-    codification inflow; apply drift events drawn for period t; append
-    entrants, who first receive labor at t + 1.  The panel covers periods
-    0..T, where the final period records the post-transition state and
-    the allocation it would receive.
+    Timing within period t: allocate ``labor_budget``, the same in every
+    period, and record every family's (maturity, labor, effective weight);
+    apply decay and codification inflow; apply drift events drawn for
+    period t; append entrants, who first receive labor at t + 1.  The
+    panel covers periods 0..T, where the final period records the
+    post-transition state and the allocation it would receive.
 
     Randomness is organized in per-period substreams keyed by ``seed``:
     "drift" uniforms are consumed in family-id order and "entry" draws in
@@ -393,12 +386,7 @@ def run_portfolio_scenario(
     for every family they have in common.
     """
     require(isinstance(T, int) and T >= 1, "T must be an integer >= 1")
-    if np.isscalar(labor_budget):
-        budgets = np.full(T + 1, float(labor_budget))
-    else:
-        budgets = np.asarray(labor_budget, dtype=float)
-        require(budgets.shape == (T + 1,), "labor budget path must have length T + 1")
-    require(bool(np.all(np.isfinite(budgets)) and np.all(budgets >= 0.0)), "labor budgets must be nonnegative")
+    require(math.isfinite(labor_budget) and labor_budget >= 0.0, "labor budget must be finite and nonnegative")
 
     ids: list[np.ndarray] = []
     stocks: list[np.ndarray] = []
@@ -409,7 +397,7 @@ def run_portfolio_scenario(
 
     p = portfolio
     for t in range(T + 1):
-        alloc = allocate_labor(p, float(budgets[t]))
+        alloc = allocate_labor(p, labor_budget)
         ids.append(p.id)
         stocks.append(p.k)
         labor.append(alloc.labor)
@@ -442,7 +430,7 @@ def run_portfolio_scenario(
         org_window=np.repeat(np.asarray(in_org, dtype=bool), sizes),
         periods=periods,
         capability=capability,
-        labor_budget=budgets,
+        labor_budget=np.full(T + 1, float(labor_budget)),
         final=p,
         events=tuple(events),
     )

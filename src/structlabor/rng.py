@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import require
 
 SEED_MAX = 2**64 - 1
 
@@ -31,10 +31,8 @@ _POISSON_MAX_INTENSITY = 500.0
 
 def check_seed(seed: int, name: str = "seed") -> int:
     """Validate and return a 64-bit unsigned seed."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise DomainError(f"{name} must be an integer")
-    if not 0 <= seed <= SEED_MAX:
-        raise DomainError(f"{name} must lie in [0, 2**64 - 1]")
+    require(isinstance(seed, (int, np.integer)) and not isinstance(seed, bool), f"{name} must be an integer")
+    require(0 <= seed <= SEED_MAX, f"{name} must lie in [0, 2**64 - 1]")
     return int(seed)
 
 
@@ -46,8 +44,7 @@ def derive_seed(root: int, tag: str, index: int = 0) -> int:
     independent streams under the same root.
     """
     root = check_seed(root, "root seed")
-    if index < 0:
-        raise DomainError("stream index must be nonnegative")
+    require(index >= 0, "stream index must be nonnegative")
     h = hashlib.sha256()
     h.update(root.to_bytes(8, "little"))
     h.update(tag.encode("utf-8"))
@@ -73,8 +70,7 @@ def indexed_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     is split into chunks.  Each row occupies one Philox counter block.
     """
     check_seed(seed)
-    if start < 0 or count < 0:
-        raise DomainError("start and count must be nonnegative")
+    require(start >= 0 and count >= 0, "start and count must be nonnegative")
     if count == 0:
         return np.empty((0, 4), dtype=np.float64)
     bg = np.random.Philox(key=seed)
@@ -91,13 +87,11 @@ def poisson_inverse_cdf(gen: np.random.Generator, lam: float) -> int:
     consumed even when ``lam`` is zero so that paired streams stay
     aligned.
     """
-    if not math.isfinite(lam) or lam < 0:
-        raise DomainError("poisson intensity must be finite and nonnegative")
-    if lam > _POISSON_MAX_INTENSITY:
-        raise DomainError(
-            f"poisson intensity {lam} exceeds supported range "
-            f"(max {_POISSON_MAX_INTENSITY})"
-        )
+    require(math.isfinite(lam) and lam >= 0, "poisson intensity must be finite and nonnegative")
+    require(
+        lam <= _POISSON_MAX_INTENSITY,
+        f"poisson intensity {lam} exceeds supported range (max {_POISSON_MAX_INTENSITY})",
+    )
     u = gen.uniform()
     if lam == 0.0:
         return 0

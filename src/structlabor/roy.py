@@ -30,6 +30,8 @@ from .portfolio import (
 from .rng import derive_seed, stream
 
 _DELTA_CAP = 0.95
+# Labor at which piece rates are evaluated for families nobody serves, so their rates stay finite.
+_LABOR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,23 +50,14 @@ class WorkerSkillMatrix:
         require(len(set(self.family_ids)) == len(self.family_ids), "family ids must be unique")
         require(bool(np.all(np.isfinite(a)) and np.all(a > 0.0)), "skills must be finite and positive")
 
-    @property
-    def n_workers(self) -> int:
-        return self.a.shape[0]
-
     @classmethod
     def generate(
-        cls,
-        n_workers: int,
-        portfolio: Portfolio,
-        seed: int,
-        mu_ln: float = 0.0,
-        sigma_ln: "float | Sequence[float]" = 0.5,
+        cls, n_workers: int, portfolio: Portfolio, seed: int, sigma_ln: Sequence[float]
     ) -> "WorkerSkillMatrix":
-        """Draw log-normal skills, one stream per family identity.
+        """Draw log-normal skills exp(sigma_j * z), one stream per family identity.
 
-        ``sigma_ln`` may be a scalar or one log-scale per family (in
-        the portfolio's family-id order).  A family's stream is keyed by its birth period
+        ``sigma_ln`` holds one log-scale per family, in the portfolio's
+        family-id order.  A family's stream is keyed by its birth period
         and its rank within that birth cohort rather than by its id, and
         the scale is applied outside the raw normal draws, so two
         scenarios that produced the same early families give those
@@ -74,11 +67,8 @@ class WorkerSkillMatrix:
         require(isinstance(n_workers, int) and n_workers >= 1, "n_workers must be an integer >= 1")
         n = portfolio.size
         require(n >= 1, "need at least one family")
-        if np.isscalar(sigma_ln):
-            sigmas = np.full(n, float(sigma_ln))
-        else:
-            sigmas = np.asarray(sigma_ln, dtype=float)
-            require(sigmas.shape == (n,), "sigma_ln must have one entry per family")
+        sigmas = np.asarray(sigma_ln, dtype=float)
+        require(sigmas.shape == (n,), "sigma_ln must have one entry per family")
         require(bool(np.all(np.isfinite(sigmas)) and np.all(sigmas >= 0.0)), "sigma_ln must be nonnegative")
         slot_within_cohort: dict[int, int] = {}
         columns = []
@@ -86,7 +76,7 @@ class WorkerSkillMatrix:
             slot = slot_within_cohort.get(born, 0)
             slot_within_cohort[born] = slot + 1
             z = stream(seed, f"skills:{born}:{slot}").standard_normal(n_workers)
-            columns.append(np.exp(mu_ln + sigma * z))
+            columns.append(np.exp(sigma * z))
         return cls(a=np.column_stack(columns), family_ids=tuple(portfolio.id.tolist()))
 
 
@@ -121,7 +111,7 @@ class DispersionStats:
         require(0.0 < self.top_decile_share <= 1.0, "top decile share must lie in (0, 1]")
 
 
-def family_prices(portfolio: Portfolio, labor: np.ndarray, labor_floor: float = 1e-6) -> np.ndarray:
+def family_prices(portfolio: Portfolio, labor: np.ndarray) -> np.ndarray:
     """Piece rates implied by a labor distribution over families.
 
     p_j = w_j * g'(max(l_j, floor)) with w_j the effective weights (which
@@ -132,9 +122,8 @@ def family_prices(portfolio: Portfolio, labor: np.ndarray, labor_floor: float = 
     labor = np.asarray(labor, dtype=float)
     require(labor.shape == (portfolio.size,), "labor vector must have one entry per family")
     require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor must be nonnegative")
-    require(math.isfinite(labor_floor) and labor_floor > 0.0, "labor_floor must be positive")
     w = effective_weights(portfolio)
-    rates = w * np.asarray(portfolio.tech.g_prime(np.maximum(labor, labor_floor)), dtype=float)
+    rates = w * np.asarray(portfolio.tech.g_prime(np.maximum(labor, _LABOR_FLOOR)), dtype=float)
     require(bool(np.all(np.isfinite(rates)) and np.all(rates > 0.0)), "prices must be finite and positive")
     return rates
 
@@ -145,7 +134,6 @@ def solve_roy(
     damping: float = 0.3,
     tol: float = 1e-9,
     max_iter: int = 500,
-    labor_floor: float = 1e-6,
 ) -> RoyEquilibrium:
     """Find assignment and piece rates consistent with each other.
 
@@ -173,7 +161,7 @@ def solve_roy(
     stall = 0
     iterations = 0
     while True:
-        prices = family_prices(portfolio, labor, labor_floor)
+        prices = family_prices(portfolio, labor)
         assignment = np.argmax(skills.a * prices, axis=1)
         counts = np.bincount(assignment, minlength=j).astype(float)
         residual = float(np.max(np.abs(counts - labor)))
@@ -203,14 +191,14 @@ def solve_roy(
     )
 
 
-def wage_stats(eq: "RoyEquilibrium | np.ndarray") -> DispersionStats:
-    """Dispersion statistics of an equilibrium's wages (or a raw wage array).
+def wage_stats(wages: np.ndarray) -> DispersionStats:
+    """Dispersion statistics of a wage array.
 
     Log-wage variance is the sample statistic (ddof=1); the decile ratio
     uses linearly interpolated quantiles; the top decile share uses the
     ceil(N/10) highest earners.
     """
-    wages = eq.wages if isinstance(eq, RoyEquilibrium) else np.asarray(eq, dtype=float)
+    wages = np.asarray(wages, dtype=float)
     require(wages.ndim == 1 and wages.size >= 2, "need at least two wages")
     require(bool(np.all(np.isfinite(wages)) and np.all(wages > 0.0)), "wages must be finite and positive")
     logs = np.log(wages)
@@ -352,7 +340,7 @@ def _run_arm(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: 
         eq = solve_roy(
             skills, pt, damping=exp.damping, tol=exp.tol, max_iter=exp.max_iter
         )
-        stats = wage_stats(eq)
+        stats = wage_stats(eq.wages)
         variances.append(stats.log_wage_variance)
         ratios.append(stats.p90_p10)
         shares.append(stats.top_decile_share)

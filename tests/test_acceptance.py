@@ -263,8 +263,6 @@ def test_criterion_07_maintenance_and_saturation():
         exact = AllocationResult(
             family_ids=p.id,
             labor=labor,
-            total=float(labor.sum()),
-            multiplier=0.0,
             kkt_residual=0.0,
             weights=effective_weights(p),
         )
@@ -327,7 +325,7 @@ def test_criterion_08_frontier_reallocation():
 def test_criterion_09_roy_equilibrium_and_dispersion():
     fams = columns(2, [1.0, 1.0], [0.1, 0.1], [1.0, 0.5])
     p = Portfolio(**fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
-    skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=0.6)
+    skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=[0.6, 0.6])
     oracle = roy_consistent_assignments(skills.a, effective_weights(p), beta=0.5)
     eq = solve_roy(skills, p)
     fixed_point_ok = (

@@ -200,6 +200,22 @@ def test_estimate_missing_panel_is_a_runtime_error(tmp_path, capsys):
     assert err["error"]["kind"] == "io"
 
 
+def test_bad_panel_cell_is_a_runtime_error(tmp_path, capsys):
+    panel = tmp_path / "panel.csv"
+    panel.write_text(
+        "family_id,period,maturity,labor,effective_weight,tech_window,org_window\n"
+        "0,0,1.0,0.5,1.0,0,0\n"
+        "1,0,oops,0.5,1.0,0,0\n",
+        encoding="utf-8",
+    )
+    cfg = write_config(tmp_path, {"estimate": {"panel": str(panel)}})
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "runtime"
+    assert err["path"] == ""
+    assert err["message"].startswith(f"{panel}:3:")
+
+
 def test_bad_config_value_exits_two_with_json_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"baseline": {"gamma": 1.5}})
     assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -403,3 +419,20 @@ def test_identical_runs_are_byte_identical(tmp_path):
     m1 = read_json(outs[0], "run.manifest.json")
     m2 = read_json(outs[1], "run.manifest.json")
     assert [e["sha256"] for e in m1["outputs"]] == [e["sha256"] for e in m2["outputs"]]
+
+
+# Output digests at --seed 7 for the two commands whose outputs the README
+# states are identical on every numpy build.  Neither file holds a path.
+BUILD_INDEPENDENT_DIGESTS = {
+    "steady-state": {"steady_state.json": "cbaa9ef9b6c6f5e0d536f01272e59bdfc5c39ae593aa14bbcf40e0268a47a9a0"},
+    "calibrate": {"calibration.json": "0af66231f26e88e20dcdbfec74f858f967d82bc5bad3cbd8423d2b1e3540c3f2"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUILD_INDEPENDENT_DIGESTS))
+def test_build_independent_outputs_keep_their_digests(tmp_path, command):
+    cfg = write_config(tmp_path, {"priors": {"n_draws": 2000}})
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--seed", "7", "--out", out, "--quiet"]) == 0
+    manifest = read_json(out, "run.manifest.json")
+    assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == BUILD_INDEPENDENT_DIGESTS[command]

@@ -117,7 +117,7 @@ def test_portfolio_list_lengths_must_match():
     with pytest.raises(ConfigError):
         parse_config({"portfolio": {"n_families": 3, "omega": [1.0, 2.0]}})
     cfg = parse_config({"portfolio": {"n_families": 2, "omega": [1.0, 2.0], "k0": [0.5, 0.7]}})
-    p = cfg.portfolio.initial_portfolio()
+    p = cfg.portfolio.initial
     assert list(p.omega) == [1.0, 2.0]
     assert list(p.k) == [0.5, 0.7]
 
@@ -126,8 +126,8 @@ def test_drift_numbers_validated_even_when_disabled():
     with pytest.raises(ConfigError):
         parse_config({"portfolio": {"drift": {"enabled": False, "drop_frac": 1.5}}})
     cfg = parse_config({"portfolio": {"drift": {"enabled": True, "env_hazard": 0.02}}})
-    drift = cfg.portfolio.drift.to_drift(cfg.portfolio.T)
-    assert drift.env_hazard == 0.02
+    assert cfg.portfolio.drift.env_hazard == 0.02
+    assert parse_config({}).portfolio.drift is None
 
 
 def test_roy_section_flows_into_experiment():

@@ -303,9 +303,9 @@ def test_shuffled_panel_gives_the_same_estimates():
 
 def test_count_births():
     born = Portfolio(id=[0, 1, 2], omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 2, 2]).born_at
-    assert list(count_births(born)) == [1, 0, 2]
+    assert list(count_births(born, T=2)) == [1, 0, 2]
     assert list(count_births(born, T=5)) == [1, 0, 2, 0, 0, 0]
-    assert list(count_births([0, 3, 3, 1])) == [1, 1, 0, 2]
+    assert list(count_births([0, 3, 3, 1], T=3)) == [1, 1, 0, 2]
     with pytest.raises(DomainError):
         count_births(born, T=1)
     assert list(count_births([], T=2)) == [0, 0, 0]
