@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import run_monte_carlo, share_bounds
-from .config import FORMATS, AppConfig, load_config, serialize, with_overrides
+from .config import FORMATS, AppConfig, load_config, serialize
 from .core import comparative_statics, simulate_transition, steady_state
 from .errors import ConfigError, DomainError
 from .estimators import (
@@ -345,8 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = with_overrides(cfg, seed=args.seed, out=args.out, fmt=args.format)
+        flags = {"seed": args.seed, "out": args.out, "format": args.format}
+        cfg = load_config(args.config, {"run": {k: v for k, v in flags.items() if v is not None}})
     except ConfigError as exc:
         _emit_error("config", exc.path, exc.message)
         return 2

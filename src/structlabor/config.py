@@ -43,6 +43,7 @@ OPEN_UNIT = (lambda x: 0 < x < 1, "must lie in (0, 1)")
 CLOSED_UNIT = (lambda x: 0 <= x <= 1, "must lie in [0, 1]")
 STEP = (lambda x: 0 < x <= 1, "must lie in (0, 1]")
 COUNT = (lambda x: x >= 1, "must be an integer >= 1")
+TWO_OR_MORE = (lambda x: x >= 2, "must be an integer >= 2")
 RHO = (lambda x: x <= 1 and x != 0, "must satisfy rho <= 1, rho != 0")
 SEED = (lambda x: 0 <= x <= 2**64 - 1, "must lie in [0, 2**64 - 1]")
 NONEMPTY = (lambda x: x != "", "must be a nonempty path")
@@ -111,13 +112,11 @@ FIELDS = (
     Field("roy.mu", float, 0.25, NONNEGATIVE),
     Field("roy.k_seed", float, 1e-3, NONNEGATIVE),
     Field("roy.omega_sigma", float, 0.5, NONNEGATIVE),
-    Field("roy.n_workers", int, 400, COUNT),
+    Field("roy.n_workers", int, 400, TWO_OR_MORE),
     Field("roy.sigma_young", float, 1.5, NONNEGATIVE),
     Field("roy.sigma_mature", float, 0.2, NONNEGATIVE),
     Field("roy.k_ref", float, 1.0, POSITIVE),
-    Field("roy.damping", float, 0.3, STEP),
     Field("roy.tol", float, 1e-9, POSITIVE),
-    Field("roy.max_iter", int, 500, COUNT),
     Field("roy.eval_window", int, 12, COUNT),
     Field("roy.treatment", ("mu", "delta"), "mu"),
     Field("roy.factor", float, 2.0, POSITIVE),
@@ -191,16 +190,20 @@ def _coerce(f: Field, value: Any, resolved: dict) -> Any:
     return value
 
 
-def _resolve(data: Any) -> dict:
-    """Validate a config mapping into the nested mapping of every resolved field."""
-    given = _flatten(data)
+def _resolve(data: Any, overrides: Any = None) -> dict:
+    """Validate a config mapping into the nested mapping of every resolved field.
+
+    Leaves of ``overrides`` replace those of ``data``; a replaced value is still checked.
+    """
+    given, over = _flatten(data), _flatten(overrides)
     flat, nested = {}, {}
     for f in FIELDS:
         *sections, key = f.path.split(".")
         node = nested
         for name in sections:
             node = node.setdefault(name, {})
-        node[key] = flat[f.path] = _coerce(f, given.get(f.path, f.default), flat)
+        value = _coerce(f, given.get(f.path, f.default), flat)
+        node[key] = flat[f.path] = _coerce(f, over[f.path], flat) if f.path in over else value
     for path, holds, wording in RULES:
         if not holds(flat):
             raise ConfigError(path, f"{path.rpartition('.')[2]} {wording}")
@@ -217,8 +220,8 @@ def _split_delta(section: dict, drop: tuple[str, ...] = ()) -> dict:
 class AppConfig:
     """A validated configuration whose section keys read as attributes; ``AppConfig()`` is all defaults."""
 
-    def __init__(self, data: Any = None) -> None:
-        self._resolved = c = _resolve(data)
+    def __init__(self, data: Any = None, overrides: Any = None) -> None:
+        self._resolved = c = _resolve(data, overrides)
         pr, p, r = c["priors"], c["portfolio"], c["roy"]
         self.run = SimpleNamespace(**c["run"])
         self.transition = SimpleNamespace(**c["transition"])
@@ -250,34 +253,20 @@ class AppConfig:
             raise ConfigError("", str(exc)) from None
 
 
-def parse_config(data: Any) -> AppConfig:
-    """Validate a configuration mapping and fill in defaults."""
-    return AppConfig(data)
-
-
-def load_config(path: str | None) -> AppConfig:
-    """Load a configuration file (YAML or JSON); None means all defaults."""
-    if path is None:
-        return parse_config({})
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
-    except OSError as exc:
-        raise ConfigError("", f"cannot read config file {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError("", f"invalid config syntax: {exc}") from None
-    return parse_config(data)
+def load_config(path: str | None, overrides: Any = None) -> AppConfig:
+    """Load a configuration file (YAML or JSON), None meaning all defaults, with ``overrides`` laid over it."""
+    data = None
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = yaml.safe_load(handle)
+        except OSError as exc:
+            raise ConfigError("", f"cannot read config file {path}: {exc}") from None
+        except yaml.YAMLError as exc:
+            raise ConfigError("", f"invalid config syntax: {exc}") from None
+    return AppConfig(data, overrides)
 
 
 def serialize(cfg: AppConfig) -> dict:
     """Fully resolved configuration mapping; parsing it reproduces ``cfg``."""
     return copy.deepcopy(cfg._resolved)
-
-
-def with_overrides(
-    cfg: AppConfig, seed: int | None = None, out: str | None = None, fmt: str | None = None
-) -> AppConfig:
-    """Apply command-line overrides to the run section, checked by the same rows."""
-    data = serialize(cfg)
-    data["run"].update({k: v for k, v in (("seed", seed), ("out", out), ("format", fmt)) if v is not None})
-    return parse_config(data)

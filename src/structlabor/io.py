@@ -201,6 +201,7 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray]:
                 raise DomainError(f"{path}:{line}: {exc}") from None
             tw.append(_parse_bool(row[5], path, line))
             ow.append(_parse_bool(row[6], path, line))
+    require(len(fam) > 0, f"{path}: panel has no data rows")
     return {
         "family_id": np.asarray(fam, dtype=np.int64),
         "period": np.asarray(per, dtype=np.int64),

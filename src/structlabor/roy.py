@@ -32,6 +32,9 @@ from .rng import derive_seed, stream
 _DELTA_CAP = 0.95
 # Labor at which piece rates are evaluated for families nobody serves, so their rates stay finite.
 _LABOR_FLOOR = 1e-6
+# Step of the damped labor update, and the cap on update steps per solve.
+_DAMPING = 0.3
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,45 +131,39 @@ def family_prices(portfolio: Portfolio, labor: np.ndarray) -> np.ndarray:
     return rates
 
 
-def solve_roy(
-    skills: WorkerSkillMatrix,
-    portfolio: Portfolio,
-    damping: float = 0.3,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-) -> RoyEquilibrium:
+def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9) -> RoyEquilibrium:
     """Find assignment and piece rates consistent with each other.
 
     Iterates: given a labor distribution, compute rates; assign every
     worker to their wage-maximizing family (ties resolved to the lowest
-    family index); move labor a fraction ``damping`` toward the implied
+    family index); move labor a fraction ``_DAMPING`` toward the implied
     head counts.  Stops when head counts and labor agree within ``tol``,
     which makes the final assignment optimal against the rates its own
     labor distribution generates.  When the residual stalls (workers
     flipping between near-indifferent families), the step size is halved
     so the iteration settles instead of cycling; a pure fixed point need
-    not exist with finitely many workers, in which case the result
-    carries ``converged=False`` and the residual that remained.  The
-    reported wages are always optimal against the reported rates.
+    not exist with finitely many workers, in which case the iteration
+    stops after ``_MAX_ITER`` steps and the result carries
+    ``converged=False`` and the residual that remained.  The reported
+    wages are always optimal against the reported rates.
     """
     require(skills.family_ids == tuple(portfolio.id.tolist()), "skill columns must match portfolio families")
-    require(0.0 < damping <= 1.0, "damping must lie in (0, 1]")
     require(tol > 0.0, "tol must be positive")
-    require(isinstance(max_iter, int) and max_iter >= 1, "max_iter must be an integer >= 1")
 
     n, j = skills.a.shape
+    w = effective_weights(portfolio)
     labor = np.full(j, n / j, dtype=float)
-    lam = damping
+    lam = _DAMPING
     best = math.inf
     stall = 0
     iterations = 0
     while True:
-        prices = family_prices(portfolio, labor)
+        prices = w * portfolio.tech.g_prime(np.maximum(labor, _LABOR_FLOOR))
         assignment = np.argmax(skills.a * prices, axis=1)
         counts = np.bincount(assignment, minlength=j).astype(float)
         residual = float(np.max(np.abs(counts - labor)))
         converged = residual < tol
-        if converged or iterations >= max_iter:
+        if converged or iterations >= _MAX_ITER:
             break
         if residual < best - 1e-12:
             best = residual
@@ -179,6 +176,8 @@ def solve_roy(
         labor = (1.0 - lam) * labor + lam * counts
         iterations += 1
 
+    # The loop's last rates again, now through the checked path.
+    prices = family_prices(portfolio, labor)
     wages = prices[assignment] * skills.a[np.arange(n), assignment]
     return RoyEquilibrium(
         assignment=assignment,
@@ -238,7 +237,8 @@ class RoyExperiment:
     assignment problem, and records dispersion statistics; the treatment
     arm repeats this with the entry intensity or the decay rates scaled
     by a factor, reusing the same random draws everywhere the two arms
-    overlap.
+    overlap.  Each solve uses ``tol``; its step ``_DAMPING`` and step cap
+    ``_MAX_ITER`` are module constants.
     """
 
     n_initial: int = 6
@@ -260,9 +260,7 @@ class RoyExperiment:
     sigma_mature: float = 0.2
     k_ref: float = 1.0
     eval_window: int = 12
-    damping: float = 0.3
     tol: float = 1e-9
-    max_iter: int = 500
 
     def __post_init__(self) -> None:
         require(isinstance(self.n_initial, int) and self.n_initial >= 1, "n_initial must be an integer >= 1")
@@ -337,9 +335,7 @@ def _run_arm(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: 
         pt = scenario.portfolio_at(t)
         sigmas = maturity_skill_sigma(pt.k, exp.sigma_young, exp.sigma_mature, exp.k_ref)
         skills = WorkerSkillMatrix.generate(exp.n_workers, pt, seed=skills_seed, sigma_ln=sigmas)
-        eq = solve_roy(
-            skills, pt, damping=exp.damping, tol=exp.tol, max_iter=exp.max_iter
-        )
+        eq = solve_roy(skills, pt, tol=exp.tol)
         stats = wage_stats(eq.wages)
         variances.append(stats.log_wage_variance)
         ratios.append(stats.p90_p10)

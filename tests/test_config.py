@@ -3,18 +3,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from structlabor.config import (
-    AppConfig,
-    load_config,
-    parse_config,
-    serialize,
-    with_overrides,
-)
+from structlabor.config import AppConfig, load_config, serialize
 from structlabor.errors import ConfigError
 
 
 def test_empty_config_gives_documented_defaults():
-    cfg = parse_config({})
+    cfg = AppConfig({})
     assert cfg.run.seed == 0
     assert cfg.run.out == "out"
     assert cfg.run.format == "csv"
@@ -40,83 +34,87 @@ def test_empty_config_gives_documented_defaults():
 
 
 def test_none_config_equals_empty_config():
-    assert serialize(parse_config(None)) == serialize(parse_config({}))
+    assert serialize(AppConfig(None)) == serialize(AppConfig({}))
 
 
 def test_serialize_parse_round_trip():
-    cfg = parse_config({
+    cfg = AppConfig({
         "run": {"seed": 9, "format": "both"},
         "baseline": {"gamma": 0.06},
         "portfolio": {"n_families": 3, "rho": -0.5, "entry": {"mu": 0.7}},
         "roy": {"treatment": "delta", "factor": 3.0},
     })
     blob = serialize(cfg)
-    again = serialize(parse_config(blob))
+    again = serialize(AppConfig(blob))
     assert again == blob
 
 
 def test_dump_yaml_round_trip():
-    cfg = parse_config({"run": {"seed": 4}, "transition": {"T": 50}})
+    cfg = AppConfig({"run": {"seed": 4}, "transition": {"T": 50}})
     text = yaml.safe_dump(serialize(cfg), sort_keys=True, default_flow_style=False)
-    back = parse_config(yaml.safe_load(text))
+    back = AppConfig(yaml.safe_load(text))
     assert serialize(back) == serialize(cfg)
 
 
 def test_unknown_keys_carry_dotted_paths():
     with pytest.raises(ConfigError) as err:
-        parse_config({"runn": {}})
+        AppConfig({"runn": {}})
     assert err.value.path == "runn"
     with pytest.raises(ConfigError) as err:
-        parse_config({"run": {"sed": 1}})
+        AppConfig({"run": {"sed": 1}})
     assert err.value.path == "run.sed"
     with pytest.raises(ConfigError) as err:
-        parse_config({"portfolio": {"entry": {"mus": 0.1}}})
+        AppConfig({"portfolio": {"entry": {"mus": 0.1}}})
     assert err.value.path == "portfolio.entry.mus"
+    # The Roy solver's step is a constant in the code, not a config field.
+    with pytest.raises(ConfigError) as err:
+        AppConfig({"roy": {"damping": 0.3}})
+    assert err.value.path == "roy.damping"
 
 
 def test_type_errors_are_rejected():
     with pytest.raises(ConfigError):
-        parse_config({"run": {"seed": 1.5}})
+        AppConfig({"run": {"seed": 1.5}})
     with pytest.raises(ConfigError):
-        parse_config({"run": {"seed": True}})
+        AppConfig({"run": {"seed": True}})
     with pytest.raises(ConfigError):
-        parse_config({"baseline": {"gamma": "high"}})
+        AppConfig({"baseline": {"gamma": "high"}})
     with pytest.raises(ConfigError):
-        parse_config({"baseline": {"gamma": True}})
+        AppConfig({"baseline": {"gamma": True}})
     with pytest.raises(ConfigError):
-        parse_config({"transition": {"T": 2.5}})
+        AppConfig({"transition": {"T": 2.5}})
     with pytest.raises(ConfigError):
-        parse_config({"run": "fast"})
+        AppConfig({"run": "fast"})
 
 
 def test_choice_fields_are_validated():
     with pytest.raises(ConfigError) as err:
-        parse_config({"run": {"format": "xml"}})
+        AppConfig({"run": {"format": "xml"}})
     assert err.value.path == "run.format"
     with pytest.raises(ConfigError):
-        parse_config({"portfolio": {"aggregator": "geometric"}})
+        AppConfig({"portfolio": {"aggregator": "geometric"}})
     with pytest.raises(ConfigError):
-        parse_config({"roy": {"treatment": "sigma"}})
+        AppConfig({"roy": {"treatment": "sigma"}})
 
 
 def test_out_of_range_values_surface_the_reason():
     with pytest.raises(ConfigError) as err:
-        parse_config({"baseline": {"gamma": 1.5}})
+        AppConfig({"baseline": {"gamma": 1.5}})
     assert "gamma must lie in (0, 1)" in str(err.value)
     with pytest.raises(ConfigError):
-        parse_config({"run": {"seed": -1}})
+        AppConfig({"run": {"seed": -1}})
     with pytest.raises(ConfigError):
-        parse_config({"run": {"seed": 2**64}})
+        AppConfig({"run": {"seed": 2**64}})
     with pytest.raises(ConfigError):
-        parse_config({"priors": {"gamma": [0.08, 0.02]}})
+        AppConfig({"priors": {"gamma": [0.08, 0.02]}})
     with pytest.raises(ConfigError):
-        parse_config({"estimate": {"rel_drop": 1.0}})
+        AppConfig({"estimate": {"rel_drop": 1.0}})
 
 
 def test_portfolio_list_lengths_must_match():
     with pytest.raises(ConfigError):
-        parse_config({"portfolio": {"n_families": 3, "omega": [1.0, 2.0]}})
-    cfg = parse_config({"portfolio": {"n_families": 2, "omega": [1.0, 2.0], "k0": [0.5, 0.7]}})
+        AppConfig({"portfolio": {"n_families": 3, "omega": [1.0, 2.0]}})
+    cfg = AppConfig({"portfolio": {"n_families": 2, "omega": [1.0, 2.0], "k0": [0.5, 0.7]}})
     p = cfg.portfolio.initial
     assert list(p.omega) == [1.0, 2.0]
     assert list(p.k) == [0.5, 0.7]
@@ -124,36 +122,39 @@ def test_portfolio_list_lengths_must_match():
 
 def test_drift_numbers_validated_even_when_disabled():
     with pytest.raises(ConfigError):
-        parse_config({"portfolio": {"drift": {"enabled": False, "drop_frac": 1.5}}})
-    cfg = parse_config({"portfolio": {"drift": {"enabled": True, "env_hazard": 0.02}}})
+        AppConfig({"portfolio": {"drift": {"enabled": False, "drop_frac": 1.5}}})
+    cfg = AppConfig({"portfolio": {"drift": {"enabled": True, "env_hazard": 0.02}}})
     assert cfg.portfolio.drift.env_hazard == 0.02
-    assert parse_config({}).portfolio.drift is None
+    assert AppConfig({}).portfolio.drift is None
 
 
 def test_roy_section_flows_into_experiment():
-    cfg = parse_config({"roy": {"n_workers": 60, "T": 12, "eval_window": 4}})
+    cfg = AppConfig({"roy": {"n_workers": 60, "T": 12, "eval_window": 4}})
     assert cfg.roy.experiment.n_workers == 60
     assert cfg.roy.experiment.T == 12
     assert cfg.roy.experiment.eval_window == 4
     # Defaults for fields not mentioned come from the experiment itself.
-    base = parse_config({})
+    base = AppConfig({})
     assert base.roy.experiment.sigma_young == 1.5
     assert base.roy.experiment.epsilon_floor == 0.25
     assert base.roy.experiment.eval_window == 12
 
 
 def test_with_overrides():
-    cfg = parse_config({})
-    out = with_overrides(cfg, seed=77, out="elsewhere", fmt="json")
+    cfg = AppConfig({})
+    out = load_config(None, {"run": {"seed": 77, "out": "elsewhere", "format": "json"}})
     assert out.run.seed == 77
     assert out.run.out == "elsewhere"
     assert out.run.format == "json"
     # Untouched fields survive.
     assert out.baseline == cfg.baseline
     with pytest.raises(ConfigError):
-        with_overrides(cfg, seed=-5)
+        load_config(None, {"run": {"seed": -5}})
     with pytest.raises(ConfigError):
-        with_overrides(cfg, fmt="xml")
+        load_config(None, {"run": {"format": "xml"}})
+    with pytest.raises(ConfigError) as err:
+        load_config(None, {"run": {"sed": 1}})
+    assert err.value.path == "run.sed"
 
 
 def test_load_config_reads_yaml_and_json(tmp_path):
@@ -162,6 +163,15 @@ def test_load_config_reads_yaml_and_json(tmp_path):
     cfg = load_config(str(y))
     assert cfg.run.seed == 3
     assert cfg.baseline.gamma == 0.04
+    # Overrides replace the file's leaves and keep the rest.
+    over = load_config(str(y), {"run": {"seed": 5}})
+    assert (over.run.seed, over.baseline.gamma) == (5, 0.04)
+    # A file value is checked even where an override replaces it.
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("run:\n  seed: -1\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(bad), {"run": {"seed": 5}})
+    assert err.value.path == "run.seed"
 
     j = tmp_path / "conf.json"
     j.write_text('{"run": {"seed": 8}}')
@@ -180,7 +190,7 @@ def test_load_config_failure_modes(tmp_path):
 
 
 def test_serialized_config_is_plain_data():
-    blob = serialize(parse_config({}))
+    blob = serialize(AppConfig({}))
     # Everything must survive a YAML dump (no custom objects).
     yaml.safe_dump(blob)
     assert blob["roy"]["delta_j"] == [0.08, 0.25]
@@ -203,7 +213,7 @@ def test_readme_default_block_matches_the_code():
     section = readme.split("## Configuration", 1)[1]
     block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
     documented = yaml.safe_load(block)
-    actual = serialize(parse_config({}))
+    actual = serialize(AppConfig({}))
     assert documented.keys() == actual.keys()
     for name in actual:
         assert _matches_readme(documented[name], actual[name]), name

@@ -196,6 +196,11 @@ def test_read_panel_csv_error_reporting(tmp_path):
     with pytest.raises(DomainError):
         read_panel_csv(str(empty))
 
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(",".join(PANEL_COLUMNS) + "\n\n")
+    with pytest.raises(DomainError, match=r"header\.csv: panel has no data rows"):
+        read_panel_csv(str(header_only))
+
     wrong = tmp_path / "wrong.csv"
     wrong.write_text("a,b\n1,2\n")
     with pytest.raises(DomainError, match="does not match panel schema"):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from structlabor.errors import DomainError
-from structlabor.portfolio import AggregatorSpec, Portfolio, PowerCodification, effective_weights
+from structlabor.portfolio import (
+    AggregatorSpec,
+    EntryConfig,
+    Portfolio,
+    PowerCodification,
+    effective_weights,
+    run_portfolio_scenario,
+)
 from structlabor.roy import (
     RoyExperiment,
     WorkerSkillMatrix,
@@ -13,7 +20,7 @@ from structlabor.roy import (
     wage_stats,
 )
 
-from oracles import roy_consistent_assignments
+from oracles import roy_consistent_assignments, solve_roy_reference
 
 TECH = PowerCodification(beta=0.5)
 
@@ -147,6 +154,54 @@ def test_solve_roy_reports_nonexistence_honestly():
     assert not eq.converged
     assert eq.residual > 0.1
     assert np.all(np.isfinite(eq.wages))
+
+
+def _scenario_instance():
+    # Six CES families grown by entry for 40 periods, 400 workers whose skill
+    # spread follows maturity: the shape of one default experiment solve.
+    n = 6
+    p0 = Portfolio(
+        id=np.arange(n), omega=np.ones(n), delta=np.linspace(0.08, 0.25, n), k=np.ones(n),
+        born_at=np.zeros(n, dtype=np.int64),
+        aggregator=AggregatorSpec(kind="ces", rho=0.5, epsilon_floor=0.25), tech=TECH,
+    )
+    entry = EntryConfig(mu=0.25, k_seed=1e-3, omega_sigma=0.5, delta_lo=0.08, delta_hi=0.25)
+    pt = run_portfolio_scenario(p0, 1.0, entry, 40, seed=3).portfolio_at(40)
+    assert pt.size >= 10
+    sigmas = maturity_skill_sigma(pt.k, 1.5, 0.2, 1.0)
+    return WorkerSkillMatrix.generate(400, pt, seed=5, sigma_ln=sigmas), pt
+
+
+def _one_worker_instance():
+    p = Portfolio(
+        id=[0, 1], omega=[1.0, 1.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0],
+        aggregator=AggregatorSpec(kind="additive"), tech=TECH,
+    )
+    return WorkerSkillMatrix(a=np.array([[1.0, 1.0]]), family_ids=(0, 1)), p
+
+
+def _five_worker_instance():
+    p = two_family_portfolio()
+    return WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=[0.6, 0.6]), p
+
+
+@pytest.mark.parametrize(
+    "instance, converged, halved",
+    [(_five_worker_instance, True, False), (_one_worker_instance, False, True), (_scenario_instance, False, True)],
+    ids=["five-workers", "one-worker", "scenario-400-workers"],
+)
+def test_solve_roy_matches_the_reference_loop_bit_for_bit(instance, converged, halved):
+    skills, p = instance()
+    eq = solve_roy(skills, p)
+    ref = solve_roy_reference(skills, p)
+    for name in ("assignment", "labor", "prices", "wages"):
+        assert np.array_equal(getattr(eq, name), ref[name]), name
+    assert (eq.iterations, eq.residual, eq.converged) == (ref["iterations"], ref["residual"], ref["converged"])
+    assert eq.converged is converged
+    # The unconverged instances run into the step cap after halving the step.
+    assert (ref["step"] < 0.3) is halved
+    if not converged:
+        assert eq.iterations == 500
 
 
 def test_wage_stats_hand_computed():
