@@ -164,50 +164,77 @@ def write_manifest(
     return path
 
 
-def _parse_bool(text: str, path: str, line: int) -> bool:
+# Field types of a panel row, in column order.
+_PANEL_DTYPE = np.dtype(list(zip(PANEL_COLUMNS, (np.int64, np.int64, float, float, float, bool, bool))))
+
+
+def _parse_bool(text: str) -> bool:
     if text in ("1", "true", "True"):
         return True
     if text in ("0", "false", "False"):
         return False
-    raise DomainError(f"{path}:{line}: invalid boolean {text!r}")
+    raise ValueError(f"invalid boolean {text!r}")
+
+
+def _open_panel(path: str):
+    # Undecodable bytes become U+FFFD, which neither the header nor any cell
+    # accepts, so they are reported as a bad header or a bad row's line
+    # instead of escaping as a bare UnicodeDecodeError.
+    return open(path, "r", encoding="utf-8", errors="replace", newline="")
+
+
+def _raise_first_bad_row(path: str) -> None:
+    """Raise a :class:`DomainError` naming the physical line of the first
+    row of a panel file that does not parse; return if every row parses.
+
+    Runs only after the fast reader has refused the file, to turn its
+    error into a ``path:line:`` message.  The parsed values are discarded.
+    """
+    with _open_panel(path) as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            require(len(row) == len(PANEL_COLUMNS), f"{path}:{line}: expected {len(PANEL_COLUMNS)} columns")
+            try:
+                for parse, cell in zip((int, int, float, float, float, _parse_bool, _parse_bool), row):
+                    parse(cell)
+            except ValueError as exc:
+                raise DomainError(f"{path}:{line}: {exc}") from None
 
 
 def read_panel_csv(path: str) -> dict[str, np.ndarray]:
     """Read a maturity panel CSV back into parallel arrays.
 
-    Errors name the file and the physical line a bad row ends on.
+    The header must equal ``PANEL_COLUMNS``.  A data row has two integer,
+    three float and two boolean cells; booleans are spelled ``1``/``true``/
+    ``True`` or ``0``/``false``/``False``.  Cells may be double-quoted, and a
+    quoted cell may hold a newline.  Empty lines are skipped; a line of only
+    whitespace is a bad row, and there is no comment syntax.
+
+    Values are parsed once, by ``np.loadtxt``, whose float parse is
+    correctly rounded, so a file written by :func:`write_csv` reads back
+    bit-identically; the columns are views of one structured array.  If the
+    file does not parse, it is rescanned row by row so that the error names
+    the physical line the first bad row ends on.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with _open_panel(path) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise DomainError(f"{path}: empty panel file") from None
         require(tuple(header) == PANEL_COLUMNS, f"{path}: header {header!r} does not match panel schema")
-        fam, per, mat, lab, eff, tw, ow = [], [], [], [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(PANEL_COLUMNS):
-                raise DomainError(f"{path}:{line}: expected {len(PANEL_COLUMNS)} columns")
-            try:
-                fam.append(int(row[0]))
-                per.append(int(row[1]))
-                mat.append(float(row[2]))
-                lab.append(float(row[3]))
-                eff.append(float(row[4]))
-            except ValueError as exc:
-                raise DomainError(f"{path}:{line}: {exc}") from None
-            tw.append(_parse_bool(row[5], path, line))
-            ow.append(_parse_bool(row[6], path, line))
-    require(len(fam) > 0, f"{path}: panel has no data rows")
-    return {
-        "family_id": np.asarray(fam, dtype=np.int64),
-        "period": np.asarray(per, dtype=np.int64),
-        "maturity": np.asarray(mat, dtype=float),
-        "labor": np.asarray(lab, dtype=float),
-        "effective_weight": np.asarray(eff, dtype=float),
-        "tech_window": np.asarray(tw, dtype=bool),
-        "org_window": np.asarray(ow, dtype=bool),
-    }
+        # Checked before parsing, as np.loadtxt warns on input without rows.
+        require(any(reader), f"{path}: panel has no data rows")
+    try:
+        table = np.loadtxt(
+            path, dtype=_PANEL_DTYPE, delimiter=",", quotechar='"', comments=None, skiprows=1,
+            converters={5: _parse_bool, 6: _parse_bool}, encoding="utf-8", ndmin=1,
+        )
+    except ValueError as exc:
+        _raise_first_bad_row(path)
+        raise DomainError(f"{path}: {exc}") from None
+    return {name: table[name] for name in PANEL_COLUMNS}

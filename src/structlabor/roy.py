@@ -271,6 +271,7 @@ class RoyExperiment:
             0.0 <= self.sigma_mature <= self.sigma_young, "need sigma_young >= sigma_mature >= 0"
         )
         require(self.k_ref > 0.0, "k_ref must be positive")
+        require(isinstance(self.n_workers, int) and self.n_workers >= 2, "n_workers must be an integer >= 2")
         require(
             isinstance(self.eval_window, int) and 1 <= self.eval_window <= self.T + 1,
             "eval_window must be an integer in [1, T + 1]",

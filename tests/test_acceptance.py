@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,7 +414,7 @@ def run_cli(args, out, env_extra=None):
     )
     assert proc.returncode == 0, proc.stderr
     digests = {}
-    manifest = json.load(open(os.path.join(out, "run.manifest.json"), encoding="utf-8"))
+    manifest = json.loads(Path(out, "run.manifest.json").read_text(encoding="utf-8"))
     for entry in manifest["outputs"]:
         digests[entry["path"]] = entry["sha256"]
     return digests

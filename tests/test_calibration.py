@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from structlabor.calibration import (
+    _BLOCK,
     CalibrationResult,
     PriorSpec,
     run_monte_carlo,
@@ -119,6 +120,30 @@ def test_monte_carlo_mean_and_std_are_fsum_reductions(priors):
     res = run_monte_carlo(priors)
     assert res.mean == mean
     assert res.std_dev == math.sqrt(math.fsum((dev * dev).tolist()) / (n - 1))
+
+
+def _one_block_summary(priors):
+    # The documented reductions over the whole sample generated at once.
+    shares = sample_shares(priors) * 100.0
+    n = priors.n_draws
+    mean = math.fsum(shares.tolist()) / n
+    sd = math.sqrt(math.fsum(np.square(shares - mean).tolist()) / (n - 1)) if n > 1 else 0.0
+    q = np.quantile(shares, [0.025, 0.10, 0.50, 0.90, 0.975], method="linear")
+    return CalibrationResult(
+        mean=mean, median=float(q[2]), std_dev=sd,
+        q2_5=float(q[0]), q10=float(q[1]), q90=float(q[3]), q97_5=float(q[4]),
+        share_min=float(shares.min()), share_max=float(shares.max()),
+        pr_gt_5pct=np.count_nonzero(shares > 5.0) / n, pr_gt_8pct=np.count_nonzero(shares > 8.0) / n,
+        n_draws=n, seed=priors.seed,
+    )
+
+
+@pytest.mark.parametrize("n_draws", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_streamed_monte_carlo_equals_one_block(n_draws):
+    # The sample is generated in blocks of _BLOCK draws; at and across the
+    # block edges every field must equal the one-block computation exactly.
+    priors = PriorSpec(n_draws=n_draws, seed=11)
+    assert run_monte_carlo(priors) == _one_block_summary(priors)
 
 
 def test_monte_carlo_std_dev_of_single_draw_is_zero():

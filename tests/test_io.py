@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import warnings
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,18 +98,18 @@ def test_write_csv_rejects_unsupported_dtypes(tmp_path):
 def test_writes_are_atomic(tmp_path):
     path = str(tmp_path / "data.csv")
     write_csv(path, ("a",), [[1]])
-    before = open(path, encoding="utf-8").read()
+    before = Path(path).read_text(encoding="utf-8")
     # A failing write must leave the previous file intact and no temp files.
     with pytest.raises(DomainError):
         write_csv(path, ("a",), [[object()]])
-    assert open(path, encoding="utf-8").read() == before
+    assert Path(path).read_text(encoding="utf-8") == before
     assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
 
 def test_write_json_sorted_keys_and_nonfinite(tmp_path):
     path = str(tmp_path / "blob.json")
     write_json(path, {"z": 1, "a": {"d": math.inf, "c": math.nan, "b": -math.inf}})
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert text.index('"a"') < text.index('"z"')
     data = json.loads(text)
     assert data["a"] == {"b": "-inf", "c": "nan", "d": "inf"}
@@ -116,7 +119,7 @@ def test_write_json_sorted_keys_and_nonfinite(tmp_path):
 def test_write_json_handles_arrays_and_numpy_scalars(tmp_path):
     path = str(tmp_path / "arr.json")
     write_json(path, {"v": np.array([1.5, 2.5]), "n": np.int64(3), "f": np.float64(0.25), "b": np.bool_(True)})
-    data = json.loads(open(path, encoding="utf-8").read())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     assert data == {"b": True, "f": 0.25, "n": 3, "v": [1.5, 2.5]}
 
 
@@ -143,7 +146,7 @@ def test_write_manifest_structure(tmp_path):
         outputs=["b.csv", "a.json"], started_utc="2026-01-01T00:00:00Z",
         elapsed_seconds=0.25, version="1.0.0",
     )
-    manifest = json.loads(open(path, encoding="utf-8").read())
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 5
     assert manifest["config_sha256"] == "d" * 64
@@ -160,7 +163,7 @@ def test_path_csv_header_and_round_trip(tmp_path):
     path_points = simulate_transition(params, k0=0.02, L_S0=0.01, T=5, tol=1e-16).points
     csv_path = str(tmp_path / "path.csv")
     write_csv(csv_path, PATH_COLUMNS, [[getattr(p, name) for p in path_points] for name in PATH_COLUMNS])
-    lines = open(csv_path, encoding="utf-8").read().splitlines()
+    lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(PATH_COLUMNS)
     assert len(lines) == len(path_points) + 1
     first = lines[1].split(",")
@@ -177,7 +180,7 @@ def test_panel_csv_round_trip_is_bitwise(tmp_path):
     scenario = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.3), T=8, seed=13)
     csv_path = str(tmp_path / "panel.csv")
     write_csv(csv_path, PANEL_COLUMNS, [getattr(scenario, name) for name in PANEL_COLUMNS])
-    lines = open(csv_path, encoding="utf-8").read().splitlines()
+    lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(PANEL_COLUMNS)
     back = read_panel_csv(csv_path)
     assert np.array_equal(back["family_id"], scenario.family_id)
@@ -266,6 +269,128 @@ def test_read_panel_csv_counts_physical_lines(tmp_path):
     path = tmp_path / "quoted.csv"
     path.write_text("\n".join([",".join(PANEL_COLUMNS), '0,0,"1.0\n",0.5,2.0,1,0', "0,1,x,0.5,2.0,1,0"]) + "\n")
     with pytest.raises(DomainError, match=r"quoted\.csv:4: "):
+        read_panel_csv(str(path))
+
+
+def _adversarial_doubles() -> np.ndarray:
+    # Values where a reader that is not correctly rounded goes wrong: the
+    # subnormal range and its ends, both sides of DBL_MIN, the largest
+    # double, values whose shortest repr needs 17 digits, every one's
+    # nextafter neighbours, and random bit patterns over the whole exponent
+    # range.
+    special = np.array([
+        5e-324, 1e-323, 2.2250738585072011e-308, 2.2250738585072014e-308,
+        2.225073858507201e-308, 4.9406564584124654e-324, 1.7976931348623157e308,
+        0.1, 1 / 3, 2 / 3, 0.30000000000000004, 9007199254740993.0, 1e23, 8.98846567431158e307,
+        5.0000000000000011, 0.49999999999999994, 1.0000000000000002, 123456789012345.67,
+    ])
+    rng = np.random.Generator(np.random.Philox(key=3))
+    bits = rng.integers(1, 0x7FF0000000000000, size=4000, dtype=np.int64).view(np.float64)
+    subnormal = rng.integers(1, 1 << 52, size=500, dtype=np.int64).view(np.float64)
+    seventeen = np.array([x for x in rng.uniform(-1e3, 1e3, size=4000) if len(repr(abs(x)).replace(".", "").lstrip("0")) >= 17])
+    base = np.concatenate([special, bits, subnormal, seventeen])
+    base = np.concatenate([base, -base])
+    with np.errstate(over="ignore"):
+        neighbours = [np.nextafter(base, np.inf), np.nextafter(base, -np.inf)]
+    return np.concatenate([base, *neighbours, [0.0, -0.0]])
+
+
+def test_panel_csv_round_trip_of_adversarial_doubles_is_bitwise(tmp_path):
+    values = _adversarial_doubles()
+    n = len(values)
+    rng = np.random.Generator(np.random.Philox(key=4))
+    columns = [
+        rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64, endpoint=True),
+        np.arange(n, dtype=np.int64),
+        values,
+        rng.permutation(values),
+        values[::-1].copy(),
+        rng.uniform(size=n) < 0.5,
+        rng.uniform(size=n) < 0.5,
+    ]
+    path = str(tmp_path / "adversarial.csv")
+    write_csv(path, PANEL_COLUMNS, columns)
+    back = read_panel_csv(path)
+    for name, column in zip(PANEL_COLUMNS, columns):
+        assert back[name].dtype == column.dtype
+        assert back[name].tobytes() == column.tobytes(), name
+
+
+def test_read_panel_csv_rounds_long_decimals_like_float(tmp_path):
+    # Decimal forms that repr never writes: the exact midpoints between
+    # adjacent doubles (ties to even), a hair either side of them, and 21
+    # significant digits, after a few classic hard cases (the DBL_MIN-edge
+    # string that hung some parsers, half the smallest subnormal, the
+    # overflow edge).  Each cell must read as Python's float() reads it.
+    doubles = _adversarial_doubles()[:600]
+    doubles = doubles[(doubles > 0) & (doubles < np.finfo(float).max)]
+    cells = [
+        "2.2250738585072011e-308", "2.2250738585072012e-308", "4.9406564584124654e-324",
+        "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623158e308",
+        "1.7976931348623159e308", "0.1000000000000000055511151231257827", "9007199254740993",
+    ]
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        for x in doubles.tolist():
+            lo, hi = Decimal(x), Decimal(float(np.nextafter(x, np.inf)))
+            mid = (lo + hi) / 2
+            tiny = (hi - lo) / 10**30
+            cells += [f"{mid:e}", f"{mid + tiny:e}", f"{mid - tiny:e}", f"{lo:.20e}"]
+    path = tmp_path / "decimals.csv"
+    path.write_text(",".join(PANEL_COLUMNS) + "\n" + "".join(f"0,{i},{c},{c},1.0,1,0\n" for i, c in enumerate(cells)))
+    back = read_panel_csv(str(path))
+    expected = np.array([float(c) for c in cells])
+    assert back["maturity"].tobytes() == expected.tobytes()
+    assert back["labor"].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("#c,1,2,3,4,1,0", "invalid literal for int\\(\\) with base 10: '#c'"),
+        ("   ", "expected 7 columns"),
+        ("\t", "expected 7 columns"),
+    ],
+    ids=["comment", "spaces", "tab"],
+)
+def test_read_panel_csv_has_no_comments_and_refuses_whitespace_lines(tmp_path, bad_line, message):
+    path = tmp_path / "q2.csv"
+    path.write_text("\n".join([",".join(PANEL_COLUMNS), "0,0,1.0,0.5,2.0,1,0", bad_line, "0,1,1.0,0.5,2.0,1,0"]) + "\n")
+    with pytest.raises(DomainError, match=rf"q2\.csv:3: {message}"):
+        read_panel_csv(str(path))
+
+
+def test_read_panel_csv_header_only_raises_without_warning(tmp_path):
+    for text in ("\n", "", "\n\r\n\n"):
+        path = tmp_path / "header.csv"
+        path.write_text(",".join(PANEL_COLUMNS) + text, newline="")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=r"header\.csv: panel has no data rows"):
+                read_panel_csv(str(path))
+        assert caught == []
+
+
+@pytest.mark.parametrize(
+    "bad_cell, message",
+    [
+        ("1_0", "could not convert string '1_0' to int64"),
+        ("9223372036854775808", "could not convert string '9223372036854775808' to int64"),
+    ],
+)
+def test_read_panel_csv_refuses_what_only_python_int_accepts(tmp_path, bad_cell, message):
+    # Digit grouping and integers beyond int64 pass the line-by-line rescan,
+    # so the error carries the fast reader's own message, as a DomainError.
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(PANEL_COLUMNS) + f"\n0,0,1.0,0.5,2.0,1,0\n{bad_cell},1,1.0,0.5,2.0,1,0\n")
+    with pytest.raises(DomainError, match=rf"wide\.csv: {message}"):
+        read_panel_csv(str(path))
+
+
+def test_read_panel_csv_reports_undecodable_bytes_by_line(tmp_path):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes((",".join(PANEL_COLUMNS) + "\n0,0,1.0,0.5,2.0,1,0\n0,1,1.\xff,0.5,2.0,1,0\n").encode("latin-1"))
+    with pytest.raises(DomainError, match=r"bytes\.csv:3: could not convert string to float"):
         read_panel_csv(str(path))
 
 

@@ -250,6 +250,13 @@ def test_roy_experiment_validation():
         RoyExperiment(eval_window=0)
 
 
+@pytest.mark.parametrize("n_workers", [1, 0, 2.0])
+def test_roy_experiment_rejects_fewer_than_two_workers(n_workers):
+    # Dispersion needs two wages; the constructor stops this before a run.
+    with pytest.raises(DomainError, match="n_workers must be an integer >= 2"):
+        RoyExperiment(n_initial=3, T=6, eval_window=3, n_workers=n_workers)
+
+
 SMALL = RoyExperiment(n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4)
 
 
