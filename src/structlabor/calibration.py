@@ -150,10 +150,13 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     summation order.  The mean is ``math.fsum(shares) / n``; the standard
     deviation is the two-pass sample statistic (ddof=1),
     ``sqrt(fsum((x - mean)**2) / (n - 1))``, with the deviations and
-    squares taken elementwise, and 0 for a single draw.  Quantiles use
-    numpy's ``linear`` method, a selection plus an elementwise
-    interpolation.  Exceedance probabilities are strict, Pr(s > threshold),
-    and are exact counts divided by n.
+    squares taken elementwise, and 0 for a single draw.  Exceedance
+    probabilities are strict, Pr(s > threshold), and are exact counts
+    divided by n.  Quantiles use numpy's ``linear`` method, a selection
+    plus an elementwise interpolation; they are taken last and in place
+    (``overwrite_input``), which reorders the share array instead of
+    copying it, so every reduction before them sees the draws in index
+    order.
     """
     n = priors.n_draws
     shares = np.empty(n)
@@ -162,11 +165,14 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
         shares[lo:hi] = sample_shares(priors, lo, hi - lo) * 100.0
     chunks = [shares[i : i + _SUM_CHUNK] for i in range(0, n, _SUM_CHUNK)]
     mean = _fsum(chunks) / n
-    q = np.quantile(shares, [0.025, 0.10, 0.50, 0.90, 0.975], method="linear")
     if n > 1:
         sd = math.sqrt(_fsum(np.square(c - mean) for c in chunks) / (n - 1))
     else:
         sd = 0.0
+    share_min, share_max = float(np.min(shares)), float(np.max(shares))
+    pr_gt_5pct, pr_gt_8pct = float(np.mean(shares > 5.0)), float(np.mean(shares > 8.0))
+    # Last, as it partially sorts the sample in place instead of copying it.
+    q = np.quantile(shares, [0.025, 0.10, 0.50, 0.90, 0.975], method="linear", overwrite_input=True)
     return CalibrationResult(
         mean=mean,
         median=float(q[2]),
@@ -175,10 +181,10 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
         q10=float(q[1]),
         q90=float(q[3]),
         q97_5=float(q[4]),
-        share_min=float(np.min(shares)),
-        share_max=float(np.max(shares)),
-        pr_gt_5pct=float(np.mean(shares > 5.0)),
-        pr_gt_8pct=float(np.mean(shares > 8.0)),
+        share_min=share_min,
+        share_max=share_max,
+        pr_gt_5pct=pr_gt_5pct,
+        pr_gt_8pct=pr_gt_8pct,
         n_draws=n,
         seed=priors.seed,
     )

@@ -259,6 +259,30 @@ def _births_from_panel(panel: MaturityPanel) -> np.ndarray:
     return count_births(panel.period[first], T=int(panel.period.max()))
 
 
+def _scenario_panel_and_indices(cfg: AppConfig) -> tuple[MaturityPanel, list[list]]:
+    """The configured scenario's panel and its index columns.
+
+    Only the panel's columns outlive this call; the scenario's labor and
+    effective-weight columns are freed before the estimators run.
+    """
+    scenario = _run_configured_scenario(cfg)
+    panel = MaturityPanel.from_scenario(scenario)
+    final = scenario.final
+    points = indices(
+        panel,
+        scenario.periods,
+        dict(zip(final.id.tolist(), final.omega.tolist())),
+        labor_total=scenario.labor_budget,
+        L_bar=cfg.baseline.L_bar,
+        aggregator=final.aggregator,
+    )
+    index_columns = [
+        [getattr(point, name) for point in points]
+        for name in ("period", "capability", "maintenance_share", "n_families")
+    ]
+    return panel, index_columns
+
+
 def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
     files: list[str] = []
     if cfg.estimate.panel is not None:
@@ -272,21 +296,7 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
         )
         index_columns = None
     else:
-        scenario = _run_configured_scenario(cfg)
-        panel = MaturityPanel.from_scenario(scenario)
-        final = scenario.final
-        points = indices(
-            panel,
-            scenario.periods,
-            dict(zip(final.id.tolist(), final.omega.tolist())),
-            labor_total=scenario.labor_budget,
-            L_bar=cfg.baseline.L_bar,
-            aggregator=final.aggregator,
-        )
-        index_columns = [
-            [getattr(point, name) for point in points]
-            for name in ("period", "capability", "maintenance_share", "n_families")
-        ]
+        panel, index_columns = _scenario_panel_and_indices(cfg)
 
     births = _births_from_panel(panel)
     flags = detect_degradation(panel, rel_drop=cfg.estimate.rel_drop, horizon=cfg.estimate.horizon)

@@ -25,9 +25,12 @@ class MaturityPanel:
 
     Arrays are parallel; (family_id, period) pairs must be unique.  The
     panel holds its rows sorted by period, then family_id, whatever the
-    order they were given in; the estimators rely on that order.  The
-    panel may be unbalanced: families can enter after period zero, and
-    gaps are tolerated (estimators only use consecutive-period pairs).
+    order they were given in; the estimators rely on that order.  Input
+    already in that order is held as given, without a copy, so the caller
+    must not mutate those arrays afterwards; other input is sorted into
+    copies.  The panel may be unbalanced: families can enter after period
+    zero, and gaps are tolerated (estimators only use consecutive-period
+    pairs).
     """
 
     family_id: np.ndarray
@@ -49,17 +52,18 @@ class MaturityPanel:
         if n:
             require(bool(np.all(per >= 0)), "periods must be nonnegative")
             require(bool(np.all(np.isfinite(mat)) and np.all(mat >= 0.0)), "maturities must be finite and nonnegative")
-        order = np.lexsort((fam, per))
-        fam, per = fam[order], per[order]
-        same = (fam[1:] == fam[:-1]) & (per[1:] == per[:-1])
-        require(not bool(np.any(same)), "(family_id, period) pairs must be unique")
-        for name, arr in (
-            ("family_id", fam),
-            ("period", per),
-            ("maturity", mat[order]),
-            ("tech_window", tw[order]),
-            ("org_window", ow[order]),
-        ):
+        # Rows nondecreasing in (period, family_id) are kept as given.
+        in_order = per[1:] > per[:-1]
+        in_order |= (per[1:] == per[:-1]) & (fam[1:] >= fam[:-1])
+        if not in_order.all():
+            order = np.lexsort((fam, per))
+            fam, per, mat, tw, ow = fam[order], per[order], mat[order], tw[order], ow[order]
+        # Sorted rows repeat a pair only in adjacent rows.
+        same = fam[1:] == fam[:-1]
+        same &= per[1:] == per[:-1]
+        require(not bool(same.any()), "(family_id, period) pairs must be unique")
+        columns = {"family_id": fam, "period": per, "maturity": mat, "tech_window": tw, "org_window": ow}
+        for name, arr in columns.items():
             object.__setattr__(self, name, arr)
 
     @property
@@ -112,24 +116,44 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float = 0.2, horizon: int
     require(isinstance(horizon, int) and horizon >= 1, "horizon must be an integer >= 1")
 
     fam, per, mat = panel.family_id, panel.period, panel.maturity
+    n = fam.shape[0]
     # Dense ranks keep the keys below n**2; rows sorted by (period, family)
     # have sorted keys period_rank * n_families + family_rank.  The period
-    # column is already sorted, so its ranks are run counts.
-    families, fam_rank = np.unique(fam, return_inverse=True)
-    new_period = np.concatenate(([True], per[1:] != per[:-1]))
+    # column is already sorted, so its ranks are run counts.  Each step
+    # reuses its buffers, so at most four int64 columns are alive at once.
+    families = np.unique(fam)
+    n_fam = families.shape[0]
+    fam_rank = np.searchsorted(families, fam)
+    new_period = np.empty(n, dtype=bool)
+    new_period[0] = True
+    np.not_equal(per[1:], per[:-1], out=new_period[1:])
     periods = per[new_period]
-    per_rank = np.cumsum(new_period) - 1
-    key = per_rank * families.shape[0] + fam_rank
-    # Row (family, period + horizon) exists only if period + horizon is observed.
-    next_rank = np.searchsorted(periods, per + horizon)
-    has_period = periods[np.minimum(next_rank, periods.shape[0] - 1)] == per + horizon
-    target = next_rank * families.shape[0] + fam_rank
-    pos = np.minimum(np.searchsorted(key, target), key.shape[0] - 1)
-    has_next = has_period & (key[pos] == target)
+    key = np.cumsum(new_period)
+    del new_period
+    key -= 1
+    # Rank of period + horizon, and whether that period is observed, looked
+    # up per distinct period; row (family, period + horizon) can exist only
+    # if it is.
+    shifted = periods + horizon
+    next_rank = np.searchsorted(periods, shifted)
+    observed = periods[np.minimum(next_rank, periods.shape[0] - 1)] == shifted
+    has_next = observed[key]
+    target = next_rank[key]
+    target *= n_fam
+    target += fam_rank
+    key *= n_fam
+    key += fam_rank
+    del fam_rank
+    pos = np.searchsorted(key, target)
+    np.minimum(pos, n - 1, out=pos)
+    has_next &= key[pos] == target
+    del key, target
 
-    base = mat[has_next]
     nxt = mat[pos[has_next]]
-    flags = nxt < (1.0 - rel_drop) * base
+    del pos
+    base = mat[has_next]
+    base *= 1.0 - rel_drop
+    flags = nxt < base
     return DegradationFlags(
         family_id=fam[has_next],
         period=per[has_next],
@@ -280,8 +304,11 @@ def indices(
     values = np.fromiter(weights.values(), dtype=float, count=len(weights))
     by_id = np.argsort(ids)
     ids, values = ids[by_id], values[by_id]
+    require(ids.shape[0] > 0, "weights must name at least one family")
     pos = np.searchsorted(ids, fams)
-    known = np.isin(fams, ids)
+    # Clipped positions read a wrong id only for families missing from the map.
+    np.minimum(pos, ids.shape[0] - 1, out=pos)
+    known = ids[pos] == fams
 
     points = []
     bounds = np.searchsorted(per, np.stack([periods, periods + 1]))

@@ -420,12 +420,20 @@ def run_portfolio_scenario(
     sizes = [block.shape[0] for block in ids]
     in_tech = [drift is not None and t in drift.tech_windows for t in range(T + 1)]
     in_org = [drift is not None and t in drift.org_windows for t in range(T + 1)]
+
+    def joined(blocks: list[np.ndarray]) -> np.ndarray:
+        # Each column's blocks are freed as soon as it is joined, so at most
+        # one column exists twice.
+        column = np.concatenate(blocks)
+        blocks.clear()
+        return column
+
     return ScenarioResult(
-        family_id=np.concatenate(ids),
+        family_id=joined(ids),
         period=np.repeat(periods, sizes),
-        maturity=np.concatenate(stocks),
-        labor=np.concatenate(labor),
-        effective_weight=np.concatenate(weights),
+        maturity=joined(stocks),
+        labor=joined(labor),
+        effective_weight=joined(weights),
         tech_window=np.repeat(np.asarray(in_tech, dtype=bool), sizes),
         org_window=np.repeat(np.asarray(in_org, dtype=bool), sizes),
         periods=periods,

@@ -31,8 +31,11 @@ _POISSON_MAX_INTENSITY = 500.0
 
 def check_seed(seed: int, name: str = "seed") -> int:
     """Validate and return a 64-bit unsigned seed."""
-    require(isinstance(seed, (int, np.integer)) and not isinstance(seed, bool), f"{name} must be an integer")
-    require(0 <= seed <= SEED_MAX, f"{name} must lie in [0, 2**64 - 1]")
+    is_int = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (is_int and 0 <= seed <= SEED_MAX):
+        # Inside the branch, so only a bad seed pays for formatting the messages.
+        require(is_int, f"{name} must be an integer")
+        require(0 <= seed <= SEED_MAX, f"{name} must lie in [0, 2**64 - 1]")
     return int(seed)
 
 

@@ -78,6 +78,36 @@ def test_panel_rejects_non_adjacent_duplicates():
         panel_from(rows)
 
 
+def test_panel_rejects_adjacent_duplicates_without_sorting(monkeypatch):
+    # Rows already in (period, family_id) order are never sorted, so the
+    # uniqueness rule must hold on that path too.
+    def no_sort(keys):
+        raise AssertionError("ordered input was sorted")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    ordered = [(0, 0, 1.0, False, False), (1, 0, 1.0, False, False), (0, 1, 1.0, False, False)]
+    assert panel_from(ordered).n_obs == 3
+    with pytest.raises(DomainError, match=r"\(family_id, period\) pairs must be unique"):
+        panel_from([*ordered[:2], (1, 0, 2.0, True, False), ordered[2]])
+
+
+def test_shuffled_panel_is_sorted_into_the_ordered_build():
+    sc = stationary_scenario(12, 40, seed=2)
+    ordered = MaturityPanel.from_scenario(sc)
+    assert np.shares_memory(ordered.maturity, sc.maturity)
+    shuffle = np.random.default_rng(1).permutation(ordered.n_obs)
+    shuffled = MaturityPanel(
+        family_id=sc.family_id[shuffle],
+        period=sc.period[shuffle],
+        maturity=sc.maturity[shuffle],
+        tech_window=sc.tech_window[shuffle],
+        org_window=sc.org_window[shuffle],
+    )
+    for name in ("family_id", "period", "maturity", "tech_window", "org_window"):
+        got, want = getattr(shuffled, name), getattr(ordered, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_detect_degradation_flags_the_right_transitions():
     p = panel_from([
         (0, 0, 1.0, False, False),
@@ -365,6 +395,12 @@ def test_scenario_indices_equal_the_scenario_capability(aggregator):
     points = indices(MaturityPanel.from_scenario(sc), sc.periods, weights, sc.labor_budget, 1.0, aggregator)
     assert [point.capability for point in points] == sc.capability.tolist()
     assert [point.n_families for point in points] == np.bincount(sc.period).tolist()
+
+
+def test_indices_refuses_an_empty_weight_map():
+    p = panel_from([(0, 1, 2.0, False, False)])
+    with pytest.raises(DomainError, match="weights must name at least one family"):
+        indices(p, [1], {}, labor_total=[0.1], L_bar=1.0)
 
 
 def test_indices_validation():

@@ -1,0 +1,83 @@
+"""Allocation guards: the large commands hold their data plus a few columns.
+
+Peaks are measured with ``tracemalloc``, which sees numpy's array buffers
+as well as Python objects.  Panel bounds are in int64 columns of a
+synthetic ordered panel of 2,000 periods x 100 families.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from structlabor.calibration import PriorSpec, run_monte_carlo
+from structlabor.estimators import MaturityPanel, detect_degradation
+from structlabor.io import PANEL_COLUMNS, write_csv
+
+PERIODS, FAMILIES = 2000, 100
+COLUMN = 8 * PERIODS * FAMILIES
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes allocated while ``fn`` ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def ordered_columns():
+    n = PERIODS * FAMILIES
+    rng = np.random.Generator(np.random.Philox(key=3))
+    return {
+        "family_id": np.tile(np.arange(FAMILIES, dtype=np.int64), PERIODS),
+        "period": np.repeat(np.arange(PERIODS, dtype=np.int64), FAMILIES),
+        "maturity": rng.uniform(0.5, 2.0, size=n),
+        "tech_window": rng.uniform(size=n) < 0.2,
+        "org_window": rng.uniform(size=n) < 0.1,
+    }
+
+
+def test_ordered_panel_is_held_without_copies(ordered_columns):
+    panel, peak = traced_peak(MaturityPanel, **ordered_columns)
+    assert peak < COLUMN
+    for name, column in ordered_columns.items():
+        assert np.shares_memory(getattr(panel, name), column)
+
+
+def test_detect_degradation_peak(ordered_columns):
+    panel = MaturityPanel(**ordered_columns)
+    flags, peak = traced_peak(detect_degradation, panel)
+    assert flags.n_obs == (PERIODS - 1) * FAMILIES
+    assert peak <= 7 * COLUMN
+
+
+def test_write_csv_memory_is_bounded_by_a_small_chunk(tmp_path):
+    # Four times the rows of a 16,384-row write cost at most half as much
+    # again, so the writer renders no more than about 16,384 rows at a time.
+    def peak(rows):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        columns = [
+            np.arange(rows) % 200,
+            np.arange(rows) // 200,
+            rng.uniform(size=rows),
+            rng.uniform(size=rows),
+            rng.uniform(size=rows),
+            rng.uniform(size=rows) < 0.2,
+            rng.uniform(size=rows) < 0.1,
+        ]
+        return traced_peak(write_csv, str(tmp_path / f"panel-{rows}.csv"), PANEL_COLUMNS, columns)[1]
+
+    assert peak(4 * 16_384) <= 1.5 * peak(16_384)
+
+
+def test_run_monte_carlo_holds_one_share_array():
+    # The quantiles partition the sample in place; the rest is the sampling
+    # block and per-chunk temporaries, small next to the 8n-byte sample.
+    n = 4_000_000
+    result, peak = traced_peak(run_monte_carlo, PriorSpec(n_draws=n, seed=1))
+    assert result.n_draws == n
+    assert peak < 1.75 * 8 * n
