@@ -131,17 +131,15 @@ class Portfolio:
 
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
-    """An optimal labor split: per-family labor and its optimality residual.
+    """An optimal labor split: labor per family and its optimality residual.
 
+    ``labor`` follows the order of the weights it was computed for.
     ``kkt_residual`` is the spread of weighted marginal products across
     families that received labor; it is zero at an exact optimum.
-    ``weights`` are the effective weights the split was computed for.
     """
 
-    family_ids: np.ndarray
     labor: np.ndarray
     kkt_residual: float
-    weights: np.ndarray
 
 
 def aggregate_capability(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSpec) -> float:
@@ -160,56 +158,47 @@ def aggregate_capability(omega: np.ndarray, k: np.ndarray, aggregator: Aggregato
     return float(np.dot(omega, np.power(k, rho)) ** (1.0 / rho))
 
 
-def effective_weights(portfolio: Portfolio) -> np.ndarray:
+def effective_weights(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSpec, Lambda: float) -> np.ndarray:
     """Marginal value of maturity by family, scaled by Lambda.
 
-    For the additive aggregator this is Lambda * omega_j.  For CES it is
-    Lambda times the gradient of the index, evaluated with every maturity
-    floored at ``epsilon_floor`` so that entrants with (near-)zero stocks
-    get large but finite weights.
+    ``omega`` and ``k`` are parallel family columns.  For the additive
+    aggregator this is Lambda * omega_j.  For CES it is Lambda times the
+    gradient of the index, evaluated with every maturity floored at
+    ``epsilon_floor`` so that entrants with (near-)zero stocks get large
+    but finite weights.
     """
-    require(portfolio.size >= 1, "portfolio has no families")
-    omega = portfolio.omega
-    agg = portfolio.aggregator
-    if agg.kind == "additive":
-        return portfolio.Lambda * omega
-    rho = float(agg.rho)
-    k = np.maximum(portfolio.k, agg.epsilon_floor)
+    require(omega.shape[0] >= 1, "portfolio has no families")
+    if aggregator.kind == "additive":
+        return Lambda * omega
+    rho = float(aggregator.rho)
+    k = np.maximum(k, aggregator.epsilon_floor)
     inner = float(np.dot(omega, np.power(k, rho)))
     # d/dk_j of (sum omega k^rho)^(1/rho) = omega_j k_j^(rho-1) * index^(1-rho)
-    return portfolio.Lambda * omega * np.power(k, rho - 1.0) * inner ** ((1.0 - rho) / rho)
+    return Lambda * omega * np.power(k, rho - 1.0) * inner ** ((1.0 - rho) / rho)
 
 
-def allocate_labor(portfolio: Portfolio, L_S: float) -> AllocationResult:
+def allocate_labor(weights: np.ndarray, tech: PowerCodification, L_S: float) -> AllocationResult:
     """Split the labor budget to maximize weighted codification output.
 
     Maximizes sum_j w_j * g(l_j) subject to sum_j l_j = L_S, l_j >= 0,
-    where w_j are the effective weights.  The optimum equalizes
+    where w_j are the effective ``weights``.  The optimum equalizes
     w_j * g'(l_j) across served families at the multiplier nu; for the
     power technology that gives l_j proportional to w_j**(1/(1-beta)).
+    Weights so large or so small that the split leaves the floating-point
+    range are a domain error.
     """
-    require(portfolio.size >= 1, "portfolio has no families")
+    require(weights.shape[0] >= 1, "portfolio has no families")
     require(require_finite(L_S, "L_S") >= 0.0, "labor budget must be nonnegative")
-    w = effective_weights(portfolio)
     if L_S == 0.0:
-        return AllocationResult(
-            family_ids=portfolio.id,
-            labor=np.zeros(portfolio.size),
-            kkt_residual=0.0,
-            weights=w,
-        )
+        return AllocationResult(labor=np.zeros(weights.shape[0]), kkt_residual=0.0)
 
-    tech = portfolio.tech
-    shares = np.power(w, 1.0 / (1.0 - tech.beta))
-    labor = L_S * shares / shares.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        shares = np.power(weights, 1.0 / (1.0 - tech.beta))
+        labor = L_S * shares / shares.sum()
     active = labor > 0.0
-    marginal = w[active] * np.asarray(tech.g_prime(labor[active]), dtype=float)
-    return AllocationResult(
-        family_ids=portfolio.id,
-        labor=labor,
-        kkt_residual=float(np.max(marginal) - np.min(marginal)),
-        weights=w,
-    )
+    require(bool(np.all(np.isfinite(labor)) and np.any(active)), "effective weights out of range: the labor split overflows")
+    marginal = weights[active] * np.asarray(tech.g_prime(labor[active]), dtype=float)
+    return AllocationResult(labor=labor, kkt_residual=float(np.max(marginal) - np.min(marginal)))
 
 
 @dataclass(frozen=True)
@@ -250,38 +239,23 @@ def _draw_entrants(entry: EntryConfig, gen: np.random.Generator) -> tuple[list[f
     count = poisson_inverse_cdf(gen, entry.mu)
     omegas, deltas = [], []
     for _ in range(count):
-        omegas.append(entry.omega_median * math.exp(entry.omega_sigma * gen.standard_normal()))
+        try:
+            omegas.append(entry.omega_median * math.exp(entry.omega_sigma * gen.standard_normal()))
+        except OverflowError:
+            raise DomainError("omega must be finite") from None
         deltas.append(gen.uniform(entry.delta_lo, entry.delta_hi))
     return omegas, deltas
 
 
-def step_portfolio(
-    portfolio: Portfolio,
-    allocation: AllocationResult,
-    entry: EntryConfig,
-    gen: np.random.Generator,
-    next_period: int,
-) -> Portfolio:
-    """Advance maturities one period and append any entrants.
+def step_portfolio(k: np.ndarray, delta: np.ndarray, labor: np.ndarray, tech: PowerCodification) -> None:
+    """Advance the current families' maturities one period, in place.
 
-    Each family decays and receives its allocated codification inflow:
-    k' = (1 - delta_j) * k_j + g(l_j).  Entrants are appended with
-    maturity ``entry.k_seed``, ``born_at = next_period`` and ids
-    continuing after the current maximum.  Families never exit.
+    ``k``, ``delta`` and ``labor`` are parallel family columns.  Each
+    family decays and receives its codification inflow:
+    k_j <- (1 - delta_j) * k_j + g(l_j).
     """
-    require(np.array_equal(allocation.family_ids, portfolio.id), "allocation does not match portfolio families")
-    require(isinstance(next_period, int) and next_period >= 1, "next_period must be an integer >= 1")
-    inflow = np.asarray(portfolio.tech.g(allocation.labor), dtype=float)
-    k = (1.0 - portfolio.delta) * portfolio.k + inflow
-    columns = [portfolio.id, portfolio.omega, portfolio.delta, k, portfolio.born_at]
-    omegas, deltas = _draw_entrants(entry, gen)
-    if omegas:
-        n = len(omegas)
-        next_id = int(portfolio.id[-1]) + 1 if portfolio.size else 0
-        ids = np.arange(next_id, next_id + n)
-        added = [ids, omegas, deltas, np.full(n, entry.k_seed), np.full(n, next_period)]
-        columns = [np.concatenate([old, new]) for old, new in zip(columns, added)]
-    return Portfolio(*columns, portfolio.aggregator, portfolio.tech, portfolio.Lambda)
+    k *= 1.0 - delta
+    k += tech.g(labor)
 
 
 @dataclass(frozen=True)
@@ -352,13 +326,16 @@ class ScenarioResult:
     events: tuple[tuple[int, int], ...]
 
     def portfolio_at(self, t: int) -> Portfolio:
-        """Reconstruct the portfolio as it stood at the start of period t."""
+        """Reconstruct the portfolio as it stood at the start of period t.
+
+        Families never exit, so period t's families are the first rows of
+        ``final``.
+        """
         lo, hi = np.searchsorted(self.period, [t, t + 1])
         require(hi > lo, f"scenario has no period {t}")
-        final = self.final
-        rows = np.searchsorted(final.id, self.family_id[lo:hi])
+        n, final = hi - lo, self.final
         return Portfolio(
-            final.id[rows], final.omega[rows], final.delta[rows], self.maturity[lo:hi], final.born_at[rows],
+            final.id[:n], final.omega[:n], final.delta[:n], self.maturity[lo:hi], final.born_at[:n],
             final.aggregator, final.tech, final.Lambda,
         )
 
@@ -383,62 +360,76 @@ def run_portfolio_scenario(
     Randomness is organized in per-period substreams keyed by ``seed``:
     "drift" uniforms are consumed in family-id order and "entry" draws in
     slot order, so scenarios sharing a seed share event and entrant draws
-    for every family they have in common.
+    for every family they have in common.  No draw depends on the
+    maturities, so all entrants are drawn first and the whole roster is
+    validated once, as ``final``, whose first n_t rows are period t's
+    families.  The panel is allocated at its full sum_t n_t rows; each
+    period writes its block and advances ``final.k[:n_t]`` in place.
     """
     require(isinstance(T, int) and T >= 1, "T must be an integer >= 1")
     require(math.isfinite(labor_budget) and labor_budget >= 0.0, "labor budget must be finite and nonnegative")
 
-    ids: list[np.ndarray] = []
-    stocks: list[np.ndarray] = []
-    labor: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
+    sizes = [portfolio.size]
+    omegas: list[float] = []
+    deltas: list[float] = []
+    for t in range(T):
+        born_omegas, born_deltas = _draw_entrants(entry, stream(seed, "entry", t))
+        omegas += born_omegas
+        deltas += born_deltas
+        sizes.append(sizes[-1] + len(born_omegas))
+    n_added, first_id = len(omegas), int(portfolio.id[-1]) + 1 if portfolio.size else 0
+    born = np.repeat(np.arange(1, T + 1), np.diff(sizes))
+    added = [np.arange(first_id, first_id + n_added), omegas, deltas, np.full(n_added, entry.k_seed), born]
+    columns = [portfolio.id, portfolio.omega, portfolio.delta, portfolio.k, portfolio.born_at]
+    final = Portfolio(
+        *(np.concatenate([old, new]) for old, new in zip(columns, added)),
+        portfolio.aggregator, portfolio.tech, portfolio.Lambda,
+    )
+
+    ids, omega, delta, k = final.id, final.omega, final.delta, final.k
+    rows = sum(sizes)
+    family_id = np.empty(rows, dtype=np.int64)
+    maturity = np.empty(rows)
+    labor = np.empty(rows)
+    effective_weight = np.empty(rows)
     capability = np.empty(T + 1)
     events: list[tuple[int, int]] = []
-
-    p = portfolio
-    for t in range(T + 1):
-        alloc = allocate_labor(p, labor_budget)
-        ids.append(p.id)
-        stocks.append(p.k)
-        labor.append(alloc.labor)
-        weights.append(alloc.weights)
-        capability[t] = aggregate_capability(p.omega, p.k, p.aggregator)
+    lo = 0
+    for t, n in enumerate(sizes):
+        hi = lo + n
+        w = effective_weights(omega[:n], k[:n], final.aggregator, final.Lambda)
+        alloc = allocate_labor(w, final.tech, labor_budget)
+        family_id[lo:hi] = ids[:n]
+        maturity[lo:hi] = k[:n]
+        labor[lo:hi] = alloc.labor
+        effective_weight[lo:hi] = w
+        capability[t] = aggregate_capability(omega[:n], k[:n], final.aggregator)
+        lo = hi
         if t == T:
             break
 
-        stepped = step_portfolio(p, alloc, entry, stream(seed, "entry", t), next_period=t + 1)
+        step_portfolio(k[:n], delta[:n], alloc.labor, final.tech)
         if drift is not None:
-            hit = stream(seed, "drift", t).uniform(size=p.size) < drift.hazard_at(t)
+            hit = stream(seed, "drift", t).uniform(size=n) < drift.hazard_at(t)
             if np.any(hit):
-                # stepped.k is a fresh array; entrants sit past p.size and are never hit.
-                k = stepped.k[: p.size]
-                k[hit] = k[hit] * (1.0 - drift.drop_frac)
-                events.extend((i, t) for i in p.id[hit].tolist())
-        p = stepped
+                # Entrants sit past row n and are never hit.
+                k[:n][hit] *= 1.0 - drift.drop_frac
+                events.extend((i, t) for i in ids[:n][hit].tolist())
 
     periods = np.arange(T + 1, dtype=np.int64)
-    sizes = [block.shape[0] for block in ids]
     in_tech = [drift is not None and t in drift.tech_windows for t in range(T + 1)]
     in_org = [drift is not None and t in drift.org_windows for t in range(T + 1)]
-
-    def joined(blocks: list[np.ndarray]) -> np.ndarray:
-        # Each column's blocks are freed as soon as it is joined, so at most
-        # one column exists twice.
-        column = np.concatenate(blocks)
-        blocks.clear()
-        return column
-
     return ScenarioResult(
-        family_id=joined(ids),
+        family_id=family_id,
         period=np.repeat(periods, sizes),
-        maturity=joined(stocks),
-        labor=joined(labor),
-        effective_weight=joined(weights),
+        maturity=maturity,
+        labor=labor,
+        effective_weight=effective_weight,
         tech_window=np.repeat(np.asarray(in_tech, dtype=bool), sizes),
         org_window=np.repeat(np.asarray(in_org, dtype=bool), sizes),
         periods=periods,
         capability=capability,
         labor_budget=np.full(T + 1, float(labor_budget)),
-        final=p,
+        final=final,
         events=tuple(events),
     )

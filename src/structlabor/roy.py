@@ -125,7 +125,7 @@ def family_prices(portfolio: Portfolio, labor: np.ndarray) -> np.ndarray:
     labor = np.asarray(labor, dtype=float)
     require(labor.shape == (portfolio.size,), "labor vector must have one entry per family")
     require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor must be nonnegative")
-    w = effective_weights(portfolio)
+    w = effective_weights(portfolio.omega, portfolio.k, portfolio.aggregator, portfolio.Lambda)
     rates = w * np.asarray(portfolio.tech.g_prime(np.maximum(labor, _LABOR_FLOOR)), dtype=float)
     require(bool(np.all(np.isfinite(rates)) and np.all(rates > 0.0)), "prices must be finite and positive")
     return rates
@@ -151,7 +151,7 @@ def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9
     require(tol > 0.0, "tol must be positive")
 
     n, j = skills.a.shape
-    w = effective_weights(portfolio)
+    w = effective_weights(portfolio.omega, portfolio.k, portfolio.aggregator, portfolio.Lambda)
     labor = np.full(j, n / j, dtype=float)
     lam = _DAMPING
     best = math.inf

@@ -292,3 +292,76 @@ def corner_share_extremes(alpha_box, r_box, delta_box, gamma_box, share_fn) -> t
         for gamma in gamma_box
     ]
     return min(values), max(values)
+
+
+def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, drift=None):
+    """The scenario as a per-period loop that rebuilds its portfolio every period.
+
+    Like :func:`solve_roy_reference` it pins arithmetic, not the model:
+    each period builds and validates a new ``Portfolio`` holding the
+    decayed stocks plus that period's entrants, keeps one column block
+    per period, and joins the blocks at the end.  The weight, allocation
+    and decay formulas are written out here in the package's operation
+    order, so the package's scenario must match this loop bit for bit.
+    Returns a ``ScenarioResult``.
+    """
+    from structlabor.portfolio import Portfolio, ScenarioResult, _draw_entrants, aggregate_capability
+    from structlabor.rng import stream
+
+    def weights(p):
+        if p.aggregator.kind == "additive":
+            return p.Lambda * p.omega
+        rho = float(p.aggregator.rho)
+        k = np.maximum(p.k, p.aggregator.epsilon_floor)
+        inner = float(np.dot(p.omega, np.power(k, rho)))
+        return p.Lambda * p.omega * np.power(k, rho - 1.0) * inner ** ((1.0 - rho) / rho)
+
+    def allocate(w, beta):
+        if labor_budget == 0.0:
+            return np.zeros(w.shape[0])
+        shares = np.power(w, 1.0 / (1.0 - beta))
+        return labor_budget * shares / shares.sum()
+
+    blocks = {"family_id": [], "maturity": [], "labor": [], "effective_weight": []}
+    capability = np.empty(T + 1)
+    events = []
+    p = portfolio
+    for t in range(T + 1):
+        w = weights(p)
+        labor = allocate(w, p.tech.beta)
+        for name, block in zip(blocks, (p.id, p.k, labor, w)):
+            blocks[name].append(block)
+        capability[t] = aggregate_capability(p.omega, p.k, p.aggregator)
+        if t == T:
+            break
+        columns = [p.id, p.omega, p.delta, (1.0 - p.delta) * p.k + p.tech.g(labor), p.born_at]
+        omegas, deltas = _draw_entrants(entry, stream(seed, "entry", t))
+        if omegas:
+            n = len(omegas)
+            first = int(p.id[-1]) + 1
+            added = [np.arange(first, first + n), omegas, deltas, np.full(n, entry.k_seed), np.full(n, t + 1)]
+            columns = [np.concatenate([old, new]) for old, new in zip(columns, added)]
+        stepped = Portfolio(*columns, p.aggregator, p.tech, p.Lambda)
+        if drift is not None:
+            hit = stream(seed, "drift", t).uniform(size=p.size) < drift.hazard_at(t)
+            if np.any(hit):
+                k = stepped.k[: p.size]
+                k[hit] = k[hit] * (1.0 - drift.drop_frac)
+                events.extend((i, t) for i in p.id[hit].tolist())
+        p = stepped
+
+    periods = np.arange(T + 1, dtype=np.int64)
+    sizes = [block.shape[0] for block in blocks["family_id"]]
+    in_tech = [drift is not None and t in drift.tech_windows for t in range(T + 1)]
+    in_org = [drift is not None and t in drift.org_windows for t in range(T + 1)]
+    return ScenarioResult(
+        **{name: np.concatenate(column) for name, column in blocks.items()},
+        period=np.repeat(periods, sizes),
+        tech_window=np.repeat(np.asarray(in_tech, dtype=bool), sizes),
+        org_window=np.repeat(np.asarray(in_org, dtype=bool), sizes),
+        periods=periods,
+        capability=capability,
+        labor_budget=np.full(T + 1, float(labor_budget)),
+        final=p,
+        events=tuple(events),
+    )

@@ -35,6 +35,7 @@ from structlabor.portfolio import (
     allocate_labor,
     effective_weights,
     periodic_windows,
+    _draw_entrants,
     run_portfolio_scenario,
     step_portfolio,
 )
@@ -56,6 +57,10 @@ TECH = PowerCodification(beta=0.5)
 
 def capability(p):
     return aggregate_capability(p.omega, p.k, p.aggregator)
+
+
+def weights(p):
+    return effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
 
 
 def report(number, ok, detail):
@@ -183,16 +188,16 @@ def test_criterion_05_allocation_optimality():
         kind = AggregatorSpec(kind="ces", rho=0.5) if rng.uniform() < 0.5 else AggregatorSpec(kind="additive")
         p = random_portfolio(rng, J, kind)
         budget = float(rng.uniform(0.1, 3.0))
-        a = allocate_labor(p, budget)
-        b_labor, b_kkt_residual = allocate_bisection(p.tech, effective_weights(p), budget)
+        a = allocate_labor(weights(p), p.tech, budget)
+        b_labor, b_kkt_residual = allocate_bisection(p.tech, weights(p), budget)
         worst_kkt = max(worst_kkt, a.kkt_residual, b_kkt_residual)
         worst_gap = max(worst_gap, float(np.max(np.abs(a.labor - b_labor))))
     value_ok = True
     for _ in range(50):
         p = random_portfolio(rng, 3, AggregatorSpec(kind="ces", rho=0.5))
         budget = float(rng.uniform(0.3, 2.0))
-        res = allocate_labor(p, budget)
-        w = effective_weights(p)
+        res = allocate_labor(weights(p), p.tech, budget)
+        w = weights(p)
         value_ok = value_ok and (
             allocation_value(w, 0.5, res.labor)
             >= grid_allocation_value(w, 0.5, budget, steps=200) - 1e-6
@@ -217,7 +222,7 @@ def test_criterion_06_ces_correctness():
             rho = 0.5
         p = random_portfolio(rng, J, AggregatorSpec(kind="ces", rho=rho))
         agg = capability(p)
-        euler = float(np.dot(p.k, effective_weights(p)))
+        euler = float(np.dot(p.k, weights(p)))
         worst_euler = max(worst_euler, abs(euler - agg) / agg)
 
     worst_limit = 0.0
@@ -236,11 +241,11 @@ def test_criterion_06_ces_correctness():
     for rho in (-1.0, 0.2, 0.5, 0.9):
         spec = AggregatorSpec(kind="ces", rho=rho)
         grid = np.linspace(0.2, 3.0, 12)
-        weights = []
+        own = []
         for k in grid:
             fams = columns(2, [1.0, 1.0], [0.1, 0.1], [float(k), 1.5])
-            weights.append(effective_weights(Portfolio(**fams, aggregator=spec, tech=TECH))[0])
-        monotone = monotone and bool(np.all(np.diff(weights) < 0))
+            own.append(weights(Portfolio(**fams, aggregator=spec, tech=TECH))[0])
+        monotone = monotone and bool(np.all(np.diff(own) < 0))
 
     ok = worst_euler <= 1e-10 and worst_limit <= 1e-6 and monotone
     report(
@@ -253,24 +258,16 @@ def test_criterion_06_ces_correctness():
 
 
 def test_criterion_07_maintenance_and_saturation():
-    from structlabor.portfolio import AllocationResult
-
     rng = np.random.Generator(np.random.Philox(key=107))
     worst_drift = 0.0
     for _ in range(20):
         p = random_portfolio(rng, int(rng.integers(1, 6)), AggregatorSpec(kind="ces", rho=0.5))
         # Feed each family exactly the labor that offsets its decay.
         labor = maintenance_labor(p)
-        exact = AllocationResult(
-            family_ids=p.id,
-            labor=labor,
-            kkt_residual=0.0,
-            weights=effective_weights(p),
-        )
-        stepped = p
+        k = p.k.copy()
         for t in range(1, 4):
-            stepped = step_portfolio(stepped, exact, EntryConfig(mu=0.0), generator(0), next_period=t)
-        worst_drift = max(worst_drift, float(np.max(np.abs(stepped.k - p.k))))
+            step_portfolio(k, p.delta, labor, p.tech)
+        worst_drift = max(worst_drift, float(np.max(np.abs(k - p.k))))
 
     decay_ok = True
     p = Portfolio(**columns(3, [1.0] * 3, [0.05, 0.15, 0.30], [1.0] * 3), aggregator=AggregatorSpec(kind="additive"), tech=TECH)
@@ -301,18 +298,18 @@ def test_criterion_08_frontier_reallocation():
         draws = [(float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.3, 3.0))) for _ in range(J)]
         delta, k = (list(c) for c in zip(*draws))
         p = Portfolio(**columns(J, [1.0] * J, delta, k), aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
-        alloc = allocate_labor(p, 1.0)
+        alloc = allocate_labor(weights(p), p.tech, 1.0)
         entry = EntryConfig(mu=0.5, k_seed=1e-3, omega_median=1.0, omega_sigma=0.0, delta_lo=0.1, delta_hi=0.2)
-        stepped = step_portfolio(p, alloc, entry, generator(derive_seed(108, "entry", attempt)), next_period=1)
-        entrants = stepped.id[stepped.born_at == 1].tolist()
-        if len(entrants) != 1:
+        omegas, _ = _draw_entrants(entry, generator(derive_seed(108, "entry", attempt)))
+        if len(omegas) != 1:
             continue
         trials += 1
-        nxt = allocate_labor(stepped, 1.0)
-        labor = {fid: ell for fid, ell in zip(nxt.family_ids.tolist(), nxt.labor)}
-        entrant_labor = labor[entrants[0]]
-        incumbent_max = max(ell for fid, ell in labor.items() if fid != entrants[0])
-        if entrant_labor > incumbent_max:
+        k = p.k.copy()
+        step_portfolio(k, p.delta, alloc.labor, p.tech)
+        # The entrant joins as the last family, at maturity k_seed.
+        omega, k = np.append(p.omega, omegas), np.append(k, entry.k_seed)
+        labor = allocate_labor(effective_weights(omega, k, p.aggregator, p.Lambda), p.tech, 1.0).labor
+        if labor[-1] > np.max(labor[:-1]):
             successes += 1
     ok = successes == 50
     report(
@@ -327,7 +324,7 @@ def test_criterion_09_roy_equilibrium_and_dispersion():
     fams = columns(2, [1.0, 1.0], [0.1, 0.1], [1.0, 0.5])
     p = Portfolio(**fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
     skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=[0.6, 0.6])
-    oracle = roy_consistent_assignments(skills.a, effective_weights(p), beta=0.5)
+    oracle = roy_consistent_assignments(skills.a, weights(p), beta=0.5)
     eq = solve_roy(skills, p)
     fixed_point_ok = (
         oracle == [(1, 1, 0, 0, 0)]

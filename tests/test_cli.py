@@ -226,6 +226,24 @@ def test_header_only_panel_is_a_runtime_error(tmp_path, capsys):
     assert err["message"].startswith(f"{panel}:")
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"mu": 1.0, "omega_sigma": 1000.0}, "omega must be finite"),
+        ({"mu": 1.0, "omega_median": 1.5e-320, "omega_sigma": 10.0}, "omega must be positive"),
+    ],
+    ids=["weight-overflow", "weight-underflow"],
+)
+def test_entrant_weights_out_of_range_are_a_runtime_error(tmp_path, capsys, entry, message):
+    # The config is valid, but some entrant's exp(omega_sigma * z) leaves
+    # the floating-point range.
+    cfg = write_config(tmp_path, {"portfolio": {"entry": entry}})
+    assert main(["portfolio", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "runtime"
+    assert err["message"] == message
+
+
 def test_bad_config_value_exits_two_with_json_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"baseline": {"gamma": 1.5}})
     assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -331,6 +331,18 @@ def test_shuffled_panel_gives_the_same_estimates():
     assert births.tolist() == count_births(sc.final.born_at, T=80).tolist()
 
 
+def test_births_from_panel_counts_first_appearances_only():
+    # Family 5 leaves after period 1 and returns at 3; period 2 has no rows,
+    # and ids may be negative.
+    f = False
+    p = panel_from([
+        (-2, 1, 1.0, f, f), (5, 1, 1.0, f, f),
+        (7, 3, 1.0, f, f), (5, 3, 1.0, f, f), (-2, 3, 1.0, f, f),
+        (9, 4, 1.0, f, f), (-3, 4, 1.0, f, f), (7, 4, 1.0, f, f),
+    ])
+    assert _births_from_panel(p).tolist() == [0, 2, 0, 1, 2]
+
+
 def test_count_births():
     born = Portfolio(id=[0, 1, 2], omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 2, 2]).born_at
     assert list(count_births(born, T=2)) == [1, 0, 2]

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from structlabor.calibration import PriorSpec, run_monte_carlo
+from structlabor.cli import _births_from_panel
 from structlabor.estimators import MaturityPanel, detect_degradation
 from structlabor.io import PANEL_COLUMNS, write_csv
+from structlabor.portfolio import EntryConfig, Portfolio, run_portfolio_scenario
 
 PERIODS, FAMILIES = 2000, 100
 COLUMN = 8 * PERIODS * FAMILIES
@@ -53,6 +55,35 @@ def test_detect_degradation_peak(ordered_columns):
     flags, peak = traced_peak(detect_degradation, panel)
     assert flags.n_obs == (PERIODS - 1) * FAMILIES
     assert peak <= 7 * COLUMN
+
+
+@pytest.mark.parametrize("layout", ["columns", "table"])
+def test_births_from_panel_peak(ordered_columns, layout):
+    # First appearances are found period by period, without a sorted copy
+    # of the family column, and without a contiguous copy of a column that
+    # is a strided view of one table, as the panel file reader returns.
+    if layout == "table":
+        table = np.empty(PERIODS * FAMILIES, dtype=[(name, col.dtype) for name, col in ordered_columns.items()])
+        for name, col in ordered_columns.items():
+            table[name] = col
+        ordered_columns = {name: table[name] for name in ordered_columns}
+    panel = MaturityPanel(**ordered_columns)
+    births, peak = traced_peak(_births_from_panel, panel)
+    assert births.tolist() == [FAMILIES] + [0] * (PERIODS - 1)
+    assert peak < COLUMN / 10
+
+
+def test_scenario_holds_its_panel_and_little_else():
+    # The panel columns are allocated once at their full length and filled
+    # period by period; 100 families, no entry, no drift.
+    n = FAMILIES
+    p = Portfolio(id=np.arange(n), omega=np.ones(n), delta=np.full(n, 0.1), k=np.ones(n), born_at=np.zeros(n, dtype=np.int64))
+    # A first run pays one-time costs (about 1 MB of lazily built module state).
+    run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.0), 1, seed=0)
+    scenario, peak = traced_peak(run_portfolio_scenario, p, 1.0, EntryConfig(mu=0.0), PERIODS - 1, seed=0)
+    panel_bytes = sum(getattr(scenario, name).nbytes for name in PANEL_COLUMNS)
+    assert len(scenario.family_id) == PERIODS * FAMILIES
+    assert peak <= 1.1 * panel_bytes
 
 
 def test_write_csv_memory_is_bounded_by_a_small_chunk(tmp_path):

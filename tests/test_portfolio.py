@@ -24,6 +24,7 @@ from oracles import (
     g_prime_inv,
     grid_allocation_value,
     maintenance_labor,
+    run_portfolio_scenario_reference,
     validate_codification,
 )
 
@@ -36,6 +37,14 @@ CES = AggregatorSpec(kind="ces", rho=0.5)
 
 def capability(p):
     return aggregate_capability(p.omega, p.k, p.aggregator)
+
+
+def weights(p):
+    return effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
+
+
+def allocate(p, budget):
+    return allocate_labor(weights(p), p.tech, budget)
 
 
 def make_portfolio(stocks, omegas=None, aggregator=CES, Lambda=1.0, deltas=None):
@@ -165,26 +174,26 @@ def test_aggregate_capability_negative_rho_zero_stock():
 
 def test_effective_weights_additive_case():
     p = make_portfolio([1.0, 4.0], omegas=[2.0, 0.5], aggregator=ADD, Lambda=3.0)
-    assert list(effective_weights(p)) == [6.0, 1.5]
+    assert list(weights(p)) == [6.0, 1.5]
 
 
 def test_effective_weights_euler_identity():
     # Degree one homogeneity: capability equals sum_j k_j * weight_j at Lambda 1.
     p = make_portfolio([0.7, 2.3, 1.1], omegas=[1.0, 0.4, 2.0], aggregator=CES)
-    w = effective_weights(p)
+    w = weights(p)
     assert float(np.dot(p.k, w)) == pytest.approx(capability(p), rel=1e-12)
 
 
 def test_effective_weights_decreasing_in_own_stock():
     lo = make_portfolio([0.5, 2.0], aggregator=CES)
     hi = make_portfolio([0.9, 2.0], aggregator=CES)
-    assert effective_weights(hi)[0] < effective_weights(lo)[0]
+    assert weights(hi)[0] < weights(lo)[0]
 
 
 def test_effective_weights_floor_protects_entrants():
     # A zero stock family still gets a finite positive effective weight.
     p = make_portfolio([0.0, 2.0], aggregator=CES)
-    w = effective_weights(p)
+    w = weights(p)
     assert np.all(np.isfinite(w)) and w[0] > 0.0
     floor = p.aggregator.epsilon_floor
     inner = 1.0 * floor**0.5 + 1.0 * 2.0**0.5
@@ -193,8 +202,8 @@ def test_effective_weights_floor_protects_entrants():
 
 def test_allocate_labor_closed_form_matches_bisection():
     p = make_portfolio([0.7, 2.3, 1.1], omegas=[1.0, 0.4, 2.0], aggregator=CES)
-    a = allocate_labor(p, 1.3)
-    b_labor, b_kkt_residual = allocate_bisection(p.tech, effective_weights(p), 1.3)
+    a = allocate(p, 1.3)
+    b_labor, b_kkt_residual = allocate_bisection(p.tech, weights(p), 1.3)
     assert np.allclose(a.labor, b_labor, rtol=1e-8, atol=0)
     assert a.labor.sum() == pytest.approx(1.3, rel=1e-12)
     assert a.kkt_residual < 1e-10
@@ -203,15 +212,15 @@ def test_allocate_labor_closed_form_matches_bisection():
 
 def test_allocate_labor_zero_budget():
     p = make_portfolio([1.0, 2.0])
-    r = allocate_labor(p, 0.0)
+    r = allocate(p, 0.0)
     assert list(r.labor) == [0.0, 0.0]
     assert r.kkt_residual == 0.0
 
 
 def test_allocate_labor_monotone_in_budget():
     p = make_portfolio([0.7, 2.3, 1.1], omegas=[1.0, 0.4, 2.0])
-    small = allocate_labor(p, 0.5)
-    large = allocate_labor(p, 2.0)
+    small = allocate(p, 0.5)
+    large = allocate(p, 2.0)
     assert np.all(large.labor >= small.labor)
 
 
@@ -222,8 +231,8 @@ def test_allocate_labor_beats_grid_search():
         omegas = rng.uniform(0.5, 2.0, size=3)
         p = make_portfolio(stocks, omegas=omegas, aggregator=CES)
         budget = float(rng.uniform(0.3, 2.0))
-        res = allocate_labor(p, budget)
-        w = effective_weights(p)
+        res = allocate(p, budget)
+        w = weights(p)
         best = grid_allocation_value(w, 0.5, budget, steps=200)
         assert allocation_value(w, 0.5, res.labor) >= best - 1e-6
 
@@ -231,7 +240,17 @@ def test_allocate_labor_beats_grid_search():
 def test_allocate_labor_validation():
     p = make_portfolio([1.0])
     with pytest.raises(DomainError):
-        allocate_labor(p, -0.5)
+        allocate(p, -0.5)
+    with pytest.raises(DomainError, match="portfolio has no families"):
+        allocate_labor(np.empty(0), TECH, 1.0)
+
+
+@pytest.mark.parametrize("w", [[1e200, 1.0], [1.3e154, 1.3e154], [1e-200, 1e-200]], ids=["power", "sum", "underflow"])
+def test_allocate_labor_out_of_range_weights_are_a_domain_error(w):
+    # Shares w**2 overflow, their sum overflows, or every share underflows
+    # to zero: the split is undefined, and no RuntimeWarning fires first.
+    with pytest.raises(DomainError, match="effective weights out of range"):
+        allocate_labor(np.array(w), TECH, 1.0)
 
 
 def test_maintenance_labor_holds_stock_constant():
@@ -242,41 +261,28 @@ def test_maintenance_labor_holds_stock_constant():
 
 def test_step_portfolio_hand_check():
     p = make_portfolio([1.0, 4.0], deltas=[0.1, 0.25])
-    alloc = allocate_labor(p, 1.0)
-    no_entry = EntryConfig(mu=0.0)
-    from structlabor.rng import generator
-
-    nxt = step_portfolio(p, alloc, no_entry, generator(0), next_period=1)
+    alloc = allocate(p, 1.0)
+    k = p.k.copy()
+    step_portfolio(k, p.delta, alloc.labor, TECH)
     expected0 = 0.9 * 1.0 + TECH.g(alloc.labor[0])
     expected1 = 0.75 * 4.0 + TECH.g(alloc.labor[1])
-    assert nxt.k[0] == pytest.approx(expected0, rel=1e-14)
-    assert nxt.k[1] == pytest.approx(expected1, rel=1e-14)
-    assert nxt.size == 2
+    assert k[0] == pytest.approx(expected0, rel=1e-14)
+    assert k[1] == pytest.approx(expected1, rel=1e-14)
+    assert k.shape == (2,)
 
 
-def test_step_portfolio_rejects_mismatched_allocation():
+def test_scenario_entrants_get_fresh_ids_and_birth_period():
     p = make_portfolio([1.0, 4.0])
-    other = make_portfolio([1.0, 4.0, 2.0])
-    alloc = allocate_labor(other, 1.0)
-    from structlabor.rng import generator
-
-    with pytest.raises(DomainError):
-        step_portfolio(p, alloc, EntryConfig(mu=0.0), generator(0), next_period=1)
-
-
-def test_step_portfolio_entrants_get_fresh_ids_and_birth_period():
-    p = make_portfolio([1.0, 4.0])
-    alloc = allocate_labor(p, 1.0)
     entry = EntryConfig(mu=6.0, k_seed=1e-3, omega_median=1.0, omega_sigma=0.5, delta_lo=0.1, delta_hi=0.2)
-    from structlabor.rng import generator
-
-    nxt = step_portfolio(p, alloc, entry, generator(5), next_period=7)
-    born = nxt.born_at == 7
+    sc = run_portfolio_scenario(p, 1.0, entry, T=7, seed=5)
+    final = sc.final
+    born = final.born_at == 7
     assert np.count_nonzero(born) >= 1
-    assert np.all(nxt.id[born] >= 2)
-    assert np.all(nxt.k[born] == 1e-3)
-    assert np.all((0.1 <= nxt.delta[born]) & (nxt.delta[born] <= 0.2))
-    assert tuple(nxt.id.tolist()) == tuple(sorted(nxt.id.tolist()))
+    assert np.all(final.id[born] >= 2)
+    assert np.all(sc.maturity[sc.period == 7][born] == 1e-3)
+    assert np.all((0.1 <= final.delta[final.born_at > 0]) & (final.delta[final.born_at > 0] <= 0.2))
+    assert np.array_equal(final.id, np.arange(final.size))
+    assert np.all(np.diff(final.born_at) >= 0)
 
 
 def test_entry_config_validation():
@@ -305,16 +311,10 @@ def test_maintenance_allocation_is_stationary():
 
 
 def test_exact_maintenance_labor_freezes_any_portfolio():
-    from structlabor.portfolio import AllocationResult
-    from structlabor.rng import generator
-
     p = make_portfolio([1.0, 4.0, 2.5], deltas=[0.1, 0.25, 0.15])
-    ell = maintenance_labor(p)
-    exact = AllocationResult(
-        family_ids=p.id, labor=ell, kkt_residual=0.0, weights=effective_weights(p),
-    )
-    stepped = step_portfolio(p, exact, EntryConfig(mu=0.0), generator(0), next_period=1)
-    assert np.allclose(stepped.k, p.k, rtol=0, atol=1e-12)
+    k = p.k.copy()
+    step_portfolio(k, p.delta, maintenance_labor(p), TECH)
+    assert np.allclose(k, p.k, rtol=0, atol=1e-12)
 
 
 def test_zero_budget_stocks_decay_geometrically():
@@ -420,7 +420,7 @@ def test_portfolio_at_reconstructs_the_recorded_state():
         at = scenario.period == t
         assert tuple(snap.id.tolist()) == tuple(int(i) for i in scenario.family_id[at])
         assert np.array_equal(snap.k, scenario.maturity[at])
-        alloc = allocate_labor(snap, 1.0)
+        alloc = allocate(snap, 1.0)
         assert np.allclose(alloc.labor, scenario.labor[at], rtol=0, atol=1e-12)
     with pytest.raises(DomainError):
         scenario.portfolio_at(16)
@@ -458,3 +458,54 @@ def test_scenario_timing_contract_holds_in_every_period():
         assert np.all(sc.maturity[nxt][n:] == entry.k_seed)
         assert np.all(final.born_at[rows] <= t)
     assert {t for _, t in events} <= set(range(T))
+
+
+DRIFT = DriftConfig(
+    env_hazard=0.05, tech_hazard=0.2, org_hazard=0.1,
+    tech_windows=periodic_windows(1, 4, 60), org_windows=periodic_windows(3, 5, 60),
+    drop_frac=0.4,
+)
+GAPPED = Portfolio(
+    id=[0, 3, 9], omega=[1.0, 0.7, 1.3], delta=[0.1, 0.2, 0.15], k=[1.0, 0.5, 2.0], born_at=[0, 0, 0],
+    aggregator=CES, tech=TECH,
+)
+# (initial portfolio, labor budget, entry, drift) per case.
+REFERENCE_CASES = {
+    "additive": (make_portfolio([1.0, 0.5, 2.0], aggregator=ADD), 1.0, EntryConfig(mu=0.4), None),
+    "ces-complements": (
+        make_portfolio([1.0, 0.5, 2.0], aggregator=AggregatorSpec(kind="ces", rho=-0.5)), 1.0, EntryConfig(mu=0.4), None,
+    ),
+    "ces-substitutes": (make_portfolio([1.0, 0.5, 2.0], aggregator=CES, Lambda=2.5), 1.3, EntryConfig(mu=0.4), None),
+    "entry-and-drift": (make_portfolio([1.0, 0.5, 2.0], deltas=[0.1, 0.2, 0.15]), 1.0, EntryConfig(mu=0.6), DRIFT),
+    "gapped-ids": (GAPPED, 1.0, EntryConfig(mu=0.5), DRIFT),
+    "zero-budget": (make_portfolio([1.0, 0.5, 2.0]), 0.0, EntryConfig(mu=0.5), DRIFT),
+}
+
+
+@pytest.mark.parametrize("p, budget, entry, drift", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+def test_scenario_matches_the_per_period_loop_bit_for_bit(p, budget, entry, drift):
+    sc = run_portfolio_scenario(p, budget, entry, T=60, seed=13, drift=drift)
+    ref = run_portfolio_scenario_reference(p, budget, entry, T=60, seed=13, drift=drift)
+    assert sc.final.size > p.size
+    for name in (
+        "family_id", "period", "maturity", "labor", "effective_weight", "tech_window", "org_window",
+        "periods", "capability", "labor_budget",
+    ):
+        got, want = getattr(sc, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    for name in ("id", "omega", "delta", "k", "born_at"):
+        got, want = getattr(sc.final, name), getattr(ref.final, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (sc.final.aggregator, sc.final.tech, sc.final.Lambda) == (p.aggregator, p.tech, p.Lambda)
+    assert sc.events == ref.events
+    assert (len(sc.events) > 0) is (drift is not None)
+
+
+def test_scenario_validates_one_portfolio(monkeypatch):
+    p = make_portfolio([1.0, 0.5])
+    built = []
+    check = Portfolio.__post_init__
+    monkeypatch.setattr(Portfolio, "__post_init__", lambda self: built.append(check(self)))
+    sc = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.5), T=30, seed=2, drift=DRIFT)
+    assert len(built) == 1
+    assert sc.final.size > 2

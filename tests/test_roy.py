@@ -88,7 +88,7 @@ def test_family_prices_formula():
     p = two_family_portfolio()
     labor = np.array([3.0, 1.0])
     prices = family_prices(p, labor)
-    w = effective_weights(p)
+    w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
     assert prices[0] == pytest.approx(w[0] * 0.5 * 3.0 ** (-0.5), rel=1e-14)
     assert prices[1] == pytest.approx(w[1] * 0.5 * 1.0 ** (-0.5), rel=1e-14)
     # The floor keeps an empty family's rate finite.
@@ -103,7 +103,7 @@ def test_family_prices_formula():
 def test_solve_roy_reaches_an_enumerated_fixed_point():
     p = two_family_portfolio()
     skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=[0.6, 0.6])
-    w = effective_weights(p)
+    w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
     oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
     assert oracle == [(1, 1, 0, 0, 0)]
     eq = solve_roy(skills, p)
@@ -119,7 +119,7 @@ def test_solve_roy_reaches_an_enumerated_fixed_point():
 def test_solve_roy_second_instance():
     p = two_family_portfolio()
     skills = WorkerSkillMatrix.generate(5, p, seed=4, sigma_ln=[0.6, 0.6])
-    w = effective_weights(p)
+    w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
     oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
     assert oracle == [(0, 1, 1, 0, 1)]
     eq = solve_roy(skills, p)
@@ -148,7 +148,7 @@ def test_solve_roy_reports_nonexistence_honestly():
         aggregator=AggregatorSpec(kind="additive"), tech=TECH,
     )
     skills = WorkerSkillMatrix(a=np.array([[1.0, 1.0]]), family_ids=(0, 1))
-    w = effective_weights(p)
+    w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
     assert roy_consistent_assignments(skills.a, w, beta=0.5) == []
     eq = solve_roy(skills, p)
     assert not eq.converged
