@@ -232,7 +232,13 @@ def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
     )
 
     def arm_dict(arm) -> dict:
-        return {**asdict(arm.stats), "n_families": arm.n_families, "converged": arm.converged}
+        return {
+            **asdict(arm.stats),
+            "n_families": arm.n_families,
+            "gap_max": arm.gap_max,
+            "residual_max": arm.residual_max,
+            "tied_workers_max": arm.tied_workers_max,
+        }
 
     payload = {
         "treatment": result.treatment,

@@ -5,9 +5,13 @@ them the most.  A family's piece rate is the marginal value of labor on
 its maintenance problem: effective weight times the marginal
 codification product at the family's labor level.  Because piece rates
 fall as labor crowds in, assignment and rates must be mutually
-consistent; a damped fixed-point iteration finds that point.  The module
-also runs paired counterfactual experiments measuring how wage
-dispersion responds to faster family turnover.
+consistent.  With workers free to split their time between families
+they are indifferent between, that equilibrium maximizes a strictly
+concave potential, so it exists and its labor is unique; the solver
+minimizes the potential's convex dual in log prices and certifies the
+point it returns.  The module also runs paired counterfactual
+experiments measuring how wage dispersion responds to faster family
+turnover.
 """
 
 from __future__ import annotations
@@ -32,9 +36,19 @@ from .rng import derive_seed, stream
 _DELTA_CAP = 0.95
 # Labor at which piece rates are evaluated for families nobody serves, so their rates stay finite.
 _LABOR_FLOOR = 1e-6
-# Step of the damped labor update, and the cap on update steps per solve.
-_DAMPING = 0.3
-_MAX_ITER = 500
+# Entropic smoothing of the dual, one Newton stage each, largest first.
+_SMOOTHING = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+# From this smoothing on, Newton holds every worker whose top-two gap
+# exceeds _ACTIVE_GAP times the previous smoothing at their best family,
+# and each stage ends with exact finishes at tie widths _TIE_WIDTHS times
+# its smoothing.
+_SHARP = 1e-3
+_ACTIVE_GAP = 20.0
+_TIE_WIDTHS = (1.0, 3.0, 10.0, 30.0)
+# A stage ends once a Newton step moves no log price by more than
+# _STEP_TOL times its smoothing, or after _NEWTON_STEPS steps.
+_STEP_TOL = 0.1
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,21 +87,36 @@ class WorkerSkillMatrix:
         sigmas = np.asarray(sigma_ln, dtype=float)
         require(sigmas.shape == (n,), "sigma_ln must have one entry per family")
         require(bool(np.all(np.isfinite(sigmas)) and np.all(sigmas >= 0.0)), "sigma_ln must be nonnegative")
-        slot_within_cohort: dict[int, int] = {}
-        columns = []
-        for born, sigma in zip(portfolio.born_at.tolist(), sigmas):
-            slot = slot_within_cohort.get(born, 0)
-            slot_within_cohort[born] = slot + 1
-            z = stream(seed, f"skills:{born}:{slot}").standard_normal(n_workers)
-            columns.append(np.exp(sigma * z))
-        return cls(a=np.column_stack(columns), family_ids=tuple(portfolio.id.tolist()))
+        z = _skill_normals(n_workers, portfolio, seed)
+        return cls(a=np.exp(z * sigmas), family_ids=tuple(portfolio.id.tolist()))
+
+
+def _skill_normals(n_workers: int, portfolio: Portfolio, seed: int) -> np.ndarray:
+    """The raw normal draws behind :meth:`WorkerSkillMatrix.generate`, one column per family.
+
+    A column depends only on the family's birth period and rank within
+    that cohort, so the columns of a portfolio's first families are those
+    of any later portfolio that extends it.
+    """
+    slot_within_cohort: dict[int, int] = {}
+    z = np.empty((n_workers, portfolio.size))
+    for col, born in enumerate(portfolio.born_at.tolist()):
+        slot = slot_within_cohort.get(born, 0)
+        slot_within_cohort[born] = slot + 1
+        z[:, col] = stream(seed, f"skills:{born}:{slot}").standard_normal(n_workers)
+    return z
 
 
 @dataclass(frozen=True, eq=False)
 class RoyEquilibrium:
     """A self-consistent assignment: who works where, at what rates.
 
-    ``prices`` holds one piece rate per family, in the portfolio's family order.
+    ``prices`` holds one piece rate per family, in the portfolio's family
+    order, and ``labor`` the workers per family, split workers counted by
+    their shares.  ``iterations`` counts Newton steps, ``converged`` says
+    whether the point is certified, ``gap`` and ``residual`` are its
+    complementarity gap and clearing residual (see :func:`solve_roy`), and
+    ``tied_workers`` counts workers whose time is split between families.
     """
 
     assignment: np.ndarray
@@ -97,6 +126,8 @@ class RoyEquilibrium:
     iterations: int
     residual: float
     converged: bool
+    gap: float
+    tied_workers: int
 
 
 @dataclass(frozen=True)
@@ -131,84 +162,276 @@ def family_prices(portfolio: Portfolio, labor: np.ndarray) -> np.ndarray:
     return rates
 
 
-def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9) -> RoyEquilibrium:
-    """Find assignment and piece rates consistent with each other.
+def _entropic_dual(pi, c, held, log_s, r, eps):
+    """The dual smoothed by eps * logsumexp over the rows ``c``, its plan and the supplies.
 
-    Iterates: given a labor distribution, compute rates; assign every
-    worker to their wage-maximizing family (ties resolved to the lowest
-    family index); move labor a fraction ``_DAMPING`` toward the implied
-    head counts.  Stops when head counts and labor agree within ``tol``,
-    which makes the final assignment optimal against the rates its own
-    labor distribution generates.  When the residual stalls (workers
-    flipping between near-indifferent families), the step size is halved
-    so the iteration settles instead of cycling; a pure fixed point need
-    not exist with finitely many workers, in which case the iteration
-    stops after ``_MAX_ITER`` steps and the result carries
-    ``converged=False`` and the residual that remained.  The reported
-    wages are always optimal against the reported rates.
+    Workers outside ``c`` are held at their best family; ``held`` counts
+    them per family, and their terms are linear in ``pi`` up to a constant.
+    """
+    plan = c + pi
+    plan /= eps
+    top = plan.max(axis=1, keepdims=True)
+    plan -= top
+    np.exp(plan, out=plan)
+    z = plan.sum(axis=1, keepdims=True)
+    plan /= z
+    with np.errstate(over="ignore"):
+        supply = np.exp(log_s - r * pi)
+    value = eps * float(np.sum(top) + np.sum(np.log(z))) + float(held @ pi) + float(supply.sum()) / r
+    return value, plan, supply
+
+
+def _dual_newton(pi, c, held, log_s, r, eps):
+    """Damped Newton on the smoothed dual from ``pi``.
+
+    Returns the minimizer, its derivative d pi / d eps along the smoothing
+    path, and the number of steps taken.  A step the line search cannot
+    use ends the stage where it stands, with a zero derivative.
+    """
+    value, plan, supply = _entropic_dual(pi, c, held, log_s, r, eps)
+    steps = 0
+    while True:
+        mass = plan.sum(axis=0)
+        grad = mass + held - supply
+        hess = (np.diag(mass) - plan.T @ plan) / eps + np.diag(r * supply)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            return pi, np.zeros_like(pi), steps
+        steps += 1
+        if np.max(np.abs(step)) <= _STEP_TOL * eps or steps == _NEWTON_STEPS:
+            break
+        slope = float(grad @ step)
+        t = 1.0
+        while True:
+            trial = pi + t * step
+            trial_value, trial_plan, trial_supply = _entropic_dual(trial, c, held, log_s, r, eps)
+            if trial_value <= value + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return pi, np.zeros_like(pi), steps
+        pi, value, plan, supply = trial, trial_value, trial_plan, trial_supply
+    # d grad / d eps = -sum_i plan_i * (v_i - plan_i . v_i) / eps^2 with v = c + pi,
+    # and along the path hess @ (d pi / d eps) = -d grad / d eps.
+    v = c + pi
+    drift = (plan * (v - np.sum(plan * v, axis=1, keepdims=True))).sum(axis=0) / eps**2
+    return pi + step, np.linalg.solve(hess, drift), steps
+
+
+def _finish(c, pi, log_s, r, width, tol):
+    """The exact equilibrium whose tie workers are those within ``width`` of their best family.
+
+    The other workers are held at their best family.  Returns the
+    assignment shares x and the log prices, or None unless the ties form
+    a forest and four checks pass: every held worker's family is still a
+    best one and every tie worker is indifferent across its tie with
+    nothing better outside it (both within ``tol`` in log wage), every
+    share lies in [0, 1], and every served family's labor is at or above
+    the floor.
+    """
+    n, j = c.shape
+    floor_price = (log_s - math.log(_LABOR_FLOOR)) / r
+    v = c + np.minimum(pi, floor_price)
+    near = v >= (v.max(axis=1) - width)[:, None]
+    links = near.sum(axis=1)
+    tied = np.flatnonzero(links > 1)
+    edges = int(np.sum(links[tied] - 1))
+    # A forest over j families has fewer than j edges.
+    if edges >= j:
+        return None
+    held = np.flatnonzero(links == 1)
+    best = np.argmax(near[held], axis=1)
+    counts = np.bincount(best, minlength=j).astype(float)
+    # Families linked by tie workers form components; each is labelled by
+    # its lowest family index, found by squaring the reachability matrix.
+    ties = near[tied].astype(float)
+    reach = (ties.T @ ties + np.eye(j)) > 0.0
+    for _ in range(edges.bit_length()):
+        reach = (reach.astype(float) @ reach) > 0.0
+    comp = np.argmax(reach, axis=1)
+    roots = np.flatnonzero(comp == np.arange(j))
+    if edges != j - roots.size:
+        return None
+    # Within a component each tie fixes one relative log price: a tie worker
+    # earns the same c_if + pi_f in every family f of its tie.
+    k_of, f_of = np.nonzero(ties)
+    first = np.argmax(ties, axis=1)[k_of]
+    rel = f_of != first
+    system = np.zeros((j, j))
+    rhs = np.zeros(j)
+    rows = np.arange(edges)
+    system[rows, f_of[rel]] = 1.0
+    system[rows, first[rel]] = -1.0
+    rhs[:edges] = c[tied[k_of[rel]], first[rel]] - c[tied[k_of[rel]], f_of[rel]]
+    system[edges + np.arange(roots.size), roots] = 1.0
+    delta = np.linalg.solve(system, rhs)
+    # Each component's level clears its workers: sum_f S_f(pi_root + delta_f) = N_C.
+    workers = np.bincount(comp, weights=counts, minlength=j) + np.bincount(comp[first[~rel]], minlength=j)
+    q = log_s - r * delta
+    top = np.full(j, -np.inf)
+    np.maximum.at(top, comp, q)
+    mass = np.bincount(comp, weights=np.exp(q - top[comp]), minlength=j)
+    served = workers[comp] > 0.0
+    root = comp[served]
+    pi = floor_price.copy()
+    pi[served] = delta[served] + (top[root] + np.log(mass[root]) - np.log(workers[root])) / r
+    x = np.zeros((n, j))
+    x[held, best] = 1.0
+    if tied.size:
+        # Tie shares: each tie worker's shares sum to one, and each family's
+        # labor meets its supply; one family row per component is redundant.
+        supply = np.exp(log_s - r * pi)
+        linked = np.flatnonzero(ties.any(axis=0) & (comp != np.arange(j)))
+        row_of = np.full(j, -1)
+        row_of[linked] = tied.size + np.arange(linked.size)
+        system = np.zeros((tied.size + linked.size, k_of.size))
+        system[k_of, np.arange(k_of.size)] = 1.0
+        on_row = np.flatnonzero(row_of[f_of] >= 0)
+        system[row_of[f_of[on_row]], on_row] = 1.0
+        shares = np.linalg.solve(system, np.concatenate([np.ones(tied.size), supply[linked] - counts[linked]]))
+        if not np.all(shares >= 0.0):
+            return None
+        x[tied[k_of], f_of] = shares
+    labor = x.sum(axis=0)
+    if np.any((labor > 0.0) & (labor < _LABOR_FLOOR)):
+        return None
+    v = c + pi
+    if np.any((v.max(axis=1)[:, None] - v)[x > 0.0] > tol):
+        return None
+    return x, pi
+
+
+def _certificates(x, pi, c, log_s, r):
+    """Complementarity gap, clearing residual and dual value G of shares x at log prices pi."""
+    v = c + pi
+    u = v.max(axis=1)
+    gap = float(np.sum(x * (u[:, None] - v)))
+    with np.errstate(over="ignore"):
+        supply = np.exp(log_s - r * pi)
+    residual = float(np.max(np.abs(np.maximum(x.sum(axis=0), _LABOR_FLOOR) - supply)))
+    dual = float(np.sum(u)) + float(np.sum(np.maximum(supply - _LABOR_FLOOR, 0.0))) / r
+    return gap, residual, dual
+
+
+def _certified_finish(c, pi, log_s, r, eps, tol):
+    """Shares, gap and residual of the first finish at a tie width in ``_TIE_WIDTHS`` times eps
+    whose certificates are at most ``tol * max(1, |G|)``, or None."""
+    for width in _TIE_WIDTHS:
+        point = _finish(c, pi, log_s, r, width * eps, tol)
+        if point is not None:
+            gap, residual, dual = _certificates(*point, c, log_s, r)
+            if max(gap, residual) <= tol * max(1.0, abs(dual)):
+                return point[0], gap, residual
+    return None
+
+
+def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9) -> RoyEquilibrium:
+    """Find assignment and piece rates consistent with each other, with a certificate.
+
+    Worker i may split its unit across families: x_ij >= 0 with
+    sum_j x_ij = 1.  In log prices pi, with c = log(a), worker i earns at
+    most u_i = max_j(c_ij + pi_j), and family j's piece rate at labor l
+    is w_j * g'(max(l, floor)), whose inverse is the supply
+    S_j(pi_j) = (beta * w_j * exp(-pi_j))**(1 / (1 - beta)).  The
+    equilibrium minimizes the convex dual
+
+        G(pi) = sum_i u_i + (1 - beta) * sum_j max(S_j(pi_j) - floor, 0),
+
+    and its labor vector is unique.  The solve runs damped Newton on G
+    with the max smoothed to eps * logsumexp, eps falling tenfold per
+    stage from ``_SMOOTHING[0]``; each stage starts from the previous one
+    moved along the smoothing path.  From eps = ``_SHARP`` on, Newton
+    holds each worker whose top-two gap is wide at its best family, and
+    after each stage the point extrapolated to eps = 0 is handed to an exact
+    finish (:func:`_finish`) at each tie width in ``_TIE_WIDTHS`` times
+    eps.  A finish is accepted when two certificates are at most
+    ``tol * max(1, |G|)``: the complementarity gap
+    sum_ij x_ij * (u_i - c_ij - pi_j), and the clearing residual
+    max_j |max(l_j, floor) - S_j(pi_j)| with l_j = sum_i x_ij, which is
+    zero exactly when every price is the one its labor implies.
+
+    The solve runs at Lambda = 1 and the reported prices carry Lambda, so
+    assignment and labor cannot depend on it.  ``assignment`` is each
+    worker's largest-share family (lowest index on ties), ``labor`` is
+    sum_i x_ij, ``prices`` come from :func:`family_prices` at that labor,
+    and ``wages`` are each worker's best wage at those prices.  When no
+    finish is accepted after the last stage, the result is the last
+    smoothed point, with ``converged=False`` and its own gap and residual.
     """
     require(skills.family_ids == tuple(portfolio.id.tolist()), "skill columns must match portfolio families")
     require(tol > 0.0, "tol must be positive")
 
     n, j = skills.a.shape
-    w = effective_weights(portfolio.omega, portfolio.k, portfolio.aggregator, portfolio.Lambda)
-    labor = np.full(j, n / j, dtype=float)
-    lam = _DAMPING
-    best = math.inf
-    stall = 0
-    iterations = 0
-    while True:
-        prices = w * portfolio.tech.g_prime(np.maximum(labor, _LABOR_FLOOR))
-        assignment = np.argmax(skills.a * prices, axis=1)
-        counts = np.bincount(assignment, minlength=j).astype(float)
-        residual = float(np.max(np.abs(counts - labor)))
-        converged = residual < tol
-        if converged or iterations >= _MAX_ITER:
-            break
-        if residual < best - 1e-12:
-            best = residual
-            stall = 0
+    beta = portfolio.tech.beta
+    r = 1.0 / (1.0 - beta)
+    w = effective_weights(portfolio.omega, portfolio.k, portfolio.aggregator, 1.0)
+    log_s = r * np.log(beta * w)
+    # Family j's supply at log price pi_j is S_j = exp(log_s_j - r * pi_j).
+    c = np.log(skills.a)
+    # Start where every family's supply is n / j workers.
+    pi = (log_s - math.log(n / j)) / r
+    steps = 0
+    found = None
+    for stage, eps in enumerate(_SMOOTHING):
+        if stage:
+            pi = pi + (eps - _SMOOTHING[stage - 1]) * tangent
+        if eps > _SHARP:
+            rows, held = c, np.zeros(j)
         else:
-            stall += 1
-            if stall >= 25:
-                lam = max(0.5 * lam, 1e-3)
-                stall = 0
-        labor = (1.0 - lam) * labor + lam * counts
-        iterations += 1
-
-    # The loop's last rates again, now through the checked path.
+            v = c + pi
+            best = np.argmax(v, axis=1)
+            top = v[np.arange(n), best]
+            v[np.arange(n), best] = -np.inf
+            active = top - v.max(axis=1) < _ACTIVE_GAP * _SMOOTHING[stage - 1]
+            rows, held = c[active], np.bincount(best[~active], minlength=j).astype(float)
+        pi, tangent, k = _dual_newton(pi, rows, held, log_s, r, eps)
+        steps += k
+        if eps <= _SHARP:
+            found = _certified_finish(c, pi - eps * tangent, log_s, r, eps, tol)
+            if found is not None:
+                break
+    if found is None:
+        _, x, _ = _entropic_dual(pi, c, np.zeros(j), log_s, r, eps)
+        gap, residual, _ = _certificates(x, pi, c, log_s, r)
+    else:
+        x, gap, residual = found
+    labor = x.sum(axis=0)
     prices = family_prices(portfolio, labor)
-    wages = prices[assignment] * skills.a[np.arange(n), assignment]
     return RoyEquilibrium(
-        assignment=assignment,
+        assignment=np.argmax(x, axis=1),
         labor=labor,
         prices=prices,
-        wages=wages,
-        iterations=iterations,
+        wages=(skills.a * prices).max(axis=1),
+        iterations=steps,
         residual=residual,
-        converged=converged,
+        converged=found is not None,
+        gap=gap,
+        tied_workers=int(np.count_nonzero(np.count_nonzero(x, axis=1) > 1)),
     )
 
 
 def wage_stats(wages: np.ndarray) -> DispersionStats:
     """Dispersion statistics of a wage array.
 
-    Log-wage variance is the sample statistic (ddof=1); the decile ratio
-    uses linearly interpolated quantiles; the top decile share uses the
-    ceil(N/10) highest earners.
+    Log-wage variance is the sample statistic (ddof=1), taken in two
+    passes; the decile ratio uses linearly interpolated quantiles; the
+    top decile share uses the ceil(N/10) highest earners.  Every sum is a
+    correctly rounded ``math.fsum``.
     """
     wages = np.asarray(wages, dtype=float)
     require(wages.ndim == 1 and wages.size >= 2, "need at least two wages")
     require(bool(np.all(np.isfinite(wages)) and np.all(wages > 0.0)), "wages must be finite and positive")
+    n = wages.size
     logs = np.log(wages)
     p10, p90 = np.quantile(wages, [0.10, 0.90], method="linear")
-    m = max(1, math.ceil(0.1 * wages.size))
-    top = np.sort(wages)[-m:]
+    top = np.sort(wages)[-max(1, math.ceil(0.1 * n)):]
+    total = math.fsum(wages)
     return DispersionStats(
-        mean_wage=float(np.mean(wages)),
-        log_wage_variance=float(np.var(logs, ddof=1)),
+        mean_wage=total / n,
+        log_wage_variance=math.fsum((logs - math.fsum(logs) / n) ** 2) / (n - 1),
         p90_p10=float(p90 / p10),
-        top_decile_share=float(np.sum(top) / np.sum(wages)),
+        top_decile_share=math.fsum(top) / total,
     )
 
 
@@ -237,8 +460,8 @@ class RoyExperiment:
     assignment problem, and records dispersion statistics; the treatment
     arm repeats this with the entry intensity or the decay rates scaled
     by a factor, reusing the same random draws everywhere the two arms
-    overlap.  Each solve uses ``tol``; its step ``_DAMPING`` and step cap
-    ``_MAX_ITER`` are module constants.
+    overlap.  Each solve is certified to ``tol``, the only solver setting
+    here; its smoothing schedule and tie widths are module constants.
     """
 
     n_initial: int = 6
@@ -280,11 +503,13 @@ class RoyExperiment:
 
 @dataclass(frozen=True)
 class ArmOutcome:
-    """One arm of one replication."""
+    """One arm of one replication, with the largest certificates and tie count of its solves."""
 
     stats: DispersionStats
     n_families: int
-    converged: bool
+    gap_max: float
+    residual_max: float
+    tied_workers_max: int
 
 
 @dataclass(frozen=True)
@@ -326,30 +551,43 @@ def _run_arm(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: 
     )
     # Dispersion is averaged over the last eval_window periods so that the
     # measurement is not hostage to whether a family happened to be born
-    # right at the horizon.  Worker draws are keyed by family identity and
-    # shared across periods: a family keeps the same underlying aptitude
-    # column while its skill scale tracks its maturity.
-    skills_seed = derive_seed(rep_seed, "skills")
-    variances, ratios, shares, means = [], [], [], []
-    all_converged = True
+    # right at the horizon.
+    periods = _evaluated_skills(exp, scenario, derive_seed(rep_seed, "skills"))
+    eqs = [solve_roy(skills, pt, tol=exp.tol) for pt, skills in periods]
+    stats = [wage_stats(eq.wages) for eq in eqs]
+    averaged = DispersionStats(
+        mean_wage=_mean([s.mean_wage for s in stats]),
+        log_wage_variance=_mean([s.log_wage_variance for s in stats]),
+        p90_p10=_mean([s.p90_p10 for s in stats]),
+        top_decile_share=_mean([s.top_decile_share for s in stats]),
+    )
+    return ArmOutcome(
+        stats=averaged,
+        n_families=scenario.final.size,
+        gap_max=max(eq.gap for eq in eqs),
+        residual_max=max(eq.residual for eq in eqs),
+        tied_workers_max=max(eq.tied_workers for eq in eqs),
+    )
+
+
+def _evaluated_skills(exp: RoyExperiment, scenario, seed: int):
+    """Each evaluated period's portfolio and worker skills.
+
+    Worker draws are keyed by family identity and shared across periods:
+    a family keeps the same underlying aptitude column while its skill
+    scale tracks its maturity.  Families never exit, so the normals are
+    drawn once for the final families and each period rescales its first
+    columns, exactly as :meth:`WorkerSkillMatrix.generate` would.
+    """
+    z = _skill_normals(exp.n_workers, scenario.final, seed)
     for t in range(exp.T - exp.eval_window + 1, exp.T + 1):
         pt = scenario.portfolio_at(t)
         sigmas = maturity_skill_sigma(pt.k, exp.sigma_young, exp.sigma_mature, exp.k_ref)
-        skills = WorkerSkillMatrix.generate(exp.n_workers, pt, seed=skills_seed, sigma_ln=sigmas)
-        eq = solve_roy(skills, pt, tol=exp.tol)
-        stats = wage_stats(eq.wages)
-        variances.append(stats.log_wage_variance)
-        ratios.append(stats.p90_p10)
-        shares.append(stats.top_decile_share)
-        means.append(stats.mean_wage)
-        all_converged = all_converged and eq.converged
-    averaged = DispersionStats(
-        mean_wage=float(np.mean(means)),
-        log_wage_variance=float(np.mean(variances)),
-        p90_p10=float(np.mean(ratios)),
-        top_decile_share=float(np.mean(shares)),
-    )
-    return ArmOutcome(stats=averaged, n_families=scenario.final.size, converged=all_converged)
+        yield pt, WorkerSkillMatrix(a=np.exp(z[:, : pt.size] * sigmas), family_ids=tuple(pt.id.tolist()))
+
+
+def _mean(values) -> float:
+    return math.fsum(values) / len(values)
 
 
 def dispersion_experiment(
@@ -385,13 +623,12 @@ def dispersion_experiment(
         treated.append(t)
         diffs.append(t.stats.log_wage_variance - b.stats.log_wage_variance)
 
-    diffs_arr = np.asarray(diffs)
     return ExperimentResult(
         treatment=treatment,
         factor=factor,
         base=tuple(base),
         treated=tuple(treated),
         variance_diffs=tuple(diffs),
-        mean_variance_diff=float(np.mean(diffs_arr)),
-        share_positive=float(np.mean(diffs_arr > 0.0)),
+        mean_variance_diff=_mean(diffs),
+        share_positive=sum(d > 0.0 for d in diffs) / len(diffs),
     )

@@ -240,48 +240,6 @@ def roy_consistent_assignments(
     return consistent
 
 
-def solve_roy_reference(skills, portfolio, tol: float = 1e-9) -> dict:
-    """The damped Roy fixed-point loop, with every rate taken through ``family_prices``.
-
-    Unlike the rest of this module it reuses the package's rate formula:
-    it pins the solver's arithmetic bit for bit, not the model.  Damping
-    0.3, halved (down to 1e-3) after 25 steps without a new best
-    residual; at most 500 steps.  Returns the equilibrium's fields plus
-    ``step``, the damping in force when the loop stopped.
-    """
-    from structlabor.roy import family_prices
-
-    n, j = skills.a.shape
-    labor = np.full(j, n / j, dtype=float)
-    lam, best, stall, iterations = 0.3, math.inf, 0, 0
-    while True:
-        prices = family_prices(portfolio, labor)
-        assignment = np.argmax(skills.a * prices, axis=1)
-        counts = np.bincount(assignment, minlength=j).astype(float)
-        residual = float(np.max(np.abs(counts - labor)))
-        converged = residual < tol
-        if converged or iterations >= 500:
-            break
-        if residual < best - 1e-12:
-            best, stall = residual, 0
-        else:
-            stall += 1
-            if stall >= 25:
-                lam, stall = max(0.5 * lam, 1e-3), 0
-        labor = (1.0 - lam) * labor + lam * counts
-        iterations += 1
-    return {
-        "assignment": assignment,
-        "labor": labor,
-        "prices": prices,
-        "wages": prices[assignment] * skills.a[np.arange(n), assignment],
-        "iterations": iterations,
-        "residual": residual,
-        "converged": converged,
-        "step": lam,
-    }
-
-
 def corner_share_extremes(alpha_box, r_box, delta_box, gamma_box, share_fn) -> tuple[float, float]:
     """Exact share extremes by evaluating every corner of the prior box."""
     values = [
@@ -297,7 +255,7 @@ def corner_share_extremes(alpha_box, r_box, delta_box, gamma_box, share_fn) -> t
 def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, drift=None):
     """The scenario as a per-period loop that rebuilds its portfolio every period.
 
-    Like :func:`solve_roy_reference` it pins arithmetic, not the model:
+    It pins arithmetic, not the model:
     each period builds and validates a new ``Portfolio`` holding the
     decayed stocks plus that period's entrants, keeps one column block
     per period, and joins the blocks at the end.  The weight, allocation

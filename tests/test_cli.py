@@ -122,7 +122,11 @@ def test_roy_command_reports_paired_arms(tmp_path):
     assert rep["variance_diff"] == pytest.approx(
         rep["treated"]["log_wage_variance"] - rep["base"]["log_wage_variance"]
     )
-    assert isinstance(rep["base"]["converged"], bool)
+    for arm in ("base", "treated"):
+        assert 0.0 <= rep[arm]["gap_max"] <= 1e-9 * 40
+        assert 0.0 <= rep[arm]["residual_max"] <= 1e-9 * 40
+        assert isinstance(rep[arm]["tied_workers_max"], int)
+        assert "converged" not in rep[arm]
 
 
 def test_estimate_pipeline_mode_writes_indices(tmp_path):
@@ -242,6 +246,17 @@ def test_entrant_weights_out_of_range_are_a_runtime_error(tmp_path, capsys, entr
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["kind"] == "runtime"
     assert err["message"] == message
+
+
+def test_ces_index_out_of_range_is_a_runtime_error(tmp_path, capsys):
+    # The config is valid, but the CES index's power (sum omega k^rho)^((1 - rho)/rho)
+    # leaves the floating-point range when the effective weights are taken.
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("portfolio:\n  omega: 1.0e+300\n  rho: 0.1\n")
+    assert main(["portfolio", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "runtime"
+    assert err["message"] == "effective weights out of range: the CES index overflows"
 
 
 def test_bad_config_value_exits_two_with_json_error(tmp_path, capsys):
