@@ -9,27 +9,28 @@ parallel, and any sub-range can be regenerated without the rest.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import structured_share
 from .errors import require
+from .parallel import ordered_map
 from .rng import check_seed, indexed_uniforms
 
 # Column order of the four uniforms consumed by each draw.
 PARAM_ORDER = ("alpha", "r", "delta_k", "gamma")
 
-# Draws per sampling block; bounds the transient uniform matrix at 8 MB.
+# Draws per sampling and summing block; bounds the transient uniform matrix
+# at 8 MB and keeps every per-exponent mantissa sum below 2**44 (see
+# ``_exact_sum``).
 _BLOCK = 1 << 18
 
-# Draws per array handed to math.fsum; bounds the transient Python list.
-# Smaller than a sampling block because ``tolist`` of a cache-sized chunk
-# is faster: one pass over 5M draws took 0.20 s on a 2-vCPU host, against
-# 0.29 s in chunks of ``_BLOCK``.
-_SUM_CHUNK = 1 << 14
+# 2**1074: the reciprocal of the smallest subnormal double, the unit of
+# ``_exact_sum``.
+_SUBNORMAL_SCALE = 1 << 1074
 
 
 def _check_interval(lo: float, hi: float, name: str, open_lo: float, open_hi: float) -> None:
@@ -132,10 +133,43 @@ def sample_shares(priors: PriorSpec, start: int = 0, count: int | None = None) -
     return structured_share(alpha, gamma, r, delta)
 
 
-def _fsum(chunks) -> float:
-    """Exactly rounded sum (``math.fsum``) of the values of an iterable of
-    arrays, fed one array at a time so no list of the whole sample exists."""
-    return math.fsum(itertools.chain.from_iterable(c.tolist() for c in chunks))
+def _exact_sum(x: np.ndarray) -> int:
+    """Exact sum of at most ``_BLOCK`` finite doubles, as an integer count of
+    the smallest subnormal, 2**-1074.
+
+    A double with biased exponent ``e`` and 52 fraction bits ``f`` is
+    ``(f + 2**52) * 2**(e - 1075)``, or ``f * 2**-1074`` when ``e`` is 0
+    (zeros and subnormals).  The top 12 bits, sign and exponent, key one
+    ``np.bincount`` bin each; per bin the fraction's high and low 26-bit
+    halves are summed in float64, exact as every partial sum is an integer
+    below 2**44, and the implicit bits are counted.  The bins are combined
+    in Python integers (the binned accumulator of Demmel and Hida, 2004).
+    """
+    bits = x.view(np.int64)
+    key = bits >> 52
+    key += 2048
+    fraction = bits & ((1 << 52) - 1)
+    high = np.bincount(key, weights=fraction >> 26)
+    fraction &= (1 << 26) - 1
+    low = np.bincount(key, weights=fraction)
+    count = np.bincount(key)
+    # Keys 2047 and 4095 hold the infinities and NaNs.
+    require(not count[2047::2048].any(), "cannot sum non-finite values")
+    total = 0
+    for k in np.flatnonzero(count).tolist():
+        e = k & 2047
+        mantissa = (int(high[k]) << 26) + int(low[k]) + (int(count[k]) << 52 if e else 0)
+        total += (mantissa if k >> 11 else -mantissa) << max(e - 1, 0)
+    return total
+
+
+def _block_fsum(block: Callable[[int], np.ndarray], n_blocks: int) -> float:
+    """``math.fsum`` of the values of ``block(0), ..., block(n_blocks - 1)``:
+    their exact sum, rounded once (CPython's int/int true division is
+    correctly rounded).  Blocks are summed in forked workers, which inherit
+    the arrays ``block`` reads; being exact, the sum does not depend on how
+    the blocks are split among them."""
+    return sum(ordered_map(lambda b: _exact_sum(block(b)), n_blocks)) / _SUBNORMAL_SCALE
 
 
 def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
@@ -147,13 +181,15 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     is elementwise, so the array is bit-identical to a one-block sample.
 
     Every field depends only on the draws, never on the numpy build's
-    summation order.  The mean is ``math.fsum(shares) / n``; the standard
-    deviation is the two-pass sample statistic (ddof=1),
-    ``sqrt(fsum((x - mean)**2) / (n - 1))``, with the deviations and
-    squares taken elementwise, and 0 for a single draw.  Exceedance
-    probabilities are strict, Pr(s > threshold), and are exact counts
-    divided by n.  Quantiles use numpy's ``linear`` method, a selection
-    plus an elementwise interpolation; they are taken last and in place
+    summation order or the number of workers.  The mean is
+    ``math.fsum(shares) / n``; the standard deviation is the two-pass sample
+    statistic (ddof=1), ``sqrt(fsum((x - mean)**2) / (n - 1))``, with the
+    deviations and squares taken elementwise, and 0 for a single draw.  Both
+    sums are taken exactly in integers and rounded once, which is what
+    ``fsum`` returns (``_block_fsum``).  Exceedance probabilities are
+    strict, Pr(s > threshold), and are exact counts divided by n.
+    Quantiles use numpy's ``linear`` method, a selection plus an
+    elementwise interpolation; they are taken last and in place
     (``overwrite_input``), which reorders the share array instead of
     copying it, so every reduction before them sees the draws in index
     order.
@@ -163,10 +199,14 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         shares[lo:hi] = sample_shares(priors, lo, hi - lo) * 100.0
-    chunks = [shares[i : i + _SUM_CHUNK] for i in range(0, n, _SUM_CHUNK)]
-    mean = _fsum(chunks) / n
+    n_blocks = -(-n // _BLOCK)
+
+    def block(b: int) -> np.ndarray:
+        return shares[b * _BLOCK : (b + 1) * _BLOCK]
+
+    mean = _block_fsum(block, n_blocks) / n
     if n > 1:
-        sd = math.sqrt(_fsum(np.square(c - mean) for c in chunks) / (n - 1))
+        sd = math.sqrt(_block_fsum(lambda b: np.square(block(b) - mean), n_blocks) / (n - 1))
     else:
         sd = 0.0
     share_min, share_max = float(np.min(shares)), float(np.max(shares))

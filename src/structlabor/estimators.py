@@ -118,12 +118,26 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float = 0.2, horizon: int
     fam, per, mat = panel.family_id, panel.period, panel.maturity
     n = fam.shape[0]
     # Dense ranks keep the keys below n**2; rows sorted by (period, family)
-    # have sorted keys period_rank * n_families + family_rank.  The period
+    # have sorted keys period_rank * n_families + family_rank.  Family ranks
+    # come from a table over the id range when it spans at most n ids, as a
+    # scenario's do, and from the sorted distinct ids otherwise.  The period
     # column is already sorted, so its ranks are run counts.  Each step
     # reuses its buffers, so at most four int64 columns are alive at once.
-    families = np.unique(fam)
-    n_fam = families.shape[0]
-    fam_rank = np.searchsorted(families, fam)
+    lo = fam.min()
+    span = int(fam.max()) - int(lo) + 1
+    if span <= n:
+        offset = fam - lo
+        rank = np.zeros(span, dtype=np.int64)
+        rank[offset] = 1
+        np.cumsum(rank, out=rank)
+        n_fam = int(rank[-1])
+        rank -= 1
+        fam_rank = rank[offset]
+        del offset, rank
+    else:
+        families = np.unique(fam)
+        n_fam = families.shape[0]
+        fam_rank = np.searchsorted(families, fam)
     new_period = np.empty(n, dtype=bool)
     new_period[0] = True
     np.not_equal(per[1:], per[:-1], out=new_period[1:])

@@ -5,6 +5,8 @@ import pytest
 
 from structlabor.calibration import (
     _BLOCK,
+    _block_fsum,
+    _exact_sum,
     CalibrationResult,
     PriorSpec,
     run_monte_carlo,
@@ -144,6 +146,48 @@ def test_streamed_monte_carlo_equals_one_block(n_draws):
     # block edges every field must equal the one-block computation exactly.
     priors = PriorSpec(n_draws=n_draws, seed=11)
     assert run_monte_carlo(priors) == _one_block_summary(priors)
+
+
+@pytest.mark.parametrize("n_draws", [_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_monte_carlo_does_not_depend_on_workers(cpus, n_draws):
+    # The sums run one block per task; serially and in two workers every
+    # field equals the one-block computation exactly.
+    priors = PriorSpec(n_draws=n_draws, seed=13)
+    assert run_monte_carlo(priors) == _one_block_summary(priors)
+
+
+def _adversarial_arrays():
+    rng = np.random.Generator(np.random.Philox(key=17))
+    big = rng.uniform(1.0, 1.7, size=500) * 1e308
+    cancel = np.empty(1003)
+    cancel[0:1000:2], cancel[1:1000:2] = big, -big
+    cancel[1000:] = [1e-300, -5e-324, 3.0]
+    yield pytest.param(rng.uniform(-1.0, 1.0, size=3000) * 2.0**-1022, id="subnormals")
+    yield pytest.param(np.array([5e-324, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1023)]), id="smallest-subnormals")
+    yield pytest.param(cancel, id="1e308-cancellations")
+    yield pytest.param(rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, size=5000), id="mixed-signs")
+    yield pytest.param(np.concatenate([2.0 ** np.arange(-1074, 1023), -(2.0 ** np.arange(-1074, 1023, 3))]), id="all-magnitudes")
+    # Every finite bit pattern below 2**1023, scaled so 4,000 cannot overflow.
+    bits = rng.integers(0, 0x7FE << 52, size=4000).view(np.float64) * 2.0**-13
+    yield pytest.param(bits * rng.choice([-1.0, 1.0], size=4000), id="random-bits")
+    yield pytest.param(np.array([-1.2345e-200]), id="single")
+    yield pytest.param(np.zeros(7), id="zeros")
+
+
+@pytest.mark.parametrize("values", _adversarial_arrays())
+def test_exact_sum_equals_fsum(cpus, values):
+    # Blocks of 97 values, so the integer sums of many blocks are combined.
+    assert np.isfinite(values).all()
+    expected = math.fsum(values.tolist())
+    got = _block_fsum(lambda b: values[97 * b : 97 * (b + 1)], -(-values.shape[0] // 97))
+    assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+    assert _exact_sum(values[:_BLOCK]) / 2**1074 == math.fsum(values[:_BLOCK].tolist())
+
+
+def test_exact_sum_refuses_non_finite_values():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="non-finite"):
+            _exact_sum(np.array([1.0, bad]))
 
 
 def test_monte_carlo_std_dev_of_single_draw_is_zero():

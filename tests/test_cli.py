@@ -477,3 +477,20 @@ def test_build_independent_outputs_keep_their_digests(tmp_path, command):
     assert main([command, "--config", cfg, "--seed", "7", "--out", out, "--quiet"]) == 0
     manifest = read_json(out, "run.manifest.json")
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == BUILD_INDEPENDENT_DIGESTS[command]
+
+
+def test_outputs_do_not_depend_on_workers(tmp_path, pin_cpus):
+    # A panel of more than one CSV chunk and a sample of more than one
+    # summing block, written serially and by two forked workers.
+    cfg = write_config(tmp_path, {"portfolio": {"n_families": 60, "T": 400}, "priors": {"n_draws": 300_000}})
+    outputs = {}
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        for command in ("portfolio", "calibrate"):
+            out = str(tmp_path / f"{command}-{cpus}")
+            assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+            outputs[command, cpus] = read_json(out, "run.manifest.json")["outputs"]
+    with open(os.path.join(tmp_path, "portfolio-1", "panel.csv"), encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) > 16_384 + 1
+    for command in ("portfolio", "calibrate"):
+        assert outputs[command, 1] == outputs[command, 2]

@@ -178,6 +178,28 @@ def test_detect_degradation_negative_family_ids():
     assert list(out.flag) == [True, False]
 
 
+@pytest.mark.parametrize("id_step", [1, 3, 2**40])
+def test_detect_degradation_matches_a_pairwise_oracle(id_step):
+    # An unbalanced panel with gaps over ids -40, -40 + step, ...: steps 1
+    # and 3 span fewer ids than rows (ranked through a table, sparse for
+    # step 3), 2**40 spans more (ranked through the sorted ids).
+    rng = np.random.Generator(np.random.Philox(key=8))
+    rows = [
+        (-40 + id_step * j, t, float(rng.uniform(0.0, 2.0)), bool(rng.uniform() < 0.3), bool(rng.uniform() < 0.2))
+        for t in range(40) for j in range(30) if rng.uniform() < 0.7
+    ]
+    maturity = {(f, t): k for f, t, k, _, _ in rows}
+    for horizon in (1, 2):
+        out = detect_degradation(panel_from(rows), rel_drop=0.2, horizon=horizon)
+        want = [
+            (f, t, maturity[f, t + horizon] < 0.8 * k, tw, ow)
+            for f, t, k, tw, ow in sorted(rows, key=lambda r: (r[1], r[0]))
+            if (f, t + horizon) in maturity
+        ]
+        got = zip(out.family_id.tolist(), out.period.tolist(), out.flag.tolist(), out.tech_window.tolist(), out.org_window.tolist())
+        assert list(got) == want
+
+
 def test_detect_degradation_zero_maturity_never_flags():
     p = panel_from([(0, 0, 0.0, False, False), (0, 1, 0.0, False, False)])
     out = detect_degradation(p, rel_drop=0.2, horizon=1)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from structlabor import io as io_module
 from structlabor.core import BaselineParams, simulate_transition
 from structlabor.errors import DomainError
 from structlabor.io import (
@@ -48,26 +49,82 @@ def test_format_value_cases(tmp_path):
             write_csv(str(tmp_path / "bad.csv"), ("v",), [column])
 
 
-def test_format_value_round_trips_doubles(tmp_path):
-    # Longer than one chunk, so chunk seams are covered; each cell must read
-    # as repr for floats, str for integers and 1/0 for booleans.
-    n = 2 * CHUNK_ROWS + 17
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1 / 3, 2.5, 1e16, 1e-5]
+
+
+def _specials_table(n):
+    """Wide-range integers, booleans, and floats with the special values at
+    the start and across the first chunk edge, with the text write_csv
+    must produce for them: repr for floats, str for integers, 1/0 for
+    booleans."""
     rng = np.random.Generator(np.random.Philox(key=1))
     ints = rng.integers(-(2**62), 2**62, size=n, dtype=np.int64)
     flags = rng.uniform(size=n) < 0.5
     floats = rng.uniform(-1e6, 1e6, size=n)
-    special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1 / 3, 2.5, 1e16, 1e-5]
-    floats[: len(special)] = special
-    floats[CHUNK_ROWS - 3 : CHUNK_ROWS + 7] = special
-    path = str(tmp_path / "table.csv")
-    write_csv(path, ("i", "b", "f"), [ints, flags, floats])
+    floats[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n]
+    edge = floats[CHUNK_ROWS - 3 : CHUNK_ROWS + 7]
+    edge[:] = SPECIAL_FLOATS[: len(edge)]
     expected = "i,b,f\n" + "".join(
         f"{i},{'1' if b else '0'},{f!r}\n" for i, b, f in zip(ints.tolist(), flags.tolist(), floats.tolist())
     )
+    return [ints, flags, floats], expected
+
+
+def test_format_value_round_trips_doubles(tmp_path):
+    # Longer than one chunk, so chunk seams are covered.
+    columns, expected = _specials_table(2 * CHUNK_ROWS + 17)
+    path = str(tmp_path / "table.csv")
+    write_csv(path, ("i", "b", "f"), columns)
     with open(path, "rb") as fh:
         assert fh.read() == expected.encode("utf-8")
     back = np.array([float(line.rsplit(",", 1)[1]) for line in expected.splitlines()[1:]])
-    assert np.array_equal(back.view(np.int64), floats.view(np.int64))
+    assert np.array_equal(back.view(np.int64), columns[2].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 17])
+def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, cpus, n):
+    columns, expected = _specials_table(n)
+    path = str(tmp_path / "table.csv")
+    write_csv(path, ("i", "b", "f"), columns)
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS + 1])
+def test_narrow_integer_columns_are_written_in_decimal(tmp_path, cpus, n):
+    # Columns spanning fewer values than a chunk has rows are formatted
+    # through a table of strings: at the bottom and top of their dtypes,
+    # and int8 spanning -100..100, whose differences overflow int8.
+    rng = np.random.Generator(np.random.Philox(key=2))
+    columns = [
+        np.arange(n, dtype=np.int64) % 200,
+        np.arange(n, dtype=np.int64) // 200 - 40,
+        rng.integers(-100, 101, size=n, dtype=np.int8),
+        np.iinfo(np.int64).min + rng.integers(0, 300, size=n),
+        np.uint64(2**64 - 1) - rng.integers(0, 300, size=n).astype(np.uint64),
+        np.full(n, 7, dtype=np.uint8),
+    ]
+    path = str(tmp_path / "ints.csv")
+    write_csv(path, tuple("abcdef"), columns)
+    expected = "a,b,c,d,e,f\n" + "".join(",".join(map(str, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode("utf-8")
+
+
+def test_a_failed_chunk_leaves_no_file(tmp_path, cpus, monkeypatch):
+    # A chunk whose rendering raises, in a worker or in this process, fails
+    # the write with that error and leaves neither the file nor a temp file.
+    render = io_module._cells
+
+    def cells(column):
+        if column.dtype.kind == "i" and column[0] == CHUNK_ROWS:
+            raise DomainError("bad second chunk")
+        return render(column)
+
+    monkeypatch.setattr(io_module, "_cells", cells)
+    with pytest.raises(DomainError, match="^bad second chunk$"):
+        write_csv(str(tmp_path / "t.csv"), ("i",), [np.arange(3 * CHUNK_ROWS)])
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_csv_round_trip(tmp_path):

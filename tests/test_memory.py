@@ -5,6 +5,7 @@ as well as Python objects.  Panel bounds are in int64 columns of a
 synthetic ordered panel of 2,000 periods x 100 families.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from structlabor.calibration import PriorSpec, run_monte_carlo
 from structlabor.cli import _births_from_panel
 from structlabor.estimators import MaturityPanel, detect_degradation
 from structlabor.io import PANEL_COLUMNS, write_csv
+from structlabor.parallel import ordered_map
 from structlabor.portfolio import EntryConfig, Portfolio, run_portfolio_scenario
 
 PERIODS, FAMILIES = 2000, 100
@@ -50,7 +52,19 @@ def test_ordered_panel_is_held_without_copies(ordered_columns):
         assert np.shares_memory(getattr(panel, name), column)
 
 
-def test_detect_degradation_peak(ordered_columns):
+def as_table(columns):
+    """The columns as strided views of one structured array, as the panel
+    file reader returns them."""
+    table = np.empty(PERIODS * FAMILIES, dtype=[(name, col.dtype) for name, col in columns.items()])
+    for name, col in columns.items():
+        table[name] = col
+    return {name: table[name] for name in columns}
+
+
+@pytest.mark.parametrize("layout", ["columns", "table"])
+def test_detect_degradation_peak(ordered_columns, layout):
+    if layout == "table":
+        ordered_columns = as_table(ordered_columns)
     panel = MaturityPanel(**ordered_columns)
     flags, peak = traced_peak(detect_degradation, panel)
     assert flags.n_obs == (PERIODS - 1) * FAMILIES
@@ -63,10 +77,7 @@ def test_births_from_panel_peak(ordered_columns, layout):
     # of the family column, and without a contiguous copy of a column that
     # is a strided view of one table, as the panel file reader returns.
     if layout == "table":
-        table = np.empty(PERIODS * FAMILIES, dtype=[(name, col.dtype) for name, col in ordered_columns.items()])
-        for name, col in ordered_columns.items():
-            table[name] = col
-        ordered_columns = {name: table[name] for name in ordered_columns}
+        ordered_columns = as_table(ordered_columns)
     panel = MaturityPanel(**ordered_columns)
     births, peak = traced_peak(_births_from_panel, panel)
     assert births.tolist() == [FAMILIES] + [0] * (PERIODS - 1)
@@ -86,9 +97,12 @@ def test_scenario_holds_its_panel_and_little_else():
     assert peak <= 1.1 * panel_bytes
 
 
-def test_write_csv_memory_is_bounded_by_a_small_chunk(tmp_path):
+def test_write_csv_memory_is_bounded_by_a_small_chunk(tmp_path, pin_cpus):
     # Four times the rows of a 16,384-row write cost at most half as much
     # again, so the writer renders no more than about 16,384 rows at a time.
+    # One CPU: tracemalloc sees only this process, not forked workers.
+    pin_cpus(1)
+
     def peak(rows):
         rng = np.random.Generator(np.random.Philox(key=5))
         columns = [
@@ -105,9 +119,28 @@ def test_write_csv_memory_is_bounded_by_a_small_chunk(tmp_path):
     assert peak(4 * 16_384) <= 1.5 * peak(16_384)
 
 
-def test_run_monte_carlo_holds_one_share_array():
+def test_ordered_map_holds_few_results_from_its_workers(pin_cpus):
+    # Workers run at most two tasks each ahead of the consumer, so with a
+    # consumer slower than the workers, 40 results of 1 MiB cost this
+    # process little more than 8: a chunked write's peak does not grow with
+    # the file.
+    pin_cpus(2)
+    list(ordered_map(bytes, 2))  # pays one-time costs (importing multiprocessing)
+
+    def peak(n):
+        def consume():
+            for chunk in ordered_map(lambda i: bytes(1 << 20), n):
+                time.sleep(0.02)
+
+        return traced_peak(consume)[1]
+
+    assert peak(40) <= 1.5 * peak(8)
+
+
+def test_run_monte_carlo_holds_one_share_array(pin_cpus):
     # The quantiles partition the sample in place; the rest is the sampling
-    # block and per-chunk temporaries, small next to the 8n-byte sample.
+    # block and per-block temporaries, small next to the 8n-byte sample.
+    pin_cpus(1)
     n = 4_000_000
     result, peak = traced_peak(run_monte_carlo, PriorSpec(n_draws=n, seed=1))
     assert result.n_draws == n

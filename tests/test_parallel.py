@@ -1,0 +1,59 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from structlabor.errors import DomainError
+from structlabor.parallel import ordered_map
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 23])
+def test_ordered_map_yields_every_result_in_order(cpus, n):
+    # More tasks than the in-flight window of two per worker, too.
+    data = np.arange(n) ** 2
+    assert list(ordered_map(lambda i: (i, int(data[i])), n)) == [(i, i * i) for i in range(n)]
+
+
+def test_tasks_run_in_forked_workers(cpus):
+    # Tasks reach the workers through the fork, not by pickling, so a task
+    # may be a lambda.
+    pids = set(ordered_map(lambda i: os.getpid(), 6))
+    assert (pids == {os.getpid()}) == (cpus == 1)
+
+
+def test_one_task_or_no_fork_stays_in_process(pin_cpus, monkeypatch):
+    pin_cpus(2)
+    assert list(ordered_map(lambda i: os.getpid(), 1)) == [os.getpid()]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert set(ordered_map(lambda i: os.getpid(), 4)) == {os.getpid()}
+
+
+def test_a_task_error_is_raised_in_the_parent(cpus):
+    def task(i):
+        if i == 3:
+            raise DomainError(f"task {i} failed")
+        return i
+
+    seen = []
+    with pytest.raises(DomainError, match="^task 3 failed$"):
+        for result in ordered_map(task, 10):
+            seen.append(result)
+    assert seen == [0, 1, 2]
+
+
+def test_default_runs_do_not_import_multiprocessing(tmp_path):
+    # Default-sized outputs fit one chunk and one block, so the serial path
+    # runs and small runs never pay for importing multiprocessing.
+    code = (
+        "import sys\n"
+        "from structlabor.cli import main\n"
+        "for command in ('portfolio', 'calibrate'):\n"
+        f"    assert main([command, '--out', {str(tmp_path)!r} + '/' + command, '--quiet']) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "False"
