@@ -38,13 +38,10 @@ _DELTA_CAP = 0.95
 _LABOR_FLOOR = 1e-6
 # Entropic smoothing of the dual, one Newton stage each, largest first.
 _SMOOTHING = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-# From this smoothing on, Newton holds every worker whose top-two gap
+# From the second stage on, Newton holds every worker whose top-two gap
 # exceeds _ACTIVE_GAP times the previous smoothing at their best family,
-# and each stage ends with exact finishes at tie widths _TIE_WIDTHS times
-# its smoothing.
-_SHARP = 1e-3
+# and the stage ends with one exact finish at a tie width of its smoothing.
 _ACTIVE_GAP = 20.0
-_TIE_WIDTHS = (1.0, 3.0, 10.0, 30.0)
 # A stage ends once a Newton step moves no log price by more than
 # _STEP_TOL times its smoothing, or after _NEWTON_STEPS steps.
 _STEP_TOL = 0.1
@@ -223,12 +220,13 @@ def _finish(c, pi, log_s, r, width, tol):
     """The exact equilibrium whose tie workers are those within ``width`` of their best family.
 
     The other workers are held at their best family.  Returns the
-    assignment shares x and the log prices, or None unless the ties form
-    a forest and four checks pass: every held worker's family is still a
-    best one and every tie worker is indifferent across its tie with
-    nothing better outside it (both within ``tol`` in log wage), every
-    share lies in [0, 1], and every served family's labor is at or above
-    the floor.
+    assignment shares x, the log prices and their gap and residual (see
+    :func:`_certificates`), or None unless the ties form a forest and five
+    checks pass: every held worker's family is still a best one and every
+    tie worker is indifferent across its tie with nothing better outside
+    it (both within ``tol`` in log wage), every share lies in [0, 1],
+    every served family's labor is at or above the floor, and gap and
+    residual are both at most ``tol * max(1, |G|)``.
     """
     n, j = c.shape
     floor_price = (log_s - math.log(_LABOR_FLOOR)) / r
@@ -237,9 +235,6 @@ def _finish(c, pi, log_s, r, width, tol):
     links = near.sum(axis=1)
     tied = np.flatnonzero(links > 1)
     edges = int(np.sum(links[tied] - 1))
-    # A forest over j families has fewer than j edges.
-    if edges >= j:
-        return None
     held = np.flatnonzero(links == 1)
     best = np.argmax(near[held], axis=1)
     counts = np.bincount(best, minlength=j).astype(float)
@@ -299,7 +294,10 @@ def _finish(c, pi, log_s, r, width, tol):
     v = c + pi
     if np.any((v.max(axis=1)[:, None] - v)[x > 0.0] > tol):
         return None
-    return x, pi
+    gap, residual, dual = _certificates(x, pi, c, log_s, r)
+    if max(gap, residual) > tol * max(1.0, abs(dual)):
+        return None
+    return x, pi, gap, residual
 
 
 def _certificates(x, pi, c, log_s, r):
@@ -312,18 +310,6 @@ def _certificates(x, pi, c, log_s, r):
     residual = float(np.max(np.abs(np.maximum(x.sum(axis=0), _LABOR_FLOOR) - supply)))
     dual = float(np.sum(u)) + float(np.sum(np.maximum(supply - _LABOR_FLOOR, 0.0))) / r
     return gap, residual, dual
-
-
-def _certified_finish(c, pi, log_s, r, eps, tol):
-    """Shares, gap and residual of the first finish at a tie width in ``_TIE_WIDTHS`` times eps
-    whose certificates are at most ``tol * max(1, |G|)``, or None."""
-    for width in _TIE_WIDTHS:
-        point = _finish(c, pi, log_s, r, width * eps, tol)
-        if point is not None:
-            gap, residual, dual = _certificates(*point, c, log_s, r)
-            if max(gap, residual) <= tol * max(1.0, abs(dual)):
-                return point[0], gap, residual
-    return None
 
 
 def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9) -> RoyEquilibrium:
@@ -341,15 +327,15 @@ def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9
     and its labor vector is unique.  The solve runs damped Newton on G
     with the max smoothed to eps * logsumexp, eps falling tenfold per
     stage from ``_SMOOTHING[0]``; each stage starts from the previous one
-    moved along the smoothing path.  From eps = ``_SHARP`` on, Newton
+    moved along the smoothing path.  From the second stage on, Newton
     holds each worker whose top-two gap is wide at its best family, and
-    after each stage the point extrapolated to eps = 0 is handed to an exact
-    finish (:func:`_finish`) at each tie width in ``_TIE_WIDTHS`` times
-    eps.  A finish is accepted when two certificates are at most
-    ``tol * max(1, |G|)``: the complementarity gap
-    sum_ij x_ij * (u_i - c_ij - pi_j), and the clearing residual
-    max_j |max(l_j, floor) - S_j(pi_j)| with l_j = sum_i x_ij, which is
-    zero exactly when every price is the one its labor implies.
+    the stage ends with one exact finish (:func:`_finish`) from the point
+    extrapolated to eps = 0, at a tie width of eps.  A finish is accepted
+    when two certificates are at most ``tol * max(1, |G|)``: the
+    complementarity gap sum_ij x_ij * (u_i - c_ij - pi_j), and the
+    clearing residual max_j |max(l_j, floor) - S_j(pi_j)| with
+    l_j = sum_i x_ij, which is zero exactly when every price is the one
+    its labor implies.
 
     The solve runs at Lambda = 1 and the reported prices carry Lambda, so
     assignment and labor cannot depend on it.  ``assignment`` is each
@@ -373,12 +359,10 @@ def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9
     pi = (log_s - math.log(n / j)) / r
     steps = 0
     found = None
+    rows, held = c, np.zeros(j)
     for stage, eps in enumerate(_SMOOTHING):
         if stage:
             pi = pi + (eps - _SMOOTHING[stage - 1]) * tangent
-        if eps > _SHARP:
-            rows, held = c, np.zeros(j)
-        else:
             v = c + pi
             best = np.argmax(v, axis=1)
             top = v[np.arange(n), best]
@@ -387,15 +371,15 @@ def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9
             rows, held = c[active], np.bincount(best[~active], minlength=j).astype(float)
         pi, tangent, k = _dual_newton(pi, rows, held, log_s, r, eps)
         steps += k
-        if eps <= _SHARP:
-            found = _certified_finish(c, pi - eps * tangent, log_s, r, eps, tol)
+        if stage:
+            found = _finish(c, pi - eps * tangent, log_s, r, eps, tol)
             if found is not None:
                 break
     if found is None:
         _, x, _ = _entropic_dual(pi, c, np.zeros(j), log_s, r, eps)
         gap, residual, _ = _certificates(x, pi, c, log_s, r)
     else:
-        x, gap, residual = found
+        x, _, gap, residual = found
     labor = x.sum(axis=0)
     prices = family_prices(portfolio, labor)
     return RoyEquilibrium(
@@ -461,7 +445,9 @@ class RoyExperiment:
     arm repeats this with the entry intensity or the decay rates scaled
     by a factor, reusing the same random draws everywhere the two arms
     overlap.  Each solve is certified to ``tol``, the only solver setting
-    here; its smoothing schedule and tie widths are module constants.
+    here; its smoothing schedule is a module constant, and each stage
+    from the second on ends with one exact finish at a tie width of its
+    smoothing.
     """
 
     n_initial: int = 6

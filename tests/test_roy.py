@@ -178,11 +178,20 @@ def test_solve_roy_reports_nonexistence_honestly():
 
 def test_solve_roy_refuses_a_finish_whose_ties_are_too_wide(monkeypatch):
     # At the equilibrium worker 0 prefers family 0 by about 0.45 in log
-    # wage, workers 1 and 2 prefer family 1 by about 0.65.  With widths of
-    # 5e4 times the smoothing, the finishes first tie all three workers (a
-    # cycle), then worker 0 alone at width 0.5, whose closed form needs a
-    # negative share.  Both are refused; width 0.05 finds the equilibrium.
-    monkeypatch.setattr(roy, "_TIE_WIDTHS", (5e4,))
+    # wage, workers 1 and 2 prefer family 1 by about 0.65.  With each
+    # stage's finish run at 5e4 times its smoothing, the finishes at widths
+    # 500, 50 and 5 tie all three workers (a cycle), then the one at width
+    # 0.5 ties worker 0 alone, whose closed form needs a negative share.
+    # All are refused; the finish at width 0.05 (eps = 1e-6) finds the
+    # equilibrium.
+    finish, tries = roy._finish, []
+
+    def wide(c, pi, log_s, r, width, tol):
+        point = finish(c, pi, log_s, r, 5e4 * width, tol)
+        tries.append((5e4 * width, point is not None))
+        return point
+
+    monkeypatch.setattr(roy, "_finish", wide)
     p = Portfolio(
         id=[0, 1], omega=[1.0, 1.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0],
         aggregator=AggregatorSpec(kind="additive"), tech=TECH,
@@ -194,6 +203,8 @@ def test_solve_roy_refuses_a_finish_whose_ties_are_too_wide(monkeypatch):
     assert eq.converged
     assert np.allclose(eq.labor, [1.0, 2.0], rtol=0, atol=1e-9)
     assert eq.assignment.tolist() == [0, 1, 1]
+    assert [accepted for _, accepted in tries] == [False] * 4 + [True]
+    assert tries[-1][0] == pytest.approx(0.05, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -212,6 +223,9 @@ def test_solve_roy_prices_an_unserved_family_at_its_floor(rows):
     skills = WorkerSkillMatrix(a=np.array(rows), family_ids=(0, 1))
     eq = solve_roy(skills, p)
     assert eq.converged
+    # The floor-less dual has no minimizer in family 1's price, so a
+    # hopeless family runs its stages to the step cap until a finish lands.
+    assert eq.iterations <= 2 * roy._NEWTON_STEPS
     labor = np.array([len(rows), 0.0])
     assert np.array_equal(eq.labor, labor)
     assert np.array_equal(eq.prices, family_prices(p, labor))
@@ -252,10 +266,45 @@ def test_solve_roy_certificate_holds_at_the_reported_point():
     assert 0 < eq.tied_workers < p.size
 
 
+def _tie_sets(c, pi, log_s, r, width):
+    # The workers within width of their best family, as _finish selects them.
+    v = c + np.minimum(pi, (log_s - math.log(roy._LABOR_FLOOR)) / r)
+    return v >= (v.max(axis=1) - width)[:, None]
+
+
+def test_a_finish_depends_only_on_its_tie_set(monkeypatch):
+    # The accepted finish, rerun from the same point at three times its
+    # width, selects the same ties and returns the same shares and prices
+    # bit for bit; so does the whole solve with every finish that wide.
+    finish, accepted = roy._finish, []
+
+    def recording(*args):
+        point = finish(*args)
+        if point is not None:
+            accepted.append(args)
+        return point
+
+    skills, p = _scenario_instance()
+    monkeypatch.setattr(roy, "_finish", recording)
+    eq = solve_roy(skills, p)
+    assert eq.converged and len(accepted) == 1
+    c, pi, log_s, r, width, tol = accepted[0]
+    narrow, wide = finish(c, pi, log_s, r, width, tol), finish(c, pi, log_s, r, 3.0 * width, tol)
+    assert np.array_equal(_tie_sets(c, pi, log_s, r, width), _tie_sets(c, pi, log_s, r, 3.0 * width))
+    assert wide is not None
+    assert np.array_equal(narrow[0], wide[0]) and np.array_equal(narrow[1], wide[1])
+
+    monkeypatch.setattr(roy, "_finish", lambda *args: finish(*args[:4], 3.0 * args[4], args[5]))
+    wider = solve_roy(skills, p)
+    assert wider.converged
+    assert np.array_equal(wider.labor, eq.labor) and np.array_equal(wider.prices, eq.prices)
+    assert (wider.gap, wider.residual, wider.tied_workers) == (eq.gap, eq.residual, eq.tied_workers)
+
+
 def test_solve_roy_without_a_certified_finish_returns_its_last_point(monkeypatch):
-    # With no tie width to try, no finish runs: the solve returns its last
-    # smoothed point, uncertified, with that point's own gap and residual.
-    monkeypatch.setattr(roy, "_TIE_WIDTHS", ())
+    # When every finish is refused, the solve returns its last smoothed
+    # point, uncertified, with that point's own gap and residual.
+    monkeypatch.setattr(roy, "_finish", lambda *args: None)
     skills, p = _scenario_instance()
     eq = solve_roy(skills, p)
     assert not eq.converged
