@@ -283,7 +283,7 @@ def _births_from_panel(panel: MaturityPanel) -> np.ndarray:
     return count_births(np.repeat(periods, births), T=periods[-1])
 
 
-def _scenario_panel_and_indices(cfg: AppConfig) -> tuple[MaturityPanel, list[list]]:
+def _scenario_panel_and_indices(cfg: AppConfig) -> tuple[MaturityPanel, tuple[np.ndarray, ...]]:
     """The configured scenario's panel and its index columns.
 
     Only the panel's columns outlive this call; the scenario's labor and
@@ -291,20 +291,7 @@ def _scenario_panel_and_indices(cfg: AppConfig) -> tuple[MaturityPanel, list[lis
     """
     scenario = _run_configured_scenario(cfg)
     panel = MaturityPanel.from_scenario(scenario)
-    final = scenario.final
-    points = indices(
-        panel,
-        scenario.periods,
-        dict(zip(final.id.tolist(), final.omega.tolist())),
-        labor_total=scenario.labor_budget,
-        L_bar=cfg.baseline.L_bar,
-        aggregator=final.aggregator,
-    )
-    index_columns = [
-        [getattr(point, name) for point in points]
-        for name in ("period", "capability", "maintenance_share", "n_families")
-    ]
-    return panel, index_columns
+    return panel, indices(panel, scenario.final, scenario.labor_budget, cfg.baseline.L_bar)
 
 
 def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:

@@ -27,6 +27,7 @@ from .portfolio import (
     PowerCodification,
     periodic_windows,
 )
+from .rng import POISSON_MAX_INTENSITY
 from .roy import RoyExperiment
 
 FORMATS = ("csv", "json", "both")
@@ -45,6 +46,7 @@ STEP = (lambda x: 0 < x <= 1, "must lie in (0, 1]")
 COUNT = (lambda x: x >= 1, "must be an integer >= 1")
 TWO_OR_MORE = (lambda x: x >= 2, "must be an integer >= 2")
 RHO = (lambda x: x <= 1 and x != 0, "must satisfy rho <= 1, rho != 0")
+INTENSITY = (lambda x: 0 <= x <= POISSON_MAX_INTENSITY, f"must lie in [0, {POISSON_MAX_INTENSITY:g}]")
 SEED = (lambda x: 0 <= x <= 2**64 - 1, "must lie in [0, 2**64 - 1]")
 NONEMPTY = (lambda x: x != "", "must be a nonempty path")
 
@@ -85,7 +87,7 @@ FIELDS = (
     Field("portfolio.Lambda", float, 1.0, POSITIVE),
     Field("portfolio.labor_budget", float, 1.0, NONNEGATIVE),
     Field("portfolio.T", int, 100, COUNT),
-    Field("portfolio.entry.mu", float, 0.2, NONNEGATIVE),
+    Field("portfolio.entry.mu", float, 0.2, INTENSITY),
     Field("portfolio.entry.k_seed", float, 1e-3, NONNEGATIVE),
     Field("portfolio.entry.omega_median", float, 1.0, POSITIVE),
     Field("portfolio.entry.omega_sigma", float, 0.5, NONNEGATIVE),
@@ -109,7 +111,7 @@ FIELDS = (
     Field("roy.epsilon_floor", float, 0.25, POSITIVE),
     Field("roy.labor_budget", float, 1.0, NONNEGATIVE),
     Field("roy.T", int, 40, COUNT),
-    Field("roy.mu", float, 0.25, NONNEGATIVE),
+    Field("roy.mu", float, 0.25, INTENSITY),
     Field("roy.k_seed", float, 1e-3, NONNEGATIVE),
     Field("roy.omega_sigma", float, 0.5, NONNEGATIVE),
     Field("roy.n_workers", int, 400, TWO_OR_MORE),
@@ -135,6 +137,11 @@ RULES = (
         "portfolio.drift.env_hazard",
         lambda c: sum(c[f"portfolio.drift.{k}_hazard"] for k in ("env", "tech", "org")) <= 1.0,
         "+ tech_hazard + org_hazard must be <= 1",
+    ),
+    (
+        "roy.factor",
+        lambda c: c["roy.treatment"] != "mu" or c["roy.mu"] * c["roy.factor"] <= POISSON_MAX_INTENSITY,
+        f"* mu must be <= {POISSON_MAX_INTENSITY:g} under treatment mu",
     ),
 )
 
@@ -162,9 +169,14 @@ def _typed(value: Any, path: str, kind: type) -> Any:
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(path, f"expected {_WANTED[kind]}, got {type(value).__name__}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(path, "must be finite")
-    return float(value) if kind is float else value
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(path, "must be finite")
+    return value
 
 
 def _coerce(f: Field, value: Any, resolved: dict) -> Any:

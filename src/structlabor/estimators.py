@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import require
-from .portfolio import AggregatorSpec, aggregate_capability
+from .portfolio import Portfolio, aggregate_capability
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,61 +276,33 @@ def count_births(born_at, T: int) -> np.ndarray:
     return np.bincount(born, minlength=T + 1).astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
-class IndexPoint:
-    """Aggregate indices rebuilt from a panel at one period."""
-
-    period: int
-    capability: float
-    maintenance_share: float
-    n_families: int
-
-
-def indices(
-    panel: MaturityPanel,
-    periods,
-    weights: Mapping[int, float],
-    labor_total,
-    L_bar: float,
-    aggregator: AggregatorSpec = AggregatorSpec(),
-) -> list[IndexPoint]:
+def indices(panel: MaturityPanel, families: Portfolio, labor_total, L_bar: float) -> tuple[np.ndarray, ...]:
     """Rebuild the aggregate capability index and maintenance share at each period.
 
-    ``periods`` lists the periods to rebuild and ``labor_total`` the
-    labor spent in each.  ``weights`` maps family id to its importance
-    weight; families present at a period but missing from the map are
-    left out of that period's index and of its ``n_families``.  The
-    index is :func:`~structlabor.portfolio.aggregate_capability` under
-    ``aggregator`` (by default the weighted sum of maturities).  The
-    maintenance share is labor_total / L_bar.  Panel rows are in
-    (period, family_id) order, so each period is one slice of it.
+    ``families`` is the roster of every panel family, such as a scenario's
+    ``final`` portfolio: it supplies each family's weight ``omega`` and the
+    aggregator, and a panel family missing from it is refused.  The
+    periods are the panel's distinct periods in increasing order, and
+    ``labor_total`` holds the labor spent in each.  A period's index is
+    :func:`~structlabor.portfolio.aggregate_capability` over that period's
+    families, and its maintenance share is labor_total / L_bar.  Panel
+    rows are in (period, family_id) order, so each period is one slice of
+    it.  Returns the columns (period, capability, maintenance_share,
+    n_families).
     """
     require(panel.n_obs > 0, "panel is empty")
     require(L_bar > 0.0, "L_bar must be positive")
-    periods = np.asarray(periods, dtype=np.int64)
+    require(families.size > 0, "the roster must name at least one family")
+    per, fams = panel.period, panel.family_id
+    bounds = np.flatnonzero(np.r_[True, per[1:] != per[:-1], True])
     labor = np.asarray(labor_total, dtype=float)
-    require(periods.ndim == 1 and labor.shape == periods.shape, "labor_total must have one entry per period")
+    require(labor.shape == (bounds.shape[0] - 1,), "labor_total must have one entry per period")
     require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor_total must be nonnegative")
-
-    per, fams, mats = panel.period, panel.family_id, panel.maturity
-    # Weight of every observation, looked up in the map's ids sorted once.
-    ids = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
-    values = np.fromiter(weights.values(), dtype=float, count=len(weights))
-    by_id = np.argsort(ids)
-    ids, values = ids[by_id], values[by_id]
-    require(ids.shape[0] > 0, "weights must name at least one family")
-    pos = np.searchsorted(ids, fams)
-    # Clipped positions read a wrong id only for families missing from the map.
-    np.minimum(pos, ids.shape[0] - 1, out=pos)
-    known = ids[pos] == fams
-
-    points = []
-    bounds = np.searchsorted(per, np.stack([periods, periods + 1]))
-    for t, lo, hi, labor_t in zip(periods.tolist(), *bounds.tolist(), labor.tolist()):
-        require(hi > lo, f"panel has no observations at period {t}")
-        have = known[lo:hi]
-        w = values[pos[lo:hi][have]]
-        require(w.shape[0] > 0, f"no weighted families at period {t}")
-        cap = aggregate_capability(w, mats[lo:hi][have], aggregator)
-        points.append(IndexPoint(period=t, capability=cap, maintenance_share=labor_t / L_bar, n_families=w.shape[0]))
-    return points
+    # Clipped positions read a wrong id only for families missing from the roster.
+    pos = np.searchsorted(families.id, fams)
+    np.minimum(pos, families.size - 1, out=pos)
+    require(bool(np.array_equal(families.id[pos], fams)), "panel has a family missing from the roster")
+    w, mats, agg = families.omega[pos], panel.maturity, families.aggregator
+    spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    capability = np.array([aggregate_capability(w[lo:hi], mats[lo:hi], agg) for lo, hi in spans])
+    return per[bounds[:-1]], capability, labor / L_bar, np.diff(bounds)

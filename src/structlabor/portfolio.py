@@ -45,10 +45,6 @@ class PowerCodification:
         with np.errstate(divide="ignore"):
             return self.beta * np.power(labor, self.beta - 1.0)
 
-    def g_inv(self, y):
-        """Labor needed to codify ``y`` units of maturity."""
-        return np.power(y, 1.0 / self.beta)
-
 
 @dataclass(frozen=True)
 class AggregatorSpec:

@@ -26,7 +26,7 @@ SEED_MAX = 2**64 - 1
 
 # Inverse-CDF Poisson sampling walks the pmf term by term; beyond this
 # intensity the leading term exp(-lam) underflows and the walk degrades.
-_POISSON_MAX_INTENSITY = 500.0
+POISSON_MAX_INTENSITY = 500.0
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
@@ -92,8 +92,8 @@ def poisson_inverse_cdf(gen: np.random.Generator, lam: float) -> int:
     """
     require(math.isfinite(lam) and lam >= 0, "poisson intensity must be finite and nonnegative")
     require(
-        lam <= _POISSON_MAX_INTENSITY,
-        f"poisson intensity {lam} exceeds supported range (max {_POISSON_MAX_INTENSITY})",
+        lam <= POISSON_MAX_INTENSITY,
+        f"poisson intensity {lam} exceeds supported range (max {POISSON_MAX_INTENSITY})",
     )
     u = gen.uniform()
     if lam == 0.0:

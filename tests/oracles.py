@@ -130,6 +130,11 @@ def allocation_value(weights, beta: float, labor) -> float:
     return float(np.sum(w * labor**beta))
 
 
+def g_inv(tech, y):
+    """Labor a power technology needs to codify ``y`` units of maturity: l = y**(1/beta)."""
+    return np.power(y, 1.0 / tech.beta)
+
+
 def g_prime_inv(tech, m):
     """Labor at which a power technology's marginal product beta * l**(beta-1) equals ``m`` (> 0)."""
     return np.power(np.asarray(m, dtype=float) / tech.beta, -1.0 / (1.0 - tech.beta))
@@ -141,7 +146,7 @@ def maintenance_labor(portfolio) -> np.ndarray:
     Solves g(l_j) = delta_j * k_j, the inflow needed to hold each
     family's maturity constant.
     """
-    return np.asarray(portfolio.tech.g_inv(portfolio.delta * portfolio.k), dtype=float)
+    return np.asarray(g_inv(portfolio.tech, portfolio.delta * portfolio.k), dtype=float)
 
 
 def allocate_bisection(tech, w, L_S: float, steps: int = 200) -> tuple[np.ndarray, float]:
@@ -187,7 +192,7 @@ def validate_codification(tech, points=(0.25, 0.5, 1.0, 2.0, 4.0)) -> None:
     """Numerically check the shape restrictions on a codification technology.
 
     Requires g(0) = 0, a positive and strictly decreasing marginal
-    product at the sample points, ``g_inv`` inverting ``g``, and
+    product at the sample points, :func:`g_inv` inverting ``g``, and
     :func:`g_prime_inv` inverting ``g_prime``.  Raises
     :class:`DomainError` on the first violation.
     """
@@ -206,7 +211,7 @@ def validate_codification(tech, points=(0.25, 0.5, 1.0, 2.0, 4.0)) -> None:
         require(m < previous, "marginal codification product must be strictly decreasing")
         previous = m
         require(
-            abs(float(tech.g_inv(float(tech.g(p)))) - p) <= 1e-9 * max(1.0, p),
+            abs(float(g_inv(tech, float(tech.g(p)))) - p) <= 1e-9 * max(1.0, p),
             "g_inv must invert g",
         )
         require(

@@ -368,6 +368,22 @@ CROSS_FIELD = [
     ({"portfolio": {"n_families": 3, "omega": [1.0, 2.0]}}, "portfolio.omega"),
     ({"portfolio": {"n_families": 2, "delta_j": [0.1, 0.2, 0.3]}}, "portfolio.delta_j"),
     ({"portfolio": {"k0": [1.0]}}, "portfolio.k0"),
+    # A one-period experiment, so that a missing rule fails fast at run time.
+    ({"roy": {"mu": 300.0, "factor": 2.0, "T": 1, "eval_window": 1, "replications": 1}}, "roy.factor"),
+]
+
+# Second bad values: entry intensities beyond the Poisson sampler's limit.
+BEYOND_LIMIT = [
+    ({"portfolio": {"entry": {"mu": 600.0}}}, "portfolio.entry.mu"),
+    ({"roy": {"mu": 600.0}}, "roy.mu"),
+]
+
+# Integer literals too large for a float, as a scalar, in a pair and in a per-family list.
+HUGE = 10**400
+HUGE_LITERALS = [
+    ({"baseline": {"alpha": HUGE}}, "baseline.alpha"),
+    ({"priors": {"r": [0.01, HUGE]}}, "priors.r"),
+    ({"portfolio": {"omega": [1.0] * 7 + [HUGE]}}, "portfolio.omega"),
 ]
 
 # The command that would consume each section.
@@ -380,6 +396,7 @@ BAD_CASES = (
     [pytest.param(nested(p, v), p, id=f"{p}={v!r}") for p, v in BAD_VALUES]
     + [pytest.param(nested(p, None), p, id=f"{p}=null") for p, _ in BAD_VALUES if p not in NULLABLE]
     + [pytest.param(c, p, id=f"rule:{p}:{json.dumps(c)}") for c, p in CROSS_FIELD]
+    + [pytest.param(c, p, id=f"limit:{p}") for c, p in BEYOND_LIMIT]
 )
 
 
@@ -398,6 +415,16 @@ def test_every_bad_value_exits_two_with_its_dotted_path(tmp_path, capsys, data, 
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["kind"] == "config"
     assert err["path"] == path
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data, path", HUGE_LITERALS, ids=[p for _, p in HUGE_LITERALS])
+def test_huge_integer_literals_are_not_finite(tmp_path, capsys, data, path):
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    assert main([COMMAND[path.split(".")[0]], "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["kind"], err["path"], err["message"]) == ("config", path, "must be finite")
     assert not out.exists()
 
 

@@ -140,6 +140,13 @@ def test_roy_section_flows_into_experiment():
     assert base.roy.experiment.eval_window == 12
 
 
+def test_entry_intensities_load_up_to_the_sampler_limit():
+    # The treated intensity mu * factor is bounded only under treatment mu.
+    cfg = AppConfig({"roy": {"mu": 300.0, "factor": 2.0, "treatment": "delta"}})
+    assert (cfg.roy.mu, cfg.roy.factor, cfg.roy.experiment.mu) == (300.0, 2.0, 300.0)
+    assert AppConfig({"portfolio": {"entry": {"mu": 500.0}}}).portfolio.entry.mu == 500.0
+
+
 def test_with_overrides():
     cfg = AppConfig({})
     out = load_config(None, {"run": {"seed": 77, "out": "elsewhere", "format": "json"}})

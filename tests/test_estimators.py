@@ -345,9 +345,9 @@ def test_shuffled_panel_gives_the_same_estimates():
     for name in ("delta_hat", "env", "tech", "org", "se_env", "se_tech", "se_org", "n_obs", "cells"):
         assert getattr(shuffled_est, name) == getattr(est, name)
 
-    weights = dict(zip(sc.final.id.tolist(), sc.final.omega.tolist()))
-    args = (sc.periods, weights, sc.labor_budget, 2.0, sc.final.aggregator)
-    assert indices(shuffled, *args) == indices(panel, *args)
+    args = (sc.final, sc.labor_budget, 2.0)
+    for column, shuffled_column in zip(indices(panel, *args), indices(shuffled, *args), strict=True):
+        assert shuffled_column.dtype == column.dtype and shuffled_column.tobytes() == column.tobytes()
     births = _births_from_panel(panel)
     assert births.tolist() == _births_from_panel(shuffled).tolist()
     assert births.tolist() == count_births(sc.final.born_at, T=80).tolist()
@@ -375,37 +375,45 @@ def test_count_births():
     assert list(count_births([], T=2)) == [0, 0, 0]
 
 
+def roster(ids, omegas, aggregator=AggregatorSpec()):
+    """A portfolio that only names families, their weights and the aggregator."""
+    n = len(ids)
+    return Portfolio(id=ids, omega=omegas, delta=[0.1] * n, k=[0.0] * n, born_at=[0] * n, aggregator=aggregator)
+
+
 def test_indices_weighted_sum_and_shares():
     p = panel_from([
         (0, 4, 2.0, False, False),
         (1, 4, 3.0, False, False),
         (2, 4, 1.0, False, False),
     ])
-    [point] = indices(p, [4], {0: 1.0, 1: 0.5, 2: 2.0}, labor_total=[0.3], L_bar=1.5)
-    assert point.capability == pytest.approx(1.0 * 2.0 + 0.5 * 3.0 + 2.0 * 1.0)
-    assert point.maintenance_share == pytest.approx(0.2)
-    assert point.n_families == 3
+    period, capability, share, n_families = indices(p, roster([0, 1, 2], [1.0, 0.5, 2.0]), [0.3], L_bar=1.5)
+    assert period.tolist() == [4]
+    assert capability.tolist() == pytest.approx([1.0 * 2.0 + 0.5 * 3.0 + 2.0 * 1.0])
+    assert share.tolist() == pytest.approx([0.2])
+    assert n_families.tolist() == [3]
 
 
 def test_indices_ces_aggregator():
     p = panel_from([(0, 0, 1.0, False, False), (1, 0, 4.0, False, False)])
     spec = AggregatorSpec(kind="ces", rho=0.5)
-    [point] = indices(p, [0], {0: 1.0, 1: 1.0}, labor_total=[0.0], L_bar=1.0, aggregator=spec)
-    assert point.capability == pytest.approx((1.0 + 2.0) ** 2, rel=1e-14)
+    _, capability, _, _ = indices(p, roster([0, 1], [1.0, 1.0], spec), [0.0], L_bar=1.0)
+    assert capability.tolist() == pytest.approx([(1.0 + 2.0) ** 2], rel=1e-14)
     neg = AggregatorSpec(kind="ces", rho=-1.0)
     zero = panel_from([(0, 0, 0.0, False, False), (1, 0, 4.0, False, False)])
-    [point] = indices(zero, [0], {0: 1.0, 1: 1.0}, labor_total=[0.0], L_bar=1.0, aggregator=neg)
-    assert point.capability == 0.0
+    _, capability, _, _ = indices(zero, roster([0, 1], [1.0, 1.0], neg), [0.0], L_bar=1.0)
+    assert capability.tolist() == [0.0]
 
 
-def test_indices_skips_families_without_weights():
-    p = panel_from([
-        (0, 1, 2.0, False, False),
-        (7, 1, 3.0, False, False),
-    ])
-    [point] = indices(p, [1], {0: 1.0}, labor_total=[0.1], L_bar=1.0)
-    assert point.capability == pytest.approx(2.0)
-    assert point.n_families == 1
+def test_indices_refuses_a_family_missing_from_the_roster():
+    # Family 7 sits between the roster's ids and family 9 past its last one.
+    for missing in (7, 9):
+        p = panel_from([
+            (0, 1, 2.0, False, False),
+            (missing, 1, 3.0, False, False),
+        ])
+        with pytest.raises(DomainError, match="missing from the roster"):
+            indices(p, roster([0, 8], [1.0, 1.0]), [0.1], L_bar=1.0)
 
 
 @pytest.mark.parametrize(
@@ -425,25 +433,27 @@ def test_scenario_indices_equal_the_scenario_capability(aggregator):
     drift = DriftConfig(env_hazard=0.05, tech_hazard=0.1, tech_windows=periodic_windows(2, 5, T), drop_frac=0.5)
     sc = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.4), T=T, seed=11, drift=drift)
     assert sc.final.size > J and sc.events
-    weights = dict(zip(sc.final.id.tolist(), sc.final.omega.tolist()))
-    points = indices(MaturityPanel.from_scenario(sc), sc.periods, weights, sc.labor_budget, 1.0, aggregator)
-    assert [point.capability for point in points] == sc.capability.tolist()
-    assert [point.n_families for point in points] == np.bincount(sc.period).tolist()
+    period, capability, share, n_families = indices(MaturityPanel.from_scenario(sc), sc.final, sc.labor_budget, 1.0)
+    assert period.tolist() == sc.periods.tolist()
+    assert capability.tolist() == sc.capability.tolist()
+    assert share.tolist() == sc.labor_budget.tolist()
+    assert n_families.tolist() == np.bincount(sc.period).tolist()
 
 
 def test_indices_refuses_an_empty_weight_map():
     p = panel_from([(0, 1, 2.0, False, False)])
-    with pytest.raises(DomainError, match="weights must name at least one family"):
-        indices(p, [1], {}, labor_total=[0.1], L_bar=1.0)
+    with pytest.raises(DomainError, match="the roster must name at least one family"):
+        indices(p, roster([], []), [0.1], L_bar=1.0)
 
 
 def test_indices_validation():
     p = panel_from([(0, 1, 2.0, False, False)])
+    families = roster([0], [1.0])
     with pytest.raises(DomainError):
-        indices(p, [9], {0: 1.0}, labor_total=[0.1], L_bar=1.0)
+        indices(p, families, [0.1, 0.1], L_bar=1.0)
     with pytest.raises(DomainError):
-        indices(p, [1], {5: 1.0}, labor_total=[0.1], L_bar=1.0)
+        indices(p, roster([5], [1.0]), [0.1], L_bar=1.0)
     with pytest.raises(DomainError):
-        indices(p, [1], {0: 1.0}, labor_total=[0.1], L_bar=0.0)
+        indices(p, families, [0.1], L_bar=0.0)
     with pytest.raises(DomainError):
-        indices(p, [1], {0: 1.0}, labor_total=[-0.1], L_bar=1.0)
+        indices(p, families, [-0.1], L_bar=1.0)

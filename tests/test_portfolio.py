@@ -21,6 +21,7 @@ from structlabor.portfolio import (
 from oracles import (
     allocate_bisection,
     allocation_value,
+    g_inv,
     g_prime_inv,
     grid_allocation_value,
     maintenance_labor,
@@ -115,7 +116,7 @@ def test_power_codification_shape():
         PowerCodification(beta=1.0)
     tech = PowerCodification(beta=0.5)
     assert tech.g(4.0) == 2.0
-    assert tech.g_inv(2.0) == 4.0
+    assert g_inv(tech, 2.0) == 4.0
     assert tech.g_prime(4.0) == pytest.approx(0.25)
     assert g_prime_inv(tech, 0.25) == pytest.approx(4.0)
     assert tech.g_prime(0.0) == math.inf
@@ -129,9 +130,6 @@ def test_validate_codification_catches_broken_technology():
 
         def g_prime(self, labor):
             return np.ones_like(np.asarray(labor, dtype=float))
-
-        def g_inv(self, y):
-            return np.asarray(y, dtype=float)
 
     with pytest.raises(DomainError):
         validate_codification(Flat())

@@ -316,6 +316,22 @@ def test_solve_roy_without_a_certified_finish_returns_its_last_point(monkeypatch
     assert np.array_equal(eq.wages, (skills.a * eq.prices).max(axis=1))
 
 
+@pytest.mark.parametrize("which", ["gap", "residual"])
+def test_solve_roy_refuses_a_finish_that_fails_its_certificate(monkeypatch, which):
+    # Every finish passes its own exact checks, and then its gap or its
+    # clearing residual is read one worker too large, far beyond
+    # tol * max(1, |G|): no finish may be accepted.
+    certificates = roy._certificates
+
+    def inflated(*args):
+        gap, residual, dual = certificates(*args)
+        return (gap + 1.0, residual, dual) if which == "gap" else (gap, residual + 1.0, dual)
+
+    monkeypatch.setattr(roy, "_certificates", inflated)
+    eq = solve_roy(*_scenario_instance())
+    assert not eq.converged
+
+
 def _small_instance(rng):
     n, j = int(rng.integers(1, 7)), int(rng.integers(1, 4))
     p = Portfolio(
