@@ -161,16 +161,15 @@ def _cmd_simulate(cfg: AppConfig) -> tuple[list[str], list[str]]:
         damping=cfg.transition.damping,
         tol=cfg.transition.tol,
     )
-    columns = [[getattr(p, name) for p in path.points] for name in PATH_COLUMNS]
+    columns = [getattr(path, name) for name in PATH_COLUMNS]
     files = _write_series(cfg.run.out, "path", cfg.run.format, PATH_COLUMNS, columns)
-    last = path.points[-1]
     payload = {
         "params": serialize(cfg)["baseline"],
         "initial": {"k0": k0, "L_S0": l_s0},
         "damping": path.damping,
         "converged": path.converged,
         "periods_to_converge": path.periods_to_converge,
-        "final": {"t": last.t, "k": last.k, "L_S": last.L_S, "Y": last.Y},
+        "final": {name: getattr(path, name)[-1] for name in ("t", "k", "L_S", "Y")},
         "steady_state": {"s_star": ss.s_star, "k_star": ss.k_star},
     }
     write_json(os.path.join(cfg.run.out, "transition.json"), payload)
@@ -232,13 +231,9 @@ def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
     )
 
     def arm_dict(arm) -> dict:
-        return {
-            **asdict(arm.stats),
-            "n_families": arm.n_families,
-            "gap_max": arm.gap_max,
-            "residual_max": arm.residual_max,
-            "tied_workers_max": arm.tied_workers_max,
-        }
+        # The averaged statistics sit beside the arm's other fields.
+        fields = asdict(arm)
+        return {**fields.pop("stats"), **fields}
 
     payload = {
         "treatment": result.treatment,

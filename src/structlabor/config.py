@@ -31,6 +31,8 @@ from .rng import POISSON_MAX_INTENSITY
 from .roy import RoyExperiment
 
 FORMATS = ("csv", "json", "both")
+# Most initial families a config may ask for; per-family values are broadcast to this length.
+MAX_FAMILIES = 100_000
 
 # Kinds beyond Python types: a [lo, hi] pair with lo <= hi, and one number per
 # family (a scalar is broadcast).
@@ -45,6 +47,7 @@ CLOSED_UNIT = (lambda x: 0 <= x <= 1, "must lie in [0, 1]")
 STEP = (lambda x: 0 < x <= 1, "must lie in (0, 1]")
 COUNT = (lambda x: x >= 1, "must be an integer >= 1")
 TWO_OR_MORE = (lambda x: x >= 2, "must be an integer >= 2")
+FAMILY_COUNT = (lambda x: 1 <= x <= MAX_FAMILIES, f"must be an integer in [1, {MAX_FAMILIES}]")
 RHO = (lambda x: x <= 1 and x != 0, "must satisfy rho <= 1, rho != 0")
 INTENSITY = (lambda x: 0 <= x <= POISSON_MAX_INTENSITY, f"must lie in [0, {POISSON_MAX_INTENSITY:g}]")
 SEED = (lambda x: 0 <= x <= 2**64 - 1, "must lie in [0, 2**64 - 1]")
@@ -76,7 +79,7 @@ FIELDS = (
     Field("transition.T", int, 500, COUNT),
     Field("transition.damping", float, None, STEP),  # null: the model-implied stable factor
     Field("transition.tol", float, 1e-10, POSITIVE),
-    Field("portfolio.n_families", int, 8, COUNT),
+    Field("portfolio.n_families", int, 8, FAMILY_COUNT),
     Field("portfolio.omega", PER_FAMILY, 1.0, POSITIVE),
     Field("portfolio.delta_j", PER_FAMILY, 0.15, OPEN_UNIT),
     Field("portfolio.k0", PER_FAMILY, 1.0, NONNEGATIVE),

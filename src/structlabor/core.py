@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import require, require_finite
 
 
@@ -72,25 +74,23 @@ class SteadyState:
     shadow_value: float
 
 
-@dataclass(frozen=True)
-class PathPoint:
-    """One period of a transition path."""
-
-    t: int
-    k: float
-    L_S: float
-    L_U: float
-    Y: float
-    w_U: float
-    w_S: float
-    shadow_value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionPath:
-    """A simulated path, its damping factor, and convergence bookkeeping."""
+    """A simulated path as parallel columns over periods 0..n-1, with convergence bookkeeping.
 
-    points: tuple[PathPoint, ...]
+    ``t`` holds the periods (integers); ``k``, ``L_S``, ``L_U``, ``Y``,
+    ``w_U``, ``w_S`` and ``shadow_value`` hold the stock, the two labor
+    uses, output, the two wages and the stock's shadow value per period.
+    """
+
+    t: np.ndarray
+    k: np.ndarray
+    L_S: np.ndarray
+    L_U: np.ndarray
+    Y: np.ndarray
+    w_U: np.ndarray
+    w_S: np.ndarray
+    shadow_value: np.ndarray
     damping: float
     converged: bool
     periods_to_converge: int | None
@@ -236,7 +236,7 @@ def simulate_transition(
     stops there.  With ``damping=None`` a stable factor is chosen from
     the parameters.
 
-    Returns a path of at most ``T + 1`` points for periods 0..T.
+    Returns a path of at most ``T + 1`` periods, 0..T, as columns.
     """
     require_finite(k0, "k0")
     require(k0 > 0.0, "initial capability stock must be positive")
@@ -252,8 +252,7 @@ def simulate_transition(
 
     ss = steady_state(params)
     c = _labor_response_slope(params)
-    points: list[PathPoint] = []
-    converged = False
+    rows: list[tuple[float, ...]] = []
     periods: int | None = None
 
     k = float(k0)
@@ -267,19 +266,17 @@ def simulate_transition(
         y = output(params, k, l_u)
         # With no production labor output is zero: the wage is unbounded and capability worthless.
         w_u, _, v = marginals(params, k, l_u) if l_u > 0.0 else (math.inf, 0.0, 0.0)
-        points.append(
-            PathPoint(t=t, k=k, L_S=l_s, L_U=l_u, Y=y, w_U=w_u, w_S=params.eta * v, shadow_value=v)
-        )
+        rows.append((k, l_s, l_u, y, w_u, params.eta * v, v))
         share_gap = abs(l_s / params.L_bar - ss.s_star)
         stock_gap = abs(k - ss.k_star)
         if share_gap <= tol * ss.s_star and stock_gap <= tol * ss.k_star:
-            converged = True
             periods = t
             break
 
     return TransitionPath(
-        points=tuple(points),
+        np.arange(len(rows), dtype=np.int64),
+        *np.array(rows).T,
         damping=lam,
-        converged=converged,
+        converged=periods is not None,
         periods_to_converge=periods,
     )

@@ -17,7 +17,7 @@ turnover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .portfolio import (
     Portfolio,
     PowerCodification,
     AggregatorSpec,
-    effective_weights,
     run_portfolio_scenario,
 )
 from .rng import derive_seed, stream
@@ -93,7 +92,7 @@ def _skill_normals(n_workers: int, portfolio: Portfolio, seed: int) -> np.ndarra
 
     A column depends only on the family's birth period and rank within
     that cohort, so the columns of a portfolio's first families are those
-    of any later portfolio that extends it.
+    of any later portfolio that extends it, such as a scenario's final roster.
     """
     slot_within_cohort: dict[int, int] = {}
     z = np.empty((n_workers, portfolio.size))
@@ -108,8 +107,8 @@ def _skill_normals(n_workers: int, portfolio: Portfolio, seed: int) -> np.ndarra
 class RoyEquilibrium:
     """A self-consistent assignment: who works where, at what rates.
 
-    ``prices`` holds one piece rate per family, in the portfolio's family
-    order, and ``labor`` the workers per family, split workers counted by
+    ``prices`` holds one piece rate per family, in the order of the skill
+    columns, and ``labor`` the workers per family, split workers counted by
     their shares.  ``iterations`` counts Newton steps, ``converged`` says
     whether the point is certified, ``gap`` and ``residual`` are its
     complementarity gap and clearing residual (see :func:`solve_roy`), and
@@ -142,19 +141,18 @@ class DispersionStats:
         require(0.0 < self.top_decile_share <= 1.0, "top decile share must lie in (0, 1]")
 
 
-def family_prices(portfolio: Portfolio, labor: np.ndarray) -> np.ndarray:
+def family_prices(w: np.ndarray, tech: PowerCodification, labor: np.ndarray) -> np.ndarray:
     """Piece rates implied by a labor distribution over families.
 
-    p_j = w_j * g'(max(l_j, floor)) with w_j the effective weights (which
-    already carry the economy-wide scale Lambda), one per family in the
-    portfolio's order.  The floor keeps rates finite for families nobody
-    currently serves.
+    p_j = w_j * g'(max(l_j, floor)) with ``w`` the family weight column
+    (effective weights, which already carry the economy-wide scale
+    Lambda) and ``labor`` parallel to it.  The floor keeps rates finite
+    for families nobody currently serves.
     """
     labor = np.asarray(labor, dtype=float)
-    require(labor.shape == (portfolio.size,), "labor vector must have one entry per family")
+    require(labor.shape == w.shape, "labor vector must have one entry per family")
     require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor must be nonnegative")
-    w = effective_weights(portfolio.omega, portfolio.k, portfolio.aggregator, portfolio.Lambda)
-    rates = w * np.asarray(portfolio.tech.g_prime(np.maximum(labor, _LABOR_FLOOR)), dtype=float)
+    rates = w * np.asarray(tech.g_prime(np.maximum(labor, _LABOR_FLOOR)), dtype=float)
     require(bool(np.all(np.isfinite(rates)) and np.all(rates > 0.0)), "prices must be finite and positive")
     return rates
 
@@ -312,13 +310,19 @@ def _certificates(x, pi, c, log_s, r):
     return gap, residual, dual
 
 
-def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9) -> RoyEquilibrium:
+def solve_roy(
+    a: np.ndarray, w: np.ndarray, tech: PowerCodification, Lambda: float = 1.0, tol: float = 1e-9
+) -> RoyEquilibrium:
     """Find assignment and piece rates consistent with each other, with a certificate.
 
-    Worker i may split its unit across families: x_ij >= 0 with
-    sum_j x_ij = 1.  In log prices pi, with c = log(a), worker i earns at
-    most u_i = max_j(c_ij + pi_j), and family j's piece rate at labor l
-    is w_j * g'(max(l, floor)), whose inverse is the supply
+    ``a`` holds one row of strictly positive skills per worker and one
+    column per family; ``w`` is the family weight column (effective
+    weights, carrying the economy-wide scale ``Lambda``) and ``tech`` the
+    codification technology g(l) = l**beta.  Worker i may split its unit
+    across families: x_ij >= 0 with sum_j x_ij = 1.  In log prices pi,
+    with c = log(a), worker i earns at most u_i = max_j(c_ij + pi_j), and
+    family j's piece rate at labor l is w_j * g'(max(l, floor)), whose
+    inverse is the supply
     S_j(pi_j) = (beta * w_j * exp(-pi_j))**(1 / (1 - beta)).  The
     equilibrium minimizes the convex dual
 
@@ -337,24 +341,28 @@ def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9
     l_j = sum_i x_ij, which is zero exactly when every price is the one
     its labor implies.
 
-    The solve runs at Lambda = 1 and the reported prices carry Lambda, so
-    assignment and labor cannot depend on it.  ``assignment`` is each
+    The solve runs on ``w / Lambda`` and the reported prices carry Lambda,
+    so assignment and labor cannot depend on it.  ``assignment`` is each
     worker's largest-share family (lowest index on ties), ``labor`` is
     sum_i x_ij, ``prices`` come from :func:`family_prices` at that labor,
     and ``wages`` are each worker's best wage at those prices.  When no
     finish is accepted after the last stage, the result is the last
     smoothed point, with ``converged=False`` and its own gap and residual.
     """
-    require(skills.family_ids == tuple(portfolio.id.tolist()), "skill columns must match portfolio families")
+    a, w = np.asarray(a, dtype=float), np.asarray(w, dtype=float)
+    require(a.ndim == 2, "skill matrix must be two-dimensional")
+    require(a.shape[0] >= 1 and a.shape[1] >= 1, "skill matrix must be nonempty")
+    require(bool(np.all(np.isfinite(a)) and np.all(a > 0.0)), "skills must be finite and positive")
+    require(w.shape == (a.shape[1],), "weights must have one entry per skill column")
+    require(bool(np.all(np.isfinite(w)) and np.all(w > 0.0)), "weights must be finite and positive")
+    require(math.isfinite(Lambda) and Lambda > 0.0, "Lambda must be positive")
     require(tol > 0.0, "tol must be positive")
 
-    n, j = skills.a.shape
-    beta = portfolio.tech.beta
-    r = 1.0 / (1.0 - beta)
-    w = effective_weights(portfolio.omega, portfolio.k, portfolio.aggregator, 1.0)
-    log_s = r * np.log(beta * w)
+    n, j = a.shape
+    r = 1.0 / (1.0 - tech.beta)
+    log_s = r * np.log(tech.beta * (w / Lambda))
     # Family j's supply at log price pi_j is S_j = exp(log_s_j - r * pi_j).
-    c = np.log(skills.a)
+    c = np.log(a)
     # Start where every family's supply is n / j workers.
     pi = (log_s - math.log(n / j)) / r
     steps = 0
@@ -381,12 +389,12 @@ def solve_roy(skills: WorkerSkillMatrix, portfolio: Portfolio, tol: float = 1e-9
     else:
         x, _, gap, residual = found
     labor = x.sum(axis=0)
-    prices = family_prices(portfolio, labor)
+    prices = family_prices(w, tech, labor)
     return RoyEquilibrium(
         assignment=np.argmax(x, axis=1),
         labor=labor,
         prices=prices,
-        wages=(skills.a * prices).max(axis=1),
+        wages=(a * prices).max(axis=1),
         iterations=steps,
         residual=residual,
         converged=found is not None,
@@ -538,17 +546,12 @@ def _run_arm(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: 
     # Dispersion is averaged over the last eval_window periods so that the
     # measurement is not hostage to whether a family happened to be born
     # right at the horizon.
-    periods = _evaluated_skills(exp, scenario, derive_seed(rep_seed, "skills"))
-    eqs = [solve_roy(skills, pt, tol=exp.tol) for pt, skills in periods]
-    stats = [wage_stats(eq.wages) for eq in eqs]
-    averaged = DispersionStats(
-        mean_wage=_mean([s.mean_wage for s in stats]),
-        log_wage_variance=_mean([s.log_wage_variance for s in stats]),
-        p90_p10=_mean([s.p90_p10 for s in stats]),
-        top_decile_share=_mean([s.top_decile_share for s in stats]),
-    )
+    periods = _evaluated_columns(exp, scenario, derive_seed(rep_seed, "skills"))
+    eqs = [solve_roy(a, w, scenario.final.tech, Lambda=exp.Lambda, tol=exp.tol) for a, w in periods]
+    # Each statistic is averaged over the periods on its own.
+    stats = zip(*(astuple(wage_stats(eq.wages)) for eq in eqs))
     return ArmOutcome(
-        stats=averaged,
+        stats=DispersionStats(*map(_mean, stats)),
         n_families=scenario.final.size,
         gap_max=max(eq.gap for eq in eqs),
         residual_max=max(eq.residual for eq in eqs),
@@ -556,20 +559,22 @@ def _run_arm(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: 
     )
 
 
-def _evaluated_skills(exp: RoyExperiment, scenario, seed: int):
-    """Each evaluated period's portfolio and worker skills.
+def _evaluated_columns(exp: RoyExperiment, scenario, seed: int):
+    """Each evaluated period's worker skills and family weight column, read off the panel.
 
     Worker draws are keyed by family identity and shared across periods:
     a family keeps the same underlying aptitude column while its skill
-    scale tracks its maturity.  Families never exit, so the normals are
-    drawn once for the final families and each period rescales its first
-    columns, exactly as :meth:`WorkerSkillMatrix.generate` would.
+    scale tracks its maturity.  The panel is period-major and families
+    never exit, so period t's rows are its families in roster order; the
+    normals are drawn once for the final families and each period
+    rescales its first columns, exactly as :meth:`WorkerSkillMatrix.generate`
+    would for that period's portfolio.
     """
     z = _skill_normals(exp.n_workers, scenario.final, seed)
-    for t in range(exp.T - exp.eval_window + 1, exp.T + 1):
-        pt = scenario.portfolio_at(t)
-        sigmas = maturity_skill_sigma(pt.k, exp.sigma_young, exp.sigma_mature, exp.k_ref)
-        yield pt, WorkerSkillMatrix(a=np.exp(z[:, : pt.size] * sigmas), family_ids=tuple(pt.id.tolist()))
+    bounds = np.searchsorted(scenario.period, np.arange(exp.T - exp.eval_window + 1, exp.T + 2)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sigmas = maturity_skill_sigma(scenario.maturity[lo:hi], exp.sigma_young, exp.sigma_mature, exp.k_ref)
+        yield np.exp(z[:, : hi - lo] * sigmas), scenario.effective_weight[lo:hi]
 
 
 def _mean(values) -> float:
@@ -595,16 +600,14 @@ def dispersion_experiment(
     require(math.isfinite(factor) and factor > 0.0, "factor must be positive")
     require(isinstance(replications, int) and replications >= 1, "replications must be an integer >= 1")
 
+    mu_factor, delta_factor = (factor, 1.0) if treatment == "mu" else (1.0, factor)
     base: list[ArmOutcome] = []
     treated: list[ArmOutcome] = []
     diffs: list[float] = []
     for rep in range(replications):
         rep_seed = derive_seed(seed, "replication", rep)
         b = _run_arm(experiment, rep_seed, mu_factor=1.0, delta_factor=1.0)
-        if treatment == "mu":
-            t = _run_arm(experiment, rep_seed, mu_factor=factor, delta_factor=1.0)
-        else:
-            t = _run_arm(experiment, rep_seed, mu_factor=1.0, delta_factor=factor)
+        t = _run_arm(experiment, rep_seed, mu_factor=mu_factor, delta_factor=delta_factor)
         base.append(b)
         treated.append(t)
         diffs.append(t.stats.log_wage_variance - b.stats.log_wage_variance)

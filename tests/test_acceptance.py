@@ -127,7 +127,7 @@ def test_criterion_03_steady_state_oracle_equivalence():
         path = simulate_transition(
             params, k0=0.5 * ss.k_star, L_S0=0.5 * ss.L_S_star, T=20000, tol=1e-8
         )
-        share_final = path.points[-1].L_S / params.L_bar
+        share_final = path.L_S[-1] / params.L_bar
         worst_transition = max(worst_transition, abs(share_final - ss.s_star) / ss.s_star)
         ref = share_bisection(alpha, gamma, r, delta)
         worst_bisect = max(worst_bisect, abs(ref - ss.s_star) / ss.s_star)
@@ -325,7 +325,7 @@ def test_criterion_09_roy_equilibrium_and_dispersion():
     p = Portfolio(**fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
     skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=[0.6, 0.6])
     oracle = roy_consistent_assignments(skills.a, weights(p), beta=0.5)
-    eq = solve_roy(skills, p)
+    eq = solve_roy(skills.a, weights(p), TECH)
     fixed_point_ok = (
         oracle == [(1, 1, 0, 0, 0)]
         and eq.converged
@@ -333,7 +333,7 @@ def test_criterion_09_roy_equilibrium_and_dispersion():
     )
 
     scaled = Portfolio(**fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH, Lambda=4.0)
-    eq_scaled = solve_roy(skills, scaled)
+    eq_scaled = solve_roy(skills.a, weights(scaled), TECH, Lambda=4.0)
     scaling_ok = np.array_equal(eq.assignment, eq_scaled.assignment)
 
     exp = RoyExperiment()

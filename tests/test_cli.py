@@ -372,10 +372,12 @@ CROSS_FIELD = [
     ({"roy": {"mu": 300.0, "factor": 2.0, "T": 1, "eval_window": 1, "replications": 1}}, "roy.factor"),
 ]
 
-# Second bad values: entry intensities beyond the Poisson sampler's limit.
+# Second bad values: entry intensities beyond the Poisson sampler's limit, and
+# a family count whose per-family broadcast would overflow a list.
 BEYOND_LIMIT = [
     ({"portfolio": {"entry": {"mu": 600.0}}}, "portfolio.entry.mu"),
     ({"roy": {"mu": 600.0}}, "roy.mu"),
+    ({"portfolio": {"n_families": 10**30}}, "portfolio.n_families"),
 ]
 
 # Integer literals too large for a float, as a scalar, in a pair and in a per-family list.

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from structlabor.config import AppConfig, load_config, serialize
+from structlabor.config import MAX_FAMILIES, AppConfig, load_config, serialize
 from structlabor.errors import ConfigError
 
 
@@ -145,6 +145,16 @@ def test_entry_intensities_load_up_to_the_sampler_limit():
     cfg = AppConfig({"roy": {"mu": 300.0, "factor": 2.0, "treatment": "delta"}})
     assert (cfg.roy.mu, cfg.roy.factor, cfg.roy.experiment.mu) == (300.0, 2.0, 300.0)
     assert AppConfig({"portfolio": {"entry": {"mu": 500.0}}}).portfolio.entry.mu == 500.0
+
+
+def test_family_count_loads_up_to_its_bound():
+    # The bound is checked before any per-family value is broadcast.
+    assert AppConfig({"portfolio": {"n_families": MAX_FAMILIES}}).portfolio.initial.size == MAX_FAMILIES
+    for n in (MAX_FAMILIES + 1, 10**30):
+        with pytest.raises(ConfigError) as exc:
+            AppConfig({"portfolio": {"n_families": n}})
+        assert exc.value.path == "portfolio.n_families"
+        assert str(MAX_FAMILIES) in str(exc.value)
 
 
 def test_with_overrides():

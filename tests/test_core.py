@@ -176,17 +176,20 @@ def test_transition_reaches_long_run_allocation():
     path = simulate_transition(BASELINE, k0=0.5 * ss.k_star, L_S0=0.5 * ss.L_S_star)
     assert path.converged
     assert path.periods_to_converge == 38
-    assert len(path.points) == 39
-    last = path.points[-1]
-    assert last.L_S == pytest.approx(ss.L_S_star, rel=1e-9)
-    assert last.k == pytest.approx(ss.k_star, rel=1e-9)
+    assert len(path.t) == 39
+    assert path.L_S[-1] == pytest.approx(ss.L_S_star, rel=1e-9)
+    assert path.k[-1] == pytest.approx(ss.k_star, rel=1e-9)
 
 
 def test_transition_first_point_is_the_initial_condition():
     path = simulate_transition(BASELINE, k0=0.02, L_S0=0.01, T=5, tol=1e-16)
-    assert path.points[0].k == 0.02
-    assert path.points[0].L_S == 0.01
-    assert [p.t for p in path.points] == list(range(len(path.points)))
+    assert path.k[0] == 0.02
+    assert path.L_S[0] == 0.01
+    assert path.t.dtype == np.int64
+    assert path.t.tolist() == list(range(len(path.t)))
+    columns = [path.t, path.k, path.L_S, path.L_U, path.Y, path.w_U, path.w_S, path.shadow_value]
+    assert all(c.shape == path.t.shape for c in columns)
+    assert all(c.dtype == np.float64 for c in columns[1:])
 
 
 def test_transition_update_rule_is_the_documented_one():
@@ -196,31 +199,30 @@ def test_transition_update_rule_is_the_documented_one():
     k1 = (1 - BASELINE.delta_k) * 0.02 + BASELINE.eta * 0.01
     target = min(max(BASELINE.L_bar - c * k1, 0.0), BASELINE.L_bar)
     l1 = (1 - lam) * 0.01 + lam * target
-    assert path.points[1].k == pytest.approx(k1, rel=1e-15)
-    assert path.points[1].L_S == pytest.approx(l1, rel=1e-15)
+    assert path.k[1] == pytest.approx(k1, rel=1e-15)
+    assert path.L_S[1] == pytest.approx(l1, rel=1e-15)
 
 
 def test_transition_path_prices():
     path = simulate_transition(BASELINE, k0=0.02, L_S0=0.01, T=5, tol=1e-16)
-    p = path.points[2]
-    w_u, dy_dk, v = marginals(BASELINE, p.k, p.L_U)
-    assert p.w_U == pytest.approx(w_u, rel=1e-12)
-    assert p.shadow_value == pytest.approx(v, rel=1e-12)
-    assert p.w_S == pytest.approx(BASELINE.eta * v, rel=1e-12)
+    w_u, dy_dk, v = marginals(BASELINE, path.k[2], path.L_U[2])
+    assert path.w_U[2] == pytest.approx(w_u, rel=1e-12)
+    assert path.shadow_value[2] == pytest.approx(v, rel=1e-12)
+    assert path.w_S[2] == pytest.approx(BASELINE.eta * v, rel=1e-12)
 
 
 def test_transition_all_labor_in_maintenance_gives_infinite_production_wage():
     path = simulate_transition(BASELINE, k0=0.02, L_S0=BASELINE.L_bar, T=2, tol=1e-16)
-    assert path.points[0].L_U == 0.0
-    assert path.points[0].Y == 0.0
-    assert path.points[0].w_U == math.inf
+    assert path.L_U[0] == 0.0
+    assert path.Y[0] == 0.0
+    assert path.w_U[0] == math.inf
 
 
 def test_transition_without_convergence_reports_it():
     path = simulate_transition(BASELINE, k0=0.02, L_S0=0.01, T=3, tol=1e-16)
     assert not path.converged
     assert path.periods_to_converge is None
-    assert len(path.points) == 4
+    assert len(path.t) == 4
 
 
 def test_transition_input_validation():

@@ -217,15 +217,15 @@ def test_write_manifest_structure(tmp_path):
 
 def test_path_csv_header_and_round_trip(tmp_path):
     params = BaselineParams(alpha=0.36, gamma=0.05, r=0.04, delta_k=0.15, eta=0.2)
-    path_points = simulate_transition(params, k0=0.02, L_S0=0.01, T=5, tol=1e-16).points
+    path = simulate_transition(params, k0=0.02, L_S0=0.01, T=5, tol=1e-16)
     csv_path = str(tmp_path / "path.csv")
-    write_csv(csv_path, PATH_COLUMNS, [[getattr(p, name) for p in path_points] for name in PATH_COLUMNS])
+    write_csv(csv_path, PATH_COLUMNS, [getattr(path, name) for name in PATH_COLUMNS])
     lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(PATH_COLUMNS)
-    assert len(lines) == len(path_points) + 1
+    assert len(lines) == len(path.t) + 1
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert float(first[1]) == path_points[0].k
+    assert float(first[1]) == path.k[0]
 
 
 def test_panel_csv_round_trip_is_bitwise(tmp_path):

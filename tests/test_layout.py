@@ -1,18 +1,48 @@
-"""The README's library layout names exactly the package's modules."""
+"""The README's library layout names exactly the package's modules, and the package's imports stay declared."""
 
+import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "structlabor").glob("*.py"))
+# The runtime dependencies pyproject.toml declares, by import name, and the package itself.
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "yaml", "structlabor"}
 
 
 def test_readme_library_layout_lists_every_module():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^- `structlabor\.(\w+)`", section, flags=re.M)
-    modules = sorted(path.stem for path in (ROOT / "src" / "structlabor").glob("*.py") if path.stem != "__init__")
+    modules = sorted(path.stem for path in MODULES if path.stem != "__init__")
     assert sorted(listed) == modules
     assert len(set(listed)) == len(listed)
     for name in listed:
         importlib.import_module(f"structlabor.{name}")
+
+
+def imported_roots(source: str) -> set[str]:
+    """Top-level names of every absolute import in ``source``, at any depth."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_imported_roots_sees_every_absolute_import():
+    source = "import os.path, scipy.linalg\nfrom yaml import safe_load\nfrom . import rng\n"
+    source += "def f():\n    from scipy import optimize\n"
+    assert imported_roots(source) == {"os", "scipy", "yaml"}
+    assert "scipy" not in ALLOWED
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_package_imports_only_the_standard_library_numpy_and_yaml(path):
+    assert imported_roots(path.read_text(encoding="utf-8")) <= ALLOWED

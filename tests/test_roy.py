@@ -37,6 +37,15 @@ def two_family_portfolio(k0=1.0, k1=0.5, aggregator=None, Lambda=1.0):
     )
 
 
+def weights(p):
+    """The portfolio's effective weight column, Lambda included."""
+    return effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
+
+
+# Two interchangeable additive families of weight 1.
+UNIT_WEIGHTS = np.ones(2)
+
+
 def test_skill_matrix_validation():
     with pytest.raises(DomainError):
         WorkerSkillMatrix(a=np.array([1.0, 2.0]), family_ids=(0, 1))
@@ -102,26 +111,26 @@ def test_generate_streams_follow_birth_cohort_not_id():
 def test_family_prices_formula():
     p = two_family_portfolio()
     labor = np.array([3.0, 1.0])
-    prices = family_prices(p, labor)
-    w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
+    w = weights(p)
+    prices = family_prices(w, p.tech, labor)
     assert prices[0] == pytest.approx(w[0] * 0.5 * 3.0 ** (-0.5), rel=1e-14)
     assert prices[1] == pytest.approx(w[1] * 0.5 * 1.0 ** (-0.5), rel=1e-14)
     # The floor keeps an empty family's rate finite.
-    floored = family_prices(p, np.array([0.0, 1.0]))
+    floored = family_prices(w, p.tech, np.array([0.0, 1.0]))
     assert np.isfinite(floored[0])
     with pytest.raises(DomainError):
-        family_prices(p, np.array([1.0]))
+        family_prices(w, p.tech, np.array([1.0]))
     with pytest.raises(DomainError):
-        family_prices(p, np.array([-1.0, 1.0]))
+        family_prices(w, p.tech, np.array([-1.0, 1.0]))
 
 
 def test_solve_roy_reaches_an_enumerated_fixed_point():
     p = two_family_portfolio()
     skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=[0.6, 0.6])
-    w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
+    w = weights(p)
     oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
     assert oracle == [(1, 1, 0, 0, 0)]
-    eq = solve_roy(skills, p)
+    eq = solve_roy(skills.a, w, p.tech)
     assert eq.converged
     assert tuple(int(x) for x in eq.assignment) in oracle
     # Labor has settled onto the head counts of the assignment.
@@ -134,10 +143,10 @@ def test_solve_roy_reaches_an_enumerated_fixed_point():
 def test_solve_roy_second_instance():
     p = two_family_portfolio()
     skills = WorkerSkillMatrix.generate(5, p, seed=4, sigma_ln=[0.6, 0.6])
-    w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
+    w = weights(p)
     oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
     assert oracle == [(0, 1, 1, 0, 1)]
-    eq = solve_roy(skills, p)
+    eq = solve_roy(skills.a, w, p.tech)
     assert eq.converged
     assert tuple(int(x) for x in eq.assignment) in oracle
 
@@ -148,8 +157,8 @@ def test_solve_roy_scale_invariant_assignment():
     base = two_family_portfolio(Lambda=1.0)
     scaled = two_family_portfolio(Lambda=4.0)
     skills = WorkerSkillMatrix.generate(30, base, seed=2, sigma_ln=[0.6, 0.6])
-    eq_base = solve_roy(skills, base)
-    eq_scaled = solve_roy(skills, scaled)
+    eq_base = solve_roy(skills.a, weights(base), TECH)
+    eq_scaled = solve_roy(skills.a, weights(scaled), TECH, Lambda=4.0)
     assert np.array_equal(eq_base.assignment, eq_scaled.assignment)
     assert np.array_equal(eq_base.labor, eq_scaled.labor)
     assert np.array_equal(eq_scaled.prices, 4.0 * eq_base.prices)
@@ -159,14 +168,9 @@ def test_solve_roy_reports_nonexistence_honestly():
     # One worker, two interchangeable families: wherever the worker goes,
     # the empty family pays more, so no whole-worker equilibrium exists.
     # The worker splits evenly, and that split is certified.
-    p = Portfolio(
-        id=[0, 1], omega=[1.0, 1.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0],
-        aggregator=AggregatorSpec(kind="additive"), tech=TECH,
-    )
-    skills = WorkerSkillMatrix(a=np.array([[1.0, 1.0]]), family_ids=(0, 1))
-    w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
-    assert roy_consistent_assignments(skills.a, w, beta=0.5) == []
-    eq = solve_roy(skills, p)
+    a = np.array([[1.0, 1.0]])
+    assert roy_consistent_assignments(a, UNIT_WEIGHTS, beta=0.5) == []
+    eq = solve_roy(a, UNIT_WEIGHTS, TECH)
     assert eq.converged
     assert np.allclose(eq.labor, [0.5, 0.5], rtol=0, atol=1e-9)
     assert eq.tied_workers == 1
@@ -192,14 +196,9 @@ def test_solve_roy_refuses_a_finish_whose_ties_are_too_wide(monkeypatch):
         return point
 
     monkeypatch.setattr(roy, "_finish", wide)
-    p = Portfolio(
-        id=[0, 1], omega=[1.0, 1.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0],
-        aggregator=AggregatorSpec(kind="additive"), tech=TECH,
-    )
-    skills = WorkerSkillMatrix(a=np.exp([[0.1, 0.0], [0.0, 1.0], [0.0, 1.0]]), family_ids=(0, 1))
-    w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
-    assert roy_consistent_assignments(skills.a, w, beta=0.5) == [(0, 1, 1)]
-    eq = solve_roy(skills, p)
+    a = np.exp([[0.1, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    assert roy_consistent_assignments(a, UNIT_WEIGHTS, beta=0.5) == [(0, 1, 1)]
+    eq = solve_roy(a, UNIT_WEIGHTS, TECH)
     assert eq.converged
     assert np.allclose(eq.labor, [1.0, 2.0], rtol=0, atol=1e-9)
     assert eq.assignment.tolist() == [0, 1, 1]
@@ -216,19 +215,14 @@ def test_solve_roy_prices_an_unserved_family_at_its_floor(rows):
     # Nobody is worth hiring in family 1 even at the rate its labor floor
     # implies, so it stays empty at that rate, and the solve is certified.
     # Without the floor the single worker would put 2.5e-7 of its time there.
-    p = Portfolio(
-        id=[0, 1], omega=[1.0, 1.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0],
-        aggregator=AggregatorSpec(kind="additive"), tech=TECH,
-    )
-    skills = WorkerSkillMatrix(a=np.array(rows), family_ids=(0, 1))
-    eq = solve_roy(skills, p)
+    eq = solve_roy(np.array(rows), UNIT_WEIGHTS, TECH)
     assert eq.converged
     # The floor-less dual has no minimizer in family 1's price, so a
     # hopeless family runs its stages to the step cap until a finish lands.
     assert eq.iterations <= 2 * roy._NEWTON_STEPS
     labor = np.array([len(rows), 0.0])
     assert np.array_equal(eq.labor, labor)
-    assert np.array_equal(eq.prices, family_prices(p, labor))
+    assert np.array_equal(eq.prices, family_prices(UNIT_WEIGHTS, TECH, labor))
     assert eq.tied_workers == 0
 
 
@@ -245,25 +239,59 @@ def _scenario_instance():
     pt = run_portfolio_scenario(p0, 1.0, entry, 40, seed=3).portfolio_at(40)
     assert pt.size >= 10
     sigmas = maturity_skill_sigma(pt.k, 1.5, 0.2, 1.0)
-    return WorkerSkillMatrix.generate(400, pt, seed=5, sigma_ln=sigmas), pt
+    return WorkerSkillMatrix.generate(400, pt, seed=5, sigma_ln=sigmas).a, weights(pt)
 
 
 def test_solve_roy_certificate_holds_at_the_reported_point():
     # Rechecked from the reported fields alone: every worker's family pays
     # its best wage at the reported prices, split workers aside; the prices
     # are the ones the labor implies; labor counts every worker once.
-    skills, p = _scenario_instance()
-    eq = solve_roy(skills, p)
+    a, w = _scenario_instance()
+    eq = solve_roy(a, w, TECH)
     assert eq.converged
-    assert eq.gap <= 1e-9 * skills.a.shape[0] and eq.residual <= 1e-9 * skills.a.shape[0]
-    assert np.array_equal(eq.prices, family_prices(p, eq.labor))
+    assert eq.gap <= 1e-9 * a.shape[0] and eq.residual <= 1e-9 * a.shape[0]
+    assert np.array_equal(eq.prices, family_prices(w, TECH, eq.labor))
     assert math.fsum(eq.labor) == pytest.approx(400.0, rel=1e-14)
-    wages = skills.a * eq.prices
+    wages = a * eq.prices
     assert np.array_equal(eq.wages, wages.max(axis=1))
     chosen = wages[np.arange(400), eq.assignment]
     assert np.all(chosen >= eq.wages * (1.0 - 1e-9))
     # Tie workers link families into a forest, so there are fewer than families.
-    assert 0 < eq.tied_workers < p.size
+    assert 0 < eq.tied_workers < w.size
+
+
+SKILLS = "skills must be finite and positive"
+WEIGHTS = "weights must be finite and positive"
+W_LENGTH = "weights must have one entry per skill column"
+
+
+@pytest.mark.parametrize(
+    "a, w, tol, message",
+    [
+        pytest.param(np.array([1.0, 2.0]), UNIT_WEIGHTS, 1e-9, "two-dimensional", id="1-d"),
+        pytest.param(np.empty((0, 2)), UNIT_WEIGHTS, 1e-9, "nonempty", id="no-workers"),
+        pytest.param(np.empty((3, 0)), np.empty(0), 1e-9, "nonempty", id="no-families"),
+        pytest.param(np.array([[1.0, 0.0]]), UNIT_WEIGHTS, 1e-9, SKILLS, id="zero-skill"),
+        pytest.param(np.array([[1.0, -2.0]]), UNIT_WEIGHTS, 1e-9, SKILLS, id="negative-skill"),
+        pytest.param(np.array([[1.0, np.nan]]), UNIT_WEIGHTS, 1e-9, SKILLS, id="nan-skill"),
+        pytest.param(np.array([[1.0, np.inf]]), UNIT_WEIGHTS, 1e-9, SKILLS, id="inf-skill"),
+        pytest.param(np.array([[1.0, 2.0]]), np.ones(3), 1e-9, W_LENGTH, id="long-w"),
+        pytest.param(np.array([[1.0, 2.0]]), np.ones((2, 1)), 1e-9, W_LENGTH, id="2-d-w"),
+        pytest.param(np.array([[1.0, 2.0]]), np.array([1.0, 0.0]), 1e-9, WEIGHTS, id="zero-weight"),
+        pytest.param(np.array([[1.0, 2.0]]), np.array([1.0, np.nan]), 1e-9, WEIGHTS, id="nan-weight"),
+        pytest.param(np.array([[1.0, 2.0]]), UNIT_WEIGHTS, 0.0, "tol must be positive", id="zero-tol"),
+        pytest.param(np.array([[1.0, 2.0]]), UNIT_WEIGHTS, -1e-9, "tol must be positive", id="negative-tol"),
+    ],
+)
+def test_solve_roy_checks_its_raw_input(a, w, tol, message):
+    with pytest.raises(DomainError, match=message):
+        solve_roy(a, w, TECH, tol=tol)
+
+
+@pytest.mark.parametrize("Lambda", [0.0, -1.0, math.inf, math.nan])
+def test_solve_roy_needs_a_positive_scale(Lambda):
+    with pytest.raises(DomainError, match="Lambda"):
+        solve_roy(np.array([[1.0, 2.0]]), UNIT_WEIGHTS, TECH, Lambda=Lambda)
 
 
 def _tie_sets(c, pi, log_s, r, width):
@@ -284,9 +312,9 @@ def test_a_finish_depends_only_on_its_tie_set(monkeypatch):
             accepted.append(args)
         return point
 
-    skills, p = _scenario_instance()
+    a, w = _scenario_instance()
     monkeypatch.setattr(roy, "_finish", recording)
-    eq = solve_roy(skills, p)
+    eq = solve_roy(a, w, TECH)
     assert eq.converged and len(accepted) == 1
     c, pi, log_s, r, width, tol = accepted[0]
     narrow, wide = finish(c, pi, log_s, r, width, tol), finish(c, pi, log_s, r, 3.0 * width, tol)
@@ -295,7 +323,7 @@ def test_a_finish_depends_only_on_its_tie_set(monkeypatch):
     assert np.array_equal(narrow[0], wide[0]) and np.array_equal(narrow[1], wide[1])
 
     monkeypatch.setattr(roy, "_finish", lambda *args: finish(*args[:4], 3.0 * args[4], args[5]))
-    wider = solve_roy(skills, p)
+    wider = solve_roy(a, w, TECH)
     assert wider.converged
     assert np.array_equal(wider.labor, eq.labor) and np.array_equal(wider.prices, eq.prices)
     assert (wider.gap, wider.residual, wider.tied_workers) == (eq.gap, eq.residual, eq.tied_workers)
@@ -305,15 +333,15 @@ def test_solve_roy_without_a_certified_finish_returns_its_last_point(monkeypatch
     # When every finish is refused, the solve returns its last smoothed
     # point, uncertified, with that point's own gap and residual.
     monkeypatch.setattr(roy, "_finish", lambda *args: None)
-    skills, p = _scenario_instance()
-    eq = solve_roy(skills, p)
+    a, w = _scenario_instance()
+    eq = solve_roy(a, w, TECH)
     assert not eq.converged
     assert eq.iterations > 0
     assert np.isfinite(eq.gap) and eq.gap >= 0.0
     assert np.isfinite(eq.residual) and eq.residual >= 0.0
     assert math.fsum(eq.labor) == pytest.approx(400.0, rel=1e-12)
-    assert np.array_equal(eq.prices, family_prices(p, eq.labor))
-    assert np.array_equal(eq.wages, (skills.a * eq.prices).max(axis=1))
+    assert np.array_equal(eq.prices, family_prices(w, TECH, eq.labor))
+    assert np.array_equal(eq.wages, (a * eq.prices).max(axis=1))
 
 
 @pytest.mark.parametrize("which", ["gap", "residual"])
@@ -328,7 +356,7 @@ def test_solve_roy_refuses_a_finish_that_fails_its_certificate(monkeypatch, whic
         return (gap + 1.0, residual, dual) if which == "gap" else (gap, residual + 1.0, dual)
 
     monkeypatch.setattr(roy, "_certificates", inflated)
-    eq = solve_roy(*_scenario_instance())
+    eq = solve_roy(*_scenario_instance(), TECH)
     assert not eq.converged
 
 
@@ -339,7 +367,7 @@ def _small_instance(rng):
         born_at=np.zeros(j, dtype=np.int64), aggregator=AggregatorSpec(kind="ces", rho=0.5),
         tech=PowerCodification(beta=float(rng.uniform(0.2, 0.8))),
     )
-    return WorkerSkillMatrix(a=np.exp(rng.normal(0.0, 0.8, (n, j))), family_ids=tuple(range(j))), p
+    return np.exp(rng.normal(0.0, 0.8, (n, j))), weights(p), p.tech
 
 
 def test_solve_roy_agrees_with_exhaustive_enumeration():
@@ -348,14 +376,13 @@ def test_solve_roy_agrees_with_exhaustive_enumeration():
     rng = np.random.default_rng(12345)
     found = 0
     for _ in range(50):
-        skills, p = _small_instance(rng)
-        eq = solve_roy(skills, p)
+        a, w, tech = _small_instance(rng)
+        eq = solve_roy(a, w, tech)
         assert eq.converged
-        w = effective_weights(p.omega, p.k, p.aggregator, p.Lambda)
-        oracle = roy_consistent_assignments(skills.a, w, beta=p.tech.beta)
+        oracle = roy_consistent_assignments(a, w, beta=tech.beta)
         if oracle:
             found += 1
-            counts = np.bincount(np.asarray(oracle[0]), minlength=p.size)
+            counts = np.bincount(np.asarray(oracle[0]), minlength=w.size)
             assert np.allclose(eq.labor, counts, rtol=0, atol=1e-9)
             assert tuple(eq.assignment.tolist()) in oracle
     assert found >= 20
@@ -365,9 +392,9 @@ def test_default_experiment_solves_are_all_certified(monkeypatch):
     # The 240 solves of the default roy command at seed 0.
     eqs = []
 
-    def recording(skills, portfolio, tol):
-        eq = solve_roy(skills, portfolio, tol)
-        eqs.append((eq, skills.a.shape[0]))
+    def recording(a, w, tech, **kwargs):
+        eq = solve_roy(a, w, tech, **kwargs)
+        eqs.append((eq, a.shape[0]))
         return eq
 
     monkeypatch.setattr(roy, "solve_roy", recording)
@@ -378,25 +405,29 @@ def test_default_experiment_solves_are_all_certified(monkeypatch):
         assert eq.gap <= 1e-9 * n and eq.residual <= 1e-9 * n
 
 
-def test_arm_skills_match_per_period_generate():
-    # Drawn once per arm and rescaled per period, the skills are the ones
-    # generate draws for each period's portfolio, bit for bit.
+def test_arm_columns_match_per_period_portfolios():
+    # Read off the panel, each evaluated period's skills and weights are, bit
+    # for bit, the ones generate and effective_weights give for the portfolio
+    # portfolio_at rebuilds for that period, entrants in the window included.
     exp = RoyExperiment()
     p0 = Portfolio(
         id=np.arange(6), omega=np.ones(6), delta=np.linspace(0.08, 0.25, 6), k=np.ones(6),
         born_at=np.zeros(6, dtype=np.int64),
-        aggregator=AggregatorSpec(kind="ces", rho=0.5, epsilon_floor=0.25), tech=TECH,
+        aggregator=AggregatorSpec(kind="ces", rho=0.5, epsilon_floor=0.25), tech=TECH, Lambda=3.0,
     )
     entry = EntryConfig(mu=0.5, k_seed=1e-3, omega_sigma=0.5, delta_lo=0.08, delta_hi=0.25)
     scenario = run_portfolio_scenario(p0, 1.0, entry, exp.T, seed=11)
-    periods = list(roy._evaluated_skills(exp, scenario, seed=17))
-    assert len(periods) == exp.eval_window
-    assert periods[0][0].size < scenario.final.size
-    for pt, skills in periods:
+    periods = range(exp.T - exp.eval_window + 1, exp.T + 1)
+    columns = list(roy._evaluated_columns(exp, scenario, seed=17))
+    assert len(columns) == exp.eval_window
+    assert scenario.portfolio_at(periods[0]).size < scenario.portfolio_at(periods[-1]).size
+    for t, (a, w) in zip(periods, columns):
+        pt = scenario.portfolio_at(t)
         sigmas = maturity_skill_sigma(pt.k, exp.sigma_young, exp.sigma_mature, exp.k_ref)
-        expected = WorkerSkillMatrix.generate(exp.n_workers, pt, seed=17, sigma_ln=sigmas)
-        assert np.array_equal(skills.a, expected.a)
-        assert skills.family_ids == expected.family_ids
+        expected = WorkerSkillMatrix.generate(exp.n_workers, pt, seed=17, sigma_ln=sigmas).a
+        assert (a.dtype, a.shape, a.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+        w_expected = effective_weights(pt.omega, pt.k, pt.aggregator, pt.Lambda)
+        assert (w.dtype, w.shape, w.tobytes()) == (w_expected.dtype, w_expected.shape, w_expected.tobytes())
 
 
 def test_wage_stats_hand_computed():
