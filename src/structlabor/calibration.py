@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import structured_share
 from .errors import require
-from .parallel import ordered_map
 from .rng import check_seed, indexed_uniforms
 
 # Column order of the four uniforms consumed by each draw.
@@ -163,15 +161,6 @@ def _exact_sum(x: np.ndarray) -> int:
     return total
 
 
-def _block_fsum(block: Callable[[int], np.ndarray], n_blocks: int) -> float:
-    """``math.fsum`` of the values of ``block(0), ..., block(n_blocks - 1)``:
-    their exact sum, rounded once (CPython's int/int true division is
-    correctly rounded).  Blocks are summed in forked workers, which inherit
-    the arrays ``block`` reads; being exact, the sum does not depend on how
-    the blocks are split among them."""
-    return sum(ordered_map(lambda b: _exact_sum(block(b)), n_blocks)) / _SUBNORMAL_SCALE
-
-
 def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     """Simulate the share distribution and summarize it in percent.
 
@@ -181,12 +170,13 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     is elementwise, so the array is bit-identical to a one-block sample.
 
     Every field depends only on the draws, never on the numpy build's
-    summation order or the number of workers.  The mean is
+    summation order.  The mean is
     ``math.fsum(shares) / n``; the standard deviation is the two-pass sample
     statistic (ddof=1), ``sqrt(fsum((x - mean)**2) / (n - 1))``, with the
     deviations and squares taken elementwise, and 0 for a single draw.  Both
-    sums are taken exactly in integers and rounded once, which is what
-    ``fsum`` returns (``_block_fsum``).  Exceedance probabilities are
+    sums are taken exactly, block by block, in integers (``_exact_sum``)
+    and rounded once by CPython's correctly rounded int/int division,
+    which is what ``fsum`` returns.  Exceedance probabilities are
     strict, Pr(s > threshold), and are exact counts divided by n.
     Quantiles use numpy's ``linear`` method, a selection plus an
     elementwise interpolation; they are taken last and in place
@@ -196,17 +186,15 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     """
     n = priors.n_draws
     shares = np.empty(n)
+    total = 0
     for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        shares[lo:hi] = sample_shares(priors, lo, hi - lo) * 100.0
-    n_blocks = -(-n // _BLOCK)
-
-    def block(b: int) -> np.ndarray:
-        return shares[b * _BLOCK : (b + 1) * _BLOCK]
-
-    mean = _block_fsum(block, n_blocks) / n
+        block = shares[lo : lo + _BLOCK]
+        block[:] = sample_shares(priors, lo, len(block)) * 100.0
+        total += _exact_sum(block)
+    mean = total / _SUBNORMAL_SCALE / n
     if n > 1:
-        sd = math.sqrt(_block_fsum(lambda b: np.square(block(b) - mean), n_blocks) / (n - 1))
+        total = sum(_exact_sum(np.square(shares[lo : lo + _BLOCK] - mean)) for lo in range(0, n, _BLOCK))
+        sd = math.sqrt(total / _SUBNORMAL_SCALE / (n - 1))
     else:
         sd = 0.0
     share_min, share_max = float(np.min(shares)), float(np.max(shares))

@@ -33,6 +33,10 @@ from .roy import RoyExperiment
 FORMATS = ("csv", "json", "both")
 # Most initial families a config may ask for; per-family values are broadcast to this length.
 MAX_FAMILIES = 100_000
+# Most calibration draws: the sample is held as one 8-byte share per draw, 800 MB at the bound.
+MAX_DRAWS = 100_000_000
+# Most Roy workers: the skill matrix and every solve hold one row per worker.
+MAX_WORKERS = 100_000
 
 # Kinds beyond Python types: a [lo, hi] pair with lo <= hi, and one number per
 # family (a scalar is broadcast).
@@ -46,8 +50,9 @@ OPEN_UNIT = (lambda x: 0 < x < 1, "must lie in (0, 1)")
 CLOSED_UNIT = (lambda x: 0 <= x <= 1, "must lie in [0, 1]")
 STEP = (lambda x: 0 < x <= 1, "must lie in (0, 1]")
 COUNT = (lambda x: x >= 1, "must be an integer >= 1")
-TWO_OR_MORE = (lambda x: x >= 2, "must be an integer >= 2")
 FAMILY_COUNT = (lambda x: 1 <= x <= MAX_FAMILIES, f"must be an integer in [1, {MAX_FAMILIES}]")
+DRAW_COUNT = (lambda x: 1 <= x <= MAX_DRAWS, f"must be an integer in [1, {MAX_DRAWS}]")
+WORKER_COUNT = (lambda x: 2 <= x <= MAX_WORKERS, f"must be an integer in [2, {MAX_WORKERS}]")
 RHO = (lambda x: x <= 1 and x != 0, "must satisfy rho <= 1, rho != 0")
 INTENSITY = (lambda x: 0 <= x <= POISSON_MAX_INTENSITY, f"must lie in [0, {POISSON_MAX_INTENSITY:g}]")
 SEED = (lambda x: 0 <= x <= 2**64 - 1, "must lie in [0, 2**64 - 1]")
@@ -73,7 +78,7 @@ FIELDS = (
     Field("priors.r", PAIR, [0.03, 0.05], POSITIVE),
     Field("priors.delta_k", PAIR, [0.08, 0.25], OPEN_UNIT),
     Field("priors.gamma", PAIR, [0.02, 0.08], OPEN_UNIT),
-    Field("priors.n_draws", int, 200_000, COUNT),
+    Field("priors.n_draws", int, 200_000, DRAW_COUNT),
     Field("transition.k0", float, None, POSITIVE),  # null: half the long-run stock
     Field("transition.L_S0", float, None, NONNEGATIVE),  # null: half the long-run labor
     Field("transition.T", int, 500, COUNT),
@@ -117,7 +122,7 @@ FIELDS = (
     Field("roy.mu", float, 0.25, INTENSITY),
     Field("roy.k_seed", float, 1e-3, NONNEGATIVE),
     Field("roy.omega_sigma", float, 0.5, NONNEGATIVE),
-    Field("roy.n_workers", int, 400, TWO_OR_MORE),
+    Field("roy.n_workers", int, 400, WORKER_COUNT),
     Field("roy.sigma_young", float, 1.5, NONNEGATIVE),
     Field("roy.sigma_mature", float, 0.2, NONNEGATIVE),
     Field("roy.k_ref", float, 1.0, POSITIVE),

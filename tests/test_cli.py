@@ -372,12 +372,16 @@ CROSS_FIELD = [
     ({"roy": {"mu": 300.0, "factor": 2.0, "T": 1, "eval_window": 1, "replications": 1}}, "roy.factor"),
 ]
 
-# Second bad values: entry intensities beyond the Poisson sampler's limit, and
-# a family count whose per-family broadcast would overflow a list.
+# Second bad values: entry intensities beyond the Poisson sampler's limit, a
+# family count whose per-family broadcast would overflow a list, and draw and
+# worker counts whose arrays could not be allocated.
 BEYOND_LIMIT = [
     ({"portfolio": {"entry": {"mu": 600.0}}}, "portfolio.entry.mu"),
     ({"roy": {"mu": 600.0}}, "roy.mu"),
     ({"portfolio": {"n_families": 10**30}}, "portfolio.n_families"),
+    ({"priors": {"n_draws": 10**12}}, "priors.n_draws"),
+    # A one-period experiment, so that a missing bound fails fast at run time.
+    ({"roy": {"n_workers": 10**12, "T": 1, "eval_window": 1, "replications": 1}}, "roy.n_workers"),
 ]
 
 # Integer literals too large for a float, as a scalar, in a pair and in a per-family list.
@@ -509,8 +513,8 @@ def test_build_independent_outputs_keep_their_digests(tmp_path, command):
 
 
 def test_outputs_do_not_depend_on_workers(tmp_path, pin_cpus):
-    # A panel of more than one CSV chunk and a sample of more than one
-    # summing block, written serially and by two forked workers.
+    # A panel of more than one CSV chunk, written serially and by two forked
+    # workers; calibrate runs in one process, so its outputs must not move either.
     cfg = write_config(tmp_path, {"portfolio": {"n_families": 60, "T": 400}, "priors": {"n_draws": 300_000}})
     outputs = {}
     for cpus in (1, 2):

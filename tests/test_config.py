@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from structlabor.config import MAX_FAMILIES, AppConfig, load_config, serialize
+from structlabor.config import MAX_DRAWS, MAX_FAMILIES, MAX_WORKERS, AppConfig, load_config, serialize
 from structlabor.errors import ConfigError
 
 
@@ -155,6 +155,20 @@ def test_family_count_loads_up_to_its_bound():
             AppConfig({"portfolio": {"n_families": n}})
         assert exc.value.path == "portfolio.n_families"
         assert str(MAX_FAMILIES) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "section, key, bound",
+    [("priors", "n_draws", MAX_DRAWS), ("roy", "n_workers", MAX_WORKERS)],
+)
+def test_draw_and_worker_counts_load_up_to_their_bounds(section, key, bound):
+    # Loading allocates nothing per draw or worker, so the bound itself loads.
+    assert getattr(getattr(AppConfig({section: {key: bound}}), section), key) == bound
+    for n in (bound + 1, 2**60):
+        with pytest.raises(ConfigError) as exc:
+            AppConfig({section: {key: n}})
+        assert exc.value.path == f"{section}.{key}"
+        assert str(bound) in str(exc.value)
 
 
 def test_with_overrides():

@@ -137,10 +137,9 @@ def test_ordered_map_holds_few_results_from_its_workers(pin_cpus):
     assert peak(40) <= 1.5 * peak(8)
 
 
-def test_run_monte_carlo_holds_one_share_array(pin_cpus):
+def test_run_monte_carlo_holds_one_share_array():
     # The quantiles partition the sample in place; the rest is the sampling
     # block and per-block temporaries, small next to the 8n-byte sample.
-    pin_cpus(1)
     n = 4_000_000
     result, peak = traced_peak(run_monte_carlo, PriorSpec(n_draws=n, seed=1))
     assert result.n_draws == n

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from structlabor.calibration import _BLOCK
 from structlabor.errors import DomainError
 from structlabor.parallel import ordered_map
 
@@ -45,13 +47,17 @@ def test_a_task_error_is_raised_in_the_parent(cpus):
 
 
 def test_default_runs_do_not_import_multiprocessing(tmp_path):
-    # Default-sized outputs fit one chunk and one block, so the serial path
-    # runs and small runs never pay for importing multiprocessing.
+    # Default-sized outputs fit one chunk, so the serial path runs and small
+    # runs never pay for importing multiprocessing; calibrate sums its blocks
+    # in this process, however many there are.
+    config = tmp_path / "blocks.json"
+    config.write_text(json.dumps({"priors": {"n_draws": 2 * _BLOCK + 1}}), encoding="utf-8")
     code = (
         "import sys\n"
         "from structlabor.cli import main\n"
         "for command in ('portfolio', 'calibrate'):\n"
         f"    assert main([command, '--out', {str(tmp_path)!r} + '/' + command, '--quiet']) == 0\n"
+        f"assert main(['calibrate', '--config', {str(config)!r}, '--out', {str(tmp_path / 'blocks')!r}, '--quiet']) == 0\n"
         "print('multiprocessing' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
