@@ -15,6 +15,7 @@ from structlabor.calibration import (
 )
 from structlabor.core import structured_share
 from structlabor.errors import DomainError
+from structlabor.parallel import ordered_map
 from structlabor.rng import indexed_uniforms
 
 from oracles import corner_share_extremes
@@ -166,11 +167,12 @@ def _adversarial_arrays():
 
 
 @pytest.mark.parametrize("values", _adversarial_arrays())
-def test_exact_sum_equals_fsum(values):
-    # Blocks of 97 values, so the integer sums of many blocks are combined.
+def test_exact_sum_equals_fsum(cpus, values):
+    # Blocks of 97 values, so the integer sums of many blocks are combined;
+    # serially and from two forked workers the combined sum is the same.
     assert np.isfinite(values).all()
     expected = math.fsum(values.tolist())
-    got = sum(_exact_sum(values[lo : lo + 97]) for lo in range(0, values.shape[0], 97)) / 2**1074
+    got = sum(ordered_map(lambda b: _exact_sum(values[97 * b : 97 * (b + 1)]), -(-values.shape[0] // 97))) / 2**1074
     assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
     assert _exact_sum(values[:_BLOCK]) / 2**1074 == math.fsum(values[:_BLOCK].tolist())
 
