@@ -12,7 +12,6 @@ stderr; exit codes are 0 (success), 2 (configuration), 3 (runtime).
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import os
 import sys
@@ -258,24 +257,19 @@ def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
 def _births_from_panel(panel: MaturityPanel) -> np.ndarray:
     # Panel rows are period-major with ids ascending within a period, so a
     # family is born in the first period whose ids include it.  One pass
-    # over the periods merges each period's new ids into the sorted ids
-    # seen so far.  Periods are delimited by bisect: np.searchsorted would
-    # copy the whole period column when it is a strided view, as it is for
-    # a panel read from a file.
-    fam, per = panel.family_id, panel.period
-    lo = bisect.bisect_right(per, per[0])
-    seen, periods, births = fam[:lo], [int(per[0])], [lo]
-    while lo < per.shape[0]:
-        hi = bisect.bisect_right(per, per[lo], lo)
+    # over the period blocks merges each block's new ids into the sorted
+    # ids seen so far.
+    fam, blocks = panel.family_id, panel.blocks
+    seen, births = fam[: blocks[1]], [blocks[1]]
+    for lo, hi in zip(blocks[1:-1], blocks[2:]):
         ids = fam[lo:hi]
         at = np.searchsorted(seen, ids)
         new = seen[np.minimum(at, seen.shape[0] - 1)] != ids
         if new.any():
             seen = np.insert(seen, at[new], ids[new])
-        periods.append(int(per[lo]))
         births.append(int(np.count_nonzero(new)))
-        lo = hi
-    return count_births(np.repeat(periods, births), T=periods[-1])
+    periods = panel.period[blocks[:-1]]
+    return count_births(np.repeat(periods, births), T=int(periods[-1]))
 
 
 def _scenario_panel_and_indices(cfg: AppConfig) -> tuple[MaturityPanel, tuple[np.ndarray, ...]]:

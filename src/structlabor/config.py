@@ -19,6 +19,7 @@ import yaml
 from .calibration import PriorSpec
 from .core import BaselineParams
 from .errors import ConfigError, DomainError
+from .estimators import MAX_HORIZON
 from .portfolio import (
     AggregatorSpec,
     DriftConfig,
@@ -37,6 +38,9 @@ MAX_FAMILIES = 100_000
 MAX_DRAWS = 100_000_000
 # Most Roy workers: the skill matrix and every solve hold one row per worker.
 MAX_WORKERS = 100_000
+# Most initial Roy families: each Newton step of a solve builds J x J matrices
+# over the J families, and one such matrix takes 0.8 GB at the bound.
+MAX_INITIAL = 10_000
 
 # Kinds beyond Python types: a [lo, hi] pair with lo <= hi, and one number per
 # family (a scalar is broadcast).
@@ -53,6 +57,8 @@ COUNT = (lambda x: x >= 1, "must be an integer >= 1")
 FAMILY_COUNT = (lambda x: 1 <= x <= MAX_FAMILIES, f"must be an integer in [1, {MAX_FAMILIES}]")
 DRAW_COUNT = (lambda x: 1 <= x <= MAX_DRAWS, f"must be an integer in [1, {MAX_DRAWS}]")
 WORKER_COUNT = (lambda x: 2 <= x <= MAX_WORKERS, f"must be an integer in [2, {MAX_WORKERS}]")
+INITIAL_COUNT = (lambda x: 1 <= x <= MAX_INITIAL, f"must be an integer in [1, {MAX_INITIAL}]")
+HORIZON = (lambda x: 1 <= x <= MAX_HORIZON, f"must be an integer in [1, {MAX_HORIZON}]")
 RHO = (lambda x: x <= 1 and x != 0, "must satisfy rho <= 1, rho != 0")
 INTENSITY = (lambda x: 0 <= x <= POISSON_MAX_INTENSITY, f"must lie in [0, {POISSON_MAX_INTENSITY:g}]")
 SEED = (lambda x: 0 <= x <= 2**64 - 1, "must lie in [0, 2**64 - 1]")
@@ -109,7 +115,7 @@ FIELDS = (
     Field("portfolio.drift.org_start", int, 3, NONNEGATIVE),
     Field("portfolio.drift.org_every", int, 7, COUNT),
     Field("portfolio.drift.drop_frac", float, 0.5, OPEN_UNIT),
-    Field("roy.n_initial", int, 6, COUNT),
+    Field("roy.n_initial", int, 6, INITIAL_COUNT),
     Field("roy.initial_k", float, 1.0, NONNEGATIVE),
     Field("roy.omega", float, 1.0, POSITIVE),
     Field("roy.delta_j", PAIR, [0.08, 0.25], OPEN_UNIT),
@@ -133,7 +139,7 @@ FIELDS = (
     Field("roy.replications", int, 10, COUNT),
     Field("estimate.panel", str, None, NONEMPTY),  # null simulates the panel
     Field("estimate.rel_drop", float, 0.2, OPEN_UNIT),
-    Field("estimate.horizon", int, 1, COUNT),
+    Field("estimate.horizon", int, 1, HORIZON),
 )
 
 # Cross-field rules as (reported path, predicate over resolved values, wording).

@@ -10,13 +10,16 @@ births, and rebuild aggregate indices period by period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .errors import require
 from .portfolio import Portfolio, aggregate_capability
+
+# Longest degradation horizon: the largest int64, as periods are.
+MAX_HORIZON = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,9 +31,11 @@ class MaturityPanel:
     order they were given in; the estimators rely on that order.  Input
     already in that order is held as given, without a copy, so the caller
     must not mutate those arrays afterwards; other input is sorted into
-    copies.  The panel may be unbalanced: families can enter after period
-    zero, and gaps are tolerated (estimators only use consecutive-period
-    pairs).
+    copies.  ``blocks`` holds the row offsets of the period runs, 0 first
+    and n last, so the k-th distinct period is rows blocks[k]:blocks[k + 1]
+    (an empty panel has ``[0]``).  The panel may be unbalanced: families
+    can enter after period zero, and gaps are tolerated (estimators only
+    use consecutive-period pairs).
     """
 
     family_id: np.ndarray
@@ -38,6 +43,7 @@ class MaturityPanel:
     maturity: np.ndarray
     tech_window: np.ndarray
     org_window: np.ndarray
+    blocks: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         fam = np.asarray(self.family_id, dtype=np.int64)
@@ -58,13 +64,16 @@ class MaturityPanel:
         if not in_order.all():
             order = np.lexsort((fam, per))
             fam, per, mat, tw, ow = fam[order], per[order], mat[order], tw[order], ow[order]
-        # Sorted rows repeat a pair only in adjacent rows.
+        # Sorted rows repeat a pair only in adjacent rows of one period.
+        new_period = per[1:] != per[:-1]
         same = fam[1:] == fam[:-1]
-        same &= per[1:] == per[:-1]
+        same &= ~new_period
         require(not bool(same.any()), "(family_id, period) pairs must be unique")
+        starts = (np.flatnonzero(new_period) + 1).tolist()
         columns = {"family_id": fam, "period": per, "maturity": mat, "tech_window": tw, "org_window": ow}
         for name, arr in columns.items():
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "blocks", [0, *starts, n] if n else [0])
 
     @property
     def n_obs(self) -> int:
@@ -113,65 +122,33 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float = 0.2, horizon: int
     """
     require(panel.n_obs > 0, "panel is empty")
     require(math.isfinite(rel_drop) and 0.0 < rel_drop < 1.0, "rel_drop must lie in (0, 1)")
-    require(isinstance(horizon, int) and horizon >= 1, "horizon must be an integer >= 1")
+    require(
+        isinstance(horizon, int) and 1 <= horizon <= MAX_HORIZON, f"horizon must be an integer in [1, {MAX_HORIZON}]"
+    )
 
-    fam, per, mat = panel.family_id, panel.period, panel.maturity
-    n = fam.shape[0]
-    # Dense ranks keep the keys below n**2; rows sorted by (period, family)
-    # have sorted keys period_rank * n_families + family_rank.  Family ranks
-    # come from a table over the id range when it spans at most n ids, as a
-    # scenario's do, and from the sorted distinct ids otherwise.  The period
-    # column is already sorted, so its ranks are run counts.  Each step
-    # reuses its buffers, so at most four int64 columns are alive at once.
-    lo = fam.min()
-    span = int(fam.max()) - int(lo) + 1
-    if span <= n:
-        offset = fam - lo
-        rank = np.zeros(span, dtype=np.int64)
-        rank[offset] = 1
-        np.cumsum(rank, out=rank)
-        n_fam = int(rank[-1])
-        rank -= 1
-        fam_rank = rank[offset]
-        del offset, rank
-    else:
-        families = np.unique(fam)
-        n_fam = families.shape[0]
-        fam_rank = np.searchsorted(families, fam)
-    new_period = np.empty(n, dtype=bool)
-    new_period[0] = True
-    np.not_equal(per[1:], per[:-1], out=new_period[1:])
-    periods = per[new_period]
-    key = np.cumsum(new_period)
-    del new_period
-    key -= 1
-    # Rank of period + horizon, and whether that period is observed, looked
-    # up per distinct period; row (family, period + horizon) can exist only
-    # if it is.
-    shifted = periods + horizon
-    next_rank = np.searchsorted(periods, shifted)
-    observed = periods[np.minimum(next_rank, periods.shape[0] - 1)] == shifted
-    has_next = observed[key]
-    target = next_rank[key]
-    target *= n_fam
-    target += fam_rank
-    key *= n_fam
-    key += fam_rank
-    del fam_rank
-    pos = np.searchsorted(key, target)
-    np.minimum(pos, n - 1, out=pos)
-    has_next &= key[pos] == target
-    del key, target
-
-    nxt = mat[pos[has_next]]
-    del pos
-    base = mat[has_next]
-    base *= 1.0 - rel_drop
-    flags = nxt < base
+    fam, per, mat, blocks = panel.family_id, panel.period, panel.maturity, panel.blocks
+    # Row (j, t + h) can only lie in the block of period t + h, whose ids
+    # are sorted, so each block finds its rows' partners in one search.
+    periods = per[blocks[:-1]].tolist()
+    block_of = {t: k for k, t in enumerate(periods)}
+    has_next = np.zeros(panel.n_obs, dtype=bool)
+    drop = np.zeros(panel.n_obs, dtype=bool)
+    for k, t in enumerate(periods):
+        later = block_of.get(t + horizon)
+        if later is None:
+            continue
+        lo, hi, next_lo = blocks[k], blocks[k + 1], blocks[later]
+        ids, next_ids = fam[lo:hi], fam[next_lo : blocks[later + 1]]
+        pos = np.searchsorted(next_ids, ids)
+        np.minimum(pos, next_ids.shape[0] - 1, out=pos)
+        has_next[lo:hi] = next_ids[pos] == ids
+        pos += next_lo
+        # Rows without a partner compare with some other row; has_next drops them.
+        drop[lo:hi] = mat[pos] < mat[lo:hi] * (1.0 - rel_drop)
     return DegradationFlags(
         family_id=fam[has_next],
         period=per[has_next],
-        flag=flags,
+        flag=drop[has_next],
         tech_window=panel.tech_window[has_next],
         org_window=panel.org_window[has_next],
     )
@@ -285,24 +262,22 @@ def indices(panel: MaturityPanel, families: Portfolio, labor_total, L_bar: float
     periods are the panel's distinct periods in increasing order, and
     ``labor_total`` holds the labor spent in each.  A period's index is
     :func:`~structlabor.portfolio.aggregate_capability` over that period's
-    families, and its maintenance share is labor_total / L_bar.  Panel
-    rows are in (period, family_id) order, so each period is one slice of
-    it.  Returns the columns (period, capability, maintenance_share,
-    n_families).
+    families, and its maintenance share is labor_total / L_bar.  Each
+    period is one of the panel's ``blocks``.  Returns the columns
+    (period, capability, maintenance_share, n_families).
     """
     require(panel.n_obs > 0, "panel is empty")
     require(L_bar > 0.0, "L_bar must be positive")
     require(families.size > 0, "the roster must name at least one family")
-    per, fams = panel.period, panel.family_id
-    bounds = np.flatnonzero(np.r_[True, per[1:] != per[:-1], True])
+    per, fams, bounds = panel.period, panel.family_id, panel.blocks
     labor = np.asarray(labor_total, dtype=float)
-    require(labor.shape == (bounds.shape[0] - 1,), "labor_total must have one entry per period")
+    require(labor.shape == (len(bounds) - 1,), "labor_total must have one entry per period")
     require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor_total must be nonnegative")
     # Clipped positions read a wrong id only for families missing from the roster.
     pos = np.searchsorted(families.id, fams)
     np.minimum(pos, families.size - 1, out=pos)
     require(bool(np.array_equal(families.id[pos], fams)), "panel has a family missing from the roster")
     w, mats, agg = families.omega[pos], panel.maturity, families.aggregator
-    spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    spans = zip(bounds[:-1], bounds[1:])
     capability = np.array([aggregate_capability(w[lo:hi], mats[lo:hi], agg) for lo, hi in spans])
     return per[bounds[:-1]], capability, labor / L_bar, np.diff(bounds)

@@ -373,8 +373,9 @@ CROSS_FIELD = [
 ]
 
 # Second bad values: entry intensities beyond the Poisson sampler's limit, a
-# family count whose per-family broadcast would overflow a list, and draw and
-# worker counts whose arrays could not be allocated.
+# family count whose per-family broadcast would overflow a list, draw, worker
+# and initial Roy family counts whose arrays could not be allocated, and a
+# degradation horizon beyond the int64 periods.
 BEYOND_LIMIT = [
     ({"portfolio": {"entry": {"mu": 600.0}}}, "portfolio.entry.mu"),
     ({"roy": {"mu": 600.0}}, "roy.mu"),
@@ -382,6 +383,8 @@ BEYOND_LIMIT = [
     ({"priors": {"n_draws": 10**12}}, "priors.n_draws"),
     # A one-period experiment, so that a missing bound fails fast at run time.
     ({"roy": {"n_workers": 10**12, "T": 1, "eval_window": 1, "replications": 1}}, "roy.n_workers"),
+    ({"roy": {"n_initial": 10**30, "T": 1, "eval_window": 1, "replications": 1}}, "roy.n_initial"),
+    ({"estimate": {"horizon": 10**30}}, "estimate.horizon"),
 ]
 
 # Integer literals too large for a float, as a scalar, in a pair and in a per-family list.

@@ -3,7 +3,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from structlabor.config import MAX_DRAWS, MAX_FAMILIES, MAX_WORKERS, AppConfig, load_config, serialize
+from structlabor.config import MAX_DRAWS, MAX_FAMILIES, MAX_INITIAL, MAX_WORKERS, AppConfig, load_config, serialize
+from structlabor.estimators import MAX_HORIZON
 from structlabor.errors import ConfigError
 
 
@@ -165,6 +166,21 @@ def test_draw_and_worker_counts_load_up_to_their_bounds(section, key, bound):
     # Loading allocates nothing per draw or worker, so the bound itself loads.
     assert getattr(getattr(AppConfig({section: {key: bound}}), section), key) == bound
     for n in (bound + 1, 2**60):
+        with pytest.raises(ConfigError) as exc:
+            AppConfig({section: {key: n}})
+        assert exc.value.path == f"{section}.{key}"
+        assert str(bound) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "section, key, bound",
+    [("roy", "n_initial", MAX_INITIAL), ("estimate", "horizon", MAX_HORIZON)],
+)
+def test_initial_families_and_horizon_load_up_to_their_bounds(section, key, bound):
+    # A Roy solve holds J x J matrices over its families; a horizon must fit
+    # the int64 periods.  Loading allocates nothing for either.
+    assert getattr(getattr(AppConfig({section: {key: bound}}), section), key) == bound
+    for n in (bound + 1, 10**30):
         with pytest.raises(ConfigError) as exc:
             AppConfig({section: {key: n}})
         assert exc.value.path == f"{section}.{key}"

@@ -5,6 +5,7 @@ import pytest
 
 from structlabor.errors import DomainError
 from structlabor.estimators import (
+    MAX_HORIZON,
     DegradationFlags,
     MaturityPanel,
     count_births,
@@ -178,26 +179,83 @@ def test_detect_degradation_negative_family_ids():
     assert list(out.flag) == [True, False]
 
 
-@pytest.mark.parametrize("id_step", [1, 3, 2**40])
-def test_detect_degradation_matches_a_pairwise_oracle(id_step):
-    # An unbalanced panel with gaps over ids -40, -40 + step, ...: steps 1
-    # and 3 span fewer ids than rows (ranked through a table, sparse for
-    # step 3), 2**40 spans more (ranked through the sorted ids).
-    rng = np.random.Generator(np.random.Philox(key=8))
-    rows = [
-        (-40 + id_step * j, t, float(rng.uniform(0.0, 2.0)), bool(rng.uniform() < 0.3), bool(rng.uniform() < 0.2))
-        for t in range(40) for j in range(30) if rng.uniform() < 0.7
+def random_rows(seed, periods, ids, presence=0.7):
+    """Rows (family_id, period, maturity, tech_window, org_window) over the
+    given periods and ids, each pair present with probability ``presence``."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return [
+        (f, t, float(rng.uniform(0.0, 2.0)), bool(rng.uniform() < 0.3), bool(rng.uniform() < 0.2))
+        for t in periods for f in ids if rng.uniform() < presence
     ]
+
+
+def degradation_oracle(rows, horizon):
+    """(family_id, period, flag, tech_window, org_window) of every pair (j, t), (j, t + horizon)."""
     maturity = {(f, t): k for f, t, k, _, _ in rows}
-    for horizon in (1, 2):
-        out = detect_degradation(panel_from(rows), rel_drop=0.2, horizon=horizon)
-        want = [
-            (f, t, maturity[f, t + horizon] < 0.8 * k, tw, ow)
-            for f, t, k, tw, ow in sorted(rows, key=lambda r: (r[1], r[0]))
-            if (f, t + horizon) in maturity
-        ]
+    return [
+        (f, t, maturity[f, t + horizon] < 0.8 * k, tw, ow)
+        for f, t, k, tw, ow in sorted(rows, key=lambda r: (r[1], r[0]))
+        if (f, t + horizon) in maturity
+    ]
+
+
+def births_oracle(rows):
+    """Families first seen at each period 0..last period."""
+    first = {}
+    for f, t, *_ in sorted(rows, key=lambda r: r[1]):
+        first.setdefault(f, t)
+    return [sum(1 for t in first.values() if t == s) for s in range(max(r[1] for r in rows) + 1)]
+
+
+def assert_matches_oracles(rows):
+    panel = panel_from(rows)
+    for horizon in (1, 2, 3):
+        out = detect_degradation(panel, rel_drop=0.2, horizon=horizon)
+        want = degradation_oracle(rows, horizon)
         got = zip(out.family_id.tolist(), out.period.tolist(), out.flag.tolist(), out.tech_window.tolist(), out.org_window.tolist())
         assert list(got) == want
+        assert any(row[2] for row in want) and not all(row[2] for row in want)
+    assert _births_from_panel(panel).tolist() == births_oracle(rows)
+
+
+@pytest.mark.parametrize("id_step", [1, 3, 2**40])
+def test_detect_degradation_matches_a_pairwise_oracle(id_step):
+    # An unbalanced panel with gaps over ids -40, -40 + step, ...: dense,
+    # sparse and far-apart ids, some negative.
+    assert_matches_oracles(random_rows(8, range(40), [-40 + id_step * j for j in range(30)]))
+
+
+def one_row_per_period():
+    rng = np.random.Generator(np.random.Philox(key=9))
+    return [(int(rng.integers(3)), t, float(rng.uniform(0.0, 2.0)), bool(rng.uniform() < 0.3), False) for t in range(80)]
+
+
+# Panels whose period blocks are degenerate: a single row each, periods
+# missing between blocks, and no block at period 0.
+BLOCK_PANELS = {
+    "one-row-per-period": one_row_per_period,
+    "gaps": lambda: random_rows(10, sorted({3 * t + t % 2 for t in range(30)} | {1, 2}), range(12)),
+    "late-start": lambda: random_rows(11, range(57, 97), range(5, 25), 0.6),
+}
+
+
+@pytest.mark.parametrize("kind", BLOCK_PANELS)
+def test_block_walks_match_pairwise_oracles(kind):
+    assert_matches_oracles(BLOCK_PANELS[kind]())
+
+
+@pytest.mark.parametrize("order", ["in-order", "shuffled", "empty"])
+def test_panel_blocks_bound_the_period_runs(order):
+    rows = sorted(BLOCK_PANELS["gaps"](), key=lambda r: (r[1], r[0]))
+    if order == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(4).permutation(len(rows))]
+    elif order == "empty":
+        rows = []
+    periods = sorted(r[1] for r in rows)
+    runs = [i for i in range(1, len(periods)) if periods[i] != periods[i - 1]]
+    blocks = panel_from(rows).blocks
+    assert blocks == ([0, *runs, len(periods)] if periods else [0])
+    assert all(type(b) is int for b in blocks)
 
 
 def test_detect_degradation_zero_maturity_never_flags():
@@ -214,6 +272,11 @@ def test_detect_degradation_validation():
         detect_degradation(p, rel_drop=1.0)
     with pytest.raises(DomainError):
         detect_degradation(p, horizon=0)
+    # Periods are int64, so no horizon beyond that range is taken; at its
+    # end, t + horizon is computed exactly and names no period.
+    with pytest.raises(DomainError, match="horizon must be an integer"):
+        detect_degradation(p, horizon=MAX_HORIZON + 1)
+    assert detect_degradation(p, horizon=MAX_HORIZON).n_obs == 0
     with pytest.raises(DomainError):
         detect_degradation(panel_from([]), rel_drop=0.2)
 

@@ -68,7 +68,8 @@ def test_detect_degradation_peak(ordered_columns, layout):
     panel = MaturityPanel(**ordered_columns)
     flags, peak = traced_peak(detect_degradation, panel)
     assert flags.n_obs == (PERIODS - 1) * FAMILIES
-    assert peak <= 7 * COLUMN
+    # The flags alone take 2.375 columns: two int64 and three bool columns.
+    assert peak <= 3 * COLUMN
 
 
 @pytest.mark.parametrize("layout", ["columns", "table"])
