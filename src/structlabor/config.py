@@ -41,6 +41,9 @@ MAX_WORKERS = 100_000
 # Most initial Roy families: each Newton step of a solve builds J x J matrices
 # over the J families, and one such matrix takes 0.8 GB at the bound.
 MAX_INITIAL = 10_000
+# Most Roy replications: the experiment holds every arm's evaluated panel rows
+# before its solves start, about 5 KB per arm at the defaults (100 MB at the bound).
+MAX_REPLICATIONS = 10_000
 
 # Kinds beyond Python types: a [lo, hi] pair with lo <= hi, and one number per
 # family (a scalar is broadcast).
@@ -58,6 +61,7 @@ FAMILY_COUNT = (lambda x: 1 <= x <= MAX_FAMILIES, f"must be an integer in [1, {M
 DRAW_COUNT = (lambda x: 1 <= x <= MAX_DRAWS, f"must be an integer in [1, {MAX_DRAWS}]")
 WORKER_COUNT = (lambda x: 2 <= x <= MAX_WORKERS, f"must be an integer in [2, {MAX_WORKERS}]")
 INITIAL_COUNT = (lambda x: 1 <= x <= MAX_INITIAL, f"must be an integer in [1, {MAX_INITIAL}]")
+REPLICATION_COUNT = (lambda x: 1 <= x <= MAX_REPLICATIONS, f"must be an integer in [1, {MAX_REPLICATIONS}]")
 HORIZON = (lambda x: 1 <= x <= MAX_HORIZON, f"must be an integer in [1, {MAX_HORIZON}]")
 RHO = (lambda x: x <= 1 and x != 0, "must satisfy rho <= 1, rho != 0")
 INTENSITY = (lambda x: 0 <= x <= POISSON_MAX_INTENSITY, f"must lie in [0, {POISSON_MAX_INTENSITY:g}]")
@@ -136,7 +140,7 @@ FIELDS = (
     Field("roy.eval_window", int, 12, COUNT),
     Field("roy.treatment", ("mu", "delta"), "mu"),
     Field("roy.factor", float, 2.0, POSITIVE),
-    Field("roy.replications", int, 10, COUNT),
+    Field("roy.replications", int, 10, REPLICATION_COUNT),
     Field("estimate.panel", str, None, NONEMPTY),  # null simulates the panel
     Field("estimate.rel_drop", float, 0.2, OPEN_UNIT),
     Field("estimate.horizon", int, 1, HORIZON),

@@ -5,6 +5,11 @@ forked after the task exists, so they inherit it together with that data,
 and only each task's index and result cross a pipe.  Results come back
 in index order, whatever the number of workers, so output built from
 them does not depend on it.
+
+A task may do linear algebra even after the parent's BLAS library has
+started its threads: the OpenBLAS that numpy ships shuts its thread pool
+down before a ``fork`` (a ``pthread_atfork`` handler), so a forked worker
+starts its own.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ def ordered_map(task: Callable[[int], T], n: int) -> Iterator[T]:
         return
     with warnings.catch_warnings():
         # Python 3.12+ warns on a fork in a process with threads.  Here those
-        # are the BLAS library's idle workers: no task does linear algebra.
+        # are the BLAS library's idle workers, which it shuts down before the
+        # fork, so a task may still do linear algebra (Roy solves do).
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
         pool = multiprocessing.get_context("fork").Pool(workers, _install, (task,))
     with pool:

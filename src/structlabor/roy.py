@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import require
+from .parallel import ordered_map
 from .portfolio import (
     EntryConfig,
     Portfolio,
@@ -497,13 +498,15 @@ class RoyExperiment:
 
 @dataclass(frozen=True)
 class ArmOutcome:
-    """One arm of one replication, with the largest certificates and tie count of its solves."""
+    """One arm of one replication: its averaged statistics, the largest
+    certificates and tie count of its solves, and their Newton steps."""
 
     stats: DispersionStats
     n_families: int
     gap_max: float
     residual_max: float
     tied_workers_max: int
+    newton_steps: int
 
 
 @dataclass(frozen=True)
@@ -519,7 +522,19 @@ class ExperimentResult:
     share_positive: float
 
 
-def _run_arm(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: float) -> ArmOutcome:
+class _ArmInputs(NamedTuple):
+    """What an arm's solves read: its scenario's final roster and the
+    panel's period, maturity and effective-weight rows from the first
+    evaluated period on, and the seed of its skill draws."""
+
+    final: Portfolio
+    period: np.ndarray
+    maturity: np.ndarray
+    effective_weight: np.ndarray
+    skill_seed: int
+
+
+def _arm_inputs(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: float) -> _ArmInputs:
     init_gen = stream(rep_seed, "init-delta")
     deltas = init_gen.uniform(exp.delta_lo, exp.delta_hi, size=exp.n_initial)
     n = exp.n_initial
@@ -545,30 +560,45 @@ def _run_arm(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: 
     )
     # Dispersion is averaged over the last eval_window periods so that the
     # measurement is not hostage to whether a family happened to be born
-    # right at the horizon.
-    periods = _evaluated_columns(exp, scenario, derive_seed(rep_seed, "skills"))
-    eqs = [solve_roy(a, w, scenario.final.tech, Lambda=exp.Lambda, tol=exp.tol) for a, w in periods]
+    # right at the horizon.  Copies, so the rest of the panel can go.
+    lo = int(np.searchsorted(scenario.period, exp.T - exp.eval_window + 1))
+    return _ArmInputs(
+        scenario.final,
+        scenario.period[lo:].copy(),
+        scenario.maturity[lo:].copy(),
+        scenario.effective_weight[lo:].copy(),
+        derive_seed(rep_seed, "skills"),
+    )
+
+
+def _run_arm(exp: RoyExperiment, arm: _ArmInputs) -> ArmOutcome:
+    eqs = [
+        solve_roy(a, w, arm.final.tech, Lambda=exp.Lambda, tol=exp.tol)
+        for a, w in _evaluated_columns(exp, arm, arm.skill_seed)
+    ]
     # Each statistic is averaged over the periods on its own.
     stats = zip(*(astuple(wage_stats(eq.wages)) for eq in eqs))
     return ArmOutcome(
         stats=DispersionStats(*map(_mean, stats)),
-        n_families=scenario.final.size,
+        n_families=arm.final.size,
         gap_max=max(eq.gap for eq in eqs),
         residual_max=max(eq.residual for eq in eqs),
         tied_workers_max=max(eq.tied_workers for eq in eqs),
+        newton_steps=sum(eq.iterations for eq in eqs),
     )
 
 
 def _evaluated_columns(exp: RoyExperiment, scenario, seed: int):
     """Each evaluated period's worker skills and family weight column, read off the panel.
 
-    Worker draws are keyed by family identity and shared across periods:
-    a family keeps the same underlying aptitude column while its skill
-    scale tracks its maturity.  The panel is period-major and families
-    never exit, so period t's rows are its families in roster order; the
-    normals are drawn once for the final families and each period
-    rescales its first columns, exactly as :meth:`WorkerSkillMatrix.generate`
-    would for that period's portfolio.
+    ``scenario`` is a :class:`ScenarioResult` or the :class:`_ArmInputs`
+    kept of one.  Worker draws are keyed by family identity and shared
+    across periods: a family keeps the same underlying aptitude column
+    while its skill scale tracks its maturity.  The panel is period-major
+    and families never exit, so period t's rows are its families in roster
+    order; the normals are drawn once for the final families and each
+    period rescales its first columns, exactly as
+    :meth:`WorkerSkillMatrix.generate` would for that period's portfolio.
     """
     z = _skill_normals(exp.n_workers, scenario.final, seed)
     bounds = np.searchsorted(scenario.period, np.arange(exp.T - exp.eval_window + 1, exp.T + 2)).tolist()
@@ -595,28 +625,32 @@ def dispersion_experiment(
     capped below 1).  Both arms of a replication share all random draws
     through keyed substreams, so a factor of 1 reproduces the base arm
     exactly and differences isolate the treatment.
+
+    Every arm's scenario is built here, in replication order; the arms'
+    solves then run as one task each over forked workers
+    (:func:`~structlabor.parallel.ordered_map`), task 2 * rep the base arm
+    and 2 * rep + 1 the treated one.  Results come back in task order, so
+    the outcome does not depend on the number of workers.
     """
     require(treatment in ("mu", "delta"), "treatment must be 'mu' or 'delta'")
     require(math.isfinite(factor) and factor > 0.0, "factor must be positive")
     require(isinstance(replications, int) and replications >= 1, "replications must be an integer >= 1")
 
     mu_factor, delta_factor = (factor, 1.0) if treatment == "mu" else (1.0, factor)
-    base: list[ArmOutcome] = []
-    treated: list[ArmOutcome] = []
-    diffs: list[float] = []
+    arms: list[_ArmInputs] = []
     for rep in range(replications):
         rep_seed = derive_seed(seed, "replication", rep)
-        b = _run_arm(experiment, rep_seed, mu_factor=1.0, delta_factor=1.0)
-        t = _run_arm(experiment, rep_seed, mu_factor=mu_factor, delta_factor=delta_factor)
-        base.append(b)
-        treated.append(t)
-        diffs.append(t.stats.log_wage_variance - b.stats.log_wage_variance)
+        arms.append(_arm_inputs(experiment, rep_seed, mu_factor=1.0, delta_factor=1.0))
+        arms.append(_arm_inputs(experiment, rep_seed, mu_factor=mu_factor, delta_factor=delta_factor))
+    outcomes = list(ordered_map(lambda i: _run_arm(experiment, arms[i]), len(arms)))
+    base, treated = tuple(outcomes[0::2]), tuple(outcomes[1::2])
+    diffs = [t.stats.log_wage_variance - b.stats.log_wage_variance for b, t in zip(base, treated)]
 
     return ExperimentResult(
         treatment=treatment,
         factor=factor,
-        base=tuple(base),
-        treated=tuple(treated),
+        base=base,
+        treated=treated,
         variance_diffs=tuple(diffs),
         mean_variance_diff=_mean(diffs),
         share_positive=sum(d > 0.0 for d in diffs) / len(diffs),

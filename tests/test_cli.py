@@ -374,8 +374,9 @@ CROSS_FIELD = [
 
 # Second bad values: entry intensities beyond the Poisson sampler's limit, a
 # family count whose per-family broadcast would overflow a list, draw, worker
-# and initial Roy family counts whose arrays could not be allocated, and a
-# degradation horizon beyond the int64 periods.
+# and initial Roy family counts whose arrays could not be allocated, a
+# degradation horizon beyond the int64 periods, and more Roy replications than
+# the experiment may hold.
 BEYOND_LIMIT = [
     ({"portfolio": {"entry": {"mu": 600.0}}}, "portfolio.entry.mu"),
     ({"roy": {"mu": 600.0}}, "roy.mu"),
@@ -384,6 +385,9 @@ BEYOND_LIMIT = [
     # A one-period experiment, so that a missing bound fails fast at run time.
     ({"roy": {"n_workers": 10**12, "T": 1, "eval_window": 1, "replications": 1}}, "roy.n_workers"),
     ({"roy": {"n_initial": 10**30, "T": 1, "eval_window": 1, "replications": 1}}, "roy.n_initial"),
+    # The experiment holds every arm's inputs before its solves, so an
+    # unbounded count would fill memory rather than merely run long.
+    ({"roy": {"replications": 10**12}}, "roy.replications"),
     ({"estimate": {"horizon": 10**30}}, "estimate.horizon"),
 ]
 

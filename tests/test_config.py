@@ -3,7 +3,16 @@ from pathlib import Path
 import pytest
 import yaml
 
-from structlabor.config import MAX_DRAWS, MAX_FAMILIES, MAX_INITIAL, MAX_WORKERS, AppConfig, load_config, serialize
+from structlabor.config import (
+    MAX_DRAWS,
+    MAX_FAMILIES,
+    MAX_INITIAL,
+    MAX_REPLICATIONS,
+    MAX_WORKERS,
+    AppConfig,
+    load_config,
+    serialize,
+)
 from structlabor.estimators import MAX_HORIZON
 from structlabor.errors import ConfigError
 
@@ -160,10 +169,10 @@ def test_family_count_loads_up_to_its_bound():
 
 @pytest.mark.parametrize(
     "section, key, bound",
-    [("priors", "n_draws", MAX_DRAWS), ("roy", "n_workers", MAX_WORKERS)],
+    [("priors", "n_draws", MAX_DRAWS), ("roy", "n_workers", MAX_WORKERS), ("roy", "replications", MAX_REPLICATIONS)],
 )
 def test_draw_and_worker_counts_load_up_to_their_bounds(section, key, bound):
-    # Loading allocates nothing per draw or worker, so the bound itself loads.
+    # Loading allocates nothing per draw, worker or replication, so the bound itself loads.
     assert getattr(getattr(AppConfig({section: {key: bound}}), section), key) == bound
     for n in (bound + 1, 2**60):
         with pytest.raises(ConfigError) as exc:

@@ -63,3 +63,23 @@ def test_default_runs_do_not_import_multiprocessing(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     assert result.stdout.strip() == "False"
+
+
+def test_roy_workers_do_linear_algebra_after_blas_has_started_threads():
+    # A solve on a 300 x 300 matrix starts the BLAS library's threads in the
+    # parent; the experiment's arms then solve in two forked workers.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from structlabor import parallel\n"
+        "from structlabor.roy import RoyExperiment, dispersion_experiment\n"
+        "rng = np.random.default_rng(0)\n"
+        "np.linalg.solve(rng.standard_normal((300, 300)), rng.standard_normal(300))\n"
+        "parallel._cpu_count = lambda: 2\n"
+        "exp = RoyExperiment(n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4)\n"
+        "res = dispersion_experiment(exp, 'mu', factor=2.0, replications=2, seed=1)\n"
+        "print(len(res.base + res.treated), 'multiprocessing' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert result.stdout.split() == ["4", "True"]

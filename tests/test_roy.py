@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -388,8 +389,10 @@ def test_solve_roy_agrees_with_exhaustive_enumeration():
     assert found >= 20
 
 
-def test_default_experiment_solves_are_all_certified(monkeypatch):
-    # The 240 solves of the default roy command at seed 0.
+def test_default_experiment_solves_are_all_certified(monkeypatch, pin_cpus):
+    # The 240 solves of the default roy command at seed 0, in this process
+    # so that the recorder sees them.
+    pin_cpus(1)
     eqs = []
 
     def recording(a, w, tech, **kwargs):
@@ -520,6 +523,55 @@ def test_dispersion_experiment_bookkeeping():
     assert res.share_positive == np.mean([d > 0 for d in res.variance_diffs])
     again = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
     assert again.variance_diffs == res.variance_diffs
+
+
+def _bits(x):
+    # Floats as their exact hex form, through dicts, lists and tuples.
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [type(x).__name__] + [_bits(v) for v in x]
+    return x
+
+
+def test_experiment_does_not_depend_on_workers(cpus, pin_cpus):
+    # Six arms, more than the two in flight per worker.  Each arm's solves
+    # run in a forked worker at two CPUs, and the outcome matches the
+    # serial one bit for bit.
+    res = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
+    pin_cpus(1)
+    serial = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
+    assert isinstance(res.base, tuple) and isinstance(res.treated, tuple)
+    assert _bits(asdict(res)) == _bits(asdict(serial))
+
+
+def test_arm_newton_steps_sum_its_solves(monkeypatch, pin_cpus):
+    # Serially the solves run arm by arm, base before treated.
+    pin_cpus(1)
+    steps = []
+
+    def recording(a, w, tech, **kwargs):
+        eq = solve_roy(a, w, tech, **kwargs)
+        steps.append(eq.iterations)
+        return eq
+
+    monkeypatch.setattr(roy, "solve_roy", recording)
+    res = dispersion_experiment(SMALL, "delta", factor=2.0, replications=2, seed=3)
+    arms = [arm for pair in zip(res.base, res.treated) for arm in pair]
+    window = SMALL.eval_window
+    assert len(steps) == window * len(arms)
+    for k, arm in enumerate(arms):
+        assert type(arm.newton_steps) is int
+        assert arm.newton_steps == sum(steps[k * window : (k + 1) * window]) > 0
+
+
+def test_default_experiment_newton_steps_come_back_from_workers(pin_cpus):
+    # The 240 seed-0 solves take 3,961 Newton steps however they are spread.
+    pin_cpus(2)
+    res = dispersion_experiment(RoyExperiment(), "mu", 2.0, 10, derive_seed(0, "roy"))
+    assert sum(arm.newton_steps for arm in res.base + res.treated) == 3961
 
 
 def test_dispersion_rejects_unknown_treatment():
