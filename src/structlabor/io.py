@@ -2,22 +2,25 @@
 
 All output files are written atomically (temp file in the destination
 directory, then rename) and byte-identically across runs with the same
-config and seed.  Floats are rendered with ``repr``, the shortest string
-that round-trips the exact double, so re-parsing an emitted file
-recovers bit-identical values.  JSON objects are emitted with sorted
-keys; non-finite floats, which strict JSON cannot carry, are rendered as
-the strings "inf", "-inf", and "nan".
+config and seed.  CSV cells are rendered as bytes in numpy; float cells
+are byte-identical to ``repr``, the shortest string that round-trips the
+exact double, so re-parsing an emitted file recovers bit-identical
+values.  JSON objects are emitted with sorted keys; non-finite floats,
+which strict JSON cannot carry, are rendered as the strings "inf",
+"-inf", and "nan".
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -39,18 +42,16 @@ PANEL_COLUMNS = (
 
 
 # Rows rendered and written per step, so a large table never exists as one
-# string.  A chunk's cell strings dominate the writer's memory: about 12 MiB
-# (traced) for a 7-column panel chunk of 16,384 rows, four times that at
-# 65,536 rows, which wrote no faster.
+# byte string.  65,536-row chunks wrote no faster.
 CHUNK_ROWS = 16384
 
 
-def _atomic_write(path: str, parts: Iterable[str]) -> None:
+def _atomic_write(path: str, parts: Iterable[bytes]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
@@ -59,49 +60,329 @@ def _atomic_write(path: str, parts: Iterable[str]) -> None:
         raise
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """One column's cells: booleans as 1/0, integers in decimal, floats by ``repr``.
+# Cells are rendered as bytes.  A chunk of rows is one matrix of 8-byte
+# words in which each column owns a fixed-width slot.  A slot holds its
+# cell's characters at fixed places and NUL bytes elsewhere, and its last
+# byte is the column's "," or "\n"; deleting the NULs from the matrix's
+# bytes yields the chunk's text.  The matrix is filled word-major, one
+# contiguous array of rows per slot word, and transposed as it is copied
+# out.  A boolean slot is one word.  An integer slot is three: a sign and
+# 20 digits, enough for -2**63 and 2**64 - 1.  A float slot is six words
+# with a place for every character repr can write:
+#   0      "-"
+#   1-5    "0.000", the lead of a value below 1
+#   6-39   17 digits, each followed by a "."
+#   40-44  "e", the exponent's sign and three exponent digits
+_SLOT_WORDS = {"b": 1, "i": 3, "u": 3, "f": 6}
+_POW10 = np.array([10**j for j in range(1, 20)], dtype=np.uint64)
+_BOOL_WORDS = np.array([b"0", b"1"], dtype="S8").view(np.uint64)
 
-    Integers spanning fewer values than the column has cells are looked up
-    in a table of their strings, which is several times faster than ``str``
-    per cell.
+# Schubfach (Giulietti, "The Schubfach way to render doubles", 2020) on
+# uint64 arrays.  A finite nonzero normal double is c * 2**q with
+# 2**52 <= c < 2**53 and -1074 <= q <= 971, whose decimal exponents k lie
+# in [_K_MIN, _K_MAX].
+_K_MIN, _K_MAX = -324, 292
+_M32 = np.uint64(2**32 - 1)
+_M63 = np.uint64(2**63 - 1)
+
+
+def _flog10pow2(q):
+    """floor(q * log10(2)), exact for the exponents of a double."""
+    return q * 661_971_961_083 >> 41
+
+
+def _flog10_three_quarters_pow2(q):
+    """floor(q * log10(2) + log10(3/4)), exact for the exponents of a double."""
+    return (q * 661_971_961_083 - 274_743_187_321) >> 41
+
+
+def _flog2pow10(e):
+    """floor(e * log2(10)), exact for the decimal exponents of a double."""
+    return e * 913_124_641_741 >> 38
+
+
+@functools.cache
+def _digit_groups() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of 0..9999 as its four ASCII digits packed in a uint32, as
+    "d.d.d.d." packed in a uint64, and its number of trailing zeros (4 for 0)."""
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
+    chars = np.ascontiguousarray(digits + ord("0"))
+    dotted = np.full((10000, 8), ord("."), dtype=np.uint8)
+    dotted[:, ::2] = chars
+    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+    return chars.view(np.uint32).ravel(), dotted.view(np.uint64).ravel(), zeros
+
+
+def _groups(values: np.ndarray, count: int) -> list[np.ndarray]:
+    """The lowest ``count`` base-10,000 digits of a uint64 array, most
+    significant first, as int64 arrays."""
+    parts = []
+    for _ in range(count):
+        high = values // 10000
+        parts.append((values - high * 10000).view(np.int64))
+        values = high
+    return parts[::-1]
+
+
+@functools.cache
+def _float_tables() -> SimpleNamespace:
+    """Lookup tables of the float renderer, built on its first use.
+
+    Row e = bq + 2048 * (c == 2**52) of k, h and down, for the biased
+    exponent bq and the significand c of a normal double, holds the decimal
+    exponent k, the shift h of Schubfach's operands and log2 of the step
+    down to the rounding interval's lower end in units of 2**h (1, or 0 at a
+    power of two, where the gap below is half the gap above).  Rows of other
+    exponents hold valid but unused values.  Row k - _K_MIN of g holds g1,
+    g0 and the limbs g1 >> 32, g1 & M32, g0 >> 32, g0 & M32 of g = g1 *
+    2**63 + g0 = floor(10**-k * 2**(125 - flog2pow10(-k))) + 1.
+
+    Row decpt + 323 of suffix and template, for a cell that reads
+    0.d1d2... * 10**decpt, holds the slot's last word, "e-324" ... "e+308"
+    (the exponent is decpt - 1), and the row of mask for a positive cell
+    with 17 significant digits.  A cell with sign bit b and n significant
+    digits takes row template[decpt + 323] + 374 * b + n - 17 of mask, whose
+    (sign, layout, n) rows hold the 0x00/0xFF masks of the slot's bytes.
+    The layout is decpt + 3 for the positional form (-3 <= decpt <= 16),
+    20 for the exponent form with a two-digit exponent and 21 for a
+    three-digit one.  Entry d of lead is the slot's first word, "-0.000d.".
+    """
+    # g for k = 0, -1, ..., _K_MIN and then 1, ..., _K_MAX, with p = 10**|k|.
+    powers, p = [], 1
+    for k in range(0, _K_MIN - 1, -1):
+        e = 125 - _flog2pow10(-k)
+        powers.append((p << e if e >= 0 else p >> -e) + 1)
+        p *= 10
+    powers, p = powers[::-1], 10
+    for k in range(1, _K_MAX + 1):
+        powers.append((1 << (125 - _flog2pow10(-k))) // p + 1)
+        p *= 10
+    g1 = np.array([g >> 63 for g in powers], dtype=np.uint64)
+    g0 = np.array([g & (2**63 - 1) for g in powers], dtype=np.uint64)
+
+    bq = np.arange(4096) % 2048
+    uneven = (np.arange(4096) >= 2048) & (bq > 1)
+    q = np.maximum(bq, 1) - 1075
+    k = np.where(uneven, _flog10_three_quarters_pow2(q), _flog10pow2(q))
+    h = q + _flog2pow10(-k) + 2
+
+    decpt = np.arange(-323, 310)
+    layout = np.where((decpt >= -3) & (decpt <= 16), decpt + 3, np.where(np.abs(decpt - 1) < 100, 20, 21))
+    suffix = np.zeros((len(decpt), 8), dtype=np.uint8)
+    suffix[:, 0] = ord("e")
+    suffix[:, 1] = np.where(decpt < 1, ord("-"), ord("+"))
+    suffix[:, 2:5] = _digit_groups()[0].view(np.uint8).reshape(-1, 4)[np.abs(decpt - 1), 1:]
+
+    # The kept bytes of each (sign, layout, n), by broadcasting over the four axes.
+    neg = np.arange(2)[:, None, None, None] == 1
+    lay = np.arange(22)[None, :, None, None]
+    n = np.arange(1, 18)[None, None, :, None]
+    point = lay - 3
+    positional = lay < 20
+    j = np.arange(17)
+    mask = np.zeros((2, 22, 17, 48), dtype=bool)
+    mask[..., :1] = neg
+    mask[..., 1:3] = positional & (point <= 0)
+    mask[..., 3:6] = positional & (np.arange(3) < -point)
+    # Digits past the significant ones are zeros, which "100.0" shows.
+    mask[..., 6:40:2] = (j < n) | (positional & (j <= point))
+    mask[..., 7:40:2] = np.where(positional, j == point - 1, (j == 0) & (n > 1))
+    mask[..., 40:42] = ~positional
+    mask[..., 42:43] = lay == 21
+    mask[..., 43:45] = ~positional
+    return SimpleNamespace(
+        k=k,
+        h=h.astype(np.uint64),
+        down=np.where(uneven, 0, 1).astype(np.uint64),
+        g=(g1, g0, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32),
+        suffix=suffix.view(np.uint64).ravel(),
+        template=layout * 17 + 16,
+        mask=(mask.reshape(-1, 48).astype(np.uint8) * 0xFF).view(np.uint64).T.copy(),
+        lead=np.array([f"-0.000{d}." for d in range(10)], dtype="S8").view(np.uint64),
+    )
+
+
+def _mul(ah, al, bh, bl):
+    """The high and low 64 bits of the product of ah * 2**32 + al and
+    bh * 2**32 + bl, for ah < 2**31 and bh < 2**28, whose cross products
+    sum without overflow."""
+    low = al * bl
+    cross = al * bh + ah * bl
+    mid = (low >> 32) + (cross & _M32)
+    return ah * bh + (cross >> 32) + (mid >> 32), (mid << 32) | (low & _M32)
+
+
+def _shift_add(a, v, e, sign):
+    """a + sign * v * 2**e for a 128-bit a, given as its (high, low) 64-bit
+    halves, v < 2**63 and 0 < e < 64, in the same form."""
+    high, low = v >> (64 - e), v << e
+    if sign > 0:
+        total = a[1] + low
+        return a[0] + high + (total < low), total
+    return a[0] - high - (a[1] < low), a[1] - low
+
+
+def _rop(y, x):
+    """Schubfach's rounding product floor(g * cp / 2**127), for g = g1 *
+    2**63 + g0, from y = g1 * cp and x = g0 * cp as (high, low) halves; its
+    lowest bit is set when the bits below, as far as Schubfach computes
+    them, are not all zero."""
+    z = (y[1] >> 1) + x[0]
+    return (y[0] + (z >> 63)) | ((z & _M63) != 0)
+
+
+def _shortest(bits: np.ndarray, tables: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
+    """Schubfach's shortest decimal f * 10**k of each normal double (given
+    by its bits) that rounds to it, the nearest one if several do; f has 16
+    or 17 digits, with trailing zeros where the shortest has fewer.  Other
+    values give meaningless results."""
+    bq = bits >> 52 & np.uint64(0x7FF)
+    t = bits & np.uint64(2**52 - 1)
+    row = (bq + np.uint64(2048) * (t == 0)).view(np.int64)
+    h = np.take(tables.h, row)
+    k = np.take(tables.k, row)
+    g1, g0, g1h, g1l, g0h, g0l = (np.take(column, k - _K_MIN) for column in tables.g)
+    c = t | np.uint64(2**52)
+    cp = c << (h + 2)
+    ch, cl = cp >> 32, cp & _M32
+    y, x = _mul(g1h, g1l, ch, cl), _mul(g0h, g0l, ch, cl)
+    vb = _rop(y, x)
+    # The interval's ends are cp - 2**(h + down) and cp + 2**(h + 1), so g
+    # times either is g * cp minus or plus g shifted left.
+    low, high = h + np.take(tables.down, row), h + 1
+    vbl = _rop(_shift_add(y, g1, low, -1), _shift_add(x, g0, low, -1))
+    vbr = _rop(_shift_add(y, g1, high, 1), _shift_add(x, g0, high, 1))
+
+    # vbl and vbr are the interval's ends, times four, included if c is
+    # even.  Take its one multiple of ten at this scale if there is one, or
+    # else s or s + 1, the two nearest to the value, whichever lies in it or,
+    # with both in, is nearer, s on a tie if s is even.
+    odd = c & 1
+    lower = vbl + odd
+    upper = vbr - odd
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    upin = lower <= sp10 << 2
+    wpin = (sp10 << 2) + 40 <= upper
+    uin = lower <= s << 2
+    win = (s << 2) + 4 <= upper
+    # s + 1 is nearer when vb & 3 is 3, or 2 with s odd: vb & 7 is 3, 6 or 7, the set bits of 0xC8.
+    nearer_t = (np.uint64(0xC8) >> (vb & 7)) & 1
+    f = np.where(upin != wpin, sp10 + np.uint64(10) * wpin, s + np.where(uin != win, win, nearer_t))
+    return f, k
+
+
+def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
+    """Doubles byte-identical to ``repr``: Schubfach's shortest decimal, its
+    bytes masked by template.  Zeros are laid out as 0 * 10**1; subnormals,
+    infinities and NaNs are rendered by ``repr`` itself."""
+    tables = _float_tables()
+    bits = x.view(np.uint64)
+    f, k = _shortest(bits, tables)
+    # The 17 digits d1...d17, the decimal point's place and the significant digits.
+    short = f < 10**16
+    zero = (bits << 1) == 0
+    digits = np.where(zero, 0, np.where(short, f * 10, f))
+    decpt = np.where(zero, 1, k + 17 - short) + 323
+    lead = digits // 10**16
+    parts = _groups(digits - lead * 10**16, 4)
+    _, dotted, trailing = _digit_groups()
+    zeros = np.take(trailing, parts[3])
+    for i in range(1, 4):
+        zeros += (zeros == 4 * i) * np.take(trailing, parts[3 - i])
+    template = np.take(tables.template, decpt) + np.signbit(x) * 374 - zeros
+
+    words = [np.take(tables.lead, lead.view(np.int64))]
+    words += [np.take(dotted, part) for part in parts]
+    words.append(np.take(tables.suffix, decpt))
+    for word, chars, mask in zip(out, words, tables.mask):
+        np.bitwise_and(chars, np.take(mask, template), out=word)
+
+    bq = bits >> 52 & np.uint64(0x7FF)
+    special = (bq == 0x7FF) | ((bq == 0) & ~zero)
+    if special.any():
+        rows = np.flatnonzero(special)
+        out[:, rows] = np.array([repr(v) for v in x[rows].tolist()], dtype="S48").view(np.uint64).reshape(-1, 6).T
+
+
+def _render_ints(values: np.ndarray, out: np.ndarray) -> None:
+    """Integers of an int64 or uint64 array in decimal: the sign, then 20
+    digits, leading zeros dropped."""
+    neg = values < 0
+    magnitude = values.view(np.uint64)
+    if values.dtype.kind == "i":
+        magnitude = np.where(neg, ~magnitude + np.uint64(1), magnitude)
+    text = np.zeros((len(values), 24), dtype=np.uint8)
+    text[:, 0] = neg * ord("-")
+    chars = _digit_groups()[0]
+    for i, part in enumerate(_groups(magnitude, 5)):
+        text[:, 1 + 4 * i : 5 + 4 * i] = np.take(chars, part).view(np.uint8).reshape(-1, 4)
+    text[:, 1:21] *= np.arange(20, 0, -1) <= 1 + np.searchsorted(_POW10, magnitude, side="right")[:, None]
+    out[:] = text.view(np.uint64).T
+
+
+def _render(column: np.ndarray, out: np.ndarray) -> None:
+    """Render one column's cells into ``out``, its slots' words, word-major:
+    booleans as 1/0, integers in decimal, floats byte-identical to ``repr``
+    of the double (float16 and float32 are widened first).
+
+    Integers spanning fewer values than the column has cells are rendered
+    once per value and looked up.
     """
     kind = column.dtype.kind
     if kind == "b":
-        return np.where(column, "1", "0").tolist()
-    if kind == "f":
-        return list(map(repr, column.tolist()))
-    if kind == "i":
-        column = column.astype(np.int64, copy=False)
-    lo, hi = column.min(), column.max()
-    if int(hi) - int(lo) < column.shape[0]:
-        table = np.array([str(v) for v in range(int(lo), int(hi) + 1)], dtype=object)
-        return table[column - lo].tolist()
-    return list(map(str, column.tolist()))
+        out[0] = np.take(_BOOL_WORDS, column.astype(np.intp))
+    elif kind == "f":
+        _render_floats(column.astype(np.float64), out)
+    else:
+        column = column.astype(np.int64 if kind == "i" else np.uint64)
+        lo, hi = column.min(), column.max()
+        if int(hi) - int(lo) < column.shape[0]:
+            table = np.empty((3, int(hi) - int(lo) + 1), dtype=np.uint64)
+            _render_ints(lo + np.arange(table.shape[1], dtype=column.dtype), table)
+            rows = (column - lo).view(np.int64)
+            for word, table_word in zip(out, table):
+                word[:] = np.take(table_word, rows)
+        else:
+            _render_ints(column, out)
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
     """Write a CSV file atomically from parallel columns, formatted by dtype.
 
     Columns must be one-dimensional, of equal length, and of boolean,
-    integer or float dtype.  Rows are rendered in chunks of ``CHUNK_ROWS``,
-    in forked worker processes when there are several chunks and CPUs
-    (:func:`~structlabor.parallel.ordered_map`), and written in order, so
-    the file does not depend on the number of workers.
+    integer or float dtype, floats at most as wide as a double.  Booleans
+    are written as 1/0, integers in decimal and floats byte-identical to
+    ``repr`` of the double.  Rows are rendered as bytes in chunks of
+    ``CHUNK_ROWS``, in forked worker processes when there are several
+    chunks and CPUs (:func:`~structlabor.parallel.ordered_map`), and
+    written in order, so the file does not depend on the number of
+    workers.
     """
     cols = [np.asarray(c) for c in columns]
     require(len(cols) == len(header), f"{len(cols)} columns do not match header width {len(header)}")
     n = cols[0].shape[0] if cols and cols[0].ndim == 1 else 0
     for name, col in zip(header, cols):
         require(col.shape == (n,), f"column {name} has shape {col.shape}, expected ({n},)")
-        require(col.dtype.kind in "biuf", f"cannot format column {name} of dtype {col.dtype}")
+        # A float wider than a double would lose digits in its cells.
+        formattable = col.dtype.kind in "biu" or col.dtype.kind == "f" and col.dtype.itemsize <= 8
+        require(formattable, f"cannot format column {name} of dtype {col.dtype}")
+    # Column i's slot is words [starts[i], ends[i]) of a row.
+    ends = np.cumsum([_SLOT_WORDS[c.dtype.kind] for c in cols])
+    starts = np.r_[0, ends[:-1]]
+    separators = np.array([[ord(",")]] * (len(cols) - 1) + [[ord("\n")]], dtype=np.uint8)
 
-    def render(chunk: int) -> str:
+    def render(chunk: int) -> bytes:
         lo = chunk * CHUNK_ROWS
-        cells = [_cells(c[lo : lo + CHUNK_ROWS]) for c in cols]
-        return "\n".join(map(",".join, zip(*cells))) + "\n"
+        chunk_cols = [c[lo : lo + CHUNK_ROWS] for c in cols]
+        words = np.empty((ends[-1], chunk_cols[0].shape[0]), dtype=np.uint64)
+        for col, start, end in zip(chunk_cols, starts, ends):
+            _render(col, words[start:end])
+        words.view(np.uint8).reshape(*words.shape, 8)[ends - 1, :, 7] = separators
+        return words.T.tobytes().translate(None, b"\0")
 
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], ordered_map(render, -(-n // CHUNK_ROWS))))
+    head = (",".join(header) + "\n").encode("utf-8")
+    _atomic_write(path, itertools.chain([head], ordered_map(render, -(-n // CHUNK_ROWS))))
 
 
 def _sanitize(obj: Any) -> Any:
@@ -129,7 +410,7 @@ def _sanitize(obj: Any) -> Any:
 def write_json(path: str, obj: Any) -> None:
     """Write a JSON file atomically with sorted keys and stable floats."""
     text = json.dumps(_sanitize(obj), indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(path, [text, "\n"])
+    _atomic_write(path, [text.encode("utf-8"), b"\n"])
 
 
 def sha256_file(path: str) -> str:

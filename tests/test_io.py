@@ -114,17 +114,84 @@ def test_narrow_integer_columns_are_written_in_decimal(tmp_path, cpus, n):
 def test_a_failed_chunk_leaves_no_file(tmp_path, cpus, monkeypatch):
     # A chunk whose rendering raises, in a worker or in this process, fails
     # the write with that error and leaves neither the file nor a temp file.
-    render = io_module._cells
+    render = io_module._render
 
-    def cells(column):
+    def cells(column, out):
         if column.dtype.kind == "i" and column[0] == CHUNK_ROWS:
             raise DomainError("bad second chunk")
-        return render(column)
+        render(column, out)
 
-    monkeypatch.setattr(io_module, "_cells", cells)
+    monkeypatch.setattr(io_module, "_render", cells)
     with pytest.raises(DomainError, match="^bad second chunk$"):
         write_csv(str(tmp_path / "t.csv"), ("i",), [np.arange(3 * CHUNK_ROWS)])
     assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def repr_doubles():
+    """Doubles on which a shortest-digit renderer is easy to get wrong, and
+    200,000 random bit patterns, with their reprs."""
+    with np.errstate(over="ignore"):
+        powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)), [float(f"1e{e}") for e in range(-323, 309)]])
+        powers = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+    tiny = np.finfo(np.float64).tiny
+    special = [
+        9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16, 1e-05, 0.001, 1e15, 123456789012345.67,
+        tiny, np.nextafter(tiny, 0), tiny / 2, 5e-324, 1e-323, np.finfo(np.float64).max,
+        0.0, -0.0, math.inf, -math.inf, math.nan, 0.1, 1 / 3, 2.5, 100.0, 2.0**53, 2.0**53 + 2,
+    ]
+    rng = np.random.Generator(np.random.Philox(key=5))
+    integral = np.concatenate([np.arange(-1000, 1000), rng.integers(-(2**53), 2**53, size=2000)]).astype(np.float64)
+    subnormal = rng.integers(1, 1 << 52, size=2000, dtype=np.uint64).view(np.float64)
+    bits = rng.integers(0, 2**64 - 1, size=200_000, dtype=np.uint64, endpoint=True).view(np.float64)
+    values = np.concatenate([powers, special, integral, subnormal, bits])
+    values = np.concatenate([values, -values[: -len(bits)]])
+    return values, [repr(v).encode() for v in values.tolist()]
+
+
+def test_float_cells_equal_repr(tmp_path, cpus, repr_doubles):
+    # Every float cell is the repr of the double, byte for byte, across
+    # chunk seams, in one process and in two workers.
+    values, expected = repr_doubles
+    assert len(values) > 2 * CHUNK_ROWS
+    path = str(tmp_path / "floats.csv")
+    write_csv(path, ("f",), [values])
+    with open(path, "rb") as fh:
+        assert fh.read().splitlines() == [b"f", *expected]
+
+
+def test_integer_float16_float32_and_strided_cells(tmp_path, cpus):
+    # Integer columns too wide for the table of their values, float16 and
+    # float32 columns (written as the repr of the widened double) and
+    # strided columns, across a chunk seam whose second chunk is short.
+    n = CHUNK_ROWS + 129
+    rng = np.random.Generator(np.random.Philox(key=6))
+    info64 = np.iinfo(np.int64)
+    int64 = rng.integers(info64.min, info64.max, size=n, dtype=np.int64, endpoint=True)
+    uint64 = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+    for lo in (0, CHUNK_ROWS):
+        int64[lo : lo + 4] = [info64.min, info64.max, 0, -1]
+        uint64[lo : lo + 3] = [2**64 - 1, 0, 10**19]
+    # 0..127 and -128 span more values than the 129-row second chunk has
+    # rows; so do -128..-1 and 127, written on their own below.
+    int8 = rng.integers(-128, 128, size=n, dtype=np.int8)
+    int8[CHUNK_ROWS:] = np.r_[0:128, -128]
+    widened = np.concatenate([rng.lognormal(0, 10, size=n - 8), [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-40, 1e5, 65504.0]])
+    with np.errstate(over="ignore"):
+        float32, float16 = widened.astype(np.float32), widened.astype(np.float16)
+    table = np.zeros(n, dtype=[("pad", np.int8), ("x", np.float64), ("k", np.int64)])
+    table["x"] = rng.uniform(-1e9, 1e9, size=n)
+    table["k"] = int64[::-1]
+    columns = [int64, uint64, int8, float32, float16, table["x"], table["k"], widened[::-1]]
+    path = str(tmp_path / "kinds.csv")
+    write_csv(path, tuple("abcdefgh"), columns)
+    text = [[str(v) for v in c.tolist()] if c.dtype.kind in "iu" else [repr(float(v)) for v in c.tolist()] for c in columns]
+    with open(path, "rb") as fh:
+        assert fh.read().splitlines()[1:] == [",".join(row).encode() for row in zip(*text)]
+    low = np.r_[-128:0, 127].astype(np.int8)
+    write_csv(path, ("a",), [low])
+    with open(path, "rb") as fh:
+        assert fh.read().splitlines()[1:] == [str(v).encode() for v in low.tolist()]
 
 
 def test_write_csv_round_trip(tmp_path):
@@ -149,6 +216,14 @@ def test_write_csv_rejects_unsupported_dtypes(tmp_path):
     for column in (["x", "y"], [object(), object()], [1 + 2j, 3j]):
         with pytest.raises(DomainError, match="cannot format column b"):
             write_csv(path, ("a", "b"), [[1, 2], column])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8, reason="long double is a double on this platform")
+def test_write_csv_refuses_floats_wider_than_a_double(tmp_path):
+    # Their cells could not be the repr of the stored value.
+    with pytest.raises(DomainError, match="cannot format column b"):
+        write_csv(str(tmp_path / "bad.csv"), ("a", "b"), [[1, 2], np.array([0.1, 0.2], dtype=np.longdouble)])
     assert os.listdir(tmp_path) == []
 
 
