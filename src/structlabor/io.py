@@ -74,6 +74,7 @@ def _atomic_write(path: str, parts: Iterable[bytes]) -> None:
 #   6-39   17 digits, each followed by a "."
 #   40-44  "e", the exponent's sign and three exponent digits
 _SLOT_WORDS = {"b": 1, "i": 3, "u": 3, "f": 6}
+_BLOCK_DTYPES = {"b": np.bool_, "i": np.int64, "u": np.uint64, "f": np.float64}
 _POW10 = np.array([10**j for j in range(1, 20)], dtype=np.uint64)
 _BOOL_WORDS = np.array([b"0", b"1"], dtype="S8").view(np.uint64)
 
@@ -239,9 +240,9 @@ def _shortest(bits: np.ndarray, tables: SimpleNamespace) -> tuple[np.ndarray, np
     bq = bits >> 52 & np.uint64(0x7FF)
     t = bits & np.uint64(2**52 - 1)
     row = (bq + np.uint64(2048) * (t == 0)).view(np.int64)
-    h = np.take(tables.h, row)
-    k = np.take(tables.k, row)
-    g1, g0, g1h, g1l, g0h, g0l = (np.take(column, k - _K_MIN) for column in tables.g)
+    h = tables.h.take(row)
+    k = tables.k.take(row)
+    g1, g0, g1h, g1l, g0h, g0l = (column.take(k - _K_MIN) for column in tables.g)
     c = t | np.uint64(2**52)
     cp = c << (h + 2)
     ch, cl = cp >> 32, cp & _M32
@@ -249,7 +250,7 @@ def _shortest(bits: np.ndarray, tables: SimpleNamespace) -> tuple[np.ndarray, np
     vb = _rop(y, x)
     # The interval's ends are cp - 2**(h + down) and cp + 2**(h + 1), so g
     # times either is g * cp minus or plus g shifted left.
-    low, high = h + np.take(tables.down, row), h + 1
+    low, high = h + tables.down.take(row), h + 1
     vbl = _rop(_shift_add(y, g1, low, -1), _shift_add(x, g0, low, -1))
     vbr = _rop(_shift_add(y, g1, high, 1), _shift_add(x, g0, high, 1))
 
@@ -273,8 +274,9 @@ def _shortest(bits: np.ndarray, tables: SimpleNamespace) -> tuple[np.ndarray, np
 
 
 def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
-    """Doubles byte-identical to ``repr``: Schubfach's shortest decimal, its
-    bytes masked by template.  Zeros are laid out as 0 * 10**1; subnormals,
+    """Doubles of any shape into ``out``, six slot words by that shape,
+    byte-identical to ``repr``: Schubfach's shortest decimal, its bytes
+    masked by template.  Zeros are laid out as 0 * 10**1; subnormals,
     infinities and NaNs are rendered by ``repr`` itself."""
     tables = _float_tables()
     bits = x.view(np.uint64)
@@ -287,64 +289,67 @@ def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
     lead = digits // 10**16
     parts = _groups(digits - lead * 10**16, 4)
     _, dotted, trailing = _digit_groups()
-    zeros = np.take(trailing, parts[3])
+    zeros = trailing.take(parts[3])
     for i in range(1, 4):
-        zeros += (zeros == 4 * i) * np.take(trailing, parts[3 - i])
-    template = np.take(tables.template, decpt) + np.signbit(x) * 374 - zeros
+        zeros += (zeros == 4 * i) * trailing.take(parts[3 - i])
+    template = tables.template.take(decpt) + np.signbit(x) * 374 - zeros
 
-    words = [np.take(tables.lead, lead.view(np.int64))]
-    words += [np.take(dotted, part) for part in parts]
-    words.append(np.take(tables.suffix, decpt))
+    words = [tables.lead.take(lead.view(np.int64))]
+    words += [dotted.take(part) for part in parts]
+    words.append(tables.suffix.take(decpt))
     for word, chars, mask in zip(out, words, tables.mask):
-        np.bitwise_and(chars, np.take(mask, template), out=word)
+        np.bitwise_and(chars, mask.take(template), out=word)
 
     bq = bits >> 52 & np.uint64(0x7FF)
     special = (bq == 0x7FF) | ((bq == 0) & ~zero)
     if special.any():
-        rows = np.flatnonzero(special)
-        out[:, rows] = np.array([repr(v) for v in x[rows].tolist()], dtype="S48").view(np.uint64).reshape(-1, 6).T
+        cells = np.nonzero(special)
+        text = np.array([repr(v) for v in x[cells].tolist()], dtype="S48")
+        out[(slice(None), *cells)] = text.view(np.uint64).reshape(-1, 6).T
 
 
 def _render_ints(values: np.ndarray, out: np.ndarray) -> None:
-    """Integers of an int64 or uint64 array in decimal: the sign, then 20
-    digits, leading zeros dropped."""
+    """Integers of an int64 or uint64 array of any shape in decimal into
+    ``out``, three slot words by that shape: the sign, then 20 digits,
+    leading zeros dropped."""
     neg = values < 0
     magnitude = values.view(np.uint64)
     if values.dtype.kind == "i":
         magnitude = np.where(neg, ~magnitude + np.uint64(1), magnitude)
-    text = np.zeros((len(values), 24), dtype=np.uint8)
-    text[:, 0] = neg * ord("-")
+    text = np.zeros((*values.shape, 24), dtype=np.uint8)
+    text[..., 0] = neg * ord("-")
     chars = _digit_groups()[0]
     for i, part in enumerate(_groups(magnitude, 5)):
-        text[:, 1 + 4 * i : 5 + 4 * i] = np.take(chars, part).view(np.uint8).reshape(-1, 4)
-    text[:, 1:21] *= np.arange(20, 0, -1) <= 1 + np.searchsorted(_POW10, magnitude, side="right")[:, None]
-    out[:] = text.view(np.uint64).T
+        text[..., 1 + 4 * i : 5 + 4 * i] = chars.take(part)[..., None].view(np.uint8)
+    text[..., 1:21] *= np.arange(20, 0, -1) <= 1 + np.searchsorted(_POW10, magnitude, side="right")[..., None]
+    out[:] = np.moveaxis(text.view(np.uint64), -1, 0)
 
 
-def _render(column: np.ndarray, out: np.ndarray) -> None:
-    """Render one column's cells into ``out``, its slots' words, word-major:
-    booleans as 1/0, integers in decimal, floats byte-identical to ``repr``
-    of the double (float16 and float32 are widened first).
+def _render(block: np.ndarray, out: np.ndarray) -> None:
+    """Render a block of adjacent columns of one kind, the rows of a bool,
+    int64, uint64 or float64 array, into ``out``, their slots' words,
+    word-major: booleans as 1/0, integers in decimal, floats byte-identical
+    to ``repr``.
 
-    Integers spanning fewer values than the column has cells are rendered
+    Integers spanning fewer values than the block has cells are rendered
     once per value and looked up.
     """
-    kind = column.dtype.kind
+    out = out.reshape(block.shape[0], -1, block.shape[1]).swapaxes(0, 1)
+    kind = block.dtype.kind
     if kind == "b":
-        out[0] = np.take(_BOOL_WORDS, column.astype(np.intp))
+        out[0] = _BOOL_WORDS.take(block.view(np.uint8))
     elif kind == "f":
-        _render_floats(column.astype(np.float64), out)
+        _render_floats(block, out)
     else:
-        column = column.astype(np.int64 if kind == "i" else np.uint64)
-        lo, hi = column.min(), column.max()
-        if int(hi) - int(lo) < column.shape[0]:
+        lo, hi = block.min(), block.max()
+        if int(hi) - int(lo) < block.size:
             table = np.empty((3, int(hi) - int(lo) + 1), dtype=np.uint64)
-            _render_ints(lo + np.arange(table.shape[1], dtype=column.dtype), table)
-            rows = (column - lo).view(np.int64)
+            _render_ints(lo + np.arange(table.shape[1], dtype=block.dtype), table)
+            rows = (block - lo).view(np.int64)
             for word, table_word in zip(out, table):
-                word[:] = np.take(table_word, rows)
+                word[:] = table_word.take(rows)
         else:
-            _render_ints(column, out)
+            _render_ints(block, out)
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
@@ -371,13 +376,22 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
     ends = np.cumsum([_SLOT_WORDS[c.dtype.kind] for c in cols])
     starts = np.r_[0, ends[:-1]]
     separators = np.array([[ord(",")]] * (len(cols) - 1) + [[ord("\n")]], dtype=np.uint8)
+    # Adjacent columns of one kind are rendered together, in blocks of at
+    # most CHUNK_ROWS cells, so a short table pays numpy's per-call cost
+    # once per block rather than once per column.
+    width = max(1, CHUNK_ROWS // max(1, min(n, CHUNK_ROWS)))
+    blocks = []
+    for _, run in itertools.groupby(range(len(cols)), key=lambda i: cols[i].dtype.kind):
+        run = list(run)
+        blocks += [(i, min(i + width, run[-1] + 1)) for i in range(run[0], run[-1] + 1, width)]
 
     def render(chunk: int) -> bytes:
         lo = chunk * CHUNK_ROWS
-        chunk_cols = [c[lo : lo + CHUNK_ROWS] for c in cols]
-        words = np.empty((ends[-1], chunk_cols[0].shape[0]), dtype=np.uint64)
-        for col, start, end in zip(chunk_cols, starts, ends):
-            _render(col, words[start:end])
+        words = np.empty((ends[-1], min(CHUNK_ROWS, n - lo)), dtype=np.uint64)
+        for first, last in blocks:
+            kind = cols[first].dtype.kind
+            block = np.array([c[lo : lo + CHUNK_ROWS] for c in cols[first:last]], dtype=_BLOCK_DTYPES[kind])
+            _render(block, words[starts[first] : ends[last - 1]])
         words.view(np.uint8).reshape(*words.shape, 8)[ends - 1, :, 7] = separators
         return words.T.tobytes().translate(None, b"\0")
 

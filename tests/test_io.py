@@ -116,10 +116,10 @@ def test_a_failed_chunk_leaves_no_file(tmp_path, cpus, monkeypatch):
     # the write with that error and leaves neither the file nor a temp file.
     render = io_module._render
 
-    def cells(column, out):
-        if column.dtype.kind == "i" and column[0] == CHUNK_ROWS:
+    def cells(block, out):
+        if block.dtype.kind == "i" and block[0, 0] == CHUNK_ROWS:
             raise DomainError("bad second chunk")
-        render(column, out)
+        render(block, out)
 
     monkeypatch.setattr(io_module, "_render", cells)
     with pytest.raises(DomainError, match="^bad second chunk$"):
@@ -192,6 +192,32 @@ def test_integer_float16_float32_and_strided_cells(tmp_path, cpus):
     write_csv(path, ("a",), [low])
     with open(path, "rb") as fh:
         assert fh.read().splitlines()[1:] == [str(v).encode() for v in low.tolist()]
+
+
+@pytest.mark.parametrize("n", [40, CHUNK_ROWS // 3])
+def test_adjacent_columns_of_one_kind_render_as_blocks(tmp_path, cpus, n):
+    # A short table renders adjacent columns of one kind together: all five
+    # float columns in one block at 40 rows, blocks of three and two at
+    # CHUNK_ROWS // 3.  Special values sit in every float column, and the
+    # integer blocks mix widths and span both the table and the digits.
+    rng = np.random.Generator(np.random.Philox(key=7))
+    floats = []
+    for j in range(5):
+        column = rng.lognormal(0, 20, size=n) * rng.choice([-1.0, 1.0], size=n)
+        column[j : j + 6] = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16]
+        floats.append(column.astype(np.float32) if j == 3 else column)
+    ints = [np.arange(n, dtype=np.int8) % 100, rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64), np.arange(n) - 3]
+    unsigned = [np.full(n, 2**64 - 1, dtype=np.uint64), np.arange(n, dtype=np.uint32)]
+    flags = [rng.uniform(size=n) < 0.5, np.ones(n, dtype=bool)]
+    columns = [*flags, *ints, *floats, *unsigned]
+    path = str(tmp_path / "blocks.csv")
+    write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+    text = [
+        [str(int(v)) for v in c.tolist()] if c.dtype.kind in "biu" else [repr(float(v)) for v in c.tolist()]
+        for c in columns
+    ]
+    with open(path, "rb") as fh:
+        assert fh.read().splitlines()[1:] == [",".join(row).encode() for row in zip(*text)]
 
 
 def test_write_csv_round_trip(tmp_path):
