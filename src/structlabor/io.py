@@ -66,16 +66,16 @@ def _atomic_write(path: str, parts: Iterable[bytes]) -> None:
 # byte is the column's "," or "\n"; deleting the NULs from the matrix's
 # bytes yields the chunk's text.  The matrix is filled word-major, one
 # contiguous array of rows per slot word, and transposed as it is copied
-# out.  A boolean slot is one word.  An integer slot is three: a sign and
-# 20 digits, enough for -2**63 and 2**64 - 1.  A float slot is six words
-# with a place for every character repr can write:
+# out.  A boolean slot is one word.  An integer slot is three: 20 digit
+# places, enough for 2**64 - 1, and three NULs.  A negative's "-" is in the
+# first place, whose digit is zero, as 2**63 < 10**19.  A float slot is
+# six words with a place for every character repr can write:
 #   0      "-"
 #   1-5    "0.000", the lead of a value below 1
 #   6-39   17 digits, each followed by a "."
 #   40-44  "e", the exponent's sign and three exponent digits
 _SLOT_WORDS = {"b": 1, "i": 3, "u": 3, "f": 6}
 _BLOCK_DTYPES = {"b": np.bool_, "i": np.int64, "u": np.uint64, "f": np.float64}
-_POW10 = np.array([10**j for j in range(1, 20)], dtype=np.uint64)
 _BOOL_WORDS = np.array([b"0", b"1"], dtype="S8").view(np.uint64)
 
 # Schubfach (Giulietti, "The Schubfach way to render doubles", 2020) on
@@ -104,25 +104,25 @@ def _flog2pow10(e):
 
 @functools.cache
 def _digit_groups() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each of 0..9999 as its four ASCII digits packed in a uint32, as
+    """Each of 0..9999 as its four ASCII digits in a uint64's low half, as
     "d.d.d.d." packed in a uint64, and its number of trailing zeros (4 for 0)."""
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
     chars = np.ascontiguousarray(digits + ord("0"))
     dotted = np.full((10000, 8), ord("."), dtype=np.uint8)
     dotted[:, ::2] = chars
     zeros = np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-    return chars.view(np.uint32).ravel(), dotted.view(np.uint64).ravel(), zeros
+    return chars.view(np.uint32).ravel().astype(np.uint64), dotted.view(np.uint64).ravel(), zeros
 
 
 def _groups(values: np.ndarray, count: int) -> list[np.ndarray]:
-    """The lowest ``count`` base-10,000 digits of a uint64 array, most
-    significant first, as int64 arrays."""
+    """The ``count`` base-10,000 digits of a uint64 array below 10000**count,
+    most significant first, as int64 arrays."""
     parts = []
-    for _ in range(count):
+    for _ in range(count - 1):
         high = values // 10000
         parts.append((values - high * 10000).view(np.int64))
         values = high
-    return parts[::-1]
+    return [values.view(np.int64), *parts[::-1]]
 
 
 @functools.cache
@@ -172,7 +172,7 @@ def _float_tables() -> SimpleNamespace:
     suffix = np.zeros((len(decpt), 8), dtype=np.uint8)
     suffix[:, 0] = ord("e")
     suffix[:, 1] = np.where(decpt < 1, ord("-"), ord("+"))
-    suffix[:, 2:5] = _digit_groups()[0].view(np.uint8).reshape(-1, 4)[np.abs(decpt - 1), 1:]
+    suffix[:, 2:5] = _digit_groups()[0].view(np.uint8).reshape(-1, 8)[np.abs(decpt - 1), 1:4]
 
     # The kept bytes of each (sign, layout, n), by broadcasting over the four axes.
     neg = np.arange(2)[:, None, None, None] == 1
@@ -308,32 +308,37 @@ def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
         out[(slice(None), *cells)] = text.view(np.uint64).reshape(-1, 6).T
 
 
+@functools.cache
+def _int_masks() -> np.ndarray:
+    """Row w, column d: word w of the integer slot mask that keeps digit places 20 - d ... 19."""
+    places = np.arange(24)
+    keep = (places >= 20 - np.arange(21)[:, None]) & (places < 20)
+    return (keep.astype(np.uint8) * 0xFF).view(np.uint64).T.copy()
+
+
 def _render_ints(values: np.ndarray, out: np.ndarray) -> None:
     """Integers of an int64 or uint64 array of any shape in decimal into
-    ``out``, three slot words by that shape: the sign, then 20 digits,
-    leading zeros dropped."""
-    neg = values < 0
-    magnitude = values.view(np.uint64)
-    if values.dtype.kind == "i":
-        magnitude = np.where(neg, ~magnitude + np.uint64(1), magnitude)
-    text = np.zeros((*values.shape, 24), dtype=np.uint8)
-    text[..., 0] = neg * ord("-")
+    ``out``, three slot words by that shape: five digit groups with the
+    leading zeros masked off, and a negative's sign."""
+    # abs(-2**63) wraps to itself, which is 2**63 as a uint64.
+    magnitude = np.abs(values).view(np.uint64)
+    # Powers and groups go only as far as the widest magnitude needs; the groups above are "0000".
+    width = len(str(magnitude.max()))
+    digits = 1 + sum(magnitude >= 10**j for j in range(1, width))
     chars = _digit_groups()[0]
-    for i, part in enumerate(_groups(magnitude, 5)):
-        text[..., 1 + 4 * i : 5 + 4 * i] = chars.take(part)[..., None].view(np.uint8)
-    text[..., 1:21] *= np.arange(20, 0, -1) <= 1 + np.searchsorted(_POW10, magnitude, side="right")[..., None]
-    out[:] = np.moveaxis(text.view(np.uint64), -1, 0)
+    count = -(-width // 4)
+    groups = [chars[0]] * (5 - count) + [chars.take(part) for part in _groups(magnitude, count)]
+    words = (groups[0] | groups[1] << 32, groups[2] | groups[3] << 32, groups[4])
+    for word, group, mask in zip(out, words, _int_masks()):
+        np.bitwise_and(group, mask.take(digits), out=word)
+    out[0] |= (values < 0) * np.uint64(ord("-"))
 
 
 def _render(block: np.ndarray, out: np.ndarray) -> None:
     """Render a block of adjacent columns of one kind, the rows of a bool,
     int64, uint64 or float64 array, into ``out``, their slots' words,
     word-major: booleans as 1/0, integers in decimal, floats byte-identical
-    to ``repr``.
-
-    Integers spanning fewer values than the block has cells are rendered
-    once per value and looked up.
-    """
+    to ``repr``."""
     out = out.reshape(block.shape[0], -1, block.shape[1]).swapaxes(0, 1)
     kind = block.dtype.kind
     if kind == "b":
@@ -341,15 +346,7 @@ def _render(block: np.ndarray, out: np.ndarray) -> None:
     elif kind == "f":
         _render_floats(block, out)
     else:
-        lo, hi = block.min(), block.max()
-        if int(hi) - int(lo) < block.size:
-            table = np.empty((3, int(hi) - int(lo) + 1), dtype=np.uint64)
-            _render_ints(lo + np.arange(table.shape[1], dtype=block.dtype), table)
-            rows = (block - lo).view(np.int64)
-            for word, table_word in zip(out, table):
-                word[:] = table_word.take(rows)
-        else:
-            _render_ints(block, out)
+        _render_ints(block, out)
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:

@@ -92,9 +92,10 @@ def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, cpus, n):
 
 @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS + 1])
 def test_narrow_integer_columns_are_written_in_decimal(tmp_path, cpus, n):
-    # Columns spanning fewer values than a chunk has rows are formatted
-    # through a table of strings: at the bottom and top of their dtypes,
-    # and int8 spanning -100..100, whose differences overflow int8.
+    # Columns spanning few values: at the bottom and top of their dtypes,
+    # int8 spanning -100..100, whose differences overflow int8, and
+    # one-digit columns (all zeros, one value), in which no power of ten is
+    # compared.
     rng = np.random.Generator(np.random.Philox(key=2))
     columns = [
         np.arange(n, dtype=np.int64) % 200,
@@ -103,10 +104,12 @@ def test_narrow_integer_columns_are_written_in_decimal(tmp_path, cpus, n):
         np.iinfo(np.int64).min + rng.integers(0, 300, size=n),
         np.uint64(2**64 - 1) - rng.integers(0, 300, size=n).astype(np.uint64),
         np.full(n, 7, dtype=np.uint8),
+        np.zeros(n, dtype=np.int64),
+        np.full(n, -3, dtype=np.int64),
     ]
     path = str(tmp_path / "ints.csv")
-    write_csv(path, tuple("abcdef"), columns)
-    expected = "a,b,c,d,e,f\n" + "".join(",".join(map(str, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+    write_csv(path, tuple("abcdefgh"), columns)
+    expected = "a,b,c,d,e,f,g,h\n" + "".join(",".join(map(str, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
     with open(path, "rb") as fh:
         assert fh.read() == expected.encode("utf-8")
 
@@ -161,19 +164,22 @@ def test_float_cells_equal_repr(tmp_path, cpus, repr_doubles):
 
 
 def test_integer_float16_float32_and_strided_cells(tmp_path, cpus):
-    # Integer columns too wide for the table of their values, float16 and
-    # float32 columns (written as the repr of the widened double) and
-    # strided columns, across a chunk seam whose second chunk is short.
+    # Integer columns of every digit count, with each count's bounds,
+    # float16 and float32 columns (written as the repr of the widened
+    # double) and strided columns, across a chunk seam whose second chunk
+    # is short.
     n = CHUNK_ROWS + 129
     rng = np.random.Generator(np.random.Philox(key=6))
     info64 = np.iinfo(np.int64)
     int64 = rng.integers(info64.min, info64.max, size=n, dtype=np.int64, endpoint=True)
     uint64 = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+    # The bounds of each digit count: +-(10**k - 1) and +-10**k.
+    bounds = [sign * (10**k - d) for k in range(19) for d in (1, 0) for sign in (1, -1)]
     for lo in (0, CHUNK_ROWS):
-        int64[lo : lo + 4] = [info64.min, info64.max, 0, -1]
-        uint64[lo : lo + 3] = [2**64 - 1, 0, 10**19]
-    # 0..127 and -128 span more values than the 129-row second chunk has
-    # rows; so do -128..-1 and 127, written on their own below.
+        int64[lo : lo + 80] = [info64.min, info64.max, 0, -1, *bounds]
+        uint64[lo : lo + 42] = [2**64 - 1, 0, 10**19, 10**19 - 1, *bounds[::2]]
+    # The 129-row second chunk holds 0..127 and -128; -128..-1 and 127
+    # are written on their own below.
     int8 = rng.integers(-128, 128, size=n, dtype=np.int8)
     int8[CHUNK_ROWS:] = np.r_[0:128, -128]
     widened = np.concatenate([rng.lognormal(0, 10, size=n - 8), [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-40, 1e5, 65504.0]])
@@ -199,7 +205,7 @@ def test_adjacent_columns_of_one_kind_render_as_blocks(tmp_path, cpus, n):
     # A short table renders adjacent columns of one kind together: all five
     # float columns in one block at 40 rows, blocks of three and two at
     # CHUNK_ROWS // 3.  Special values sit in every float column, and the
-    # integer blocks mix widths and span both the table and the digits.
+    # integer blocks mix dtypes and digit counts.
     rng = np.random.Generator(np.random.Philox(key=7))
     floats = []
     for j in range(5):
