@@ -18,9 +18,6 @@ from .core import structured_share
 from .errors import require
 from .rng import check_seed, indexed_uniforms
 
-# Column order of the four uniforms consumed by each draw.
-PARAM_ORDER = ("alpha", "r", "delta_k", "gamma")
-
 # Draws per sampling and summing block; bounds the transient uniform matrix
 # at 8 MB and keeps every per-exponent mantissa sum below 2**44 (see
 # ``_exact_sum``).

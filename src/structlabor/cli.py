@@ -31,6 +31,7 @@ from .estimators import (
     count_births,
     detect_degradation,
     estimate_hazard_decomposition,
+    first_appearances,
     indices,
 )
 from .io import (
@@ -254,35 +255,6 @@ def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
     return ["roy.json"], lines
 
 
-def _births_from_panel(panel: MaturityPanel) -> np.ndarray:
-    # Panel rows are period-major with ids ascending within a period, so a
-    # family is born in the first period whose ids include it.  One pass
-    # over the period blocks merges each block's new ids into the sorted
-    # ids seen so far.
-    fam, blocks = panel.family_id, panel.blocks
-    seen, births = fam[: blocks[1]], [blocks[1]]
-    for lo, hi in zip(blocks[1:-1], blocks[2:]):
-        ids = fam[lo:hi]
-        at = np.searchsorted(seen, ids)
-        new = seen[np.minimum(at, seen.shape[0] - 1)] != ids
-        if new.any():
-            seen = np.insert(seen, at[new], ids[new])
-        births.append(int(np.count_nonzero(new)))
-    periods = panel.period[blocks[:-1]]
-    return count_births(np.repeat(periods, births), T=int(periods[-1]))
-
-
-def _scenario_panel_and_indices(cfg: AppConfig) -> tuple[MaturityPanel, tuple[np.ndarray, ...]]:
-    """The configured scenario's panel and its index columns.
-
-    Only the panel's columns outlive this call; the scenario's labor and
-    effective-weight columns are freed before the estimators run.
-    """
-    scenario = _run_configured_scenario(cfg)
-    panel = MaturityPanel.from_scenario(scenario)
-    return panel, indices(panel, scenario.final, scenario.labor_budget, cfg.baseline.L_bar)
-
-
 def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
     files: list[str] = []
     if cfg.estimate.panel is not None:
@@ -296,9 +268,13 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
         )
         index_columns = None
     else:
-        panel, index_columns = _scenario_panel_and_indices(cfg)
+        scenario = _run_configured_scenario(cfg)
+        panel = MaturityPanel.from_scenario(scenario)
+        index_columns = indices(panel, scenario.final, scenario.labor_budget, cfg.baseline.L_bar)
+        # Frees the scenario's labor and effective-weight columns before the estimators run.
+        del scenario
 
-    births = _births_from_panel(panel)
+    births = count_births(*first_appearances(panel))
     flags = detect_degradation(panel, rel_drop=cfg.estimate.rel_drop, horizon=cfg.estimate.horizon)
     est = estimate_hazard_decomposition(flags)
     payload = {

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import require
+from .errors import DomainError, require
 from .portfolio import Portfolio, aggregate_capability
 
 # Longest degradation horizon: the largest int64, as periods are.
@@ -55,9 +55,8 @@ class MaturityPanel:
         n = fam.shape[0]
         for arr, name in ((per, "period"), (mat, "maturity"), (tw, "tech_window"), (ow, "org_window")):
             require(arr.ndim == 1 and arr.shape[0] == n, f"{name} must parallel family_id")
-        if n:
-            require(bool(np.all(per >= 0)), "periods must be nonnegative")
-            require(bool(np.all(np.isfinite(mat)) and np.all(mat >= 0.0)), "maturities must be finite and nonnegative")
+        require(bool(np.all(per >= 0)), "periods must be nonnegative")
+        require(bool(np.all(np.isfinite(mat)) and np.all(mat >= 0.0)), "maturities must be finite and nonnegative")
         # Rows nondecreasing in (period, family_id) are kept as given.
         in_order = per[1:] > per[:-1]
         in_order |= (per[1:] == per[:-1]) & (fam[1:] >= fam[:-1])
@@ -250,7 +249,33 @@ def count_births(born_at, T: int) -> np.ndarray:
     require(bool(np.all(born >= 0)), "birth periods must be nonnegative")
     require(isinstance(T, int) and T >= 0, "T must be a nonnegative integer")
     require(not born.size or int(born.max()) <= T, "registry contains births beyond T")
-    return np.bincount(born, minlength=T + 1).astype(np.int64, copy=False)
+    try:
+        counts = np.bincount(born, minlength=T + 1)
+    except (MemoryError, ValueError, OverflowError):
+        # numpy refuses counts beyond memory or its size limit before touching memory.
+        raise DomainError(f"birth counts for periods 0..T do not fit in memory at T = {T}") from None
+    return counts.astype(np.int64, copy=False)
+
+
+def first_appearances(panel: MaturityPanel) -> tuple[np.ndarray, int]:
+    """Each family's first period in the panel, and the panel's last period.
+
+    These are the arguments of :func:`count_births`.  A family is born in
+    the first period block whose ids include it; one pass over the blocks
+    merges each block's new ids into the sorted ids seen so far.
+    """
+    require(panel.n_obs > 0, "panel is empty")
+    fam, blocks = panel.family_id, panel.blocks
+    seen, new_counts = fam[: blocks[1]], [blocks[1]]
+    for lo, hi in zip(blocks[1:-1], blocks[2:]):
+        ids = fam[lo:hi]
+        at = np.searchsorted(seen, ids)
+        new = seen[np.minimum(at, seen.shape[0] - 1)] != ids
+        if new.any():
+            seen = np.insert(seen, at[new], ids[new])
+        new_counts.append(int(np.count_nonzero(new)))
+    periods = panel.period[blocks[:-1]]
+    return np.repeat(periods, new_counts), int(periods[-1])
 
 
 def indices(panel: MaturityPanel, families: Portfolio, labor_total, L_bar: float) -> tuple[np.ndarray, ...]:

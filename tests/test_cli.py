@@ -230,6 +230,26 @@ def test_header_only_panel_is_a_runtime_error(tmp_path, capsys):
     assert err["message"].startswith(f"{panel}:")
 
 
+def test_far_off_panel_period_is_a_runtime_error(tmp_path, capsys):
+    # Births are counted densely over periods 0..T, and 10**12 + 1 counts
+    # do not fit in memory.
+    panel = tmp_path / "panel.csv"
+    panel.write_text(
+        "family_id,period,maturity,labor,effective_weight,tech_window,org_window\n"
+        "0,0,1.0,0.5,1.0,0,0\n"
+        "0,1,1.0,0.5,1.0,0,0\n"
+        "1,1000000000000,1.0,0.5,1.0,0,0\n",
+        encoding="utf-8",
+    )
+    cfg = write_config(tmp_path, {"estimate": {"panel": str(panel)}})
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "runtime"
+    assert "T = 1000000000000" in err["message"]
+    assert not {"hazard.json", "births.csv", "run.manifest.json"} & set(os.listdir(out))
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [

@@ -11,6 +11,7 @@ from structlabor.estimators import (
     count_births,
     detect_degradation,
     estimate_hazard_decomposition,
+    first_appearances,
     indices,
 )
 from structlabor.portfolio import (
@@ -22,7 +23,6 @@ from structlabor.portfolio import (
     periodic_windows,
     run_portfolio_scenario,
 )
-from structlabor.cli import _births_from_panel
 
 TECH = PowerCodification(beta=0.5)
 
@@ -215,7 +215,7 @@ def assert_matches_oracles(rows):
         got = zip(out.family_id.tolist(), out.period.tolist(), out.flag.tolist(), out.tech_window.tolist(), out.org_window.tolist())
         assert list(got) == want
         assert any(row[2] for row in want) and not all(row[2] for row in want)
-    assert _births_from_panel(panel).tolist() == births_oracle(rows)
+    assert count_births(*first_appearances(panel)).tolist() == births_oracle(rows)
 
 
 @pytest.mark.parametrize("id_step", [1, 3, 2**40])
@@ -411,8 +411,8 @@ def test_shuffled_panel_gives_the_same_estimates():
     args = (sc.final, sc.labor_budget, 2.0)
     for column, shuffled_column in zip(indices(panel, *args), indices(shuffled, *args), strict=True):
         assert shuffled_column.dtype == column.dtype and shuffled_column.tobytes() == column.tobytes()
-    births = _births_from_panel(panel)
-    assert births.tolist() == _births_from_panel(shuffled).tolist()
+    births = count_births(*first_appearances(panel))
+    assert births.tolist() == count_births(*first_appearances(shuffled)).tolist()
     assert births.tolist() == count_births(sc.final.born_at, T=80).tolist()
 
 
@@ -425,7 +425,7 @@ def test_births_from_panel_counts_first_appearances_only():
         (7, 3, 1.0, f, f), (5, 3, 1.0, f, f), (-2, 3, 1.0, f, f),
         (9, 4, 1.0, f, f), (-3, 4, 1.0, f, f), (7, 4, 1.0, f, f),
     ])
-    assert _births_from_panel(p).tolist() == [0, 2, 0, 1, 2]
+    assert count_births(*first_appearances(p)).tolist() == [0, 2, 0, 1, 2]
 
 
 def test_count_births():
@@ -436,6 +436,17 @@ def test_count_births():
     with pytest.raises(DomainError):
         count_births(born, T=1)
     assert list(count_births([], T=2)) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("T", [2**62, 2**63 - 1])
+def test_count_births_beyond_the_array_size_limit_is_a_domain_error(T):
+    with pytest.raises(DomainError, match=f"at T = {T}$"):
+        count_births([0, 1, T], T=T)
+
+
+def test_first_appearances_refuses_an_empty_panel():
+    with pytest.raises(DomainError, match="panel is empty"):
+        first_appearances(panel_from([]))
 
 
 def roster(ids, omegas, aggregator=AggregatorSpec()):

@@ -1,4 +1,5 @@
-"""The README's library layout names exactly the package's modules, and the package's imports stay declared."""
+"""The README's library layout names exactly the package's modules, the package's imports stay declared,
+and every module-level name the package defines is used somewhere."""
 
 import ast
 import importlib
@@ -46,3 +47,39 @@ def test_imported_roots_sees_every_absolute_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_package_imports_only_the_standard_library_numpy_and_yaml(path):
     assert imported_roots(path.read_text(encoding="utf-8")) <= ALLOWED
+
+
+SOURCES = sorted(path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py"))
+
+
+def unreferenced(source: str, others: list[str]) -> list[str]:
+    """Module-level functions, classes and assigned names of ``source`` that
+    appear, as whole words, neither in ``others`` nor in ``source`` outside
+    their own definition."""
+    lines = source.splitlines()
+    dead = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+        for name in names:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for text in (rest, *others)):
+                dead.append(name)
+    return dead
+
+
+def test_unreferenced_sees_names_used_only_in_their_own_definition():
+    source = "A, B = 1, 2\nC: int = A\n\ndef f(n):\n    return f(n - 1)\n\nclass G:\n    pass\n"
+    assert unreferenced(source, ["G()"]) == ["B", "C", "f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_module_level_name_is_referenced(path):
+    others = [other.read_text(encoding="utf-8") for other in SOURCES if other != path]
+    assert unreferenced(path.read_text(encoding="utf-8"), others) == []

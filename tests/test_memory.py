@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from structlabor.calibration import PriorSpec, run_monte_carlo
-from structlabor.cli import _births_from_panel
-from structlabor.estimators import MaturityPanel, detect_degradation
+from structlabor.estimators import MaturityPanel, count_births, detect_degradation, first_appearances
 from structlabor.io import PANEL_COLUMNS, write_csv
 from structlabor.parallel import ordered_map
 from structlabor.portfolio import EntryConfig, Portfolio, run_portfolio_scenario
@@ -80,7 +79,7 @@ def test_births_from_panel_peak(ordered_columns, layout):
     if layout == "table":
         ordered_columns = as_table(ordered_columns)
     panel = MaturityPanel(**ordered_columns)
-    births, peak = traced_peak(_births_from_panel, panel)
+    births, peak = traced_peak(lambda: count_births(*first_appearances(panel)))
     assert births.tolist() == [FAMILIES] + [0] * (PERIODS - 1)
     assert peak < COLUMN / 10
 
