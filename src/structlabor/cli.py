@@ -31,7 +31,6 @@ from .estimators import (
     count_births,
     detect_degradation,
     estimate_hazard_decomposition,
-    first_appearances,
     indices,
 )
 from .io import (
@@ -202,12 +201,13 @@ def _cmd_portfolio(cfg: AppConfig) -> tuple[list[str], list[str]]:
         ("t", "capability", "labor_budget"),
         (scenario.periods, scenario.capability, scenario.labor_budget),
     )
-    births = count_births(scenario.final.born_at, T=cfg.portfolio.T)
+    # Entrants are the roster rows after the initial families.
+    entrants = scenario.final.size - cfg.portfolio.initial.size
     payload = {
         "T": cfg.portfolio.T,
         "n_families_initial": cfg.portfolio.n_families,
         "n_families_final": scenario.final.size,
-        "births_after_start": int(births[1:].sum()),
+        "births_after_start": entrants,
         "degradation_events": len(scenario.events),
         "capability_final": float(scenario.capability[-1]),
     }
@@ -215,7 +215,7 @@ def _cmd_portfolio(cfg: AppConfig) -> tuple[list[str], list[str]]:
     files.append("portfolio.json")
     lines = [
         f"{cfg.portfolio.T} transitions: {scenario.final.size} families "
-        f"({int(births[1:].sum())} entrants), {len(scenario.events)} degradation events",
+        f"({entrants} entrants), {len(scenario.events)} degradation events",
     ]
     return files, lines
 
@@ -274,7 +274,7 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
         # Frees the scenario's labor and effective-weight columns before the estimators run.
         del scenario
 
-    births = count_births(*first_appearances(panel))
+    births = count_births(panel)
     flags = detect_degradation(panel, rel_drop=cfg.estimate.rel_drop, horizon=cfg.estimate.horizon)
     est = estimate_hazard_decomposition(flags)
     payload = {

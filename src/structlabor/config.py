@@ -34,6 +34,8 @@ from .roy import RoyExperiment
 FORMATS = ("csv", "json", "both")
 # Most initial families a config may ask for; per-family values are broadcast to this length.
 MAX_FAMILIES = 100_000
+# Most portfolio periods: loading builds the drift windows, about T/5 + T/7 ints, even with drift off.
+MAX_PERIODS = 100_000
 # Most calibration draws: the sample is held as one 8-byte share per draw, 800 MB at the bound.
 MAX_DRAWS = 100_000_000
 # Most Roy workers: the skill matrix and every solve hold one row per worker.
@@ -58,6 +60,7 @@ CLOSED_UNIT = (lambda x: 0 <= x <= 1, "must lie in [0, 1]")
 STEP = (lambda x: 0 < x <= 1, "must lie in (0, 1]")
 COUNT = (lambda x: x >= 1, "must be an integer >= 1")
 FAMILY_COUNT = (lambda x: 1 <= x <= MAX_FAMILIES, f"must be an integer in [1, {MAX_FAMILIES}]")
+PERIOD_COUNT = (lambda x: 1 <= x <= MAX_PERIODS, f"must be an integer in [1, {MAX_PERIODS}]")
 DRAW_COUNT = (lambda x: 1 <= x <= MAX_DRAWS, f"must be an integer in [1, {MAX_DRAWS}]")
 WORKER_COUNT = (lambda x: 2 <= x <= MAX_WORKERS, f"must be an integer in [2, {MAX_WORKERS}]")
 INITIAL_COUNT = (lambda x: 1 <= x <= MAX_INITIAL, f"must be an integer in [1, {MAX_INITIAL}]")
@@ -104,7 +107,7 @@ FIELDS = (
     Field("portfolio.beta", float, 0.5, OPEN_UNIT),
     Field("portfolio.Lambda", float, 1.0, POSITIVE),
     Field("portfolio.labor_budget", float, 1.0, NONNEGATIVE),
-    Field("portfolio.T", int, 100, COUNT),
+    Field("portfolio.T", int, 100, PERIOD_COUNT),
     Field("portfolio.entry.mu", float, 0.2, INTENSITY),
     Field("portfolio.entry.k_seed", float, 1e-3, NONNEGATIVE),
     Field("portfolio.entry.omega_median", float, 1.0, POSITIVE),

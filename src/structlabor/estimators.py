@@ -237,45 +237,34 @@ def estimate_hazard_decomposition(flags: DegradationFlags) -> HazardEstimate:
     )
 
 
-def count_births(born_at, T: int) -> np.ndarray:
-    """Births per period 0..T from the families' birth periods.
+def count_births(panel: MaturityPanel) -> np.ndarray:
+    """Births per period 0..T, where T is the panel's last period.
 
     Returns the T + 1 per-period birth counts, the empirical counterpart
-    of the entry intensity; index t holds the number of families first
-    appearing at t.  Families born at period zero are the initial stock
-    and are included.
-    """
-    born = np.asarray(born_at, dtype=np.int64)
-    require(bool(np.all(born >= 0)), "birth periods must be nonnegative")
-    require(isinstance(T, int) and T >= 0, "T must be a nonnegative integer")
-    require(not born.size or int(born.max()) <= T, "registry contains births beyond T")
-    try:
-        counts = np.bincount(born, minlength=T + 1)
-    except (MemoryError, ValueError, OverflowError):
-        # numpy refuses counts beyond memory or its size limit before touching memory.
-        raise DomainError(f"birth counts for periods 0..T do not fit in memory at T = {T}") from None
-    return counts.astype(np.int64, copy=False)
-
-
-def first_appearances(panel: MaturityPanel) -> tuple[np.ndarray, int]:
-    """Each family's first period in the panel, and the panel's last period.
-
-    These are the arguments of :func:`count_births`.  A family is born in
-    the first period block whose ids include it; one pass over the blocks
-    merges each block's new ids into the sorted ids seen so far.
+    of the entry intensity; index t holds the number of families whose
+    first row is at period t, so the first period counts every family it
+    holds.  The counts are allocated before the walk, which merges each
+    period block's new ids into the sorted ids seen so far.
     """
     require(panel.n_obs > 0, "panel is empty")
     fam, blocks = panel.family_id, panel.blocks
-    seen, new_counts = fam[: blocks[1]], [blocks[1]]
-    for lo, hi in zip(blocks[1:-1], blocks[2:]):
+    periods = panel.period[blocks[:-1]].tolist()
+    T = periods[-1]
+    try:
+        counts = np.zeros(T + 1, dtype=np.int64)
+    except (MemoryError, ValueError, OverflowError):
+        # numpy refuses counts beyond memory or its size limit before touching memory.
+        raise DomainError(f"birth counts for periods 0..T do not fit in memory at T = {T}") from None
+    seen = fam[: blocks[1]]
+    counts[periods[0]] = blocks[1]
+    for t, lo, hi in zip(periods[1:], blocks[1:-1], blocks[2:]):
         ids = fam[lo:hi]
         at = np.searchsorted(seen, ids)
         new = seen[np.minimum(at, seen.shape[0] - 1)] != ids
         if new.any():
             seen = np.insert(seen, at[new], ids[new])
-        new_counts.append(int(np.count_nonzero(new)))
-    periods = panel.period[blocks[:-1]]
-    return np.repeat(periods, new_counts), int(periods[-1])
+        counts[t] = np.count_nonzero(new)
+    return counts
 
 
 def indices(panel: MaturityPanel, families: Portfolio, labor_total, L_bar: float) -> tuple[np.ndarray, ...]:

@@ -162,11 +162,13 @@ def effective_weights(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSp
     gradient of the index, evaluated with every maturity floored at
     ``epsilon_floor`` so that entrants with (near-)zero stocks get large
     but finite weights.  An index whose power leaves the floating-point
-    range is a domain error.
+    range is a domain error; weights that overflow are returned as inf,
+    which :func:`allocate_labor` refuses.
     """
     require(omega.shape[0] >= 1, "portfolio has no families")
     if aggregator.kind == "additive":
-        return Lambda * omega
+        with np.errstate(over="ignore"):
+            return Lambda * omega
     rho = float(aggregator.rho)
     k = np.maximum(k, aggregator.epsilon_floor)
     inner = float(np.dot(omega, np.power(k, rho)))
@@ -176,7 +178,8 @@ def effective_weights(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSp
         scale = math.inf
     require(math.isfinite(scale), "effective weights out of range: the CES index overflows")
     # d/dk_j of (sum omega k^rho)^(1/rho) = omega_j k_j^(rho-1) * index^(1-rho)
-    return Lambda * omega * np.power(k, rho - 1.0) * scale
+    with np.errstate(over="ignore"):
+        return Lambda * omega * np.power(k, rho - 1.0) * scale
 
 
 def allocate_labor(weights: np.ndarray, tech: PowerCodification, L_S: float) -> AllocationResult:

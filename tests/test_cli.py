@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from structlabor.cli import main
+from structlabor.config import MAX_PERIODS
 from structlabor.io import sha256_file
 from structlabor.rng import derive_seed
 
@@ -279,6 +280,27 @@ def test_ces_index_out_of_range_is_a_runtime_error(tmp_path, capsys):
     assert err["message"] == "effective weights out of range: the CES index overflows"
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("portfolio", "portfolio:\n  omega: 1.0e+300\n"),
+        ("portfolio", "portfolio:\n  aggregator: additive\n  Lambda: 1.0e+300\n  omega: 1.0e+300\n"),
+        ("estimate", "portfolio:\n  omega: 1.0e+300\n"),
+        ("roy", "roy:\n  omega: 1.0e+300\n  replications: 1\n"),
+    ],
+    ids=["ces", "additive", "estimate", "roy"],
+)
+def test_weight_overflow_is_one_json_error(tmp_path, capsys, command, text):
+    # The config is valid, but the effective weights overflow; no numpy
+    # warning reaches stderr ahead of the error record.
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "runtime"
+    assert err["message"] == "effective weights out of range: the labor split overflows"
+
+
 def test_bad_config_value_exits_two_with_json_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"baseline": {"gamma": 1.5}})
     assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -395,8 +417,9 @@ CROSS_FIELD = [
 # Second bad values: entry intensities beyond the Poisson sampler's limit, a
 # family count whose per-family broadcast would overflow a list, draw, worker
 # and initial Roy family counts whose arrays could not be allocated, a
-# degradation horizon beyond the int64 periods, and more Roy replications than
-# the experiment may hold.
+# degradation horizon beyond the int64 periods, more Roy replications than
+# the experiment may hold, and more portfolio periods than the drift windows
+# built at load may cover.
 BEYOND_LIMIT = [
     ({"portfolio": {"entry": {"mu": 600.0}}}, "portfolio.entry.mu"),
     ({"roy": {"mu": 600.0}}, "roy.mu"),
@@ -409,6 +432,8 @@ BEYOND_LIMIT = [
     # unbounded count would fill memory rather than merely run long.
     ({"roy": {"replications": 10**12}}, "roy.replications"),
     ({"estimate": {"horizon": 10**30}}, "estimate.horizon"),
+    # One family and no entrants, so that a missing bound fails in seconds at run time.
+    ({"portfolio": {"T": MAX_PERIODS + 1, "n_families": 1, "entry": {"mu": 0.0}}}, "portfolio.T"),
 ]
 
 # Integer literals too large for a float, as a scalar, in a pair and in a per-family list.

@@ -3,10 +3,12 @@ from pathlib import Path
 import pytest
 import yaml
 
+from structlabor.calibration import PriorSpec
 from structlabor.config import (
     MAX_DRAWS,
     MAX_FAMILIES,
     MAX_INITIAL,
+    MAX_PERIODS,
     MAX_REPLICATIONS,
     MAX_WORKERS,
     AppConfig,
@@ -15,6 +17,7 @@ from structlabor.config import (
 )
 from structlabor.estimators import MAX_HORIZON
 from structlabor.errors import ConfigError
+from structlabor.roy import RoyExperiment
 
 
 def test_empty_config_gives_documented_defaults():
@@ -169,10 +172,17 @@ def test_family_count_loads_up_to_its_bound():
 
 @pytest.mark.parametrize(
     "section, key, bound",
-    [("priors", "n_draws", MAX_DRAWS), ("roy", "n_workers", MAX_WORKERS), ("roy", "replications", MAX_REPLICATIONS)],
+    [
+        ("priors", "n_draws", MAX_DRAWS),
+        ("roy", "n_workers", MAX_WORKERS),
+        ("roy", "replications", MAX_REPLICATIONS),
+        ("portfolio", "T", MAX_PERIODS),
+    ],
 )
 def test_draw_and_worker_counts_load_up_to_their_bounds(section, key, bound):
-    # Loading allocates nothing per draw, worker or replication, so the bound itself loads.
+    # Loading allocates nothing per draw, worker or replication, and per
+    # portfolio period only the drift windows (about T/5 + T/7 ints), so the
+    # bound itself loads; each count is checked before anything is built.
     assert getattr(getattr(AppConfig({section: {key: bound}}), section), key) == bound
     for n in (bound + 1, 2**60):
         with pytest.raises(ConfigError) as exc:
@@ -194,6 +204,12 @@ def test_initial_families_and_horizon_load_up_to_their_bounds(section, key, boun
             AppConfig({section: {key: n}})
         assert exc.value.path == f"{section}.{key}"
         assert str(bound) in str(exc.value)
+
+
+def test_library_defaults_equal_the_config_defaults():
+    # Tests that build RoyExperiment() or PriorSpec() stand for the CLI's defaults.
+    assert RoyExperiment() == AppConfig().roy.experiment
+    assert PriorSpec() == AppConfig().priors
 
 
 def test_with_overrides():

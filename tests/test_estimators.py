@@ -11,7 +11,6 @@ from structlabor.estimators import (
     count_births,
     detect_degradation,
     estimate_hazard_decomposition,
-    first_appearances,
     indices,
 )
 from structlabor.portfolio import (
@@ -215,7 +214,7 @@ def assert_matches_oracles(rows):
         got = zip(out.family_id.tolist(), out.period.tolist(), out.flag.tolist(), out.tech_window.tolist(), out.org_window.tolist())
         assert list(got) == want
         assert any(row[2] for row in want) and not all(row[2] for row in want)
-    assert count_births(*first_appearances(panel)).tolist() == births_oracle(rows)
+    assert count_births(panel).tolist() == births_oracle(rows)
 
 
 @pytest.mark.parametrize("id_step", [1, 3, 2**40])
@@ -411,12 +410,12 @@ def test_shuffled_panel_gives_the_same_estimates():
     args = (sc.final, sc.labor_budget, 2.0)
     for column, shuffled_column in zip(indices(panel, *args), indices(shuffled, *args), strict=True):
         assert shuffled_column.dtype == column.dtype and shuffled_column.tobytes() == column.tobytes()
-    births = count_births(*first_appearances(panel))
-    assert births.tolist() == count_births(*first_appearances(shuffled)).tolist()
-    assert births.tolist() == count_births(sc.final.born_at, T=80).tolist()
+    births = count_births(panel)
+    assert births.tolist() == count_births(shuffled).tolist()
+    assert births.tolist() == np.bincount(sc.final.born_at, minlength=81).tolist()
 
 
-def test_births_from_panel_counts_first_appearances_only():
+def test_count_births_counts_a_returning_family_once():
     # Family 5 leaves after period 1 and returns at 3; period 2 has no rows,
     # and ids may be negative.
     f = False
@@ -425,28 +424,30 @@ def test_births_from_panel_counts_first_appearances_only():
         (7, 3, 1.0, f, f), (5, 3, 1.0, f, f), (-2, 3, 1.0, f, f),
         (9, 4, 1.0, f, f), (-3, 4, 1.0, f, f), (7, 4, 1.0, f, f),
     ])
-    assert count_births(*first_appearances(p)).tolist() == [0, 2, 0, 1, 2]
+    assert count_births(p).tolist() == [0, 2, 0, 1, 2]
 
 
 def test_count_births():
-    born = Portfolio(id=[0, 1, 2], omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 2, 2]).born_at
-    assert list(count_births(born, T=2)) == [1, 0, 2]
-    assert list(count_births(born, T=5)) == [1, 0, 2, 0, 0, 0]
-    assert list(count_births([0, 3, 3, 1], T=3)) == [1, 1, 0, 2]
-    with pytest.raises(DomainError):
-        count_births(born, T=1)
-    assert list(count_births([], T=2)) == [0, 0, 0]
+    f = False
+    # Family 0 at every period, families 1 and 2 from period 2.
+    rows = [(0, 0, 1.0, f, f), (0, 1, 1.0, f, f), (0, 2, 1.0, f, f), (1, 2, 1.0, f, f), (2, 2, 1.0, f, f)]
+    assert count_births(panel_from(rows)).tolist() == [1, 0, 2]
+    assert count_births(panel_from(rows + [(0, 5, 1.0, f, f)])).tolist() == [1, 0, 2, 0, 0, 0]
+    rows = [(0, 0, 1.0, f, f), (3, 1, 1.0, f, f), (1, 3, 1.0, f, f), (2, 3, 1.0, f, f), (3, 3, 1.0, f, f)]
+    assert count_births(panel_from(rows)).tolist() == [1, 1, 0, 2]
 
 
 @pytest.mark.parametrize("T", [2**62, 2**63 - 1])
 def test_count_births_beyond_the_array_size_limit_is_a_domain_error(T):
+    f = False
+    panel = panel_from([(0, 0, 1.0, f, f), (0, 1, 1.0, f, f), (1, T, 1.0, f, f)])
     with pytest.raises(DomainError, match=f"at T = {T}$"):
-        count_births([0, 1, T], T=T)
+        count_births(panel)
 
 
-def test_first_appearances_refuses_an_empty_panel():
+def test_count_births_refuses_an_empty_panel():
     with pytest.raises(DomainError, match="panel is empty"):
-        first_appearances(panel_from([]))
+        count_births(panel_from([]))
 
 
 def roster(ids, omegas, aggregator=AggregatorSpec()):

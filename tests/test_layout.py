@@ -1,5 +1,5 @@
 """The README's library layout names exactly the package's modules, the package's imports stay declared,
-and every module-level name the package defines is used somewhere."""
+and every module-level name the package defines is used somewhere, and by more than tests."""
 
 import ast
 import importlib
@@ -82,4 +82,12 @@ def test_unreferenced_sees_names_used_only_in_their_own_definition():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_module_level_name_is_referenced(path):
     others = [other.read_text(encoding="utf-8") for other in SOURCES if other != path]
+    assert unreferenced(path.read_text(encoding="utf-8"), others) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_module_level_name_is_used_outside_tests(path):
+    # Code that only tests use belongs in tests/.
+    program = [other for top in ("src", "perfbench") for other in (ROOT / top).rglob("*.py") if other != path]
+    others = [other.read_text(encoding="utf-8") for other in program]
     assert unreferenced(path.read_text(encoding="utf-8"), others) == []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from structlabor.calibration import PriorSpec, run_monte_carlo
-from structlabor.estimators import MaturityPanel, count_births, detect_degradation, first_appearances
+from structlabor.estimators import MaturityPanel, count_births, detect_degradation
 from structlabor.io import PANEL_COLUMNS, write_csv
 from structlabor.parallel import ordered_map
 from structlabor.portfolio import EntryConfig, Portfolio, run_portfolio_scenario
@@ -73,13 +73,13 @@ def test_detect_degradation_peak(ordered_columns, layout):
 
 @pytest.mark.parametrize("layout", ["columns", "table"])
 def test_births_from_panel_peak(ordered_columns, layout):
-    # First appearances are found period by period, without a sorted copy
+    # Births are counted period by period, without a sorted copy
     # of the family column, and without a contiguous copy of a column that
     # is a strided view of one table, as the panel file reader returns.
     if layout == "table":
         ordered_columns = as_table(ordered_columns)
     panel = MaturityPanel(**ordered_columns)
-    births, peak = traced_peak(lambda: count_births(*first_appearances(panel)))
+    births, peak = traced_peak(count_births, panel)
     assert births.tolist() == [FAMILIES] + [0] * (PERIODS - 1)
     assert peak < COLUMN / 10
 

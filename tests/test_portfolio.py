@@ -251,6 +251,16 @@ def test_allocate_labor_out_of_range_weights_are_a_domain_error(w):
         allocate_labor(np.array(w), TECH, 1.0)
 
 
+@pytest.mark.parametrize("aggregator", [ADD, CES], ids=["additive", "ces"])
+def test_effective_weight_overflow_is_left_to_allocate_labor(aggregator):
+    # Weights beyond the floating-point range come back as inf without a
+    # RuntimeWarning, and the split refuses them.
+    w = effective_weights(np.array([1e300, 1.0]), np.array([1.0, 1.0]), aggregator, 1e300)
+    assert w[0] == math.inf
+    with pytest.raises(DomainError, match="the labor split overflows"):
+        allocate_labor(w, TECH, 1.0)
+
+
 def test_maintenance_labor_holds_stock_constant():
     p = make_portfolio([1.5], deltas=[0.2])
     ell = maintenance_labor(p)[0]
