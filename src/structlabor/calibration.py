@@ -17,6 +17,7 @@ import numpy as np
 from .core import structured_share
 from .errors import require
 from .rng import check_seed, indexed_uniforms
+from .schema import PRIOR_RULES, PRIORS, check
 
 # Draws per sampling and summing block; bounds the transient uniform matrix
 # at 8 MB and keeps every per-exponent mantissa sum below 2**44 (see
@@ -26,13 +27,6 @@ _BLOCK = 1 << 18
 # 2**1074: the reciprocal of the smallest subnormal double, the unit of
 # ``_exact_sum``.
 _SUBNORMAL_SCALE = 1 << 1074
-
-
-def _check_interval(lo: float, hi: float, name: str, open_lo: float, open_hi: float) -> None:
-    for v, side in ((lo, "lo"), (hi, "hi")):
-        require(math.isfinite(v), f"{name}_{side} must be finite")
-    require(lo <= hi, f"{name} prior must have lo <= hi")
-    require(open_lo < lo and hi < open_hi, f"{name} prior must stay inside ({open_lo}, {open_hi})")
 
 
 @dataclass(frozen=True)
@@ -57,11 +51,7 @@ class PriorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_interval(self.alpha_lo, self.alpha_hi, "alpha", 0.0, 1.0)
-        _check_interval(self.r_lo, self.r_hi, "r", 0.0, math.inf)
-        _check_interval(self.delta_lo, self.delta_hi, "delta", 0.0, 1.0)
-        _check_interval(self.gamma_lo, self.gamma_hi, "gamma", 0.0, 1.0)
-        require(isinstance(self.n_draws, int) and self.n_draws >= 1, "n_draws must be an integer >= 1")
+        check(vars(self), PRIORS, PRIOR_RULES)
         check_seed(self.seed)
 
 

@@ -363,10 +363,17 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     if not args.quiet:
-        for line in lines:
-            print(line)
-        for name in files + ["run.manifest.json"]:
-            print(f"wrote {os.path.join(cfg.run.out, name)}")
+        try:
+            for line in lines:
+                print(line)
+            for name in files + ["run.manifest.json"]:
+                print(f"wrote {os.path.join(cfg.run.out, name)}")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout after the run was complete; the summary
+            # is dropped, and stdout points at the null device so that the
+            # interpreter's last flush finds nothing to fail on.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -16,10 +16,10 @@ from typing import Any
 import numpy as np
 import yaml
 
+from . import schema
 from .calibration import PriorSpec
 from .core import BaselineParams
-from .errors import ConfigError, DomainError
-from .estimators import MAX_HORIZON
+from .errors import ConfigError
 from .portfolio import (
     AggregatorSpec,
     DriftConfig,
@@ -28,142 +28,106 @@ from .portfolio import (
     PowerCodification,
     periodic_windows,
 )
-from .rng import POISSON_MAX_INTENSITY
 from .roy import RoyExperiment
+# The resource bounds stay importable from here.
+from .schema import MAX_DRAWS, MAX_FAMILIES, MAX_INITIAL, MAX_PERIODS, MAX_REPLICATIONS, MAX_WORKERS
 
 FORMATS = ("csv", "json", "both")
-# Most initial families a config may ask for; per-family values are broadcast to this length.
-MAX_FAMILIES = 100_000
-# Most portfolio periods: loading builds the drift windows, about T/5 + T/7 ints, even with drift off.
-MAX_PERIODS = 100_000
-# Most calibration draws: the sample is held as one 8-byte share per draw, 800 MB at the bound.
-MAX_DRAWS = 100_000_000
-# Most Roy workers: the skill matrix and every solve hold one row per worker.
-MAX_WORKERS = 100_000
-# Most initial Roy families: each Newton step of a solve builds J x J matrices
-# over the J families, and one such matrix takes 0.8 GB at the bound.
-MAX_INITIAL = 10_000
-# Most Roy replications: the experiment holds every arm's evaluated panel rows
-# before its solves start, about 5 KB per arm at the defaults (100 MB at the bound).
-MAX_REPLICATIONS = 10_000
 
 # Kinds beyond Python types: a [lo, hi] pair with lo <= hi, and one number per
 # family (a scalar is broadcast).
 PAIR = "pair"
 PER_FAMILY = "per-family"
 
-# Constraints as (predicate, wording), applied to every entry of a list.
-POSITIVE = (lambda x: x > 0, "must be positive")
-NONNEGATIVE = (lambda x: x >= 0, "must be nonnegative")
-OPEN_UNIT = (lambda x: 0 < x < 1, "must lie in (0, 1)")
-CLOSED_UNIT = (lambda x: 0 <= x <= 1, "must lie in [0, 1]")
-STEP = (lambda x: 0 < x <= 1, "must lie in (0, 1]")
-COUNT = (lambda x: x >= 1, "must be an integer >= 1")
-FAMILY_COUNT = (lambda x: 1 <= x <= MAX_FAMILIES, f"must be an integer in [1, {MAX_FAMILIES}]")
-PERIOD_COUNT = (lambda x: 1 <= x <= MAX_PERIODS, f"must be an integer in [1, {MAX_PERIODS}]")
-DRAW_COUNT = (lambda x: 1 <= x <= MAX_DRAWS, f"must be an integer in [1, {MAX_DRAWS}]")
-WORKER_COUNT = (lambda x: 2 <= x <= MAX_WORKERS, f"must be an integer in [2, {MAX_WORKERS}]")
-INITIAL_COUNT = (lambda x: 1 <= x <= MAX_INITIAL, f"must be an integer in [1, {MAX_INITIAL}]")
-REPLICATION_COUNT = (lambda x: 1 <= x <= MAX_REPLICATIONS, f"must be an integer in [1, {MAX_REPLICATIONS}]")
-HORIZON = (lambda x: 1 <= x <= MAX_HORIZON, f"must be an integer in [1, {MAX_HORIZON}]")
-RHO = (lambda x: x <= 1 and x != 0, "must satisfy rho <= 1, rho != 0")
-INTENSITY = (lambda x: 0 <= x <= POISSON_MAX_INTENSITY, f"must lie in [0, {POISSON_MAX_INTENSITY:g}]")
-SEED = (lambda x: 0 <= x <= 2**64 - 1, "must lie in [0, 2**64 - 1]")
-NONEMPTY = (lambda x: x != "", "must be a nonempty path")
-
-# One row per leaf: dotted path, kind (float, int, bool, str, PAIR, PER_FAMILY or a
-# tuple of choices), default and constraint.  Null is accepted only where the default is null.
+# One row per leaf: dotted path, kind (float, int, bool, str, PAIR or PER_FAMILY),
+# default and domain; a library class's field points at that class's row.
+# Null is accepted only where the default is null.
 Field = namedtuple("Field", "path kind default check", defaults=(None,))
 
 FIELDS = (
-    Field("run.seed", int, 0, SEED),
-    Field("run.out", str, "out", NONEMPTY),
-    Field("run.format", FORMATS, "csv"),
-    Field("baseline.alpha", float, 0.36, OPEN_UNIT),
-    Field("baseline.gamma", float, 0.05, OPEN_UNIT),
-    Field("baseline.r", float, 0.04, POSITIVE),
-    Field("baseline.delta_k", float, 0.15, OPEN_UNIT),
-    Field("baseline.eta", float, 0.2, POSITIVE),
-    Field("baseline.A_bar", float, 1.0, POSITIVE),
-    Field("baseline.K", float, 1.0, POSITIVE),
-    Field("baseline.L_bar", float, 1.0, POSITIVE),
-    Field("priors.alpha", PAIR, [0.33, 0.40], OPEN_UNIT),
-    Field("priors.r", PAIR, [0.03, 0.05], POSITIVE),
-    Field("priors.delta_k", PAIR, [0.08, 0.25], OPEN_UNIT),
-    Field("priors.gamma", PAIR, [0.02, 0.08], OPEN_UNIT),
-    Field("priors.n_draws", int, 200_000, DRAW_COUNT),
-    Field("transition.k0", float, None, POSITIVE),  # null: half the long-run stock
-    Field("transition.L_S0", float, None, NONNEGATIVE),  # null: half the long-run labor
-    Field("transition.T", int, 500, COUNT),
-    Field("transition.damping", float, None, STEP),  # null: the model-implied stable factor
-    Field("transition.tol", float, 1e-10, POSITIVE),
-    Field("portfolio.n_families", int, 8, FAMILY_COUNT),
-    Field("portfolio.omega", PER_FAMILY, 1.0, POSITIVE),
-    Field("portfolio.delta_j", PER_FAMILY, 0.15, OPEN_UNIT),
-    Field("portfolio.k0", PER_FAMILY, 1.0, NONNEGATIVE),
-    Field("portfolio.aggregator", ("additive", "ces"), "ces"),
-    Field("portfolio.rho", float, 0.5, RHO),
-    Field("portfolio.epsilon_floor", float, 1e-6, POSITIVE),
-    Field("portfolio.beta", float, 0.5, OPEN_UNIT),
-    Field("portfolio.Lambda", float, 1.0, POSITIVE),
-    Field("portfolio.labor_budget", float, 1.0, NONNEGATIVE),
-    Field("portfolio.T", int, 100, PERIOD_COUNT),
-    Field("portfolio.entry.mu", float, 0.2, INTENSITY),
-    Field("portfolio.entry.k_seed", float, 1e-3, NONNEGATIVE),
-    Field("portfolio.entry.omega_median", float, 1.0, POSITIVE),
-    Field("portfolio.entry.omega_sigma", float, 0.5, NONNEGATIVE),
-    Field("portfolio.entry.delta_j", PAIR, [0.08, 0.25], OPEN_UNIT),
+    Field("run.seed", int, 0, schema.SEED),
+    Field("run.out", str, "out", schema.NONEMPTY),
+    Field("run.format", str, "csv", schema.one_of(*FORMATS)),
+    Field("baseline.alpha", float, 0.36, schema.BASELINE["alpha"]),
+    Field("baseline.gamma", float, 0.05, schema.BASELINE["gamma"]),
+    Field("baseline.r", float, 0.04, schema.BASELINE["r"]),
+    Field("baseline.delta_k", float, 0.15, schema.BASELINE["delta_k"]),
+    Field("baseline.eta", float, 0.2, schema.BASELINE["eta"]),
+    Field("baseline.A_bar", float, 1.0, schema.BASELINE["A_bar"]),
+    Field("baseline.K", float, 1.0, schema.BASELINE["K"]),
+    Field("baseline.L_bar", float, 1.0, schema.BASELINE["L_bar"]),
+    Field("priors.alpha", PAIR, [0.33, 0.40], schema.PRIORS["alpha_lo"]),
+    Field("priors.r", PAIR, [0.03, 0.05], schema.PRIORS["r_lo"]),
+    Field("priors.delta_k", PAIR, [0.08, 0.25], schema.PRIORS["delta_lo"]),
+    Field("priors.gamma", PAIR, [0.02, 0.08], schema.PRIORS["gamma_lo"]),
+    Field("priors.n_draws", int, 200_000, schema.PRIORS["n_draws"]),
+    Field("transition.k0", float, None, schema.TRANSITION["k0"]),  # null: half the long-run stock
+    Field("transition.L_S0", float, None, schema.TRANSITION["L_S0"]),  # null: half the long-run labor
+    Field("transition.T", int, 500, schema.TRANSITION["T"]),
+    Field("transition.damping", float, None, schema.TRANSITION["damping"]),  # null: the model-implied stable factor
+    Field("transition.tol", float, 1e-10, schema.TRANSITION["tol"]),
+    Field("portfolio.n_families", int, 8, schema.count(1, MAX_FAMILIES)),
+    Field("portfolio.omega", PER_FAMILY, 1.0, schema.PORTFOLIO["omega"]),
+    Field("portfolio.delta_j", PER_FAMILY, 0.15, schema.PORTFOLIO["delta"]),
+    Field("portfolio.k0", PER_FAMILY, 1.0, schema.PORTFOLIO["k"]),
+    Field("portfolio.aggregator", str, "ces", schema.AGGREGATOR["kind"]),
+    Field("portfolio.rho", float, 0.5, schema.AGGREGATOR["rho"]),
+    Field("portfolio.epsilon_floor", float, 1e-6, schema.AGGREGATOR["epsilon_floor"]),
+    Field("portfolio.beta", float, 0.5, schema.CODIFICATION["beta"]),
+    Field("portfolio.Lambda", float, 1.0, schema.PORTFOLIO["Lambda"]),
+    Field("portfolio.labor_budget", float, 1.0, schema.SCENARIO["labor_budget"]),
+    Field("portfolio.T", int, 100, schema.count(1, MAX_PERIODS)),
+    Field("portfolio.entry.mu", float, 0.2, schema.ENTRY["mu"]),
+    Field("portfolio.entry.k_seed", float, 1e-3, schema.ENTRY["k_seed"]),
+    Field("portfolio.entry.omega_median", float, 1.0, schema.ENTRY["omega_median"]),
+    Field("portfolio.entry.omega_sigma", float, 0.5, schema.ENTRY["omega_sigma"]),
+    Field("portfolio.entry.delta_j", PAIR, [0.08, 0.25], schema.ENTRY["delta_lo"]),
     Field("portfolio.drift.enabled", bool, False),
-    Field("portfolio.drift.env_hazard", float, 0.05, CLOSED_UNIT),
-    Field("portfolio.drift.tech_hazard", float, 0.10, CLOSED_UNIT),
-    Field("portfolio.drift.org_hazard", float, 0.03, CLOSED_UNIT),
-    Field("portfolio.drift.tech_start", int, 1, NONNEGATIVE),
-    Field("portfolio.drift.tech_every", int, 5, COUNT),
-    Field("portfolio.drift.org_start", int, 3, NONNEGATIVE),
-    Field("portfolio.drift.org_every", int, 7, COUNT),
-    Field("portfolio.drift.drop_frac", float, 0.5, OPEN_UNIT),
-    Field("roy.n_initial", int, 6, INITIAL_COUNT),
-    Field("roy.initial_k", float, 1.0, NONNEGATIVE),
-    Field("roy.omega", float, 1.0, POSITIVE),
-    Field("roy.delta_j", PAIR, [0.08, 0.25], OPEN_UNIT),
-    Field("roy.rho", float, 0.5, RHO),
-    Field("roy.beta", float, 0.5, OPEN_UNIT),
-    Field("roy.Lambda", float, 1.0, POSITIVE),
-    Field("roy.epsilon_floor", float, 0.25, POSITIVE),
-    Field("roy.labor_budget", float, 1.0, NONNEGATIVE),
-    Field("roy.T", int, 40, COUNT),
-    Field("roy.mu", float, 0.25, INTENSITY),
-    Field("roy.k_seed", float, 1e-3, NONNEGATIVE),
-    Field("roy.omega_sigma", float, 0.5, NONNEGATIVE),
-    Field("roy.n_workers", int, 400, WORKER_COUNT),
-    Field("roy.sigma_young", float, 1.5, NONNEGATIVE),
-    Field("roy.sigma_mature", float, 0.2, NONNEGATIVE),
-    Field("roy.k_ref", float, 1.0, POSITIVE),
-    Field("roy.tol", float, 1e-9, POSITIVE),
-    Field("roy.eval_window", int, 12, COUNT),
-    Field("roy.treatment", ("mu", "delta"), "mu"),
-    Field("roy.factor", float, 2.0, POSITIVE),
-    Field("roy.replications", int, 10, REPLICATION_COUNT),
-    Field("estimate.panel", str, None, NONEMPTY),  # null simulates the panel
-    Field("estimate.rel_drop", float, 0.2, OPEN_UNIT),
-    Field("estimate.horizon", int, 1, HORIZON),
+    Field("portfolio.drift.env_hazard", float, 0.05, schema.DRIFT["env_hazard"]),
+    Field("portfolio.drift.tech_hazard", float, 0.10, schema.DRIFT["tech_hazard"]),
+    Field("portfolio.drift.org_hazard", float, 0.03, schema.DRIFT["org_hazard"]),
+    Field("portfolio.drift.tech_start", int, 1, schema.WINDOWS["start"]),
+    Field("portfolio.drift.tech_every", int, 5, schema.WINDOWS["every"]),
+    Field("portfolio.drift.org_start", int, 3, schema.WINDOWS["start"]),
+    Field("portfolio.drift.org_every", int, 7, schema.WINDOWS["every"]),
+    Field("portfolio.drift.drop_frac", float, 0.5, schema.DRIFT["drop_frac"]),
+    Field("roy.n_initial", int, 6, schema.ROY["n_initial"]),
+    Field("roy.initial_k", float, 1.0, schema.ROY["initial_k"]),
+    Field("roy.omega", float, 1.0, schema.ROY["omega"]),
+    Field("roy.delta_j", PAIR, [0.08, 0.25], schema.ROY["delta_lo"]),
+    Field("roy.rho", float, 0.5, schema.ROY["rho"]),
+    Field("roy.beta", float, 0.5, schema.ROY["beta"]),
+    Field("roy.Lambda", float, 1.0, schema.ROY["Lambda"]),
+    Field("roy.epsilon_floor", float, 0.25, schema.ROY["epsilon_floor"]),
+    Field("roy.labor_budget", float, 1.0, schema.ROY["labor_budget"]),
+    Field("roy.T", int, 40, schema.ROY["T"]),
+    Field("roy.mu", float, 0.25, schema.ROY["mu"]),
+    Field("roy.k_seed", float, 1e-3, schema.ROY["k_seed"]),
+    Field("roy.omega_sigma", float, 0.5, schema.ROY["omega_sigma"]),
+    Field("roy.n_workers", int, 400, schema.ROY["n_workers"]),
+    Field("roy.sigma_young", float, 1.5, schema.ROY["sigma_young"]),
+    Field("roy.sigma_mature", float, 0.2, schema.ROY["sigma_mature"]),
+    Field("roy.k_ref", float, 1.0, schema.ROY["k_ref"]),
+    Field("roy.tol", float, 1e-9, schema.ROY["tol"]),
+    Field("roy.eval_window", int, 12, schema.ROY["eval_window"]),
+    Field("roy.treatment", str, "mu", schema.EXPERIMENT["treatment"]),
+    Field("roy.factor", float, 2.0, schema.EXPERIMENT["factor"]),
+    Field("roy.replications", int, 10, schema.EXPERIMENT["replications"]),
+    Field("estimate.panel", str, None, schema.NONEMPTY),  # null simulates the panel
+    Field("estimate.rel_drop", float, 0.2, schema.DETECTION["rel_drop"]),
+    Field("estimate.horizon", int, 1, schema.DETECTION["horizon"]),
 )
 
-# Cross-field rules as (reported path, predicate over resolved values, wording).
+# Rules across fields as (section, rule): the classes' rules over a section's
+# values, and one over the whole config.
 RULES = (
-    ("transition.L_S0", lambda c: (c["transition.L_S0"] or 0.0) <= c["baseline.L_bar"], "must be <= L_bar"),
-    ("roy.eval_window", lambda c: c["roy.eval_window"] <= c["roy.T"] + 1, "must be <= T + 1"),
-    ("roy.sigma_mature", lambda c: c["roy.sigma_mature"] <= c["roy.sigma_young"], "must be <= sigma_young"),
-    (
-        "portfolio.drift.env_hazard",
-        lambda c: sum(c[f"portfolio.drift.{k}_hazard"] for k in ("env", "tech", "org")) <= 1.0,
-        "+ tech_hazard + org_hazard must be <= 1",
-    ),
-    (
-        "roy.factor",
-        lambda c: c["roy.treatment"] != "mu" or c["roy.mu"] * c["roy.factor"] <= POISSON_MAX_INTENSITY,
-        f"* mu must be <= {POISSON_MAX_INTENSITY:g} under treatment mu",
-    ),
+    ("", schema.Rule(
+        "transition.L_S0", lambda c: (c["transition"]["L_S0"] or 0) <= c["baseline"]["L_bar"], "must be <= L_bar"
+    )),
+    ("roy", schema.EVAL_WINDOW),
+    ("roy", schema.SIGMA_ORDER),
+    ("portfolio.drift", schema.HAZARD_SUM),
+    ("roy", schema.TREATED_INTENSITY),
 )
 
 _PATHS = {f.path for f in FIELDS}
@@ -204,10 +168,7 @@ def _coerce(f: Field, value: Any, resolved: dict) -> Any:
     """Check one value against its row; pairs and per-family values become lists."""
     if value is None and f.default is None:
         return None
-    if isinstance(f.kind, tuple):
-        if value not in f.kind:
-            raise ConfigError(f.path, f"must be one of {', '.join(f.kind)}")
-    elif f.kind in (PAIR, PER_FAMILY):
+    if f.kind in (PAIR, PER_FAMILY):
         n = 2 if f.kind is PAIR else resolved["portfolio.n_families"]
         if f.kind is PER_FAMILY and not isinstance(value, (list, tuple)):
             value = [value] * n
@@ -218,9 +179,16 @@ def _coerce(f: Field, value: Any, resolved: dict) -> Any:
             raise ConfigError(f.path, "must have lo <= hi")
     else:
         value = _typed(value, f.path, f.kind)
-    if f.check is not None and not all(map(f.check[0], value if isinstance(value, list) else [value])):
-        raise ConfigError(f.path, f"{f.path.rpartition('.')[2]} {f.check[1]}")
+    if f.check is not None and not all(map(f.check.holds, value if isinstance(value, list) else [value])):
+        raise ConfigError(f.path, f"{f.path.rpartition('.')[2]} {f.check.wording}")
     return value
+
+
+def _node(nested: dict, sections: list[str]) -> dict:
+    """The mapping at the path ``sections`` in ``nested``, made where missing."""
+    for name in sections:
+        nested = nested.setdefault(name, {})
+    return nested
 
 
 def _resolve(data: Any, overrides: Any = None) -> dict:
@@ -232,14 +200,12 @@ def _resolve(data: Any, overrides: Any = None) -> dict:
     flat, nested = {}, {}
     for f in FIELDS:
         *sections, key = f.path.split(".")
-        node = nested
-        for name in sections:
-            node = node.setdefault(name, {})
         value = _coerce(f, given.get(f.path, f.default), flat)
-        node[key] = flat[f.path] = _coerce(f, over[f.path], flat) if f.path in over else value
-    for path, holds, wording in RULES:
-        if not holds(flat):
-            raise ConfigError(path, f"{path.rpartition('.')[2]} {wording}")
+        _node(nested, sections)[key] = flat[f.path] = _coerce(f, over[f.path], flat) if f.path in over else value
+    for section, rule in RULES:
+        if not rule.holds(_node(nested, section.split(".") if section else [])):
+            path = f"{section}.{rule.field}" if section else rule.field
+            raise ConfigError(path, f"{path.rpartition('.')[2]} {rule.wording}")
     return nested
 
 
@@ -259,31 +225,28 @@ class AppConfig:
         self.run = SimpleNamespace(**c["run"])
         self.transition = SimpleNamespace(**c["transition"])
         self.estimate = SimpleNamespace(**c["estimate"])
-        # Every object a command builds is built here.  The table covers every
-        # check these classes make, so the handler fires only if the two diverge.
-        try:
-            self.baseline = BaselineParams(**c["baseline"])
-            self.priors = PriorSpec(*pr["alpha"], *pr["r"], *pr["delta_k"], *pr["gamma"], pr["n_draws"])
-            entry = EntryConfig(**_split_delta(p["entry"]))
-            n, agg, d = p["n_families"], p["aggregator"], p["drift"]
-            initial = Portfolio(
-                np.arange(n), p["omega"], p["delta_j"], p["k0"], np.zeros(n, dtype=np.int64),
-                AggregatorSpec(agg, p["rho"] if agg == "ces" else None, p["epsilon_floor"]),
-                PowerCodification(p["beta"]), p["Lambda"],
-            )
-            # Built even when disabled, so its values are checked either way.
-            drift = DriftConfig(
-                **{k: d[k] for k in ("env_hazard", "tech_hazard", "org_hazard", "drop_frac")},
-                tech_windows=periodic_windows(d["tech_start"], d["tech_every"], p["T"]),
-                org_windows=periodic_windows(d["org_start"], d["org_every"], p["T"]),
-            )
-            self.portfolio = SimpleNamespace(
-                **{**p, "entry": entry, "initial": initial, "drift": drift if d["enabled"] else None}
-            )
-            experiment = RoyExperiment(**_split_delta(r, drop=("treatment", "factor", "replications")))
-            self.roy = SimpleNamespace(**r, experiment=experiment)
-        except DomainError as exc:
-            raise ConfigError("", str(exc)) from None
+        # Every object a command builds is built here, from values the table
+        # has checked against the same rows the classes apply.
+        self.baseline = BaselineParams(**c["baseline"])
+        self.priors = PriorSpec(*pr["alpha"], *pr["r"], *pr["delta_k"], *pr["gamma"], pr["n_draws"])
+        entry = EntryConfig(**_split_delta(p["entry"]))
+        n, agg, d = p["n_families"], p["aggregator"], p["drift"]
+        initial = Portfolio(
+            np.arange(n), p["omega"], p["delta_j"], p["k0"], np.zeros(n, dtype=np.int64),
+            AggregatorSpec(agg, p["rho"] if agg == "ces" else None, p["epsilon_floor"]),
+            PowerCodification(p["beta"]), p["Lambda"],
+        )
+        # Built even when disabled, so its values are checked either way.
+        drift = DriftConfig(
+            **{k: d[k] for k in ("env_hazard", "tech_hazard", "org_hazard", "drop_frac")},
+            tech_windows=periodic_windows(d["tech_start"], d["tech_every"], p["T"]),
+            org_windows=periodic_windows(d["org_start"], d["org_every"], p["T"]),
+        )
+        self.portfolio = SimpleNamespace(
+            **{**p, "entry": entry, "initial": initial, "drift": drift if d["enabled"] else None}
+        )
+        experiment = RoyExperiment(**_split_delta(r, drop=("treatment", "factor", "replications")))
+        self.roy = SimpleNamespace(**r, experiment=experiment)
 
 
 def load_config(path: str | None, overrides: Any = None) -> AppConfig:

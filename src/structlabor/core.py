@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require, require_finite
+from .errors import DomainError, require
+from .schema import BASELINE, NONNEGATIVE, POSITIVE, TRANSITION, check
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,7 @@ class BaselineParams:
     L_bar: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "gamma", "r", "delta_k", "eta", "A_bar", "K", "L_bar"):
-            require_finite(getattr(self, name), name)
-        require(0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)")
-        require(0.0 < self.gamma < 1.0, "gamma must lie in (0, 1)")
-        require(self.r > 0.0, "r must be positive")
-        require(0.0 < self.delta_k < 1.0, "delta_k must lie in (0, 1)")
-        require(self.eta > 0.0, "eta must be positive")
-        require(self.A_bar > 0.0, "A_bar must be positive")
-        require(self.K > 0.0, "K must be positive")
-        require(self.L_bar > 0.0, "L_bar must be positive")
+        check(vars(self), BASELINE)
 
 
 @dataclass(frozen=True)
@@ -103,10 +95,7 @@ def output(params: BaselineParams, k: float, L_U: float) -> float:
     stock entering as an additional productive factor of elasticity
     gamma.  Zero production labor yields zero output.
     """
-    require_finite(k, "k")
-    require(k > 0.0, "capability stock must be positive")
-    require_finite(L_U, "L_U")
-    require(L_U >= 0.0, "production labor must be nonnegative")
+    check({"k": k, "L_U": L_U}, {"k": POSITIVE, "L_U": NONNEGATIVE})
     if L_U == 0.0:
         return 0.0
     return (
@@ -124,8 +113,7 @@ def marginals(params: BaselineParams, k: float, L_U: float) -> tuple[float, floa
     product at the effective rate ``r + delta_k``.  Requires strictly
     positive production labor since the wage is a per-worker quantity.
     """
-    require_finite(L_U, "L_U")
-    require(L_U > 0.0, "marginal products need positive production labor")
+    check({"L_U": L_U}, {"L_U": POSITIVE})
     y = output(params, k, L_U)
     w_u = (1.0 - params.alpha) * y / L_U
     dy_dk = params.gamma * y / k
@@ -186,7 +174,10 @@ def comparative_statics(params: BaselineParams) -> tuple[float, float, float]:
     decay raises the labor needed to hold the stock steady.
     """
     a, g, r, d = params.alpha, params.gamma, params.r, params.delta_k
-    denom = (g * d + (1.0 - a) * (r + d)) ** 2
+    try:
+        denom = (g * d + (1.0 - a) * (r + d)) ** 2
+    except OverflowError:
+        raise DomainError("comparative statics out of range: D**2 overflows") from None
     ds_dgamma = d * (1.0 - a) * (r + d) / denom
     ds_dr = -g * d * (1.0 - a) / denom
     ds_ddelta = g * (1.0 - a) * r / denom
@@ -238,17 +229,10 @@ def simulate_transition(
 
     Returns a path of at most ``T + 1`` periods, 0..T, as columns.
     """
-    require_finite(k0, "k0")
-    require(k0 > 0.0, "initial capability stock must be positive")
-    require_finite(L_S0, "L_S0")
-    require(0.0 <= L_S0 <= params.L_bar, "L_S0 must lie in [0, L_bar]")
-    require(isinstance(T, int) and T >= 1, "T must be an integer >= 1")
-    require(math.isfinite(tol) and tol > 0.0, "tol must be positive")
-    if damping is None:
-        lam = default_damping(params)
-    else:
-        lam = require_finite(damping, "damping")
-        require(0.0 < lam <= 1.0, "damping must lie in (0, 1]")
+    given = {"k0": k0, "L_S0": L_S0, "T": T, "damping": damping, "tol": tol}
+    check(given, {name: row for name, row in TRANSITION.items() if given[name] is not None})
+    require(L_S0 <= params.L_bar, "L_S0 must be <= L_bar")
+    lam = default_damping(params) if damping is None else float(damping)
 
     ss = steady_state(params)
     c = _labor_response_slope(params)

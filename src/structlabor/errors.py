@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 class DomainError(ValueError):
     """An input is outside the mathematical domain of an operation."""
@@ -27,9 +25,3 @@ def require(cond: bool, msg: str) -> None:
     if not cond:
         raise DomainError(msg)
 
-
-def require_finite(value: float, name: str) -> float:
-    """``value`` as a float, or a :class:`DomainError` naming it if not finite."""
-    value = float(value)
-    require(math.isfinite(value), f"{name} must be finite")
-    return value

@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import DomainError, require
 from .portfolio import Portfolio, aggregate_capability
-
-# Longest degradation horizon: the largest int64, as periods are.
-MAX_HORIZON = 2**63 - 1
+from .schema import DETECTION, MAX_HORIZON, check  # MAX_HORIZON stays importable from here
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +118,7 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float = 0.2, horizon: int
     unflagged.
     """
     require(panel.n_obs > 0, "panel is empty")
-    require(math.isfinite(rel_drop) and 0.0 < rel_drop < 1.0, "rel_drop must lie in (0, 1)")
-    require(
-        isinstance(horizon, int) and 1 <= horizon <= MAX_HORIZON, f"horizon must be an integer in [1, {MAX_HORIZON}]"
-    )
+    check({"rel_drop": rel_drop, "horizon": horizon}, DETECTION)
 
     fam, per, mat, blocks = panel.family_id, panel.period, panel.maturity, panel.blocks
     # Row (j, t + h) can only lie in the block of period t + h, whose ids

@@ -48,7 +48,8 @@ def ordered_map(task: Callable[[int], T], n: int) -> Iterator[T]:
 
     Runs serially in this process with one CPU, one task, or no ``fork``.
     At most two results per worker are in flight, so a slow consumer holds
-    few of them.  A task's exception is raised here when its result is due.
+    few of them.  A task's exception is raised here when its result is due,
+    after the tasks already in flight have finished.
     """
     workers = min(_cpu_count(), n)
     if workers > 1:
@@ -65,7 +66,7 @@ def ordered_map(task: Callable[[int], T], n: int) -> Iterator[T]:
         # fork, so a task may still do linear algebra (Roy solves do).
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
         pool = multiprocessing.get_context("fork").Pool(workers, _install, (task,))
-    with pool:
+    try:
         window = 2 * workers
         pending = deque(pool.apply_async(_run, (i,)) for i in range(min(window, n)))
         for i in range(window, n + window):
@@ -73,3 +74,9 @@ def ordered_map(task: Callable[[int], T], n: int) -> Iterator[T]:
             if i < n:
                 pending.append(pool.apply_async(_run, (i,)))
             yield result
+    finally:
+        # The workers finish their tasks and exit; terminating them instead
+        # can kill one mid-way through writing a result, and the pool's result
+        # thread then waits forever on the partial message.
+        pool.close()
+        pool.join()

@@ -18,8 +18,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, require, require_finite
+from .errors import DomainError, require
 from .rng import poisson_inverse_cdf, stream
+from .schema import (
+    AGGREGATOR,
+    CODIFICATION,
+    DELTA_ORDER,
+    DRIFT,
+    ENTRY,
+    HAZARD_SUM,
+    NONNEGATIVE,
+    PORTFOLIO,
+    SCENARIO,
+    WINDOWS,
+    check,
+)
 
 
 @dataclass(frozen=True)
@@ -33,8 +46,7 @@ class PowerCodification:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        require_finite(self.beta, "beta")
-        require(0.0 < self.beta < 1.0, "beta must lie in (0, 1)")
+        check(vars(self), CODIFICATION)
 
     def g(self, labor):
         """Codification output from ``labor`` (scalar or array, >= 0)."""
@@ -63,12 +75,9 @@ class AggregatorSpec:
     epsilon_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        require(self.kind in ("additive", "ces"), "aggregator kind must be 'additive' or 'ces'")
-        if self.kind == "ces":
-            require(self.rho is not None, "ces aggregator needs rho")
-            require_finite(self.rho, "rho")
-            require(self.rho <= 1.0 and self.rho != 0.0, "rho must satisfy rho <= 1, rho != 0")
-        require(require_finite(self.epsilon_floor, "epsilon_floor") > 0.0, "epsilon_floor must be positive")
+        # rho is read only by the CES form.
+        require(self.kind != "ces" or self.rho is not None, "ces aggregator needs rho")
+        check(vars(self), {k: d for k, d in AGGREGATOR.items() if k != "rho" or self.kind == "ces"})
 
 
 def _int_column(values, msg: str) -> np.ndarray:
@@ -107,13 +116,7 @@ class Portfolio:
         require(
             all(c.shape == (n,) for c in (omega, delta, k, born)), "family columns must be parallel 1-d arrays"
         )
-        require(bool(np.all(np.isfinite(omega))), "omega must be finite")
-        require(bool(np.all(omega > 0.0)), "omega must be positive")
-        require(bool(np.all(np.isfinite(delta))), "delta_j must be finite")
-        require(bool(np.all((0.0 < delta) & (delta < 1.0))), "delta_j must lie in (0, 1)")
-        require(bool(np.all(np.isfinite(k))), "k_j must be finite")
-        require(bool(np.all(k >= 0.0)), "maturity must be nonnegative")
-        require(require_finite(self.Lambda, "Lambda") > 0.0, "Lambda must be positive")
+        check({"omega": omega, "delta": delta, "k": k, "Lambda": self.Lambda}, PORTFOLIO)
         if not bool(np.all(ids[1:] > ids[:-1])):
             unique = np.unique(ids).shape[0] == n
             raise DomainError("families must be sorted by id" if unique else "family ids must be unique")
@@ -143,15 +146,18 @@ def aggregate_capability(omega: np.ndarray, k: np.ndarray, aggregator: Aggregato
 
     The additive index is sum omega_j * k_j; the CES index is
     (sum omega_j * k_j**rho)**(1/rho).  Both the scenario and the panel
-    estimators compute the index here, so they agree bit for bit.
+    estimators compute the index here, so they agree bit for bit.  An index
+    that leaves the floating-point range is a domain error.
     """
-    if aggregator.kind == "additive":
-        return float(np.dot(omega, k))
-    rho = float(aggregator.rho)
-    if rho < 0.0 and np.any(k == 0.0):
+    rho = None if aggregator.kind == "additive" else float(aggregator.rho)
+    if rho is not None and rho < 0.0 and np.any(k == 0.0):
         # Complements: one dead family zeroes the index.
         return 0.0
-    return float(np.dot(omega, np.power(k, rho)) ** (1.0 / rho))
+    with np.errstate(over="ignore", divide="ignore"):
+        index = float(np.dot(omega, k) if rho is None else np.dot(omega, np.power(k, rho)) ** (1.0 / rho))
+    kind = "additive" if rho is None else "CES"
+    require(math.isfinite(index), f"capability index out of range: the {kind} index overflows")
+    return index
 
 
 def effective_weights(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSpec, Lambda: float) -> np.ndarray:
@@ -161,9 +167,9 @@ def effective_weights(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSp
     aggregator this is Lambda * omega_j.  For CES it is Lambda times the
     gradient of the index, evaluated with every maturity floored at
     ``epsilon_floor`` so that entrants with (near-)zero stocks get large
-    but finite weights.  An index whose power leaves the floating-point
-    range is a domain error; weights that overflow are returned as inf,
-    which :func:`allocate_labor` refuses.
+    but finite weights.  An index whose inner sum or power leaves the
+    floating-point range is a domain error; weights that overflow are
+    returned as inf or nan, which :func:`allocate_labor` refuses.
     """
     require(omega.shape[0] >= 1, "portfolio has no families")
     if aggregator.kind == "additive":
@@ -171,15 +177,16 @@ def effective_weights(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSp
             return Lambda * omega
     rho = float(aggregator.rho)
     k = np.maximum(k, aggregator.epsilon_floor)
-    inner = float(np.dot(omega, np.power(k, rho)))
-    try:
-        scale = inner ** ((1.0 - rho) / rho)
-    except (OverflowError, ZeroDivisionError):
-        scale = math.inf
-    require(math.isfinite(scale), "effective weights out of range: the CES index overflows")
-    # d/dk_j of (sum omega k^rho)^(1/rho) = omega_j k_j^(rho-1) * index^(1-rho)
-    with np.errstate(over="ignore"):
-        return Lambda * omega * np.power(k, rho - 1.0) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = float(np.dot(omega, np.power(k, rho)))
+        try:
+            scale = inner ** ((1.0 - rho) / rho)
+        except (OverflowError, ZeroDivisionError):
+            scale = math.inf
+        # d/dk_j of (sum omega k^rho)^(1/rho) = omega_j k_j^(rho-1) * index^(1-rho)
+        weights = Lambda * omega * np.power(k, rho - 1.0) * scale
+    require(math.isfinite(inner) and math.isfinite(scale), "effective weights out of range: the CES index overflows")
+    return weights
 
 
 def allocate_labor(weights: np.ndarray, tech: PowerCodification, L_S: float) -> AllocationResult:
@@ -193,7 +200,7 @@ def allocate_labor(weights: np.ndarray, tech: PowerCodification, L_S: float) -> 
     range are a domain error.
     """
     require(weights.shape[0] >= 1, "portfolio has no families")
-    require(require_finite(L_S, "L_S") >= 0.0, "labor budget must be nonnegative")
+    check({"L_S": L_S}, {"L_S": NONNEGATIVE})
     if L_S == 0.0:
         return AllocationResult(labor=np.zeros(weights.shape[0]), kkt_residual=0.0)
 
@@ -224,13 +231,7 @@ class EntryConfig:
     delta_hi: float = 0.25
 
     def __post_init__(self) -> None:
-        require(require_finite(self.mu, "mu") >= 0.0, "entry intensity must be nonnegative")
-        require(require_finite(self.k_seed, "k_seed") >= 0.0, "k_seed must be nonnegative")
-        require(require_finite(self.omega_median, "omega_median") > 0.0, "omega_median must be positive")
-        require(require_finite(self.omega_sigma, "omega_sigma") >= 0.0, "omega_sigma must be nonnegative")
-        require_finite(self.delta_lo, "delta_lo")
-        require_finite(self.delta_hi, "delta_hi")
-        require(0.0 < self.delta_lo <= self.delta_hi < 1.0, "entry delta range must lie in (0, 1)")
+        check(vars(self), ENTRY, (DELTA_ORDER,))
 
 
 def _draw_entrants(entry: EntryConfig, gen: np.random.Generator) -> tuple[list[float], list[float]]:
@@ -281,14 +282,9 @@ class DriftConfig:
     drop_frac: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("env_hazard", "tech_hazard", "org_hazard"):
-            require(0.0 <= require_finite(getattr(self, name), name) <= 1.0, f"{name} must lie in [0, 1]")
-        total = self.env_hazard + self.tech_hazard + self.org_hazard
-        require(total <= 1.0, "combined hazard must not exceed 1")
-        require_finite(self.drop_frac, "drop_frac")
-        require(0.0 < self.drop_frac < 1.0, "drop_frac must lie in (0, 1)")
-        require(all(isinstance(t, int) and t >= 0 for t in self.tech_windows), "window periods must be nonnegative integers")
-        require(all(isinstance(t, int) and t >= 0 for t in self.org_windows), "window periods must be nonnegative integers")
+        check(vars(self), DRIFT, (HAZARD_SUM,))
+        windows = self.tech_windows | self.org_windows
+        require(all(isinstance(t, int) and t >= 0 for t in windows), "window periods must be nonnegative integers")
 
     def hazard_at(self, t: int) -> float:
         return (
@@ -300,8 +296,7 @@ class DriftConfig:
 
 def periodic_windows(start: int, every: int, T: int) -> frozenset[int]:
     """Periods start, start+every, ... below T."""
-    require(isinstance(every, int) and every >= 1, "window spacing must be an integer >= 1")
-    require(isinstance(start, int) and start >= 0, "window start must be nonnegative")
+    check({"start": start, "every": every}, WINDOWS)
     return frozenset(range(start, T, every))
 
 
@@ -371,8 +366,7 @@ def run_portfolio_scenario(
     families.  The panel is allocated at its full sum_t n_t rows; each
     period writes its block and advances ``final.k[:n_t]`` in place.
     """
-    require(isinstance(T, int) and T >= 1, "T must be an integer >= 1")
-    require(math.isfinite(labor_budget) and labor_budget >= 0.0, "labor budget must be finite and nonnegative")
+    check({"labor_budget": labor_budget, "T": T}, SCENARIO)
 
     sizes = [portfolio.size]
     omegas: list[float] = []

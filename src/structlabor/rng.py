@@ -21,12 +21,7 @@ import math
 import numpy as np
 
 from .errors import require
-
-SEED_MAX = 2**64 - 1
-
-# Inverse-CDF Poisson sampling walks the pmf term by term; beyond this
-# intensity the leading term exp(-lam) underflows and the walk degrades.
-POISSON_MAX_INTENSITY = 500.0
+from .schema import INTENSITY, SEED_MAX, check
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
@@ -90,11 +85,7 @@ def poisson_inverse_cdf(gen: np.random.Generator, lam: float) -> int:
     consumed even when ``lam`` is zero so that paired streams stay
     aligned.
     """
-    require(math.isfinite(lam) and lam >= 0, "poisson intensity must be finite and nonnegative")
-    require(
-        lam <= POISSON_MAX_INTENSITY,
-        f"poisson intensity {lam} exceeds supported range (max {POISSON_MAX_INTENSITY})",
-    )
+    check({"lam": lam}, {"lam": INTENSITY})
     u = gen.uniform()
     if lam == 0.0:
         return 0

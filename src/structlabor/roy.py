@@ -32,6 +32,7 @@ from .portfolio import (
     run_portfolio_scenario,
 )
 from .rng import derive_seed, stream
+from .schema import DELTA_ORDER, EVAL_WINDOW, EXPERIMENT, ROY, SIGMA_ORDER, TREATED_INTENSITY, check
 
 _DELTA_CAP = 0.95
 # Labor at which piece rates are evaluated for families nobody serves, so their rates stay finite.
@@ -481,19 +482,7 @@ class RoyExperiment:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        require(isinstance(self.n_initial, int) and self.n_initial >= 1, "n_initial must be an integer >= 1")
-        require(isinstance(self.T, int) and self.T >= 1, "T must be an integer >= 1")
-        require(0.0 < self.delta_lo <= self.delta_hi < 1.0, "delta range must lie in (0, 1)")
-        require(self.mu >= 0.0, "mu must be nonnegative")
-        require(
-            0.0 <= self.sigma_mature <= self.sigma_young, "need sigma_young >= sigma_mature >= 0"
-        )
-        require(self.k_ref > 0.0, "k_ref must be positive")
-        require(isinstance(self.n_workers, int) and self.n_workers >= 2, "n_workers must be an integer >= 2")
-        require(
-            isinstance(self.eval_window, int) and 1 <= self.eval_window <= self.T + 1,
-            "eval_window must be an integer in [1, T + 1]",
-        )
+        check(vars(self), ROY, (DELTA_ORDER, EVAL_WINDOW, SIGMA_ORDER))
 
 
 @dataclass(frozen=True)
@@ -604,7 +593,13 @@ def _evaluated_columns(exp: RoyExperiment, scenario, seed: int):
     bounds = np.searchsorted(scenario.period, np.arange(exp.T - exp.eval_window + 1, exp.T + 2)).tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sigmas = maturity_skill_sigma(scenario.maturity[lo:hi], exp.sigma_young, exp.sigma_mature, exp.k_ref)
-        yield np.exp(z[:, : hi - lo] * sigmas), scenario.effective_weight[lo:hi]
+        with np.errstate(over="ignore", under="ignore"):
+            a = np.exp(z[:, : hi - lo] * sigmas)
+        require(
+            bool(np.all(np.isfinite(a)) and np.all(a > 0.0)),
+            "skill draws out of range: exp(sigma * z) leaves the float range; lower sigma_young",
+        )
+        yield a, scenario.effective_weight[lo:hi]
 
 
 def _mean(values) -> float:
@@ -632,9 +627,8 @@ def dispersion_experiment(
     and 2 * rep + 1 the treated one.  Results come back in task order, so
     the outcome does not depend on the number of workers.
     """
-    require(treatment in ("mu", "delta"), "treatment must be 'mu' or 'delta'")
-    require(math.isfinite(factor) and factor > 0.0, "factor must be positive")
-    require(isinstance(replications, int) and replications >= 1, "replications must be an integer >= 1")
+    arguments = {"treatment": treatment, "factor": factor, "replications": replications, "mu": experiment.mu}
+    check(arguments, EXPERIMENT, (TREATED_INTENSITY,))
 
     mu_factor, delta_factor = (factor, 1.0) if treatment == "mu" else (1.0, factor)
     arms: list[_ArmInputs] = []

@@ -31,6 +31,12 @@ def test_prior_spec_defaults():
     assert p.seed == 0
 
 
+def test_prior_spec_bounds_the_draw_count():
+    # The config's bound is the class's own: a count the sample could not hold is refused when built.
+    with pytest.raises(DomainError, match=r"^n_draws must be an integer in \[1, 100000000\]$"):
+        PriorSpec(n_draws=10**12)
+
+
 def test_prior_spec_validation():
     with pytest.raises(DomainError):
         PriorSpec(alpha_lo=0.4, alpha_hi=0.33)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +304,53 @@ def test_weight_overflow_is_one_json_error(tmp_path, capsys, command, text):
     assert err["message"] == "effective weights out of range: the labor split overflows"
 
 
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("steady-state", {"baseline": {"r": sys.float_info.max}}, "comparative statics out of range: D**2 overflows"),
+        ("portfolio", {"portfolio": {"k0": sys.float_info.max}}, "capability index out of range: the CES index overflows"),
+        ("estimate", {"portfolio": {"k0": sys.float_info.max}}, "capability index out of range: the CES index overflows"),
+        ("portfolio", {"portfolio": {"rho": -400.0}}, "effective weights out of range: the CES index overflows"),
+        ("portfolio", {"portfolio": {"omega": sys.float_info.max}}, "effective weights out of range: the CES index overflows"),
+        (
+            "roy",
+            {"roy": {"sigma_young": 1e12, "replications": 1, "T": 6, "eval_window": 3, "n_workers": 50}},
+            "skill draws out of range: exp(sigma * z) leaves the float range; lower sigma_young",
+        ),
+    ],
+    ids=["comparative-statics", "capability", "estimate-capability", "ces-inner-sum", "ces-omega", "skill-draws"],
+)
+def test_float_range_overflow_names_what_overflowed(tmp_path, capsys, pin_cpus, command, data, message):
+    # A valid config whose values take one quantity beyond the float range:
+    # one JSON error that names it, and no numpy warning ahead of it.
+    pin_cpus(1)
+    cfg = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["kind"], err["message"]) == ("runtime", message)
+
+
+def test_stdout_closed_by_its_reader_exits_zero(tmp_path):
+    # The summary is printed last, after every output and the manifest are
+    # written; a reader that has gone by then loses only the summary.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "structlabor.cli", "portfolio", "--seed", "1", "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    outputs = read_json(out, "run.manifest.json")["outputs"]
+    assert sorted(e["path"] for e in outputs) == ["capability.csv", "panel.csv", "portfolio.json"]
+
+
 def test_bad_config_value_exits_two_with_json_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"baseline": {"gamma": 1.5}})
     assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -579,3 +629,61 @@ def test_outputs_do_not_depend_on_workers(tmp_path, pin_cpus):
         assert sum(1 for _ in fh) > 16_384 + 1
     for command in ("portfolio", "calibrate"):
         assert outputs[command, 1] == outputs[command, 2]
+
+
+# The error contract swept over the config table: every float-valued field,
+# one at a time, at each of these values (a pair or per-family field in every
+# entry), and the CES exponent at large negative values, under every command
+# that reads the field's section, over a small base config.
+SWEEP_VALUES = (0.0, 5e-324, 1e12, 1e300, sys.float_info.max, -1.0)
+SWEEP_RHO = (-1.0, -60.0, -400.0, -1e300)
+SWEEP_BASE = {
+    "priors": {"n_draws": 2000},
+    "transition": {"T": 200},
+    "portfolio": {"T": 30, "drift": {"enabled": True}},
+    "roy": {"replications": 1, "T": 6, "eval_window": 3, "n_workers": 50},
+}
+# The commands that read each section; estimate reads baseline.L_bar for its indices.
+READERS = {
+    "baseline": ("steady-state", "simulate", "estimate"),
+    "priors": ("calibrate",),
+    "transition": ("simulate",),
+    "portfolio": ("portfolio", "estimate"),
+    "roy": ("roy",),
+    "estimate": ("estimate",),
+}
+
+
+def _sweep_cases():
+    from structlabor.config import FIELDS, PAIR, PER_FAMILY
+
+    for f in FIELDS:
+        if f.kind in (float, PAIR, PER_FAMILY):
+            for v in SWEEP_VALUES:
+                yield pytest.param(f.path, [v, v] if f.kind is PAIR else v, id=f"{f.path}={v!r}")
+    for v in SWEEP_RHO:
+        yield pytest.param("portfolio.rho", v, id=f"portfolio.rho={v!r}")
+
+
+def _merged(base, over):
+    out = dict(base)
+    for key, value in over.items():
+        out[key] = _merged(base.get(key, {}), value) if isinstance(value, dict) else value
+    return out
+
+
+@pytest.mark.parametrize("path, value", list(_sweep_cases()))
+def test_error_contract_holds_at_the_edges_of_the_float_range(tmp_path, capsys, pin_cpus, path, value):
+    # Exit 0, 2 or 3 with at most one JSON error object on stderr: no
+    # traceback, and no numpy warning ahead of the record (warnings raise
+    # here, and every command runs in this process, Roy arms included).
+    pin_cpus(1)
+    cfg = write_config(tmp_path, _merged(SWEEP_BASE, nested(path, value)))
+    for command in READERS[path.split(".")[0]]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg, "--out", str(tmp_path / command), "--quiet"])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 3), command
+        assert len(err) <= 1 and (code == 0) == (err == []), (command, err)
+        assert all(set(json.loads(line)) == {"error"} for line in err), command

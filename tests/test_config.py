@@ -1,3 +1,5 @@
+import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -210,6 +212,30 @@ def test_library_defaults_equal_the_config_defaults():
     # Tests that build RoyExperiment() or PriorSpec() stand for the CLI's defaults.
     assert RoyExperiment() == AppConfig().roy.experiment
     assert PriorSpec() == AppConfig().priors
+
+
+def test_validation_names_no_library_module():
+    # The table, its rules and the resolver read only the schema rows, so a
+    # config can be validated without the modules the commands run on.
+    import structlabor.config as config
+
+    tree = ast.parse(inspect.getsource(config))
+    library = {"calibration", "core", "estimators", "portfolio", "roy", "rng"}
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in library
+        for alias in node.names
+    }
+    assert imported  # the classes AppConfig builds
+    validation = [
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and {t.id for t in node.targets} & {"FIELDS", "RULES"}
+        or isinstance(node, ast.FunctionDef) and node.name in ("_flatten", "_typed", "_coerce", "_node", "_resolve")
+    ]
+    assert len(validation) == 7
+    for node in validation:
+        assert not {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & imported
 
 
 def test_with_overrides():

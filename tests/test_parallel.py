@@ -46,6 +46,29 @@ def test_a_task_error_is_raised_in_the_parent(cpus):
     assert seen == [0, 1, 2]
 
 
+def test_a_task_error_never_leaves_the_pool_waiting():
+    # When a task fails, the tasks still in flight send their results while
+    # the map shuts its pool down.  Killing a worker mid-way through such a
+    # write left the pool waiting forever on a partial message, most runs
+    # within 40 failed maps of 1 MB results; so this runs 40 in a subprocess.
+    code = (
+        "from structlabor import parallel\n"
+        "from structlabor.errors import DomainError\n"
+        "parallel._cpu_count = lambda: 2\n"
+        "def task(i):\n"
+        "    if i == 0:\n"
+        "        raise DomainError('task 0 failed')\n"
+        "    return bytes(1 << 20)\n"
+        "for _ in range(40):\n"
+        "    try:\n"
+        "        list(parallel.ordered_map(task, 4))\n"
+        "    except DomainError:\n"
+        "        pass\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 def test_default_runs_do_not_import_multiprocessing(tmp_path):
     # Default-sized outputs fit one chunk, so the serial path runs and small
     # runs never pay for importing multiprocessing; calibrate sums its blocks

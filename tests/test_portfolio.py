@@ -70,12 +70,12 @@ COLUMN_CHECKS = {
     "omega-negative": ({"omega": [-1.0, 1.0]}, "omega must be positive"),
     "omega-nan": ({"omega": [1.0, math.nan]}, "omega must be finite"),
     "omega-inf": ({"omega": [math.inf, 1.0]}, "omega must be finite"),
-    "delta-zero": ({"delta": [0.0, 0.1]}, r"delta_j must lie in \(0, 1\)"),
-    "delta-one": ({"delta": [0.1, 1.0]}, r"delta_j must lie in \(0, 1\)"),
-    "delta-nan": ({"delta": [math.nan, 0.1]}, "delta_j must be finite"),
-    "k-negative": ({"k": [1.0, -1.0]}, "maturity must be nonnegative"),
-    "k-inf": ({"k": [math.inf, 1.0]}, "k_j must be finite"),
-    "k-nan": ({"k": [1.0, math.nan]}, "k_j must be finite"),
+    "delta-zero": ({"delta": [0.0, 0.1]}, r"delta must lie in \(0, 1\)"),
+    "delta-one": ({"delta": [0.1, 1.0]}, r"delta must lie in \(0, 1\)"),
+    "delta-nan": ({"delta": [math.nan, 0.1]}, "delta must be finite"),
+    "k-negative": ({"k": [1.0, -1.0]}, "k must be nonnegative"),
+    "k-inf": ({"k": [math.inf, 1.0]}, "k must be finite"),
+    "k-nan": ({"k": [1.0, math.nan]}, "k must be finite"),
     "born-negative": ({"born_at": [0, -1]}, "born_at must be a nonnegative integer"),
     "born-fractional": ({"born_at": [0.0, 0.5]}, "born_at must be a nonnegative integer"),
     "id-negative": ({"id": [-1, 0]}, "family id must be a nonnegative integer"),

@@ -493,8 +493,42 @@ def test_roy_experiment_validation():
 @pytest.mark.parametrize("n_workers", [1, 0, 2.0])
 def test_roy_experiment_rejects_fewer_than_two_workers(n_workers):
     # Dispersion needs two wages; the constructor stops this before a run.
-    with pytest.raises(DomainError, match="n_workers must be an integer >= 2"):
+    with pytest.raises(DomainError, match=r"n_workers must be an integer in \[2, 100000\]"):
         RoyExperiment(n_initial=3, T=6, eval_window=3, n_workers=n_workers)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_workers", 10**12, r"^n_workers must be an integer in \[2, 100000\]$"),
+        ("n_initial", 10**5, r"^n_initial must be an integer in \[1, 10000\]$"),
+        ("mu", 1e6, r"^mu must lie in \[0, 500\]$"),
+        ("initial_k", math.inf, r"^initial_k must be finite$"),
+    ],
+)
+def test_roy_experiment_applies_the_config_bounds(field, value, message):
+    # The resource bounds and the sampler's intensity limit hold for the
+    # class as for the config, so such a value never reaches a run.
+    with pytest.raises(DomainError, match=message):
+        RoyExperiment(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        ({"replications": 10**5}, r"^replications must be an integer in \[1, 10000\]$"),
+        ({"factor": 2.0, "experiment": RoyExperiment(mu=300.0)}, r"^factor \* mu must be <= 500 under treatment mu$"),
+        ({"treatment": "sigma"}, r"^treatment must be one of mu, delta$"),
+    ],
+)
+def test_dispersion_experiment_checks_its_arguments_before_any_arm(monkeypatch, arguments, message):
+    def build_arm(*args, **kwargs):
+        raise AssertionError("an arm was built before the arguments were checked")
+
+    monkeypatch.setattr(roy, "_arm_inputs", build_arm)
+    arguments = {"experiment": RoyExperiment(), "treatment": "mu", "factor": 2.0, "replications": 1, **arguments}
+    with pytest.raises(DomainError, match=message):
+        dispersion_experiment(seed=0, **arguments)
 
 
 SMALL = RoyExperiment(n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4)
