@@ -33,21 +33,21 @@ _SUBNORMAL_SCALE = 1 << 1074
 class PriorSpec:
     """Independent uniform priors over the four share parameters.
 
-    Defaults reproduce the benchmark calibration: capital share in
-    [0.33, 0.40], discount rate in [0.03, 0.05], capability decay in
-    [0.08, 0.25], capability elasticity in [0.02, 0.08], with 200,000
-    draws.  Degenerate (point-mass) priors with lo == hi are allowed.
+    Each parameter is uniform on [lo, hi]; ``n_draws`` draws are made
+    from the stream keyed by ``seed``.  Degenerate (point-mass) priors with
+    lo == hi are allowed.  ``AppConfig().priors`` is the benchmark
+    calibration.
     """
 
-    alpha_lo: float = 0.33
-    alpha_hi: float = 0.40
-    r_lo: float = 0.03
-    r_hi: float = 0.05
-    delta_lo: float = 0.08
-    delta_hi: float = 0.25
-    gamma_lo: float = 0.02
-    gamma_hi: float = 0.08
-    n_draws: int = 200_000
+    alpha_lo: float
+    alpha_hi: float
+    r_lo: float
+    r_hi: float
+    delta_lo: float
+    delta_hi: float
+    gamma_lo: float
+    gamma_hi: float
+    n_draws: int
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,17 +90,13 @@ class CalibrationResult:
         )
 
 
-def sample_parameters(
-    priors: PriorSpec, start: int = 0, count: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sample_parameters(priors: PriorSpec, start: int, count: int) -> tuple[np.ndarray, ...]:
     """Parameter draws for indices [start, start+count).
 
     Returns ``(alpha, r, delta_k, gamma)`` arrays.  Draw ``i`` consumes
     the four uniforms of counter block ``i`` in that fixed order, so the
     value of a draw depends only on the prior seed and its index.
     """
-    if count is None:
-        count = priors.n_draws - start
     require(
         0 <= start and 0 <= count and start + count <= priors.n_draws, "draw range must lie within [0, n_draws]"
     )
@@ -112,7 +108,7 @@ def sample_parameters(
     return alpha, r, delta, gamma
 
 
-def sample_shares(priors: PriorSpec, start: int = 0, count: int | None = None) -> np.ndarray:
+def sample_shares(priors: PriorSpec, start: int, count: int) -> np.ndarray:
     """Long-run maintenance shares (fractions) for a range of draw indices."""
     alpha, r, delta, gamma = sample_parameters(priors, start, count)
     return structured_share(alpha, gamma, r, delta)

@@ -149,17 +149,10 @@ def _cmd_calibrate(cfg: AppConfig) -> tuple[list[str], list[str]]:
 
 
 def _cmd_simulate(cfg: AppConfig) -> tuple[list[str], list[str]]:
-    ss = steady_state(cfg.baseline)
-    k0 = cfg.transition.k0 if cfg.transition.k0 is not None else 0.5 * ss.k_star
-    l_s0 = cfg.transition.L_S0 if cfg.transition.L_S0 is not None else 0.5 * ss.L_S_star
-    path = simulate_transition(
-        cfg.baseline,
-        k0=k0,
-        L_S0=l_s0,
-        T=cfg.transition.T,
-        damping=cfg.transition.damping,
-        tol=cfg.transition.tol,
-    )
+    ss, tr = steady_state(cfg.baseline), cfg.transition
+    k0 = tr.k0 if tr.k0 is not None else 0.5 * ss.k_star
+    l_s0 = tr.L_S0 if tr.L_S0 is not None else 0.5 * ss.L_S_star
+    path = simulate_transition(cfg.baseline, k0=k0, L_S0=l_s0, T=tr.T, damping=tr.damping, tol=tr.tol)
     columns = [getattr(path, name) for name in PATH_COLUMNS]
     files = _write_series(cfg.run.out, "path", cfg.run.format, PATH_COLUMNS, columns)
     payload = {
@@ -203,19 +196,20 @@ def _cmd_portfolio(cfg: AppConfig) -> tuple[list[str], list[str]]:
     )
     # Entrants are the roster rows after the initial families.
     entrants = scenario.final.size - cfg.portfolio.initial.size
+    events = scenario.event_period.size
     payload = {
         "T": cfg.portfolio.T,
         "n_families_initial": cfg.portfolio.n_families,
         "n_families_final": scenario.final.size,
         "births_after_start": entrants,
-        "degradation_events": len(scenario.events),
+        "degradation_events": events,
         "capability_final": float(scenario.capability[-1]),
     }
     write_json(os.path.join(cfg.run.out, "portfolio.json"), payload)
     files.append("portfolio.json")
     lines = [
         f"{cfg.portfolio.T} transitions: {scenario.final.size} families "
-        f"({entrants} entrants), {len(scenario.events)} degradation events",
+        f"({entrants} entrants), {events} degradation events",
     ]
     return files, lines
 

@@ -40,8 +40,9 @@ PAIR = "pair"
 PER_FAMILY = "per-family"
 
 # One row per leaf: dotted path, kind (float, int, bool, str, PAIR or PER_FAMILY),
-# default and domain; a library class's field points at that class's row.
-# Null is accepted only where the default is null.
+# default and domain; a library class's field points at that class's row.  The
+# library states no defaults: these are the only ones.  Null is accepted only
+# where the default is null.
 Field = namedtuple("Field", "path kind default check", defaults=(None,))
 
 FIELDS = (

@@ -39,10 +39,10 @@ class BaselineParams:
     gamma: float
     r: float
     delta_k: float
-    eta: float = 1.0
-    A_bar: float = 1.0
-    K: float = 1.0
-    L_bar: float = 1.0
+    eta: float
+    A_bar: float
+    K: float
+    L_bar: float
 
     def __post_init__(self) -> None:
         check(vars(self), BASELINE)
@@ -191,7 +191,8 @@ def _labor_response_slope(params: BaselineParams) -> float:
     maintenance cost each period; solving that condition gives
     L_S = L_bar - c*k with c = (1-alpha)*(r+delta_k)/(eta*gamma).
     """
-    return (1.0 - params.alpha) * (params.r + params.delta_k) / (params.eta * params.gamma)
+    eta_gamma = params.eta * params.gamma  # 0 only by underflow: the target is then infinitely steep
+    return (1.0 - params.alpha) * (params.r + params.delta_k) / eta_gamma if eta_gamma else math.inf
 
 
 def default_damping(params: BaselineParams) -> float:
@@ -202,19 +203,21 @@ def default_damping(params: BaselineParams) -> float:
     update matrix has trace 2 - delta_k - lam*(1 + eta*c) and determinant
     (1-lam)*(1-delta_k); choosing lam <= 0.9*(2-delta_k)/(eta*c) keeps every
     eigenvalue inside the unit circle with a margin, and lam = 1 is already
-    safe when the response is shallow.
+    safe when the response is shallow.  An eta*c that overflows, leaving
+    lam = 0, is a domain error.
     """
-    c = _labor_response_slope(params)
-    return min(1.0, 0.9 * (2.0 - params.delta_k) / (params.eta * c))
+    lam = min(1.0, 0.9 * (2.0 - params.delta_k) / (params.eta * _labor_response_slope(params)))
+    require(lam > 0.0, "default damping is 0 as the labor response eta * c overflows; set transition.damping")
+    return lam
 
 
 def simulate_transition(
     params: BaselineParams,
     k0: float,
     L_S0: float,
-    T: int = 1000,
-    damping: float | None = None,
-    tol: float = 1e-10,
+    T: int,
+    damping: float | None,
+    tol: float,
 ) -> TransitionPath:
     """Damped quasi-static transition from ``(k0, L_S0)``.
 

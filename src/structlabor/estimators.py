@@ -109,7 +109,7 @@ class DegradationFlags:
         return int(self.flag.shape[0])
 
 
-def detect_degradation(panel: MaturityPanel, rel_drop: float = 0.2, horizon: int = 1) -> DegradationFlags:
+def detect_degradation(panel: MaturityPanel, rel_drop: float, horizon: int) -> DegradationFlags:
     """Flag maturity drops of at least ``rel_drop`` over ``horizon`` periods.
 
     An observation (j, t) is flagged when k_{j,t+h} < (1 - rel_drop) * k_{j,t}.

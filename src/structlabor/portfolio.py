@@ -14,7 +14,7 @@ designated periods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class PowerCodification:
     with positive weight receives some labor in an optimal split.
     """
 
-    beta: float = 0.5
+    beta: float
 
     def __post_init__(self) -> None:
         check(vars(self), CODIFICATION)
@@ -70,9 +70,9 @@ class AggregatorSpec:
     families have finite marginal weights.
     """
 
-    kind: str = "additive"
-    rho: float | None = None
-    epsilon_floor: float = 1e-6
+    kind: str
+    rho: float | None
+    epsilon_floor: float
 
     def __post_init__(self) -> None:
         # rho is read only by the CES form.
@@ -104,9 +104,9 @@ class Portfolio:
     delta: np.ndarray
     k: np.ndarray
     born_at: np.ndarray
-    aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
-    tech: PowerCodification = field(default_factory=PowerCodification)
-    Lambda: float = 1.0
+    aggregator: AggregatorSpec
+    tech: PowerCodification
+    Lambda: float
 
     def __post_init__(self) -> None:
         ids = _int_column(self.id, "family id must be a nonnegative integer")
@@ -223,12 +223,12 @@ class EntryConfig:
     their decay rate uniformly from [delta_lo, delta_hi].
     """
 
-    mu: float = 0.0
-    k_seed: float = 1e-3
-    omega_median: float = 1.0
-    omega_sigma: float = 0.5
-    delta_lo: float = 0.08
-    delta_hi: float = 0.25
+    mu: float
+    k_seed: float
+    omega_median: float
+    omega_sigma: float
+    delta_lo: float
+    delta_hi: float
 
     def __post_init__(self) -> None:
         check(vars(self), ENTRY, (DELTA_ORDER,))
@@ -274,12 +274,12 @@ class DriftConfig:
     ``org_windows``.  An event multiplies maturity by (1 - drop_frac).
     """
 
-    env_hazard: float = 0.0
-    tech_hazard: float = 0.0
-    org_hazard: float = 0.0
-    tech_windows: frozenset[int] = frozenset()
-    org_windows: frozenset[int] = frozenset()
-    drop_frac: float = 0.5
+    env_hazard: float
+    tech_hazard: float
+    org_hazard: float
+    tech_windows: frozenset[int]
+    org_windows: frozenset[int]
+    drop_frac: float
 
     def __post_init__(self) -> None:
         check(vars(self), DRIFT, (HAZARD_SUM,))
@@ -307,9 +307,10 @@ class ScenarioResult:
     The panel arrays are parallel and sorted by (period, family id); one
     row records a family's state and allocation at the start of a period.
     Window flags mark the hazard windows in force during the transition
-    out of that period.  ``events`` lists the (family_id, period) pairs
-    where a degradation event actually fired, for use as ground truth
-    when exercising estimators.
+    out of that period.  ``event_family_id`` and ``event_period`` are the
+    parallel int64 columns of the (family_id, period) pairs where a
+    degradation event actually fired, in panel order, for use as ground
+    truth when exercising estimators.
     """
 
     family_id: np.ndarray
@@ -323,7 +324,8 @@ class ScenarioResult:
     capability: np.ndarray
     labor_budget: np.ndarray
     final: Portfolio
-    events: tuple[tuple[int, int], ...]
+    event_family_id: np.ndarray
+    event_period: np.ndarray
 
     def portfolio_at(self, t: int) -> Portfolio:
         """Reconstruct the portfolio as it stood at the start of period t.
@@ -392,7 +394,7 @@ def run_portfolio_scenario(
     labor = np.empty(rows)
     effective_weight = np.empty(rows)
     capability = np.empty(T + 1)
-    events: list[tuple[int, int]] = []
+    fired = np.zeros(rows, dtype=bool)
     lo = 0
     for t, n in enumerate(sizes):
         hi = lo + n
@@ -413,14 +415,15 @@ def run_portfolio_scenario(
             if np.any(hit):
                 # Entrants sit past row n and are never hit.
                 k[:n][hit] *= 1.0 - drift.drop_frac
-                events.extend((i, t) for i in ids[:n][hit].tolist())
+                fired[lo - n : lo] = hit  # period t's rows, which end at lo
 
     periods = np.arange(T + 1, dtype=np.int64)
+    period = np.repeat(periods, sizes)
     in_tech = [drift is not None and t in drift.tech_windows for t in range(T + 1)]
     in_org = [drift is not None and t in drift.org_windows for t in range(T + 1)]
     return ScenarioResult(
         family_id=family_id,
-        period=np.repeat(periods, sizes),
+        period=period,
         maturity=maturity,
         labor=labor,
         effective_weight=effective_weight,
@@ -430,5 +433,6 @@ def run_portfolio_scenario(
         capability=capability,
         labor_budget=np.full(T + 1, float(labor_budget)),
         final=final,
-        events=tuple(events),
+        event_family_id=family_id[fired],
+        event_period=period[fired],
     )

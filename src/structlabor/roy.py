@@ -35,6 +35,7 @@ from .rng import derive_seed, stream
 from .schema import DELTA_ORDER, EVAL_WINDOW, EXPERIMENT, ROY, SIGMA_ORDER, TREATED_INTENSITY, check
 
 _DELTA_CAP = 0.95
+_ENTRANT_OMEGA_MEDIAN = 1.0  # median importance weight of an arm's entrants
 # Labor at which piece rates are evaluated for families nobody serves, so their rates stay finite.
 _LABOR_FLOOR = 1e-6
 # Entropic smoothing of the dual, one Newton stage each, largest first.
@@ -313,7 +314,7 @@ def _certificates(x, pi, c, log_s, r):
 
 
 def solve_roy(
-    a: np.ndarray, w: np.ndarray, tech: PowerCodification, Lambda: float = 1.0, tol: float = 1e-9
+    a: np.ndarray, w: np.ndarray, tech: PowerCodification, Lambda: float, tol: float
 ) -> RoyEquilibrium:
     """Find assignment and piece rates consistent with each other, with a certificate.
 
@@ -357,8 +358,7 @@ def solve_roy(
     require(bool(np.all(np.isfinite(a)) and np.all(a > 0.0)), "skills must be finite and positive")
     require(w.shape == (a.shape[1],), "weights must have one entry per skill column")
     require(bool(np.all(np.isfinite(w)) and np.all(w > 0.0)), "weights must be finite and positive")
-    require(math.isfinite(Lambda) and Lambda > 0.0, "Lambda must be positive")
-    require(tol > 0.0, "tol must be positive")
+    check({"Lambda": Lambda, "tol": tol}, {"Lambda": ROY["Lambda"], "tol": ROY["tol"]})
 
     n, j = a.shape
     r = 1.0 / (1.0 - tech.beta)
@@ -438,8 +438,8 @@ def maturity_skill_sigma(maturity, sigma_young: float, sigma_mature: float, k_re
     maturity toward ``sigma_mature``, with ``k_ref`` setting how fast
     codification compresses skills.
     """
-    require(sigma_mature >= 0.0 and sigma_young >= sigma_mature, "need sigma_young >= sigma_mature >= 0")
-    require(k_ref > 0.0, "k_ref must be positive")
+    given = {"sigma_young": sigma_young, "sigma_mature": sigma_mature, "k_ref": k_ref}
+    check(given, {name: ROY[name] for name in given}, (SIGMA_ORDER,))
     maturity = np.asarray(maturity, dtype=float)
     return sigma_mature + (sigma_young - sigma_mature) * np.exp(-maturity / k_ref)
 
@@ -460,26 +460,26 @@ class RoyExperiment:
     smoothing.
     """
 
-    n_initial: int = 6
-    initial_k: float = 1.0
-    omega: float = 1.0
-    delta_lo: float = 0.08
-    delta_hi: float = 0.25
-    rho: float = 0.5
-    beta: float = 0.5
-    Lambda: float = 1.0
-    epsilon_floor: float = 0.25
-    labor_budget: float = 1.0
-    T: int = 40
-    mu: float = 0.25
-    k_seed: float = 1e-3
-    omega_sigma: float = 0.5
-    n_workers: int = 400
-    sigma_young: float = 1.5
-    sigma_mature: float = 0.2
-    k_ref: float = 1.0
-    eval_window: int = 12
-    tol: float = 1e-9
+    n_initial: int
+    initial_k: float
+    omega: float
+    delta_lo: float
+    delta_hi: float
+    rho: float
+    beta: float
+    Lambda: float
+    epsilon_floor: float
+    labor_budget: float
+    T: int
+    mu: float
+    k_seed: float
+    omega_sigma: float
+    n_workers: int
+    sigma_young: float
+    sigma_mature: float
+    k_ref: float
+    eval_window: int
+    tol: float
 
     def __post_init__(self) -> None:
         check(vars(self), ROY, (DELTA_ORDER, EVAL_WINDOW, SIGMA_ORDER))
@@ -540,6 +540,7 @@ def _arm_inputs(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_facto
     entry = EntryConfig(
         mu=exp.mu * mu_factor,
         k_seed=exp.k_seed,
+        omega_median=_ENTRANT_OMEGA_MEDIAN,
         omega_sigma=exp.omega_sigma,
         delta_lo=min(_DELTA_CAP, exp.delta_lo * delta_factor),
         delta_hi=min(_DELTA_CAP, exp.delta_hi * delta_factor),

@@ -1,0 +1,13 @@
+"""The run configuration's defaults, for tests that build library objects.
+
+The library classes and functions take every value a config row feeds;
+``AppConfig()`` is the one place those values have defaults.  Tests start
+from the objects it builds and vary them with ``dataclasses.replace``, which
+re-runs ``__post_init__``, so a replaced value is checked as a constructed
+one is.  Values a test needs that differ from the config's are spelled in
+the test.
+"""
+
+from structlabor.config import AppConfig
+
+DEFAULTS = AppConfig()

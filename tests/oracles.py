@@ -314,6 +314,7 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
         p = stepped
 
     periods = np.arange(T + 1, dtype=np.int64)
+    pairs = np.array(events, dtype=np.int64).reshape(-1, 2)
     sizes = [block.shape[0] for block in blocks["family_id"]]
     in_tech = [drift is not None and t in drift.tech_windows for t in range(T + 1)]
     in_org = [drift is not None and t in drift.org_windows for t in range(T + 1)]
@@ -326,5 +327,6 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
         capability=capability,
         labor_budget=np.full(T + 1, float(labor_budget)),
         final=p,
-        events=tuple(events),
+        event_family_id=pairs[:, 0],
+        event_period=pairs[:, 1],
     )

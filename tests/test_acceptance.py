@@ -11,14 +11,14 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from structlabor.calibration import PriorSpec, run_monte_carlo
+from structlabor.calibration import run_monte_carlo
 from structlabor.core import (
-    BaselineParams,
     comparative_statics,
     simulate_transition,
     steady_state,
@@ -26,10 +26,8 @@ from structlabor.core import (
 )
 from structlabor.estimators import MaturityPanel, detect_degradation, estimate_hazard_decomposition
 from structlabor.portfolio import (
-    AggregatorSpec,
     DriftConfig,
     EntryConfig,
-    Portfolio,
     PowerCodification,
     aggregate_capability,
     allocate_labor,
@@ -40,8 +38,9 @@ from structlabor.portfolio import (
     step_portfolio,
 )
 from structlabor.rng import derive_seed, generator
-from structlabor.roy import RoyExperiment, WorkerSkillMatrix, dispersion_experiment, solve_roy
+from structlabor.roy import WorkerSkillMatrix, dispersion_experiment, solve_roy
 
+from defaults import DEFAULTS
 from oracles import (
     allocate_bisection,
     allocation_value,
@@ -53,6 +52,12 @@ from oracles import (
 )
 
 TECH = PowerCodification(beta=0.5)
+# The config's initial portfolio, aggregator (CES at rho 0.5), entry and Roy experiment.
+INITIAL = DEFAULTS.portfolio.initial
+CES = INITIAL.aggregator
+ADD = replace(CES, kind="additive", rho=None)
+ENTRY = DEFAULTS.portfolio.entry
+EXPERIMENT = DEFAULTS.roy.experiment
 
 
 def capability(p):
@@ -81,12 +86,12 @@ def draw_box_params(rng):
 def test_criterion_01_calibration_distribution():
     from structlabor.calibration import share_bounds
 
-    lo, hi = share_bounds(PriorSpec())
+    lo, hi = share_bounds(DEFAULTS.priors)
     checks = []
     elapsed = None
     for seed in (12345, 0, 987654321):
         start = time.perf_counter()
-        res = run_monte_carlo(PriorSpec(seed=seed))
+        res = run_monte_carlo(replace(DEFAULTS.priors, seed=seed))
         elapsed = time.perf_counter() - start
         checks += [
             5.80 <= res.mean <= 5.90,
@@ -111,7 +116,7 @@ def test_criterion_01_calibration_distribution():
 
 
 def test_criterion_02_gamma_extension():
-    res = run_monte_carlo(PriorSpec(gamma_hi=0.12, seed=12345))
+    res = run_monte_carlo(replace(DEFAULTS.priors, gamma_hi=0.12, seed=12345))
     ok = 7.4 <= res.mean <= 8.6
     report(2, ok, f"widening the gamma prior to 0.12 moves the mean to {res.mean:.3f}%")
 
@@ -122,10 +127,10 @@ def test_criterion_03_steady_state_oracle_equivalence():
     worst_bisect = 0.0
     for _ in range(100):
         alpha, gamma, r, delta = draw_box_params(rng)
-        params = BaselineParams(alpha=alpha, gamma=gamma, r=r, delta_k=delta)
+        params = replace(DEFAULTS.baseline, alpha=alpha, gamma=gamma, r=r, delta_k=delta, eta=1.0)
         ss = steady_state(params)
         path = simulate_transition(
-            params, k0=0.5 * ss.k_star, L_S0=0.5 * ss.L_S_star, T=20000, tol=1e-8
+            params, k0=0.5 * ss.k_star, L_S0=0.5 * ss.L_S_star, T=20000, damping=DEFAULTS.transition.damping, tol=1e-8
         )
         share_final = path.L_S[-1] / params.L_bar
         worst_transition = max(worst_transition, abs(share_final - ss.s_star) / ss.s_star)
@@ -146,7 +151,7 @@ def test_criterion_04_comparative_statics():
     signs_ok = True
     for _ in range(1000):
         alpha, gamma, r, delta = draw_box_params(rng)
-        params = BaselineParams(alpha=alpha, gamma=gamma, r=r, delta_k=delta)
+        params = replace(DEFAULTS.baseline, alpha=alpha, gamma=gamma, r=r, delta_k=delta, eta=1.0)
         analytic = comparative_statics(params)
         numeric = fd_share_partials(alpha, gamma, r, delta, structured_share)
         for a, n in zip(analytic, numeric):
@@ -176,7 +181,7 @@ def random_portfolio(rng, J, aggregator):
         for _ in range(J)
     ]
     omega, delta, k = (list(c) for c in zip(*draws))
-    return Portfolio(**columns(J, omega, delta, k), aggregator=aggregator, tech=TECH)
+    return replace(INITIAL, **columns(J, omega, delta, k), aggregator=aggregator, tech=TECH)
 
 
 def test_criterion_05_allocation_optimality():
@@ -185,7 +190,7 @@ def test_criterion_05_allocation_optimality():
     worst_gap = 0.0
     for _ in range(200):
         J = int(rng.integers(1, 9))
-        kind = AggregatorSpec(kind="ces", rho=0.5) if rng.uniform() < 0.5 else AggregatorSpec(kind="additive")
+        kind = CES if rng.uniform() < 0.5 else ADD
         p = random_portfolio(rng, J, kind)
         budget = float(rng.uniform(0.1, 3.0))
         a = allocate_labor(weights(p), p.tech, budget)
@@ -194,7 +199,7 @@ def test_criterion_05_allocation_optimality():
         worst_gap = max(worst_gap, float(np.max(np.abs(a.labor - b_labor))))
     value_ok = True
     for _ in range(50):
-        p = random_portfolio(rng, 3, AggregatorSpec(kind="ces", rho=0.5))
+        p = random_portfolio(rng, 3, CES)
         budget = float(rng.uniform(0.3, 2.0))
         res = allocate_labor(weights(p), p.tech, budget)
         w = weights(p)
@@ -220,7 +225,7 @@ def test_criterion_06_ces_correctness():
         rho = float(rng.uniform(-2.0, 0.9))
         if abs(rho) < 1e-3:
             rho = 0.5
-        p = random_portfolio(rng, J, AggregatorSpec(kind="ces", rho=rho))
+        p = random_portfolio(rng, J, replace(CES, rho=rho))
         agg = capability(p)
         euler = float(np.dot(p.k, weights(p)))
         worst_euler = max(worst_euler, abs(euler - agg) / agg)
@@ -231,20 +236,20 @@ def test_criterion_06_ces_correctness():
         stocks = rng.uniform(0.2, 3.0, size=J)
         omegas = rng.uniform(0.5, 2.0, size=J)
         fams_near = columns(J, omegas, np.full(J, 0.1), stocks)
-        near = Portfolio(**fams_near, aggregator=AggregatorSpec(kind="ces", rho=1.0 - 1e-8), tech=TECH)
-        add = Portfolio(**fams_near, aggregator=AggregatorSpec(kind="additive"), tech=TECH)
-        exact = Portfolio(**fams_near, aggregator=AggregatorSpec(kind="ces", rho=1.0), tech=TECH)
+        near = replace(INITIAL, **fams_near, aggregator=replace(CES, rho=1.0 - 1e-8), tech=TECH)
+        add = replace(INITIAL, **fams_near, aggregator=ADD, tech=TECH)
+        exact = replace(INITIAL, **fams_near, aggregator=replace(CES, rho=1.0), tech=TECH)
         a, b, c = capability(near), capability(add), capability(exact)
         worst_limit = max(worst_limit, abs(a - b) / b, abs(c - b) / b)
 
     monotone = True
     for rho in (-1.0, 0.2, 0.5, 0.9):
-        spec = AggregatorSpec(kind="ces", rho=rho)
+        spec = replace(CES, rho=rho)
         grid = np.linspace(0.2, 3.0, 12)
         own = []
         for k in grid:
             fams = columns(2, [1.0, 1.0], [0.1, 0.1], [float(k), 1.5])
-            own.append(weights(Portfolio(**fams, aggregator=spec, tech=TECH))[0])
+            own.append(weights(replace(INITIAL, **fams, aggregator=spec, tech=TECH))[0])
         monotone = monotone and bool(np.all(np.diff(own) < 0))
 
     ok = worst_euler <= 1e-10 and worst_limit <= 1e-6 and monotone
@@ -261,7 +266,7 @@ def test_criterion_07_maintenance_and_saturation():
     rng = np.random.Generator(np.random.Philox(key=107))
     worst_drift = 0.0
     for _ in range(20):
-        p = random_portfolio(rng, int(rng.integers(1, 6)), AggregatorSpec(kind="ces", rho=0.5))
+        p = random_portfolio(rng, int(rng.integers(1, 6)), CES)
         # Feed each family exactly the labor that offsets its decay.
         labor = maintenance_labor(p)
         k = p.k.copy()
@@ -270,9 +275,9 @@ def test_criterion_07_maintenance_and_saturation():
         worst_drift = max(worst_drift, float(np.max(np.abs(k - p.k))))
 
     decay_ok = True
-    p = Portfolio(**columns(3, [1.0] * 3, [0.05, 0.15, 0.30], [1.0] * 3), aggregator=AggregatorSpec(kind="additive"), tech=TECH)
+    p = replace(INITIAL, **columns(3, [1.0] * 3, [0.05, 0.15, 0.30], [1.0] * 3), aggregator=ADD, tech=TECH)
     bounds = [math.ceil(math.log(1e-6) / math.log(1.0 - d)) for d in p.delta.tolist()]
-    scenario = run_portfolio_scenario(p, 0.0, EntryConfig(mu=0.0), T=max(bounds), seed=0)
+    scenario = run_portfolio_scenario(p, 0.0, replace(ENTRY, mu=0.0), T=max(bounds), seed=0)
     for family_id, bound in zip(p.id.tolist(), bounds):
         at = (scenario.family_id == family_id) & (scenario.period == bound)
         decay_ok = decay_ok and float(scenario.maturity[at][0]) < 1e-6 * 1.0
@@ -297,7 +302,7 @@ def test_criterion_08_frontier_reallocation():
         # Draw delta and k family by family, in that order.
         draws = [(float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.3, 3.0))) for _ in range(J)]
         delta, k = (list(c) for c in zip(*draws))
-        p = Portfolio(**columns(J, [1.0] * J, delta, k), aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
+        p = replace(INITIAL, **columns(J, [1.0] * J, delta, k), aggregator=CES, tech=TECH)
         alloc = allocate_labor(weights(p), p.tech, 1.0)
         entry = EntryConfig(mu=0.5, k_seed=1e-3, omega_median=1.0, omega_sigma=0.0, delta_lo=0.1, delta_hi=0.2)
         omegas, _ = _draw_entrants(entry, generator(derive_seed(108, "entry", attempt)))
@@ -322,21 +327,21 @@ def test_criterion_08_frontier_reallocation():
 
 def test_criterion_09_roy_equilibrium_and_dispersion():
     fams = columns(2, [1.0, 1.0], [0.1, 0.1], [1.0, 0.5])
-    p = Portfolio(**fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH)
+    p = replace(INITIAL, **fams, aggregator=CES, tech=TECH)
     skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=[0.6, 0.6])
     oracle = roy_consistent_assignments(skills.a, weights(p), beta=0.5)
-    eq = solve_roy(skills.a, weights(p), TECH)
+    eq = solve_roy(skills.a, weights(p), TECH, EXPERIMENT.Lambda, EXPERIMENT.tol)
     fixed_point_ok = (
         oracle == [(1, 1, 0, 0, 0)]
         and eq.converged
         and tuple(int(x) for x in eq.assignment) in oracle
     )
 
-    scaled = Portfolio(**fams, aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=TECH, Lambda=4.0)
-    eq_scaled = solve_roy(skills.a, weights(scaled), TECH, Lambda=4.0)
+    scaled = replace(INITIAL, **fams, aggregator=CES, tech=TECH, Lambda=4.0)
+    eq_scaled = solve_roy(skills.a, weights(scaled), TECH, Lambda=4.0, tol=EXPERIMENT.tol)
     scaling_ok = np.array_equal(eq.assignment, eq_scaled.assignment)
 
-    exp = RoyExperiment()
+    exp = EXPERIMENT
     seed = 2024
     mu_res = dispersion_experiment(exp, "mu", factor=2.0, replications=20, seed=seed)
     delta_res = dispersion_experiment(exp, "delta", factor=2.0, replications=20, seed=seed)
@@ -363,15 +368,16 @@ def test_criterion_09_roy_equilibrium_and_dispersion():
 def test_criterion_10_estimator_recovery():
     J, T = 50, 200
     kbar = TECH.g(1.0 / J) / 0.15
-    p = Portfolio(**columns(J, np.ones(J), np.full(J, 0.15), np.full(J, kbar)), aggregator=AggregatorSpec(kind="additive"), tech=TECH)
+    p = replace(INITIAL, **columns(J, np.ones(J), np.full(J, 0.15), np.full(J, kbar)), aggregator=ADD, tech=TECH)
     drift = DriftConfig(
         env_hazard=0.05, tech_hazard=0.10, org_hazard=0.03,
         tech_windows=periodic_windows(1, 4, T),
         org_windows=periodic_windows(3, 5, T),
         drop_frac=0.5,
     )
-    scenario = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.0), T=T, seed=6, drift=drift)
-    flags = detect_degradation(MaturityPanel.from_scenario(scenario))
+    scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=T, seed=6, drift=drift)
+    estimate = DEFAULTS.estimate
+    flags = detect_degradation(MaturityPanel.from_scenario(scenario), estimate.rel_drop, estimate.horizon)
     est = estimate_hazard_decomposition(flags)
 
     errors = (abs(est.env - 0.05), abs(est.tech - 0.10), abs(est.org - 0.03))

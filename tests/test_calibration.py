@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from structlabor.calibration import (
     _BLOCK,
     _exact_sum,
     CalibrationResult,
-    PriorSpec,
     run_monte_carlo,
     sample_parameters,
     sample_shares,
@@ -18,11 +18,17 @@ from structlabor.errors import DomainError
 from structlabor.parallel import ordered_map
 from structlabor.rng import indexed_uniforms
 
+from defaults import DEFAULTS
 from oracles import corner_share_extremes
 
 
+def prior_spec(**values):
+    """The config's default priors at ``values``."""
+    return replace(DEFAULTS.priors, **values)
+
+
 def test_prior_spec_defaults():
-    p = PriorSpec()
+    p = prior_spec()
     assert (p.alpha_lo, p.alpha_hi) == (0.33, 0.40)
     assert (p.r_lo, p.r_hi) == (0.03, 0.05)
     assert (p.delta_lo, p.delta_hi) == (0.08, 0.25)
@@ -34,26 +40,26 @@ def test_prior_spec_defaults():
 def test_prior_spec_bounds_the_draw_count():
     # The config's bound is the class's own: a count the sample could not hold is refused when built.
     with pytest.raises(DomainError, match=r"^n_draws must be an integer in \[1, 100000000\]$"):
-        PriorSpec(n_draws=10**12)
+        prior_spec(n_draws=10**12)
 
 
 def test_prior_spec_validation():
     with pytest.raises(DomainError):
-        PriorSpec(alpha_lo=0.4, alpha_hi=0.33)
+        prior_spec(alpha_lo=0.4, alpha_hi=0.33)
     with pytest.raises(DomainError):
-        PriorSpec(gamma_lo=0.0)
+        prior_spec(gamma_lo=0.0)
     with pytest.raises(DomainError):
-        PriorSpec(gamma_hi=1.0)
+        prior_spec(gamma_hi=1.0)
     with pytest.raises(DomainError):
-        PriorSpec(r_lo=0.0)
+        prior_spec(r_lo=0.0)
     with pytest.raises(DomainError):
-        PriorSpec(n_draws=0)
+        prior_spec(n_draws=0)
     # A degenerate (point mass) interior prior is allowed.
-    PriorSpec(gamma_lo=0.05, gamma_hi=0.05)
+    prior_spec(gamma_lo=0.05, gamma_hi=0.05)
 
 
 def test_point_mass_priors_reproduce_the_deterministic_share():
-    p = PriorSpec(
+    p = prior_spec(
         alpha_lo=0.36, alpha_hi=0.36, r_lo=0.04, r_hi=0.04,
         delta_lo=0.15, delta_hi=0.15, gamma_lo=0.05, gamma_hi=0.05,
         n_draws=64, seed=3,
@@ -64,7 +70,7 @@ def test_point_mass_priors_reproduce_the_deterministic_share():
 
 
 def test_sample_parameters_respects_boxes_and_column_order():
-    p = PriorSpec(n_draws=512, seed=11)
+    p = prior_spec(n_draws=512, seed=11)
     alpha, r, delta, gamma = sample_parameters(p, 0, 512)
     assert alpha.shape == (512,)
     u = indexed_uniforms(11, 0, 512)
@@ -77,7 +83,7 @@ def test_sample_parameters_respects_boxes_and_column_order():
 
 
 def test_sample_parameters_range_checks():
-    p = PriorSpec(n_draws=100, seed=0)
+    p = prior_spec(n_draws=100, seed=0)
     with pytest.raises(DomainError):
         sample_parameters(p, -1, 5)
     with pytest.raises(DomainError):
@@ -85,7 +91,7 @@ def test_sample_parameters_range_checks():
 
 
 def test_sample_shares_chunking_is_invisible():
-    p = PriorSpec(n_draws=1000, seed=5)
+    p = prior_spec(n_draws=1000, seed=5)
     whole = sample_shares(p, 0, 1000)
     parts = np.concatenate([sample_shares(p, 0, 300), sample_shares(p, 300, 700)])
     assert np.array_equal(whole, parts)
@@ -96,7 +102,7 @@ def test_monte_carlo_frozen_summary():
     # The mean and std are math.fsum reductions, so they do not depend on
     # the numpy build's summation order; the mean is the correctly rounded
     # sum of the 200,000 shares divided by n.
-    res = run_monte_carlo(PriorSpec(seed=12345))
+    res = run_monte_carlo(prior_spec(seed=12345))
     assert res.mean == 5.840864558765274
     assert res.median == 5.846645927590657
     assert res.std_dev == 1.9713869074730024
@@ -113,15 +119,15 @@ def test_monte_carlo_frozen_summary():
 
 @pytest.mark.parametrize(
     "priors",
-    [PriorSpec(n_draws=n, seed=3) for n in (2, 7, 8, 9, 128, 129, 1000)]
-    + [PriorSpec(seed=7)],
+    [prior_spec(n_draws=n, seed=3) for n in (2, 7, 8, 9, 128, 129, 1000)]
+    + [prior_spec(seed=7)],
     ids=lambda p: f"n{p.n_draws}-seed{p.seed}",
 )
 def test_monte_carlo_mean_and_std_are_fsum_reductions(priors):
     # The sizes cross numpy's pairwise-summation block sizes. At seed 7 with
     # 200,000 draws np.mean gives 5.849349482706091 on some builds, one ULP
     # above the fsum value 5.84934948270609.
-    shares = sample_shares(priors) * 100.0
+    shares = sample_shares(priors, 0, priors.n_draws) * 100.0
     n = priors.n_draws
     mean = math.fsum(shares.tolist()) / n
     dev = shares - mean
@@ -132,7 +138,7 @@ def test_monte_carlo_mean_and_std_are_fsum_reductions(priors):
 
 def _one_block_summary(priors):
     # The documented reductions over the whole sample generated at once.
-    shares = sample_shares(priors) * 100.0
+    shares = sample_shares(priors, 0, priors.n_draws) * 100.0
     n = priors.n_draws
     mean = math.fsum(shares.tolist()) / n
     sd = math.sqrt(math.fsum(np.square(shares - mean).tolist()) / (n - 1)) if n > 1 else 0.0
@@ -150,7 +156,7 @@ def _one_block_summary(priors):
 def test_streamed_monte_carlo_equals_one_block(n_draws):
     # The sample is generated in blocks of _BLOCK draws; at and across the
     # block edges every field must equal the one-block computation exactly.
-    priors = PriorSpec(n_draws=n_draws, seed=11)
+    priors = prior_spec(n_draws=n_draws, seed=11)
     assert run_monte_carlo(priors) == _one_block_summary(priors)
 
 
@@ -190,13 +196,13 @@ def test_exact_sum_refuses_non_finite_values():
 
 
 def test_monte_carlo_std_dev_of_single_draw_is_zero():
-    res = run_monte_carlo(PriorSpec(n_draws=1, seed=2))
+    res = run_monte_carlo(prior_spec(n_draws=1, seed=2))
     assert res.std_dev == 0.0
     assert res.mean == res.median == res.share_min == res.share_max
 
 
 def test_calibration_result_rejects_disordered_quantiles():
-    good = run_monte_carlo(PriorSpec(n_draws=100, seed=0))
+    good = run_monte_carlo(prior_spec(n_draws=100, seed=0))
     kwargs = {
         "mean": good.mean, "median": good.median, "std_dev": good.std_dev,
         "q2_5": good.q2_5, "q10": good.q10, "q90": good.q90, "q97_5": good.q97_5,
@@ -215,7 +221,7 @@ def test_calibration_result_rejects_disordered_quantiles():
 
 
 def test_share_bounds_bracket_every_sample():
-    p = PriorSpec(n_draws=5000, seed=9)
+    p = prior_spec(n_draws=5000, seed=9)
     lo, hi = share_bounds(p)
     shares = sample_shares(p, 0, 5000)
     assert lo <= shares.min()
@@ -223,7 +229,7 @@ def test_share_bounds_bracket_every_sample():
 
 
 def test_share_bounds_agree_with_corner_search():
-    p = PriorSpec()
+    p = prior_spec()
     lo, hi = share_bounds(p)
     ref_lo, ref_hi = corner_share_extremes(
         (p.alpha_lo, p.alpha_hi),

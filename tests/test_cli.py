@@ -332,6 +332,33 @@ def test_float_range_overflow_names_what_overflowed(tmp_path, capsys, pin_cpus, 
     assert (err["kind"], err["message"]) == ("runtime", message)
 
 
+@pytest.mark.parametrize(
+    "baseline",
+    [
+        {"r": sys.float_info.max},
+        {"gamma": 1.5e-300, "eta": 1.5e-10},
+        {"gamma": 1.5e-170, "eta": 1.5e-170, "L_bar": 1.5e300},
+    ],
+    ids=["r", "eta-gamma", "eta-gamma-underflows"],
+)
+def test_overflowing_default_damping_is_a_runtime_error(tmp_path, capsys, baseline):
+    # A damping of 0 would write a path that never moves; the run stops
+    # before writing anything and names the field that sets the damping,
+    # and with that field set the same run goes through.
+    cfg = write_config(tmp_path, {"baseline": baseline})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {
+        "kind": "runtime",
+        "path": "",
+        "message": "default damping is 0 as the labor response eta * c overflows; set transition.damping",
+    }
+    assert os.listdir(out) == []
+    cfg = write_config(tmp_path, {"baseline": baseline, "transition": {"damping": 0.5}})
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+
+
 def test_stdout_closed_by_its_reader_exits_zero(tmp_path):
     # The summary is printed last, after every output and the manifest are
     # written; a reader that has gone by then loses only the summary.

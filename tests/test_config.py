@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from structlabor.calibration import PriorSpec
+from structlabor.calibration import PriorSpec, sample_parameters, sample_shares
 from structlabor.config import (
     MAX_DRAWS,
     MAX_FAMILIES,
@@ -17,9 +17,11 @@ from structlabor.config import (
     load_config,
     serialize,
 )
-from structlabor.estimators import MAX_HORIZON
+from structlabor.core import BaselineParams, simulate_transition
+from structlabor.estimators import MAX_HORIZON, detect_degradation
 from structlabor.errors import ConfigError
-from structlabor.roy import RoyExperiment
+from structlabor.portfolio import AggregatorSpec, DriftConfig, EntryConfig, Portfolio, PowerCodification
+from structlabor.roy import RoyExperiment, solve_roy
 
 
 def test_empty_config_gives_documented_defaults():
@@ -208,10 +210,18 @@ def test_initial_families_and_horizon_load_up_to_their_bounds(section, key, boun
         assert str(bound) in str(exc.value)
 
 
-def test_library_defaults_equal_the_config_defaults():
-    # Tests that build RoyExperiment() or PriorSpec() stand for the CLI's defaults.
-    assert RoyExperiment() == AppConfig().roy.experiment
-    assert PriorSpec() == AppConfig().priors
+def test_the_library_takes_every_config_fed_value():
+    # AppConfig() is the one source of defaults for what a config row feeds;
+    # PriorSpec.seed is no config field, and the CLI replaces it.
+    fed = [
+        BaselineParams, PriorSpec, PowerCodification, AggregatorSpec, Portfolio, EntryConfig, DriftConfig,
+        RoyExperiment, simulate_transition, detect_degradation, solve_roy, sample_shares, sample_parameters,
+    ]
+    defaults = {
+        target.__name__: [name for name, p in inspect.signature(target).parameters.items() if p.default is not p.empty]
+        for target in fed
+    }
+    assert {name: given for name, given in defaults.items() if given} == {"PriorSpec": ["seed"]}
 
 
 def test_validation_names_no_library_module():

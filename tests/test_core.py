@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,26 +16,38 @@ from structlabor.core import (
 )
 from structlabor.errors import DomainError
 
+from defaults import DEFAULTS
 from oracles import fd_share_partials, mp_long_run, mp_output, share_bisection
 
-BASELINE = BaselineParams(alpha=0.36, gamma=0.05, r=0.04, delta_k=0.15, eta=0.2)
+BASELINE = DEFAULTS.baseline
+
+
+def unit_eta(**values):
+    """The default baseline at ``values``, with eta 1.0 unless given."""
+    return replace(BASELINE, **{"eta": 1.0, **values})
+
+
+def transition(k0, L_S0, **given):
+    """A transition from BASELINE with T 1000 and the config's damping and tol, unless given."""
+    options = {"T": 1000, "damping": DEFAULTS.transition.damping, "tol": DEFAULTS.transition.tol, **given}
+    return simulate_transition(BASELINE, k0=k0, L_S0=L_S0, **options)
 
 
 def test_baseline_params_bounds():
     with pytest.raises(DomainError):
-        BaselineParams(alpha=0.0, gamma=0.05, r=0.04, delta_k=0.15)
+        unit_eta(alpha=0.0, gamma=0.05, r=0.04, delta_k=0.15)
     with pytest.raises(DomainError):
-        BaselineParams(alpha=1.0, gamma=0.05, r=0.04, delta_k=0.15)
+        unit_eta(alpha=1.0, gamma=0.05, r=0.04, delta_k=0.15)
     with pytest.raises(DomainError):
-        BaselineParams(alpha=0.36, gamma=0.0, r=0.04, delta_k=0.15)
+        unit_eta(alpha=0.36, gamma=0.0, r=0.04, delta_k=0.15)
     with pytest.raises(DomainError):
-        BaselineParams(alpha=0.36, gamma=0.05, r=0.0, delta_k=0.15)
+        unit_eta(alpha=0.36, gamma=0.05, r=0.0, delta_k=0.15)
     with pytest.raises(DomainError):
-        BaselineParams(alpha=0.36, gamma=0.05, r=0.04, delta_k=1.0)
+        unit_eta(alpha=0.36, gamma=0.05, r=0.04, delta_k=1.0)
     with pytest.raises(DomainError):
-        BaselineParams(alpha=0.36, gamma=0.05, r=0.04, delta_k=0.15, eta=0.0)
+        unit_eta(alpha=0.36, gamma=0.05, r=0.04, delta_k=0.15, eta=0.0)
     with pytest.raises(DomainError):
-        BaselineParams(alpha=math.nan, gamma=0.05, r=0.04, delta_k=0.15)
+        unit_eta(alpha=math.nan, gamma=0.05, r=0.04, delta_k=0.15)
 
 
 def test_output_matches_high_precision_reference():
@@ -157,7 +170,7 @@ def test_comparative_statics_match_finite_differences():
         r = rng.uniform(0.03, 0.05)
         delta = rng.uniform(0.08, 0.25)
         gamma = rng.uniform(0.02, 0.08)
-        params = BaselineParams(alpha=alpha, gamma=gamma, r=r, delta_k=delta)
+        params = unit_eta(alpha=alpha, gamma=gamma, r=r, delta_k=delta)
         analytic = comparative_statics(params)
         numeric = fd_share_partials(alpha, gamma, r, delta, structured_share)
         for a, n in zip(analytic, numeric):
@@ -167,13 +180,32 @@ def test_comparative_statics_match_finite_differences():
 def test_default_damping_value_and_cap():
     assert default_damping(BASELINE) == 0.6846217105263158
     # A shallow response leaves the update undamped.
-    gentle = BaselineParams(alpha=0.36, gamma=0.5, r=0.04, delta_k=0.15, eta=0.2)
+    gentle = replace(BASELINE, gamma=0.5)
     assert default_damping(gentle) == 1.0
+
+
+DAMPING_IS_ZERO = "default damping is 0 as the labor response eta * c overflows; set transition.damping"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"r": 1.7976931348623157e308}, {"gamma": 1e-300, "eta": 1e-10}, {"gamma": 1e-200, "eta": 1e-200}],
+    ids=["c-overflows", "eta-gamma-subnormal", "eta-gamma-underflows"],
+)
+def test_default_damping_refuses_an_overflowing_labor_response(values):
+    # A damping of 0 would leave the path where it starts, outside (0, 1].
+    with pytest.raises(DomainError) as exc:
+        default_damping(replace(BASELINE, **values))
+    assert str(exc.value) == DAMPING_IS_ZERO
+
+
+def test_default_damping_may_be_tiny():
+    assert 0.0 < default_damping(replace(BASELINE, r=1e300)) < 1e-300
 
 
 def test_transition_reaches_long_run_allocation():
     ss = steady_state(BASELINE)
-    path = simulate_transition(BASELINE, k0=0.5 * ss.k_star, L_S0=0.5 * ss.L_S_star)
+    path = transition(k0=0.5 * ss.k_star, L_S0=0.5 * ss.L_S_star)
     assert path.converged
     assert path.periods_to_converge == 38
     assert len(path.t) == 39
@@ -182,7 +214,7 @@ def test_transition_reaches_long_run_allocation():
 
 
 def test_transition_first_point_is_the_initial_condition():
-    path = simulate_transition(BASELINE, k0=0.02, L_S0=0.01, T=5, tol=1e-16)
+    path = transition(k0=0.02, L_S0=0.01, T=5, tol=1e-16)
     assert path.k[0] == 0.02
     assert path.L_S[0] == 0.01
     assert path.t.dtype == np.int64
@@ -194,7 +226,7 @@ def test_transition_first_point_is_the_initial_condition():
 
 def test_transition_update_rule_is_the_documented_one():
     lam = 0.4
-    path = simulate_transition(BASELINE, k0=0.02, L_S0=0.01, T=3, damping=lam, tol=1e-16)
+    path = transition(k0=0.02, L_S0=0.01, T=3, damping=lam, tol=1e-16)
     c = (1 - BASELINE.alpha) * (BASELINE.r + BASELINE.delta_k) / (BASELINE.eta * BASELINE.gamma)
     k1 = (1 - BASELINE.delta_k) * 0.02 + BASELINE.eta * 0.01
     target = min(max(BASELINE.L_bar - c * k1, 0.0), BASELINE.L_bar)
@@ -204,7 +236,7 @@ def test_transition_update_rule_is_the_documented_one():
 
 
 def test_transition_path_prices():
-    path = simulate_transition(BASELINE, k0=0.02, L_S0=0.01, T=5, tol=1e-16)
+    path = transition(k0=0.02, L_S0=0.01, T=5, tol=1e-16)
     w_u, dy_dk, v = marginals(BASELINE, path.k[2], path.L_U[2])
     assert path.w_U[2] == pytest.approx(w_u, rel=1e-12)
     assert path.shadow_value[2] == pytest.approx(v, rel=1e-12)
@@ -212,14 +244,14 @@ def test_transition_path_prices():
 
 
 def test_transition_all_labor_in_maintenance_gives_infinite_production_wage():
-    path = simulate_transition(BASELINE, k0=0.02, L_S0=BASELINE.L_bar, T=2, tol=1e-16)
+    path = transition(k0=0.02, L_S0=BASELINE.L_bar, T=2, tol=1e-16)
     assert path.L_U[0] == 0.0
     assert path.Y[0] == 0.0
     assert path.w_U[0] == math.inf
 
 
 def test_transition_without_convergence_reports_it():
-    path = simulate_transition(BASELINE, k0=0.02, L_S0=0.01, T=3, tol=1e-16)
+    path = transition(k0=0.02, L_S0=0.01, T=3, tol=1e-16)
     assert not path.converged
     assert path.periods_to_converge is None
     assert len(path.t) == 4
@@ -227,14 +259,14 @@ def test_transition_without_convergence_reports_it():
 
 def test_transition_input_validation():
     with pytest.raises(DomainError):
-        simulate_transition(BASELINE, k0=0.0, L_S0=0.01)
+        transition(k0=0.0, L_S0=0.01)
     with pytest.raises(DomainError):
-        simulate_transition(BASELINE, k0=0.02, L_S0=-0.1)
+        transition(k0=0.02, L_S0=-0.1)
     with pytest.raises(DomainError):
-        simulate_transition(BASELINE, k0=0.02, L_S0=0.01, T=0)
+        transition(k0=0.02, L_S0=0.01, T=0)
     with pytest.raises(DomainError):
-        simulate_transition(BASELINE, k0=0.02, L_S0=0.01, damping=0.0)
+        transition(k0=0.02, L_S0=0.01, damping=0.0)
     with pytest.raises(DomainError):
-        simulate_transition(BASELINE, k0=0.02, L_S0=0.01, damping=1.5)
+        transition(k0=0.02, L_S0=0.01, damping=1.5)
     with pytest.raises(DomainError):
-        simulate_transition(BASELINE, k0=0.02, L_S0=0.01, tol=0.0)
+        transition(k0=0.02, L_S0=0.01, tol=0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,16 +15,26 @@ from structlabor.estimators import (
     indices,
 )
 from structlabor.portfolio import (
-    AggregatorSpec,
     DriftConfig,
-    EntryConfig,
-    Portfolio,
     PowerCodification,
     periodic_windows,
     run_portfolio_scenario,
 )
 
+from defaults import DEFAULTS
+
 TECH = PowerCodification(beta=0.5)
+# The config's initial portfolio, aggregator (CES at rho 0.5) and entry.
+INITIAL = DEFAULTS.portfolio.initial
+CES = INITIAL.aggregator
+ADD = replace(CES, kind="additive", rho=None)
+ENTRY = DEFAULTS.portfolio.entry
+
+
+def detect(panel, **given):
+    """``detect_degradation`` with the config's rel_drop and horizon, unless given."""
+    options = {"rel_drop": DEFAULTS.estimate.rel_drop, "horizon": DEFAULTS.estimate.horizon, **given}
+    return detect_degradation(panel, **options)
 
 
 def panel_from(rows):
@@ -266,18 +277,18 @@ def test_detect_degradation_zero_maturity_never_flags():
 def test_detect_degradation_validation():
     p = panel_from([(0, 0, 1.0, False, False), (0, 1, 0.5, False, False)])
     with pytest.raises(DomainError):
-        detect_degradation(p, rel_drop=0.0)
+        detect(p, rel_drop=0.0)
     with pytest.raises(DomainError):
-        detect_degradation(p, rel_drop=1.0)
+        detect(p, rel_drop=1.0)
     with pytest.raises(DomainError):
-        detect_degradation(p, horizon=0)
+        detect(p, horizon=0)
     # Periods are int64, so no horizon beyond that range is taken; at its
     # end, t + horizon is computed exactly and names no period.
     with pytest.raises(DomainError, match="horizon must be an integer"):
-        detect_degradation(p, horizon=MAX_HORIZON + 1)
-    assert detect_degradation(p, horizon=MAX_HORIZON).n_obs == 0
+        detect(p, horizon=MAX_HORIZON + 1)
+    assert detect(p, horizon=MAX_HORIZON).n_obs == 0
     with pytest.raises(DomainError):
-        detect_degradation(panel_from([]), rel_drop=0.2)
+        detect(panel_from([]), rel_drop=0.2)
 
 
 def make_flags(cells):
@@ -343,9 +354,9 @@ def stationary_scenario(J, T, seed, env=0.05, tech=0.10, org=0.03):
     # Families start at the stock level their equal labor share maintains,
     # so only drift events move maturity.
     kbar = TECH.g(1.0 / J) / 0.15
-    p = Portfolio(
-        id=np.arange(J), omega=np.ones(J), delta=np.full(J, 0.15), k=np.full(J, kbar),
-        born_at=np.zeros(J, dtype=np.int64), aggregator=AggregatorSpec(kind="additive"), tech=TECH,
+    p = replace(
+        INITIAL, id=np.arange(J), omega=np.ones(J), delta=np.full(J, 0.15), k=np.full(J, kbar),
+        born_at=np.zeros(J, dtype=np.int64), aggregator=ADD, tech=TECH,
     )
     drift = DriftConfig(
         env_hazard=env, tech_hazard=tech, org_hazard=org,
@@ -353,12 +364,12 @@ def stationary_scenario(J, T, seed, env=0.05, tech=0.10, org=0.03):
         org_windows=periodic_windows(3, 5, T),
         drop_frac=0.5,
     )
-    return run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.0), T=T, seed=seed, drift=drift)
+    return run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=T, seed=seed, drift=drift)
 
 
 def test_generated_panel_recovers_the_hazards():
     sc = stationary_scenario(50, 200, seed=6)
-    est = estimate_hazard_decomposition(detect_degradation(MaturityPanel.from_scenario(sc)))
+    est = estimate_hazard_decomposition(detect(MaturityPanel.from_scenario(sc)))
     assert abs(est.env - 0.05) < 0.01
     assert abs(est.tech - 0.10) < 0.01
     assert abs(est.org - 0.03) < 0.01
@@ -369,7 +380,7 @@ def test_zero_tech_hazard_estimates_within_noise():
     # stay inside two standard errors of zero.
     for seed in (0, 1):
         sc = stationary_scenario(50, 200, seed=seed, tech=0.0)
-        est = estimate_hazard_decomposition(detect_degradation(MaturityPanel.from_scenario(sc)))
+        est = estimate_hazard_decomposition(detect(MaturityPanel.from_scenario(sc)))
         assert est.tech < 2.0 * est.se_tech
 
 
@@ -379,7 +390,7 @@ def test_estimates_tighten_with_panel_size():
         large = stationary_scenario(500, 200, seed=seed)
         errs = []
         for sc in (small, large):
-            est = estimate_hazard_decomposition(detect_degradation(MaturityPanel.from_scenario(sc)))
+            est = estimate_hazard_decomposition(detect(MaturityPanel.from_scenario(sc)))
             errs.append(max(abs(est.env - 0.05), abs(est.tech - 0.10), abs(est.org - 0.03)))
         assert errs[1] < errs[0]
         assert errs[1] < 0.005
@@ -401,7 +412,7 @@ def test_shuffled_panel_gives_the_same_estimates():
         columns = (flags.family_id, flags.period, flags.flag, flags.tech_window, flags.org_window)
         return set(zip(*(c.tolist() for c in columns)))
 
-    flags, shuffled_flags = detect_degradation(panel), detect_degradation(shuffled)
+    flags, shuffled_flags = detect(panel), detect(shuffled)
     assert flag_set(shuffled_flags) == flag_set(flags)
     est, shuffled_est = estimate_hazard_decomposition(flags), estimate_hazard_decomposition(shuffled_flags)
     for name in ("delta_hat", "env", "tech", "org", "se_env", "se_tech", "se_org", "n_obs", "cells"):
@@ -450,10 +461,10 @@ def test_count_births_refuses_an_empty_panel():
         count_births(panel_from([]))
 
 
-def roster(ids, omegas, aggregator=AggregatorSpec()):
+def roster(ids, omegas, aggregator=ADD):
     """A portfolio that only names families, their weights and the aggregator."""
     n = len(ids)
-    return Portfolio(id=ids, omega=omegas, delta=[0.1] * n, k=[0.0] * n, born_at=[0] * n, aggregator=aggregator)
+    return replace(INITIAL, id=ids, omega=omegas, delta=[0.1] * n, k=[0.0] * n, born_at=[0] * n, aggregator=aggregator)
 
 
 def test_indices_weighted_sum_and_shares():
@@ -471,10 +482,10 @@ def test_indices_weighted_sum_and_shares():
 
 def test_indices_ces_aggregator():
     p = panel_from([(0, 0, 1.0, False, False), (1, 0, 4.0, False, False)])
-    spec = AggregatorSpec(kind="ces", rho=0.5)
+    spec = CES
     _, capability, _, _ = indices(p, roster([0, 1], [1.0, 1.0], spec), [0.0], L_bar=1.0)
     assert capability.tolist() == pytest.approx([(1.0 + 2.0) ** 2], rel=1e-14)
-    neg = AggregatorSpec(kind="ces", rho=-1.0)
+    neg = replace(CES, rho=-1.0)
     zero = panel_from([(0, 0, 0.0, False, False), (1, 0, 4.0, False, False)])
     _, capability, _, _ = indices(zero, roster([0, 1], [1.0, 1.0], neg), [0.0], L_bar=1.0)
     assert capability.tolist() == [0.0]
@@ -493,21 +504,24 @@ def test_indices_refuses_a_family_missing_from_the_roster():
 
 @pytest.mark.parametrize(
     "aggregator",
-    [AggregatorSpec(kind="additive"), AggregatorSpec(kind="ces", rho=-0.5), AggregatorSpec(kind="ces", rho=0.5)],
+    [ADD, replace(CES, rho=-0.5), CES],
     ids=["additive", "ces-complements", "ces-substitutes"],
 )
 def test_scenario_indices_equal_the_scenario_capability(aggregator):
     # Entry and drift on; family 0 starts at zero maturity, which zeroes a
     # complements index until labor reaches it.
     J, T = 6, 60
-    p = Portfolio(
-        id=np.arange(J), omega=np.linspace(0.5, 2.0, J), delta=np.full(J, 0.12),
+    p = replace(
+        INITIAL, id=np.arange(J), omega=np.linspace(0.5, 2.0, J), delta=np.full(J, 0.12),
         k=np.r_[0.0, np.linspace(0.5, 1.5, J - 1)], born_at=np.zeros(J, dtype=np.int64),
         aggregator=aggregator, tech=TECH,
     )
-    drift = DriftConfig(env_hazard=0.05, tech_hazard=0.1, tech_windows=periodic_windows(2, 5, T), drop_frac=0.5)
-    sc = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.4), T=T, seed=11, drift=drift)
-    assert sc.final.size > J and sc.events
+    drift = DriftConfig(
+        env_hazard=0.05, tech_hazard=0.1, org_hazard=0.0,
+        tech_windows=periodic_windows(2, 5, T), org_windows=frozenset(), drop_frac=0.5,
+    )
+    sc = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.4), T=T, seed=11, drift=drift)
+    assert sc.final.size > J and sc.event_period.size
     period, capability, share, n_families = indices(MaturityPanel.from_scenario(sc), sc.final, sc.labor_budget, 1.0)
     assert period.tolist() == sc.periods.tolist()
     assert capability.tolist() == sc.capability.tolist()

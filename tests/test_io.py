@@ -2,6 +2,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from structlabor import io as io_module
-from structlabor.core import BaselineParams, simulate_transition
+from structlabor.core import simulate_transition
 from structlabor.errors import DomainError
 from structlabor.io import (
     CHUNK_ROWS,
@@ -22,7 +23,9 @@ from structlabor.io import (
     write_json,
     write_manifest,
 )
-from structlabor.portfolio import AggregatorSpec, EntryConfig, Portfolio, PowerCodification, run_portfolio_scenario
+from structlabor.portfolio import PowerCodification, run_portfolio_scenario
+
+from defaults import DEFAULTS
 
 
 def _one_cell(tmp_path, column):
@@ -323,8 +326,9 @@ def test_write_manifest_structure(tmp_path):
 
 
 def test_path_csv_header_and_round_trip(tmp_path):
-    params = BaselineParams(alpha=0.36, gamma=0.05, r=0.04, delta_k=0.15, eta=0.2)
-    path = simulate_transition(params, k0=0.02, L_S0=0.01, T=5, tol=1e-16)
+    path = simulate_transition(
+        DEFAULTS.baseline, k0=0.02, L_S0=0.01, T=5, damping=DEFAULTS.transition.damping, tol=1e-16
+    )
     csv_path = str(tmp_path / "path.csv")
     write_csv(csv_path, PATH_COLUMNS, [getattr(path, name) for name in PATH_COLUMNS])
     lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
@@ -337,11 +341,11 @@ def test_path_csv_header_and_round_trip(tmp_path):
 
 def test_panel_csv_round_trip_is_bitwise(tmp_path):
     tech = PowerCodification(beta=0.5)
-    p = Portfolio(
-        id=np.arange(3), omega=np.ones(3), delta=np.full(3, 0.1), k=1.0 + np.arange(3),
-        born_at=np.zeros(3, dtype=np.int64), aggregator=AggregatorSpec(kind="ces", rho=0.5), tech=tech,
+    p = replace(
+        DEFAULTS.portfolio.initial, id=np.arange(3), omega=np.ones(3), delta=np.full(3, 0.1), k=1.0 + np.arange(3),
+        born_at=np.zeros(3, dtype=np.int64), aggregator=DEFAULTS.portfolio.initial.aggregator, tech=tech,
     )
-    scenario = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.3), T=8, seed=13)
+    scenario = run_portfolio_scenario(p, 1.0, replace(DEFAULTS.portfolio.entry, mu=0.3), T=8, seed=13)
     csv_path = str(tmp_path / "panel.csv")
     write_csv(csv_path, PANEL_COLUMNS, [getattr(scenario, name) for name in PANEL_COLUMNS])
     lines = Path(csv_path).read_text(encoding="utf-8").splitlines()

@@ -7,15 +7,18 @@ synthetic ordered panel of 2,000 periods x 100 families.
 
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from structlabor.calibration import PriorSpec, run_monte_carlo
+from structlabor.calibration import run_monte_carlo
 from structlabor.estimators import MaturityPanel, count_births, detect_degradation
 from structlabor.io import PANEL_COLUMNS, write_csv
 from structlabor.parallel import ordered_map
-from structlabor.portfolio import EntryConfig, Portfolio, run_portfolio_scenario
+from structlabor.portfolio import run_portfolio_scenario
+
+from defaults import DEFAULTS
 
 PERIODS, FAMILIES = 2000, 100
 COLUMN = 8 * PERIODS * FAMILIES
@@ -65,7 +68,7 @@ def test_detect_degradation_peak(ordered_columns, layout):
     if layout == "table":
         ordered_columns = as_table(ordered_columns)
     panel = MaturityPanel(**ordered_columns)
-    flags, peak = traced_peak(detect_degradation, panel)
+    flags, peak = traced_peak(detect_degradation, panel, DEFAULTS.estimate.rel_drop, DEFAULTS.estimate.horizon)
     assert flags.n_obs == (PERIODS - 1) * FAMILIES
     # The flags alone take 2.375 columns: two int64 and three bool columns.
     assert peak <= 3 * COLUMN
@@ -88,10 +91,14 @@ def test_scenario_holds_its_panel_and_little_else():
     # The panel columns are allocated once at their full length and filled
     # period by period; 100 families, no entry, no drift.
     n = FAMILIES
-    p = Portfolio(id=np.arange(n), omega=np.ones(n), delta=np.full(n, 0.1), k=np.ones(n), born_at=np.zeros(n, dtype=np.int64))
+    initial = DEFAULTS.portfolio.initial
+    additive = replace(initial.aggregator, kind="additive", rho=None)
+    columns = {"omega": np.ones(n), "delta": np.full(n, 0.1), "k": np.ones(n), "born_at": np.zeros(n, dtype=np.int64)}
+    p = replace(initial, id=np.arange(n), **columns, aggregator=additive)
+    entry = replace(DEFAULTS.portfolio.entry, mu=0.0)
     # A first run pays one-time costs (about 1 MB of lazily built module state).
-    run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.0), 1, seed=0)
-    scenario, peak = traced_peak(run_portfolio_scenario, p, 1.0, EntryConfig(mu=0.0), PERIODS - 1, seed=0)
+    run_portfolio_scenario(p, 1.0, entry, 1, seed=0)
+    scenario, peak = traced_peak(run_portfolio_scenario, p, 1.0, entry, PERIODS - 1, seed=0)
     panel_bytes = sum(getattr(scenario, name).nbytes for name in PANEL_COLUMNS)
     assert len(scenario.family_id) == PERIODS * FAMILIES
     assert peak <= 1.1 * panel_bytes
@@ -141,6 +148,6 @@ def test_run_monte_carlo_holds_one_share_array():
     # The quantiles partition the sample in place; the rest is the sampling
     # block and per-block temporaries, small next to the 8n-byte sample.
     n = 4_000_000
-    result, peak = traced_peak(run_monte_carlo, PriorSpec(n_draws=n, seed=1))
+    result, peak = traced_peak(run_monte_carlo, replace(DEFAULTS.priors, n_draws=n, seed=1))
     assert result.n_draws == n
     assert peak < 1.75 * 8 * n

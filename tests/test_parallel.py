@@ -95,11 +95,13 @@ def test_roy_workers_do_linear_algebra_after_blas_has_started_threads():
         "import sys\n"
         "import numpy as np\n"
         "from structlabor import parallel\n"
-        "from structlabor.roy import RoyExperiment, dispersion_experiment\n"
+        "from dataclasses import replace\n"
+        "from defaults import DEFAULTS\n"
+        "from structlabor.roy import dispersion_experiment\n"
         "rng = np.random.default_rng(0)\n"
         "np.linalg.solve(rng.standard_normal((300, 300)), rng.standard_normal(300))\n"
         "parallel._cpu_count = lambda: 2\n"
-        "exp = RoyExperiment(n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4)\n"
+        "exp = replace(DEFAULTS.roy.experiment, n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4)\n"
         "res = dispersion_experiment(exp, 'mu', factor=2.0, replications=2, seed=1)\n"
         "print(len(res.base + res.treated), 'multiprocessing' in sys.modules)\n"
     )

@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from structlabor.errors import DomainError
 from structlabor.portfolio import (
-    AggregatorSpec,
     DriftConfig,
     EntryConfig,
     Portfolio,
@@ -18,6 +18,7 @@ from structlabor.portfolio import (
     step_portfolio,
 )
 
+from defaults import DEFAULTS
 from oracles import (
     allocate_bisection,
     allocation_value,
@@ -31,9 +32,11 @@ from oracles import (
 
 TECH = PowerCodification(beta=0.5)
 
-
-ADD = AggregatorSpec(kind="additive")
-CES = AggregatorSpec(kind="ces", rho=0.5)
+# The config's initial portfolio, aggregator (CES at rho 0.5) and entry.
+INITIAL = DEFAULTS.portfolio.initial
+CES = INITIAL.aggregator
+ADD = replace(CES, kind="additive", rho=None)
+ENTRY = DEFAULTS.portfolio.entry
 
 
 def capability(p):
@@ -91,20 +94,20 @@ COLUMN_CHECKS = {
 @pytest.mark.parametrize("overrides, message", COLUMN_CHECKS.values(), ids=COLUMN_CHECKS.keys())
 def test_portfolio_column_checks(overrides, message):
     with pytest.raises(DomainError, match=message):
-        Portfolio(**{**TWO_FAMILIES, **overrides}, aggregator=ADD, tech=TECH)
-    Portfolio(**TWO_FAMILIES, aggregator=ADD, tech=TECH)
+        replace(INITIAL, **{**TWO_FAMILIES, **overrides}, aggregator=ADD, tech=TECH)
+    replace(INITIAL, **TWO_FAMILIES, aggregator=ADD, tech=TECH)
 
 
 def test_portfolio_requires_unique_ids():
     with pytest.raises(DomainError):
-        Portfolio(id=[1, 1], omega=[1.0, 2.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0], aggregator=ADD, tech=TECH)
+        replace(INITIAL, id=[1, 1], omega=[1.0, 2.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0], aggregator=ADD)
 
 
 def test_portfolio_rejects_unsorted_ids():
     columns = {"omega": [1.0, 1.0], "delta": [0.1, 0.1], "born_at": [0, 0]}
     with pytest.raises(DomainError):
-        Portfolio(id=[3, 1], k=[3.0, 1.0], **columns, aggregator=ADD, tech=TECH)
-    p = Portfolio(id=[1, 3], k=[1.0, 3.0], **columns, aggregator=ADD, tech=TECH)
+        replace(INITIAL, id=[3, 1], k=[3.0, 1.0], **columns, aggregator=ADD, tech=TECH)
+    p = replace(INITIAL, id=[1, 3], k=[1.0, 3.0], **columns, aggregator=ADD, tech=TECH)
     assert tuple(p.id.tolist()) == (1, 3)
     assert list(p.k) == [1.0, 3.0]
 
@@ -137,15 +140,15 @@ def test_validate_codification_catches_broken_technology():
 
 def test_aggregator_spec_validation():
     with pytest.raises(DomainError):
-        AggregatorSpec(kind="ces")
+        replace(CES, rho=None)
     with pytest.raises(DomainError):
-        AggregatorSpec(kind="ces", rho=0.0)
+        replace(CES, rho=0.0)
     with pytest.raises(DomainError):
-        AggregatorSpec(kind="ces", rho=1.5)
+        replace(CES, rho=1.5)
     with pytest.raises(DomainError):
-        AggregatorSpec(kind="geometric")
+        replace(ADD, kind="geometric")
     with pytest.raises(DomainError):
-        AggregatorSpec(kind="ces", rho=0.5, epsilon_floor=0.0)
+        replace(CES, epsilon_floor=0.0)
 
 
 def test_aggregate_capability_additive_and_ces():
@@ -157,7 +160,7 @@ def test_aggregate_capability_additive_and_ces():
 
 
 def test_aggregate_capability_rho_one_equals_additive():
-    near = AggregatorSpec(kind="ces", rho=1.0)
+    near = replace(CES, rho=1.0)
     p1 = make_portfolio([1.0, 4.0, 0.3], omegas=[2.0, 0.5, 1.1], aggregator=near)
     p2 = make_portfolio([1.0, 4.0, 0.3], omegas=[2.0, 0.5, 1.1], aggregator=ADD)
     assert capability(p1) == pytest.approx(capability(p2), rel=1e-12)
@@ -165,7 +168,7 @@ def test_aggregate_capability_rho_one_equals_additive():
 
 def test_aggregate_capability_negative_rho_zero_stock():
     # Complements: one missing capability zeroes the aggregate.
-    spec = AggregatorSpec(kind="ces", rho=-1.0)
+    spec = replace(CES, rho=-1.0)
     p = make_portfolio([1.0, 0.0], aggregator=spec)
     assert capability(p) == 0.0
 
@@ -295,15 +298,15 @@ def test_scenario_entrants_get_fresh_ids_and_birth_period():
 
 def test_entry_config_validation():
     with pytest.raises(DomainError):
-        EntryConfig(mu=-0.1)
+        replace(ENTRY, mu=-0.1)
     with pytest.raises(DomainError):
-        EntryConfig(mu=0.1, delta_lo=0.3, delta_hi=0.2)
+        replace(ENTRY, mu=0.1, delta_lo=0.3, delta_hi=0.2)
     with pytest.raises(DomainError):
-        EntryConfig(mu=0.1, delta_lo=0.0, delta_hi=0.2)
+        replace(ENTRY, mu=0.1, delta_lo=0.0, delta_hi=0.2)
     with pytest.raises(DomainError):
-        EntryConfig(mu=0.1, omega_median=0.0)
+        replace(ENTRY, mu=0.1, omega_median=0.0)
     with pytest.raises(DomainError):
-        EntryConfig(mu=0.1, omega_sigma=-1.0)
+        replace(ENTRY, mu=0.1, omega_sigma=-1.0)
 
 
 def test_maintenance_allocation_is_stationary():
@@ -312,7 +315,7 @@ def test_maintenance_allocation_is_stationary():
     # portfolio frozen.
     kbar = TECH.g(1.0 / 3.0) / 0.15
     p = make_portfolio([kbar] * 3, deltas=[0.15] * 3)
-    scenario = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.0), T=30, seed=0)
+    scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=30, seed=0)
     for t in (0, 15, 30):
         at = scenario.period == t
         assert np.allclose(scenario.maturity[at], p.k, rtol=0, atol=1e-12)
@@ -327,7 +330,7 @@ def test_exact_maintenance_labor_freezes_any_portfolio():
 
 def test_zero_budget_stocks_decay_geometrically():
     p = make_portfolio([1.0, 4.0], deltas=[0.1, 0.25])
-    scenario = run_portfolio_scenario(p, 0.0, EntryConfig(mu=0.0), T=10, seed=0)
+    scenario = run_portfolio_scenario(p, 0.0, replace(ENTRY, mu=0.0), T=10, seed=0)
     at = scenario.period == 10
     assert scenario.maturity[at][0] == pytest.approx(1.0 * 0.9**10, rel=1e-12)
     assert scenario.maturity[at][1] == pytest.approx(4.0 * 0.75**10, rel=1e-12)
@@ -335,7 +338,7 @@ def test_zero_budget_stocks_decay_geometrically():
 
 def test_scenario_is_deterministic():
     p = make_portfolio([1.0, 0.5, 2.0])
-    entry = EntryConfig(mu=0.4)
+    entry = replace(ENTRY, mu=0.4)
     drift = DriftConfig(
         env_hazard=0.05, tech_hazard=0.1, org_hazard=0.03,
         tech_windows=periodic_windows(1, 4, 20), org_windows=periodic_windows(3, 5, 20),
@@ -346,14 +349,18 @@ def test_scenario_is_deterministic():
     assert np.array_equal(a.maturity, b.maturity)
     assert np.array_equal(a.labor, b.labor)
     assert np.array_equal(a.capability, b.capability)
-    assert a.events == b.events
     c = run_portfolio_scenario(p, 1.0, entry, T=20, seed=100, drift=drift)
-    assert not (np.array_equal(a.maturity, c.maturity) and a.events == c.events)
+
+    def same_events(x, y):
+        return np.array_equal(x.event_family_id, y.event_family_id) and np.array_equal(x.event_period, y.event_period)
+
+    assert same_events(a, b)
+    assert not (np.array_equal(a.maturity, c.maturity) and same_events(a, c))
 
 
 def test_scenario_without_entry_keeps_family_count():
     p = make_portfolio([1.0, 0.5])
-    scenario = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.0), T=12, seed=1)
+    scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=12, seed=1)
     assert scenario.final.size == 2
     assert len(scenario.family_id) == 2 * 13
 
@@ -365,7 +372,7 @@ def test_scenario_panel_is_sorted_and_flags_windows():
         tech_windows=frozenset({1, 3}), org_windows=frozenset({2}),
         drop_frac=0.5,
     )
-    scenario = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.0), T=4, seed=0, drift=drift)
+    scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=4, seed=0, drift=drift)
     order = np.lexsort((scenario.family_id, scenario.period))
     assert np.array_equal(order, np.arange(len(scenario.family_id)))
     for t, expect in ((0, False), (1, True), (2, False), (3, True), (4, False)):
@@ -379,8 +386,8 @@ def test_certain_hazard_hits_every_family_every_period():
         env_hazard=1.0, tech_hazard=0.0, org_hazard=0.0,
         tech_windows=frozenset(), org_windows=frozenset(), drop_frac=0.5,
     )
-    scenario = run_portfolio_scenario(p, 0.0, EntryConfig(mu=0.0), T=3, seed=0, drift=drift)
-    assert len(scenario.events) == 2 * 3
+    scenario = run_portfolio_scenario(p, 0.0, replace(ENTRY, mu=0.0), T=3, seed=0, drift=drift)
+    assert scenario.event_period.size == 2 * 3
     # Halving stacks on top of decay.
     at = scenario.period == 1
     assert scenario.maturity[at][0] == pytest.approx(0.9 * 1.0 * 0.5, rel=1e-12)
@@ -416,12 +423,12 @@ def test_budget_path_length_is_checked():
     p = make_portfolio([1.0])
     for budget in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            run_portfolio_scenario(p, budget, EntryConfig(mu=0.0), T=5, seed=0)
+            run_portfolio_scenario(p, budget, replace(ENTRY, mu=0.0), T=5, seed=0)
 
 
 def test_portfolio_at_reconstructs_the_recorded_state():
     p = make_portfolio([1.0, 0.5, 2.0])
-    entry = EntryConfig(mu=0.5)
+    entry = replace(ENTRY, mu=0.5)
     scenario = run_portfolio_scenario(p, 1.0, entry, T=15, seed=4)
     for t in range(16):
         snap = scenario.portfolio_at(t)
@@ -439,15 +446,15 @@ def test_scenario_timing_contract_holds_in_every_period():
     # exactly where an event fired at t; entrants first appear at t + 1.
     T = 40
     p = make_portfolio([1.0, 0.5, 2.0], deltas=[0.1, 0.2, 0.15])
-    entry = EntryConfig(mu=0.5, k_seed=2e-3)
+    entry = replace(ENTRY, mu=0.5, k_seed=2e-3)
     drift = DriftConfig(
         env_hazard=0.05, tech_hazard=0.2, org_hazard=0.1,
         tech_windows=periodic_windows(1, 4, T), org_windows=periodic_windows(3, 5, T),
         drop_frac=0.4,
     )
     sc = run_portfolio_scenario(p, 1.0, entry, T=T, seed=21, drift=drift)
-    events = set(sc.events)
-    assert len(events) == len(sc.events) > 0
+    events = set(zip(sc.event_family_id.tolist(), sc.event_period.tolist()))
+    assert len(events) == sc.event_period.size > 0
     assert sc.final.size > p.size
     final = sc.final
     for t in range(T):
@@ -473,20 +480,20 @@ DRIFT = DriftConfig(
     tech_windows=periodic_windows(1, 4, 60), org_windows=periodic_windows(3, 5, 60),
     drop_frac=0.4,
 )
-GAPPED = Portfolio(
-    id=[0, 3, 9], omega=[1.0, 0.7, 1.3], delta=[0.1, 0.2, 0.15], k=[1.0, 0.5, 2.0], born_at=[0, 0, 0],
+GAPPED = replace(
+    INITIAL, id=[0, 3, 9], omega=[1.0, 0.7, 1.3], delta=[0.1, 0.2, 0.15], k=[1.0, 0.5, 2.0], born_at=[0, 0, 0],
     aggregator=CES, tech=TECH,
 )
 # (initial portfolio, labor budget, entry, drift) per case.
 REFERENCE_CASES = {
-    "additive": (make_portfolio([1.0, 0.5, 2.0], aggregator=ADD), 1.0, EntryConfig(mu=0.4), None),
+    "additive": (make_portfolio([1.0, 0.5, 2.0], aggregator=ADD), 1.0, replace(ENTRY, mu=0.4), None),
     "ces-complements": (
-        make_portfolio([1.0, 0.5, 2.0], aggregator=AggregatorSpec(kind="ces", rho=-0.5)), 1.0, EntryConfig(mu=0.4), None,
+        make_portfolio([1.0, 0.5, 2.0], aggregator=replace(CES, rho=-0.5)), 1.0, replace(ENTRY, mu=0.4), None,
     ),
-    "ces-substitutes": (make_portfolio([1.0, 0.5, 2.0], aggregator=CES, Lambda=2.5), 1.3, EntryConfig(mu=0.4), None),
-    "entry-and-drift": (make_portfolio([1.0, 0.5, 2.0], deltas=[0.1, 0.2, 0.15]), 1.0, EntryConfig(mu=0.6), DRIFT),
-    "gapped-ids": (GAPPED, 1.0, EntryConfig(mu=0.5), DRIFT),
-    "zero-budget": (make_portfolio([1.0, 0.5, 2.0]), 0.0, EntryConfig(mu=0.5), DRIFT),
+    "ces-substitutes": (make_portfolio([1.0, 0.5, 2.0], aggregator=CES, Lambda=2.5), 1.3, replace(ENTRY, mu=0.4), None),
+    "entry-and-drift": (make_portfolio([1.0, 0.5, 2.0], deltas=[0.1, 0.2, 0.15]), 1.0, replace(ENTRY, mu=0.6), DRIFT),
+    "gapped-ids": (GAPPED, 1.0, replace(ENTRY, mu=0.5), DRIFT),
+    "zero-budget": (make_portfolio([1.0, 0.5, 2.0]), 0.0, replace(ENTRY, mu=0.5), DRIFT),
 }
 
 
@@ -505,8 +512,10 @@ def test_scenario_matches_the_per_period_loop_bit_for_bit(p, budget, entry, drif
         got, want = getattr(sc.final, name), getattr(ref.final, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert (sc.final.aggregator, sc.final.tech, sc.final.Lambda) == (p.aggregator, p.tech, p.Lambda)
-    assert sc.events == ref.events
-    assert (len(sc.events) > 0) is (drift is not None)
+    for name in ("event_family_id", "event_period"):
+        got, want = getattr(sc, name), getattr(ref, name)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
+    assert (sc.event_period.size > 0) is (drift is not None)
 
 
 def test_scenario_validates_one_portfolio(monkeypatch):
@@ -514,6 +523,6 @@ def test_scenario_validates_one_portfolio(monkeypatch):
     built = []
     check = Portfolio.__post_init__
     monkeypatch.setattr(Portfolio, "__post_init__", lambda self: built.append(check(self)))
-    sc = run_portfolio_scenario(p, 1.0, EntryConfig(mu=0.5), T=30, seed=2, drift=DRIFT)
+    sc = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.5), T=30, seed=2, drift=DRIFT)
     assert len(built) == 1
     assert sc.final.size > 2

@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -7,16 +7,12 @@ import pytest
 import structlabor.roy as roy
 from structlabor.errors import DomainError
 from structlabor.portfolio import (
-    AggregatorSpec,
-    EntryConfig,
-    Portfolio,
     PowerCodification,
     effective_weights,
     run_portfolio_scenario,
 )
 from structlabor.rng import derive_seed, stream
 from structlabor.roy import (
-    RoyExperiment,
     WorkerSkillMatrix,
     dispersion_experiment,
     family_prices,
@@ -25,14 +21,27 @@ from structlabor.roy import (
     wage_stats,
 )
 
+from defaults import DEFAULTS
 from oracles import roy_consistent_assignments
 
 TECH = PowerCodification(beta=0.5)
+# The config's Roy experiment, and its initial portfolio, aggregator (CES at rho 0.5) and entry.
+EXPERIMENT = DEFAULTS.roy.experiment
+INITIAL = DEFAULTS.portfolio.initial
+CES = INITIAL.aggregator
+ADD = replace(CES, kind="additive", rho=None)
+ENTRY = DEFAULTS.portfolio.entry
+
+
+def solve(a, w, tech, **given):
+    """``solve_roy`` with the experiment's Lambda and tol, unless given."""
+    return solve_roy(a, w, tech, **{"Lambda": EXPERIMENT.Lambda, "tol": EXPERIMENT.tol, **given})
 
 
 def two_family_portfolio(k0=1.0, k1=0.5, aggregator=None, Lambda=1.0):
-    agg = aggregator or AggregatorSpec(kind="ces", rho=0.5)
-    return Portfolio(
+    agg = aggregator or CES
+    return replace(
+        INITIAL,
         id=[0, 1], omega=[1.0, 1.0], delta=[0.1, 0.1], k=[k0, k1], born_at=[0, 0],
         aggregator=agg, tech=TECH, Lambda=Lambda,
     )
@@ -90,7 +99,7 @@ def test_generate_per_family_scales():
 def test_generate_draws_one_stream_per_birth_cohort_slot():
     # Column by column from the named streams: families 0 and 2 share birth
     # period 0 (slots 0 and 1), family 1 is the first born in period 3.
-    p = Portfolio(id=[0, 1, 2], omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 3, 0])
+    p = replace(INITIAL, id=[0, 1, 2], omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 3, 0], aggregator=ADD)
     sigmas = np.array([0.3, 1.1, 0.7])
     m = WorkerSkillMatrix.generate(9, p, seed=4, sigma_ln=sigmas)
     for col, key in enumerate(["skills:0:0", "skills:3:0", "skills:0:1"]):
@@ -102,8 +111,8 @@ def test_generate_streams_follow_birth_cohort_not_id():
     # A family born at the same time in the same slot draws the same
     # skills whatever its id turned out to be.
     columns = {"omega": [1.0, 1.0], "delta": [0.1, 0.1], "k": [1.0, 1.0], "born_at": [0, 2]}
-    fams_a = Portfolio(id=[0, 1], **columns)
-    fams_b = Portfolio(id=[0, 5], **columns)
+    fams_a = replace(INITIAL, id=[0, 1], **columns, aggregator=ADD)
+    fams_b = replace(INITIAL, id=[0, 5], **columns, aggregator=ADD)
     a = WorkerSkillMatrix.generate(10, fams_a, seed=11, sigma_ln=[0.5, 0.5])
     b = WorkerSkillMatrix.generate(10, fams_b, seed=11, sigma_ln=[0.5, 0.5])
     assert np.array_equal(a.a, b.a)
@@ -131,7 +140,7 @@ def test_solve_roy_reaches_an_enumerated_fixed_point():
     w = weights(p)
     oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
     assert oracle == [(1, 1, 0, 0, 0)]
-    eq = solve_roy(skills.a, w, p.tech)
+    eq = solve(skills.a, w, p.tech)
     assert eq.converged
     assert tuple(int(x) for x in eq.assignment) in oracle
     # Labor has settled onto the head counts of the assignment.
@@ -147,7 +156,7 @@ def test_solve_roy_second_instance():
     w = weights(p)
     oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
     assert oracle == [(0, 1, 1, 0, 1)]
-    eq = solve_roy(skills.a, w, p.tech)
+    eq = solve(skills.a, w, p.tech)
     assert eq.converged
     assert tuple(int(x) for x in eq.assignment) in oracle
 
@@ -158,8 +167,8 @@ def test_solve_roy_scale_invariant_assignment():
     base = two_family_portfolio(Lambda=1.0)
     scaled = two_family_portfolio(Lambda=4.0)
     skills = WorkerSkillMatrix.generate(30, base, seed=2, sigma_ln=[0.6, 0.6])
-    eq_base = solve_roy(skills.a, weights(base), TECH)
-    eq_scaled = solve_roy(skills.a, weights(scaled), TECH, Lambda=4.0)
+    eq_base = solve(skills.a, weights(base), TECH)
+    eq_scaled = solve(skills.a, weights(scaled), TECH, Lambda=4.0)
     assert np.array_equal(eq_base.assignment, eq_scaled.assignment)
     assert np.array_equal(eq_base.labor, eq_scaled.labor)
     assert np.array_equal(eq_scaled.prices, 4.0 * eq_base.prices)
@@ -171,7 +180,7 @@ def test_solve_roy_reports_nonexistence_honestly():
     # The worker splits evenly, and that split is certified.
     a = np.array([[1.0, 1.0]])
     assert roy_consistent_assignments(a, UNIT_WEIGHTS, beta=0.5) == []
-    eq = solve_roy(a, UNIT_WEIGHTS, TECH)
+    eq = solve(a, UNIT_WEIGHTS, TECH)
     assert eq.converged
     assert np.allclose(eq.labor, [0.5, 0.5], rtol=0, atol=1e-9)
     assert eq.tied_workers == 1
@@ -199,7 +208,7 @@ def test_solve_roy_refuses_a_finish_whose_ties_are_too_wide(monkeypatch):
     monkeypatch.setattr(roy, "_finish", wide)
     a = np.exp([[0.1, 0.0], [0.0, 1.0], [0.0, 1.0]])
     assert roy_consistent_assignments(a, UNIT_WEIGHTS, beta=0.5) == [(0, 1, 1)]
-    eq = solve_roy(a, UNIT_WEIGHTS, TECH)
+    eq = solve(a, UNIT_WEIGHTS, TECH)
     assert eq.converged
     assert np.allclose(eq.labor, [1.0, 2.0], rtol=0, atol=1e-9)
     assert eq.assignment.tolist() == [0, 1, 1]
@@ -216,7 +225,7 @@ def test_solve_roy_prices_an_unserved_family_at_its_floor(rows):
     # Nobody is worth hiring in family 1 even at the rate its labor floor
     # implies, so it stays empty at that rate, and the solve is certified.
     # Without the floor the single worker would put 2.5e-7 of its time there.
-    eq = solve_roy(np.array(rows), UNIT_WEIGHTS, TECH)
+    eq = solve(np.array(rows), UNIT_WEIGHTS, TECH)
     assert eq.converged
     # The floor-less dual has no minimizer in family 1's price, so a
     # hopeless family runs its stages to the step cap until a finish lands.
@@ -231,12 +240,11 @@ def _scenario_instance():
     # Six CES families grown by entry for 40 periods, 400 workers whose skill
     # spread follows maturity: the shape of one default experiment solve.
     n = 6
-    p0 = Portfolio(
-        id=np.arange(n), omega=np.ones(n), delta=np.linspace(0.08, 0.25, n), k=np.ones(n),
-        born_at=np.zeros(n, dtype=np.int64),
-        aggregator=AggregatorSpec(kind="ces", rho=0.5, epsilon_floor=0.25), tech=TECH,
+    p0 = replace(
+        INITIAL, id=np.arange(n), omega=np.ones(n), delta=np.linspace(0.08, 0.25, n), k=np.ones(n),
+        born_at=np.zeros(n, dtype=np.int64), aggregator=replace(CES, epsilon_floor=0.25), tech=TECH,
     )
-    entry = EntryConfig(mu=0.25, k_seed=1e-3, omega_sigma=0.5, delta_lo=0.08, delta_hi=0.25)
+    entry = replace(ENTRY, mu=0.25, k_seed=1e-3, omega_sigma=0.5, delta_lo=0.08, delta_hi=0.25)
     pt = run_portfolio_scenario(p0, 1.0, entry, 40, seed=3).portfolio_at(40)
     assert pt.size >= 10
     sigmas = maturity_skill_sigma(pt.k, 1.5, 0.2, 1.0)
@@ -248,7 +256,7 @@ def test_solve_roy_certificate_holds_at_the_reported_point():
     # its best wage at the reported prices, split workers aside; the prices
     # are the ones the labor implies; labor counts every worker once.
     a, w = _scenario_instance()
-    eq = solve_roy(a, w, TECH)
+    eq = solve(a, w, TECH)
     assert eq.converged
     assert eq.gap <= 1e-9 * a.shape[0] and eq.residual <= 1e-9 * a.shape[0]
     assert np.array_equal(eq.prices, family_prices(w, TECH, eq.labor))
@@ -280,19 +288,20 @@ W_LENGTH = "weights must have one entry per skill column"
         pytest.param(np.array([[1.0, 2.0]]), np.ones((2, 1)), 1e-9, W_LENGTH, id="2-d-w"),
         pytest.param(np.array([[1.0, 2.0]]), np.array([1.0, 0.0]), 1e-9, WEIGHTS, id="zero-weight"),
         pytest.param(np.array([[1.0, 2.0]]), np.array([1.0, np.nan]), 1e-9, WEIGHTS, id="nan-weight"),
-        pytest.param(np.array([[1.0, 2.0]]), UNIT_WEIGHTS, 0.0, "tol must be positive", id="zero-tol"),
-        pytest.param(np.array([[1.0, 2.0]]), UNIT_WEIGHTS, -1e-9, "tol must be positive", id="negative-tol"),
+        pytest.param(np.array([[1.0, 2.0]]), UNIT_WEIGHTS, 0.0, "^tol must be positive$", id="zero-tol"),
+        pytest.param(np.array([[1.0, 2.0]]), UNIT_WEIGHTS, -1e-9, "^tol must be positive$", id="negative-tol"),
     ],
 )
 def test_solve_roy_checks_its_raw_input(a, w, tol, message):
     with pytest.raises(DomainError, match=message):
-        solve_roy(a, w, TECH, tol=tol)
+        solve(a, w, TECH, tol=tol)
 
 
 @pytest.mark.parametrize("Lambda", [0.0, -1.0, math.inf, math.nan])
 def test_solve_roy_needs_a_positive_scale(Lambda):
-    with pytest.raises(DomainError, match="Lambda"):
-        solve_roy(np.array([[1.0, 2.0]]), UNIT_WEIGHTS, TECH, Lambda=Lambda)
+    wording = "must be positive" if math.isfinite(Lambda) else "must be finite"
+    with pytest.raises(DomainError, match=f"^Lambda {wording}$"):
+        solve(np.array([[1.0, 2.0]]), UNIT_WEIGHTS, TECH, Lambda=Lambda)
 
 
 def _tie_sets(c, pi, log_s, r, width):
@@ -315,7 +324,7 @@ def test_a_finish_depends_only_on_its_tie_set(monkeypatch):
 
     a, w = _scenario_instance()
     monkeypatch.setattr(roy, "_finish", recording)
-    eq = solve_roy(a, w, TECH)
+    eq = solve(a, w, TECH)
     assert eq.converged and len(accepted) == 1
     c, pi, log_s, r, width, tol = accepted[0]
     narrow, wide = finish(c, pi, log_s, r, width, tol), finish(c, pi, log_s, r, 3.0 * width, tol)
@@ -324,7 +333,7 @@ def test_a_finish_depends_only_on_its_tie_set(monkeypatch):
     assert np.array_equal(narrow[0], wide[0]) and np.array_equal(narrow[1], wide[1])
 
     monkeypatch.setattr(roy, "_finish", lambda *args: finish(*args[:4], 3.0 * args[4], args[5]))
-    wider = solve_roy(a, w, TECH)
+    wider = solve(a, w, TECH)
     assert wider.converged
     assert np.array_equal(wider.labor, eq.labor) and np.array_equal(wider.prices, eq.prices)
     assert (wider.gap, wider.residual, wider.tied_workers) == (eq.gap, eq.residual, eq.tied_workers)
@@ -335,7 +344,7 @@ def test_solve_roy_without_a_certified_finish_returns_its_last_point(monkeypatch
     # point, uncertified, with that point's own gap and residual.
     monkeypatch.setattr(roy, "_finish", lambda *args: None)
     a, w = _scenario_instance()
-    eq = solve_roy(a, w, TECH)
+    eq = solve(a, w, TECH)
     assert not eq.converged
     assert eq.iterations > 0
     assert np.isfinite(eq.gap) and eq.gap >= 0.0
@@ -357,15 +366,15 @@ def test_solve_roy_refuses_a_finish_that_fails_its_certificate(monkeypatch, whic
         return (gap + 1.0, residual, dual) if which == "gap" else (gap, residual + 1.0, dual)
 
     monkeypatch.setattr(roy, "_certificates", inflated)
-    eq = solve_roy(*_scenario_instance(), TECH)
+    eq = solve(*_scenario_instance(), TECH)
     assert not eq.converged
 
 
 def _small_instance(rng):
     n, j = int(rng.integers(1, 7)), int(rng.integers(1, 4))
-    p = Portfolio(
-        id=np.arange(j), omega=rng.uniform(0.5, 2.0, j), delta=np.full(j, 0.1), k=rng.uniform(0.2, 2.0, j),
-        born_at=np.zeros(j, dtype=np.int64), aggregator=AggregatorSpec(kind="ces", rho=0.5),
+    p = replace(
+        INITIAL, id=np.arange(j), omega=rng.uniform(0.5, 2.0, j), delta=np.full(j, 0.1), k=rng.uniform(0.2, 2.0, j),
+        born_at=np.zeros(j, dtype=np.int64), aggregator=CES,
         tech=PowerCodification(beta=float(rng.uniform(0.2, 0.8))),
     )
     return np.exp(rng.normal(0.0, 0.8, (n, j))), weights(p), p.tech
@@ -378,7 +387,7 @@ def test_solve_roy_agrees_with_exhaustive_enumeration():
     found = 0
     for _ in range(50):
         a, w, tech = _small_instance(rng)
-        eq = solve_roy(a, w, tech)
+        eq = solve(a, w, tech)
         assert eq.converged
         oracle = roy_consistent_assignments(a, w, beta=tech.beta)
         if oracle:
@@ -401,7 +410,7 @@ def test_default_experiment_solves_are_all_certified(monkeypatch, pin_cpus):
         return eq
 
     monkeypatch.setattr(roy, "solve_roy", recording)
-    dispersion_experiment(RoyExperiment(), "mu", 2.0, 10, derive_seed(0, "roy"))
+    dispersion_experiment(EXPERIMENT, "mu", 2.0, 10, derive_seed(0, "roy"))
     assert len(eqs) == 240
     for eq, n in eqs:
         assert eq.converged
@@ -412,13 +421,12 @@ def test_arm_columns_match_per_period_portfolios():
     # Read off the panel, each evaluated period's skills and weights are, bit
     # for bit, the ones generate and effective_weights give for the portfolio
     # portfolio_at rebuilds for that period, entrants in the window included.
-    exp = RoyExperiment()
-    p0 = Portfolio(
-        id=np.arange(6), omega=np.ones(6), delta=np.linspace(0.08, 0.25, 6), k=np.ones(6),
-        born_at=np.zeros(6, dtype=np.int64),
-        aggregator=AggregatorSpec(kind="ces", rho=0.5, epsilon_floor=0.25), tech=TECH, Lambda=3.0,
+    exp = EXPERIMENT
+    p0 = replace(
+        INITIAL, id=np.arange(6), omega=np.ones(6), delta=np.linspace(0.08, 0.25, 6), k=np.ones(6),
+        born_at=np.zeros(6, dtype=np.int64), aggregator=replace(CES, epsilon_floor=0.25), tech=TECH, Lambda=3.0,
     )
-    entry = EntryConfig(mu=0.5, k_seed=1e-3, omega_sigma=0.5, delta_lo=0.08, delta_hi=0.25)
+    entry = replace(ENTRY, mu=0.5, k_seed=1e-3, omega_sigma=0.5, delta_lo=0.08, delta_hi=0.25)
     scenario = run_portfolio_scenario(p0, 1.0, entry, exp.T, seed=11)
     periods = range(exp.T - exp.eval_window + 1, exp.T + 1)
     columns = list(roy._evaluated_columns(exp, scenario, seed=17))
@@ -469,32 +477,32 @@ def test_maturity_skill_sigma_shape():
     assert big == pytest.approx(0.2, abs=1e-12)
     grid = maturity_skill_sigma(np.linspace(0, 5, 20), 1.5, 0.2, 1.0)
     assert np.all(np.diff(grid) < 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^sigma_mature must be <= sigma_young$"):
         maturity_skill_sigma(1.0, 0.2, 1.5, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^k_ref must be positive$"):
         maturity_skill_sigma(1.0, 1.5, 0.2, 0.0)
 
 
 def test_roy_experiment_validation():
     with pytest.raises(DomainError):
-        RoyExperiment(n_initial=0)
+        replace(EXPERIMENT, n_initial=0)
     with pytest.raises(DomainError):
-        RoyExperiment(delta_lo=0.3, delta_hi=0.2)
+        replace(EXPERIMENT, delta_lo=0.3, delta_hi=0.2)
     with pytest.raises(DomainError):
-        RoyExperiment(mu=-0.5)
+        replace(EXPERIMENT, mu=-0.5)
     with pytest.raises(DomainError):
-        RoyExperiment(sigma_young=0.1, sigma_mature=0.5)
+        replace(EXPERIMENT, sigma_young=0.1, sigma_mature=0.5)
     with pytest.raises(DomainError):
-        RoyExperiment(T=10, eval_window=12)
+        replace(EXPERIMENT, T=10, eval_window=12)
     with pytest.raises(DomainError):
-        RoyExperiment(eval_window=0)
+        replace(EXPERIMENT, eval_window=0)
 
 
 @pytest.mark.parametrize("n_workers", [1, 0, 2.0])
 def test_roy_experiment_rejects_fewer_than_two_workers(n_workers):
     # Dispersion needs two wages; the constructor stops this before a run.
     with pytest.raises(DomainError, match=r"n_workers must be an integer in \[2, 100000\]"):
-        RoyExperiment(n_initial=3, T=6, eval_window=3, n_workers=n_workers)
+        replace(EXPERIMENT, n_initial=3, T=6, eval_window=3, n_workers=n_workers)
 
 
 @pytest.mark.parametrize(
@@ -510,14 +518,14 @@ def test_roy_experiment_applies_the_config_bounds(field, value, message):
     # The resource bounds and the sampler's intensity limit hold for the
     # class as for the config, so such a value never reaches a run.
     with pytest.raises(DomainError, match=message):
-        RoyExperiment(**{field: value})
+        replace(EXPERIMENT, **{field: value})
 
 
 @pytest.mark.parametrize(
     "arguments, message",
     [
         ({"replications": 10**5}, r"^replications must be an integer in \[1, 10000\]$"),
-        ({"factor": 2.0, "experiment": RoyExperiment(mu=300.0)}, r"^factor \* mu must be <= 500 under treatment mu$"),
+        ({"factor": 2.0, "experiment": replace(EXPERIMENT, mu=300.0)}, r"^factor \* mu must be <= 500 under treatment mu$"),
         ({"treatment": "sigma"}, r"^treatment must be one of mu, delta$"),
     ],
 )
@@ -526,12 +534,12 @@ def test_dispersion_experiment_checks_its_arguments_before_any_arm(monkeypatch, 
         raise AssertionError("an arm was built before the arguments were checked")
 
     monkeypatch.setattr(roy, "_arm_inputs", build_arm)
-    arguments = {"experiment": RoyExperiment(), "treatment": "mu", "factor": 2.0, "replications": 1, **arguments}
+    arguments = {"experiment": EXPERIMENT, "treatment": "mu", "factor": 2.0, "replications": 1, **arguments}
     with pytest.raises(DomainError, match=message):
         dispersion_experiment(seed=0, **arguments)
 
 
-SMALL = RoyExperiment(n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4)
+SMALL = replace(EXPERIMENT, n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4)
 
 
 def test_dispersion_factor_one_is_an_exact_null():
@@ -604,7 +612,7 @@ def test_arm_newton_steps_sum_its_solves(monkeypatch, pin_cpus):
 def test_default_experiment_newton_steps_come_back_from_workers(pin_cpus):
     # The 240 seed-0 solves take 3,961 Newton steps however they are spread.
     pin_cpus(2)
-    res = dispersion_experiment(RoyExperiment(), "mu", 2.0, 10, derive_seed(0, "roy"))
+    res = dispersion_experiment(EXPERIMENT, "mu", 2.0, 10, derive_seed(0, "roy"))
     assert sum(arm.newton_steps for arm in res.base + res.treated) == 3961
 
 
