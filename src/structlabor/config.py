@@ -8,6 +8,7 @@ manifest's config digest; parsing it reproduces the configuration exactly.
 from __future__ import annotations
 
 import copy
+import json
 import math
 from collections import namedtuple
 from types import SimpleNamespace
@@ -256,11 +257,15 @@ def load_config(path: str | None, overrides: Any = None) -> AppConfig:
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                data = yaml.safe_load(handle)
-        except OSError as exc:
+                text = handle.read()
+            data = json.loads(text)
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("", f"cannot read config file {path}: {exc}") from None
-        except yaml.YAMLError as exc:
-            raise ConfigError("", f"invalid config syntax: {exc}") from None
+        except json.JSONDecodeError:  # JSON first: YAML 1.1 reads the 1e-10 that json.dumps writes as a string
+            try:
+                data = yaml.safe_load(text)
+            except yaml.YAMLError as exc:
+                raise ConfigError("", f"invalid config syntax: {exc}") from None
     return AppConfig(data, overrides)
 
 

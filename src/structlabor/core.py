@@ -142,7 +142,10 @@ def steady_state(params: BaselineParams) -> SteadyState:
     maintenance labor equals decay) and labor is paid the same in both
     activities, which pins down the closed-form share.
     """
-    s = float(structured_share(params.alpha, params.gamma, params.r, params.delta_k))
+    a, g, r, d = params.alpha, params.gamma, params.r, params.delta_k
+    underflow = "steady state out of range: gamma * delta_k and (1 - alpha) * (r + delta_k) both underflow to 0"
+    require(g * d + (1.0 - a) * (r + d) > 0.0, underflow)
+    s = float(structured_share(a, g, r, d))
     l_s = s * params.L_bar
     l_u = params.L_bar - l_s
     k = params.eta / params.delta_k * l_s
@@ -178,6 +181,7 @@ def comparative_statics(params: BaselineParams) -> tuple[float, float, float]:
         denom = (g * d + (1.0 - a) * (r + d)) ** 2
     except OverflowError:
         raise DomainError("comparative statics out of range: D**2 overflows") from None
+    require(denom > 0.0, "comparative statics out of range: D**2 underflows")
     ds_dgamma = d * (1.0 - a) * (r + d) / denom
     ds_dr = -g * d * (1.0 - a) / denom
     ds_ddelta = g * (1.0 - a) * r / denom

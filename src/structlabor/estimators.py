@@ -282,6 +282,9 @@ def indices(panel: MaturityPanel, families: Portfolio, labor_total, L_bar: float
     labor = np.asarray(labor_total, dtype=float)
     require(labor.shape == (len(bounds) - 1,), "labor_total must have one entry per period")
     require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor_total must be nonnegative")
+    with np.errstate(over="ignore"):
+        share = labor / L_bar
+    require(bool(np.all(np.isfinite(share))), "maintenance share out of range: labor_total / L_bar overflows")
     # Clipped positions read a wrong id only for families missing from the roster.
     pos = np.searchsorted(families.id, fams)
     np.minimum(pos, families.size - 1, out=pos)
@@ -289,4 +292,4 @@ def indices(panel: MaturityPanel, families: Portfolio, labor_total, L_bar: float
     w, mats, agg = families.omega[pos], panel.maturity, families.aggregator
     spans = zip(bounds[:-1], bounds[1:])
     capability = np.array([aggregate_capability(w[lo:hi], mats[lo:hi], agg) for lo, hi in spans])
-    return per[bounds[:-1]], capability, labor / L_bar, np.diff(bounds)
+    return per[bounds[:-1]], capability, share, np.diff(bounds)

@@ -66,16 +66,16 @@ def _atomic_write(path: str, parts: Iterable[bytes]) -> None:
 # byte is the column's "," or "\n"; deleting the NULs from the matrix's
 # bytes yields the chunk's text.  The matrix is filled word-major, one
 # contiguous array of rows per slot word, and transposed as it is copied
-# out.  A boolean slot is one word.  An integer slot is three: 20 digit
-# places, enough for 2**64 - 1, and three NULs.  A negative's "-" is in the
-# first place, whose digit is zero, as 2**63 < 10**19.  A float slot is
-# six words with a place for every character repr can write:
+# out.  A negative's "-" is ORed into its slot's first byte, which the cell
+# leaves NUL.  A boolean slot is one word.  An integer slot is three: 20
+# digit places, enough for 2**64 - 1 (the first is 0, as 2**63 < 10**19),
+# and three NULs.  A float slot is six words, a place for each repr character:
 #   0      "-"
 #   1-5    "0.000", the lead of a value below 1
 #   6-39   17 digits, each followed by a "."
 #   40-44  "e", the exponent's sign and three exponent digits
 _SLOT_WORDS = {"b": 1, "i": 3, "u": 3, "f": 6}
-_BLOCK_DTYPES = {"b": np.bool_, "i": np.int64, "u": np.uint64, "f": np.float64}
+_RENDER_DTYPES = {"b": np.bool_, "i": np.int64, "u": np.uint64, "f": np.float64}
 _BOOL_WORDS = np.array([b"0", b"1"], dtype="S8").view(np.uint64)
 
 # Schubfach (Giulietti, "The Schubfach way to render doubles", 2020) on
@@ -140,13 +140,13 @@ def _float_tables() -> SimpleNamespace:
 
     Row decpt + 323 of suffix and template, for a cell that reads
     0.d1d2... * 10**decpt, holds the slot's last word, "e-324" ... "e+308"
-    (the exponent is decpt - 1), and the row of mask for a positive cell
-    with 17 significant digits.  A cell with sign bit b and n significant
-    digits takes row template[decpt + 323] + 374 * b + n - 17 of mask, whose
-    (sign, layout, n) rows hold the 0x00/0xFF masks of the slot's bytes.
+    (the exponent is decpt - 1), and the row of mask for a cell with 17
+    significant digits.  A cell with n significant digits takes row
+    template[decpt + 323] + n - 17 of mask, whose 374 (layout, n) rows hold
+    the 0x00/0xFF masks of the slot's bytes, the sign's byte always 0x00.
     The layout is decpt + 3 for the positional form (-3 <= decpt <= 16),
     20 for the exponent form with a two-digit exponent and 21 for a
-    three-digit one.  Entry d of lead is the slot's first word, "-0.000d.".
+    three-digit one.  Entry d of lead is the slot's first word, NUL "0.000d.".
     """
     # g for k = 0, -1, ..., _K_MIN and then 1, ..., _K_MAX, with p = 10**|k|.
     powers, p = [], 1
@@ -174,15 +174,13 @@ def _float_tables() -> SimpleNamespace:
     suffix[:, 1] = np.where(decpt < 1, ord("-"), ord("+"))
     suffix[:, 2:5] = _digit_groups()[0].view(np.uint8).reshape(-1, 8)[np.abs(decpt - 1), 1:4]
 
-    # The kept bytes of each (sign, layout, n), by broadcasting over the four axes.
-    neg = np.arange(2)[:, None, None, None] == 1
-    lay = np.arange(22)[None, :, None, None]
-    n = np.arange(1, 18)[None, None, :, None]
+    # The kept bytes of each (layout, n), by broadcasting over the three axes.
+    lay = np.arange(22)[:, None, None]
+    n = np.arange(1, 18)[None, :, None]
     point = lay - 3
     positional = lay < 20
     j = np.arange(17)
-    mask = np.zeros((2, 22, 17, 48), dtype=bool)
-    mask[..., :1] = neg
+    mask = np.zeros((22, 17, 48), dtype=bool)
     mask[..., 1:3] = positional & (point <= 0)
     mask[..., 3:6] = positional & (np.arange(3) < -point)
     # Digits past the significant ones are zeros, which "100.0" shows.
@@ -199,7 +197,7 @@ def _float_tables() -> SimpleNamespace:
         suffix=suffix.view(np.uint64).ravel(),
         template=layout * 17 + 16,
         mask=(mask.reshape(-1, 48).astype(np.uint8) * 0xFF).view(np.uint64).T.copy(),
-        lead=np.array([f"-0.000{d}." for d in range(10)], dtype="S8").view(np.uint64),
+        lead=np.array([f"\x000.000{d}." for d in range(10)], dtype="S8").view(np.uint64),
     )
 
 
@@ -274,7 +272,7 @@ def _shortest(bits: np.ndarray, tables: SimpleNamespace) -> tuple[np.ndarray, np
 
 
 def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
-    """Doubles of any shape into ``out``, six slot words by that shape,
+    """A column of doubles into ``out``, six slot words by its rows,
     byte-identical to ``repr``: Schubfach's shortest decimal, its bytes
     masked by template.  Zeros are laid out as 0 * 10**1; subnormals,
     infinities and NaNs are rendered by ``repr`` itself."""
@@ -292,20 +290,21 @@ def _render_floats(x: np.ndarray, out: np.ndarray) -> None:
     zeros = trailing.take(parts[3])
     for i in range(1, 4):
         zeros += (zeros == 4 * i) * trailing.take(parts[3 - i])
-    template = tables.template.take(decpt) + np.signbit(x) * 374 - zeros
+    template = tables.template.take(decpt) - zeros
 
     words = [tables.lead.take(lead.view(np.int64))]
     words += [dotted.take(part) for part in parts]
     words.append(tables.suffix.take(decpt))
     for word, chars, mask in zip(out, words, tables.mask):
         np.bitwise_and(chars, mask.take(template), out=word)
+    out[0] |= np.signbit(x) * np.uint64(ord("-"))
 
     bq = bits >> 52 & np.uint64(0x7FF)
     special = (bq == 0x7FF) | ((bq == 0) & ~zero)
     if special.any():
-        cells = np.nonzero(special)
+        cells = np.flatnonzero(special)
         text = np.array([repr(v) for v in x[cells].tolist()], dtype="S48")
-        out[(slice(None), *cells)] = text.view(np.uint64).reshape(-1, 6).T
+        out[:, cells] = text.view(np.uint64).reshape(-1, 6).T
 
 
 @functools.cache
@@ -317,9 +316,8 @@ def _int_masks() -> np.ndarray:
 
 
 def _render_ints(values: np.ndarray, out: np.ndarray) -> None:
-    """Integers of an int64 or uint64 array of any shape in decimal into
-    ``out``, three slot words by that shape: five digit groups with the
-    leading zeros masked off, and a negative's sign."""
+    """A column of int64 or uint64 integers in decimal into ``out``, three slot words by rows:
+    five digit groups with the leading zeros masked off, and a negative's sign."""
     # abs(-2**63) wraps to itself, which is 2**63 as a uint64.
     magnitude = np.abs(values).view(np.uint64)
     # Powers and groups go only as far as the widest magnitude needs; the groups above are "0000".
@@ -334,19 +332,16 @@ def _render_ints(values: np.ndarray, out: np.ndarray) -> None:
     out[0] |= (values < 0) * np.uint64(ord("-"))
 
 
-def _render(block: np.ndarray, out: np.ndarray) -> None:
-    """Render a block of adjacent columns of one kind, the rows of a bool,
-    int64, uint64 or float64 array, into ``out``, their slots' words,
-    word-major: booleans as 1/0, integers in decimal, floats byte-identical
-    to ``repr``."""
-    out = out.reshape(block.shape[0], -1, block.shape[1]).swapaxes(0, 1)
-    kind = block.dtype.kind
+def _render(column: np.ndarray, out: np.ndarray) -> None:
+    """Render a bool, int64, uint64 or float64 column into ``out``, its slot's words by rows:
+    booleans as 1/0, integers in decimal, floats byte-identical to ``repr``."""
+    kind = column.dtype.kind
     if kind == "b":
-        out[0] = _BOOL_WORDS.take(block.view(np.uint8))
+        out[0] = _BOOL_WORDS.take(column.view(np.uint8))
     elif kind == "f":
-        _render_floats(block, out)
+        _render_floats(column, out)
     else:
-        _render_ints(block, out)
+        _render_ints(column, out)
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
@@ -373,22 +368,12 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
     ends = np.cumsum([_SLOT_WORDS[c.dtype.kind] for c in cols])
     starts = np.r_[0, ends[:-1]]
     separators = np.array([[ord(",")]] * (len(cols) - 1) + [[ord("\n")]], dtype=np.uint8)
-    # Adjacent columns of one kind are rendered together, in blocks of at
-    # most CHUNK_ROWS cells, so a short table pays numpy's per-call cost
-    # once per block rather than once per column.
-    width = max(1, CHUNK_ROWS // max(1, min(n, CHUNK_ROWS)))
-    blocks = []
-    for _, run in itertools.groupby(range(len(cols)), key=lambda i: cols[i].dtype.kind):
-        run = list(run)
-        blocks += [(i, min(i + width, run[-1] + 1)) for i in range(run[0], run[-1] + 1, width)]
 
     def render(chunk: int) -> bytes:
         lo = chunk * CHUNK_ROWS
         words = np.empty((ends[-1], min(CHUNK_ROWS, n - lo)), dtype=np.uint64)
-        for first, last in blocks:
-            kind = cols[first].dtype.kind
-            block = np.array([c[lo : lo + CHUNK_ROWS] for c in cols[first:last]], dtype=_BLOCK_DTYPES[kind])
-            _render(block, words[starts[first] : ends[last - 1]])
+        for col, start, end in zip(cols, starts, ends):
+            _render(np.asarray(col[lo : lo + CHUNK_ROWS], dtype=_RENDER_DTYPES[col.dtype.kind]), words[start:end])
         words.view(np.uint8).reshape(*words.shape, 8)[ends - 1, :, 7] = separators
         return words.T.tobytes().translate(None, b"\0")
 

@@ -441,7 +441,8 @@ def maturity_skill_sigma(maturity, sigma_young: float, sigma_mature: float, k_re
     given = {"sigma_young": sigma_young, "sigma_mature": sigma_mature, "k_ref": k_ref}
     check(given, {name: ROY[name] for name in given}, (SIGMA_ORDER,))
     maturity = np.asarray(maturity, dtype=float)
-    return sigma_mature + (sigma_young - sigma_mature) * np.exp(-maturity / k_ref)
+    with np.errstate(over="ignore"):  # -maturity / k_ref may be -inf, whose exp is the limit 0
+        return sigma_mature + (sigma_young - sigma_mature) * np.exp(-maturity / k_ref)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from .errors import DomainError
 
 # Most initial families a config may ask for; per-family values are broadcast to this length.
 MAX_FAMILIES = 100_000
-# Most portfolio periods: loading builds the drift windows, about T/5 + T/7 ints, even with drift off.
+# Most portfolio and transition periods: loading builds the drift windows, about T/5 + T/7 ints, even with
+# drift off, and a transition path that does not converge runs every period, about 10 us and 370 B each.
 MAX_PERIODS = 100_000
 # Most calibration draws: the sample is held as one 8-byte share per draw, 800 MB at the bound.
 MAX_DRAWS = 100_000_000
@@ -137,7 +138,7 @@ ROY = {
 EVAL_WINDOW = Rule("eval_window", lambda c: c["eval_window"] <= c["T"] + 1, "must be <= T + 1")
 SIGMA_ORDER = Rule("sigma_mature", lambda c: c["sigma_mature"] <= c["sigma_young"], "must be <= sigma_young")
 # The arguments of the functions that read the other config fields.
-TRANSITION = {"k0": POSITIVE, "L_S0": NONNEGATIVE, "T": COUNT, "damping": STEP, "tol": POSITIVE}
+TRANSITION = {"k0": POSITIVE, "L_S0": NONNEGATIVE, "T": count(1, MAX_PERIODS), "damping": STEP, "tol": POSITIVE}
 SCENARIO = {"labor_budget": NONNEGATIVE, "T": COUNT}
 WINDOWS = {"start": count(0), "every": COUNT}
 DETECTION = {"rel_drop": OPEN_UNIT, "horizon": count(1, MAX_HORIZON)}

@@ -310,6 +310,7 @@ def test_weight_overflow_is_one_json_error(tmp_path, capsys, command, text):
         ("steady-state", {"baseline": {"r": sys.float_info.max}}, "comparative statics out of range: D**2 overflows"),
         ("portfolio", {"portfolio": {"k0": sys.float_info.max}}, "capability index out of range: the CES index overflows"),
         ("estimate", {"portfolio": {"k0": sys.float_info.max}}, "capability index out of range: the CES index overflows"),
+        ("estimate", {"baseline": {"L_bar": 5e-324}}, "maintenance share out of range: labor_total / L_bar overflows"),
         ("portfolio", {"portfolio": {"rho": -400.0}}, "effective weights out of range: the CES index overflows"),
         ("portfolio", {"portfolio": {"omega": sys.float_info.max}}, "effective weights out of range: the CES index overflows"),
         (
@@ -318,7 +319,10 @@ def test_weight_overflow_is_one_json_error(tmp_path, capsys, command, text):
             "skill draws out of range: exp(sigma * z) leaves the float range; lower sigma_young",
         ),
     ],
-    ids=["comparative-statics", "capability", "estimate-capability", "ces-inner-sum", "ces-omega", "skill-draws"],
+    ids=[
+        "comparative-statics", "capability", "estimate-capability", "maintenance-share", "ces-inner-sum", "ces-omega",
+        "skill-draws",
+    ],
 )
 def test_float_range_overflow_names_what_overflowed(tmp_path, capsys, pin_cpus, command, data, message):
     # A valid config whose values take one quantity beyond the float range:
@@ -357,6 +361,43 @@ def test_overflowing_default_damping_is_a_runtime_error(tmp_path, capsys, baseli
     assert os.listdir(out) == []
     cfg = write_config(tmp_path, {"baseline": baseline, "transition": {"damping": 0.5}})
     assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+
+
+STEADY_STATE_UNDERFLOWS = "steady state out of range: gamma * delta_k and (1 - alpha) * (r + delta_k) both underflow to 0"
+
+
+@pytest.mark.parametrize(
+    "command, tiny, message",
+    [
+        ("steady-state", 5e-324, STEADY_STATE_UNDERFLOWS),
+        ("simulate", 5e-324, STEADY_STATE_UNDERFLOWS),
+        ("steady-state", 1e-200, "comparative statics out of range: D**2 underflows"),
+    ],
+    ids=["steady-state-D", "simulate-D", "steady-state-D-squared"],
+)
+def test_closed_form_underflow_is_a_runtime_error(tmp_path, capsys, command, tiny, message):
+    # At alpha just below 1 and tiny r and delta_k, D = gamma * delta_k +
+    # (1 - alpha) * (r + delta_k) underflows to 0 at 5e-324, and D**2 does
+    # at 1e-200: one JSON error and no outputs, not a ZeroDivisionError.
+    cfg = write_config(tmp_path, {"baseline": {"alpha": 0.9999999999999999, "r": tiny, "delta_k": tiny}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["kind"], err["message"]) == ("runtime", message)
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"transition": {"tol": 1e-12}}, {"baseline": {"alpha": 0.9999999999999999, "r": 1e-200, "delta_k": 1e-200}}],
+    ids=["tol", "D-squared-underflows"],
+)
+def test_simulate_runs_at_json_exponent_floats(tmp_path, data):
+    # json.dumps writes 1e-12 and 1e-200 without a dot, which YAML 1.1 reads
+    # as strings.  Where only D**2 underflows, simulate still runs: it needs
+    # no comparative statics.
+    cfg = write_config(tmp_path, data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
 
 def test_stdout_closed_by_its_reader_exits_zero(tmp_path):
@@ -495,8 +536,9 @@ CROSS_FIELD = [
 # family count whose per-family broadcast would overflow a list, draw, worker
 # and initial Roy family counts whose arrays could not be allocated, a
 # degradation horizon beyond the int64 periods, more Roy replications than
-# the experiment may hold, and more portfolio periods than the drift windows
-# built at load may cover.
+# the experiment may hold, more portfolio periods than the drift windows
+# built at load may cover, and more transition periods than a path that does
+# not converge may run.
 BEYOND_LIMIT = [
     ({"portfolio": {"entry": {"mu": 600.0}}}, "portfolio.entry.mu"),
     ({"roy": {"mu": 600.0}}, "roy.mu"),
@@ -511,6 +553,7 @@ BEYOND_LIMIT = [
     ({"estimate": {"horizon": 10**30}}, "estimate.horizon"),
     # One family and no entrants, so that a missing bound fails in seconds at run time.
     ({"portfolio": {"T": MAX_PERIODS + 1, "n_families": 1, "entry": {"mu": 0.0}}}, "portfolio.T"),
+    ({"transition": {"T": MAX_PERIODS + 1}}, "transition.T"),
 ]
 
 # Integer literals too large for a float, as a scalar, in a pair and in a per-family list.

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -181,12 +182,14 @@ def test_family_count_loads_up_to_its_bound():
         ("roy", "n_workers", MAX_WORKERS),
         ("roy", "replications", MAX_REPLICATIONS),
         ("portfolio", "T", MAX_PERIODS),
+        ("transition", "T", MAX_PERIODS),
     ],
 )
 def test_draw_and_worker_counts_load_up_to_their_bounds(section, key, bound):
-    # Loading allocates nothing per draw, worker or replication, and per
-    # portfolio period only the drift windows (about T/5 + T/7 ints), so the
-    # bound itself loads; each count is checked before anything is built.
+    # Loading allocates nothing per draw, worker, replication or transition
+    # period, and per portfolio period only the drift windows (about T/5 +
+    # T/7 ints), so the bound itself loads; each count is checked before
+    # anything is built.
     assert getattr(getattr(AppConfig({section: {key: bound}}), section), key) == bound
     for n in (bound + 1, 2**60):
         with pytest.raises(ConfigError) as exc:
@@ -288,6 +291,14 @@ def test_load_config_reads_yaml_and_json(tmp_path):
     assert load_config(None).run.seed == 0
 
 
+def test_json_dump_of_the_defaults_loads_back(tmp_path):
+    # json.dumps writes the default transition.tol as 1e-10, which YAML 1.1
+    # reads as a string; a JSON file is read as JSON.
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(serialize(AppConfig())))
+    assert serialize(load_config(str(path))) == serialize(AppConfig())
+
+
 def test_load_config_failure_modes(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.yaml"))
@@ -295,6 +306,10 @@ def test_load_config_failure_modes(tmp_path):
     broken.write_text("run: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config(str(broken))
+    undecodable = tmp_path / "undecodable.yaml"
+    undecodable.write_bytes(b"run: {seed: 1}\n\xff\xfe\n")
+    with pytest.raises(ConfigError, match="^cannot read config file"):
+        load_config(str(undecodable))
 
 
 def test_serialized_config_is_plain_data():

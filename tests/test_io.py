@@ -122,10 +122,10 @@ def test_a_failed_chunk_leaves_no_file(tmp_path, cpus, monkeypatch):
     # the write with that error and leaves neither the file nor a temp file.
     render = io_module._render
 
-    def cells(block, out):
-        if block.dtype.kind == "i" and block[0, 0] == CHUNK_ROWS:
+    def cells(column, out):
+        if column.dtype.kind == "i" and column[0] == CHUNK_ROWS:
             raise DomainError("bad second chunk")
-        render(block, out)
+        render(column, out)
 
     monkeypatch.setattr(io_module, "_render", cells)
     with pytest.raises(DomainError, match="^bad second chunk$"):
@@ -205,10 +205,10 @@ def test_integer_float16_float32_and_strided_cells(tmp_path, cpus):
 
 @pytest.mark.parametrize("n", [40, CHUNK_ROWS // 3])
 def test_adjacent_columns_of_one_kind_render_as_blocks(tmp_path, cpus, n):
-    # A short table renders adjacent columns of one kind together: all five
-    # float columns in one block at 40 rows, blocks of three and two at
-    # CHUNK_ROWS // 3.  Special values sit in every float column, and the
-    # integer blocks mix dtypes and digit counts.
+    # A short table that mixes every kind, with adjacent columns of one
+    # kind and of several widths: special values sit in every float column,
+    # one of them float32, and the integer columns mix dtypes and digit
+    # counts.
     rng = np.random.Generator(np.random.Philox(key=7))
     floats = []
     for j in range(5):
