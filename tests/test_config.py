@@ -183,12 +183,13 @@ def test_family_count_loads_up_to_its_bound():
         ("roy", "replications", MAX_REPLICATIONS),
         ("portfolio", "T", MAX_PERIODS),
         ("transition", "T", MAX_PERIODS),
+        ("roy", "T", MAX_PERIODS),
     ],
 )
 def test_draw_and_worker_counts_load_up_to_their_bounds(section, key, bound):
-    # Loading allocates nothing per draw, worker, replication or transition
-    # period, and per portfolio period only the drift windows (about T/5 +
-    # T/7 ints), so the bound itself loads; each count is checked before
+    # Loading allocates nothing per draw, worker, replication, transition or
+    # Roy period, and per portfolio period only the drift windows (about T/5
+    # + T/7 ints), so the bound itself loads; each count is checked before
     # anything is built.
     assert getattr(getattr(AppConfig({section: {key: bound}}), section), key) == bound
     for n in (bound + 1, 2**60):

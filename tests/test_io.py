@@ -405,14 +405,29 @@ def test_read_panel_csv_skips_blank_lines_and_reads_bool_spellings(tmp_path):
         + "\n"
         + "1,0,2.0,0.5,2.0,True,false\n"
         + "\n\n"
-        + "0,1,0.5,0.25,1.5,0,1\n"
+        + "0,1,0.5,0.25,1.5,0,1\r\n"
+        + '1,1,0.5,0.25,1.5,"1","False"\n',
+        newline="",
     )
     back = read_panel_csv(str(path))
-    assert back["family_id"].tolist() == [0, 1, 0]
-    assert back["period"].tolist() == [0, 0, 1]
-    assert back["maturity"].tolist() == [1.0, 2.0, 0.5]
-    assert back["tech_window"].tolist() == [True, True, False]
-    assert back["org_window"].tolist() == [False, False, True]
+    assert back["family_id"].tolist() == [0, 1, 0, 1]
+    assert back["period"].tolist() == [0, 0, 1, 1]
+    assert back["maturity"].tolist() == [1.0, 2.0, 0.5, 0.5]
+    assert back["tech_window"].tolist() == [True, True, False, True]
+    assert back["org_window"].tolist() == [False, False, True, False]
+    assert back["tech_window"].dtype == back["org_window"].dtype == bool
+
+
+def test_read_panel_csv_parses_booleans_without_a_python_callback(tmp_path, monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"_parse_bool called on {text!r}")
+
+    monkeypatch.setattr(io_module, "_parse_bool", refuse)
+    path = tmp_path / "panel.csv"
+    path.write_text(",".join(PANEL_COLUMNS) + "\n0,0,1.0,0.5,2.0,1,0\n1,0,2.0,0.5,2.0,0,1\n")
+    back = read_panel_csv(str(path))
+    assert back["tech_window"].tolist() == [True, False]
+    assert back["org_window"].tolist() == [False, True]
 
 
 @pytest.mark.parametrize(
@@ -422,12 +437,17 @@ def test_read_panel_csv_skips_blank_lines_and_reads_bool_spellings(tmp_path):
         ("x,2,1.0,0.5,2.0,1,0", "invalid literal"),
         ("0,2,1.0,0.5,2.0,1,maybe", "invalid boolean"),
         ("0,2,1.0", "expected 7 columns"),
+    ]
+    # Spellings that an integer or truncating byte parse of a boolean cell would accept.
+    + [
+        (f"0,2,1.0,0.5,2.0,{cell},0", "invalid boolean")
+        for cell in (" 1", "1 ", "\t1", "+1", "01", "00", "+0", "2", "-0", "", "1\x00", "falsey", "Truely", "\u20ac")
     ],
 )
 def test_read_panel_csv_reports_later_line_numbers(tmp_path, bad_row, message):
     path = tmp_path / "late.csv"
     good = ["0,0,1.0,0.5,2.0,1,0", "0,1,1.0,0.5,2.0,0,0"]
-    path.write_text("\n".join([",".join(PANEL_COLUMNS), *good, "", bad_row]) + "\n")
+    path.write_text("\n".join([",".join(PANEL_COLUMNS), *good, "", bad_row]) + "\n", encoding="utf-8")
     with pytest.raises(DomainError, match=rf"late\.csv:5: .*{message}"):
         read_panel_csv(str(path))
 
