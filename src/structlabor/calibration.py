@@ -15,18 +15,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import structured_share
-from .errors import require
+from .errors import DomainError, require
 from .rng import check_seed, indexed_uniforms
 from .schema import PRIOR_RULES, PRIORS, check
 
-# Draws per sampling and summing block; bounds the transient uniform matrix
-# at 8 MB and keeps every per-exponent mantissa sum below 2**44 (see
-# ``_exact_sum``).
-_BLOCK = 1 << 18
+# Draws per sampling and summing block: a 2 MB uniform matrix.
+_BLOCK = 1 << 16
 
 # 2**1074: the reciprocal of the smallest subnormal double, the unit of
 # ``_exact_sum``.
 _SUBNORMAL_SCALE = 1 << 1074
+
+# The quantiles reported, in ``CalibrationResult`` field order q2_5, q10, median, q90, q97_5.
+_QUANTILES = (0.025, 0.10, 0.50, 0.90, 0.975)
+
+# Order statistics are found by radix selection over the shares' bit
+# patterns (nonnegative doubles sort like their patterns): a first histogram
+# of the patterns shifted right by at least ``_SHIFT`` over at most
+# ``_MAX_BINS`` bins, then ``_STEP`` more bits per further pass, until the
+# bins that hold the wanted ranks hold at most ``_KEEP`` draws, which one
+# more pass collects and sorts.
+_SHIFT = 36
+_MAX_BINS = 1 << 18
+_STEP = 12
+_KEEP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,7 @@ def _exact_sum(x: np.ndarray) -> int:
     (zeros and subnormals).  The top 12 bits, sign and exponent, key one
     ``np.bincount`` bin each; per bin the fraction's high and low 26-bit
     halves are summed in float64, exact as every partial sum is an integer
-    below 2**44, and the implicit bits are counted.  The bins are combined
+    below 2**42, and the implicit bits are counted.  The bins are combined
     in Python integers (the binned accumulator of Demmel and Hida, 2004).
     """
     bits = x.view(np.int64)
@@ -144,13 +156,113 @@ def _exact_sum(x: np.ndarray) -> int:
     return total
 
 
+def _share_blocks(priors: PriorSpec):
+    """The shares in percent, ``_BLOCK`` draws at a time, in draw order."""
+    n = priors.n_draws
+    for lo in range(0, n, _BLOCK):
+        shares = sample_shares(priors, lo, min(_BLOCK, n - lo))
+        shares *= 100.0
+        yield shares
+
+
+def _bits(x: float) -> int:
+    """The bit pattern of the double ``x``."""
+    return int(np.float64(x).view(np.int64))
+
+
+def _histogram_range(priors: PriorSpec) -> tuple[int, int, int]:
+    """``(first, last, shift)``: the bit pattern of every share in percent,
+    shifted right by ``shift``, lies in [first, last], at most ``_MAX_BINS``
+    bins.
+
+    A parameter draw ``lo + (hi - lo) * u`` never rounds past ``hi``: with
+    ``d`` the rounded ``hi - lo`` and u at most 1 - 2**-53, the rounded
+    ``d * u`` is at most the double below ``d``, which is below ``hi - lo``
+    as ``d`` is within half its ulp of it, and rounding is monotone.  So
+    the exact shares lie between :func:`share_bounds`' corners.  A computed
+    share is within a few roundings (a relative 2**-50) of the exact one
+    while no step underflows, so it can land an ulp or so past a corner,
+    and each end is padded by one bin of at least 2**36 ulps.  A share
+    outside the range is refused, never clamped.
+    """
+    lo, hi = (_bits(bound * 100.0) for bound in share_bounds(priors))
+    shift = _SHIFT
+    while (hi >> shift) - (lo >> shift) + 3 > _MAX_BINS:
+        shift += 1
+    return max((lo >> shift) - 1, 0), (hi >> shift) + 1, shift
+
+
+def _order_statistics(priors: PriorSpec, ranks: np.ndarray, first: int, counts: np.ndarray, shift: int, mean):
+    """The shares of sorted ranks ``ranks`` (0-based), and the exact sum of
+    the squared deviations ``(x - mean)**2``.
+
+    ``counts`` is the histogram of the shares' bit patterns shifted right by
+    ``shift``, from key ``first`` on.  Each pass regenerates the sample:
+    while the bins holding ``ranks`` hold more than ``_KEEP`` draws it
+    histograms their next ``_STEP`` bits, and then it collects and sorts
+    their draws.  A bin of shift 0 is one bit pattern, so a point mass needs
+    no collection.  The squared deviations are summed in the first pass.
+    """
+    top, keys, squares = shift, np.arange(first, first + counts.shape[0]), 0
+    while True:
+        # Keep only the bins holding a wanted rank; ranks then count within them.
+        cum = np.cumsum(counts)
+        at = np.searchsorted(cum, ranks, side="right")
+        held = np.unique(at)
+        slot = np.searchsorted(held, at)
+        kept_below = np.cumsum(counts[held]) - counts[held]
+        ranks = ranks - (cum[at] - counts[at]) + kept_below[slot]
+        keys, counts = keys[held], counts[held]
+        if shift == 0:
+            return keys[slot].view(np.float64), squares
+        collect = int(counts.sum()) <= _KEEP
+        step = min(_STEP, shift)
+        # The first pass's bins that hold a kept bin, so most draws are passed over with one lookup.
+        coarse_keys = (keys >> (top - shift)) - first
+        near = np.zeros(coarse_keys[-1] + 1, dtype=bool)
+        near[coarse_keys] = True
+        parts, finer = [], np.zeros(keys.shape[0] << step, dtype=np.int64)
+        for shares in _share_blocks(priors):
+            if mean is not None:
+                squares += _exact_sum(np.square(shares - mean))
+            bits = shares.view(np.int64)
+            coarse = bits >> top
+            coarse -= first
+            np.minimum(coarse, near.shape[0] - 1, out=coarse)
+            bits = bits[near[coarse]]
+            pos = np.searchsorted(keys, bits >> shift)
+            np.minimum(pos, keys.shape[0] - 1, out=pos)
+            hit = keys[pos] == bits >> shift
+            if collect:
+                parts.append(bits[hit])
+            else:
+                sub = (bits[hit] >> (shift - step)) & ((1 << step) - 1)
+                sub |= pos[hit] << step
+                finer += np.bincount(sub, minlength=finer.shape[0])
+        mean = None
+        if collect:
+            return np.sort(np.concatenate(parts).view(np.float64))[ranks], squares
+        keys = ((keys[:, None] << step) | np.arange(1 << step)).ravel()
+        counts, shift = finer, shift - step
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's interpolation between order statistics (``_lerp`` of its
+    ``linear`` quantiles), which is exact at both ends."""
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
 def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     """Simulate the share distribution and summarize it in percent.
 
-    The sample is generated in blocks of ``_BLOCK`` draws written into one
-    preallocated array of shares, so the ``(n, 4)`` uniform matrix never
-    exists at once.  Draw ``i`` is Philox counter block ``i`` and the share
-    is elementwise, so the array is bit-identical to a one-block sample.
+    The sample is never held.  Draw ``i`` is Philox counter block ``i`` and
+    the share is elementwise, so the sample is regenerated block by block
+    (``_BLOCK`` draws) as often as it is read, bit-identical each time.  The
+    first pass sums the shares, takes min, max and the exceedance counts,
+    and histograms their bit patterns; the second sums the squared
+    deviations and selects the order statistics (``_order_statistics``).
+    Memory is one block and a few histograms, whatever ``n_draws`` is.
 
     Every field depends only on the draws, never on the numpy build's
     summation order.  The mean is
@@ -161,41 +273,48 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     and rounded once by CPython's correctly rounded int/int division,
     which is what ``fsum`` returns.  Exceedance probabilities are
     strict, Pr(s > threshold), and are exact counts divided by n.
-    Quantiles use numpy's ``linear`` method, a selection plus an
-    elementwise interpolation; they are taken last and in place
-    (``overwrite_input``), which reorders the share array instead of
-    copying it, so every reduction before them sees the draws in index
-    order.
+    Quantiles are numpy's ``linear`` method, ``np.quantile(shares, q)``:
+    the order statistics of ranks floor((n - 1) q) and the next, and
+    numpy's interpolation between them (``_lerp``).
     """
     n = priors.n_draws
-    shares = np.empty(n)
-    total = 0
-    for lo in range(0, n, _BLOCK):
-        block = shares[lo : lo + _BLOCK]
-        block[:] = sample_shares(priors, lo, len(block)) * 100.0
-        total += _exact_sum(block)
+    first, last, shift = _histogram_range(priors)
+    counts = np.zeros(last - first + 1, dtype=np.int64)
+    total = above_5 = above_8 = 0
+    share_min, share_max = math.inf, -math.inf
+    for shares in _share_blocks(priors):
+        total += _exact_sum(shares)
+        lo, hi = shares.min(), shares.max()
+        share_min, share_max = min(share_min, float(lo)), max(share_max, float(hi))
+        require(
+            first <= _bits(lo) >> shift and _bits(hi) >> shift <= last,
+            "share out of range: a draw lies outside the shares of its prior box's corners",
+        )
+        above_5 += int(np.count_nonzero(shares > 5.0))
+        above_8 += int(np.count_nonzero(shares > 8.0))
+        key = shares.view(np.int64) >> shift
+        key -= first
+        counts += np.bincount(key, minlength=counts.shape[0])
     mean = total / _SUBNORMAL_SCALE / n
-    if n > 1:
-        total = sum(_exact_sum(np.square(shares[lo : lo + _BLOCK] - mean)) for lo in range(0, n, _BLOCK))
-        sd = math.sqrt(total / _SUBNORMAL_SCALE / (n - 1))
-    else:
-        sd = 0.0
-    share_min, share_max = float(np.min(shares)), float(np.max(shares))
-    pr_gt_5pct, pr_gt_8pct = float(np.mean(shares > 5.0)), float(np.mean(shares > 8.0))
-    # Last, as it partially sorts the sample in place instead of copying it.
-    q = np.quantile(shares, [0.025, 0.10, 0.50, 0.90, 0.975], method="linear", overwrite_input=True)
+    # numpy's linear method: virtual index (n - 1) q, its floor and the next rank.
+    at = [(n - 1) * q for q in _QUANTILES]
+    below = [min(math.floor(v), n - 1) for v in at]
+    ranks = sorted({r for b in below for r in (b, min(b + 1, n - 1))})
+    stats, squares = _order_statistics(priors, np.array(ranks), first, counts, shift, mean)
+    value = dict(zip(ranks, stats.tolist()))
+    q = [_lerp(value[b], value[min(b + 1, n - 1)], v - b) for v, b in zip(at, below)]
     return CalibrationResult(
         mean=mean,
-        median=float(q[2]),
-        std_dev=sd,
-        q2_5=float(q[0]),
-        q10=float(q[1]),
-        q90=float(q[3]),
-        q97_5=float(q[4]),
+        median=q[2],
+        std_dev=math.sqrt(squares / _SUBNORMAL_SCALE / (n - 1)) if n > 1 else 0.0,
+        q2_5=q[0],
+        q10=q[1],
+        q90=q[3],
+        q97_5=q[4],
         share_min=share_min,
         share_max=share_max,
-        pr_gt_5pct=pr_gt_5pct,
-        pr_gt_8pct=pr_gt_8pct,
+        pr_gt_5pct=above_5 / n,
+        pr_gt_8pct=above_8 / n,
         n_draws=n,
         seed=priors.seed,
     )
@@ -208,10 +327,12 @@ def share_bounds(priors: PriorSpec) -> tuple[float, float]:
     and delta_k, decreasing in r.  The extremes are therefore attained at
     the two opposite corners of the box.
     """
-    lo = float(
-        structured_share(priors.alpha_lo, priors.gamma_lo, priors.r_hi, priors.delta_lo)
-    )
-    hi = float(
-        structured_share(priors.alpha_hi, priors.gamma_hi, priors.r_lo, priors.delta_hi)
-    )
+    try:
+        lo = float(structured_share(priors.alpha_lo, priors.gamma_lo, priors.r_hi, priors.delta_lo))
+        hi = float(structured_share(priors.alpha_hi, priors.gamma_hi, priors.r_lo, priors.delta_hi))
+    except ZeroDivisionError:
+        raise DomainError(
+            "share bounds out of range: at a corner of the prior box gamma * delta_k and "
+            "(1 - alpha) * (r + delta_k) both underflow to 0"
+        ) from None
     return lo, hi

@@ -92,14 +92,15 @@ class MaturityPanel:
 class DegradationFlags:
     """Per-observation degradation indicators.
 
-    One entry per family-period whose next consecutive period is also
-    observed, in the panel's (period, family_id) order; ``flag`` marks a
+    ``observed`` marks, over the panel's rows, each family-period whose
+    later period (t + horizon) is also observed; the other columns hold one
+    entry per marked row, in the panel's (period, family_id) order, so
+    ``panel.family_id[flags.observed]`` names them.  ``flag`` marks a
     relative maturity drop beyond the threshold over that transition.
     Window flags are those in force at the start of the transition.
     """
 
-    family_id: np.ndarray
-    period: np.ndarray
+    observed: np.ndarray
     flag: np.ndarray
     tech_window: np.ndarray
     org_window: np.ndarray
@@ -125,7 +126,7 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float, horizon: int) -> D
     # are sorted, so each block finds its rows' partners in one search.
     periods = per[blocks[:-1]].tolist()
     block_of = {t: k for k, t in enumerate(periods)}
-    has_next = np.zeros(panel.n_obs, dtype=bool)
+    observed = np.zeros(panel.n_obs, dtype=bool)
     drop = np.zeros(panel.n_obs, dtype=bool)
     for k, t in enumerate(periods):
         later = block_of.get(t + horizon)
@@ -135,16 +136,17 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float, horizon: int) -> D
         ids, next_ids = fam[lo:hi], fam[next_lo : blocks[later + 1]]
         pos = np.searchsorted(next_ids, ids)
         np.minimum(pos, next_ids.shape[0] - 1, out=pos)
-        has_next[lo:hi] = next_ids[pos] == ids
+        observed[lo:hi] = next_ids[pos] == ids
         pos += next_lo
-        # Rows without a partner compare with some other row; has_next drops them.
+        # Rows without a partner compare with some other row; observed drops them.
         drop[lo:hi] = mat[pos] < mat[lo:hi] * (1.0 - rel_drop)
+    flag = drop[observed]
+    del drop
     return DegradationFlags(
-        family_id=fam[has_next],
-        period=per[has_next],
-        flag=drop[has_next],
-        tech_window=panel.tech_window[has_next],
-        org_window=panel.org_window[has_next],
+        observed=observed,
+        flag=flag,
+        tech_window=panel.tech_window[observed],
+        org_window=panel.org_window[observed],
     )
 
 
@@ -285,11 +287,13 @@ def indices(panel: MaturityPanel, families: Portfolio, labor_total, L_bar: float
     with np.errstate(over="ignore"):
         share = labor / L_bar
     require(bool(np.all(np.isfinite(share))), "maintenance share out of range: labor_total / L_bar overflows")
-    # Clipped positions read a wrong id only for families missing from the roster.
-    pos = np.searchsorted(families.id, fams)
-    np.minimum(pos, families.size - 1, out=pos)
-    require(bool(np.array_equal(families.id[pos], fams)), "panel has a family missing from the roster")
-    w, mats, agg = families.omega[pos], panel.maturity, families.aggregator
-    spans = zip(bounds[:-1], bounds[1:])
-    capability = np.array([aggregate_capability(w[lo:hi], mats[lo:hi], agg) for lo, hi in spans])
+    ids, omega, mats, agg = families.id, families.omega, panel.maturity, families.aggregator
+    capability = np.empty(len(bounds) - 1)
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        fam = fams[lo:hi]
+        # Clipped positions read a wrong id only for families missing from the roster.
+        pos = np.searchsorted(ids, fam)
+        np.minimum(pos, ids.shape[0] - 1, out=pos)
+        require(bool((ids[pos] == fam).all()), "panel has a family missing from the roster")
+        capability[k] = aggregate_capability(omega[pos], mats[lo:hi], agg)
     return per[bounds[:-1]], capability, share, np.diff(bounds)

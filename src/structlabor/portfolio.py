@@ -27,6 +27,7 @@ from .schema import (
     DRIFT,
     ENTRY,
     HAZARD_SUM,
+    MAX_PANEL_ROWS,
     NONNEGATIVE,
     PORTFOLIO,
     SCENARIO,
@@ -342,6 +343,9 @@ class ScenarioResult:
         )
 
 
+_TOO_MANY_ROWS = f"panel out of range: the scenario would record more than {MAX_PANEL_ROWS:,} rows"
+
+
 def run_portfolio_scenario(
     portfolio: Portfolio,
     labor_budget: float,
@@ -366,11 +370,15 @@ def run_portfolio_scenario(
     maturities, so all entrants are drawn first and the whole roster is
     validated once, as ``final``, whose first n_t rows are period t's
     families.  The panel is allocated at its full sum_t n_t rows; each
-    period writes its block and advances ``final.k[:n_t]`` in place.
+    period writes its block and advances ``final.k[:n_t]`` in place.  A
+    panel of more than ``MAX_PANEL_ROWS`` rows is refused while the
+    entrants are drawn, before either is built.
     """
     check({"labor_budget": labor_budget, "T": T}, SCENARIO)
 
     sizes = [portfolio.size]
+    rows = portfolio.size
+    require(rows <= MAX_PANEL_ROWS, _TOO_MANY_ROWS)
     omegas: list[float] = []
     deltas: list[float] = []
     for t in range(T):
@@ -378,6 +386,9 @@ def run_portfolio_scenario(
         omegas += born_omegas
         deltas += born_deltas
         sizes.append(sizes[-1] + len(born_omegas))
+        # Refused as soon as the rows so far pass the bound, before the roster and the panel are built.
+        rows += sizes[-1]
+        require(rows <= MAX_PANEL_ROWS, _TOO_MANY_ROWS)
     n_added, first_id = len(omegas), int(portfolio.id[-1]) + 1 if portfolio.size else 0
     born = np.repeat(np.arange(1, T + 1), np.diff(sizes))
     added = [np.arange(first_id, first_id + n_added), omegas, deltas, np.full(n_added, entry.k_seed), born]
@@ -388,7 +399,6 @@ def run_portfolio_scenario(
     )
 
     ids, omega, delta, k = final.id, final.omega, final.delta, final.k
-    rows = sum(sizes)
     family_id = np.empty(rows, dtype=np.int64)
     maturity = np.empty(rows)
     labor = np.empty(rows)

@@ -23,8 +23,13 @@ MAX_FAMILIES = 100_000
 # drift off, a transition path that does not converge runs every period, about 10 us and 370 B each, and
 # each Roy arm runs a portfolio scenario of T periods before its solves, about 0.2 ms each with one family.
 MAX_PERIODS = 100_000
-# Most calibration draws: the sample is held as one 8-byte share per draw, 800 MB at the bound.
+# Most calibration draws: the sample is regenerated for each of its two passes, never held, so
+# the bound is on time, about 0.16 us per draw for both passes (16 s at the bound on a 2-vCPU host).
 MAX_DRAWS = 100_000_000
+# Most rows of a portfolio scenario's panel (sum over periods of the families present), which grows
+# with T**2 under entry: `portfolio` and `estimate` peak at about 44 and 47 bytes per row (0.9 GB
+# at the bound), and every Roy arm runs such a scenario.
+MAX_PANEL_ROWS = 20_000_000
 # Most Roy workers: the skill matrix and every solve hold one row per worker.
 MAX_WORKERS = 100_000
 # Most initial Roy families: each Newton step of a solve builds J x J matrices

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from structlabor import calibration
 from structlabor.calibration import (
     _BLOCK,
+    _SHIFT,
     _exact_sum,
     CalibrationResult,
     run_monte_carlo,
@@ -158,6 +160,115 @@ def test_streamed_monte_carlo_equals_one_block(n_draws):
     # block edges every field must equal the one-block computation exactly.
     priors = prior_spec(n_draws=n_draws, seed=11)
     assert run_monte_carlo(priors) == _one_block_summary(priors)
+
+
+QUANTILES = [0.025, 0.10, 0.50, 0.90, 0.975]
+
+
+def assert_quantiles_are_numpys(priors):
+    # Bit for bit, as numpy's linear method on the whole sample at once.
+    shares = sample_shares(priors, 0, priors.n_draws) * 100.0
+    want = np.quantile(shares, QUANTILES, method="linear")
+    res = run_monte_carlo(priors)
+    got = np.array([res.q2_5, res.q10, res.median, res.q90, res.q97_5])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert (res.share_min, res.share_max) == (shares.min(), shares.max())
+    return shares
+
+
+@pytest.mark.parametrize("n_draws", [*range(1, 42), 99, 100, 101, 1000])
+def test_quantiles_equal_numpys_at_small_n(n_draws):
+    for seed in (0, 1, 2):
+        assert_quantiles_are_numpys(prior_spec(n_draws=n_draws, seed=seed))
+
+
+POINT_MASS = dict(
+    alpha_lo=0.36, alpha_hi=0.36, r_lo=0.04, r_hi=0.04, delta_lo=0.15, delta_hi=0.15, gamma_lo=0.05, gamma_hi=0.05
+)
+
+
+@pytest.mark.parametrize("keep", [calibration._KEEP, 0], ids=["collected", "refined"])
+@pytest.mark.parametrize("n_draws", [1, 2, 3, 50, 1000])
+def test_quantiles_of_point_mass_priors(monkeypatch, keep, n_draws):
+    # Every draw is one share.  With no draws kept for sorting, the bins
+    # are refined to single bit patterns instead, pass by pass.
+    monkeypatch.setattr(calibration, "_KEEP", keep)
+    shares = assert_quantiles_are_numpys(prior_spec(n_draws=n_draws, seed=4, **POINT_MASS))
+    assert np.all(shares == structured_share(0.36, 0.05, 0.04, 0.15) * 100.0)
+
+
+@pytest.mark.parametrize("keep", [calibration._KEEP, 0], ids=["collected", "refined"])
+def test_quantiles_of_ties_across_a_bin_edge(monkeypatch, keep):
+    # Draws of alpha take the two adjacent doubles of its box, whose shares
+    # are 4.0 - 2**-51 and 4.0: ties on both sides of the first histogram's
+    # bin edge at 4.0, so a quantile's two ranks can lie in different bins.
+    monkeypatch.setattr(calibration, "_KEEP", keep)
+    box = dict(POINT_MASS, alpha_lo=0.05263157894736842, alpha_hi=0.052631578947368425)
+    for n_draws in (2, 3, 4, 9, 40, 41, 200):
+        shares = assert_quantiles_are_numpys(prior_spec(n_draws=n_draws, seed=5, **box))
+        if n_draws >= 40:
+            assert np.unique(shares).tolist() == [np.nextafter(4.0, 0.0), 4.0]
+            edge = int(np.float64(4.0).view(np.int64)) >> _SHIFT
+            assert np.unique(shares.view(np.int64) >> _SHIFT).tolist() == [edge - 1, edge]
+
+
+@pytest.mark.parametrize("keep", [calibration._KEEP, 5], ids=["collected", "refined"])
+def test_quantiles_equal_numpys_when_bins_are_refined(monkeypatch, keep):
+    # Few draws kept: the bins holding the quantiles are refined until they
+    # hold at most five, which are then collected.
+    monkeypatch.setattr(calibration, "_KEEP", keep)
+    for n_draws in (7, 100, 2000):
+        assert_quantiles_are_numpys(prior_spec(n_draws=n_draws, seed=6))
+
+
+def test_a_parameter_draw_never_rounds_past_its_upper_end():
+    # lo + (hi - lo) * u at the largest uniform, 1 - 2**-53, over boxes of
+    # every scale: the rounded hi - lo is within half its ulp of the exact
+    # difference, and the rounded product is at least an ulp below it.
+    rng = np.random.Generator(np.random.Philox(key=21))
+    ends = np.sort(rng.uniform(size=(100_000, 2)) * 10.0 ** rng.integers(-300, 3, size=(100_000, 1)), axis=1)
+    lo, hi = ends[:, 0], ends[:, 1]
+    assert np.all(lo + (hi - lo) * (1.0 - 2.0**-53) <= hi)
+
+
+def test_a_share_past_its_bound_is_inside_the_histogram():
+    # Rounding in the share is not monotone: a delta one ulp below the box's
+    # top gives a larger share than the corner share_bounds reports, and the
+    # padded histogram still holds it.
+    delta = 0.4243289798047253
+    box = dict(
+        alpha_lo=0.4339781749886914, alpha_hi=0.4339781749886914, gamma_lo=0.6659113526030298,
+        gamma_hi=0.6659113526030298, r_lo=0.12700369545554918, r_hi=0.12700369545554918,
+        delta_lo=float(np.nextafter(delta, 0.0)), delta_hi=delta,
+    )
+    priors = prior_spec(n_draws=64, seed=8, **box)
+    shares = assert_quantiles_are_numpys(priors)
+    assert shares.max() > share_bounds(priors)[1] * 100.0
+
+
+def test_non_finite_shares_are_refused(monkeypatch):
+    # The largest alpha with the smallest gamma, r and delta_k: both terms
+    # of the share's denominator underflow, 0/0, while both corners are finite.
+    top = 1.0 - 2.0**-53
+    monkeypatch.setattr(calibration, "indexed_uniforms", lambda seed, start, count: np.tile([top, 0.0, 0.0, 0.0], (count, 1)))
+    priors = prior_spec(
+        alpha_lo=0.5, alpha_hi=0.9999999999999999, r_lo=5e-324, r_hi=1.0,
+        delta_lo=5e-324, delta_hi=0.5, gamma_lo=5e-324, gamma_hi=0.5, n_draws=3,
+    )
+    assert all(np.isfinite(share_bounds(priors)))
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+        run_monte_carlo(priors)
+
+
+def test_share_bounds_refuse_a_corner_whose_share_is_zero_over_zero():
+    priors = prior_spec(
+        alpha_lo=0.9999999999999999, alpha_hi=0.9999999999999999, r_lo=5e-324, r_hi=5e-324,
+        delta_lo=5e-324, delta_hi=0.5, gamma_lo=5e-324, gamma_hi=0.5,
+    )
+    with pytest.raises(DomainError, match="^share bounds out of range"):
+        share_bounds(priors)
+    with pytest.raises(DomainError, match="^share bounds out of range"):
+        run_monte_carlo(priors)
 
 
 def _adversarial_arrays():

@@ -388,6 +388,40 @@ def test_closed_form_underflow_is_a_runtime_error(tmp_path, capsys, command, tin
 
 
 @pytest.mark.parametrize(
+    "command, data",
+    [
+        ("portfolio", {"portfolio": {"n_families": 10_000, "T": 2000}}),
+        ("estimate", {"portfolio": {"n_families": 1, "T": 1000, "entry": {"mu": 500.0}}}),
+        ("roy", {"roy": {"n_initial": 10_000, "T": 2000, "eval_window": 1, "replications": 1}}),
+    ],
+    ids=["portfolio", "estimate-entry", "roy-arm"],
+)
+def test_a_panel_beyond_the_row_bound_is_a_runtime_error(tmp_path, capsys, pin_cpus, command, data):
+    # Each scenario would record more than MAX_PANEL_ROWS rows: 10,000
+    # families over 2,001 periods, or, with entry, about 250 t**2 rows by
+    # period t.  It is refused before its panel is allocated.
+    pin_cpus(1)
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["kind"], err["message"]) == ("runtime", "panel out of range: the scenario would record more than 20,000,000 rows")
+    assert os.listdir(out) == []
+
+
+def test_a_prior_corner_whose_share_is_zero_over_zero_is_a_runtime_error(tmp_path, capsys):
+    # The lower corner's gamma * delta_k and (1 - alpha) * (r + delta_k) both
+    # underflow; the draws, with delta_k and gamma up to 0.5, do not.
+    priors = {"alpha": [0.9999999999999999] * 2, "r": [5e-324] * 2, "delta_k": [5e-324, 0.5], "gamma": [5e-324, 0.5]}
+    cfg = write_config(tmp_path, {"priors": {**priors, "n_draws": 1000}})
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "runtime" and err["message"].startswith("share bounds out of range")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
     "data",
     [{"transition": {"tol": 1e-12}}, {"baseline": {"alpha": 0.9999999999999999, "r": 1e-200, "delta_k": 1e-200}}],
     ids=["tol", "D-squared-underflows"],

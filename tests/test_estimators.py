@@ -127,7 +127,7 @@ def test_detect_degradation_flags_the_right_transitions():
     ])
     out = detect_degradation(p, rel_drop=0.2, horizon=1)
     assert out.n_obs == 2
-    assert list(out.period) == [0, 1]
+    assert list(p.period[out.observed]) == [0, 1]
     # 0.5 < 0.8 * 1.0 flags; 0.45 >= 0.8 * 0.5 does not.
     assert list(out.flag) == [True, False]
     # Window markers travel with the start of the transition.
@@ -155,7 +155,7 @@ def test_detect_degradation_skips_gaps():
     out = detect_degradation(p, rel_drop=0.2, horizon=1)
     # Family 0 has no consecutive pair; only family 1 contributes.
     assert out.n_obs == 1
-    assert list(out.family_id) == [1]
+    assert list(p.family_id[out.observed]) == [1]
     assert list(out.flag) == [True]
 
 
@@ -171,7 +171,7 @@ def test_detect_degradation_keys_do_not_overflow():
     ])
     out = detect_degradation(p, rel_drop=0.2, horizon=1)
     assert out.n_obs == 2
-    assert list(out.family_id) == [0, big]
+    assert list(p.family_id[out.observed]) == [0, big]
     assert list(out.flag) == [False, True]
 
 
@@ -184,8 +184,8 @@ def test_detect_degradation_negative_family_ids():
         (-7, 1, 1.0, False, False),
     ])
     out = detect_degradation(p, rel_drop=0.2, horizon=1)
-    assert list(out.family_id) == [-5, 3]
-    assert list(out.period) == [0, 0]
+    assert list(p.family_id[out.observed]) == [-5, 3]
+    assert list(p.period[out.observed]) == [0, 0]
     assert list(out.flag) == [True, False]
 
 
@@ -222,7 +222,8 @@ def assert_matches_oracles(rows):
     for horizon in (1, 2, 3):
         out = detect_degradation(panel, rel_drop=0.2, horizon=horizon)
         want = degradation_oracle(rows, horizon)
-        got = zip(out.family_id.tolist(), out.period.tolist(), out.flag.tolist(), out.tech_window.tolist(), out.org_window.tolist())
+        columns = (panel.family_id[out.observed], panel.period[out.observed], out.flag, out.tech_window, out.org_window)
+        got = zip(*(c.tolist() for c in columns))
         assert list(got) == want
         assert any(row[2] for row in want) and not all(row[2] for row in want)
     assert count_births(panel).tolist() == births_oracle(rows)
@@ -293,19 +294,14 @@ def test_detect_degradation_validation():
 
 def make_flags(cells):
     """Flags with given per-cell (n, n_flagged); cells keyed (tech, org)."""
-    fam, per, flag, tw, ow = [], [], [], [], []
-    t = 0
+    flag, tw, ow = [], [], []
     for (in_tech, in_org), (n, hits) in cells.items():
         for i in range(n):
-            fam.append(0)
-            per.append(t)
             flag.append(i < hits)
             tw.append(in_tech)
             ow.append(in_org)
-            t += 1
     return DegradationFlags(
-        family_id=np.asarray(fam, dtype=np.int64),
-        period=np.asarray(per, dtype=np.int64),
+        observed=np.ones(len(flag), dtype=bool),
         flag=np.asarray(flag, dtype=bool),
         tech_window=np.asarray(tw, dtype=bool),
         org_window=np.asarray(ow, dtype=bool),
@@ -408,12 +404,12 @@ def test_shuffled_panel_gives_the_same_estimates():
         org_window=panel.org_window[shuffle],
     )
 
-    def flag_set(flags):
-        columns = (flags.family_id, flags.period, flags.flag, flags.tech_window, flags.org_window)
-        return set(zip(*(c.tolist() for c in columns)))
+    def flag_set(panel, flags):
+        rows = (panel.family_id[flags.observed], panel.period[flags.observed], flags.flag, flags.tech_window, flags.org_window)
+        return set(zip(*(c.tolist() for c in rows)))
 
     flags, shuffled_flags = detect(panel), detect(shuffled)
-    assert flag_set(shuffled_flags) == flag_set(flags)
+    assert flag_set(shuffled, shuffled_flags) == flag_set(panel, flags)
     est, shuffled_est = estimate_hazard_decomposition(flags), estimate_hazard_decomposition(shuffled_flags)
     for name in ("delta_hat", "env", "tech", "org", "se_env", "se_tech", "se_org", "n_obs", "cells"):
         assert getattr(shuffled_est, name) == getattr(est, name)

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from structlabor.calibration import run_monte_carlo
-from structlabor.estimators import MaturityPanel, count_births, detect_degradation
+from structlabor.errors import DomainError
+from structlabor.estimators import MaturityPanel, count_births, detect_degradation, indices
 from structlabor.io import PANEL_COLUMNS, write_csv
 from structlabor.parallel import ordered_map
 from structlabor.portfolio import run_portfolio_scenario
+from structlabor.schema import MAX_PANEL_ROWS
 
 from defaults import DEFAULTS
 
@@ -70,8 +72,26 @@ def test_detect_degradation_peak(ordered_columns, layout):
     panel = MaturityPanel(**ordered_columns)
     flags, peak = traced_peak(detect_degradation, panel, DEFAULTS.estimate.rel_drop, DEFAULTS.estimate.horizon)
     assert flags.n_obs == (PERIODS - 1) * FAMILIES
-    # The flags alone take 2.375 columns: two int64 and three bool columns.
-    assert peak <= 3 * COLUMN
+    # The flags take half a column: a bool mask over the panel's rows and
+    # three compressed bool columns.  The search adds a bool column of drops
+    # and about 100 bytes per period for the period lookup.
+    assert peak <= 0.65 * COLUMN
+
+
+@pytest.mark.parametrize("layout", ["columns", "table"])
+def test_indices_peak(ordered_columns, layout):
+    # The roster lookup and the weight gather run period by period, so the
+    # index holds a few per-period columns and no per-row temporaries.
+    if layout == "table":
+        ordered_columns = as_table(ordered_columns)
+    panel = MaturityPanel(**ordered_columns)
+    columns = {"omega": np.ones(FAMILIES), "delta": np.full(FAMILIES, 0.1), "k": np.ones(FAMILIES)}
+    roster = replace(DEFAULTS.portfolio.initial, id=np.arange(FAMILIES), born_at=np.zeros(FAMILIES, dtype=np.int64), **columns)
+    (period, capability, share, n_families), peak = traced_peak(indices, panel, roster, np.ones(PERIODS), 2.0)
+    assert n_families.tolist() == [FAMILIES] * PERIODS and capability.shape == (PERIODS,)
+    # The four returned columns take 8 bytes per period each, a twenty-fifth of a
+    # column here; a per-row int64 temporary alone would be a whole column.
+    assert peak < COLUMN / 15
 
 
 @pytest.mark.parametrize("layout", ["columns", "table"])
@@ -102,6 +122,26 @@ def test_scenario_holds_its_panel_and_little_else():
     panel_bytes = sum(getattr(scenario, name).nbytes for name in PANEL_COLUMNS)
     assert len(scenario.family_id) == PERIODS * FAMILIES
     assert peak <= 1.1 * panel_bytes
+
+
+def test_scenario_beyond_the_row_bound_is_refused_before_its_panel():
+    # 10,000 families over 2,000 transitions would record 20,010,000 rows,
+    # about 0.9 GB; the refusal comes while the entrants are drawn, before
+    # the roster and the panel are allocated.
+    n, T = 10_000, 2000
+    assert n * (T + 1) > MAX_PANEL_ROWS
+    initial = DEFAULTS.portfolio.initial
+    columns = {"omega": np.ones(n), "delta": np.full(n, 0.1), "k": np.ones(n), "born_at": np.zeros(n, dtype=np.int64)}
+    p = replace(initial, id=np.arange(n), **columns)
+    entry = replace(DEFAULTS.portfolio.entry, mu=0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="^panel out of range"):
+            run_portfolio_scenario(p, 1.0, entry, T, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < COLUMN
 
 
 def test_write_csv_memory_is_bounded_by_a_small_chunk(tmp_path, pin_cpus):
@@ -144,10 +184,18 @@ def test_ordered_map_holds_few_results_from_its_workers(pin_cpus):
     assert peak(40) <= 1.5 * peak(8)
 
 
-def test_run_monte_carlo_holds_one_share_array():
-    # The quantiles partition the sample in place; the rest is the sampling
-    # block and per-block temporaries, small next to the 8n-byte sample.
-    n = 4_000_000
-    result, peak = traced_peak(run_monte_carlo, replace(DEFAULTS.priors, n_draws=n, seed=1))
-    assert result.n_draws == n
-    assert peak < 1.75 * 8 * n
+def test_run_monte_carlo_memory_does_not_grow_with_the_draws():
+    # The sample is regenerated block by block, never held: four times the
+    # draws cost no more memory, and the peak (a sampling block, its
+    # temporaries and the histogram of bit patterns) is far below the 8n
+    # bytes a held sample would take.
+    run_monte_carlo(replace(DEFAULTS.priors, n_draws=1000))  # pays one-time costs
+
+    def peak(n):
+        result, peak = traced_peak(run_monte_carlo, replace(DEFAULTS.priors, n_draws=n, seed=1))
+        assert result.n_draws == n
+        return peak
+
+    small, large = peak(1_000_000), peak(4_000_000)
+    assert large <= small + 2**20
+    assert large < 8 * 4_000_000 / 3
