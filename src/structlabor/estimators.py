@@ -141,7 +141,7 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float, horizon: int) -> D
         # Rows without a partner compare with some other row; observed drops them.
         drop[lo:hi] = mat[pos] < mat[lo:hi] * (1.0 - rel_drop)
     flag = drop[observed]
-    del drop
+    del drop  # before the window columns are gathered: one bool column less at the peak
     return DegradationFlags(
         observed=observed,
         flag=flag,
