@@ -4,7 +4,7 @@ Covers the closed-form long-run labor split and its sensitivities, damped
 transition paths, Monte Carlo calibration of the split under parameter
 uncertainty, a disaggregated portfolio of task families with entry and
 drift, worker assignment with wage dispersion experiments, and estimators
-that recover hazards and indices from simulated maturity panels.  Library
+that recover hazards and birth counts from maturity panels.  Library
 names are imported from their modules (see the README's library layout).
 """
 

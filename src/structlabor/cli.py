@@ -25,14 +25,8 @@ from . import __version__
 from .calibration import run_monte_carlo, share_bounds
 from .config import FORMATS, AppConfig, load_config, serialize
 from .core import comparative_statics, simulate_transition, steady_state
-from .errors import ConfigError, DomainError
-from .estimators import (
-    MaturityPanel,
-    count_births,
-    detect_degradation,
-    estimate_hazard_decomposition,
-    indices,
-)
+from .errors import ConfigError, DomainError, require
+from .estimators import MaturityPanel, count_births, detect_degradation, estimate_hazard_decomposition
 from .io import (
     PANEL_COLUMNS,
     PATH_COLUMNS,
@@ -249,6 +243,19 @@ def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
     return ["roy.json"], lines
 
 
+def indices(scenario, L_bar: float) -> tuple[np.ndarray, ...]:
+    """The columns of ``indices.csv``: (t, capability, maintenance_share, n_families).
+
+    Each is the scenario's own per-period series: the capability index it
+    recorded, its labor budget over ``L_bar`` (a share that overflows is a
+    domain error) and its panel's row count.
+    """
+    with np.errstate(over="ignore"):
+        share = scenario.labor_budget / L_bar
+    require(bool(np.all(np.isfinite(share))), "maintenance share out of range: labor_total / L_bar overflows")
+    return scenario.periods, scenario.capability, share, np.bincount(scenario.period)
+
+
 def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
     files: list[str] = []
     if cfg.estimate.panel is not None:
@@ -264,7 +271,7 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
     else:
         scenario = _run_configured_scenario(cfg)
         panel = MaturityPanel.from_scenario(scenario)
-        index_columns = indices(panel, scenario.final, scenario.labor_budget, cfg.baseline.L_bar)
+        index_columns = indices(scenario, cfg.baseline.L_bar)
         # Frees the scenario's labor and effective-weight columns before the estimators run.
         del scenario
 

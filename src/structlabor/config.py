@@ -30,8 +30,7 @@ from .portfolio import (
     periodic_windows,
 )
 from .roy import RoyExperiment
-# The resource bounds stay importable from here.
-from .schema import MAX_DRAWS, MAX_FAMILIES, MAX_INITIAL, MAX_PERIODS, MAX_REPLICATIONS, MAX_WORKERS
+from .schema import MAX_FAMILIES, MAX_PERIODS
 
 FORMATS = ("csv", "json", "both")
 

@@ -3,8 +3,8 @@
 A maturity panel records family-period observations of maturity levels
 together with flags for the hazard windows in force.  From it one can
 flag sudden degradations, decompose the degradation hazard into ambient,
-technology-window, and organization-window components, count family
-births, and rebuild aggregate indices period by period.
+technology-window, and organization-window components, and count family
+births.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, require
-from .portfolio import Portfolio, aggregate_capability
-from .schema import DETECTION, MAX_HORIZON, check  # MAX_HORIZON stays importable from here
+from .schema import DETECTION, check
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,38 +261,3 @@ def count_births(panel: MaturityPanel) -> np.ndarray:
             seen = np.insert(seen, at[new], ids[new])
         counts[t] = np.count_nonzero(new)
     return counts
-
-
-def indices(panel: MaturityPanel, families: Portfolio, labor_total, L_bar: float) -> tuple[np.ndarray, ...]:
-    """Rebuild the aggregate capability index and maintenance share at each period.
-
-    ``families`` is the roster of every panel family, such as a scenario's
-    ``final`` portfolio: it supplies each family's weight ``omega`` and the
-    aggregator, and a panel family missing from it is refused.  The
-    periods are the panel's distinct periods in increasing order, and
-    ``labor_total`` holds the labor spent in each.  A period's index is
-    :func:`~structlabor.portfolio.aggregate_capability` over that period's
-    families, and its maintenance share is labor_total / L_bar.  Each
-    period is one of the panel's ``blocks``.  Returns the columns
-    (period, capability, maintenance_share, n_families).
-    """
-    require(panel.n_obs > 0, "panel is empty")
-    require(L_bar > 0.0, "L_bar must be positive")
-    require(families.size > 0, "the roster must name at least one family")
-    per, fams, bounds = panel.period, panel.family_id, panel.blocks
-    labor = np.asarray(labor_total, dtype=float)
-    require(labor.shape == (len(bounds) - 1,), "labor_total must have one entry per period")
-    require(bool(np.all(np.isfinite(labor)) and np.all(labor >= 0.0)), "labor_total must be nonnegative")
-    with np.errstate(over="ignore"):
-        share = labor / L_bar
-    require(bool(np.all(np.isfinite(share))), "maintenance share out of range: labor_total / L_bar overflows")
-    ids, omega, mats, agg = families.id, families.omega, panel.maturity, families.aggregator
-    capability = np.empty(len(bounds) - 1)
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        fam = fams[lo:hi]
-        # Clipped positions read a wrong id only for families missing from the roster.
-        pos = np.searchsorted(ids, fam)
-        np.minimum(pos, ids.shape[0] - 1, out=pos)
-        require(bool((ids[pos] == fam).all()), "panel has a family missing from the roster")
-        capability[k] = aggregate_capability(omega[pos], mats[lo:hi], agg)
-    return per[bounds[:-1]], capability, share, np.diff(bounds)

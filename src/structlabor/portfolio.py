@@ -146,9 +146,8 @@ def aggregate_capability(omega: np.ndarray, k: np.ndarray, aggregator: Aggregato
     """Capability index of one or more families with weights ``omega`` and maturities ``k``.
 
     The additive index is sum omega_j * k_j; the CES index is
-    (sum omega_j * k_j**rho)**(1/rho).  Both the scenario and the panel
-    estimators compute the index here, so they agree bit for bit.  An index
-    that leaves the floating-point range is a domain error.
+    (sum omega_j * k_j**rho)**(1/rho).  An index that leaves the
+    floating-point range is a domain error.
     """
     rho = None if aggregator.kind == "additive" else float(aggregator.rho)
     if rho is not None and rho < 0.0 and np.any(k == 0.0):

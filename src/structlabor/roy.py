@@ -362,7 +362,9 @@ def solve_roy(
 
     n, j = a.shape
     r = 1.0 / (1.0 - tech.beta)
-    log_s = r * np.log(tech.beta * (w / Lambda))
+    scale = tech.beta * (w / Lambda)
+    require(bool(np.all(scale > 0.0)), "Roy supply out of range: beta * w / Lambda underflows to 0; raise beta or omega")
+    log_s = r * np.log(scale)
     # Family j's supply at log price pi_j is S_j = exp(log_s_j - r * pi_j).
     c = np.log(a)
     # Start where every family's supply is n / j workers.

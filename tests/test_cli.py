@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from structlabor.cli import main
-from structlabor.config import MAX_PERIODS
 from structlabor.io import sha256_file
 from structlabor.rng import derive_seed
+from structlabor.schema import MAX_PERIODS
 
 TINY_ROY = {
     "roy": {
@@ -133,25 +133,45 @@ def test_roy_command_reports_paired_arms(tmp_path):
         assert "converged" not in rep[arm]
 
 
+def read_csv(out, name):
+    """(header, rows) of a CSV output, every cell a string."""
+    with open(os.path.join(out, name), encoding="utf-8") as fh:
+        header, *rows = (line.split(",") for line in fh.read().splitlines())
+    return header, rows
+
+
 def test_estimate_pipeline_mode_writes_indices(tmp_path):
+    L_bar = 2.5
     cfg = write_config(tmp_path, {
+        "baseline": {"L_bar": L_bar},
         "portfolio": {
-            "n_families": 20, "T": 60, "entry": {"mu": 0.0},
+            "n_families": 20, "T": 60, "entry": {"mu": 0.5},
             "drift": {"enabled": True},
-        }
+        },
     })
-    out = str(tmp_path / "out")
+    out, pf_out = str(tmp_path / "out"), str(tmp_path / "portfolio")
     assert main(["estimate", "--config", cfg, "--out", out, "--quiet"]) == 0
     blob = read_json(out, "hazard.json")
     assert blob["delta_hat"] > 0.0
     assert set(blob["components"]) == {"env", "tech", "org"}
     assert "tech=0,org=0" in blob["cells"]
-    assert os.path.exists(os.path.join(out, "indices.csv"))
-    assert os.path.exists(os.path.join(out, "births.csv"))
-    with open(os.path.join(out, "births.csv"), encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert lines[0] == "t,births"
-    assert lines[1] == "0,20"
+    header, rows = read_csv(out, "births.csv")
+    assert header == ["t", "births"]
+    assert rows[0] == ["0", "20"]
+
+    # indices.csv is the scenario's series: the portfolio command's capability
+    # at the same config and seed, its labor over L_bar, and its panel's rows.
+    assert main(["portfolio", "--config", cfg, "--out", pf_out, "--quiet"]) == 0
+    header, rows = read_csv(out, "indices.csv")
+    assert header == ["t", "capability", "maintenance_share", "n_families"]
+    capability_header, capability_rows = read_csv(pf_out, "capability.csv")
+    assert capability_header == ["t", "capability", "labor_budget"]
+    assert [row[:2] for row in rows] == [row[:2] for row in capability_rows]
+    assert [float(row[2]) for row in rows] == [float(row[2]) / L_bar for row in capability_rows]
+    panel_header, panel_rows = read_csv(pf_out, "panel.csv")
+    periods = [int(row[panel_header.index("period")]) for row in panel_rows]
+    assert [int(row[3]) for row in rows] == np.bincount(periods).tolist()
+    assert len(set(int(row[3]) for row in rows)) > 1
 
 
 def test_estimate_panel_file_mode(tmp_path):
@@ -318,10 +338,15 @@ def test_weight_overflow_is_one_json_error(tmp_path, capsys, command, text):
             {"roy": {"sigma_young": 1e12, "replications": 1, "T": 6, "eval_window": 3, "n_workers": 50}},
             "skill draws out of range: exp(sigma * z) leaves the float range; lower sigma_young",
         ),
+        (
+            "roy",
+            {"roy": {"omega": 1e-8, "beta": 5e-324, "replications": 1, "T": 6, "eval_window": 3, "n_workers": 50}},
+            "Roy supply out of range: beta * w / Lambda underflows to 0; raise beta or omega",
+        ),
     ],
     ids=[
         "comparative-statics", "capability", "estimate-capability", "maintenance-share", "ces-inner-sum", "ces-omega",
-        "skill-draws",
+        "skill-draws", "roy-supply",
     ],
 )
 def test_float_range_overflow_names_what_overflowed(tmp_path, capsys, pin_cpus, command, data, message):

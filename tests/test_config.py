@@ -7,22 +7,21 @@ import pytest
 import yaml
 
 from structlabor.calibration import PriorSpec, sample_parameters, sample_shares
-from structlabor.config import (
+from structlabor.config import AppConfig, load_config, serialize
+from structlabor.core import BaselineParams, simulate_transition
+from structlabor.estimators import detect_degradation
+from structlabor.errors import ConfigError
+from structlabor.portfolio import AggregatorSpec, DriftConfig, EntryConfig, Portfolio, PowerCodification
+from structlabor.roy import RoyExperiment, solve_roy
+from structlabor.schema import (
     MAX_DRAWS,
     MAX_FAMILIES,
+    MAX_HORIZON,
     MAX_INITIAL,
     MAX_PERIODS,
     MAX_REPLICATIONS,
     MAX_WORKERS,
-    AppConfig,
-    load_config,
-    serialize,
 )
-from structlabor.core import BaselineParams, simulate_transition
-from structlabor.estimators import MAX_HORIZON, detect_degradation
-from structlabor.errors import ConfigError
-from structlabor.portfolio import AggregatorSpec, DriftConfig, EntryConfig, Portfolio, PowerCodification
-from structlabor.roy import RoyExperiment, solve_roy
 
 
 def test_empty_config_gives_documented_defaults():

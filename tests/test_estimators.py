@@ -4,22 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from structlabor.cli import indices
 from structlabor.errors import DomainError
 from structlabor.estimators import (
-    MAX_HORIZON,
     DegradationFlags,
     MaturityPanel,
     count_births,
     detect_degradation,
     estimate_hazard_decomposition,
-    indices,
 )
 from structlabor.portfolio import (
     DriftConfig,
     PowerCodification,
+    aggregate_capability,
     periodic_windows,
     run_portfolio_scenario,
 )
+from structlabor.schema import MAX_HORIZON
 
 from defaults import DEFAULTS
 
@@ -414,9 +415,6 @@ def test_shuffled_panel_gives_the_same_estimates():
     for name in ("delta_hat", "env", "tech", "org", "se_env", "se_tech", "se_org", "n_obs", "cells"):
         assert getattr(shuffled_est, name) == getattr(est, name)
 
-    args = (sc.final, sc.labor_budget, 2.0)
-    for column, shuffled_column in zip(indices(panel, *args), indices(shuffled, *args), strict=True):
-        assert shuffled_column.dtype == column.dtype and shuffled_column.tobytes() == column.tobytes()
     births = count_births(panel)
     assert births.tolist() == count_births(shuffled).tolist()
     assert births.tolist() == np.bincount(sc.final.born_at, minlength=81).tolist()
@@ -457,45 +455,19 @@ def test_count_births_refuses_an_empty_panel():
         count_births(panel_from([]))
 
 
-def roster(ids, omegas, aggregator=ADD):
-    """A portfolio that only names families, their weights and the aggregator."""
-    n = len(ids)
-    return replace(INITIAL, id=ids, omega=omegas, delta=[0.1] * n, k=[0.0] * n, born_at=[0] * n, aggregator=aggregator)
+def panel_capability(panel, roster):
+    """The capability index at each of the panel's periods, rebuilt from its rows.
 
-
-def test_indices_weighted_sum_and_shares():
-    p = panel_from([
-        (0, 4, 2.0, False, False),
-        (1, 4, 3.0, False, False),
-        (2, 4, 1.0, False, False),
+    ``roster`` names every panel family and supplies its weight and the
+    aggregator, as a scenario's ``final`` portfolio does.
+    """
+    pos = np.searchsorted(roster.id, panel.family_id)
+    assert (roster.id[pos] == panel.family_id).all()
+    bounds = panel.blocks
+    return np.array([
+        aggregate_capability(roster.omega[pos[lo:hi]], panel.maturity[lo:hi], roster.aggregator)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ])
-    period, capability, share, n_families = indices(p, roster([0, 1, 2], [1.0, 0.5, 2.0]), [0.3], L_bar=1.5)
-    assert period.tolist() == [4]
-    assert capability.tolist() == pytest.approx([1.0 * 2.0 + 0.5 * 3.0 + 2.0 * 1.0])
-    assert share.tolist() == pytest.approx([0.2])
-    assert n_families.tolist() == [3]
-
-
-def test_indices_ces_aggregator():
-    p = panel_from([(0, 0, 1.0, False, False), (1, 0, 4.0, False, False)])
-    spec = CES
-    _, capability, _, _ = indices(p, roster([0, 1], [1.0, 1.0], spec), [0.0], L_bar=1.0)
-    assert capability.tolist() == pytest.approx([(1.0 + 2.0) ** 2], rel=1e-14)
-    neg = replace(CES, rho=-1.0)
-    zero = panel_from([(0, 0, 0.0, False, False), (1, 0, 4.0, False, False)])
-    _, capability, _, _ = indices(zero, roster([0, 1], [1.0, 1.0], neg), [0.0], L_bar=1.0)
-    assert capability.tolist() == [0.0]
-
-
-def test_indices_refuses_a_family_missing_from_the_roster():
-    # Family 7 sits between the roster's ids and family 9 past its last one.
-    for missing in (7, 9):
-        p = panel_from([
-            (0, 1, 2.0, False, False),
-            (missing, 1, 3.0, False, False),
-        ])
-        with pytest.raises(DomainError, match="missing from the roster"):
-            indices(p, roster([0, 8], [1.0, 1.0]), [0.1], L_bar=1.0)
 
 
 @pytest.mark.parametrize(
@@ -518,27 +490,9 @@ def test_scenario_indices_equal_the_scenario_capability(aggregator):
     )
     sc = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.4), T=T, seed=11, drift=drift)
     assert sc.final.size > J and sc.event_period.size
-    period, capability, share, n_families = indices(MaturityPanel.from_scenario(sc), sc.final, sc.labor_budget, 1.0)
-    assert period.tolist() == sc.periods.tolist()
-    assert capability.tolist() == sc.capability.tolist()
+    panel = MaturityPanel.from_scenario(sc)
+    period, capability, share, n_families = indices(sc, 1.0)
+    assert period.tolist() == panel.period[panel.blocks[:-1]].tolist()
+    assert capability.tolist() == panel_capability(panel, sc.final).tolist()
     assert share.tolist() == sc.labor_budget.tolist()
-    assert n_families.tolist() == np.bincount(sc.period).tolist()
-
-
-def test_indices_refuses_an_empty_weight_map():
-    p = panel_from([(0, 1, 2.0, False, False)])
-    with pytest.raises(DomainError, match="the roster must name at least one family"):
-        indices(p, roster([], []), [0.1], L_bar=1.0)
-
-
-def test_indices_validation():
-    p = panel_from([(0, 1, 2.0, False, False)])
-    families = roster([0], [1.0])
-    with pytest.raises(DomainError):
-        indices(p, families, [0.1, 0.1], L_bar=1.0)
-    with pytest.raises(DomainError):
-        indices(p, roster([5], [1.0]), [0.1], L_bar=1.0)
-    with pytest.raises(DomainError):
-        indices(p, families, [0.1], L_bar=0.0)
-    with pytest.raises(DomainError):
-        indices(p, families, [-0.1], L_bar=1.0)
+    assert n_families.tolist() == np.diff(panel.blocks).tolist()

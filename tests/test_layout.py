@@ -1,5 +1,5 @@
-"""The README's library layout names exactly the package's modules, the package's imports stay declared,
-and every module-level name the package defines is used somewhere, and by more than tests."""
+"""The README's library layout names exactly the package's modules, the package's imports stay declared
+and used, and every module-level name the package defines is used somewhere, and by more than tests."""
 
 import ast
 import importlib
@@ -47,6 +47,31 @@ def test_imported_roots_sees_every_absolute_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_package_imports_only_the_standard_library_numpy_and_yaml(path):
     assert imported_roots(path.read_text(encoding="utf-8")) <= ALLOWED
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports at module level and never reads; the
+    ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_sees_names_never_read():
+    source = "from __future__ import annotations\nimport os.path, numpy as np\nfrom . import rng\n"
+    source += "from .schema import A, B as C\n\ndef f():\n    import re\n    return np.pi + A + os.sep\n"
+    assert unused_imports(source) == ["rng", "C"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_module_level_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 SOURCES = sorted(path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py"))

@@ -14,7 +14,7 @@ import pytest
 
 from structlabor.calibration import run_monte_carlo
 from structlabor.errors import DomainError
-from structlabor.estimators import MaturityPanel, count_births, detect_degradation, indices
+from structlabor.estimators import MaturityPanel, count_births, detect_degradation
 from structlabor.io import PANEL_COLUMNS, write_csv
 from structlabor.parallel import ordered_map
 from structlabor.portfolio import run_portfolio_scenario
@@ -76,22 +76,6 @@ def test_detect_degradation_peak(ordered_columns, layout):
     # three compressed bool columns.  The search adds a bool column of drops
     # and about 100 bytes per period for the period lookup.
     assert peak <= 0.65 * COLUMN
-
-
-@pytest.mark.parametrize("layout", ["columns", "table"])
-def test_indices_peak(ordered_columns, layout):
-    # The roster lookup and the weight gather run period by period, so the
-    # index holds a few per-period columns and no per-row temporaries.
-    if layout == "table":
-        ordered_columns = as_table(ordered_columns)
-    panel = MaturityPanel(**ordered_columns)
-    columns = {"omega": np.ones(FAMILIES), "delta": np.full(FAMILIES, 0.1), "k": np.ones(FAMILIES)}
-    roster = replace(DEFAULTS.portfolio.initial, id=np.arange(FAMILIES), born_at=np.zeros(FAMILIES, dtype=np.int64), **columns)
-    (period, capability, share, n_families), peak = traced_peak(indices, panel, roster, np.ones(PERIODS), 2.0)
-    assert n_families.tolist() == [FAMILIES] * PERIODS and capability.shape == (PERIODS,)
-    # The four returned columns take 8 bytes per period each, a twenty-fifth of a
-    # column here; a per-row int64 temporary alone would be a whole column.
-    assert peak < COLUMN / 15
 
 
 @pytest.mark.parametrize("layout", ["columns", "table"])
