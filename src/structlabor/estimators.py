@@ -9,6 +9,7 @@ births.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -121,15 +122,14 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float, horizon: int) -> D
     check({"rel_drop": rel_drop, "horizon": horizon}, DETECTION)
 
     fam, per, mat, blocks = panel.family_id, panel.period, panel.maturity, panel.blocks
-    # Row (j, t + h) can only lie in the block of period t + h, whose ids
-    # are sorted, so each block finds its rows' partners in one search.
+    # Row (j, t + h) can only lie in the block of period t + h (Python ints: no
+    # overflow), whose ids are sorted, so each block finds its rows' partners in one search.
     periods = per[blocks[:-1]].tolist()
-    block_of = {t: k for k, t in enumerate(periods)}
     observed = np.zeros(panel.n_obs, dtype=bool)
     drop = np.zeros(panel.n_obs, dtype=bool)
     for k, t in enumerate(periods):
-        later = block_of.get(t + horizon)
-        if later is None:
+        later = bisect.bisect_left(periods, t + horizon, k)
+        if later == len(periods) or periods[later] != t + horizon:
             continue
         lo, hi, next_lo = blocks[k], blocks[k + 1], blocks[later]
         ids, next_ids = fam[lo:hi], fam[next_lo : blocks[later + 1]]

@@ -496,8 +496,13 @@ def _raise_first_bad_row(path: str) -> None:
             line = reader.line_num
             require(len(row) == len(PANEL_COLUMNS), f"{path}:{line}: expected {len(PANEL_COLUMNS)} columns")
             try:
-                for parse, cell in zip((int, int, float, float, float, _parse_bool, _parse_bool), row):
-                    parse(cell)
+                # As numpy reads a number: stripped (\x1c-\x1f too), ASCII, no "_", int64 if an int.
+                for parse, cell in zip((int, int, float, float, float), row):
+                    value = parse(cell.strip())
+                    if not cell.isascii() or "_" in cell or parse is int and not -(2**63) <= value < 2**63:
+                        raise ValueError(f"invalid number {cell!r}")
+                for cell in row[5:]:
+                    _parse_bool(cell)
             except ValueError as exc:
                 raise DomainError(f"{path}:{line}: {exc}") from None
 
@@ -512,10 +517,11 @@ def _spelled(cells: np.ndarray, spellings: tuple[str, ...]) -> np.ndarray:
 def _parse_panel(path: str) -> dict[str, np.ndarray]:
     """The panel's columns from one ``np.loadtxt`` pass; raise ValueError if
     a cell does not parse."""
-    # numpy drops an S cell's trailing NULs, so "1\0" would read as "1".
+    # numpy drops an S cell's trailing NULs ("1\0" reads as "1") and reads some
+    # non-ASCII letters as digits ("\u01fe" as 462); a valid panel is ASCII.
     with open(path, "rb") as handle:
-        if any(b"\0" in block for block in iter(lambda: handle.read(1 << 20), b"")):
-            raise ValueError("NUL byte")
+        if any(b"\0" in block or not block.isascii() for block in iter(lambda: handle.read(1 << 20), b"")):
+            raise ValueError("NUL or non-ASCII byte")
     table = np.loadtxt(
         path, dtype=_PANEL_DTYPE, delimiter=",", quotechar='"', comments=None, skiprows=1,
         encoding="utf-8", ndmin=1,
@@ -545,9 +551,9 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray]:
     reads back bit-identically; boolean cells are read as byte strings in
     the same pass and mapped to ``bool`` arrays in numpy, and the other
     columns are views of one structured array.  If the file does not parse,
-    holds a NUL byte or has a boolean cell of another spelling, it is
-    rescanned row by row so that the error names the physical line the
-    first bad row ends on.
+    holds a NUL or non-ASCII byte or has a boolean cell of another spelling,
+    it is rescanned row by row so that the error names the physical line
+    the first bad row ends on.
     """
     with _open_panel(path) as handle:
         reader = csv.reader(handle)

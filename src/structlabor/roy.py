@@ -52,58 +52,43 @@ _NEWTON_STEPS = 50
 
 @dataclass(frozen=True, eq=False)
 class WorkerSkillMatrix:
-    """Worker-by-family skill levels, all strictly positive."""
+    """Standard normal skill draws, one row per worker and one column per family.
 
-    a: np.ndarray
-    family_ids: tuple[int, ...]
+    A family's column is keyed by its birth period and rank within that
+    cohort, not by its id, so a roster's first families draw the same
+    columns in any roster that extends it, such as a scenario's final one;
+    :meth:`WorkerSkillMatrix.skills` applies the log-scales outside the draws.
+    """
 
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
-        require(a.ndim == 2, "skill matrix must be two-dimensional")
-        require(a.shape[0] >= 1 and a.shape[1] >= 1, "skill matrix must be nonempty")
-        require(a.shape[1] == len(self.family_ids), "one column per family required")
-        require(len(set(self.family_ids)) == len(self.family_ids), "family ids must be unique")
-        require(bool(np.all(np.isfinite(a)) and np.all(a > 0.0)), "skills must be finite and positive")
+    z: np.ndarray
 
     @classmethod
-    def generate(
-        cls, n_workers: int, portfolio: Portfolio, seed: int, sigma_ln: Sequence[float]
-    ) -> "WorkerSkillMatrix":
-        """Draw log-normal skills exp(sigma_j * z), one stream per family identity.
-
-        ``sigma_ln`` holds one log-scale per family, in the portfolio's
-        family-id order.  A family's stream is keyed by its birth period
-        and its rank within that birth cohort rather than by its id, and
-        the scale is applied outside the raw normal draws, so two
-        scenarios that produced the same early families give those
-        families identical underlying draws even if later entry or the
-        scales differed.
-        """
+    def generate(cls, n_workers: int, portfolio: Portfolio, seed: int) -> "WorkerSkillMatrix":
+        """Draw ``n_workers`` normals per family of ``portfolio``, one stream per family identity."""
         require(isinstance(n_workers, int) and n_workers >= 1, "n_workers must be an integer >= 1")
-        n = portfolio.size
-        require(n >= 1, "need at least one family")
+        require(portfolio.size >= 1, "need at least one family")
+        slot_within_cohort: dict[int, int] = {}
+        z = np.empty((n_workers, portfolio.size))
+        for col, born in enumerate(portfolio.born_at.tolist()):
+            slot = slot_within_cohort.get(born, 0)
+            slot_within_cohort[born] = slot + 1
+            z[:, col] = stream(seed, f"skills:{born}:{slot}").standard_normal(n_workers)
+        return cls(z)
+
+    def skills(self, sigma_ln: Sequence[float]) -> np.ndarray:
+        """Skills exp(sigma_j * z_ij) of the roster's first ``len(sigma_ln)``
+        families, ``sigma_ln`` holding one log-scale per family."""
         sigmas = np.asarray(sigma_ln, dtype=float)
-        require(sigmas.shape == (n,), "sigma_ln must have one entry per family")
+        j = self.z.shape[1]
+        require(sigmas.ndim == 1 and 1 <= sigmas.size <= j, f"sigma_ln must have 1 to {j} entries, one per family")
         require(bool(np.all(np.isfinite(sigmas)) and np.all(sigmas >= 0.0)), "sigma_ln must be nonnegative")
-        z = _skill_normals(n_workers, portfolio, seed)
-        return cls(a=np.exp(z * sigmas), family_ids=tuple(portfolio.id.tolist()))
-
-
-def _skill_normals(n_workers: int, portfolio: Portfolio, seed: int) -> np.ndarray:
-    """The raw normal draws behind :meth:`WorkerSkillMatrix.generate`, one column per family.
-
-    A column depends only on the family's birth period and rank within
-    that cohort, so the columns of a portfolio's first families are those
-    of any later portfolio that extends it, such as a scenario's final roster.
-    """
-    slot_within_cohort: dict[int, int] = {}
-    z = np.empty((n_workers, portfolio.size))
-    for col, born in enumerate(portfolio.born_at.tolist()):
-        slot = slot_within_cohort.get(born, 0)
-        slot_within_cohort[born] = slot + 1
-        z[:, col] = stream(seed, f"skills:{born}:{slot}").standard_normal(n_workers)
-    return z
+        with np.errstate(over="ignore", under="ignore"):
+            a = np.exp(self.z[:, : sigmas.size] * sigmas)
+        require(
+            bool(np.all(np.isfinite(a)) and np.all(a > 0.0)),
+            "skill draws out of range: exp(sigma * z) leaves the float range; lower sigma_young",
+        )
+        return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,12 +500,13 @@ class ExperimentResult:
 
 
 class _ArmInputs(NamedTuple):
-    """What an arm's solves read: its scenario's final roster and the
-    panel's period, maturity and effective-weight rows from the first
-    evaluated period on, and the seed of its skill draws."""
+    """What an arm's solves read: its scenario's final roster, the panel's
+    maturity and effective-weight rows of the evaluated periods, the row
+    offsets into those where each period starts and the last one ends,
+    and the seed of its skill draws."""
 
     final: Portfolio
-    period: np.ndarray
+    bounds: list[int]
     maturity: np.ndarray
     effective_weight: np.ndarray
     skill_seed: int
@@ -554,10 +540,11 @@ def _arm_inputs(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_facto
     # Dispersion is averaged over the last eval_window periods so that the
     # measurement is not hostage to whether a family happened to be born
     # right at the horizon.  Copies, so the rest of the panel can go.
-    lo = int(np.searchsorted(scenario.period, exp.T - exp.eval_window + 1))
+    bounds = np.searchsorted(scenario.period, np.arange(exp.T - exp.eval_window + 1, exp.T + 2))
+    lo = int(bounds[0])
     return _ArmInputs(
         scenario.final,
-        scenario.period[lo:].copy(),
+        (bounds - lo).tolist(),
         scenario.maturity[lo:].copy(),
         scenario.effective_weight[lo:].copy(),
         derive_seed(rep_seed, "skills"),
@@ -565,10 +552,17 @@ def _arm_inputs(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_facto
 
 
 def _run_arm(exp: RoyExperiment, arm: _ArmInputs) -> ArmOutcome:
-    eqs = [
-        solve_roy(a, w, arm.final.tech, Lambda=exp.Lambda, tol=exp.tol)
-        for a, w in _evaluated_columns(exp, arm, arm.skill_seed)
-    ]
+    """Solve each evaluated period of an arm and average its wage statistics.
+
+    The panel is period-major and families never exit, so a period's rows
+    are the final roster's first families: skills are drawn once, for the
+    final roster, and each period scales its first columns by maturity.
+    """
+    draws = WorkerSkillMatrix.generate(exp.n_workers, arm.final, arm.skill_seed)
+    eqs = []
+    for lo, hi in zip(arm.bounds[:-1], arm.bounds[1:]):
+        a = draws.skills(maturity_skill_sigma(arm.maturity[lo:hi], exp.sigma_young, exp.sigma_mature, exp.k_ref))
+        eqs.append(solve_roy(a, arm.effective_weight[lo:hi], arm.final.tech, Lambda=exp.Lambda, tol=exp.tol))
     # Each statistic is averaged over the periods on its own.
     stats = zip(*(astuple(wage_stats(eq.wages)) for eq in eqs))
     return ArmOutcome(
@@ -579,31 +573,6 @@ def _run_arm(exp: RoyExperiment, arm: _ArmInputs) -> ArmOutcome:
         tied_workers_max=max(eq.tied_workers for eq in eqs),
         newton_steps=sum(eq.iterations for eq in eqs),
     )
-
-
-def _evaluated_columns(exp: RoyExperiment, scenario, seed: int):
-    """Each evaluated period's worker skills and family weight column, read off the panel.
-
-    ``scenario`` is a :class:`ScenarioResult` or the :class:`_ArmInputs`
-    kept of one.  Worker draws are keyed by family identity and shared
-    across periods: a family keeps the same underlying aptitude column
-    while its skill scale tracks its maturity.  The panel is period-major
-    and families never exit, so period t's rows are its families in roster
-    order; the normals are drawn once for the final families and each
-    period rescales its first columns, exactly as
-    :meth:`WorkerSkillMatrix.generate` would for that period's portfolio.
-    """
-    z = _skill_normals(exp.n_workers, scenario.final, seed)
-    bounds = np.searchsorted(scenario.period, np.arange(exp.T - exp.eval_window + 1, exp.T + 2)).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sigmas = maturity_skill_sigma(scenario.maturity[lo:hi], exp.sigma_young, exp.sigma_mature, exp.k_ref)
-        with np.errstate(over="ignore", under="ignore"):
-            a = np.exp(z[:, : hi - lo] * sigmas)
-        require(
-            bool(np.all(np.isfinite(a)) and np.all(a > 0.0)),
-            "skill draws out of range: exp(sigma * z) leaves the float range; lower sigma_young",
-        )
-        yield a, scenario.effective_weight[lo:hi]
 
 
 def _mean(values) -> float:

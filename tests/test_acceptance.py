@@ -328,9 +328,9 @@ def test_criterion_08_frontier_reallocation():
 def test_criterion_09_roy_equilibrium_and_dispersion():
     fams = columns(2, [1.0, 1.0], [0.1, 0.1], [1.0, 0.5])
     p = replace(INITIAL, **fams, aggregator=CES, tech=TECH)
-    skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=[0.6, 0.6])
-    oracle = roy_consistent_assignments(skills.a, weights(p), beta=0.5)
-    eq = solve_roy(skills.a, weights(p), TECH, EXPERIMENT.Lambda, EXPERIMENT.tol)
+    skills = WorkerSkillMatrix.generate(5, p, seed=0).skills([0.6, 0.6])
+    oracle = roy_consistent_assignments(skills, weights(p), beta=0.5)
+    eq = solve_roy(skills, weights(p), TECH, EXPERIMENT.Lambda, EXPERIMENT.tol)
     fixed_point_ok = (
         oracle == [(1, 1, 0, 0, 0)]
         and eq.converged
@@ -338,7 +338,7 @@ def test_criterion_09_roy_equilibrium_and_dispersion():
     )
 
     scaled = replace(INITIAL, **fams, aggregator=CES, tech=TECH, Lambda=4.0)
-    eq_scaled = solve_roy(skills.a, weights(scaled), TECH, Lambda=4.0, tol=EXPERIMENT.tol)
+    eq_scaled = solve_roy(skills, weights(scaled), TECH, Lambda=4.0, tol=EXPERIMENT.tol)
     scaling_ok = np.array_equal(eq.assignment, eq_scaled.assignment)
 
     exp = EXPERIMENT

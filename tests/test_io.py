@@ -562,16 +562,50 @@ def test_read_panel_csv_header_only_raises_without_warning(tmp_path):
 @pytest.mark.parametrize(
     "bad_cell, message",
     [
-        ("1_0", "could not convert string '1_0' to int64"),
-        ("9223372036854775808", "could not convert string '9223372036854775808' to int64"),
+        ("1_0", "invalid number '1_0'"),
+        ("9223372036854775808", "invalid number '9223372036854775808'"),
     ],
 )
 def test_read_panel_csv_refuses_what_only_python_int_accepts(tmp_path, bad_cell, message):
-    # Digit grouping and integers beyond int64 pass the line-by-line rescan,
-    # so the error carries the fast reader's own message, as a DomainError.
+    # Digit grouping and integers beyond int64 fail the line-by-line rescan
+    # as they fail the fast reader, so the error names the line.
     path = tmp_path / "wide.csv"
     path.write_text(",".join(PANEL_COLUMNS) + f"\n0,0,1.0,0.5,2.0,1,0\n{bad_cell},1,1.0,0.5,2.0,1,0\n")
-    with pytest.raises(DomainError, match=rf"wide\.csv: {message}"):
+    with pytest.raises(DomainError, match=rf"wide\.csv:3: {message}"):
+        read_panel_csv(str(path))
+
+
+@pytest.mark.parametrize("column", ["period", "maturity"])
+@pytest.mark.parametrize(
+    "cell, spelled",
+    [
+        ("\u01fe", None), ("\u01fe1", None), ("\u0661", None), ("\uff11", None), ("1_000", None),
+        ("1_0.5", None), ("\xa01", None), ("\x1c0", 0), ("1\x1f", 1),
+    ],
+    ids=ascii,
+)
+def test_read_panel_csv_reads_a_number_cell_as_its_ascii_text_or_names_its_line(tmp_path, cell, spelled, column):
+    # numpy reads "\u01fe" in an integer cell as 462 and strips \x1c-\x1f
+    # around a number; Python's int and float read "\u0661" and "1_000" and
+    # refuse "\x1c0".  A cell is read as the ASCII number it spells, or the
+    # file is refused at its line.
+    row = dict(zip(PANEL_COLUMNS, ["0", "1", "1.0", "0.5", "2.0", "1", "0"]), **{column: cell})
+    path = tmp_path / "odd.csv"
+    path.write_text(",".join(PANEL_COLUMNS) + "\n0,0,1.0,0.5,2.0,1,0\n" + ",".join(row.values()) + "\n", encoding="utf-8")
+    if spelled is None:
+        with pytest.raises(DomainError, match=r"odd\.csv:3: "):
+            read_panel_csv(str(path))
+    else:
+        assert read_panel_csv(str(path))[column].tolist() == [1 if column == "maturity" else 0, spelled]
+
+
+def test_read_panel_csv_names_the_bad_row_after_a_stripped_cell(tmp_path):
+    # Line 3 reads (numpy strips the \x1c), so the rescan must pass it and
+    # name line 5.
+    path = tmp_path / "p.csv"
+    rows = ["0,0,1.0,0.5,2.0,1,0", "1,\x1c0,1.0,0.5,2.0,1,0", "2,0,1.0,0.5,2.0,1,0", "3,x,1.0,0.5,2.0,1,0"]
+    path.write_text("\n".join([",".join(PANEL_COLUMNS), *rows]) + "\n")
+    with pytest.raises(DomainError, match=r"p\.csv:5: invalid literal for int\(\) with base 10: 'x'$"):
         read_panel_csv(str(path))
 
 

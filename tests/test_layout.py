@@ -1,5 +1,6 @@
 """The README's library layout names exactly the package's modules, the package's imports stay declared
-and used, and every module-level name the package defines is used somewhere, and by more than tests."""
+and used, every module-level name the package defines is used somewhere, and by more than tests, and
+every docstring cross-reference names something the package defines."""
 
 import ast
 import importlib
@@ -116,3 +117,53 @@ def test_every_module_level_name_is_used_outside_tests(path):
     program = [other for top in ("src", "perfbench") for other in (ROOT / top).rglob("*.py") if other != path]
     others = [other.read_text(encoding="utf-8") for other in program]
     assert unreferenced(path.read_text(encoding="utf-8"), others) == []
+
+
+ROLE = re.compile(r":(?:func|meth|class):`([^`]+)`")
+
+
+def package_definitions() -> dict[str, set[str]]:
+    """Per module, by stem: the functions and classes it defines at module
+    level, and its classes' methods as ``Class.method``."""
+    defined = {}
+    for path in MODULES:
+        names = defined[path.stem] = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(f"{node.name}.{sub.name}" for sub in node.body if isinstance(sub, ast.FunctionDef))
+    return defined
+
+
+DEFINED = package_definitions()
+
+
+def unresolved_roles(source: str) -> list[str]:
+    """Targets of ``source``'s :func:, :meth: and :class: roles that name
+    nothing in the package: a ``~structlabor.module.name`` path must name
+    something that module defines, and a bare ``name`` or ``Class.method``
+    something some module defines."""
+    anywhere = set().union(*DEFINED.values())
+    bad = []
+    for target in ROLE.findall(source):
+        package, _, path = target.lstrip("~").partition(".")
+        module, _, name = path.partition(".")
+        found = name in DEFINED.get(module, ()) if package == "structlabor" else target in anywhere
+        if not found:
+            bad.append(target)
+    return bad
+
+
+def test_unresolved_roles_sees_targets_the_package_does_not_define():
+    good = ":func:`solve_roy`, :meth:`WorkerSkillMatrix.skills` and :func:`~structlabor.parallel.ordered_map`"
+    bad = ":func:`_skill_normals`, :meth:`WorkerSkillMatrix.a`, :func:`~structlabor.roy.ordered_map`, :class:`np.ndarray`"
+    assert unresolved_roles(good + "\n" + bad) == [
+        "_skill_normals", "WorkerSkillMatrix.a", "~structlabor.roy.ordered_map", "np.ndarray",
+    ]
+    assert sum(len(ROLE.findall(path.read_text(encoding="utf-8"))) for path in MODULES) >= 15
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_docstring_cross_references_resolve(path):
+    assert unresolved_roles(path.read_text(encoding="utf-8")) == []

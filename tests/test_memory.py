@@ -74,8 +74,8 @@ def test_detect_degradation_peak(ordered_columns, layout):
     assert flags.n_obs == (PERIODS - 1) * FAMILIES
     # The flags take half a column: a bool mask over the panel's rows and
     # three compressed bool columns.  The search adds a bool column of drops
-    # and about 100 bytes per period for the period lookup.
-    assert peak <= 0.65 * COLUMN
+    # and the list of block periods, about 40 bytes per period.
+    assert peak <= 0.6 * COLUMN
 
 
 @pytest.mark.parametrize("layout", ["columns", "table"])

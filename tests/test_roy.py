@@ -57,43 +57,54 @@ UNIT_WEIGHTS = np.ones(2)
 
 
 def test_skill_matrix_validation():
-    with pytest.raises(DomainError):
-        WorkerSkillMatrix(a=np.array([1.0, 2.0]), family_ids=(0, 1))
-    with pytest.raises(DomainError):
-        WorkerSkillMatrix(a=np.array([[1.0, -2.0]]), family_ids=(0, 1))
-    with pytest.raises(DomainError):
-        WorkerSkillMatrix(a=np.array([[1.0, 2.0]]), family_ids=(0, 0))
-    with pytest.raises(DomainError):
-        WorkerSkillMatrix(a=np.array([[1.0, 2.0]]), family_ids=(0,))
+    p = two_family_portfolio()
+    for n_workers in (0, 2.0):
+        with pytest.raises(DomainError, match="^n_workers must be an integer >= 1$"):
+            WorkerSkillMatrix.generate(n_workers, p, seed=0)
+    with pytest.raises(DomainError, match="^need at least one family$"):
+        WorkerSkillMatrix.generate(3, replace(p, id=[], omega=[], delta=[], k=[], born_at=[]), seed=0)
+    draws = WorkerSkillMatrix.generate(3, p, seed=0)
+    for sigmas in ([], [[0.5, 0.5]], [0.5, 0.5, 0.5]):
+        with pytest.raises(DomainError, match="^sigma_ln must have 1 to 2 entries, one per family$"):
+            draws.skills(sigmas)
+    for sigmas in ([-0.1, 0.5], [0.5, np.nan], [0.5, np.inf]):
+        with pytest.raises(DomainError, match="^sigma_ln must be nonnegative$"):
+            draws.skills(sigmas)
+    # Every nonzero draw times 1e300 overflows exp or underflows it to 0.
+    with pytest.raises(DomainError, match=r"^skill draws out of range: exp\(sigma \* z\) leaves the float range"):
+        draws.skills([1e300, 0.5])
 
 
 def test_generate_is_deterministic_in_seed():
     p = two_family_portfolio()
-    a = WorkerSkillMatrix.generate(20, p, seed=7, sigma_ln=[0.5, 0.5])
-    b = WorkerSkillMatrix.generate(20, p, seed=7, sigma_ln=[0.5, 0.5])
-    c = WorkerSkillMatrix.generate(20, p, seed=8, sigma_ln=[0.5, 0.5])
-    assert np.array_equal(a.a, b.a)
-    assert not np.array_equal(a.a, c.a)
-    assert a.a.shape[0] == 20
-    assert a.family_ids == (0, 1)
+    a = WorkerSkillMatrix.generate(20, p, seed=7).skills([0.5, 0.5])
+    b = WorkerSkillMatrix.generate(20, p, seed=7).skills([0.5, 0.5])
+    c = WorkerSkillMatrix.generate(20, p, seed=8).skills([0.5, 0.5])
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (20, 2)
 
 
 def test_generate_scale_acts_outside_the_draws():
     # Doubling sigma must square the skill ratios: same z, scaled exponent.
     p = two_family_portfolio()
-    narrow = WorkerSkillMatrix.generate(50, p, seed=3, sigma_ln=[0.4, 0.4])
-    wide = WorkerSkillMatrix.generate(50, p, seed=3, sigma_ln=[0.8, 0.8])
-    assert np.allclose(wide.a, narrow.a**2, rtol=1e-12)
+    narrow = WorkerSkillMatrix.generate(50, p, seed=3).skills([0.4, 0.4])
+    wide = WorkerSkillMatrix.generate(50, p, seed=3).skills([0.8, 0.8])
+    assert np.allclose(wide, narrow**2, rtol=1e-12)
 
 
 def test_generate_per_family_scales():
     p = two_family_portfolio()
-    m = WorkerSkillMatrix.generate(4000, p, seed=1, sigma_ln=[0.2, 1.0])
-    spread0 = np.std(np.log(m.a[:, 0]))
-    spread1 = np.std(np.log(m.a[:, 1]))
+    draws = WorkerSkillMatrix.generate(4000, p, seed=1)
+    m = draws.skills([0.2, 1.0])
+    spread0 = np.std(np.log(m[:, 0]))
+    spread1 = np.std(np.log(m[:, 1]))
     assert spread1 > 4.0 * spread0
+    # A shorter list scales the roster's first families alone.
+    first = draws.skills([0.2])
+    assert (first.shape, first.tobytes()) == ((4000, 1), m[:, :1].tobytes())
     with pytest.raises(DomainError):
-        WorkerSkillMatrix.generate(10, p, seed=1, sigma_ln=[0.2])
+        draws.skills([0.2, 1.0, 0.5])
 
 
 def test_generate_draws_one_stream_per_birth_cohort_slot():
@@ -101,10 +112,10 @@ def test_generate_draws_one_stream_per_birth_cohort_slot():
     # period 0 (slots 0 and 1), family 1 is the first born in period 3.
     p = replace(INITIAL, id=[0, 1, 2], omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 3, 0], aggregator=ADD)
     sigmas = np.array([0.3, 1.1, 0.7])
-    m = WorkerSkillMatrix.generate(9, p, seed=4, sigma_ln=sigmas)
+    m = WorkerSkillMatrix.generate(9, p, seed=4).skills(sigmas)
     for col, key in enumerate(["skills:0:0", "skills:3:0", "skills:0:1"]):
         z = stream(4, key).standard_normal(9)
-        assert np.array_equal(m.a[:, col], np.exp(sigmas[col] * z))
+        assert np.array_equal(m[:, col], np.exp(sigmas[col] * z))
 
 
 def test_generate_streams_follow_birth_cohort_not_id():
@@ -113,9 +124,9 @@ def test_generate_streams_follow_birth_cohort_not_id():
     columns = {"omega": [1.0, 1.0], "delta": [0.1, 0.1], "k": [1.0, 1.0], "born_at": [0, 2]}
     fams_a = replace(INITIAL, id=[0, 1], **columns, aggregator=ADD)
     fams_b = replace(INITIAL, id=[0, 5], **columns, aggregator=ADD)
-    a = WorkerSkillMatrix.generate(10, fams_a, seed=11, sigma_ln=[0.5, 0.5])
-    b = WorkerSkillMatrix.generate(10, fams_b, seed=11, sigma_ln=[0.5, 0.5])
-    assert np.array_equal(a.a, b.a)
+    a = WorkerSkillMatrix.generate(10, fams_a, seed=11).skills([0.5, 0.5])
+    b = WorkerSkillMatrix.generate(10, fams_b, seed=11).skills([0.5, 0.5])
+    assert np.array_equal(a, b)
 
 
 def test_family_prices_formula():
@@ -136,27 +147,27 @@ def test_family_prices_formula():
 
 def test_solve_roy_reaches_an_enumerated_fixed_point():
     p = two_family_portfolio()
-    skills = WorkerSkillMatrix.generate(5, p, seed=0, sigma_ln=[0.6, 0.6])
+    skills = WorkerSkillMatrix.generate(5, p, seed=0).skills([0.6, 0.6])
     w = weights(p)
-    oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
+    oracle = roy_consistent_assignments(skills, w, beta=0.5)
     assert oracle == [(1, 1, 0, 0, 0)]
-    eq = solve(skills.a, w, p.tech)
+    eq = solve(skills, w, p.tech)
     assert eq.converged
     assert tuple(int(x) for x in eq.assignment) in oracle
     # Labor has settled onto the head counts of the assignment.
     assert np.allclose(eq.labor, [3.0, 2.0], rtol=0, atol=1e-8)
     # Each wage is the best available at the reported prices.
-    available = skills.a * eq.prices
+    available = skills * eq.prices
     assert np.allclose(eq.wages, available.max(axis=1), rtol=1e-12)
 
 
 def test_solve_roy_second_instance():
     p = two_family_portfolio()
-    skills = WorkerSkillMatrix.generate(5, p, seed=4, sigma_ln=[0.6, 0.6])
+    skills = WorkerSkillMatrix.generate(5, p, seed=4).skills([0.6, 0.6])
     w = weights(p)
-    oracle = roy_consistent_assignments(skills.a, w, beta=0.5)
+    oracle = roy_consistent_assignments(skills, w, beta=0.5)
     assert oracle == [(0, 1, 1, 0, 1)]
-    eq = solve(skills.a, w, p.tech)
+    eq = solve(skills, w, p.tech)
     assert eq.converged
     assert tuple(int(x) for x in eq.assignment) in oracle
 
@@ -166,9 +177,9 @@ def test_solve_roy_scale_invariant_assignment():
     # same factor, so choices cannot move.
     base = two_family_portfolio(Lambda=1.0)
     scaled = two_family_portfolio(Lambda=4.0)
-    skills = WorkerSkillMatrix.generate(30, base, seed=2, sigma_ln=[0.6, 0.6])
-    eq_base = solve(skills.a, weights(base), TECH)
-    eq_scaled = solve(skills.a, weights(scaled), TECH, Lambda=4.0)
+    skills = WorkerSkillMatrix.generate(30, base, seed=2).skills([0.6, 0.6])
+    eq_base = solve(skills, weights(base), TECH)
+    eq_scaled = solve(skills, weights(scaled), TECH, Lambda=4.0)
     assert np.array_equal(eq_base.assignment, eq_scaled.assignment)
     assert np.array_equal(eq_base.labor, eq_scaled.labor)
     assert np.array_equal(eq_scaled.prices, 4.0 * eq_base.prices)
@@ -248,7 +259,7 @@ def _scenario_instance():
     pt = run_portfolio_scenario(p0, 1.0, entry, 40, seed=3).portfolio_at(40)
     assert pt.size >= 10
     sigmas = maturity_skill_sigma(pt.k, 1.5, 0.2, 1.0)
-    return WorkerSkillMatrix.generate(400, pt, seed=5, sigma_ln=sigmas).a, weights(pt)
+    return WorkerSkillMatrix.generate(400, pt, seed=5).skills(sigmas), weights(pt)
 
 
 def test_solve_roy_certificate_holds_at_the_reported_point():
@@ -417,10 +428,11 @@ def test_default_experiment_solves_are_all_certified(monkeypatch, pin_cpus):
         assert eq.gap <= 1e-9 * n and eq.residual <= 1e-9 * n
 
 
-def test_arm_columns_match_per_period_portfolios():
-    # Read off the panel, each evaluated period's skills and weights are, bit
-    # for bit, the ones generate and effective_weights give for the portfolio
-    # portfolio_at rebuilds for that period, entrants in the window included.
+def test_arm_columns_match_per_period_portfolios(monkeypatch):
+    # Read off the panel, the skills and weights of each evaluated period's
+    # solve are, bit for bit, the ones generate and effective_weights give for
+    # the portfolio portfolio_at rebuilds for that period, entrants in the
+    # window included.
     exp = EXPERIMENT
     p0 = replace(
         INITIAL, id=np.arange(6), omega=np.ones(6), delta=np.linspace(0.08, 0.25, 6), k=np.ones(6),
@@ -428,14 +440,24 @@ def test_arm_columns_match_per_period_portfolios():
     )
     entry = replace(ENTRY, mu=0.5, k_seed=1e-3, omega_sigma=0.5, delta_lo=0.08, delta_hi=0.25)
     scenario = run_portfolio_scenario(p0, 1.0, entry, exp.T, seed=11)
+    # The arm is cut from this scenario in place of the one it would build.
+    monkeypatch.setattr(roy, "run_portfolio_scenario", lambda *args, **kwargs: scenario)
+    arm = roy._arm_inputs(exp, 17, mu_factor=1.0, delta_factor=1.0)
+    columns = []
+
+    def recording(a, w, tech, **kwargs):
+        columns.append((a, w))
+        return solve_roy(a, w, tech, **kwargs)
+
+    monkeypatch.setattr(roy, "solve_roy", recording)
+    roy._run_arm(exp, arm)
     periods = range(exp.T - exp.eval_window + 1, exp.T + 1)
-    columns = list(roy._evaluated_columns(exp, scenario, seed=17))
     assert len(columns) == exp.eval_window
     assert scenario.portfolio_at(periods[0]).size < scenario.portfolio_at(periods[-1]).size
     for t, (a, w) in zip(periods, columns):
         pt = scenario.portfolio_at(t)
         sigmas = maturity_skill_sigma(pt.k, exp.sigma_young, exp.sigma_mature, exp.k_ref)
-        expected = WorkerSkillMatrix.generate(exp.n_workers, pt, seed=17, sigma_ln=sigmas).a
+        expected = WorkerSkillMatrix.generate(exp.n_workers, pt, seed=arm.skill_seed).skills(sigmas)
         assert (a.dtype, a.shape, a.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
         w_expected = effective_weights(pt.omega, pt.k, pt.aggregator, pt.Lambda)
         assert (w.dtype, w.shape, w.tobytes()) == (w_expected.dtype, w_expected.shape, w_expected.tobytes())
@@ -587,6 +609,23 @@ def test_experiment_does_not_depend_on_workers(cpus, pin_cpus):
     serial = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
     assert isinstance(res.base, tuple) and isinstance(res.treated, tuple)
     assert _bits(asdict(res)) == _bits(asdict(serial))
+
+
+def test_arms_draw_skills_once_through_generate(monkeypatch, pin_cpus):
+    # Serially each arm draws its skills once, for its final roster, through
+    # the classmethod the benchmark's tracer wraps as roy.skills.
+    pin_cpus(1)
+    generate, calls = WorkerSkillMatrix.generate, []
+
+    def recording(cls, n_workers, portfolio, seed):
+        calls.append(portfolio.size)
+        return generate(n_workers, portfolio, seed)
+
+    monkeypatch.setattr(WorkerSkillMatrix, "generate", classmethod(recording))
+    res = dispersion_experiment(SMALL, "mu", 2.0, replications=2, seed=3)
+    arms = [arm for pair in zip(res.base, res.treated) for arm in pair]
+    assert len(calls) == 4
+    assert calls == [arm.n_families for arm in arms]
 
 
 def test_arm_newton_steps_sum_its_solves(monkeypatch, pin_cpus):
