@@ -95,7 +95,7 @@ def _cmd_steady_state(cfg: AppConfig) -> tuple[list[str], list[str]]:
     ds_dgamma, ds_dr, ds_ddelta = comparative_statics(cfg.baseline)
     payload = {
         "params": serialize(cfg)["baseline"],
-        "steady_state": asdict(ss),
+        "steady_state": ss,
         "comparative_statics": {
             "ds_dgamma": ds_dgamma,
             "ds_dr": ds_dr,
@@ -220,8 +220,8 @@ def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
 
     def arm_dict(arm) -> dict:
         # The averaged statistics sit beside the arm's other fields.
-        fields = asdict(arm)
-        return {**fields.pop("stats"), **fields}
+        fields = arm._asdict()
+        return {**asdict(fields.pop("stats")), **fields}
 
     payload = {
         "treatment": result.treatment,

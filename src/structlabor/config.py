@@ -15,7 +15,6 @@ from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
-import yaml
 
 from . import schema
 from .calibration import PriorSpec
@@ -261,6 +260,8 @@ def load_config(path: str | None, overrides: Any = None) -> AppConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("", f"cannot read config file {path}: {exc}") from None
         except json.JSONDecodeError:  # JSON first: YAML 1.1 reads the 1e-10 that json.dumps writes as a string
+            import yaml  # only here, so that a JSON config never loads the module
+
             try:
                 data = yaml.safe_load(text)
             except yaml.YAMLError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class BaselineParams:
         check(vars(self), BASELINE)
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(NamedTuple):
     """Long-run allocation and prices.
 
     s_star is the share of the labor endowment devoted to maintenance,
@@ -66,8 +66,7 @@ class SteadyState:
     shadow_value: float
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionPath:
+class TransitionPath(NamedTuple):
     """A simulated path as parallel columns over periods 0..n-1, with convergence bookkeeping.
 
     ``t`` holds the periods (integers); ``k``, ``L_S``, ``L_U``, ``Y``,

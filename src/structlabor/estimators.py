@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,7 @@ class MaturityPanel:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DegradationFlags:
+class DegradationFlags(NamedTuple):
     """Per-observation degradation indicators.
 
     ``observed`` marks, over the panel's rows, each family-period whose
@@ -149,16 +148,14 @@ def detect_degradation(panel: MaturityPanel, rel_drop: float, horizon: int) -> D
     )
 
 
-@dataclass(frozen=True)
-class CellStat:
+class CellStat(NamedTuple):
     """Empirical degradation frequency within one window cell."""
 
     mean: float
     count: int
 
 
-@dataclass(frozen=True, eq=False)
-class HazardEstimate:
+class HazardEstimate(NamedTuple):
     """Additive decomposition of the degradation hazard.
 
     Components are marginal effects from the saturated cell-means fit on

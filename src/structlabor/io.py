@@ -382,10 +382,13 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
 
 
 def _sanitize(obj: Any) -> Any:
-    """Convert to plain JSON-serializable data, stringifying non-finite floats."""
+    """Convert to plain JSON-serializable data, stringifying non-finite floats and
+    writing a record (a ``NamedTuple``) as an object of its fields."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if hasattr(obj, "_asdict"):
+            return _sanitize(obj._asdict())
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_sanitize(v) for v in obj.tolist()]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,8 +130,7 @@ class Portfolio:
         return int(self.id.shape[0])
 
 
-@dataclass(frozen=True, eq=False)
-class AllocationResult:
+class AllocationResult(NamedTuple):
     """An optimal labor split: labor per family and its optimality residual.
 
     ``labor`` follows the order of the weights it was computed for.
@@ -300,8 +300,7 @@ def periodic_windows(start: int, every: int, T: int) -> frozenset[int]:
     return frozenset(range(start, T, every))
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """Output of a portfolio scenario.
 
     The panel arrays are parallel and sorted by (period, family id); one

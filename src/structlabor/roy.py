@@ -50,8 +50,7 @@ _STEP_TOL = 0.1
 _NEWTON_STEPS = 50
 
 
-@dataclass(frozen=True, eq=False)
-class WorkerSkillMatrix:
+class WorkerSkillMatrix(NamedTuple):
     """Standard normal skill draws, one row per worker and one column per family.
 
     A family's column is keyed by its birth period and rank within that
@@ -91,8 +90,7 @@ class WorkerSkillMatrix:
         return a
 
 
-@dataclass(frozen=True, eq=False)
-class RoyEquilibrium:
+class RoyEquilibrium(NamedTuple):
     """A self-consistent assignment: who works where, at what rates.
 
     ``prices`` holds one piece rate per family, in the order of the skill
@@ -473,8 +471,7 @@ class RoyExperiment:
         check(vars(self), ROY, (DELTA_ORDER, EVAL_WINDOW, SIGMA_ORDER))
 
 
-@dataclass(frozen=True)
-class ArmOutcome:
+class ArmOutcome(NamedTuple):
     """One arm of one replication: its averaged statistics, the largest
     certificates and tie count of its solves, and their Newton steps."""
 
@@ -486,8 +483,7 @@ class ArmOutcome:
     newton_steps: int
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Paired dispersion outcomes across replications."""
 
     treatment: str

@@ -127,6 +127,10 @@ def test_roy_command_reports_paired_arms(tmp_path):
         rep["treated"]["log_wage_variance"] - rep["base"]["log_wage_variance"]
     )
     for arm in ("base", "treated"):
+        assert set(rep[arm]) == {
+            "mean_wage", "log_wage_variance", "p90_p10", "top_decile_share",
+            "n_families", "gap_max", "residual_max", "tied_workers_max", "newton_steps",
+        }
         assert 0.0 <= rep[arm]["gap_max"] <= 1e-9 * 40
         assert 0.0 <= rep[arm]["residual_max"] <= 1e-9 * 40
         assert isinstance(rep[arm]["tied_workers_max"], int)

@@ -1,6 +1,9 @@
 import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -289,6 +292,24 @@ def test_load_config_reads_yaml_and_json(tmp_path):
     assert load_config(str(j)).run.seed == 8
 
     assert load_config(None).run.seed == 0
+
+
+def test_json_configs_never_import_yaml(tmp_path):
+    # The module is imported only for a file that is not JSON, so the CLI
+    # and a JSON or absent config leave it out of the process.
+    path = tmp_path / "conf.json"
+    path.write_text('{"run": {"seed": 8}}')
+    code = (
+        "import sys\n"
+        "import structlabor.cli\n"
+        "from structlabor.config import load_config\n"
+        f"assert load_config({str(path)!r}).run.seed == 8\n"
+        "assert load_config(None).run.seed == 0\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "False"
 
 
 def test_json_dump_of_the_defaults_loads_back(tmp_path):

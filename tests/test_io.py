@@ -5,12 +5,13 @@ import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from structlabor import io as io_module
-from structlabor.core import simulate_transition
+from structlabor.core import simulate_transition, steady_state
 from structlabor.errors import DomainError
 from structlabor.io import (
     CHUNK_ROWS,
@@ -288,6 +289,24 @@ def test_write_json_handles_arrays_and_numpy_scalars(tmp_path):
     write_json(path, {"v": np.array([1.5, 2.5]), "n": np.int64(3), "f": np.float64(0.25), "b": np.bool_(True)})
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     assert data == {"b": True, "f": 0.25, "n": 3, "v": [1.5, 2.5]}
+
+
+def test_write_json_writes_a_record_as_its_fields(tmp_path):
+    # A NamedTuple record is a JSON object, byte for byte its _asdict(), not an array.
+    class Cell(NamedTuple):
+        mean: float
+        count: int
+
+    ss = steady_state(DEFAULTS.baseline)
+    path = simulate_transition(DEFAULTS.baseline, k0=0.02, L_S0=0.01, T=3, damping=0.5, tol=1e-16)
+    records = {"cells": [Cell(math.inf, 2)], "ss": ss, "path": path}
+    write_json(str(tmp_path / "records.json"), records)
+    fields = {"cells": [{"mean": math.inf, "count": 2}], "ss": ss._asdict(), "path": path._asdict()}
+    write_json(str(tmp_path / "fields.json"), fields)
+    text = (tmp_path / "records.json").read_bytes()
+    assert text == (tmp_path / "fields.json").read_bytes()
+    assert json.loads(text)["cells"] == [{"count": 2, "mean": "inf"}]
+    assert list(json.loads(text)["ss"]) == sorted(ss._fields)
 
 
 def test_sha256_file(tmp_path):

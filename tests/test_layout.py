@@ -167,3 +167,31 @@ def test_unresolved_roles_sees_targets_the_package_does_not_define():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_docstring_cross_references_resolve(path):
     assert unresolved_roles(path.read_text(encoding="utf-8")) == []
+
+
+def dataclasses_without_post_init(source: str) -> list[str]:
+    """Classes of ``source`` under a ``@dataclass`` decorator, called or not,
+    that define no ``__post_init__``: a dataclass validates, and a class that
+    checks nothing is a ``NamedTuple`` record."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            if not any(isinstance(sub, ast.FunctionDef) and sub.name == "__post_init__" for sub in node.body):
+                bad.append(node.name)
+    return bad
+
+
+def test_dataclasses_without_post_init_sees_dataclasses_that_check_nothing():
+    source = "@dataclass\nclass A:\n    x: int\n\n@dataclass(frozen=True, eq=False)\nclass B:\n    x: int\n"
+    source += "\n@dataclasses.dataclass(frozen=True)\nclass C:\n    def size(self):\n        pass\n"
+    source += "\n@dataclass(frozen=True)\nclass D:\n    def __post_init__(self):\n        pass\n"
+    source += "\nclass E(NamedTuple):\n    x: int\n\n@total_ordering\nclass F:\n    pass\n"
+    assert dataclasses_without_post_init(source) == ["A", "B", "C"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_dataclass_validates_in_post_init(path):
+    assert dataclasses_without_post_init(path.read_text(encoding="utf-8")) == []

@@ -9,7 +9,6 @@ without failing anything else.  The table and the hook are read with
 """
 
 import ast
-import dataclasses
 import importlib
 from pathlib import Path
 
@@ -61,4 +60,4 @@ def post_solve_fields() -> set[str]:
 def test_post_solve_reads_fields_roy_equilibrium_has():
     read = post_solve_fields()
     assert {"iterations", "converged", "residual"} <= read
-    assert read <= {field.name for field in dataclasses.fields(RoyEquilibrium)}
+    assert read <= set(RoyEquilibrium._fields)
