@@ -17,7 +17,7 @@ import numpy as np
 from .core import structured_share
 from .errors import DomainError, require
 from .rng import check_seed, indexed_uniforms
-from .schema import PRIOR_RULES, PRIORS, check
+from .schema import PRIOR_RULES, PRIORS, check, pair
 
 # Draws per sampling and summing block: a 2 MB uniform matrix.
 _BLOCK = 1 << 16
@@ -45,24 +45,23 @@ _KEEP = 1 << 18
 class PriorSpec:
     """Independent uniform priors over the four share parameters.
 
-    Each parameter is uniform on [lo, hi]; ``n_draws`` draws are made
+    Each parameter is uniform on its ``(lo, hi)`` pair, named as its
+    ``priors`` config key and stored as a tuple; ``n_draws`` draws are made
     from the stream keyed by ``seed``.  Degenerate (point-mass) priors with
     lo == hi are allowed.  ``AppConfig().priors`` is the benchmark
     calibration.
     """
 
-    alpha_lo: float
-    alpha_hi: float
-    r_lo: float
-    r_hi: float
-    delta_lo: float
-    delta_hi: float
-    gamma_lo: float
-    gamma_hi: float
+    alpha: tuple[float, float]
+    r: tuple[float, float]
+    delta_k: tuple[float, float]
+    gamma: tuple[float, float]
     n_draws: int
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "r", "delta_k", "gamma"):
+            object.__setattr__(self, name, pair(name, getattr(self, name)))
         check(vars(self), PRIORS, PRIOR_RULES)
         check_seed(self.seed)
 
@@ -113,11 +112,8 @@ def sample_parameters(priors: PriorSpec, start: int, count: int) -> tuple[np.nda
         0 <= start and 0 <= count and start + count <= priors.n_draws, "draw range must lie within [0, n_draws]"
     )
     u = indexed_uniforms(priors.seed, start, count)
-    alpha = priors.alpha_lo + (priors.alpha_hi - priors.alpha_lo) * u[:, 0]
-    r = priors.r_lo + (priors.r_hi - priors.r_lo) * u[:, 1]
-    delta = priors.delta_lo + (priors.delta_hi - priors.delta_lo) * u[:, 2]
-    gamma = priors.gamma_lo + (priors.gamma_hi - priors.gamma_lo) * u[:, 3]
-    return alpha, r, delta, gamma
+    box = (priors.alpha, priors.r, priors.delta_k, priors.gamma)
+    return tuple(lo + (hi - lo) * u[:, i] for i, (lo, hi) in enumerate(box))
 
 
 def sample_shares(priors: PriorSpec, start: int, count: int) -> np.ndarray:
@@ -328,8 +324,8 @@ def share_bounds(priors: PriorSpec) -> tuple[float, float]:
     the two opposite corners of the box.
     """
     try:
-        lo = float(structured_share(priors.alpha_lo, priors.gamma_lo, priors.r_hi, priors.delta_lo))
-        hi = float(structured_share(priors.alpha_hi, priors.gamma_hi, priors.r_lo, priors.delta_hi))
+        lo = float(structured_share(priors.alpha[0], priors.gamma[0], priors.r[1], priors.delta_k[0]))
+        hi = float(structured_share(priors.alpha[1], priors.gamma[1], priors.r[0], priors.delta_k[1]))
     except ZeroDivisionError:
         raise DomainError(
             "share bounds out of range: at a corner of the prior box gamma * delta_k and "

@@ -56,10 +56,10 @@ FIELDS = (
     Field("baseline.A_bar", float, 1.0, schema.BASELINE["A_bar"]),
     Field("baseline.K", float, 1.0, schema.BASELINE["K"]),
     Field("baseline.L_bar", float, 1.0, schema.BASELINE["L_bar"]),
-    Field("priors.alpha", PAIR, [0.33, 0.40], schema.PRIORS["alpha_lo"]),
-    Field("priors.r", PAIR, [0.03, 0.05], schema.PRIORS["r_lo"]),
-    Field("priors.delta_k", PAIR, [0.08, 0.25], schema.PRIORS["delta_lo"]),
-    Field("priors.gamma", PAIR, [0.02, 0.08], schema.PRIORS["gamma_lo"]),
+    Field("priors.alpha", PAIR, [0.33, 0.40], schema.PRIORS["alpha"]),
+    Field("priors.r", PAIR, [0.03, 0.05], schema.PRIORS["r"]),
+    Field("priors.delta_k", PAIR, [0.08, 0.25], schema.PRIORS["delta_k"]),
+    Field("priors.gamma", PAIR, [0.02, 0.08], schema.PRIORS["gamma"]),
     Field("priors.n_draws", int, 200_000, schema.PRIORS["n_draws"]),
     Field("transition.k0", float, None, schema.TRANSITION["k0"]),  # null: half the long-run stock
     Field("transition.L_S0", float, None, schema.TRANSITION["L_S0"]),  # null: half the long-run labor
@@ -81,7 +81,7 @@ FIELDS = (
     Field("portfolio.entry.k_seed", float, 1e-3, schema.ENTRY["k_seed"]),
     Field("portfolio.entry.omega_median", float, 1.0, schema.ENTRY["omega_median"]),
     Field("portfolio.entry.omega_sigma", float, 0.5, schema.ENTRY["omega_sigma"]),
-    Field("portfolio.entry.delta_j", PAIR, [0.08, 0.25], schema.ENTRY["delta_lo"]),
+    Field("portfolio.entry.delta_j", PAIR, [0.08, 0.25], schema.ENTRY["delta_j"]),
     Field("portfolio.drift.enabled", bool, False),
     Field("portfolio.drift.env_hazard", float, 0.05, schema.DRIFT["env_hazard"]),
     Field("portfolio.drift.tech_hazard", float, 0.10, schema.DRIFT["tech_hazard"]),
@@ -94,7 +94,7 @@ FIELDS = (
     Field("roy.n_initial", int, 6, schema.ROY["n_initial"]),
     Field("roy.initial_k", float, 1.0, schema.ROY["initial_k"]),
     Field("roy.omega", float, 1.0, schema.ROY["omega"]),
-    Field("roy.delta_j", PAIR, [0.08, 0.25], schema.ROY["delta_lo"]),
+    Field("roy.delta_j", PAIR, [0.08, 0.25], schema.ROY["delta_j"]),
     Field("roy.rho", float, 0.5, schema.ROY["rho"]),
     Field("roy.beta", float, 0.5, schema.ROY["beta"]),
     Field("roy.Lambda", float, 1.0, schema.ROY["Lambda"]),
@@ -209,30 +209,23 @@ def _resolve(data: Any, overrides: Any = None) -> dict:
     return nested
 
 
-def _split_delta(section: dict, drop: tuple[str, ...] = ()) -> dict:
-    """Keyword arguments from a section, its ``delta_j`` pair split into ``delta_lo``, ``delta_hi``."""
-    kwargs = {k: v for k, v in section.items() if k != "delta_j" and k not in drop}
-    kwargs["delta_lo"], kwargs["delta_hi"] = section["delta_j"]
-    return kwargs
-
-
 class AppConfig:
     """A validated configuration whose section keys read as attributes; ``AppConfig()`` is all defaults."""
 
     def __init__(self, data: Any = None, overrides: Any = None) -> None:
         self._resolved = c = _resolve(data, overrides)
-        pr, p, r = c["priors"], c["portfolio"], c["roy"]
+        p, r = c["portfolio"], c["roy"]
         self.run = SimpleNamespace(**c["run"])
         self.transition = SimpleNamespace(**c["transition"])
         self.estimate = SimpleNamespace(**c["estimate"])
         # Every object a command builds is built here, from values the table
         # has checked against the same rows the classes apply.
         self.baseline = BaselineParams(**c["baseline"])
-        self.priors = PriorSpec(*pr["alpha"], *pr["r"], *pr["delta_k"], *pr["gamma"], pr["n_draws"])
-        entry = EntryConfig(**_split_delta(p["entry"]))
+        self.priors = PriorSpec(**c["priors"])
+        entry = EntryConfig(**p["entry"])
         n, agg, d = p["n_families"], p["aggregator"], p["drift"]
         initial = Portfolio(
-            np.arange(n), p["omega"], p["delta_j"], p["k0"], np.zeros(n, dtype=np.int64),
+            p["omega"], p["delta_j"], p["k0"], np.zeros(n, dtype=np.int64),
             AggregatorSpec(agg, p["rho"] if agg == "ces" else None, p["epsilon_floor"]),
             PowerCodification(p["beta"]), p["Lambda"],
         )
@@ -245,7 +238,7 @@ class AppConfig:
         self.portfolio = SimpleNamespace(
             **{**p, "entry": entry, "initial": initial, "drift": drift if d["enabled"] else None}
         )
-        experiment = RoyExperiment(**_split_delta(r, drop=("treatment", "factor", "replications")))
+        experiment = RoyExperiment(**{k: v for k, v in r.items() if k not in schema.EXPERIMENT})
         self.roy = SimpleNamespace(**r, experiment=experiment)
 
 

@@ -34,6 +34,7 @@ from .schema import (
     SCENARIO,
     WINDOWS,
     check,
+    pair,
 )
 
 
@@ -82,26 +83,17 @@ class AggregatorSpec:
         check(vars(self), {k: d for k, d in AGGREGATOR.items() if k != "rho" or self.kind == "ces"})
 
 
-def _int_column(values, msg: str) -> np.ndarray:
-    col = np.asarray(values)
-    require(col.dtype.kind in "iu" or col.size == 0, msg)
-    col = col.astype(np.int64, copy=False)
-    require(bool(np.all(col >= 0)), msg)
-    return col
-
-
 @dataclass(frozen=True, eq=False)
 class Portfolio:
     """Task families as parallel columns, plus the aggregator, technology, and scale.
 
-    Row j is one family: its ``id``, importance weight ``omega``, decay
-    rate ``delta``, maturity ``k`` and birth period ``born_at``.  Rows
-    are sorted by id and ids are unique.  ``Lambda`` is the economy-wide
-    value of a marginal unit of aggregate capability; it scales effective
-    weights and prices but cancels out of the labor allocation.
+    Row j is family j: its importance weight ``omega``, decay rate
+    ``delta``, maturity ``k`` and birth period ``born_at``.  ``Lambda``
+    is the economy-wide value of a marginal unit of aggregate capability;
+    it scales effective weights and prices but cancels out of the labor
+    allocation.
     """
 
-    id: np.ndarray
     omega: np.ndarray
     delta: np.ndarray
     k: np.ndarray
@@ -111,23 +103,20 @@ class Portfolio:
     Lambda: float
 
     def __post_init__(self) -> None:
-        ids = _int_column(self.id, "family id must be a nonnegative integer")
-        born = _int_column(self.born_at, "born_at must be a nonnegative integer")
+        born, msg = np.asarray(self.born_at), "born_at must be a nonnegative integer"
+        require(born.dtype.kind in "iu" or born.size == 0, msg)
+        born = born.astype(np.int64, copy=False)
+        require(bool(np.all(born >= 0)), msg)
         omega, delta, k = (np.asarray(c, dtype=float) for c in (self.omega, self.delta, self.k))
-        n = ids.shape[0] if ids.ndim == 1 else -1
-        require(
-            all(c.shape == (n,) for c in (omega, delta, k, born)), "family columns must be parallel 1-d arrays"
-        )
+        n = born.shape[0] if born.ndim == 1 else -1
+        require(all(c.shape == (n,) for c in (omega, delta, k)), "family columns must be parallel 1-d arrays")
         check({"omega": omega, "delta": delta, "k": k, "Lambda": self.Lambda}, PORTFOLIO)
-        if not bool(np.all(ids[1:] > ids[:-1])):
-            unique = np.unique(ids).shape[0] == n
-            raise DomainError("families must be sorted by id" if unique else "family ids must be unique")
-        for name, col in (("id", ids), ("omega", omega), ("delta", delta), ("k", k), ("born_at", born)):
+        for name, col in (("omega", omega), ("delta", delta), ("k", k), ("born_at", born)):
             object.__setattr__(self, name, col)
 
     @property
     def size(self) -> int:
-        return int(self.id.shape[0])
+        return int(self.born_at.shape[0])
 
 
 class AllocationResult(NamedTuple):
@@ -220,17 +209,18 @@ class EntryConfig:
     Births per period are Poisson with intensity ``mu``.  Entrants start
     at maturity ``k_seed`` (near zero), draw their importance weight from
     a log-normal with the given median and log-scale sigma, and draw
-    their decay rate uniformly from [delta_lo, delta_hi].
+    their decay rate uniformly from the ``(lo, hi)`` pair ``delta_j``,
+    stored as a tuple.
     """
 
     mu: float
     k_seed: float
     omega_median: float
     omega_sigma: float
-    delta_lo: float
-    delta_hi: float
+    delta_j: tuple[float, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "delta_j", pair("delta_j", self.delta_j))
         check(vars(self), ENTRY, (DELTA_ORDER,))
 
 
@@ -249,7 +239,7 @@ def _draw_entrants(entry: EntryConfig, gen: np.random.Generator) -> tuple[list[f
             omegas.append(entry.omega_median * math.exp(entry.omega_sigma * gen.standard_normal()))
         except OverflowError:
             raise DomainError("omega must be finite") from None
-        deltas.append(gen.uniform(entry.delta_lo, entry.delta_hi))
+        deltas.append(gen.uniform(*entry.delta_j))
     return omegas, deltas
 
 
@@ -336,7 +326,7 @@ class ScenarioResult(NamedTuple):
         require(hi > lo, f"scenario has no period {t}")
         n, final = hi - lo, self.final
         return Portfolio(
-            final.id[:n], final.omega[:n], final.delta[:n], self.maturity[lo:hi], final.born_at[:n],
+            final.omega[:n], final.delta[:n], self.maturity[lo:hi], final.born_at[:n],
             final.aggregator, final.tech, final.Lambda,
         )
 
@@ -362,7 +352,7 @@ def run_portfolio_scenario(
     post-transition state and the allocation it would receive.
 
     Randomness is organized in per-period substreams keyed by ``seed``:
-    "drift" uniforms are consumed in family-id order and "entry" draws in
+    "drift" uniforms are consumed in roster order and "entry" draws in
     slot order, so scenarios sharing a seed share event and entrant draws
     for every family they have in common.  No draw depends on the
     maturities, so all entrants are drawn first and the whole roster is
@@ -387,16 +377,15 @@ def run_portfolio_scenario(
         # Refused as soon as the rows so far pass the bound, before the roster and the panel are built.
         rows += sizes[-1]
         require(rows <= MAX_PANEL_ROWS, _TOO_MANY_ROWS)
-    n_added, first_id = len(omegas), int(portfolio.id[-1]) + 1 if portfolio.size else 0
     born = np.repeat(np.arange(1, T + 1), np.diff(sizes))
-    added = [np.arange(first_id, first_id + n_added), omegas, deltas, np.full(n_added, entry.k_seed), born]
-    columns = [portfolio.id, portfolio.omega, portfolio.delta, portfolio.k, portfolio.born_at]
+    added = [omegas, deltas, np.full(len(omegas), entry.k_seed), born]
+    columns = [portfolio.omega, portfolio.delta, portfolio.k, portfolio.born_at]
     final = Portfolio(
         *(np.concatenate([old, new]) for old, new in zip(columns, added)),
         portfolio.aggregator, portfolio.tech, portfolio.Lambda,
     )
 
-    ids, omega, delta, k = final.id, final.omega, final.delta, final.k
+    ids, omega, delta, k = np.arange(final.size), final.omega, final.delta, final.k
     family_id = np.empty(rows, dtype=np.int64)
     maturity = np.empty(rows)
     labor = np.empty(rows)

@@ -69,8 +69,6 @@ def indexed_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """
     check_seed(seed)
     require(start >= 0 and count >= 0, "start and count must be nonnegative")
-    if count == 0:
-        return np.empty((0, 4), dtype=np.float64)
     bg = np.random.Philox(key=seed)
     bg.advance(int(start))
     # Generator.random equals uniform(0, 1) bit for bit (0 + 1 * x), without the scaling pass.

@@ -32,7 +32,7 @@ from .portfolio import (
     run_portfolio_scenario,
 )
 from .rng import derive_seed, stream
-from .schema import DELTA_ORDER, EVAL_WINDOW, EXPERIMENT, ROY, SIGMA_ORDER, TREATED_INTENSITY, check
+from .schema import DELTA_ORDER, EVAL_WINDOW, EXPERIMENT, ROY, SIGMA_ORDER, TREATED_INTENSITY, check, pair
 
 _DELTA_CAP = 0.95
 _ENTRANT_OMEGA_MEDIAN = 1.0  # median importance weight of an arm's entrants
@@ -54,7 +54,7 @@ class WorkerSkillMatrix(NamedTuple):
     """Standard normal skill draws, one row per worker and one column per family.
 
     A family's column is keyed by its birth period and rank within that
-    cohort, not by its id, so a roster's first families draw the same
+    cohort, not by its roster row, so a roster's first families draw the same
     columns in any roster that extends it, such as a scenario's final one;
     :meth:`WorkerSkillMatrix.skills` applies the log-scales outside the draws.
     """
@@ -443,14 +443,13 @@ class RoyExperiment:
     overlap.  Each solve is certified to ``tol``, the only solver setting
     here; its smoothing schedule is a module constant, and each stage
     from the second on ends with one exact finish at a tie width of its
-    smoothing.
+    smoothing.  ``delta_j`` is a ``(lo, hi)`` pair, stored as a tuple.
     """
 
     n_initial: int
     initial_k: float
     omega: float
-    delta_lo: float
-    delta_hi: float
+    delta_j: tuple[float, float]
     rho: float
     beta: float
     Lambda: float
@@ -468,6 +467,7 @@ class RoyExperiment:
     tol: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "delta_j", pair("delta_j", self.delta_j))
         check(vars(self), ROY, (DELTA_ORDER, EVAL_WINDOW, SIGMA_ORDER))
 
 
@@ -510,10 +510,9 @@ class _ArmInputs(NamedTuple):
 
 def _arm_inputs(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_factor: float) -> _ArmInputs:
     init_gen = stream(rep_seed, "init-delta")
-    deltas = init_gen.uniform(exp.delta_lo, exp.delta_hi, size=exp.n_initial)
+    deltas = init_gen.uniform(*exp.delta_j, size=exp.n_initial)
     n = exp.n_initial
     p0 = Portfolio(
-        id=np.arange(n),
         omega=np.full(n, exp.omega),
         delta=np.minimum(_DELTA_CAP, deltas * delta_factor),
         k=np.full(n, exp.initial_k),
@@ -527,8 +526,7 @@ def _arm_inputs(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_facto
         k_seed=exp.k_seed,
         omega_median=_ENTRANT_OMEGA_MEDIAN,
         omega_sigma=exp.omega_sigma,
-        delta_lo=min(_DELTA_CAP, exp.delta_lo * delta_factor),
-        delta_hi=min(_DELTA_CAP, exp.delta_hi * delta_factor),
+        delta_j=tuple(min(_DELTA_CAP, d * delta_factor) for d in exp.delta_j),
     )
     scenario = run_portfolio_scenario(
         p0, exp.labor_budget, entry, exp.T, seed=derive_seed(rep_seed, "scenario")

@@ -4,8 +4,8 @@ A row maps a field to a :class:`Domain`, a predicate and its wording.  The
 library classes apply their rows in ``__post_init__`` (:func:`check`), and
 the config table points at the same rows, so the two cannot disagree on a
 value.  Constraints across fields of one class are rows too
-(:class:`Rule`).  Predicates work elementwise, so one row checks a scalar
-or a whole numpy column.
+(:class:`Rule`).  Predicates work elementwise, so one row checks a scalar,
+a ``(lo, hi)`` pair or a whole numpy column.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 
 # Most initial families a config may ask for; per-family values are broadcast to this length.
 MAX_FAMILIES = 100_000
@@ -78,9 +78,15 @@ def one_of(*choices: str) -> Domain:
     return Domain(lambda x: x in choices, f"must be one of {', '.join(choices)}", real=False)
 
 
-def ordered(lo: str, hi: str) -> Rule:
-    """The rule that the pair ``(lo, hi)`` is ordered."""
-    return Rule(hi, lambda c: c[lo] <= c[hi], f"must be >= {lo}")
+def ordered(name: str) -> Rule:
+    """The rule that the ``(lo, hi)`` pair ``name`` has ``lo <= hi``."""
+    return Rule(name, lambda c: c[name][0] <= c[name][1], "must have lo <= hi")
+
+
+def pair(name: str, value: Any) -> tuple:
+    """``value`` as a ``(lo, hi)`` tuple; a :class:`DomainError` naming ``name`` unless it holds two values."""
+    require(isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2, f"{name} must be a [lo, hi] pair")
+    return tuple(value)
 
 
 def check(values: Mapping[str, Any], rows: Mapping[str, Domain], rules: tuple[Rule, ...] = ()) -> None:
@@ -88,6 +94,8 @@ def check(values: Mapping[str, Any], rows: Mapping[str, Domain], rules: tuple[Ru
     value is out of its domain, or else the field of the first broken rule."""
     for name, domain in rows.items():
         value = values[name]
+        if isinstance(value, (list, tuple)):
+            value = np.asarray(value)
         column = isinstance(value, np.ndarray)
         if domain.real and not (np.isfinite(value).all() if column else math.isfinite(value)):
             raise DomainError(f"{name} must be finite")
@@ -114,20 +122,15 @@ BASELINE = {
     "alpha": OPEN_UNIT, "gamma": OPEN_UNIT, "r": POSITIVE, "delta_k": OPEN_UNIT,
     "eta": POSITIVE, "A_bar": POSITIVE, "K": POSITIVE, "L_bar": POSITIVE,
 }
-PRIORS = {
-    "alpha_lo": OPEN_UNIT, "alpha_hi": OPEN_UNIT, "r_lo": POSITIVE, "r_hi": POSITIVE,
-    "delta_lo": OPEN_UNIT, "delta_hi": OPEN_UNIT, "gamma_lo": OPEN_UNIT, "gamma_hi": OPEN_UNIT,
-    "n_draws": count(1, MAX_DRAWS),
-}
-PRIOR_RULES = tuple(ordered(f"{name}_lo", f"{name}_hi") for name in ("alpha", "r", "delta", "gamma"))
+PRIORS = {"alpha": OPEN_UNIT, "r": POSITIVE, "delta_k": OPEN_UNIT, "gamma": OPEN_UNIT, "n_draws": count(1, MAX_DRAWS)}
+PRIOR_RULES = tuple(map(ordered, ("alpha", "r", "delta_k", "gamma")))
 CODIFICATION = {"beta": OPEN_UNIT}
 AGGREGATOR = {"kind": one_of("additive", "ces"), "rho": RHO, "epsilon_floor": POSITIVE}
 PORTFOLIO = {"omega": POSITIVE, "delta": OPEN_UNIT, "k": NONNEGATIVE, "Lambda": POSITIVE}
 ENTRY = {
-    "mu": INTENSITY, "k_seed": NONNEGATIVE, "omega_median": POSITIVE, "omega_sigma": NONNEGATIVE,
-    "delta_lo": OPEN_UNIT, "delta_hi": OPEN_UNIT,
+    "mu": INTENSITY, "k_seed": NONNEGATIVE, "omega_median": POSITIVE, "omega_sigma": NONNEGATIVE, "delta_j": OPEN_UNIT,
 }
-DELTA_ORDER = ordered("delta_lo", "delta_hi")
+DELTA_ORDER = ordered("delta_j")
 DRIFT = {"env_hazard": CLOSED_UNIT, "tech_hazard": CLOSED_UNIT, "org_hazard": CLOSED_UNIT, "drop_frac": OPEN_UNIT}
 HAZARD_SUM = Rule(
     "env_hazard", lambda c: c["env_hazard"] + c["tech_hazard"] + c["org_hazard"] <= 1.0,
@@ -135,7 +138,7 @@ HAZARD_SUM = Rule(
 )
 ROY = {
     "n_initial": count(1, MAX_INITIAL), "initial_k": NONNEGATIVE, "omega": POSITIVE,
-    "delta_lo": OPEN_UNIT, "delta_hi": OPEN_UNIT, "rho": RHO, "beta": OPEN_UNIT, "Lambda": POSITIVE,
+    "delta_j": OPEN_UNIT, "rho": RHO, "beta": OPEN_UNIT, "Lambda": POSITIVE,
     "epsilon_floor": POSITIVE, "labor_budget": NONNEGATIVE, "T": count(1, MAX_PERIODS), "mu": INTENSITY,
     "k_seed": NONNEGATIVE, "omega_sigma": NONNEGATIVE, "n_workers": count(2, MAX_WORKERS),
     "sigma_young": NONNEGATIVE, "sigma_mature": NONNEGATIVE, "k_ref": POSITIVE, "eval_window": COUNT,

@@ -266,7 +266,7 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
     per period, and joins the blocks at the end.  The weight, allocation
     and decay formulas are written out here in the package's operation
     order, so the package's scenario must match this loop bit for bit.
-    Returns a ``ScenarioResult``.
+    Families are numbered by roster row.  Returns a ``ScenarioResult``.
     """
     from structlabor.portfolio import Portfolio, ScenarioResult, _draw_entrants, aggregate_capability
     from structlabor.rng import stream
@@ -292,17 +292,16 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
     for t in range(T + 1):
         w = weights(p)
         labor = allocate(w, p.tech.beta)
-        for name, block in zip(blocks, (p.id, p.k, labor, w)):
+        for name, block in zip(blocks, (np.arange(p.size), p.k, labor, w)):
             blocks[name].append(block)
         capability[t] = aggregate_capability(p.omega, p.k, p.aggregator)
         if t == T:
             break
-        columns = [p.id, p.omega, p.delta, (1.0 - p.delta) * p.k + p.tech.g(labor), p.born_at]
+        columns = [p.omega, p.delta, (1.0 - p.delta) * p.k + p.tech.g(labor), p.born_at]
         omegas, deltas = _draw_entrants(entry, stream(seed, "entry", t))
         if omegas:
             n = len(omegas)
-            first = int(p.id[-1]) + 1
-            added = [np.arange(first, first + n), omegas, deltas, np.full(n, entry.k_seed), np.full(n, t + 1)]
+            added = [omegas, deltas, np.full(n, entry.k_seed), np.full(n, t + 1)]
             columns = [np.concatenate([old, new]) for old, new in zip(columns, added)]
         stepped = Portfolio(*columns, p.aggregator, p.tech, p.Lambda)
         if drift is not None:
@@ -310,7 +309,7 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
             if np.any(hit):
                 k = stepped.k[: p.size]
                 k[hit] = k[hit] * (1.0 - drift.drop_frac)
-                events.extend((i, t) for i in p.id[hit].tolist())
+                events.extend((i, t) for i in np.flatnonzero(hit).tolist())
         p = stepped
 
     periods = np.arange(T + 1, dtype=np.int64)

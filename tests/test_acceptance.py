@@ -116,7 +116,7 @@ def test_criterion_01_calibration_distribution():
 
 
 def test_criterion_02_gamma_extension():
-    res = run_monte_carlo(replace(DEFAULTS.priors, gamma_hi=0.12, seed=12345))
+    res = run_monte_carlo(replace(DEFAULTS.priors, gamma=(DEFAULTS.priors.gamma[0], 0.12), seed=12345))
     ok = 7.4 <= res.mean <= 8.6
     report(2, ok, f"widening the gamma prior to 0.12 moves the mean to {res.mean:.3f}%")
 
@@ -170,8 +170,8 @@ def test_criterion_04_comparative_statics():
 
 
 def columns(J, omega, delta, k):
-    """Keyword columns for a portfolio of J period-0 families with ids 0..J-1."""
-    return {"id": np.arange(J), "omega": omega, "delta": delta, "k": k, "born_at": np.zeros(J, dtype=np.int64)}
+    """Keyword columns for a portfolio of J period-0 families."""
+    return {"omega": omega, "delta": delta, "k": k, "born_at": np.zeros(J, dtype=np.int64)}
 
 
 def random_portfolio(rng, J, aggregator):
@@ -278,7 +278,7 @@ def test_criterion_07_maintenance_and_saturation():
     p = replace(INITIAL, **columns(3, [1.0] * 3, [0.05, 0.15, 0.30], [1.0] * 3), aggregator=ADD, tech=TECH)
     bounds = [math.ceil(math.log(1e-6) / math.log(1.0 - d)) for d in p.delta.tolist()]
     scenario = run_portfolio_scenario(p, 0.0, replace(ENTRY, mu=0.0), T=max(bounds), seed=0)
-    for family_id, bound in zip(p.id.tolist(), bounds):
+    for family_id, bound in enumerate(bounds):
         at = (scenario.family_id == family_id) & (scenario.period == bound)
         decay_ok = decay_ok and float(scenario.maturity[at][0]) < 1e-6 * 1.0
 
@@ -304,7 +304,7 @@ def test_criterion_08_frontier_reallocation():
         delta, k = (list(c) for c in zip(*draws))
         p = replace(INITIAL, **columns(J, [1.0] * J, delta, k), aggregator=CES, tech=TECH)
         alloc = allocate_labor(weights(p), p.tech, 1.0)
-        entry = EntryConfig(mu=0.5, k_seed=1e-3, omega_median=1.0, omega_sigma=0.0, delta_lo=0.1, delta_hi=0.2)
+        entry = EntryConfig(mu=0.5, k_seed=1e-3, omega_median=1.0, omega_sigma=0.0, delta_j=(0.1, 0.2))
         omegas, _ = _draw_entrants(entry, generator(derive_seed(108, "entry", attempt)))
         if len(omegas) != 1:
             continue

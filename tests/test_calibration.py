@@ -31,10 +31,10 @@ def prior_spec(**values):
 
 def test_prior_spec_defaults():
     p = prior_spec()
-    assert (p.alpha_lo, p.alpha_hi) == (0.33, 0.40)
-    assert (p.r_lo, p.r_hi) == (0.03, 0.05)
-    assert (p.delta_lo, p.delta_hi) == (0.08, 0.25)
-    assert (p.gamma_lo, p.gamma_hi) == (0.02, 0.08)
+    assert p.alpha == (0.33, 0.40)
+    assert p.r == (0.03, 0.05)
+    assert p.delta_k == (0.08, 0.25)
+    assert p.gamma == (0.02, 0.08)
     assert p.n_draws == 200_000
     assert p.seed == 0
 
@@ -46,24 +46,33 @@ def test_prior_spec_bounds_the_draw_count():
 
 
 def test_prior_spec_validation():
-    with pytest.raises(DomainError):
-        prior_spec(alpha_lo=0.4, alpha_hi=0.33)
-    with pytest.raises(DomainError):
-        prior_spec(gamma_lo=0.0)
-    with pytest.raises(DomainError):
-        prior_spec(gamma_hi=1.0)
-    with pytest.raises(DomainError):
-        prior_spec(r_lo=0.0)
+    with pytest.raises(DomainError, match=r"^alpha must have lo <= hi$"):
+        prior_spec(alpha=(0.4, 0.33))
+    with pytest.raises(DomainError, match=r"^gamma must lie in \(0, 1\)$"):
+        prior_spec(gamma=(0.0, 0.08))
+    with pytest.raises(DomainError, match=r"^gamma must lie in \(0, 1\)$"):
+        prior_spec(gamma=(0.02, 1.0))
+    with pytest.raises(DomainError, match=r"^r must be positive$"):
+        prior_spec(r=(0.0, 0.05))
+    with pytest.raises(DomainError, match=r"^delta_k must be finite$"):
+        prior_spec(delta_k=(0.08, math.nan))
+    for bad in ((0.3,), (0.3, 0.35, 0.4), (), 0.3, None):
+        with pytest.raises(DomainError, match=r"^alpha must be a \[lo, hi\] pair$"):
+            prior_spec(alpha=bad)
     with pytest.raises(DomainError):
         prior_spec(n_draws=0)
     # A degenerate (point mass) interior prior is allowed.
-    prior_spec(gamma_lo=0.05, gamma_hi=0.05)
+    prior_spec(gamma=(0.05, 0.05))
+    # Any two-element sequence is stored as a tuple, so equal priors compare and hash equal.
+    p = prior_spec(alpha=[0.33, 0.40], r=np.array([0.03, 0.05]))
+    assert (p.alpha, p.r) == ((0.33, 0.40), (0.03, 0.05))
+    assert p == prior_spec() and hash(p) == hash(prior_spec())
 
 
 def test_point_mass_priors_reproduce_the_deterministic_share():
     p = prior_spec(
-        alpha_lo=0.36, alpha_hi=0.36, r_lo=0.04, r_hi=0.04,
-        delta_lo=0.15, delta_hi=0.15, gamma_lo=0.05, gamma_hi=0.05,
+        alpha=(0.36, 0.36), r=(0.04, 0.04),
+        delta_k=(0.15, 0.15), gamma=(0.05, 0.05),
         n_draws=64, seed=3,
     )
     shares = sample_shares(p, 0, 64)
@@ -182,9 +191,7 @@ def test_quantiles_equal_numpys_at_small_n(n_draws):
         assert_quantiles_are_numpys(prior_spec(n_draws=n_draws, seed=seed))
 
 
-POINT_MASS = dict(
-    alpha_lo=0.36, alpha_hi=0.36, r_lo=0.04, r_hi=0.04, delta_lo=0.15, delta_hi=0.15, gamma_lo=0.05, gamma_hi=0.05
-)
+POINT_MASS = dict(alpha=(0.36, 0.36), r=(0.04, 0.04), delta_k=(0.15, 0.15), gamma=(0.05, 0.05))
 
 
 @pytest.mark.parametrize("keep", [calibration._KEEP, 0], ids=["collected", "refined"])
@@ -203,7 +210,7 @@ def test_quantiles_of_ties_across_a_bin_edge(monkeypatch, keep):
     # are 4.0 - 2**-51 and 4.0: ties on both sides of the first histogram's
     # bin edge at 4.0, so a quantile's two ranks can lie in different bins.
     monkeypatch.setattr(calibration, "_KEEP", keep)
-    box = dict(POINT_MASS, alpha_lo=0.05263157894736842, alpha_hi=0.052631578947368425)
+    box = dict(POINT_MASS, alpha=(0.05263157894736842, 0.052631578947368425))
     for n_draws in (2, 3, 4, 9, 40, 41, 200):
         shares = assert_quantiles_are_numpys(prior_spec(n_draws=n_draws, seed=5, **box))
         if n_draws >= 40:
@@ -237,9 +244,8 @@ def test_a_share_past_its_bound_is_inside_the_histogram():
     # padded histogram still holds it.
     delta = 0.4243289798047253
     box = dict(
-        alpha_lo=0.4339781749886914, alpha_hi=0.4339781749886914, gamma_lo=0.6659113526030298,
-        gamma_hi=0.6659113526030298, r_lo=0.12700369545554918, r_hi=0.12700369545554918,
-        delta_lo=float(np.nextafter(delta, 0.0)), delta_hi=delta,
+        alpha=(0.4339781749886914, 0.4339781749886914), gamma=(0.6659113526030298, 0.6659113526030298),
+        r=(0.12700369545554918, 0.12700369545554918), delta_k=(float(np.nextafter(delta, 0.0)), delta),
     )
     priors = prior_spec(n_draws=64, seed=8, **box)
     shares = assert_quantiles_are_numpys(priors)
@@ -252,8 +258,8 @@ def test_non_finite_shares_are_refused(monkeypatch):
     top = 1.0 - 2.0**-53
     monkeypatch.setattr(calibration, "indexed_uniforms", lambda seed, start, count: np.tile([top, 0.0, 0.0, 0.0], (count, 1)))
     priors = prior_spec(
-        alpha_lo=0.5, alpha_hi=0.9999999999999999, r_lo=5e-324, r_hi=1.0,
-        delta_lo=5e-324, delta_hi=0.5, gamma_lo=5e-324, gamma_hi=0.5, n_draws=3,
+        alpha=(0.5, 0.9999999999999999), r=(5e-324, 1.0),
+        delta_k=(5e-324, 0.5), gamma=(5e-324, 0.5), n_draws=3,
     )
     assert all(np.isfinite(share_bounds(priors)))
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
@@ -262,8 +268,8 @@ def test_non_finite_shares_are_refused(monkeypatch):
 
 def test_share_bounds_refuse_a_corner_whose_share_is_zero_over_zero():
     priors = prior_spec(
-        alpha_lo=0.9999999999999999, alpha_hi=0.9999999999999999, r_lo=5e-324, r_hi=5e-324,
-        delta_lo=5e-324, delta_hi=0.5, gamma_lo=5e-324, gamma_hi=0.5,
+        alpha=(0.9999999999999999, 0.9999999999999999), r=(5e-324, 5e-324),
+        delta_k=(5e-324, 0.5), gamma=(5e-324, 0.5),
     )
     with pytest.raises(DomainError, match="^share bounds out of range"):
         share_bounds(priors)
@@ -342,13 +348,7 @@ def test_share_bounds_bracket_every_sample():
 def test_share_bounds_agree_with_corner_search():
     p = prior_spec()
     lo, hi = share_bounds(p)
-    ref_lo, ref_hi = corner_share_extremes(
-        (p.alpha_lo, p.alpha_hi),
-        (p.r_lo, p.r_hi),
-        (p.delta_lo, p.delta_hi),
-        (p.gamma_lo, p.gamma_hi),
-        structured_share,
-    )
+    ref_lo, ref_hi = corner_share_extremes(p.alpha, p.r, p.delta_k, p.gamma, structured_share)
     assert lo == pytest.approx(ref_lo, rel=1e-14)
     assert hi == pytest.approx(ref_hi, rel=1e-14)
     assert (lo, hi) == (0.018038331454340473, 0.10638297872340426)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from structlabor import schema
 from structlabor.calibration import PriorSpec, sample_parameters, sample_shares
 from structlabor.config import AppConfig, load_config, serialize
 from structlabor.core import BaselineParams, simulate_transition
@@ -37,10 +39,10 @@ def test_empty_config_gives_documented_defaults():
     assert cfg.baseline.r == 0.04
     assert cfg.baseline.delta_k == 0.15
     assert cfg.baseline.eta == 0.2
-    assert (cfg.priors.alpha_lo, cfg.priors.alpha_hi) == (0.33, 0.40)
-    assert (cfg.priors.r_lo, cfg.priors.r_hi) == (0.03, 0.05)
-    assert (cfg.priors.delta_lo, cfg.priors.delta_hi) == (0.08, 0.25)
-    assert (cfg.priors.gamma_lo, cfg.priors.gamma_hi) == (0.02, 0.08)
+    assert cfg.priors.alpha == (0.33, 0.40)
+    assert cfg.priors.r == (0.03, 0.05)
+    assert cfg.priors.delta_k == (0.08, 0.25)
+    assert cfg.priors.gamma == (0.02, 0.08)
     assert cfg.priors.n_draws == 200_000
     assert cfg.transition.T == 500
     assert cfg.transition.damping is None
@@ -228,6 +230,21 @@ def test_the_library_takes_every_config_fed_value():
         for target in fed
     }
     assert {name: given for name, given in defaults.items() if given} == {"PriorSpec": ["seed"]}
+
+
+def test_each_section_class_takes_exactly_its_section():
+    # AppConfig passes these sections to their classes as parsed, so each
+    # class's fields are the section's keys: a key added on one side only
+    # fails here rather than at the first run that reads it.
+    resolved = serialize(AppConfig())
+    sections = {
+        BaselineParams: set(resolved["baseline"]),
+        PriorSpec: set(resolved["priors"]) | {"seed"},
+        EntryConfig: set(resolved["portfolio"]["entry"]),
+        RoyExperiment: set(resolved["roy"]) - set(schema.EXPERIMENT),
+    }
+    for cls, keys in sections.items():
+        assert {f.name for f in dataclasses.fields(cls)} == keys, cls.__name__
 
 
 def test_validation_names_no_library_module():

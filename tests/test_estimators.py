@@ -352,7 +352,7 @@ def stationary_scenario(J, T, seed, env=0.05, tech=0.10, org=0.03):
     # so only drift events move maturity.
     kbar = TECH.g(1.0 / J) / 0.15
     p = replace(
-        INITIAL, id=np.arange(J), omega=np.ones(J), delta=np.full(J, 0.15), k=np.full(J, kbar),
+        INITIAL, omega=np.ones(J), delta=np.full(J, 0.15), k=np.full(J, kbar),
         born_at=np.zeros(J, dtype=np.int64), aggregator=ADD, tech=TECH,
     )
     drift = DriftConfig(
@@ -458,11 +458,12 @@ def test_count_births_refuses_an_empty_panel():
 def panel_capability(panel, roster):
     """The capability index at each of the panel's periods, rebuilt from its rows.
 
-    ``roster`` names every panel family and supplies its weight and the
-    aggregator, as a scenario's ``final`` portfolio does.
+    ``roster`` holds every panel family at the row its id names, and
+    supplies its weight and the aggregator, as a scenario's ``final``
+    portfolio does.
     """
-    pos = np.searchsorted(roster.id, panel.family_id)
-    assert (roster.id[pos] == panel.family_id).all()
+    pos = panel.family_id
+    assert ((0 <= pos) & (pos < roster.size)).all()
     bounds = panel.blocks
     return np.array([
         aggregate_capability(roster.omega[pos[lo:hi]], panel.maturity[lo:hi], roster.aggregator)
@@ -480,7 +481,7 @@ def test_scenario_indices_equal_the_scenario_capability(aggregator):
     # complements index until labor reaches it.
     J, T = 6, 60
     p = replace(
-        INITIAL, id=np.arange(J), omega=np.linspace(0.5, 2.0, J), delta=np.full(J, 0.12),
+        INITIAL, omega=np.linspace(0.5, 2.0, J), delta=np.full(J, 0.12),
         k=np.r_[0.0, np.linspace(0.5, 1.5, J - 1)], born_at=np.zeros(J, dtype=np.int64),
         aggregator=aggregator, tech=TECH,
     )

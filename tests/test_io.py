@@ -361,7 +361,7 @@ def test_path_csv_header_and_round_trip(tmp_path):
 def test_panel_csv_round_trip_is_bitwise(tmp_path):
     tech = PowerCodification(beta=0.5)
     p = replace(
-        DEFAULTS.portfolio.initial, id=np.arange(3), omega=np.ones(3), delta=np.full(3, 0.1), k=1.0 + np.arange(3),
+        DEFAULTS.portfolio.initial, omega=np.ones(3), delta=np.full(3, 0.1), k=1.0 + np.arange(3),
         born_at=np.zeros(3, dtype=np.int64), aggregator=DEFAULTS.portfolio.initial.aggregator, tech=tech,
     )
     scenario = run_portfolio_scenario(p, 1.0, replace(DEFAULTS.portfolio.entry, mu=0.3), T=8, seed=13)

@@ -98,7 +98,7 @@ def test_scenario_holds_its_panel_and_little_else():
     initial = DEFAULTS.portfolio.initial
     additive = replace(initial.aggregator, kind="additive", rho=None)
     columns = {"omega": np.ones(n), "delta": np.full(n, 0.1), "k": np.ones(n), "born_at": np.zeros(n, dtype=np.int64)}
-    p = replace(initial, id=np.arange(n), **columns, aggregator=additive)
+    p = replace(initial, **columns, aggregator=additive)
     entry = replace(DEFAULTS.portfolio.entry, mu=0.0)
     # A first run pays one-time costs (about 1 MB of lazily built module state).
     run_portfolio_scenario(p, 1.0, entry, 1, seed=0)
@@ -116,7 +116,7 @@ def test_scenario_beyond_the_row_bound_is_refused_before_its_panel():
     assert n * (T + 1) > MAX_PANEL_ROWS
     initial = DEFAULTS.portfolio.initial
     columns = {"omega": np.ones(n), "delta": np.full(n, 0.1), "k": np.ones(n), "born_at": np.zeros(n, dtype=np.int64)}
-    p = replace(initial, id=np.arange(n), **columns)
+    p = replace(initial, **columns)
     entry = replace(DEFAULTS.portfolio.entry, mu=0.0)
     tracemalloc.start()
     try:

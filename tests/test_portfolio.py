@@ -54,7 +54,6 @@ def allocate(p, budget):
 def make_portfolio(stocks, omegas=None, aggregator=CES, Lambda=1.0, deltas=None):
     n = len(stocks)
     return Portfolio(
-        id=np.arange(n),
         omega=omegas if omegas is not None else np.ones(n),
         delta=deltas if deltas is not None else np.full(n, 0.1),
         k=stocks,
@@ -65,7 +64,7 @@ def make_portfolio(stocks, omegas=None, aggregator=CES, Lambda=1.0, deltas=None)
     )
 
 
-TWO_FAMILIES = {"id": [0, 1], "omega": [1.0, 1.0], "delta": [0.1, 0.1], "k": [1.0, 1.0], "born_at": [0, 0]}
+TWO_FAMILIES = {"omega": [1.0, 1.0], "delta": [0.1, 0.1], "k": [1.0, 1.0], "born_at": [0, 0]}
 
 # One row per check a portfolio makes on its columns: (column overrides, message).
 COLUMN_CHECKS = {
@@ -81,11 +80,8 @@ COLUMN_CHECKS = {
     "k-nan": ({"k": [1.0, math.nan]}, "k must be finite"),
     "born-negative": ({"born_at": [0, -1]}, "born_at must be a nonnegative integer"),
     "born-fractional": ({"born_at": [0.0, 0.5]}, "born_at must be a nonnegative integer"),
-    "id-negative": ({"id": [-1, 0]}, "family id must be a nonnegative integer"),
-    "id-fractional": ({"id": [0.0, 1.5]}, "family id must be a nonnegative integer"),
-    "ids-duplicate": ({"id": [1, 1]}, "family ids must be unique"),
-    "ids-unsorted": ({"id": [3, 1]}, "families must be sorted by id"),
     "columns-unequal": ({"k": [1.0, 1.0, 1.0]}, "family columns must be parallel 1-d arrays"),
+    "born-two-dimensional": ({"born_at": [[0, 0]]}, "family columns must be parallel 1-d arrays"),
     "Lambda-zero": ({"Lambda": 0.0}, "Lambda must be positive"),
     "Lambda-nan": ({"Lambda": math.nan}, "Lambda must be finite"),
 }
@@ -96,20 +92,6 @@ def test_portfolio_column_checks(overrides, message):
     with pytest.raises(DomainError, match=message):
         replace(INITIAL, **{**TWO_FAMILIES, **overrides}, aggregator=ADD, tech=TECH)
     replace(INITIAL, **TWO_FAMILIES, aggregator=ADD, tech=TECH)
-
-
-def test_portfolio_requires_unique_ids():
-    with pytest.raises(DomainError):
-        replace(INITIAL, id=[1, 1], omega=[1.0, 2.0], delta=[0.1, 0.1], k=[1.0, 1.0], born_at=[0, 0], aggregator=ADD)
-
-
-def test_portfolio_rejects_unsorted_ids():
-    columns = {"omega": [1.0, 1.0], "delta": [0.1, 0.1], "born_at": [0, 0]}
-    with pytest.raises(DomainError):
-        replace(INITIAL, id=[3, 1], k=[3.0, 1.0], **columns, aggregator=ADD, tech=TECH)
-    p = replace(INITIAL, id=[1, 3], k=[1.0, 3.0], **columns, aggregator=ADD, tech=TECH)
-    assert tuple(p.id.tolist()) == (1, 3)
-    assert list(p.k) == [1.0, 3.0]
 
 
 def test_power_codification_shape():
@@ -284,25 +266,31 @@ def test_step_portfolio_hand_check():
 
 def test_scenario_entrants_get_fresh_ids_and_birth_period():
     p = make_portfolio([1.0, 4.0])
-    entry = EntryConfig(mu=6.0, k_seed=1e-3, omega_median=1.0, omega_sigma=0.5, delta_lo=0.1, delta_hi=0.2)
+    entry = EntryConfig(mu=6.0, k_seed=1e-3, omega_median=1.0, omega_sigma=0.5, delta_j=(0.1, 0.2))
     sc = run_portfolio_scenario(p, 1.0, entry, T=7, seed=5)
     final = sc.final
     born = final.born_at == 7
     assert np.count_nonzero(born) >= 1
-    assert np.all(final.id[born] >= 2)
+    assert np.all(np.flatnonzero(born) >= 2)
     assert np.all(sc.maturity[sc.period == 7][born] == 1e-3)
     assert np.all((0.1 <= final.delta[final.born_at > 0]) & (final.delta[final.born_at > 0] <= 0.2))
-    assert np.array_equal(final.id, np.arange(final.size))
+    assert np.array_equal(sc.family_id[sc.period == 7], np.arange(final.size))
     assert np.all(np.diff(final.born_at) >= 0)
 
 
 def test_entry_config_validation():
     with pytest.raises(DomainError):
         replace(ENTRY, mu=-0.1)
-    with pytest.raises(DomainError):
-        replace(ENTRY, mu=0.1, delta_lo=0.3, delta_hi=0.2)
-    with pytest.raises(DomainError):
-        replace(ENTRY, mu=0.1, delta_lo=0.0, delta_hi=0.2)
+    with pytest.raises(DomainError, match=r"^delta_j must have lo <= hi$"):
+        replace(ENTRY, mu=0.1, delta_j=(0.3, 0.2))
+    with pytest.raises(DomainError, match=r"^delta_j must lie in \(0, 1\)$"):
+        replace(ENTRY, mu=0.1, delta_j=(0.0, 0.2))
+    with pytest.raises(DomainError, match=r"^delta_j must lie in \(0, 1\)$"):
+        replace(ENTRY, mu=0.1, delta_j=(0.1, 1.0))
+    for bad in ((0.1,), (0.1, 0.2, 0.3), 0.1, None):
+        with pytest.raises(DomainError, match=r"^delta_j must be a \[lo, hi\] pair$"):
+            replace(ENTRY, mu=0.1, delta_j=bad)
+    assert replace(ENTRY, delta_j=[0.08, 0.25]) == ENTRY
     with pytest.raises(DomainError):
         replace(ENTRY, mu=0.1, omega_median=0.0)
     with pytest.raises(DomainError):
@@ -433,7 +421,7 @@ def test_portfolio_at_reconstructs_the_recorded_state():
     for t in range(16):
         snap = scenario.portfolio_at(t)
         at = scenario.period == t
-        assert tuple(snap.id.tolist()) == tuple(int(i) for i in scenario.family_id[at])
+        assert np.array_equal(np.arange(snap.size), scenario.family_id[at])
         assert np.array_equal(snap.k, scenario.maturity[at])
         alloc = allocate(snap, 1.0)
         assert np.allclose(alloc.labor, scenario.labor[at], rtol=0, atol=1e-12)
@@ -463,15 +451,15 @@ def test_scenario_timing_contract_holds_in_every_period():
         ids = sc.family_id[now]
         n = ids.shape[0]
         assert np.array_equal(sc.family_id[nxt][:n], ids)
-        rows = np.searchsorted(final.id, ids)
-        expect = (1.0 - final.delta[rows]) * sc.maturity[now] + TECH.g(sc.labor[now])
+        # Row j of the roster is family j.
+        expect = (1.0 - final.delta[ids]) * sc.maturity[now] + TECH.g(sc.labor[now])
         hit = np.array([(i, t) in events for i in ids.tolist()], dtype=bool)
         expect[hit] = expect[hit] * (1.0 - drift.drop_frac)
         assert np.array_equal(sc.maturity[nxt][:n], expect)
-        entrants = np.searchsorted(final.id, sc.family_id[nxt][n:])
+        entrants = sc.family_id[nxt][n:]
         assert np.all(final.born_at[entrants] == t + 1)
         assert np.all(sc.maturity[nxt][n:] == entry.k_seed)
-        assert np.all(final.born_at[rows] <= t)
+        assert np.all(final.born_at[ids] <= t)
     assert {t for _, t in events} <= set(range(T))
 
 
@@ -479,10 +467,6 @@ DRIFT = DriftConfig(
     env_hazard=0.05, tech_hazard=0.2, org_hazard=0.1,
     tech_windows=periodic_windows(1, 4, 60), org_windows=periodic_windows(3, 5, 60),
     drop_frac=0.4,
-)
-GAPPED = replace(
-    INITIAL, id=[0, 3, 9], omega=[1.0, 0.7, 1.3], delta=[0.1, 0.2, 0.15], k=[1.0, 0.5, 2.0], born_at=[0, 0, 0],
-    aggregator=CES, tech=TECH,
 )
 # (initial portfolio, labor budget, entry, drift) per case.
 REFERENCE_CASES = {
@@ -492,7 +476,6 @@ REFERENCE_CASES = {
     ),
     "ces-substitutes": (make_portfolio([1.0, 0.5, 2.0], aggregator=CES, Lambda=2.5), 1.3, replace(ENTRY, mu=0.4), None),
     "entry-and-drift": (make_portfolio([1.0, 0.5, 2.0], deltas=[0.1, 0.2, 0.15]), 1.0, replace(ENTRY, mu=0.6), DRIFT),
-    "gapped-ids": (GAPPED, 1.0, replace(ENTRY, mu=0.5), DRIFT),
     "zero-budget": (make_portfolio([1.0, 0.5, 2.0]), 0.0, replace(ENTRY, mu=0.5), DRIFT),
 }
 
@@ -508,7 +491,7 @@ def test_scenario_matches_the_per_period_loop_bit_for_bit(p, budget, entry, drif
     ):
         got, want = getattr(sc, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    for name in ("id", "omega", "delta", "k", "born_at"):
+    for name in ("omega", "delta", "k", "born_at"):
         got, want = getattr(sc.final, name), getattr(ref.final, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert (sc.final.aggregator, sc.final.tech, sc.final.Lambda) == (p.aggregator, p.tech, p.Lambda)

@@ -81,6 +81,7 @@ def test_indexed_uniforms_chunks_agree_with_one_shot():
 def test_indexed_uniforms_empty_and_invalid():
     empty = indexed_uniforms(1, 10, 0)
     assert empty.shape == (0, 4)
+    assert empty.dtype == np.float64
     with pytest.raises(DomainError):
         indexed_uniforms(1, -1, 5)
     with pytest.raises(DomainError):

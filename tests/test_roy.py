@@ -42,7 +42,7 @@ def two_family_portfolio(k0=1.0, k1=0.5, aggregator=None, Lambda=1.0):
     agg = aggregator or CES
     return replace(
         INITIAL,
-        id=[0, 1], omega=[1.0, 1.0], delta=[0.1, 0.1], k=[k0, k1], born_at=[0, 0],
+        omega=[1.0, 1.0], delta=[0.1, 0.1], k=[k0, k1], born_at=[0, 0],
         aggregator=agg, tech=TECH, Lambda=Lambda,
     )
 
@@ -62,7 +62,7 @@ def test_skill_matrix_validation():
         with pytest.raises(DomainError, match="^n_workers must be an integer >= 1$"):
             WorkerSkillMatrix.generate(n_workers, p, seed=0)
     with pytest.raises(DomainError, match="^need at least one family$"):
-        WorkerSkillMatrix.generate(3, replace(p, id=[], omega=[], delta=[], k=[], born_at=[]), seed=0)
+        WorkerSkillMatrix.generate(3, replace(p, omega=[], delta=[], k=[], born_at=[]), seed=0)
     draws = WorkerSkillMatrix.generate(3, p, seed=0)
     for sigmas in ([], [[0.5, 0.5]], [0.5, 0.5, 0.5]):
         with pytest.raises(DomainError, match="^sigma_ln must have 1 to 2 entries, one per family$"):
@@ -110,7 +110,7 @@ def test_generate_per_family_scales():
 def test_generate_draws_one_stream_per_birth_cohort_slot():
     # Column by column from the named streams: families 0 and 2 share birth
     # period 0 (slots 0 and 1), family 1 is the first born in period 3.
-    p = replace(INITIAL, id=[0, 1, 2], omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 3, 0], aggregator=ADD)
+    p = replace(INITIAL, omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 3, 0], aggregator=ADD)
     sigmas = np.array([0.3, 1.1, 0.7])
     m = WorkerSkillMatrix.generate(9, p, seed=4).skills(sigmas)
     for col, key in enumerate(["skills:0:0", "skills:3:0", "skills:0:1"]):
@@ -119,14 +119,15 @@ def test_generate_draws_one_stream_per_birth_cohort_slot():
 
 
 def test_generate_streams_follow_birth_cohort_not_id():
-    # A family born at the same time in the same slot draws the same
-    # skills whatever its id turned out to be.
-    columns = {"omega": [1.0, 1.0], "delta": [0.1, 0.1], "k": [1.0, 1.0], "born_at": [0, 2]}
-    fams_a = replace(INITIAL, id=[0, 1], **columns, aggregator=ADD)
-    fams_b = replace(INITIAL, id=[0, 5], **columns, aggregator=ADD)
-    a = WorkerSkillMatrix.generate(10, fams_a, seed=11).skills([0.5, 0.5])
-    b = WorkerSkillMatrix.generate(10, fams_b, seed=11).skills([0.5, 0.5])
-    assert np.array_equal(a, b)
+    # The first family born in period 2 draws the same skills at row 1 of
+    # one roster and at row 2 of another, whatever row it turned out to hold.
+    fams_a = replace(INITIAL, omega=[1.0] * 2, delta=[0.1] * 2, k=[1.0] * 2, born_at=[0, 2], aggregator=ADD)
+    fams_b = replace(INITIAL, omega=[1.0] * 3, delta=[0.1] * 3, k=[1.0] * 3, born_at=[0, 0, 2], aggregator=ADD)
+    a = WorkerSkillMatrix.generate(10, fams_a, seed=11).z
+    b = WorkerSkillMatrix.generate(10, fams_b, seed=11).z
+    assert np.array_equal(a[:, 1], b[:, 2])
+    assert np.array_equal(a[:, 0], b[:, 0])
+    assert not np.array_equal(a[:, 1], b[:, 1])
 
 
 def test_family_prices_formula():
@@ -252,10 +253,10 @@ def _scenario_instance():
     # spread follows maturity: the shape of one default experiment solve.
     n = 6
     p0 = replace(
-        INITIAL, id=np.arange(n), omega=np.ones(n), delta=np.linspace(0.08, 0.25, n), k=np.ones(n),
+        INITIAL, omega=np.ones(n), delta=np.linspace(0.08, 0.25, n), k=np.ones(n),
         born_at=np.zeros(n, dtype=np.int64), aggregator=replace(CES, epsilon_floor=0.25), tech=TECH,
     )
-    entry = replace(ENTRY, mu=0.25, k_seed=1e-3, omega_sigma=0.5, delta_lo=0.08, delta_hi=0.25)
+    entry = replace(ENTRY, mu=0.25, k_seed=1e-3, omega_sigma=0.5, delta_j=(0.08, 0.25))
     pt = run_portfolio_scenario(p0, 1.0, entry, 40, seed=3).portfolio_at(40)
     assert pt.size >= 10
     sigmas = maturity_skill_sigma(pt.k, 1.5, 0.2, 1.0)
@@ -384,7 +385,7 @@ def test_solve_roy_refuses_a_finish_that_fails_its_certificate(monkeypatch, whic
 def _small_instance(rng):
     n, j = int(rng.integers(1, 7)), int(rng.integers(1, 4))
     p = replace(
-        INITIAL, id=np.arange(j), omega=rng.uniform(0.5, 2.0, j), delta=np.full(j, 0.1), k=rng.uniform(0.2, 2.0, j),
+        INITIAL, omega=rng.uniform(0.5, 2.0, j), delta=np.full(j, 0.1), k=rng.uniform(0.2, 2.0, j),
         born_at=np.zeros(j, dtype=np.int64), aggregator=CES,
         tech=PowerCodification(beta=float(rng.uniform(0.2, 0.8))),
     )
@@ -435,10 +436,10 @@ def test_arm_columns_match_per_period_portfolios(monkeypatch):
     # window included.
     exp = EXPERIMENT
     p0 = replace(
-        INITIAL, id=np.arange(6), omega=np.ones(6), delta=np.linspace(0.08, 0.25, 6), k=np.ones(6),
+        INITIAL, omega=np.ones(6), delta=np.linspace(0.08, 0.25, 6), k=np.ones(6),
         born_at=np.zeros(6, dtype=np.int64), aggregator=replace(CES, epsilon_floor=0.25), tech=TECH, Lambda=3.0,
     )
-    entry = replace(ENTRY, mu=0.5, k_seed=1e-3, omega_sigma=0.5, delta_lo=0.08, delta_hi=0.25)
+    entry = replace(ENTRY, mu=0.5, k_seed=1e-3, omega_sigma=0.5, delta_j=(0.08, 0.25))
     scenario = run_portfolio_scenario(p0, 1.0, entry, exp.T, seed=11)
     # The arm is cut from this scenario in place of the one it would build.
     monkeypatch.setattr(roy, "run_portfolio_scenario", lambda *args, **kwargs: scenario)
@@ -508,8 +509,14 @@ def test_maturity_skill_sigma_shape():
 def test_roy_experiment_validation():
     with pytest.raises(DomainError):
         replace(EXPERIMENT, n_initial=0)
-    with pytest.raises(DomainError):
-        replace(EXPERIMENT, delta_lo=0.3, delta_hi=0.2)
+    with pytest.raises(DomainError, match=r"^delta_j must have lo <= hi$"):
+        replace(EXPERIMENT, delta_j=(0.3, 0.2))
+    with pytest.raises(DomainError, match=r"^delta_j must lie in \(0, 1\)$"):
+        replace(EXPERIMENT, delta_j=(0.1, 1.5))
+    for bad in ((0.1,), (0.1, 0.2, 0.3), 0.1, None):
+        with pytest.raises(DomainError, match=r"^delta_j must be a \[lo, hi\] pair$"):
+            replace(EXPERIMENT, delta_j=bad)
+    assert replace(EXPERIMENT, delta_j=[0.08, 0.25]) == EXPERIMENT
     with pytest.raises(DomainError):
         replace(EXPERIMENT, mu=-0.5)
     with pytest.raises(DomainError):
