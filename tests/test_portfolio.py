@@ -80,8 +80,11 @@ COLUMN_CHECKS = {
     "k-nan": ({"k": [1.0, math.nan]}, "k must be finite"),
     "born-negative": ({"born_at": [0, -1]}, "born_at must be a nonnegative integer"),
     "born-fractional": ({"born_at": [0.0, 0.5]}, "born_at must be a nonnegative integer"),
+    "born-boolean": ({"born_at": [True, False]}, "born_at must be a nonnegative integer"),
     "columns-unequal": ({"k": [1.0, 1.0, 1.0]}, "family columns must be parallel 1-d arrays"),
     "born-two-dimensional": ({"born_at": [[0, 0]]}, "family columns must be parallel 1-d arrays"),
+    "born-scalar": ({"born_at": 0}, "family columns must be parallel 1-d arrays"),
+    "omega-two-dimensional": ({"omega": [[1.0, 1.0]]}, "family columns must be parallel 1-d arrays"),
     "Lambda-zero": ({"Lambda": 0.0}, "Lambda must be positive"),
     "Lambda-nan": ({"Lambda": math.nan}, "Lambda must be finite"),
 }
@@ -92,6 +95,14 @@ def test_portfolio_column_checks(overrides, message):
     with pytest.raises(DomainError, match=message):
         replace(INITIAL, **{**TWO_FAMILIES, **overrides}, aggregator=ADD, tech=TECH)
     replace(INITIAL, **TWO_FAMILIES, aggregator=ADD, tech=TECH)
+
+
+def test_portfolio_keeps_rows_in_the_order_given():
+    # Row j is family j: columns are neither sorted by maturity nor by birth.
+    p = replace(INITIAL, omega=[1.0, 2.0], delta=[0.2, 0.1], k=[3.0, 1.0], born_at=[4, 0], aggregator=ADD, tech=TECH)
+    assert p.size == 2
+    assert (p.k.tolist(), p.born_at.tolist(), p.omega.tolist()) == ([3.0, 1.0], [4, 0], [1.0, 2.0])
+    assert p.born_at.dtype == np.int64
 
 
 def test_power_codification_shape():
@@ -477,6 +488,11 @@ REFERENCE_CASES = {
     "ces-substitutes": (make_portfolio([1.0, 0.5, 2.0], aggregator=CES, Lambda=2.5), 1.3, replace(ENTRY, mu=0.4), None),
     "entry-and-drift": (make_portfolio([1.0, 0.5, 2.0], deltas=[0.1, 0.2, 0.15]), 1.0, replace(ENTRY, mu=0.6), DRIFT),
     "zero-budget": (make_portfolio([1.0, 0.5, 2.0]), 0.0, replace(ENTRY, mu=0.5), DRIFT),
+    "unequal-omegas": (
+        make_portfolio([1.0, 0.5, 2.0], omegas=[1.0, 0.7, 1.3], deltas=[0.1, 0.2, 0.15]), 1.0, replace(ENTRY, mu=0.5),
+        DRIFT,
+    ),
+    "one-family": (make_portfolio([1.0]), 1.0, replace(ENTRY, mu=0.5), DRIFT),
 }
 
 
