@@ -16,11 +16,16 @@ import numpy as np
 
 from .core import structured_share
 from .errors import DomainError, require
+from .parallel import ordered_map, split
 from .rng import check_seed, indexed_uniforms
 from .schema import PRIOR_RULES, PRIORS, check, pair
 
 # Draws per sampling and summing block: a 2 MB uniform matrix.
 _BLOCK = 1 << 16
+
+# Fewest blocks a forked worker draws in one pass (524,288 draws): a sample
+# of fewer than two such ranges is drawn in this process, with no pool.
+_MIN_RANGE = 8
 
 # 2**1074: the reciprocal of the smallest subnormal double, the unit of
 # ``_exact_sum``.
@@ -152,13 +157,22 @@ def _exact_sum(x: np.ndarray) -> int:
     return total
 
 
-def _share_blocks(priors: PriorSpec):
-    """The shares in percent, ``_BLOCK`` draws at a time, in draw order."""
+def _share_blocks(priors: PriorSpec, blocks: range):
+    """The shares in percent of the draws in ``blocks``, ``_BLOCK`` draws at a time, in draw order."""
     n = priors.n_draws
-    for lo in range(0, n, _BLOCK):
+    for lo in range(blocks.start * _BLOCK, min(blocks.stop * _BLOCK, n), _BLOCK):
         shares = sample_shares(priors, lo, min(_BLOCK, n - lo))
         shares *= 100.0
         yield shares
+
+
+def _each_range(priors: PriorSpec, scan):
+    """``scan(blocks)`` over the sample cut into contiguous ranges of blocks,
+    one per CPU (:func:`~structlabor.parallel.split`), in forked workers;
+    the results in range order.  A worker regenerates its own blocks, so
+    only its partial results cross a pipe."""
+    ranges = split(-(-priors.n_draws // _BLOCK), _MIN_RANGE)
+    return ordered_map(lambda i: scan(ranges[i]), len(ranges))
 
 
 def _bits(x: float) -> int:
@@ -198,6 +212,8 @@ def _order_statistics(priors: PriorSpec, ranks: np.ndarray, first: int, counts: 
     histograms their next ``_STEP`` bits, and then it collects and sorts
     their draws.  A bin of shift 0 is one bit pattern, so a point mass needs
     no collection.  The squared deviations are summed in the first pass.
+    Each range of blocks (``_each_range``) returns its part of the sum and
+    its histogram or collected bits; the parts are exact and added in order.
     """
     top, keys, squares = shift, np.arange(first, first + counts.shape[0]), 0
     while True:
@@ -217,29 +233,35 @@ def _order_statistics(priors: PriorSpec, ranks: np.ndarray, first: int, counts: 
         coarse_keys = (keys >> (top - shift)) - first
         near = np.zeros(coarse_keys[-1] + 1, dtype=bool)
         near[coarse_keys] = True
-        parts, finer = [], np.zeros(keys.shape[0] << step, dtype=np.int64)
-        for shares in _share_blocks(priors):
-            if mean is not None:
-                squares += _exact_sum(np.square(shares - mean))
-            bits = shares.view(np.int64)
-            coarse = bits >> top
-            coarse -= first
-            np.minimum(coarse, near.shape[0] - 1, out=coarse)
-            bits = bits[near[coarse]]
-            pos = np.searchsorted(keys, bits >> shift)
-            np.minimum(pos, keys.shape[0] - 1, out=pos)
-            hit = keys[pos] == bits >> shift
-            if collect:
-                parts.append(bits[hit])
-            else:
-                sub = (bits[hit] >> (shift - step)) & ((1 << step) - 1)
-                sub |= pos[hit] << step
-                finer += np.bincount(sub, minlength=finer.shape[0])
+
+        def scan(blocks):
+            part, collected, finer = 0, [], np.zeros(keys.shape[0] << step, dtype=np.int64)
+            for shares in _share_blocks(priors, blocks):
+                if mean is not None:
+                    part += _exact_sum(np.square(shares - mean))
+                bits = shares.view(np.int64)
+                coarse = bits >> top
+                coarse -= first
+                np.minimum(coarse, near.shape[0] - 1, out=coarse)
+                bits = bits[near[coarse]]
+                pos = np.searchsorted(keys, bits >> shift)
+                np.minimum(pos, keys.shape[0] - 1, out=pos)
+                hit = keys[pos] == bits >> shift
+                if collect:
+                    collected.append(bits[hit])
+                else:
+                    sub = (bits[hit] >> (shift - step)) & ((1 << step) - 1)
+                    sub |= pos[hit] << step
+                    finer += np.bincount(sub, minlength=finer.shape[0])
+            return part, np.concatenate(collected) if collect else finer
+
+        parts, found = zip(*_each_range(priors, scan))
+        squares += sum(parts)
         mean = None
         if collect:
-            return np.sort(np.concatenate(parts).view(np.float64))[ranks], squares
+            return np.sort(np.concatenate(found).view(np.float64))[ranks], squares
         keys = ((keys[:, None] << step) | np.arange(1 << step)).ravel()
-        counts, shift = finer, shift - step
+        counts, shift = sum(found), shift - step
 
 
 def _lerp(a: float, b: float, t: float) -> float:
@@ -249,6 +271,30 @@ def _lerp(a: float, b: float, t: float) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
+def _summarize(priors: PriorSpec, blocks: range, first: int, last: int, shift: int) -> tuple:
+    """The first pass over the draws in ``blocks``: the exact sum of the
+    shares, their min and max, the counts above 5 and 8 percent, and the
+    histogram of their bit patterns shifted right by ``shift``, from key
+    ``first`` to ``last``."""
+    counts = np.zeros(last - first + 1, dtype=np.int64)
+    total = above_5 = above_8 = 0
+    share_min, share_max = math.inf, -math.inf
+    for shares in _share_blocks(priors, blocks):
+        total += _exact_sum(shares)
+        lo, hi = shares.min(), shares.max()
+        share_min, share_max = min(share_min, float(lo)), max(share_max, float(hi))
+        require(
+            first <= _bits(lo) >> shift and _bits(hi) >> shift <= last,
+            "share out of range: a draw lies outside the shares of its prior box's corners",
+        )
+        above_5 += int(np.count_nonzero(shares > 5.0))
+        above_8 += int(np.count_nonzero(shares > 8.0))
+        key = shares.view(np.int64) >> shift
+        key -= first
+        counts += np.bincount(key, minlength=counts.shape[0])
+    return total, share_min, share_max, above_5, above_8, counts
+
+
 def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     """Simulate the share distribution and summarize it in percent.
 
@@ -256,12 +302,18 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     the share is elementwise, so the sample is regenerated block by block
     (``_BLOCK`` draws) as often as it is read, bit-identical each time.  The
     first pass sums the shares, takes min, max and the exceedance counts,
-    and histograms their bit patterns; the second sums the squared
-    deviations and selects the order statistics (``_order_statistics``).
-    Memory is one block and a few histograms, whatever ``n_draws`` is.
+    and histograms their bit patterns (``_summarize``); the second sums the
+    squared deviations and selects the order statistics
+    (``_order_statistics``).  Each pass cuts the blocks into contiguous
+    ranges, one per CPU and each of at least ``_MIN_RANGE`` blocks, and a
+    forked worker draws and summarizes each range (``_each_range``); a
+    sample too small for two ranges is read in this process.  Memory is a
+    block and a few histograms per process, whatever ``n_draws`` is.
 
     Every field depends only on the draws, never on the numpy build's
-    summation order.  The mean is
+    summation order or the number of ranges: each range's partial results
+    are exact (integer sums and counts, min, max, histograms, bit
+    patterns) and are combined in range order.  The mean is
     ``math.fsum(shares) / n``; the standard deviation is the two-pass sample
     statistic (ddof=1), ``sqrt(fsum((x - mean)**2) / (n - 1))``, with the
     deviations and squares taken elementwise, and 0 for a single draw.  Both
@@ -275,22 +327,15 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     """
     n = priors.n_draws
     first, last, shift = _histogram_range(priors)
-    counts = np.zeros(last - first + 1, dtype=np.int64)
-    total = above_5 = above_8 = 0
-    share_min, share_max = math.inf, -math.inf
-    for shares in _share_blocks(priors):
-        total += _exact_sum(shares)
-        lo, hi = shares.min(), shares.max()
-        share_min, share_max = min(share_min, float(lo)), max(share_max, float(hi))
-        require(
-            first <= _bits(lo) >> shift and _bits(hi) >> shift <= last,
-            "share out of range: a draw lies outside the shares of its prior box's corners",
-        )
-        above_5 += int(np.count_nonzero(shares > 5.0))
-        above_8 += int(np.count_nonzero(shares > 8.0))
-        key = shares.view(np.int64) >> shift
-        key -= first
-        counts += np.bincount(key, minlength=counts.shape[0])
+    # The first range's results, its histogram included, accumulate the others'.
+    parts = _each_range(priors, lambda blocks: _summarize(priors, blocks, first, last, shift))
+    total, share_min, share_max, above_5, above_8, counts = next(parts)
+    for part_total, part_min, part_max, part_5, part_8, part_counts in parts:
+        total += part_total
+        share_min, share_max = min(share_min, part_min), max(share_max, part_max)
+        above_5 += part_5
+        above_8 += part_8
+        counts += part_counts
     mean = total / _SUBNORMAL_SCALE / n
     # numpy's linear method: virtual index (n - 1) q, its floor and the next rank.
     at = [(n - 1) * q for q in _QUANTILES]

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError, require
-from .schema import DETECTION, check
+from .schema import DETECTION, check, real_column
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +44,10 @@ class MaturityPanel:
     blocks: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        fam = np.asarray(self.family_id, dtype=np.int64)
-        per = np.asarray(self.period, dtype=np.int64)
-        mat = np.asarray(self.maturity, dtype=float)
+        fam, per, mat = (
+            real_column(name, getattr(self, name), dtype)
+            for name, dtype in (("family_id", np.int64), ("period", np.int64), ("maturity", float))
+        )
         tw = np.asarray(self.tech_window, dtype=bool)
         ow = np.asarray(self.org_window, dtype=bool)
         require(fam.ndim == 1, "family_id must be one-dimensional")

@@ -4,7 +4,8 @@ Tasks are closures over data the parent already holds.  Workers are
 forked after the task exists, so they inherit it together with that data,
 and only each task's index and result cross a pipe.  Results come back
 in index order, whatever the number of workers, so output built from
-them does not depend on it.
+them does not depend on it.  ``split`` cuts a run of items into one
+contiguous range per CPU, for tasks that each cover a range.
 
 A task may do linear algebra even after the parent's BLAS library has
 started its threads: the OpenBLAS that numpy ships shuts its thread pool
@@ -40,6 +41,14 @@ def _install(task: Callable) -> None:
 
 def _run(i: int):
     return _task(i)
+
+
+def split(n: int, least: int) -> list[range]:
+    """``range(n)`` cut into contiguous ranges for :func:`ordered_map`: one
+    per CPU, each at least ``least`` long, or ``[range(n)]`` when ``n`` is
+    below ``2 * least``.  Lengths differ by at most one."""
+    k = max(1, min(_cpu_count(), n // least))
+    return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def ordered_map(task: Callable[[int], T], n: int) -> Iterator[T]:

@@ -35,6 +35,7 @@ from .schema import (
     WINDOWS,
     check,
     pair,
+    real_column,
 )
 
 
@@ -107,7 +108,7 @@ class Portfolio:
         require(born.dtype.kind in "iu" or born.size == 0, msg)
         born = born.astype(np.int64, copy=False)
         require(bool(np.all(born >= 0)), msg)
-        omega, delta, k = (np.asarray(c, dtype=float) for c in (self.omega, self.delta, self.k))
+        omega, delta, k = (real_column(name, getattr(self, name)) for name in ("omega", "delta", "k"))
         n = born.shape[0] if born.ndim == 1 else -1
         require(all(c.shape == (n,) for c in (omega, delta, k)), "family columns must be parallel 1-d arrays")
         check({"omega": omega, "delta": delta, "k": k, "Lambda": self.Lambda}, PORTFOLIO)
@@ -354,7 +355,8 @@ def run_portfolio_scenario(
     Randomness is organized in per-period substreams keyed by ``seed``:
     "drift" uniforms are consumed in roster order and "entry" draws in
     slot order, so scenarios sharing a seed share event and entrant draws
-    for every family they have in common.  No draw depends on the
+    for every family they have in common; each kind is read period by
+    period from one re-keyed generator.  No draw depends on the
     maturities, so all entrants are drawn first and the whole roster is
     validated once, as ``final``, whose first n_t rows are period t's
     families.  The panel is allocated at its full sum_t n_t rows; each
@@ -369,8 +371,10 @@ def run_portfolio_scenario(
     require(rows <= MAX_PANEL_ROWS, _TOO_MANY_ROWS)
     omegas: list[float] = []
     deltas: list[float] = []
+    entry_gen = None
     for t in range(T):
-        born_omegas, born_deltas = _draw_entrants(entry, stream(seed, "entry", t))
+        entry_gen = stream(seed, "entry", t, reuse=entry_gen)
+        born_omegas, born_deltas = _draw_entrants(entry, entry_gen)
         omegas += born_omegas
         deltas += born_deltas
         sizes.append(sizes[-1] + len(born_omegas))
@@ -392,7 +396,7 @@ def run_portfolio_scenario(
     effective_weight = np.empty(rows)
     capability = np.empty(T + 1)
     fired = np.zeros(rows, dtype=bool)
-    lo = 0
+    lo, drift_gen = 0, None
     for t, n in enumerate(sizes):
         hi = lo + n
         w = effective_weights(omega[:n], k[:n], final.aggregator, final.Lambda)
@@ -408,7 +412,8 @@ def run_portfolio_scenario(
 
         step_portfolio(k[:n], delta[:n], alloc.labor, final.tech)
         if drift is not None:
-            hit = stream(seed, "drift", t).uniform(size=n) < drift.hazard_at(t)
+            drift_gen = stream(seed, "drift", t, reuse=drift_gen)
+            hit = drift_gen.uniform(size=n) < drift.hazard_at(t)
             if np.any(hit):
                 # Entrants sit past row n and are never hit.
                 k[:n][hit] *= 1.0 - drift.drop_frac

@@ -32,7 +32,7 @@ from .portfolio import (
     run_portfolio_scenario,
 )
 from .rng import derive_seed, stream
-from .schema import DELTA_ORDER, EVAL_WINDOW, EXPERIMENT, ROY, SIGMA_ORDER, TREATED_INTENSITY, check, pair
+from .schema import DELTA_ORDER, EVAL_WINDOW, EXPERIMENT, ROY, SIGMA_ORDER, TREATED_INTENSITY, check, pair, real_column
 
 _DELTA_CAP = 0.95
 _ENTRANT_OMEGA_MEDIAN = 1.0  # median importance weight of an arm's entrants
@@ -67,11 +67,12 @@ class WorkerSkillMatrix(NamedTuple):
         require(isinstance(n_workers, int) and n_workers >= 1, "n_workers must be an integer >= 1")
         require(portfolio.size >= 1, "need at least one family")
         slot_within_cohort: dict[int, int] = {}
-        z = np.empty((n_workers, portfolio.size))
+        z, gen = np.empty((n_workers, portfolio.size)), None
         for col, born in enumerate(portfolio.born_at.tolist()):
             slot = slot_within_cohort.get(born, 0)
             slot_within_cohort[born] = slot + 1
-            z[:, col] = stream(seed, f"skills:{born}:{slot}").standard_normal(n_workers)
+            gen = stream(seed, f"skills:{born}:{slot}", reuse=gen)
+            z[:, col] = gen.standard_normal(n_workers)
         return cls(z)
 
     def skills(self, sigma_ln: Sequence[float]) -> np.ndarray:
@@ -335,7 +336,7 @@ def solve_roy(
     finish is accepted after the last stage, the result is the last
     smoothed point, with ``converged=False`` and its own gap and residual.
     """
-    a, w = np.asarray(a, dtype=float), np.asarray(w, dtype=float)
+    a, w = real_column("skills", a), real_column("weights", w)
     require(a.ndim == 2, "skill matrix must be two-dimensional")
     require(a.shape[0] >= 1 and a.shape[1] >= 1, "skill matrix must be nonempty")
     require(bool(np.all(np.isfinite(a)) and np.all(a > 0.0)), "skills must be finite and positive")
@@ -425,7 +426,7 @@ def maturity_skill_sigma(maturity, sigma_young: float, sigma_mature: float, k_re
     """
     given = {"sigma_young": sigma_young, "sigma_mature": sigma_mature, "k_ref": k_ref}
     check(given, {name: ROY[name] for name in given}, (SIGMA_ORDER,))
-    maturity = np.asarray(maturity, dtype=float)
+    maturity = real_column("maturity", maturity)
     with np.errstate(over="ignore"):  # -maturity / k_ref may be -inf, whose exp is the limit 0
         return sigma_mature + (sigma_young - sigma_mature) * np.exp(-maturity / k_ref)
 

@@ -5,7 +5,9 @@ library classes apply their rows in ``__post_init__`` (:func:`check`), and
 the config table points at the same rows, so the two cannot disagree on a
 value.  Constraints across fields of one class are rows too
 (:class:`Rule`).  Predicates work elementwise, so one row checks a scalar,
-a ``(lo, hi)`` pair or a whole numpy column.
+a ``(lo, hi)`` pair or a whole numpy column.  A value that cannot be judged
+(a string, ``None``, a complex number, a list where a number belongs) is
+refused with the same :class:`DomainError` as one out of its domain.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ MAX_FAMILIES = 100_000
 # each Roy arm runs a portfolio scenario of T periods before its solves, about 0.2 ms each with one family.
 MAX_PERIODS = 100_000
 # Most calibration draws: the sample is regenerated for each of its two passes, never held, so
-# the bound is on time, about 0.16 us per draw for both passes (16 s at the bound on a 2-vCPU host).
+# the bound is on time, about 0.16 us per draw for both passes in one process and 0.08 us split
+# over two CPUs (16 and 8 s at the bound on a 2-vCPU host).
 MAX_DRAWS = 100_000_000
 # Most rows of a portfolio scenario's panel (sum over periods of the families present), which grows
 # with T**2 under entry: `portfolio` and `estimate` peak at about 44 and 47 bytes per row (0.9 GB
@@ -48,11 +51,14 @@ SEED_MAX = 2**64 - 1
 
 class Domain(NamedTuple):
     """Where a field's values may lie: a predicate and its wording.  A
-    ``real`` field must also be finite."""
+    ``real`` field must also be finite; a ``pair`` field is a ``(lo, hi)``
+    pair (:func:`pair`) of such values, any other field a number or a numpy
+    column."""
 
     holds: Callable[[Any], Any]
     wording: str
     real: bool = True
+    pair: bool = False
 
 
 class Rule(NamedTuple):
@@ -83,26 +89,65 @@ def ordered(name: str) -> Rule:
     return Rule(name, lambda c: c[name][0] <= c[name][1], "must have lo <= hi")
 
 
+def pair_of(domain: Domain) -> Domain:
+    """The row of a ``(lo, hi)`` pair of values in ``domain``."""
+    return domain._replace(pair=True)
+
+
 def pair(name: str, value: Any) -> tuple:
-    """``value`` as a ``(lo, hi)`` tuple; a :class:`DomainError` naming ``name`` unless it holds two values."""
-    require(isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2, f"{name} must be a [lo, hi] pair")
+    """``value`` as a ``(lo, hi)`` tuple; a :class:`DomainError` naming ``name`` unless it holds two single values."""
+    require(
+        isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2 and all(np.ndim(v) == 0 for v in value),
+        f"{name} must be a [lo, hi] pair",
+    )
     return tuple(value)
+
+
+def real_column(name: str, value: Any, dtype: type = float) -> np.ndarray:
+    """``value`` as an array of ``dtype``; a :class:`DomainError` naming ``name`` unless it holds real numbers."""
+    try:
+        column = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        column = None
+    require(column is not None and column.dtype.kind in "iuf", f"{name} must hold real numbers")
+    return column.astype(dtype, copy=False)
+
+
+def _fault(value: Any, domain: Domain) -> str | None:
+    """How ``value`` breaks ``domain``, or None; ``TypeError`` or
+    ``ValueError`` where it cannot be judged."""
+    column = domain.pair or isinstance(value, np.ndarray)
+    if column:
+        value = np.asarray(value)
+    # A boolean is no number here, as in the config.
+    if domain.real and (value.dtype.kind not in "iuf" if column else isinstance(value, (bool, np.bool_))):
+        raise TypeError("not a real number")
+    if domain.real and not (np.isfinite(value).all() if column else math.isfinite(value)):
+        return "must be finite"
+    return None if (np.all(domain.holds(value)) if column else domain.holds(value)) else domain.wording
 
 
 def check(values: Mapping[str, Any], rows: Mapping[str, Domain], rules: tuple[Rule, ...] = ()) -> None:
     """Raise a :class:`DomainError` naming the first field of ``rows`` whose
-    value is out of its domain, or else the field of the first broken rule."""
+    value is out of its domain, or else the field of the first broken rule.
+
+    A value that raises ``TypeError`` or ``ValueError`` as it is judged is
+    refused as ``must be a real number`` (a row's own wording where the row
+    is not real, such as an integer row), and a rule that raises as broken.
+    """
     for name, domain in rows.items():
-        value = values[name]
-        if isinstance(value, (list, tuple)):
-            value = np.asarray(value)
-        column = isinstance(value, np.ndarray)
-        if domain.real and not (np.isfinite(value).all() if column else math.isfinite(value)):
-            raise DomainError(f"{name} must be finite")
-        if not (domain.holds(value).all() if column else domain.holds(value)):
-            raise DomainError(f"{name} {domain.wording}")
+        try:
+            wrong = _fault(values[name], domain)
+        except (TypeError, ValueError):
+            wrong = "must be a real number" if domain.real else domain.wording
+        if wrong is not None:
+            raise DomainError(f"{name} {wrong}")
     for rule in rules:
-        if not rule.holds(values):
+        try:
+            holds = rule.holds(values)
+        except (TypeError, ValueError):
+            holds = False
+        if not holds:
             raise DomainError(f"{rule.field} {rule.wording}")
 
 
@@ -122,13 +167,17 @@ BASELINE = {
     "alpha": OPEN_UNIT, "gamma": OPEN_UNIT, "r": POSITIVE, "delta_k": OPEN_UNIT,
     "eta": POSITIVE, "A_bar": POSITIVE, "K": POSITIVE, "L_bar": POSITIVE,
 }
-PRIORS = {"alpha": OPEN_UNIT, "r": POSITIVE, "delta_k": OPEN_UNIT, "gamma": OPEN_UNIT, "n_draws": count(1, MAX_DRAWS)}
+PRIORS = {
+    "alpha": pair_of(OPEN_UNIT), "r": pair_of(POSITIVE), "delta_k": pair_of(OPEN_UNIT), "gamma": pair_of(OPEN_UNIT),
+    "n_draws": count(1, MAX_DRAWS),
+}
 PRIOR_RULES = tuple(map(ordered, ("alpha", "r", "delta_k", "gamma")))
 CODIFICATION = {"beta": OPEN_UNIT}
 AGGREGATOR = {"kind": one_of("additive", "ces"), "rho": RHO, "epsilon_floor": POSITIVE}
 PORTFOLIO = {"omega": POSITIVE, "delta": OPEN_UNIT, "k": NONNEGATIVE, "Lambda": POSITIVE}
 ENTRY = {
-    "mu": INTENSITY, "k_seed": NONNEGATIVE, "omega_median": POSITIVE, "omega_sigma": NONNEGATIVE, "delta_j": OPEN_UNIT,
+    "mu": INTENSITY, "k_seed": NONNEGATIVE, "omega_median": POSITIVE, "omega_sigma": NONNEGATIVE,
+    "delta_j": pair_of(OPEN_UNIT),
 }
 DELTA_ORDER = ordered("delta_j")
 DRIFT = {"env_hazard": CLOSED_UNIT, "tech_hazard": CLOSED_UNIT, "org_hazard": CLOSED_UNIT, "drop_frac": OPEN_UNIT}
@@ -138,7 +187,7 @@ HAZARD_SUM = Rule(
 )
 ROY = {
     "n_initial": count(1, MAX_INITIAL), "initial_k": NONNEGATIVE, "omega": POSITIVE,
-    "delta_j": OPEN_UNIT, "rho": RHO, "beta": OPEN_UNIT, "Lambda": POSITIVE,
+    "delta_j": pair_of(OPEN_UNIT), "rho": RHO, "beta": OPEN_UNIT, "Lambda": POSITIVE,
     "epsilon_floor": POSITIVE, "labor_budget": NONNEGATIVE, "T": count(1, MAX_PERIODS), "mu": INTENSITY,
     "k_seed": NONNEGATIVE, "omega_sigma": NONNEGATIVE, "n_workers": count(2, MAX_WORKERS),
     "sigma_young": NONNEGATIVE, "sigma_mature": NONNEGATIVE, "k_ref": POSITIVE, "eval_window": COUNT,

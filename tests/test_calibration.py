@@ -1,4 +1,5 @@
 import math
+import multiprocessing.pool
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +227,73 @@ def test_quantiles_equal_numpys_when_bins_are_refined(monkeypatch, keep):
     monkeypatch.setattr(calibration, "_KEEP", keep)
     for n_draws in (7, 100, 2000):
         assert_quantiles_are_numpys(prior_spec(n_draws=n_draws, seed=6))
+
+
+def record_passes(monkeypatch):
+    """The number of ranges of each sampling pass, as ``run_monte_carlo``
+    hands them to ``ordered_map``."""
+    passes = []
+    real = calibration.ordered_map
+
+    def recording(task, n):
+        passes.append(n)
+        return real(task, n)
+
+    monkeypatch.setattr(calibration, "ordered_map", recording)
+    return passes
+
+
+# Two ranges of the fewest blocks a worker draws.
+TWO_RANGES = 2 * calibration._MIN_RANGE * _BLOCK
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3])
+def test_forked_passes_equal_the_serial_run(monkeypatch, pin_cpus, n_cpus):
+    # 25 blocks, the last ragged: ranges of 8, 8 and 9 blocks on three CPUs,
+    # of 12 and 13 on two, each drawn and summarized in its own worker.
+    priors = prior_spec(n_draws=3 * calibration._MIN_RANGE * _BLOCK + 777, seed=13)
+    pin_cpus(1)
+    passes = record_passes(monkeypatch)
+    serial = run_monte_carlo(priors)
+    pin_cpus(n_cpus)
+    assert run_monte_carlo(priors) == serial
+    assert passes == [1, 1, n_cpus, n_cpus]
+
+
+def test_forked_passes_of_a_narrow_box_refine_its_bins(monkeypatch, pin_cpus):
+    # Shares within a few first-pass bins: the bins holding the quantiles
+    # hold more than _KEEP draws, so a second pass refines them and a third
+    # collects, each from two workers.
+    priors = prior_spec(n_draws=TWO_RANGES, seed=14, **dict(POINT_MASS, alpha=(0.36, 0.3601)))
+    pin_cpus(1)
+    passes = record_passes(monkeypatch)
+    serial = run_monte_carlo(priors)
+    pin_cpus(2)
+    assert run_monte_carlo(priors) == serial
+    assert passes == [1, 1, 1, 2, 2, 2]
+
+
+def test_a_share_out_of_range_in_a_worker_is_raised_unchanged(monkeypatch, pin_cpus):
+    # A histogram one bin too narrow for the sample: each worker refuses its
+    # first block, and the parent raises the first range's error.
+    priors = prior_spec(n_draws=TWO_RANGES, seed=15)
+    first, _, shift = calibration._histogram_range(priors)
+    monkeypatch.setattr(calibration, "_histogram_range", lambda priors: (first, first + 1, shift))
+    message = "^share out of range: a draw lies outside the shares of its prior box's corners$"
+    for n_cpus in (1, 2):
+        pin_cpus(n_cpus)
+        with pytest.raises(DomainError, match=message) as err:
+            run_monte_carlo(priors)
+        assert isinstance(err.value.__cause__, multiprocessing.pool.RemoteTraceback) == (n_cpus == 2)
+
+
+def test_the_sample_is_split_once_it_fills_two_ranges(monkeypatch, pin_cpus):
+    # 15 blocks are drawn in this process; 16, the last holding one draw, in two workers.
+    pin_cpus(2)
+    passes = record_passes(monkeypatch)
+    run_monte_carlo(prior_spec(n_draws=TWO_RANGES - _BLOCK, seed=16))
+    run_monte_carlo(prior_spec(n_draws=TWO_RANGES - _BLOCK + 1, seed=16))
+    assert passes == [1, 1, 2, 2]
 
 
 def test_a_parameter_draw_never_rounds_past_its_upper_end():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -14,10 +15,10 @@ from structlabor import schema
 from structlabor.calibration import PriorSpec, sample_parameters, sample_shares
 from structlabor.config import AppConfig, load_config, serialize
 from structlabor.core import BaselineParams, simulate_transition
-from structlabor.estimators import detect_degradation
-from structlabor.errors import ConfigError
+from structlabor.estimators import MaturityPanel, detect_degradation
+from structlabor.errors import ConfigError, DomainError
 from structlabor.portfolio import AggregatorSpec, DriftConfig, EntryConfig, Portfolio, PowerCodification
-from structlabor.roy import RoyExperiment, solve_roy
+from structlabor.roy import RoyExperiment, dispersion_experiment, maturity_skill_sigma, solve_roy
 from structlabor.schema import (
     MAX_DRAWS,
     MAX_FAMILIES,
@@ -230,6 +231,87 @@ def test_the_library_takes_every_config_fed_value():
         for target in fed
     }
     assert {name: given for name, given in defaults.items() if given} == {"PriorSpec": ["seed"]}
+
+
+# Values that are no real number, alone and as a pair; a boolean is none
+# either, as the config refuses it.
+NOT_REAL = ["x", None, 1j, [[1.0]], object(), True]
+NOT_REAL += [(v, v) for v in NOT_REAL]
+
+
+def _library_calls():
+    """(label, call taking one field's value, the schema rows of its fields)
+    for every validating class and the functions that take schema rows."""
+    cfg = AppConfig({"portfolio": {"drift": {"enabled": True}}})
+    exp = dataclasses.replace(cfg.roy.experiment, n_initial=2, T=3, eval_window=2, n_workers=5)
+    panel = MaturityPanel(
+        family_id=np.zeros(2, dtype=np.int64), period=np.arange(2), maturity=np.array([1.0, 0.5]),
+        tech_window=np.zeros(2, dtype=bool), org_window=np.zeros(2, dtype=bool),
+    )
+    objects = [
+        (cfg.baseline, schema.BASELINE), (cfg.priors, schema.PRIORS), (cfg.portfolio.initial.tech, schema.CODIFICATION),
+        (cfg.portfolio.initial.aggregator, schema.AGGREGATOR), (cfg.portfolio.initial, schema.PORTFOLIO),
+        (cfg.portfolio.entry, schema.ENTRY), (cfg.portfolio.drift, schema.DRIFT), (exp, schema.ROY),
+    ]
+    for obj, rows in objects:
+        yield type(obj).__name__, lambda name, value, obj=obj: dataclasses.replace(obj, **{name: value}), rows
+    functions = [
+        (solve_roy, {"a": np.ones((3, 2)), "w": np.ones(2), "tech": cfg.portfolio.initial.tech, "Lambda": 1.0, "tol": 1e-9},
+         {name: schema.ROY[name] for name in ("Lambda", "tol")}),
+        (maturity_skill_sigma, {"maturity": np.ones(2), "sigma_young": 0.5, "sigma_mature": 0.2, "k_ref": 1.0},
+         {name: schema.ROY[name] for name in ("sigma_young", "sigma_mature", "k_ref")}),
+        (dispersion_experiment, {"experiment": exp, "treatment": "mu", "factor": 2.0, "replications": 1, "seed": 0},
+         schema.EXPERIMENT),
+        (detect_degradation, {"panel": panel, "rel_drop": 0.3, "horizon": 1}, schema.DETECTION),
+    ]
+    for fn, given, rows in functions:
+        fn(**given)
+        yield fn.__name__, lambda name, value, fn=fn, given=given: fn(**{**given, name: value}), rows
+
+
+def test_the_library_refuses_what_is_no_real_number_with_a_domain_error():
+    # Direct callers get the library's error, never a TypeError from deep
+    # inside a check; a scalar value names its field and says "a real
+    # number", or for an integer row "an integer".
+    for label, call, rows in _library_calls():
+        for name, domain in rows.items():
+            for value in NOT_REAL:
+                with pytest.raises(DomainError) as err:
+                    call(name, value)
+                if np.ndim(value) == 0 and domain.real and not domain.pair:
+                    if label == "Portfolio" and name != "Lambda":
+                        expected = f"{name} must hold real numbers"
+                    elif (label, name, value) == ("AggregatorSpec", "rho", None):
+                        expected = "ces aggregator needs rho"  # the config's null rho, read first
+                    else:
+                        expected = f"{name} must be a real number"
+                    assert str(err.value) == expected, (label, name, value)
+                if domain.wording.startswith("must be an integer"):
+                    assert str(err.value) == f"{name} {domain.wording}", (label, name, value)
+
+
+def test_a_panel_refuses_columns_that_are_no_numbers_with_a_domain_error():
+    # A panel has no schema rows: its number columns are converted to their
+    # dtypes once they are known to hold real numbers.
+    columns = {
+        "family_id": np.zeros(2, dtype=np.int64), "period": np.arange(2), "maturity": np.array([1.0, 0.5]),
+        "tech_window": np.zeros(2, dtype=bool), "org_window": np.zeros(2, dtype=bool),
+    }
+    for name in ("family_id", "period", "maturity"):
+        for value in NOT_REAL:
+            with pytest.raises(DomainError):
+                MaturityPanel(**{**columns, name: value})
+        with pytest.raises(DomainError, match=f"^{name} must hold real numbers$"):
+            MaturityPanel(**{**columns, name: ["x", "y"]})
+
+
+def test_a_value_that_cannot_be_judged_is_refused_like_one_out_of_range():
+    with pytest.raises(DomainError, match="^alpha must be a real number$"):
+        dataclasses.replace(AppConfig().baseline, alpha="x")
+    with pytest.raises(DomainError, match=r"^alpha must be a \[lo, hi\] pair$"):
+        dataclasses.replace(AppConfig().priors, alpha=([[0.3]], 0.4))
+    with pytest.raises(DomainError, match="^omega must hold real numbers$"):
+        dataclasses.replace(AppConfig().portfolio.initial, omega=["1.0"] * 8)
 
 
 def test_each_section_class_takes_exactly_its_section():

@@ -9,7 +9,7 @@ import pytest
 
 from structlabor.calibration import _BLOCK
 from structlabor.errors import DomainError
-from structlabor.parallel import ordered_map
+from structlabor.parallel import ordered_map, split
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 23])
@@ -17,6 +17,17 @@ def test_ordered_map_yields_every_result_in_order(cpus, n):
     # More tasks than the in-flight window of two per worker, too.
     data = np.arange(n) ** 2
     assert list(ordered_map(lambda i: (i, int(data[i])), n)) == [(i, i * i) for i in range(n)]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_split_gives_one_range_per_cpu_of_at_least_the_least_length(pin_cpus, n_cpus):
+    pin_cpus(n_cpus)
+    for n in range(40):
+        ranges = split(n, 8)
+        assert [i for r in ranges for i in r] == list(range(n))
+        assert len(ranges) == max(1, min(n_cpus, n // 8))
+        assert len(ranges) == 1 or min(map(len, ranges)) >= 8
+        assert max(map(len, ranges)) - min(map(len, ranges)) <= 1
 
 
 def test_tasks_run_in_forked_workers(cpus):
@@ -71,8 +82,8 @@ def test_a_task_error_never_leaves_the_pool_waiting():
 
 def test_default_runs_do_not_import_multiprocessing(tmp_path):
     # Default-sized outputs fit one chunk, so the serial path runs and small
-    # runs never pay for importing multiprocessing; calibrate sums its blocks
-    # in this process, however many there are.
+    # runs never pay for importing multiprocessing; calibrate draws its blocks
+    # in this process until they fill two ranges of _MIN_RANGE blocks.
     config = tmp_path / "blocks.json"
     config.write_text(json.dumps({"priors": {"n_draws": 2 * _BLOCK + 1}}), encoding="utf-8")
     code = (
