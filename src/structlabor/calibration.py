@@ -16,15 +16,15 @@ import numpy as np
 
 from .core import structured_share
 from .errors import DomainError, require
-from .parallel import ordered_map, split
+from .parallel import forked_map, split
 from .rng import check_seed, indexed_uniforms
 from .schema import PRIOR_RULES, PRIORS, check, pair
 
 # Draws per sampling and summing block: a 2 MB uniform matrix.
 _BLOCK = 1 << 16
 
-# Fewest blocks a forked worker draws in one pass (524,288 draws): a sample
-# of fewer than two such ranges is drawn in this process, with no pool.
+# Fewest blocks a range holds (524,288 draws): a sample of fewer than two
+# such ranges is drawn in this process alone.
 _MIN_RANGE = 8
 
 # 2**1074: the reciprocal of the smallest subnormal double, the unit of
@@ -168,11 +168,12 @@ def _share_blocks(priors: PriorSpec, blocks: range):
 
 def _each_range(priors: PriorSpec, scan):
     """``scan(blocks)`` over the sample cut into contiguous ranges of blocks,
-    one per CPU (:func:`~structlabor.parallel.split`), in forked workers;
-    the results in range order.  A worker regenerates its own blocks, so
-    only its partial results cross a pipe."""
+    one per CPU (:func:`~structlabor.parallel.split`), the first in this
+    process and each other in a forked worker; the results in range order,
+    one at a time.  A worker regenerates its own blocks, so only its
+    partial results cross a pipe."""
     ranges = split(-(-priors.n_draws // _BLOCK), _MIN_RANGE)
-    return ordered_map(lambda i: scan(ranges[i]), len(ranges))
+    return forked_map(lambda i: scan(ranges[i]), len(ranges))
 
 
 def _bits(x: float) -> int:
@@ -255,13 +256,18 @@ def _order_statistics(priors: PriorSpec, ranks: np.ndarray, first: int, counts: 
                     finer += np.bincount(sub, minlength=finer.shape[0])
             return part, np.concatenate(collected) if collect else finer
 
-        parts, found = zip(*_each_range(priors, scan))
-        squares += sum(parts)
+        parts, counts = [], 0
+        for part, found in _each_range(priors, scan):
+            squares += part
+            if collect:
+                parts.append(found)
+            else:
+                counts = counts + found
         mean = None
         if collect:
-            return np.sort(np.concatenate(found).view(np.float64))[ranks], squares
+            return np.sort(np.concatenate(parts).view(np.float64))[ranks], squares
         keys = ((keys[:, None] << step) | np.arange(1 << step)).ravel()
-        counts, shift = sum(found), shift - step
+        shift -= step
 
 
 def _lerp(a: float, b: float, t: float) -> float:
@@ -305,10 +311,12 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     and histograms their bit patterns (``_summarize``); the second sums the
     squared deviations and selects the order statistics
     (``_order_statistics``).  Each pass cuts the blocks into contiguous
-    ranges, one per CPU and each of at least ``_MIN_RANGE`` blocks, and a
-    forked worker draws and summarizes each range (``_each_range``); a
-    sample too small for two ranges is read in this process.  Memory is a
-    block and a few histograms per process, whatever ``n_draws`` is.
+    ranges, one per CPU and each of at least ``_MIN_RANGE`` blocks; this
+    process draws and summarizes the first range and a forked worker each
+    other one (``_each_range``), and a sample too small for two ranges is
+    read in this process alone.  Memory is a block and a few histograms per
+    process, whatever ``n_draws`` and the number of CPUs are: this process
+    reads the workers' results one at a time.
 
     Every field depends only on the draws, never on the numpy build's
     summation order or the number of ranges: each range's partial results

@@ -80,8 +80,9 @@ class AggregatorSpec:
 
     def __post_init__(self) -> None:
         # rho is read only by the CES form.
-        require(self.kind != "ces" or self.rho is not None, "ces aggregator needs rho")
-        check(vars(self), {k: d for k, d in AGGREGATOR.items() if k != "rho" or self.kind == "ces"})
+        ces = isinstance(self.kind, str) and self.kind == "ces"
+        require(not ces or self.rho is not None, "ces aggregator needs rho")
+        check(vars(self), {k: d for k, d in AGGREGATOR.items() if k != "rho" or ces})
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,8 +356,7 @@ def run_portfolio_scenario(
     Randomness is organized in per-period substreams keyed by ``seed``:
     "drift" uniforms are consumed in roster order and "entry" draws in
     slot order, so scenarios sharing a seed share event and entrant draws
-    for every family they have in common; each kind is read period by
-    period from one re-keyed generator.  No draw depends on the
+    for every family they have in common.  No draw depends on the
     maturities, so all entrants are drawn first and the whole roster is
     validated once, as ``final``, whose first n_t rows are period t's
     families.  The panel is allocated at its full sum_t n_t rows; each
@@ -371,10 +371,8 @@ def run_portfolio_scenario(
     require(rows <= MAX_PANEL_ROWS, _TOO_MANY_ROWS)
     omegas: list[float] = []
     deltas: list[float] = []
-    entry_gen = None
     for t in range(T):
-        entry_gen = stream(seed, "entry", t, reuse=entry_gen)
-        born_omegas, born_deltas = _draw_entrants(entry, entry_gen)
+        born_omegas, born_deltas = _draw_entrants(entry, stream(seed, "entry", t))
         omegas += born_omegas
         deltas += born_deltas
         sizes.append(sizes[-1] + len(born_omegas))
@@ -396,7 +394,7 @@ def run_portfolio_scenario(
     effective_weight = np.empty(rows)
     capability = np.empty(T + 1)
     fired = np.zeros(rows, dtype=bool)
-    lo, drift_gen = 0, None
+    lo = 0
     for t, n in enumerate(sizes):
         hi = lo + n
         w = effective_weights(omega[:n], k[:n], final.aggregator, final.Lambda)
@@ -412,8 +410,7 @@ def run_portfolio_scenario(
 
         step_portfolio(k[:n], delta[:n], alloc.labor, final.tech)
         if drift is not None:
-            drift_gen = stream(seed, "drift", t, reuse=drift_gen)
-            hit = drift_gen.uniform(size=n) < drift.hazard_at(t)
+            hit = stream(seed, "drift", t).uniform(size=n) < drift.hazard_at(t)
             if np.any(hit):
                 # Entrants sit past row n and are never hit.
                 k[:n][hit] *= 1.0 - drift.drop_frac

@@ -50,37 +50,14 @@ def derive_seed(root: int, tag: str, index: int = 0) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-# A Philox state at counter 0 with an empty buffer, as a new generator starts; the key is set per stream.
-_ZEROS = np.zeros(4, dtype=np.uint64)
+def generator(seed: int) -> np.random.Generator:
+    """A Philox-backed generator keyed directly by ``seed``."""
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
-def generator(seed: int, reuse: np.random.Generator | None = None) -> np.random.Generator:
-    """A Philox-backed generator keyed directly by ``seed``.
-
-    Given ``reuse``, a generator this module built, re-keys and returns it
-    instead of building a new one, which costs several times more as it
-    also reads OS entropy.  It then draws exactly as a new one would, and
-    the stream it drew before ends: a caller reuses a generator only for
-    streams it reads one after another.
-    """
-    seed = check_seed(seed)
-    if reuse is None:
-        return np.random.Generator(np.random.Philox(key=seed))
-    reuse.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": np.array([seed, 0], dtype=np.uint64)},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return reuse
-
-
-def stream(root: int, tag: str, index: int = 0, reuse: np.random.Generator | None = None) -> np.random.Generator:
-    """A generator for the substream named by (tag, index) under ``root``;
-    ``reuse`` as in :func:`generator`."""
-    return generator(derive_seed(root, tag, index), reuse)
+def stream(root: int, tag: str, index: int = 0) -> np.random.Generator:
+    """A generator for the substream named by (tag, index) under ``root``."""
+    return generator(derive_seed(root, tag, index))
 
 
 def indexed_uniforms(seed: int, start: int, count: int) -> np.ndarray:

@@ -67,12 +67,11 @@ class WorkerSkillMatrix(NamedTuple):
         require(isinstance(n_workers, int) and n_workers >= 1, "n_workers must be an integer >= 1")
         require(portfolio.size >= 1, "need at least one family")
         slot_within_cohort: dict[int, int] = {}
-        z, gen = np.empty((n_workers, portfolio.size)), None
+        z = np.empty((n_workers, portfolio.size))
         for col, born in enumerate(portfolio.born_at.tolist()):
             slot = slot_within_cohort.get(born, 0)
             slot_within_cohort[born] = slot + 1
-            gen = stream(seed, f"skills:{born}:{slot}", reuse=gen)
-            z[:, col] = gen.standard_normal(n_workers)
+            z[:, col] = stream(seed, f"skills:{born}:{slot}").standard_normal(n_workers)
         return cls(z)
 
     def skills(self, sigma_ln: Sequence[float]) -> np.ndarray:

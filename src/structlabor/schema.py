@@ -51,14 +51,14 @@ SEED_MAX = 2**64 - 1
 
 class Domain(NamedTuple):
     """Where a field's values may lie: a predicate and its wording.  A
-    ``real`` field must also be finite; a ``pair`` field is a ``(lo, hi)``
-    pair (:func:`pair`) of such values, any other field a number or a numpy
-    column."""
+    ``real`` field must also be finite; an ``array`` field holds several
+    such values, a ``(lo, hi)`` pair (:func:`pair`) or a numpy column, and
+    any other field a single one."""
 
     holds: Callable[[Any], Any]
     wording: str
     real: bool = True
-    pair: bool = False
+    array: bool = False
 
 
 class Rule(NamedTuple):
@@ -89,9 +89,9 @@ def ordered(name: str) -> Rule:
     return Rule(name, lambda c: c[name][0] <= c[name][1], "must have lo <= hi")
 
 
-def pair_of(domain: Domain) -> Domain:
-    """The row of a ``(lo, hi)`` pair of values in ``domain``."""
-    return domain._replace(pair=True)
+def array_of(domain: Domain) -> Domain:
+    """The row of a ``(lo, hi)`` pair or a numpy column of values in ``domain``."""
+    return domain._replace(array=True)
 
 
 def pair(name: str, value: Any) -> tuple:
@@ -116,9 +116,11 @@ def real_column(name: str, value: Any, dtype: type = float) -> np.ndarray:
 def _fault(value: Any, domain: Domain) -> str | None:
     """How ``value`` breaks ``domain``, or None; ``TypeError`` or
     ``ValueError`` where it cannot be judged."""
-    column = domain.pair or isinstance(value, np.ndarray)
+    column = domain.array
     if column:
         value = np.asarray(value)
+    elif np.ndim(value) != 0:
+        raise TypeError("not a single number")
     # A boolean is no number here, as in the config.
     if domain.real and (value.dtype.kind not in "iuf" if column else isinstance(value, (bool, np.bool_))):
         raise TypeError("not a real number")
@@ -131,9 +133,11 @@ def check(values: Mapping[str, Any], rows: Mapping[str, Domain], rules: tuple[Ru
     """Raise a :class:`DomainError` naming the first field of ``rows`` whose
     value is out of its domain, or else the field of the first broken rule.
 
-    A value that raises ``TypeError`` or ``ValueError`` as it is judged is
-    refused as ``must be a real number`` (a row's own wording where the row
-    is not real, such as an integer row), and a rule that raises as broken.
+    An array row's value is judged elementwise.  A value that raises
+    ``TypeError`` or ``ValueError`` as it is judged, an array on any other
+    row among them, is refused as ``must be a real number`` (a row's own
+    wording where the row is not real, such as an integer row), and a rule
+    that raises as broken.
     """
     for name, domain in rows.items():
         try:
@@ -144,7 +148,7 @@ def check(values: Mapping[str, Any], rows: Mapping[str, Domain], rules: tuple[Ru
             raise DomainError(f"{name} {wrong}")
     for rule in rules:
         try:
-            holds = rule.holds(values)
+            holds = bool(rule.holds(values))
         except (TypeError, ValueError):
             holds = False
         if not holds:
@@ -168,16 +172,16 @@ BASELINE = {
     "eta": POSITIVE, "A_bar": POSITIVE, "K": POSITIVE, "L_bar": POSITIVE,
 }
 PRIORS = {
-    "alpha": pair_of(OPEN_UNIT), "r": pair_of(POSITIVE), "delta_k": pair_of(OPEN_UNIT), "gamma": pair_of(OPEN_UNIT),
+    "alpha": array_of(OPEN_UNIT), "r": array_of(POSITIVE), "delta_k": array_of(OPEN_UNIT), "gamma": array_of(OPEN_UNIT),
     "n_draws": count(1, MAX_DRAWS),
 }
 PRIOR_RULES = tuple(map(ordered, ("alpha", "r", "delta_k", "gamma")))
 CODIFICATION = {"beta": OPEN_UNIT}
 AGGREGATOR = {"kind": one_of("additive", "ces"), "rho": RHO, "epsilon_floor": POSITIVE}
-PORTFOLIO = {"omega": POSITIVE, "delta": OPEN_UNIT, "k": NONNEGATIVE, "Lambda": POSITIVE}
+PORTFOLIO = {"omega": array_of(POSITIVE), "delta": array_of(OPEN_UNIT), "k": array_of(NONNEGATIVE), "Lambda": POSITIVE}
 ENTRY = {
     "mu": INTENSITY, "k_seed": NONNEGATIVE, "omega_median": POSITIVE, "omega_sigma": NONNEGATIVE,
-    "delta_j": pair_of(OPEN_UNIT),
+    "delta_j": array_of(OPEN_UNIT),
 }
 DELTA_ORDER = ordered("delta_j")
 DRIFT = {"env_hazard": CLOSED_UNIT, "tech_hazard": CLOSED_UNIT, "org_hazard": CLOSED_UNIT, "drop_frac": OPEN_UNIT}
@@ -187,7 +191,7 @@ HAZARD_SUM = Rule(
 )
 ROY = {
     "n_initial": count(1, MAX_INITIAL), "initial_k": NONNEGATIVE, "omega": POSITIVE,
-    "delta_j": pair_of(OPEN_UNIT), "rho": RHO, "beta": OPEN_UNIT, "Lambda": POSITIVE,
+    "delta_j": array_of(OPEN_UNIT), "rho": RHO, "beta": OPEN_UNIT, "Lambda": POSITIVE,
     "epsilon_floor": POSITIVE, "labor_budget": NONNEGATIVE, "T": count(1, MAX_PERIODS), "mu": INTENSITY,
     "k_seed": NONNEGATIVE, "omega_sigma": NONNEGATIVE, "n_workers": count(2, MAX_WORKERS),
     "sigma_young": NONNEGATIVE, "sigma_mature": NONNEGATIVE, "k_ref": POSITIVE, "eval_window": COUNT,

@@ -5,7 +5,7 @@ from structlabor import parallel
 
 @pytest.fixture
 def pin_cpus(monkeypatch):
-    """``pin_cpus(k)`` makes ``ordered_map`` see ``k`` CPUs for the rest of the test."""
+    """``pin_cpus(k)`` makes ``ordered_map`` and ``split`` see ``k`` CPUs for the rest of the test."""
 
     def pin(k):
         monkeypatch.setattr(parallel, "_cpu_count", lambda: k)

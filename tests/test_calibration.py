@@ -1,5 +1,5 @@
 import math
-import multiprocessing.pool
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -231,20 +231,21 @@ def test_quantiles_equal_numpys_when_bins_are_refined(monkeypatch, keep):
 
 def record_passes(monkeypatch):
     """The number of ranges of each sampling pass, as ``run_monte_carlo``
-    hands them to ``ordered_map``."""
+    hands them to ``forked_map``."""
     passes = []
-    real = calibration.ordered_map
+    real = calibration.forked_map
 
     def recording(task, n):
         passes.append(n)
         return real(task, n)
 
-    monkeypatch.setattr(calibration, "ordered_map", recording)
+    monkeypatch.setattr(calibration, "forked_map", recording)
     return passes
 
 
-# Two ranges of the fewest blocks a worker draws.
+# Two ranges of the fewest blocks a range holds.
 TWO_RANGES = 2 * calibration._MIN_RANGE * _BLOCK
+OUT_OF_RANGE = "^share out of range: a draw lies outside the shares of its prior box's corners$"
 
 
 @pytest.mark.parametrize("n_cpus", [2, 3])
@@ -273,18 +274,32 @@ def test_forked_passes_of_a_narrow_box_refine_its_bins(monkeypatch, pin_cpus):
     assert passes == [1, 1, 1, 2, 2, 2]
 
 
-def test_a_share_out_of_range_in_a_worker_is_raised_unchanged(monkeypatch, pin_cpus):
-    # A histogram one bin too narrow for the sample: each worker refuses its
-    # first block, and the parent raises the first range's error.
+def test_a_share_out_of_range_is_raised_in_process_and_from_a_worker(monkeypatch, pin_cpus):
+    # A histogram one bin too narrow for the sample: this process refuses
+    # the first block of its own range and raises at once.
     priors = prior_spec(n_draws=TWO_RANGES, seed=15)
-    first, _, shift = calibration._histogram_range(priors)
+    first, last, shift = calibration._histogram_range(priors)
     monkeypatch.setattr(calibration, "_histogram_range", lambda priors: (first, first + 1, shift))
-    message = "^share out of range: a draw lies outside the shares of its prior box's corners$"
     for n_cpus in (1, 2):
         pin_cpus(n_cpus)
-        with pytest.raises(DomainError, match=message) as err:
+        with pytest.raises(DomainError, match=OUT_OF_RANGE):
             run_monte_carlo(priors)
-        assert isinstance(err.value.__cause__, multiprocessing.pool.RemoteTraceback) == (n_cpus == 2)
+    # A share past the box's corners drawn only in the worker of the second range.
+    monkeypatch.setattr(calibration, "_histogram_range", lambda priors: (first, last, shift))
+    parent, real = os.getpid(), calibration.sample_shares
+
+    def sample_shares(priors, start, count):
+        shares = real(priors, start, count)
+        if os.getpid() != parent:
+            shares[0] = 1.0
+        return shares
+
+    monkeypatch.setattr(calibration, "sample_shares", sample_shares)
+    pin_cpus(1)
+    run_monte_carlo(priors)
+    pin_cpus(2)
+    with pytest.raises(DomainError, match=OUT_OF_RANGE):
+        run_monte_carlo(priors)
 
 
 def test_the_sample_is_split_once_it_fills_two_ranges(monkeypatch, pin_cpus):

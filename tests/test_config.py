@@ -234,8 +234,8 @@ def test_the_library_takes_every_config_fed_value():
 
 
 # Values that are no real number, alone and as a pair; a boolean is none
-# either, as the config refuses it.
-NOT_REAL = ["x", None, 1j, [[1.0]], object(), True]
+# either, as the config refuses it, nor a column where one number belongs.
+NOT_REAL = ["x", None, 1j, [[1.0]], object(), True, np.array([0.5, 0.6, 0.7])]
 NOT_REAL += [(v, v) for v in NOT_REAL]
 
 
@@ -278,10 +278,8 @@ def test_the_library_refuses_what_is_no_real_number_with_a_domain_error():
             for value in NOT_REAL:
                 with pytest.raises(DomainError) as err:
                     call(name, value)
-                if np.ndim(value) == 0 and domain.real and not domain.pair:
-                    if label == "Portfolio" and name != "Lambda":
-                        expected = f"{name} must hold real numbers"
-                    elif (label, name, value) == ("AggregatorSpec", "rho", None):
+                if np.ndim(value) == 0 and domain.real and not domain.array:
+                    if (label, name, value) == ("AggregatorSpec", "rho", None):
                         expected = "ces aggregator needs rho"  # the config's null rho, read first
                     else:
                         expected = f"{name} must be a real number"
@@ -312,6 +310,9 @@ def test_a_value_that_cannot_be_judged_is_refused_like_one_out_of_range():
         dataclasses.replace(AppConfig().priors, alpha=([[0.3]], 0.4))
     with pytest.raises(DomainError, match="^omega must hold real numbers$"):
         dataclasses.replace(AppConfig().portfolio.initial, omega=["1.0"] * 8)
+    # A column for a single value, within a cross-field rule's domain.
+    with pytest.raises(DomainError, match="^sigma_young must be a real number$"):
+        dataclasses.replace(AppConfig().roy.experiment, sigma_young=np.array([0.5, 0.6]))
 
 
 def test_each_section_class_takes_exactly_its_section():

@@ -183,3 +183,15 @@ def test_run_monte_carlo_memory_does_not_grow_with_the_draws():
     small, large = peak(1_000_000), peak(4_000_000)
     assert large <= small + 2**20
     assert large < 8 * 4_000_000 / 3
+
+
+@pytest.mark.parametrize("n_cpus", [8, 16])
+def test_run_monte_carlo_memory_does_not_grow_with_the_cpus(pin_cpus, n_cpus):
+    # 8M draws fill eight ranges on eight CPUs and fifteen on sixteen, 1M
+    # draws two: this process reads the workers' histograms one at a time,
+    # so the peak is the same as with two ranges.
+    run_monte_carlo(replace(DEFAULTS.priors, n_draws=1000))
+    pin_cpus(n_cpus)
+    small = traced_peak(run_monte_carlo, replace(DEFAULTS.priors, n_draws=1_000_000, seed=1))[1]
+    large = traced_peak(run_monte_carlo, replace(DEFAULTS.priors, n_draws=8_000_000, seed=1))[1]
+    assert large <= small + 2**20

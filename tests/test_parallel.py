@@ -3,13 +3,15 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from structlabor.calibration import _BLOCK
 from structlabor.errors import DomainError
-from structlabor.parallel import ordered_map, split
+from structlabor.parallel import forked_map, ordered_map, split
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 23])
@@ -35,6 +37,54 @@ def test_tasks_run_in_forked_workers(cpus):
     # may be a lambda.
     pids = set(ordered_map(lambda i: os.getpid(), 6))
     assert (pids == {os.getpid()}) == (cpus == 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_forked_map_runs_the_first_task_here_and_each_other_in_its_own_worker(n):
+    # A lambda over data this process holds, reached through the fork.
+    data = np.arange(n) ** 2
+    results = list(forked_map(lambda i: (i, int(data[i]), os.getpid()), n))
+    assert [r[:2] for r in results] == [(i, i * i) for i in range(n)]
+    pids = [r[2] for r in results]
+    assert pids[:1] == [os.getpid()][:n] and len(set(pids)) == n
+
+
+def test_forked_map_raises_a_worker_error_when_its_result_is_due():
+    def task(i):
+        if i == 2:
+            raise DomainError(f"task {i} failed")
+        return i
+
+    seen = []
+    with pytest.raises(DomainError, match="^task 2 failed$"):
+        for result in forked_map(task, 4):
+            seen.append(result)
+    assert seen == [0, 1]
+
+
+def test_forked_map_kills_the_workers_it_no_longer_reads():
+    # The consumer stops after the first result: the sleeping workers are
+    # killed and reaped, not waited for.
+    started = time.perf_counter()
+    results = forked_map(lambda i: i if i == 0 else time.sleep(60), 3)
+    assert next(results) == 0
+    results.close()
+    assert time.perf_counter() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_map_holds_one_worker_result_at_a_time():
+    # Twelve 1 MiB results, summed as they come: the peak is this process's
+    # own result, the sum and the one being read, not all twelve.
+    tracemalloc.start()
+    try:
+        total = sum(forked_map(lambda i: np.full(1 << 17, i), 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total.tolist() == [66] * (1 << 17)
+    assert peak < 5 * 2**20
 
 
 def test_one_task_or_no_fork_stays_in_process(pin_cpus, monkeypatch):

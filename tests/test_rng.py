@@ -23,33 +23,6 @@ def test_check_seed_rejected_values():
     generator(np.uint64(17))
 
 
-@pytest.mark.parametrize("key", [0, 2**63, 2**64 - 1])
-def test_a_reused_generator_draws_as_a_new_one(key):
-    # The reused generator is left mid-block, with half a 64-bit word
-    # buffered, so re-keying must reset the counter, buffer and half-word.
-    reused = generator(7)
-    reused.integers(0, 10, dtype=np.uint32)
-    reused.uniform(size=3)
-    assert generator(key, reuse=reused) is reused
-    fresh = generator(key)
-    for draw in (
-        lambda g: g.uniform(size=5),
-        lambda g: g.standard_normal(7),
-        lambda g: g.integers(0, 10, size=3, dtype=np.uint32),
-        lambda g: g.uniform(size=1),
-    ):
-        assert draw(reused).tolist() == draw(fresh).tolist()
-
-
-def test_a_reused_stream_draws_as_a_new_one():
-    gen = None
-    for t in range(5):
-        gen = stream(3, "entry", t, reuse=gen)
-        assert gen.uniform(size=4).tolist() == stream(3, "entry", t).uniform(size=4).tolist()
-    with pytest.raises(DomainError):
-        generator(2**64, reuse=gen)
-
-
 def test_derive_seed_matches_direct_hash():
     def reference(root, tag, index=0):
         h = hashlib.sha256()
