@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import traceback
 import warnings
 from collections import deque
 from typing import Callable, Iterator, TypeVar
@@ -63,18 +64,18 @@ def _fork() -> int:
 
 
 def _serve(task: Callable, i: int, pipe: int, inherited: list[int]) -> None:
-    """Run ``task(i)`` in a forked worker, write ``(ok, result or
-    exception)`` to ``pipe`` and exit, never returning to the caller.
-    ``inherited`` are the parent's pipe ends, closed first."""
+    """Run ``task(i)`` in a forked worker, write ``(result, None)`` or
+    ``(exception, its traceback)`` to ``pipe`` and exit, never returning to
+    the caller.  ``inherited`` are the parent's pipe ends, closed first."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
         with os.fdopen(pipe, "wb") as out:
             try:
-                outcome = (True, task(i))
+                outcome = (task(i), None)
             except Exception as exc:
-                outcome = (False, exc)
+                outcome = (exc, traceback.format_exc())
             pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
@@ -88,8 +89,9 @@ def forked_map(task: Callable[[int], T], n: int) -> Iterator[T]:
     A worker writes its result to a pipe of its own and waits there until
     the result is due, so this process holds at most one worker's result
     at a time, however many there are.  Runs serially with one task or no
-    ``fork``.  A task's exception is raised here when its result is due;
-    the workers whose results are not read by then are killed.
+    ``fork``.  A task's exception is raised here when its result is due,
+    caused by a ``RuntimeError`` that holds the worker's traceback; the
+    workers whose results are not read by then are killed.
     """
     if n <= 1 or not hasattr(os, "fork"):
         yield from map(task, range(n))
@@ -108,13 +110,13 @@ def forked_map(task: Callable[[int], T], n: int) -> Iterator[T]:
             pid, read = workers.pop(0)
             try:
                 with os.fdopen(read, "rb") as pipe:
-                    ok, result = pickle.load(pipe)
+                    result, trace = pickle.load(pipe)
             except EOFError:
-                ok, result = False, RuntimeError(f"forked worker {pid} exited without a result")
+                raise RuntimeError(f"forked worker {pid} exited without a result") from None
             finally:
                 os.waitpid(pid, 0)
-            if not ok:
-                raise result
+            if trace is not None:
+                raise result from RuntimeError(f"in forked worker {pid}:\n{trace}")
             yield result
     finally:
         for pid, read in workers:

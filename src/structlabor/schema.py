@@ -27,7 +27,7 @@ MAX_FAMILIES = 100_000
 MAX_PERIODS = 100_000
 # Most calibration draws: the sample is regenerated for each of its two passes, never held, so
 # the bound is on time, about 0.16 us per draw for both passes in one process and 0.08 us split
-# over two CPUs (16 and 8 s at the bound on a 2-vCPU host).
+# over two CPUs (16 and 8-11 s at the bound on a 2-vCPU host).
 MAX_DRAWS = 100_000_000
 # Most rows of a portfolio scenario's panel (sum over periods of the families present), which grows
 # with T**2 under entry: `portfolio` and `estimate` peak at about 44 and 47 bytes per row (0.9 GB

@@ -251,7 +251,8 @@ OUT_OF_RANGE = "^share out of range: a draw lies outside the shares of its prior
 @pytest.mark.parametrize("n_cpus", [2, 3])
 def test_forked_passes_equal_the_serial_run(monkeypatch, pin_cpus, n_cpus):
     # 25 blocks, the last ragged: ranges of 8, 8 and 9 blocks on three CPUs,
-    # of 12 and 13 on two, each drawn and summarized in its own worker.
+    # of 12 and 13 on two, the first drawn and summarized in this process
+    # and each other in its own worker.
     priors = prior_spec(n_draws=3 * calibration._MIN_RANGE * _BLOCK + 777, seed=13)
     pin_cpus(1)
     passes = record_passes(monkeypatch)
@@ -264,7 +265,7 @@ def test_forked_passes_equal_the_serial_run(monkeypatch, pin_cpus, n_cpus):
 def test_forked_passes_of_a_narrow_box_refine_its_bins(monkeypatch, pin_cpus):
     # Shares within a few first-pass bins: the bins holding the quantiles
     # hold more than _KEEP draws, so a second pass refines them and a third
-    # collects, each from two workers.
+    # collects, each from this process and a worker.
     priors = prior_spec(n_draws=TWO_RANGES, seed=14, **dict(POINT_MASS, alpha=(0.36, 0.3601)))
     pin_cpus(1)
     passes = record_passes(monkeypatch)
@@ -303,7 +304,7 @@ def test_a_share_out_of_range_is_raised_in_process_and_from_a_worker(monkeypatch
 
 
 def test_the_sample_is_split_once_it_fills_two_ranges(monkeypatch, pin_cpus):
-    # 15 blocks are drawn in this process; 16, the last holding one draw, in two workers.
+    # 15 blocks are drawn in this process alone; 16, the last holding one draw, in two ranges.
     pin_cpus(2)
     passes = record_passes(monkeypatch)
     run_monte_carlo(prior_spec(n_draws=TWO_RANGES - _BLOCK, seed=16))

@@ -56,10 +56,17 @@ def test_forked_map_raises_a_worker_error_when_its_result_is_due():
         return i
 
     seen = []
-    with pytest.raises(DomainError, match="^task 2 failed$"):
+    with pytest.raises(DomainError, match="^task 2 failed$") as err:
         for result in forked_map(task, 4):
             seen.append(result)
     assert seen == [0, 1]
+    # Its cause holds the worker's traceback, down to the raise.
+    assert 'raise DomainError(f"task {i} failed")' in str(err.value.__cause__)
+
+
+def test_forked_map_reports_a_worker_that_exits_without_a_result():
+    with pytest.raises(RuntimeError, match="^forked worker [0-9]+ exited without a result$"):
+        list(forked_map(lambda i: os._exit(3) if i else i, 2))
 
 
 def test_forked_map_kills_the_workers_it_no_longer_reads():
@@ -133,7 +140,8 @@ def test_a_task_error_never_leaves_the_pool_waiting():
 def test_default_runs_do_not_import_multiprocessing(tmp_path):
     # Default-sized outputs fit one chunk, so the serial path runs and small
     # runs never pay for importing multiprocessing; calibrate draws its blocks
-    # in this process until they fill two ranges of _MIN_RANGE blocks.
+    # in this process until they fill two ranges of _MIN_RANGE blocks, and
+    # forks its workers without multiprocessing.
     config = tmp_path / "blocks.json"
     config.write_text(json.dumps({"priors": {"n_draws": 2 * _BLOCK + 1}}), encoding="utf-8")
     code = (
