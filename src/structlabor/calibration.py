@@ -168,8 +168,8 @@ def _share_blocks(priors: PriorSpec, blocks: range):
 
 def _each_range(priors: PriorSpec, scan):
     """``scan(blocks)`` over the sample cut into contiguous ranges of blocks,
-    one per CPU (:func:`~structlabor.parallel.split`), the first in this
-    process and each other in a forked worker; the results in range order,
+    one per CPU (:func:`~structlabor.parallel.split`), each in a forked
+    worker of its own when there are several; the results in range order,
     one at a time.  A worker regenerates its own blocks, so only its
     partial results cross a pipe."""
     ranges = split(-(-priors.n_draws // _BLOCK), _MIN_RANGE)

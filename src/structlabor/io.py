@@ -26,7 +26,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, require
-from .parallel import ordered_map
+from .parallel import forked_map
 
 # Contractual column orders.
 PATH_COLUMNS = ("t", "k", "L_S", "L_U", "Y", "w_U", "w_S")
@@ -352,7 +352,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
     are written as 1/0, integers in decimal and floats byte-identical to
     ``repr`` of the double.  Rows are rendered as bytes in chunks of
     ``CHUNK_ROWS``, in forked worker processes when there are several
-    chunks and CPUs (:func:`~structlabor.parallel.ordered_map`), and
+    chunks and CPUs (:func:`~structlabor.parallel.forked_map`), and
     written in order, so the file does not depend on the number of
     workers.
     """
@@ -378,7 +378,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
         return words.T.tobytes().translate(None, b"\0")
 
     head = (",".join(header) + "\n").encode("utf-8")
-    _atomic_write(path, itertools.chain([head], ordered_map(render, -(-n // CHUNK_ROWS))))
+    _atomic_write(path, itertools.chain([head], forked_map(render, -(-n // CHUNK_ROWS))))
 
 
 def _sanitize(obj: Any) -> Any:

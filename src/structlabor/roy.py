@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import require
-from .parallel import ordered_map
+from .parallel import forked_map
 from .portfolio import (
     EntryConfig,
     Portfolio,
@@ -590,7 +590,7 @@ def dispersion_experiment(
 
     Every arm's scenario is built here, in replication order; the arms'
     solves then run as one task each over forked workers
-    (:func:`~structlabor.parallel.ordered_map`), task 2 * rep the base arm
+    (:func:`~structlabor.parallel.forked_map`), task 2 * rep the base arm
     and 2 * rep + 1 the treated one.  Results come back in task order, so
     the outcome does not depend on the number of workers.
     """
@@ -603,7 +603,7 @@ def dispersion_experiment(
         rep_seed = derive_seed(seed, "replication", rep)
         arms.append(_arm_inputs(experiment, rep_seed, mu_factor=1.0, delta_factor=1.0))
         arms.append(_arm_inputs(experiment, rep_seed, mu_factor=mu_factor, delta_factor=delta_factor))
-    outcomes = list(ordered_map(lambda i: _run_arm(experiment, arms[i]), len(arms)))
+    outcomes = list(forked_map(lambda i: _run_arm(experiment, arms[i]), len(arms)))
     base, treated = tuple(outcomes[0::2]), tuple(outcomes[1::2])
     diffs = [t.stats.log_wage_variance - b.stats.log_wage_variance for b, t in zip(base, treated)]
 

@@ -18,7 +18,7 @@ from structlabor.calibration import (
 )
 from structlabor.core import structured_share
 from structlabor.errors import DomainError
-from structlabor.parallel import ordered_map
+from structlabor.parallel import forked_map
 from structlabor.rng import indexed_uniforms
 
 from defaults import DEFAULTS
@@ -251,8 +251,7 @@ OUT_OF_RANGE = "^share out of range: a draw lies outside the shares of its prior
 @pytest.mark.parametrize("n_cpus", [2, 3])
 def test_forked_passes_equal_the_serial_run(monkeypatch, pin_cpus, n_cpus):
     # 25 blocks, the last ragged: ranges of 8, 8 and 9 blocks on three CPUs,
-    # of 12 and 13 on two, the first drawn and summarized in this process
-    # and each other in its own worker.
+    # of 12 and 13 on two, each drawn and summarized in its own worker.
     priors = prior_spec(n_draws=3 * calibration._MIN_RANGE * _BLOCK + 777, seed=13)
     pin_cpus(1)
     passes = record_passes(monkeypatch)
@@ -265,7 +264,7 @@ def test_forked_passes_equal_the_serial_run(monkeypatch, pin_cpus, n_cpus):
 def test_forked_passes_of_a_narrow_box_refine_its_bins(monkeypatch, pin_cpus):
     # Shares within a few first-pass bins: the bins holding the quantiles
     # hold more than _KEEP draws, so a second pass refines them and a third
-    # collects, each from this process and a worker.
+    # collects, each from two workers.
     priors = prior_spec(n_draws=TWO_RANGES, seed=14, **dict(POINT_MASS, alpha=(0.36, 0.3601)))
     pin_cpus(1)
     passes = record_passes(monkeypatch)
@@ -276,8 +275,9 @@ def test_forked_passes_of_a_narrow_box_refine_its_bins(monkeypatch, pin_cpus):
 
 
 def test_a_share_out_of_range_is_raised_in_process_and_from_a_worker(monkeypatch, pin_cpus):
-    # A histogram one bin too narrow for the sample: this process refuses
-    # the first block of its own range and raises at once.
+    # A histogram one bin too narrow for the sample: the first block is
+    # refused, on one CPU in this process and on two in the first range's
+    # worker, whose error is raised here.
     priors = prior_spec(n_draws=TWO_RANGES, seed=15)
     first, last, shift = calibration._histogram_range(priors)
     monkeypatch.setattr(calibration, "_histogram_range", lambda priors: (first, first + 1, shift))
@@ -285,7 +285,7 @@ def test_a_share_out_of_range_is_raised_in_process_and_from_a_worker(monkeypatch
         pin_cpus(n_cpus)
         with pytest.raises(DomainError, match=OUT_OF_RANGE):
             run_monte_carlo(priors)
-    # A share past the box's corners drawn only in the worker of the second range.
+    # A share past the box's corners drawn only in forked workers.
     monkeypatch.setattr(calibration, "_histogram_range", lambda priors: (first, last, shift))
     parent, real = os.getpid(), calibration.sample_shares
 
@@ -385,7 +385,7 @@ def test_exact_sum_equals_fsum(cpus, values):
     # serially and from two forked workers the combined sum is the same.
     assert np.isfinite(values).all()
     expected = math.fsum(values.tolist())
-    got = sum(ordered_map(lambda b: _exact_sum(values[97 * b : 97 * (b + 1)]), -(-values.shape[0] // 97))) / 2**1074
+    got = sum(forked_map(lambda b: _exact_sum(values[97 * b : 97 * (b + 1)]), -(-values.shape[0] // 97))) / 2**1074
     assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
     assert _exact_sum(values[:_BLOCK]) / 2**1074 == math.fsum(values[:_BLOCK].tolist())
 

@@ -50,6 +50,12 @@ def test_package_imports_only_the_standard_library_numpy_and_yaml(path):
     assert imported_roots(path.read_text(encoding="utf-8")) <= ALLOWED
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_package_does_not_import_multiprocessing(path):
+    # Workers are forked by parallel.forked_map with os.fork and pipes alone.
+    assert "multiprocessing" not in imported_roots(path.read_text(encoding="utf-8"))
+
+
 def unused_imports(source: str) -> list[str]:
     """Names that ``source`` imports at module level and never reads; the
     ``from __future__`` imports are exempt."""
@@ -156,10 +162,10 @@ def unresolved_roles(source: str) -> list[str]:
 
 
 def test_unresolved_roles_sees_targets_the_package_does_not_define():
-    good = ":func:`solve_roy`, :meth:`WorkerSkillMatrix.skills` and :func:`~structlabor.parallel.ordered_map`"
-    bad = ":func:`_skill_normals`, :meth:`WorkerSkillMatrix.a`, :func:`~structlabor.roy.ordered_map`, :class:`np.ndarray`"
+    good = ":func:`solve_roy`, :meth:`WorkerSkillMatrix.skills` and :func:`~structlabor.parallel.forked_map`"
+    bad = ":func:`_skill_normals`, :meth:`WorkerSkillMatrix.a`, :func:`~structlabor.roy.forked_map`, :class:`np.ndarray`"
     assert unresolved_roles(good + "\n" + bad) == [
-        "_skill_normals", "WorkerSkillMatrix.a", "~structlabor.roy.ordered_map", "np.ndarray",
+        "_skill_normals", "WorkerSkillMatrix.a", "~structlabor.roy.forked_map", "np.ndarray",
     ]
     assert sum(len(ROLE.findall(path.read_text(encoding="utf-8"))) for path in MODULES) >= 15
 

@@ -16,7 +16,7 @@ from structlabor.calibration import run_monte_carlo
 from structlabor.errors import DomainError
 from structlabor.estimators import MaturityPanel, count_births, detect_degradation
 from structlabor.io import PANEL_COLUMNS, write_csv
-from structlabor.parallel import ordered_map
+from structlabor.parallel import forked_map
 from structlabor.portfolio import run_portfolio_scenario
 from structlabor.schema import MAX_PANEL_ROWS
 
@@ -150,17 +150,17 @@ def test_write_csv_memory_is_bounded_by_a_small_chunk(tmp_path, pin_cpus):
     assert peak(4 * 16_384) <= 1.5 * peak(16_384)
 
 
-def test_ordered_map_holds_few_results_from_its_workers(pin_cpus):
-    # Workers run at most two tasks each ahead of the consumer, so with a
-    # consumer slower than the workers, 40 results of 1 MiB cost this
-    # process little more than 8: a chunked write's peak does not grow with
-    # the file.
+def test_forked_map_holds_few_results_from_its_workers(pin_cpus):
+    # Each worker's results wait in its pipe until they are due, so with a
+    # consumer slower than the two workers, 40 results of 1 MiB cost this
+    # process no more than 8: a chunked write's peak does not grow with the
+    # file.
     pin_cpus(2)
-    list(ordered_map(bytes, 2))  # pays one-time costs (importing multiprocessing)
+    list(forked_map(bytes, 2))  # pays one-time costs
 
     def peak(n):
         def consume():
-            for chunk in ordered_map(lambda i: bytes(1 << 20), n):
+            for chunk in forked_map(lambda i: bytes(1 << 20), n):
                 time.sleep(0.02)
 
         return traced_peak(consume)[1]
@@ -168,11 +168,12 @@ def test_ordered_map_holds_few_results_from_its_workers(pin_cpus):
     assert peak(40) <= 1.5 * peak(8)
 
 
-def test_run_monte_carlo_memory_does_not_grow_with_the_draws():
+def test_run_monte_carlo_memory_does_not_grow_with_the_draws(cpus):
     # The sample is regenerated block by block, never held: four times the
-    # draws cost no more memory, and the peak (a sampling block, its
-    # temporaries and the histogram of bit patterns) is far below the 8n
-    # bytes a held sample would take.
+    # draws cost no more memory, and the peak (on one CPU a sampling block,
+    # its temporaries and the histogram of bit patterns; on two the
+    # workers' histograms, read one at a time) is far below the 8n bytes a
+    # held sample would take.
     run_monte_carlo(replace(DEFAULTS.priors, n_draws=1000))  # pays one-time costs
 
     def peak(n):

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,14 +10,21 @@ import pytest
 
 from structlabor.calibration import _BLOCK
 from structlabor.errors import DomainError
-from structlabor.parallel import forked_map, ordered_map, split
+from structlabor.parallel import forked_map, split
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 23])
-def test_ordered_map_yields_every_result_in_order(cpus, n):
-    # More tasks than the in-flight window of two per worker, too.
+def test_forked_map_yields_every_result_in_order(cpus, n):
+    # A lambda over data this process holds, reached through the fork, not
+    # by pickling; more tasks than workers, too.
     data = np.arange(n) ** 2
-    assert list(ordered_map(lambda i: (i, int(data[i])), n)) == [(i, i * i) for i in range(n)]
+    assert list(forked_map(lambda i: (i, int(data[i])), n)) == [(i, i * i) for i in range(n)]
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 3])
@@ -32,73 +38,20 @@ def test_split_gives_one_range_per_cpu_of_at_least_the_least_length(pin_cpus, n_
         assert max(map(len, ranges)) - min(map(len, ranges)) <= 1
 
 
-def test_tasks_run_in_forked_workers(cpus):
-    # Tasks reach the workers through the fork, not by pickling, so a task
-    # may be a lambda.
-    pids = set(ordered_map(lambda i: os.getpid(), 6))
-    assert (pids == {os.getpid()}) == (cpus == 1)
+def test_task_i_runs_in_worker_i_mod_k_and_none_here(pin_cpus):
+    pin_cpus(3)
+    pids = list(forked_map(lambda i: os.getpid(), 8))
+    assert [pids[i % 3] for i in range(8)] == pids
+    assert len(set(pids)) == 3 and os.getpid() not in pids
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5])
-def test_forked_map_runs_the_first_task_here_and_each_other_in_its_own_worker(n):
-    # A lambda over data this process holds, reached through the fork.
-    data = np.arange(n) ** 2
-    results = list(forked_map(lambda i: (i, int(data[i]), os.getpid()), n))
-    assert [r[:2] for r in results] == [(i, i * i) for i in range(n)]
-    pids = [r[2] for r in results]
-    assert pids[:1] == [os.getpid()][:n] and len(set(pids)) == n
-
-
-def test_forked_map_raises_a_worker_error_when_its_result_is_due():
-    def task(i):
-        if i == 2:
-            raise DomainError(f"task {i} failed")
-        return i
-
-    seen = []
-    with pytest.raises(DomainError, match="^task 2 failed$") as err:
-        for result in forked_map(task, 4):
-            seen.append(result)
-    assert seen == [0, 1]
-    # Its cause holds the worker's traceback, down to the raise.
-    assert 'raise DomainError(f"task {i} failed")' in str(err.value.__cause__)
-
-
-def test_forked_map_reports_a_worker_that_exits_without_a_result():
-    with pytest.raises(RuntimeError, match="^forked worker [0-9]+ exited without a result$"):
-        list(forked_map(lambda i: os._exit(3) if i else i, 2))
-
-
-def test_forked_map_kills_the_workers_it_no_longer_reads():
-    # The consumer stops after the first result: the sleeping workers are
-    # killed and reaped, not waited for.
-    started = time.perf_counter()
-    results = forked_map(lambda i: i if i == 0 else time.sleep(60), 3)
-    assert next(results) == 0
-    results.close()
-    assert time.perf_counter() - started < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_forked_map_holds_one_worker_result_at_a_time():
-    # Twelve 1 MiB results, summed as they come: the peak is this process's
-    # own result, the sum and the one being read, not all twelve.
-    tracemalloc.start()
-    try:
-        total = sum(forked_map(lambda i: np.full(1 << 17, i), 12))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert total.tolist() == [66] * (1 << 17)
-    assert peak < 5 * 2**20
-
-
-def test_one_task_or_no_fork_stays_in_process(pin_cpus, monkeypatch):
+def test_one_cpu_one_task_or_no_fork_runs_here(pin_cpus, monkeypatch):
+    pin_cpus(1)
+    assert list(forked_map(lambda i: os.getpid(), 4)) == [os.getpid()] * 4
     pin_cpus(2)
-    assert list(ordered_map(lambda i: os.getpid(), 1)) == [os.getpid()]
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert set(ordered_map(lambda i: os.getpid(), 4)) == {os.getpid()}
+    assert list(forked_map(lambda i: os.getpid(), 1)) == [os.getpid()]
+    monkeypatch.delattr(os, "fork")
+    assert list(forked_map(lambda i: os.getpid(), 4)) == [os.getpid()] * 4
 
 
 def test_a_task_error_is_raised_in_the_parent(cpus):
@@ -109,16 +62,70 @@ def test_a_task_error_is_raised_in_the_parent(cpus):
 
     seen = []
     with pytest.raises(DomainError, match="^task 3 failed$"):
-        for result in ordered_map(task, 10):
+        for result in forked_map(task, 10):
             seen.append(result)
     assert seen == [0, 1, 2]
+    assert_no_child_left()
 
 
-def test_a_task_error_never_leaves_the_pool_waiting():
-    # When a task fails, the tasks still in flight send their results while
-    # the map shuts its pool down.  Killing a worker mid-way through such a
-    # write left the pool waiting forever on a partial message, most runs
-    # within 40 failed maps of 1 MB results; so this runs 40 in a subprocess.
+def test_forked_map_raises_a_worker_error_when_its_result_is_due(pin_cpus):
+    # Two workers: task 2 is worker 0's second, after its first result (and
+    # worker 1's) has been yielded.
+    pin_cpus(2)
+
+    def task(i):
+        if i == 2:
+            raise DomainError(f"task {i} failed")
+        return i
+
+    seen = []
+    with pytest.raises(DomainError, match="^task 2 failed$") as err:
+        for result in forked_map(task, 6):
+            seen.append(result)
+    assert seen == [0, 1]
+    # Its cause holds the worker's traceback, down to the raise.
+    assert 'raise DomainError(f"task {i} failed")' in str(err.value.__cause__)
+    assert_no_child_left()
+
+
+def test_forked_map_reports_a_worker_that_exits_without_a_result(pin_cpus):
+    pin_cpus(2)
+    with pytest.raises(RuntimeError, match="^forked worker [0-9]+ exited without a result$"):
+        list(forked_map(lambda i: os._exit(3) if i else i, 2))
+    assert_no_child_left()
+
+
+def test_forked_map_kills_the_workers_it_no_longer_reads(pin_cpus):
+    # The consumer stops after the first result: the sleeping workers are
+    # killed and reaped, not waited for.
+    pin_cpus(3)
+    started = time.perf_counter()
+    results = forked_map(lambda i: i if i == 0 else time.sleep(60), 6)
+    assert next(results) == 0
+    results.close()
+    assert time.perf_counter() - started < 30
+    assert_no_child_left()
+
+
+def test_forked_map_holds_one_worker_result_at_a_time(pin_cpus):
+    # Twelve 1 MiB results from two workers, summed as they come: the peak
+    # is the sum and the one being read, not all twelve.
+    pin_cpus(2)
+    tracemalloc.start()
+    try:
+        total = sum(forked_map(lambda i: np.full(1 << 17, i), 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total.tolist() == [66] * (1 << 17)
+    assert peak < 5 * 2**20
+
+
+def test_a_task_error_never_leaves_the_map_waiting():
+    # When a task fails, the other worker may be writing a 1 MB result into
+    # its pipe; it is killed mid-way and the map returns.  A pool that waited
+    # for such a partial message hung most runs within 40 failed maps, so
+    # this runs 40 in a subprocess.
     code = (
         "from structlabor import parallel\n"
         "from structlabor.errors import DomainError\n"
@@ -129,7 +136,7 @@ def test_a_task_error_never_leaves_the_pool_waiting():
         "    return bytes(1 << 20)\n"
         "for _ in range(40):\n"
         "    try:\n"
-        "        list(parallel.ordered_map(task, 4))\n"
+        "        list(parallel.forked_map(task, 4))\n"
         "    except DomainError:\n"
         "        pass\n"
     )
@@ -138,10 +145,10 @@ def test_a_task_error_never_leaves_the_pool_waiting():
 
 
 def test_default_runs_do_not_import_multiprocessing(tmp_path):
-    # Default-sized outputs fit one chunk, so the serial path runs and small
-    # runs never pay for importing multiprocessing; calibrate draws its blocks
-    # in this process until they fill two ranges of _MIN_RANGE blocks, and
-    # forks its workers without multiprocessing.
+    # No module of the package imports multiprocessing, nor do the modules a
+    # default run imports: default-sized outputs fit one chunk, calibrate
+    # draws its blocks in this process until they fill two ranges of
+    # _MIN_RANGE blocks, and forked workers need no multiprocessing.
     config = tmp_path / "blocks.json"
     config.write_text(json.dumps({"priors": {"n_draws": 2 * _BLOCK + 1}}), encoding="utf-8")
     code = (
@@ -176,4 +183,4 @@ def test_roy_workers_do_linear_algebra_after_blas_has_started_threads():
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert result.stdout.split() == ["4", "True"]
+    assert result.stdout.split() == ["4", "False"]
