@@ -176,11 +176,6 @@ def _each_range(priors: PriorSpec, scan):
     return forked_map(lambda i: scan(ranges[i]), len(ranges))
 
 
-def _bits(x: float) -> int:
-    """The bit pattern of the double ``x``."""
-    return int(np.float64(x).view(np.int64))
-
-
 def _histogram_range(priors: PriorSpec) -> tuple[int, int, int]:
     """``(first, last, shift)``: the bit pattern of every share in percent,
     shifted right by ``shift``, lies in [first, last], at most ``_MAX_BINS``
@@ -196,7 +191,7 @@ def _histogram_range(priors: PriorSpec) -> tuple[int, int, int]:
     and each end is padded by one bin of at least 2**36 ulps.  A share
     outside the range is refused, never clamped.
     """
-    lo, hi = (_bits(bound * 100.0) for bound in share_bounds(priors))
+    lo, hi = (int(np.float64(bound * 100.0).view(np.int64)) for bound in share_bounds(priors))
     shift = _SHIFT
     while (hi >> shift) - (lo >> shift) + 3 > _MAX_BINS:
         shift += 1
@@ -279,26 +274,23 @@ def _lerp(a: float, b: float, t: float) -> float:
 
 def _summarize(priors: PriorSpec, blocks: range, first: int, last: int, shift: int) -> tuple:
     """The first pass over the draws in ``blocks``: the exact sum of the
-    shares, their min and max, the counts above 5 and 8 percent, and the
-    histogram of their bit patterns shifted right by ``shift``, from key
-    ``first`` to ``last``."""
+    shares, the counts above 5 and 8 percent, and the histogram of their bit
+    patterns shifted right by ``shift``, from key ``first`` to ``last``."""
     counts = np.zeros(last - first + 1, dtype=np.int64)
     total = above_5 = above_8 = 0
-    share_min, share_max = math.inf, -math.inf
     for shares in _share_blocks(priors, blocks):
         total += _exact_sum(shares)
-        lo, hi = shares.min(), shares.max()
-        share_min, share_max = min(share_min, float(lo)), max(share_max, float(hi))
-        require(
-            first <= _bits(lo) >> shift and _bits(hi) >> shift <= last,
-            "share out of range: a draw lies outside the shares of its prior box's corners",
-        )
         above_5 += int(np.count_nonzero(shares > 5.0))
         above_8 += int(np.count_nonzero(shares > 8.0))
         key = shares.view(np.int64) >> shift
         key -= first
+        # A key below ``first`` is negative, so as unsigned it is past ``last`` too.
+        require(
+            int(key.view(np.uint64).max()) < counts.shape[0],
+            "share out of range: a draw lies outside the shares of its prior box's corners",
+        )
         counts += np.bincount(key, minlength=counts.shape[0])
-    return total, share_min, share_max, above_5, above_8, counts
+    return total, above_5, above_8, counts
 
 
 def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
@@ -307,21 +299,21 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     The sample is never held.  Draw ``i`` is Philox counter block ``i`` and
     the share is elementwise, so the sample is regenerated block by block
     (``_BLOCK`` draws) as often as it is read, bit-identical each time.  The
-    first pass sums the shares, takes min, max and the exceedance counts,
-    and histograms their bit patterns (``_summarize``); the second sums the
+    first pass sums the shares, counts those above 5 and 8 percent and
+    histograms their bit patterns (``_summarize``); the second sums the
     squared deviations and selects the order statistics
-    (``_order_statistics``).  Each pass cuts the blocks into contiguous
-    ranges, one per CPU and each of at least ``_MIN_RANGE`` blocks; this
-    process draws and summarizes the first range and a forked worker each
-    other one (``_each_range``), and a sample too small for two ranges is
-    read in this process alone.  Memory is a block and a few histograms per
-    process, whatever ``n_draws`` and the number of CPUs are: this process
-    reads the workers' results one at a time.
+    (``_order_statistics``), the min and max (ranks 0 and n - 1) among
+    them.  Each pass cuts the blocks into contiguous ranges, one per CPU
+    and each of at least ``_MIN_RANGE`` blocks, and a forked worker draws
+    and summarizes each range (``_each_range``); a sample too small for two
+    ranges is read in this process alone.  Memory is a block and a few
+    histograms per process, whatever ``n_draws`` and the number of CPUs
+    are: this process reads the workers' results one at a time.
 
     Every field depends only on the draws, never on the numpy build's
     summation order or the number of ranges: each range's partial results
-    are exact (integer sums and counts, min, max, histograms, bit
-    patterns) and are combined in range order.  The mean is
+    are exact (integer sums and counts, histograms, bit patterns) and are
+    combined in range order.  The mean is
     ``math.fsum(shares) / n``; the standard deviation is the two-pass sample
     statistic (ddof=1), ``sqrt(fsum((x - mean)**2) / (n - 1))``, with the
     deviations and squares taken elementwise, and 0 for a single draw.  Both
@@ -337,10 +329,9 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     first, last, shift = _histogram_range(priors)
     # The first range's results, its histogram included, accumulate the others'.
     parts = _each_range(priors, lambda blocks: _summarize(priors, blocks, first, last, shift))
-    total, share_min, share_max, above_5, above_8, counts = next(parts)
-    for part_total, part_min, part_max, part_5, part_8, part_counts in parts:
+    total, above_5, above_8, counts = next(parts)
+    for part_total, part_5, part_8, part_counts in parts:
         total += part_total
-        share_min, share_max = min(share_min, part_min), max(share_max, part_max)
         above_5 += part_5
         above_8 += part_8
         counts += part_counts
@@ -348,7 +339,7 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
     # numpy's linear method: virtual index (n - 1) q, its floor and the next rank.
     at = [(n - 1) * q for q in _QUANTILES]
     below = [min(math.floor(v), n - 1) for v in at]
-    ranks = sorted({r for b in below for r in (b, min(b + 1, n - 1))})
+    ranks = sorted({0, n - 1, *(r for b in below for r in (b, min(b + 1, n - 1)))})
     stats, squares = _order_statistics(priors, np.array(ranks), first, counts, shift, mean)
     value = dict(zip(ranks, stats.tolist()))
     q = [_lerp(value[b], value[min(b + 1, n - 1)], v - b) for v, b in zip(at, below)]
@@ -360,8 +351,8 @@ def run_monte_carlo(priors: PriorSpec) -> CalibrationResult:
         q10=q[1],
         q90=q[3],
         q97_5=q[4],
-        share_min=share_min,
-        share_max=share_max,
+        share_min=value[0],
+        share_max=value[n - 1],
         pr_gt_5pct=above_5 / n,
         pr_gt_8pct=above_8 / n,
         n_draws=n,

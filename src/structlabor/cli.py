@@ -6,7 +6,7 @@ directory, and finishes with a run manifest listing the SHA-256 digest
 of every file it wrote.  Repeated runs with the same configuration and
 seed produce byte-identical outputs (the manifest's timing fields are
 the one documented exception).  Errors are machine-readable JSON on
-stderr; exit codes are 0 (success), 2 (configuration), 3 (runtime).
+stderr; exit codes are 0 (success), 2 (configuration), 3 (runtime), 143 (SIGTERM).
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -114,21 +115,11 @@ def _cmd_calibrate(cfg: AppConfig) -> tuple[list[str], list[str]]:
     priors = replace(cfg.priors, seed=derive_seed(cfg.run.seed, "calibration"))
     result = run_monte_carlo(priors)
     lo, hi = share_bounds(priors)
+    stats = {name: value for name, value in asdict(result).items() if name not in ("n_draws", "seed")}
+    stats["min"], stats["max"] = stats.pop("share_min"), stats.pop("share_max")
     payload = {
         "priors": serialize(cfg)["priors"],
-        "stats": {
-            "mean": result.mean,
-            "median": result.median,
-            "std_dev": result.std_dev,
-            "q2_5": result.q2_5,
-            "q10": result.q10,
-            "q90": result.q90,
-            "q97_5": result.q97_5,
-            "min": result.share_min,
-            "max": result.share_max,
-            "pr_gt_5pct": result.pr_gt_5pct,
-            "pr_gt_8pct": result.pr_gt_8pct,
-        },
+        "stats": stats,
         "attainable_range_pct": [lo * 100.0, hi * 100.0],
         "n_draws": result.n_draws,
         "stream_seed": result.seed,
@@ -259,21 +250,14 @@ def indices(scenario, L_bar: float) -> tuple[np.ndarray, ...]:
 def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
     files: list[str] = []
     if cfg.estimate.panel is not None:
-        arrays = read_panel_csv(cfg.estimate.panel)
-        panel = MaturityPanel(
-            family_id=arrays["family_id"],
-            period=arrays["period"],
-            maturity=arrays["maturity"],
-            tech_window=arrays["tech_window"],
-            org_window=arrays["org_window"],
-        )
-        index_columns = None
+        columns, index_columns = read_panel_csv(cfg.estimate.panel), None
     else:
         scenario = _run_configured_scenario(cfg)
-        panel = MaturityPanel.from_scenario(scenario)
-        index_columns = indices(scenario, cfg.baseline.L_bar)
-        # Frees the scenario's labor and effective-weight columns before the estimators run.
+        index_columns, columns = indices(scenario, cfg.baseline.L_bar), scenario._asdict()
         del scenario
+    panel = MaturityPanel(**{f.name: columns[f.name] for f in fields(MaturityPanel) if f.init})
+    # Frees the scenario's labor and effective-weight columns before the estimators run.
+    del columns
 
     births = count_births(panel)
     flags = detect_degradation(panel, rel_drop=cfg.estimate.rel_drop, horizon=cfg.estimate.horizon)
@@ -329,6 +313,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # SIGTERM unwinds as an exception does, to exit status 143: a partly
+    # written file's temporary is removed and forked workers are killed.
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        return _run(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -77,17 +77,6 @@ class MaturityPanel:
     def n_obs(self) -> int:
         return int(self.family_id.shape[0])
 
-    @classmethod
-    def from_scenario(cls, scenario) -> "MaturityPanel":
-        """Adapt a portfolio scenario result into a panel."""
-        return cls(
-            family_id=scenario.family_id,
-            period=scenario.period,
-            maturity=scenario.maturity,
-            tech_window=scenario.tech_window,
-            org_window=scenario.org_window,
-        )
-
 
 class DegradationFlags(NamedTuple):
     """Per-observation degradation indicators.

@@ -5,8 +5,8 @@ forked after the task exists, so they inherit it together with that data,
 and only each task's result crosses a pipe.  Results come back in index
 order, whatever the number of workers, so output built from them does not
 depend on it.  :func:`forked_map` runs short tasks (the row chunks of a CSV
-file, the arms of a Roy experiment) and long ones (the contiguous ranges
-of :func:`split`, one per CPU) alike.
+file, the replications of a Roy experiment) and long ones (the contiguous
+ranges of :func:`split`, one per CPU) alike.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 import traceback
 import warnings
+from contextlib import contextmanager
 from typing import BinaryIO, Callable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -48,14 +50,36 @@ def _fork() -> int:
         return os.fork()
 
 
-def _serve(task: Callable, tasks: range, pipe: int, inherited: list[int]) -> None:
+@contextmanager
+def _deferred_signals() -> Iterator[None]:
+    """Catch SIGINT and SIGTERM and raise them again on leaving, yielding the
+    ``(signal, handler)`` pairs held back: a handler that raises between a
+    fork and the listing of its worker (``KeyboardInterrupt``, the CLI's
+    ``SystemExit``) would orphan it.  Only the main thread runs handlers."""
+    main = threading.current_thread() is threading.main_thread()
+    held = [(s, h) for s in (signal.SIGINT, signal.SIGTERM) if main and (h := signal.getsignal(s)) is not None]
+    caught: list[int] = []
+    for s, _ in held:
+        signal.signal(s, lambda signum, frame: caught.append(signum))
+    try:
+        yield held
+    finally:
+        for s, handler in held:
+            signal.signal(s, handler)
+        for signum in caught:
+            signal.raise_signal(signum)
+
+
+def _serve(task: Callable, tasks: range, pipe: int, inherited: list[int], handlers: list) -> None:
     """Run ``task(i)`` for each ``i`` of ``tasks`` in a forked worker,
     writing ``(result, None)`` or ``(exception, its traceback)`` to ``pipe``
     after each, and exit after the last or the first exception, never
-    returning to the caller.  ``inherited`` are the parent's pipe ends,
-    closed first."""
+    returning to the caller.  It first restores the signal ``handlers``
+    the parent holds back and closes the parent's pipe ends, ``inherited``."""
     code = 1
     try:
+        for s, handler in handlers:
+            signal.signal(s, handler)
         for fd in inherited:
             os.close(fd)
         with os.fdopen(pipe, "wb") as out:
@@ -94,13 +118,14 @@ def forked_map(task: Callable[[int], T], n: int) -> Iterator[T]:
         return
     workers: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
     try:
-        for w in range(k):
-            read, write = os.pipe()
-            pid = _fork()
-            if pid == 0:
-                _serve(task, range(w, n, k), write, [read, *(pipe.fileno() for _, pipe in workers)])
-            os.close(write)
-            workers.append((pid, os.fdopen(read, "rb")))
+        with _deferred_signals() as handlers:
+            for w in range(k):
+                read, write = os.pipe()
+                pid = _fork()
+                if pid == 0:
+                    _serve(task, range(w, n, k), write, [read, *(pipe.fileno() for _, pipe in workers)], handlers)
+                os.close(write)
+                workers.append((pid, os.fdopen(read, "rb")))
         for i in range(n):
             pid, pipe = workers[i % k]
             try:

@@ -588,11 +588,11 @@ def dispersion_experiment(
     through keyed substreams, so a factor of 1 reproduces the base arm
     exactly and differences isolate the treatment.
 
-    Every arm's scenario is built here, in replication order; the arms'
-    solves then run as one task each over forked workers
-    (:func:`~structlabor.parallel.forked_map`), task 2 * rep the base arm
-    and 2 * rep + 1 the treated one.  Results come back in task order, so
-    the outcome does not depend on the number of workers.
+    Every arm's scenario is built here, in replication order; the solves
+    then run over forked workers (:func:`~structlabor.parallel.forked_map`),
+    one task per replication, its base arm and then its treated one.
+    Results come back in replication order, so the outcome does not depend
+    on the number of workers.
     """
     arguments = {"treatment": treatment, "factor": factor, "replications": replications, "mu": experiment.mu}
     check(arguments, EXPERIMENT, (TREATED_INTENSITY,))
@@ -603,8 +603,8 @@ def dispersion_experiment(
         rep_seed = derive_seed(seed, "replication", rep)
         arms.append(_arm_inputs(experiment, rep_seed, mu_factor=1.0, delta_factor=1.0))
         arms.append(_arm_inputs(experiment, rep_seed, mu_factor=mu_factor, delta_factor=delta_factor))
-    outcomes = list(forked_map(lambda i: _run_arm(experiment, arms[i]), len(arms)))
-    base, treated = tuple(outcomes[0::2]), tuple(outcomes[1::2])
+    pairs = forked_map(lambda r: tuple(_run_arm(experiment, arm) for arm in arms[2 * r : 2 * r + 2]), replications)
+    base, treated = zip(*pairs)
     diffs = [t.stats.log_wage_variance - b.stats.log_wage_variance for b, t in zip(base, treated)]
 
     return ExperimentResult(

@@ -8,6 +8,14 @@ one is.  Values a test needs that differ from the config's are spelled in
 the test.
 """
 
+from dataclasses import fields
+
 from structlabor.config import AppConfig
+from structlabor.estimators import MaturityPanel
 
 DEFAULTS = AppConfig()
+
+
+def scenario_panel(scenario) -> MaturityPanel:
+    """The maturity panel of a portfolio scenario's rows, built as ``estimate`` builds it."""
+    return MaturityPanel(**{f.name: getattr(scenario, f.name) for f in fields(MaturityPanel) if f.init})

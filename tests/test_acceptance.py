@@ -24,7 +24,7 @@ from structlabor.core import (
     steady_state,
     structured_share,
 )
-from structlabor.estimators import MaturityPanel, detect_degradation, estimate_hazard_decomposition
+from structlabor.estimators import detect_degradation, estimate_hazard_decomposition
 from structlabor.portfolio import (
     DriftConfig,
     EntryConfig,
@@ -40,7 +40,7 @@ from structlabor.portfolio import (
 from structlabor.rng import derive_seed, generator
 from structlabor.roy import WorkerSkillMatrix, dispersion_experiment, solve_roy
 
-from defaults import DEFAULTS
+from defaults import DEFAULTS, scenario_panel
 from oracles import (
     allocate_bisection,
     allocation_value,
@@ -377,7 +377,7 @@ def test_criterion_10_estimator_recovery():
     )
     scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=T, seed=6, drift=drift)
     estimate = DEFAULTS.estimate
-    flags = detect_degradation(MaturityPanel.from_scenario(scenario), estimate.rel_drop, estimate.horizon)
+    flags = detect_degradation(scenario_panel(scenario), estimate.rel_drop, estimate.horizon)
     est = estimate_hazard_decomposition(flags)
 
     errors = (abs(est.env - 0.05), abs(est.tech - 0.10), abs(est.org - 0.03))

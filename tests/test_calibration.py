@@ -303,6 +303,22 @@ def test_a_share_out_of_range_is_raised_in_process_and_from_a_worker(monkeypatch
         run_monte_carlo(priors)
 
 
+@pytest.mark.parametrize("share", [1e-6, 0.0, -0.0])
+def test_a_share_below_the_lowest_corner_is_refused(monkeypatch, share):
+    # Its histogram key lies below the first, so as an unsigned key it lies
+    # past the last one.
+    real = calibration.sample_shares
+
+    def sample_shares(priors, start, count):
+        shares = real(priors, start, count)
+        shares[-1] = share
+        return shares
+
+    monkeypatch.setattr(calibration, "sample_shares", sample_shares)
+    with pytest.raises(DomainError, match=OUT_OF_RANGE):
+        run_monte_carlo(prior_spec(n_draws=1000, seed=15))
+
+
 def test_the_sample_is_split_once_it_fills_two_ranges(monkeypatch, pin_cpus):
     # 15 blocks are drawn in this process alone; 16, the last holding one draw, in two ranges.
     pin_cpus(2)

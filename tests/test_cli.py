@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -198,13 +200,20 @@ def test_estimate_panel_file_mode(tmp_path):
     assert os.path.exists(os.path.join(out2, "births.csv"))
 
 
-def test_estimate_modes_agree(tmp_path):
+@pytest.mark.parametrize(
+    "portfolio, seed, periods",
+    [({"n_families": 8, "T": 50, "entry": {"mu": 0.4}}, "5", 51), ({}, "2", 101)],
+    ids=["small", "default"],
+)
+def test_estimate_modes_agree(tmp_path, portfolio, seed, periods):
     # Births and hazards from a panel file match those rebuilt from the
-    # scenario, also when the file's rows come in another order.
-    base = {"portfolio": {"n_families": 8, "T": 50, "entry": {"mu": 0.4}, "drift": {"enabled": True}}}
+    # scenario, also when the file's rows come in another order; with drift
+    # on, on a small portfolio and on the default one.
+    base = {"portfolio": {**portfolio, "drift": {"enabled": True}}}
     cfg = write_config(tmp_path, base)
     pf_out = str(tmp_path / "portfolio")
-    assert main(["portfolio", "--config", cfg, "--seed", "5", "--out", pf_out, "--quiet"]) == 0
+    run = ["--seed", seed, "--format", "both", "--quiet"]
+    assert main(["portfolio", "--config", cfg, "--out", pf_out, *run]) == 0
     panel_csv = os.path.join(pf_out, "panel.csv")
     with open(panel_csv, encoding="utf-8") as fh:
         header, *rows = fh.read().splitlines()
@@ -215,11 +224,11 @@ def test_estimate_modes_agree(tmp_path):
     def outputs(name, panel):
         config = write_config(tmp_path, {**base, "estimate": {"panel": panel}}, name=f"{name}.json")
         out = tmp_path / name
-        assert main(["estimate", "--config", config, "--seed", "5", "--out", str(out), "--quiet"]) == 0
-        return [(out / file).read_bytes() for file in ("hazard.json", "births.csv")]
+        assert main(["estimate", "--config", config, "--out", str(out), *run]) == 0
+        return [(out / file).read_bytes() for file in ("hazard.json", "births.csv", "births.json")]
 
     scenario = outputs("scenario", None)
-    assert scenario[1].count(b"\n") == 52
+    assert scenario[1].count(b"\n") == periods + 1
     assert outputs("file", panel_csv) == scenario
     assert outputs("shuffled", str(shuffled_csv)) == scenario
 
@@ -480,6 +489,42 @@ def test_stdout_closed_by_its_reader_exits_zero(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     outputs = read_json(out, "run.manifest.json")["outputs"]
     assert sorted(e["path"] for e in outputs) == ["capability.csv", "panel.csv", "portfolio.json"]
+
+
+def test_sigterm_mid_write_leaves_no_temporary_file_or_worker(tmp_path):
+    # A large portfolio is sent SIGTERM once its panel.csv is being written
+    # (a temporary file is in the output directory): the run exits with 143,
+    # its temporary file removed and its forked workers reaped.
+    cfg = write_config(tmp_path, {
+        "portfolio": {"n_families": 200, "T": 1000, "entry": {"mu": 1.0}, "drift": {"enabled": True}},
+    })
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "structlabor.cli", "portfolio", "--config", cfg, "--out", str(out), "--quiet"],
+        stderr=subprocess.PIPE, env=env, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not list(out.glob("*.tmp")) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert list(out.glob("*.tmp")), "the run wrote no temporary file while it was watched"
+        os.kill(proc.pid, signal.SIGTERM)
+        stderr = proc.communicate(timeout=120)[1]
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, stderr) == (143, "")
+    assert not list(out.glob("*.tmp"))
+    # The run was its own process group, so none of its workers is left in it.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_main_restores_the_sigterm_handler(tmp_path):
+    previous = signal.getsignal(signal.SIGTERM)
+    assert main(["steady-state", "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert signal.getsignal(signal.SIGTERM) is previous
 
 
 def test_bad_config_value_exits_two_with_json_error(tmp_path, capsys):

@@ -22,7 +22,7 @@ from structlabor.portfolio import (
 )
 from structlabor.schema import MAX_HORIZON
 
-from defaults import DEFAULTS
+from defaults import DEFAULTS, scenario_panel
 
 TECH = PowerCodification(beta=0.5)
 # The config's initial portfolio, aggregator (CES at rho 0.5) and entry.
@@ -105,7 +105,7 @@ def test_panel_rejects_adjacent_duplicates_without_sorting(monkeypatch):
 
 def test_shuffled_panel_is_sorted_into_the_ordered_build():
     sc = stationary_scenario(12, 40, seed=2)
-    ordered = MaturityPanel.from_scenario(sc)
+    ordered = scenario_panel(sc)
     assert np.shares_memory(ordered.maturity, sc.maturity)
     shuffle = np.random.default_rng(1).permutation(ordered.n_obs)
     shuffled = MaturityPanel(
@@ -366,7 +366,7 @@ def stationary_scenario(J, T, seed, env=0.05, tech=0.10, org=0.03):
 
 def test_generated_panel_recovers_the_hazards():
     sc = stationary_scenario(50, 200, seed=6)
-    est = estimate_hazard_decomposition(detect(MaturityPanel.from_scenario(sc)))
+    est = estimate_hazard_decomposition(detect(scenario_panel(sc)))
     assert abs(est.env - 0.05) < 0.01
     assert abs(est.tech - 0.10) < 0.01
     assert abs(est.org - 0.03) < 0.01
@@ -377,7 +377,7 @@ def test_zero_tech_hazard_estimates_within_noise():
     # stay inside two standard errors of zero.
     for seed in (0, 1):
         sc = stationary_scenario(50, 200, seed=seed, tech=0.0)
-        est = estimate_hazard_decomposition(detect(MaturityPanel.from_scenario(sc)))
+        est = estimate_hazard_decomposition(detect(scenario_panel(sc)))
         assert est.tech < 2.0 * est.se_tech
 
 
@@ -387,7 +387,7 @@ def test_estimates_tighten_with_panel_size():
         large = stationary_scenario(500, 200, seed=seed)
         errs = []
         for sc in (small, large):
-            est = estimate_hazard_decomposition(detect(MaturityPanel.from_scenario(sc)))
+            est = estimate_hazard_decomposition(detect(scenario_panel(sc)))
             errs.append(max(abs(est.env - 0.05), abs(est.tech - 0.10), abs(est.org - 0.03)))
         assert errs[1] < errs[0]
         assert errs[1] < 0.005
@@ -395,7 +395,7 @@ def test_estimates_tighten_with_panel_size():
 
 def test_shuffled_panel_gives_the_same_estimates():
     sc = stationary_scenario(30, 80, seed=4)
-    panel = MaturityPanel.from_scenario(sc)
+    panel = scenario_panel(sc)
     shuffle = np.random.default_rng(0).permutation(panel.n_obs)
     shuffled = MaturityPanel(
         family_id=panel.family_id[shuffle],
@@ -491,7 +491,7 @@ def test_scenario_indices_equal_the_scenario_capability(aggregator):
     )
     sc = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.4), T=T, seed=11, drift=drift)
     assert sc.final.size > J and sc.event_period.size
-    panel = MaturityPanel.from_scenario(sc)
+    panel = scenario_panel(sc)
     period, capability, share, n_families = indices(sc, 1.0)
     assert period.tolist() == panel.period[panel.blocks[:-1]].tolist()
     assert capability.tolist() == panel_capability(panel, sc.final).tolist()

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 
 from structlabor.calibration import _BLOCK
 from structlabor.errors import DomainError
+from structlabor import parallel
 from structlabor.parallel import forked_map, split
 
 
@@ -107,6 +109,37 @@ def test_forked_map_kills_the_workers_it_no_longer_reads(pin_cpus):
     assert_no_child_left()
 
 
+def test_a_signal_during_the_forks_is_raised_once_every_worker_is_listed(pin_cpus, monkeypatch):
+    # SIGTERM arrives right after each fork, under a handler that raises as
+    # the CLI's does: it waits until both workers are listed, so both are
+    # killed and reaped rather than orphaned.
+    pin_cpus(2)
+    real_fork, forks = parallel._fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+            signal.raise_signal(signal.SIGTERM)
+        return pid
+
+    def terminate(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        # Workers run their tasks under the handlers the caller had.
+        assert list(forked_map(lambda i: signal.getsignal(signal.SIGTERM) is terminate, 4)) == [True] * 4
+        monkeypatch.setattr(parallel, "_fork", fork)
+        with pytest.raises(SystemExit, match="^143$"):
+            list(forked_map(lambda i: i, 4))
+        assert signal.getsignal(signal.SIGTERM) is terminate
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
 def test_forked_map_holds_one_worker_result_at_a_time(pin_cpus):
     # Twelve 1 MiB results from two workers, summed as they come: the peak
     # is the sum and the one being read, not all twelve.
@@ -166,7 +199,7 @@ def test_default_runs_do_not_import_multiprocessing(tmp_path):
 
 def test_roy_workers_do_linear_algebra_after_blas_has_started_threads():
     # A solve on a 300 x 300 matrix starts the BLAS library's threads in the
-    # parent; the experiment's arms then solve in two forked workers.
+    # parent; the experiment's two replications then solve in two forked workers.
     code = (
         "import sys\n"
         "import numpy as np\n"

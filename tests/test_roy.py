@@ -611,14 +611,31 @@ def _bits(x):
 
 
 def test_experiment_does_not_depend_on_workers(cpus, pin_cpus):
-    # Six arms, more than the two in flight per worker.  Each arm's solves
-    # run in a forked worker at two CPUs, and the outcome matches the
+    # Three replications, more than the two workers.  Each replication's
+    # solves run in a forked worker at two CPUs, and the outcome matches the
     # serial one bit for bit.
     res = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
     pin_cpus(1)
     serial = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
     assert isinstance(res.base, tuple) and isinstance(res.treated, tuple)
     assert _bits(res) == _bits(serial)
+
+
+def test_experiment_runs_one_forked_task_per_replication(monkeypatch, pin_cpus):
+    # A task solves its replication's base arm and then its treated arm, so
+    # two workers split the replications rather than the base arms from the
+    # treated ones.
+    pin_cpus(2)
+    real, tasks = roy.forked_map, []
+
+    def recording(task, n):
+        tasks.append(n)
+        return real(task, n)
+
+    monkeypatch.setattr(roy, "forked_map", recording)
+    res = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
+    assert tasks == [3]
+    assert len(res.base) == len(res.treated) == len(res.variance_diffs) == 3
 
 
 def test_arms_draw_skills_once_through_generate(monkeypatch, pin_cpus):
