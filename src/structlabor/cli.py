@@ -79,19 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_series(out: str, name: str, fmt: str, header, columns) -> list[str]:
-    files = []
+def _write_series(out: str, name: str, fmt: str, header, columns) -> list[dict]:
+    entries = []
     if fmt in ("csv", "both"):
-        write_csv(os.path.join(out, f"{name}.csv"), header, columns)
-        files.append(f"{name}.csv")
+        entries.append(write_csv(os.path.join(out, f"{name}.csv"), header, columns))
     if fmt in ("json", "both"):
         rows = [list(r) for r in zip(*(np.asarray(c).tolist() for c in columns))]
-        write_json(os.path.join(out, f"{name}.json"), {"columns": list(header), "rows": rows})
-        files.append(f"{name}.json")
-    return files
+        entries.append(write_json(os.path.join(out, f"{name}.json"), {"columns": list(header), "rows": rows}))
+    return entries
 
 
-def _cmd_steady_state(cfg: AppConfig) -> tuple[list[str], list[str]]:
+def _cmd_steady_state(cfg: AppConfig) -> tuple[list[dict], list[str]]:
     ss = steady_state(cfg.baseline)
     ds_dgamma, ds_dr, ds_ddelta = comparative_statics(cfg.baseline)
     payload = {
@@ -103,15 +101,15 @@ def _cmd_steady_state(cfg: AppConfig) -> tuple[list[str], list[str]]:
             "ds_ddelta_k": ds_ddelta,
         },
     }
-    write_json(os.path.join(cfg.run.out, "steady_state.json"), payload)
+    entry = write_json(os.path.join(cfg.run.out, "steady_state.json"), payload)
     lines = [
         f"long-run maintenance share s* = {ss.s_star:.6f}",
         f"capability stock k* = {ss.k_star:.6f}, wage = {ss.wage:.6f}",
     ]
-    return ["steady_state.json"], lines
+    return [entry], lines
 
 
-def _cmd_calibrate(cfg: AppConfig) -> tuple[list[str], list[str]]:
+def _cmd_calibrate(cfg: AppConfig) -> tuple[list[dict], list[str]]:
     priors = replace(cfg.priors, seed=derive_seed(cfg.run.seed, "calibration"))
     result = run_monte_carlo(priors)
     lo, hi = share_bounds(priors)
@@ -124,16 +122,16 @@ def _cmd_calibrate(cfg: AppConfig) -> tuple[list[str], list[str]]:
         "n_draws": result.n_draws,
         "stream_seed": result.seed,
     }
-    write_json(os.path.join(cfg.run.out, "calibration.json"), payload)
+    entry = write_json(os.path.join(cfg.run.out, "calibration.json"), payload)
     lines = [
         f"share distribution over {result.n_draws} draws: "
         f"mean {result.mean:.2f}%, sd {result.std_dev:.2f}pp, "
         f"P10-P90 [{result.q10:.2f}%, {result.q90:.2f}%]",
     ]
-    return ["calibration.json"], lines
+    return [entry], lines
 
 
-def _cmd_simulate(cfg: AppConfig) -> tuple[list[str], list[str]]:
+def _cmd_simulate(cfg: AppConfig) -> tuple[list[dict], list[str]]:
     ss, tr = steady_state(cfg.baseline), cfg.transition
     k0 = tr.k0 if tr.k0 is not None else 0.5 * ss.k_star
     l_s0 = tr.L_S0 if tr.L_S0 is not None else 0.5 * ss.L_S_star
@@ -149,8 +147,7 @@ def _cmd_simulate(cfg: AppConfig) -> tuple[list[str], list[str]]:
         "final": {name: getattr(path, name)[-1] for name in ("t", "k", "L_S", "Y")},
         "steady_state": {"s_star": ss.s_star, "k_star": ss.k_star},
     }
-    write_json(os.path.join(cfg.run.out, "transition.json"), payload)
-    files.append("transition.json")
+    files.append(write_json(os.path.join(cfg.run.out, "transition.json"), payload))
     status = f"converged in {path.periods_to_converge} periods" if path.converged else "did not converge"
     lines = [f"transition with damping {path.damping:.4f}: {status}"]
     return files, lines
@@ -168,7 +165,7 @@ def _run_configured_scenario(cfg: AppConfig):
     )
 
 
-def _cmd_portfolio(cfg: AppConfig) -> tuple[list[str], list[str]]:
+def _cmd_portfolio(cfg: AppConfig) -> tuple[list[dict], list[str]]:
     scenario = _run_configured_scenario(cfg)
     panel = [getattr(scenario, name) for name in PANEL_COLUMNS]
     files = _write_series(cfg.run.out, "panel", cfg.run.format, PANEL_COLUMNS, panel)
@@ -190,8 +187,7 @@ def _cmd_portfolio(cfg: AppConfig) -> tuple[list[str], list[str]]:
         "degradation_events": events,
         "capability_final": float(scenario.capability[-1]),
     }
-    write_json(os.path.join(cfg.run.out, "portfolio.json"), payload)
-    files.append("portfolio.json")
+    files.append(write_json(os.path.join(cfg.run.out, "portfolio.json"), payload))
     lines = [
         f"{cfg.portfolio.T} transitions: {scenario.final.size} families "
         f"({entrants} entrants), {events} degradation events",
@@ -199,7 +195,7 @@ def _cmd_portfolio(cfg: AppConfig) -> tuple[list[str], list[str]]:
     return files, lines
 
 
-def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
+def _cmd_roy(cfg: AppConfig) -> tuple[list[dict], list[str]]:
     seed = derive_seed(cfg.run.seed, "roy")
     result = dispersion_experiment(
         cfg.roy.experiment,
@@ -225,13 +221,13 @@ def _cmd_roy(cfg: AppConfig) -> tuple[list[str], list[str]]:
             for b, t, d in zip(result.base, result.treated, result.variance_diffs)
         ],
     }
-    write_json(os.path.join(cfg.run.out, "roy.json"), payload)
+    entry = write_json(os.path.join(cfg.run.out, "roy.json"), payload)
     lines = [
         f"{result.treatment} x{result.factor:g} over {len(result.base)} replications: "
         f"mean log-wage variance diff {result.mean_variance_diff:+.4f} "
         f"(positive in {result.share_positive:.0%})",
     ]
-    return ["roy.json"], lines
+    return [entry], lines
 
 
 def indices(scenario, L_bar: float) -> tuple[np.ndarray, ...]:
@@ -247,8 +243,7 @@ def indices(scenario, L_bar: float) -> tuple[np.ndarray, ...]:
     return scenario.periods, scenario.capability, share, np.bincount(scenario.period)
 
 
-def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
-    files: list[str] = []
+def _cmd_estimate(cfg: AppConfig) -> tuple[list[dict], list[str]]:
     if cfg.estimate.panel is not None:
         columns, index_columns = read_panel_csv(cfg.estimate.panel), None
     else:
@@ -274,8 +269,7 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[str], list[str]]:
         "rel_drop": cfg.estimate.rel_drop,
         "horizon": cfg.estimate.horizon,
     }
-    write_json(os.path.join(cfg.run.out, "hazard.json"), payload)
-    files.append("hazard.json")
+    files = [write_json(os.path.join(cfg.run.out, "hazard.json"), payload)]
     files += _write_series(
         cfg.run.out,
         "births",
@@ -336,13 +330,15 @@ def _run(argv: list[str] | None) -> int:
     clock = time.monotonic()
     try:
         os.makedirs(cfg.run.out, exist_ok=True)
-        files, lines = _COMMANDS[args.command](cfg)
-        write_manifest(
+        outputs, lines = _COMMANDS[args.command](cfg)
+        settings = serialize(cfg)
+        del settings["run"]["out"]  # where the outputs go is not what they are
+        manifest = write_manifest(
             out_dir=cfg.run.out,
             command=args.command,
             seed=cfg.run.seed,
-            digest=config_digest(serialize(cfg)),
-            outputs=files,
+            digest=config_digest(settings),
+            outputs=outputs,
             started_utc=started,
             elapsed_seconds=round(time.monotonic() - clock, 6),
             version=__version__,
@@ -361,8 +357,9 @@ def _run(argv: list[str] | None) -> int:
         try:
             for line in lines:
                 print(line)
-            for name in files + ["run.manifest.json"]:
-                print(f"wrote {os.path.join(cfg.run.out, name)}")
+            for entry in outputs:
+                print(f"wrote {os.path.join(cfg.run.out, entry['path'])}")
+            print(f"wrote {manifest}")
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader closed stdout after the run was complete; the summary

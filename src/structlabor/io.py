@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from types import SimpleNamespace
 from typing import Any, Iterable, Sequence
 
@@ -46,18 +45,24 @@ PANEL_COLUMNS = (
 CHUNK_ROWS = 16384
 
 
-def _atomic_write(path: str, parts: Iterable[bytes]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _atomic_write(path: str, parts: Iterable[bytes]) -> dict[str, Any]:
+    """Write ``parts`` to ``path`` atomically, hashing each as it is written,
+    and return the file's manifest entry: its name, sha256 and size."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # Named before it is created, so that a signal (SIGTERM) landing as it is
+    # created finds it to remove; the pid keeps concurrent runs apart.
+    tmp, digest, size = f"{path}.{os.getpid()}.tmp", hashlib.sha256(), 0
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.writelines(parts)
+        with open(tmp, "wb") as handle:
+            for part in parts:
+                digest.update(part)
+                size += handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return {"path": os.path.basename(path), "sha256": digest.hexdigest(), "bytes": size}
 
 
 # Cells are rendered as bytes.  A chunk of rows is one matrix of 8-byte
@@ -344,8 +349,8 @@ def _render(column: np.ndarray, out: np.ndarray) -> None:
         _render_ints(column, out)
 
 
-def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
-    """Write a CSV file atomically from parallel columns, formatted by dtype.
+def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> dict[str, Any]:
+    """Write a CSV file atomically from parallel columns and return its manifest entry.
 
     Columns must be one-dimensional, of equal length, and of boolean,
     integer or float dtype, floats at most as wide as a double.  Booleans
@@ -378,7 +383,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Any]) -> None:
         return words.T.tobytes().translate(None, b"\0")
 
     head = (",".join(header) + "\n").encode("utf-8")
-    _atomic_write(path, itertools.chain([head], forked_map(render, -(-n // CHUNK_ROWS))))
+    return _atomic_write(path, itertools.chain([head], forked_map(render, -(-n // CHUNK_ROWS))))
 
 
 def _sanitize(obj: Any) -> Any:
@@ -406,10 +411,10 @@ def _sanitize(obj: Any) -> Any:
     return obj
 
 
-def write_json(path: str, obj: Any) -> None:
-    """Write a JSON file atomically with sorted keys and stable floats."""
+def write_json(path: str, obj: Any) -> dict[str, Any]:
+    """Write a JSON file atomically with sorted keys and stable floats; return its manifest entry."""
     text = json.dumps(_sanitize(obj), indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(path, [text.encode("utf-8"), b"\n"])
+    return _atomic_write(path, [text.encode("utf-8"), b"\n"])
 
 
 def sha256_file(path: str) -> str:
@@ -431,27 +436,22 @@ def write_manifest(
     command: str,
     seed: int,
     digest: str,
-    outputs: Sequence[str],
+    outputs: Sequence[dict[str, Any]],
     started_utc: str,
     elapsed_seconds: float,
     version: str,
 ) -> str:
-    """Write run.manifest.json describing a run and its output digests.
+    """Write run.manifest.json describing a run and its outputs, given by
+    the entries their writers returned, listed by name.
 
     The timing fields vary between runs by design; byte-level run
     comparison should compare the listed output digests instead.
     """
-    entries = []
-    for name in sorted(outputs):
-        full = os.path.join(out_dir, name)
-        entries.append(
-            {"path": name, "sha256": sha256_file(full), "bytes": os.path.getsize(full)}
-        )
     manifest = {
         "command": command,
         "config_sha256": digest,
         "elapsed_seconds": elapsed_seconds,
-        "outputs": entries,
+        "outputs": sorted(outputs, key=lambda entry: entry["path"]),
         "seed": seed,
         "started_utc": started_utc,
         "tool_version": version,

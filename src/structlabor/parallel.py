@@ -109,8 +109,9 @@ def forked_map(task: Callable[[int], T], n: int) -> Iterator[T]:
     most one worker's result at a time, however many there are.  Runs
     serially in this process with one CPU, one task or no ``fork``.  A
     task's exception is raised here when its result is due, caused by a
-    ``RuntimeError`` that holds the worker's traceback; the workers are
-    then killed, as they are when the consumer stops early.
+    ``RuntimeError`` that holds the worker's traceback, and a worker that
+    dies before a result it owes (killed, say) raises ``ChildProcessError``;
+    the workers are then killed, as they are when the consumer stops early.
     """
     k = min(_cpu_count(), n)
     if k <= 1 or not hasattr(os, "fork"):
@@ -131,7 +132,7 @@ def forked_map(task: Callable[[int], T], n: int) -> Iterator[T]:
             try:
                 result, trace = pickle.load(pipe)
             except EOFError:
-                raise RuntimeError(f"forked worker {pid} exited without a result") from None
+                raise ChildProcessError(f"forked worker {pid} exited without a result") from None
             if trace is not None:
                 raise result from RuntimeError(f"in forked worker {pid}:\n{trace}")
             yield result

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 
 from structlabor.cli import main
 from structlabor.io import sha256_file
+from structlabor.parallel import _cpu_count
 from structlabor.rng import derive_seed
 from structlabor.schema import MAX_PERIODS
 
@@ -24,6 +27,11 @@ TINY_ROY = {
 SMALL_PORTFOLIO = {
     "portfolio": {"n_families": 3, "T": 10, "entry": {"mu": 0.3}},
     "priors": {"n_draws": 500},
+}
+
+# About 667k panel rows, whose panel.csv is written for a few tenths of a second.
+LARGE_PORTFOLIO = {
+    "portfolio": {"n_families": 200, "T": 1000, "entry": {"mu": 1.0}, "drift": {"enabled": True}},
 }
 
 
@@ -60,6 +68,35 @@ def test_manifest_lists_correct_digests(tmp_path):
     assert len(manifest["config_sha256"]) == 64
     for entry in manifest["outputs"]:
         assert entry["sha256"] == sha256_file(os.path.join(out, entry["path"]))
+
+
+def test_manifest_entries_are_the_bytes_each_writer_wrote(tmp_path, monkeypatch):
+    # No output is read back to be hashed.
+    def refuse(path):
+        raise AssertionError(f"{path} was read back to be hashed")
+
+    monkeypatch.setattr("structlabor.io.sha256_file", refuse)
+    cfg = write_config(tmp_path, SMALL_PORTFOLIO)
+    out = tmp_path / "out"
+    assert main(["portfolio", "--config", cfg, "--out", str(out), "--format", "both", "--quiet"]) == 0
+    outputs = read_json(out, "run.manifest.json")["outputs"]
+    assert [e["path"] for e in outputs] == sorted(p.name for p in out.iterdir() if p.name != "run.manifest.json")
+    for entry in outputs:
+        data = (out / entry["path"]).read_bytes()
+        assert (entry["sha256"], entry["bytes"]) == (hashlib.sha256(data).hexdigest(), len(data))
+
+
+def test_one_config_into_two_directories_gives_one_manifest(tmp_path):
+    # The config digest leaves run.out out, so only the timing fields differ.
+    cfg = write_config(tmp_path, SMALL_PORTFOLIO)
+    manifests = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        assert main(["portfolio", "--config", cfg, "--out", out, "--quiet"]) == 0
+        manifest = read_json(out, "run.manifest.json")
+        del manifest["elapsed_seconds"], manifest["started_utc"]
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):
@@ -495,9 +532,7 @@ def test_sigterm_mid_write_leaves_no_temporary_file_or_worker(tmp_path):
     # A large portfolio is sent SIGTERM once its panel.csv is being written
     # (a temporary file is in the output directory): the run exits with 143,
     # its temporary file removed and its forked workers reaped.
-    cfg = write_config(tmp_path, {
-        "portfolio": {"n_families": 200, "T": 1000, "entry": {"mu": 1.0}, "drift": {"enabled": True}},
-    })
+    cfg = write_config(tmp_path, LARGE_PORTFOLIO)
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.Popen(
@@ -517,6 +552,45 @@ def test_sigterm_mid_write_leaves_no_temporary_file_or_worker(tmp_path):
     assert (proc.returncode, stderr) == (143, "")
     assert not list(out.glob("*.tmp"))
     # The run was its own process group, so none of its workers is left in it.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.skipif(
+    _cpu_count() < 2 or not os.path.isdir("/proc/self/task"),
+    reason="panel.csv is rendered in forked workers with 2+ CPUs, found here through /proc",
+)
+def test_killed_worker_exits_three_with_one_json_error(tmp_path):
+    # One forked worker of a large portfolio's panel.csv write is sent
+    # SIGKILL: the run reports an io error (exit 3, one JSON object on
+    # stderr), its temporary file removed and its other workers reaped.
+    cfg = write_config(tmp_path, LARGE_PORTFOLIO)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "structlabor.cli", "portfolio", "--config", cfg, "--out", str(out), "--quiet"],
+        stderr=subprocess.PIPE, env=env, text=True, start_new_session=True,
+    )
+    try:
+        children, workers = f"/proc/{proc.pid}/task/{proc.pid}/children", []
+        deadline = time.monotonic() + 120
+        while not workers and proc.poll() is None and time.monotonic() < deadline:
+            if list(out.glob("*.tmp")):
+                with open(children, encoding="ascii") as fh:
+                    workers = fh.read().split()
+            time.sleep(0.001)
+        assert workers, "the run forked no worker while its panel.csv was watched"
+        os.kill(int(workers[0]), signal.SIGKILL)
+        stderr = proc.communicate(timeout=120)[1]
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 3
+    [line] = stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "io"
+    assert re.fullmatch("forked worker [0-9]+ exited without a result", error["message"])
+    assert not list(out.glob("*.tmp"))
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
 

@@ -325,11 +325,10 @@ def test_config_digest_is_key_order_invariant():
 
 def test_write_manifest_structure(tmp_path):
     out = str(tmp_path)
-    write_csv(os.path.join(out, "b.csv"), ("a",), [[1]])
-    write_json(os.path.join(out, "a.json"), {"k": 1})
+    outputs = [write_csv(os.path.join(out, "b.csv"), ("a",), [[1]]), write_json(os.path.join(out, "a.json"), {"k": 1})]
     path = write_manifest(
         out, command="simulate", seed=5, digest="d" * 64,
-        outputs=["b.csv", "a.json"], started_utc="2026-01-01T00:00:00Z",
+        outputs=outputs, started_utc="2026-01-01T00:00:00Z",
         elapsed_seconds=0.25, version="1.0.0",
     )
     manifest = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -92,7 +92,7 @@ def test_forked_map_raises_a_worker_error_when_its_result_is_due(pin_cpus):
 
 def test_forked_map_reports_a_worker_that_exits_without_a_result(pin_cpus):
     pin_cpus(2)
-    with pytest.raises(RuntimeError, match="^forked worker [0-9]+ exited without a result$"):
+    with pytest.raises(ChildProcessError, match="^forked worker [0-9]+ exited without a result$"):
         list(forked_map(lambda i: os._exit(3) if i else i, 2))
     assert_no_child_left()
 
