@@ -70,12 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default=None, help="series output format")
     common.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sub.add_parser("steady-state", parents=[common], help="long-run allocation, prices, and sensitivities")
-    sub.add_parser("calibrate", parents=[common], help="Monte Carlo distribution of the long-run share")
-    sub.add_parser("simulate", parents=[common], help="transition path toward the long-run allocation")
-    sub.add_parser("portfolio", parents=[common], help="task-family scenario and maturity panel")
-    sub.add_parser("roy", parents=[common], help="paired wage-dispersion experiment")
-    sub.add_parser("estimate", parents=[common], help="hazard decomposition and counts from a panel")
+    for name, (_, summary) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=summary)
     return parser
 
 
@@ -196,34 +192,22 @@ def _cmd_portfolio(cfg: AppConfig) -> tuple[list[dict], list[str]]:
 
 
 def _cmd_roy(cfg: AppConfig) -> tuple[list[dict], list[str]]:
-    seed = derive_seed(cfg.run.seed, "roy")
-    result = dispersion_experiment(
-        cfg.roy.experiment,
-        cfg.roy.treatment,
-        cfg.roy.factor,
-        cfg.roy.replications,
-        seed,
-    )
-
-    def arm_dict(arm) -> dict:
-        # The averaged statistics sit beside the arm's other fields.
-        fields = arm._asdict()
-        return {**asdict(fields.pop("stats")), **fields}
-
+    exp = cfg.roy
+    result = dispersion_experiment(exp, derive_seed(cfg.run.seed, "roy"))
     payload = {
-        "treatment": result.treatment,
-        "factor": result.factor,
-        "replications": len(result.base),
+        "treatment": exp.treatment,
+        "factor": exp.factor,
+        "replications": exp.replications,
         "mean_variance_diff": result.mean_variance_diff,
         "share_positive": result.share_positive,
         "per_replication": [
-            {"base": arm_dict(b), "treated": arm_dict(t), "variance_diff": d}
+            {"base": b, "treated": t, "variance_diff": d}
             for b, t, d in zip(result.base, result.treated, result.variance_diffs)
         ],
     }
     entry = write_json(os.path.join(cfg.run.out, "roy.json"), payload)
     lines = [
-        f"{result.treatment} x{result.factor:g} over {len(result.base)} replications: "
+        f"{exp.treatment} x{exp.factor:g} over {exp.replications} replications: "
         f"mean log-wage variance diff {result.mean_variance_diff:+.4f} "
         f"(positive in {result.share_positive:.0%})",
     ]
@@ -296,13 +280,14 @@ def _cmd_estimate(cfg: AppConfig) -> tuple[list[dict], list[str]]:
     return files, lines
 
 
+# Each command's function and its help line, in the order the help lists them.
 _COMMANDS = {
-    "steady-state": _cmd_steady_state,
-    "calibrate": _cmd_calibrate,
-    "simulate": _cmd_simulate,
-    "portfolio": _cmd_portfolio,
-    "roy": _cmd_roy,
-    "estimate": _cmd_estimate,
+    "steady-state": (_cmd_steady_state, "long-run allocation, prices, and sensitivities"),
+    "calibrate": (_cmd_calibrate, "Monte Carlo distribution of the long-run share"),
+    "simulate": (_cmd_simulate, "transition path toward the long-run allocation"),
+    "portfolio": (_cmd_portfolio, "task-family scenario and maturity panel"),
+    "roy": (_cmd_roy, "paired wage-dispersion experiment"),
+    "estimate": (_cmd_estimate, "hazard decomposition and counts from a panel"),
 }
 
 
@@ -330,7 +315,7 @@ def _run(argv: list[str] | None) -> int:
     clock = time.monotonic()
     try:
         os.makedirs(cfg.run.out, exist_ok=True)
-        outputs, lines = _COMMANDS[args.command](cfg)
+        outputs, lines = _COMMANDS[args.command][0](cfg)
         settings = serialize(cfg)
         del settings["run"]["out"]  # where the outputs go is not what they are
         manifest = write_manifest(

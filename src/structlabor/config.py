@@ -33,8 +33,8 @@ from .schema import MAX_FAMILIES, MAX_PERIODS
 
 FORMATS = ("csv", "json", "both")
 
-# Kinds beyond Python types: a [lo, hi] pair with lo <= hi, and one number per
-# family (a scalar is broadcast).
+# Kinds beyond Python types: a [lo, hi] pair (lo <= hi is a rule), and one
+# number per family (a scalar is broadcast).
 PAIR = "pair"
 PER_FAMILY = "per-family"
 
@@ -110,9 +110,9 @@ FIELDS = (
     Field("roy.k_ref", float, 1.0, schema.ROY["k_ref"]),
     Field("roy.tol", float, 1e-9, schema.ROY["tol"]),
     Field("roy.eval_window", int, 12, schema.ROY["eval_window"]),
-    Field("roy.treatment", str, "mu", schema.EXPERIMENT["treatment"]),
-    Field("roy.factor", float, 2.0, schema.EXPERIMENT["factor"]),
-    Field("roy.replications", int, 10, schema.EXPERIMENT["replications"]),
+    Field("roy.treatment", str, "mu", schema.ROY["treatment"]),
+    Field("roy.factor", float, 2.0, schema.ROY["factor"]),
+    Field("roy.replications", int, 10, schema.ROY["replications"]),
     Field("estimate.panel", str, None, schema.NONEMPTY),  # null simulates the panel
     Field("estimate.rel_drop", float, 0.2, schema.DETECTION["rel_drop"]),
     Field("estimate.horizon", int, 1, schema.DETECTION["horizon"]),
@@ -124,9 +124,12 @@ RULES = (
     ("", schema.Rule(
         "transition.L_S0", lambda c: (c["transition"]["L_S0"] or 0) <= c["baseline"]["L_bar"], "must be <= L_bar"
     )),
+    *(("priors", rule) for rule in schema.PRIOR_RULES),
+    ("portfolio.entry", schema.DELTA_ORDER),
+    ("portfolio.drift", schema.HAZARD_SUM),
+    ("roy", schema.DELTA_ORDER),
     ("roy", schema.EVAL_WINDOW),
     ("roy", schema.SIGMA_ORDER),
-    ("portfolio.drift", schema.HAZARD_SUM),
     ("roy", schema.TREATED_INTENSITY),
 )
 
@@ -175,8 +178,6 @@ def _coerce(f: Field, value: Any, resolved: dict) -> Any:
         if not isinstance(value, (list, tuple)) or len(value) != n:
             raise ConfigError(f.path, f"expected a list of {n} numbers")
         value = [_typed(v, f.path, float) for v in value]
-        if f.kind is PAIR and value[0] > value[1]:
-            raise ConfigError(f.path, "must have lo <= hi")
     else:
         value = _typed(value, f.path, f.kind)
     if f.check is not None and not all(map(f.check.holds, value if isinstance(value, list) else [value])):
@@ -214,7 +215,7 @@ class AppConfig:
 
     def __init__(self, data: Any = None, overrides: Any = None) -> None:
         self._resolved = c = _resolve(data, overrides)
-        p, r = c["portfolio"], c["roy"]
+        p = c["portfolio"]
         self.run = SimpleNamespace(**c["run"])
         self.transition = SimpleNamespace(**c["transition"])
         self.estimate = SimpleNamespace(**c["estimate"])
@@ -238,8 +239,7 @@ class AppConfig:
         self.portfolio = SimpleNamespace(
             **{**p, "entry": entry, "initial": initial, "drift": drift if d["enabled"] else None}
         )
-        experiment = RoyExperiment(**{k: v for k, v in r.items() if k not in schema.EXPERIMENT})
-        self.roy = SimpleNamespace(**r, experiment=experiment)
+        self.roy = RoyExperiment(**c["roy"])
 
 
 def load_config(path: str | None, overrides: Any = None) -> AppConfig:

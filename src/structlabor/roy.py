@@ -32,7 +32,7 @@ from .portfolio import (
     run_portfolio_scenario,
 )
 from .rng import derive_seed, stream
-from .schema import DELTA_ORDER, EVAL_WINDOW, EXPERIMENT, ROY, SIGMA_ORDER, TREATED_INTENSITY, check, pair, real_column
+from .schema import DELTA_ORDER, EVAL_WINDOW, ROY, SIGMA_ORDER, TREATED_INTENSITY, check, pair, real_column
 
 _DELTA_CAP = 0.95
 _ENTRANT_OMEGA_MEDIAN = 1.0  # median importance weight of an arm's entrants
@@ -432,18 +432,19 @@ def maturity_skill_sigma(maturity, sigma_young: float, sigma_mature: float, k_re
 
 @dataclass(frozen=True)
 class RoyExperiment:
-    """A paired-counterfactual design for wage dispersion.
+    """A paired-counterfactual design for wage dispersion: the config's whole ``roy`` section.
 
-    Each replication builds a portfolio scenario, draws a worker
-    population over the resulting families (skill dispersion tied to
-    family maturity via :func:`maturity_skill_sigma`), solves the
-    assignment problem, and records dispersion statistics; the treatment
-    arm repeats this with the entry intensity or the decay rates scaled
-    by a factor, reusing the same random draws everywhere the two arms
-    overlap.  Each solve is certified to ``tol``, the only solver setting
-    here; its smoothing schedule is a module constant, and each stage
-    from the second on ends with one exact finish at a tie width of its
-    smoothing.  ``delta_j`` is a ``(lo, hi)`` pair, stored as a tuple.
+    Each of ``replications`` replications builds a portfolio scenario,
+    draws a worker population over the resulting families (skill
+    dispersion tied to family maturity via :func:`maturity_skill_sigma`),
+    solves the assignment problem, and records dispersion statistics; the
+    treated arm repeats this with the entry intensity (``treatment`` "mu")
+    or the decay rates ("delta") scaled by ``factor``, reusing the same
+    random draws everywhere the two arms overlap.  Each solve is certified
+    to ``tol``, the only solver setting here; its smoothing schedule is a
+    module constant, and each stage from the second on ends with one exact
+    finish at a tie width of its smoothing.  ``delta_j`` is a ``(lo, hi)``
+    pair, stored as a tuple.
     """
 
     n_initial: int
@@ -465,17 +466,24 @@ class RoyExperiment:
     k_ref: float
     eval_window: int
     tol: float
+    treatment: str
+    factor: float
+    replications: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_j", pair("delta_j", self.delta_j))
-        check(vars(self), ROY, (DELTA_ORDER, EVAL_WINDOW, SIGMA_ORDER))
+        check(vars(self), ROY, (DELTA_ORDER, EVAL_WINDOW, SIGMA_ORDER, TREATED_INTENSITY))
 
 
 class ArmOutcome(NamedTuple):
-    """One arm of one replication: its averaged statistics, the largest
-    certificates and tie count of its solves, and their Newton steps."""
+    """One arm of one replication, as ``roy.json`` writes it: the
+    :class:`DispersionStats` fields averaged over its solves, the largest
+    certificates and tie count of those solves, and their Newton steps."""
 
-    stats: DispersionStats
+    mean_wage: float
+    log_wage_variance: float
+    p90_p10: float
+    top_decile_share: float
     n_families: int
     gap_max: float
     residual_max: float
@@ -486,8 +494,6 @@ class ArmOutcome(NamedTuple):
 class ExperimentResult(NamedTuple):
     """Paired dispersion outcomes across replications."""
 
-    treatment: str
-    factor: float
     base: tuple[ArmOutcome, ...]
     treated: tuple[ArmOutcome, ...]
     variance_diffs: tuple[float, ...]
@@ -557,10 +563,10 @@ def _run_arm(exp: RoyExperiment, arm: _ArmInputs) -> ArmOutcome:
     for lo, hi in zip(arm.bounds[:-1], arm.bounds[1:]):
         a = draws.skills(maturity_skill_sigma(arm.maturity[lo:hi], exp.sigma_young, exp.sigma_mature, exp.k_ref))
         eqs.append(solve_roy(a, arm.effective_weight[lo:hi], arm.final.tech, Lambda=exp.Lambda, tol=exp.tol))
-    # Each statistic is averaged over the periods on its own.
+    # Each statistic is averaged over the periods on its own, and the averages are checked as one.
     stats = zip(*(astuple(wage_stats(eq.wages)) for eq in eqs))
     return ArmOutcome(
-        stats=DispersionStats(*map(_mean, stats)),
+        *astuple(DispersionStats(*map(_mean, stats))),
         n_families=arm.final.size,
         gap_max=max(eq.gap for eq in eqs),
         residual_max=max(eq.residual for eq in eqs),
@@ -573,16 +579,10 @@ def _mean(values) -> float:
     return math.fsum(values) / len(values)
 
 
-def dispersion_experiment(
-    experiment: RoyExperiment,
-    treatment: str,
-    factor: float,
-    replications: int,
-    seed: int,
-) -> ExperimentResult:
+def dispersion_experiment(experiment: RoyExperiment, seed: int) -> ExperimentResult:
     """Paired comparison of wage dispersion under faster family turnover.
 
-    treatment "mu" scales the entry intensity; treatment "delta" scales
+    Treatment "mu" scales the entry intensity; treatment "delta" scales
     every decay rate (initial families and the entrant distribution,
     capped below 1).  Both arms of a replication share all random draws
     through keyed substreams, so a factor of 1 reproduces the base arm
@@ -594,10 +594,8 @@ def dispersion_experiment(
     Results come back in replication order, so the outcome does not depend
     on the number of workers.
     """
-    arguments = {"treatment": treatment, "factor": factor, "replications": replications, "mu": experiment.mu}
-    check(arguments, EXPERIMENT, (TREATED_INTENSITY,))
-
-    mu_factor, delta_factor = (factor, 1.0) if treatment == "mu" else (1.0, factor)
+    factor, replications = experiment.factor, experiment.replications
+    mu_factor, delta_factor = (factor, 1.0) if experiment.treatment == "mu" else (1.0, factor)
     arms: list[_ArmInputs] = []
     for rep in range(replications):
         rep_seed = derive_seed(seed, "replication", rep)
@@ -605,11 +603,9 @@ def dispersion_experiment(
         arms.append(_arm_inputs(experiment, rep_seed, mu_factor=mu_factor, delta_factor=delta_factor))
     pairs = forked_map(lambda r: tuple(_run_arm(experiment, arm) for arm in arms[2 * r : 2 * r + 2]), replications)
     base, treated = zip(*pairs)
-    diffs = [t.stats.log_wage_variance - b.stats.log_wage_variance for b, t in zip(base, treated)]
+    diffs = [t.log_wage_variance - b.log_wage_variance for b, t in zip(base, treated)]
 
     return ExperimentResult(
-        treatment=treatment,
-        factor=factor,
         base=base,
         treated=treated,
         variance_diffs=tuple(diffs),

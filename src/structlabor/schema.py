@@ -195,19 +195,17 @@ ROY = {
     "epsilon_floor": POSITIVE, "labor_budget": NONNEGATIVE, "T": count(1, MAX_PERIODS), "mu": INTENSITY,
     "k_seed": NONNEGATIVE, "omega_sigma": NONNEGATIVE, "n_workers": count(2, MAX_WORKERS),
     "sigma_young": NONNEGATIVE, "sigma_mature": NONNEGATIVE, "k_ref": POSITIVE, "eval_window": COUNT,
-    "tol": POSITIVE,
+    "tol": POSITIVE, "treatment": one_of("mu", "delta"), "factor": POSITIVE,
+    "replications": count(1, MAX_REPLICATIONS),
 }
 EVAL_WINDOW = Rule("eval_window", lambda c: c["eval_window"] <= c["T"] + 1, "must be <= T + 1")
 SIGMA_ORDER = Rule("sigma_mature", lambda c: c["sigma_mature"] <= c["sigma_young"], "must be <= sigma_young")
+TREATED_INTENSITY = Rule(
+    "factor", lambda c: c["treatment"] != "mu" or c["mu"] * c["factor"] <= POISSON_MAX_INTENSITY,
+    f"* mu must be <= {POISSON_MAX_INTENSITY:g} under treatment mu",
+)
 # The arguments of the functions that read the other config fields.
 TRANSITION = {"k0": POSITIVE, "L_S0": NONNEGATIVE, "T": count(1, MAX_PERIODS), "damping": STEP, "tol": POSITIVE}
 SCENARIO = {"labor_budget": NONNEGATIVE, "T": COUNT}
 WINDOWS = {"start": count(0), "every": COUNT}
 DETECTION = {"rel_drop": OPEN_UNIT, "horizon": count(1, MAX_HORIZON)}
-# The arguments of a dispersion experiment beside the experiment itself; the
-# rule reads the experiment's ``mu``.
-EXPERIMENT = {"treatment": one_of("mu", "delta"), "factor": POSITIVE, "replications": count(1, MAX_REPLICATIONS)}
-TREATED_INTENSITY = Rule(
-    "factor", lambda c: c["treatment"] != "mu" or c["mu"] * c["factor"] <= POISSON_MAX_INTENSITY,
-    f"* mu must be <= {POISSON_MAX_INTENSITY:g} under treatment mu",
-)

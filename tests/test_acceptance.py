@@ -57,7 +57,7 @@ INITIAL = DEFAULTS.portfolio.initial
 CES = INITIAL.aggregator
 ADD = replace(CES, kind="additive", rho=None)
 ENTRY = DEFAULTS.portfolio.entry
-EXPERIMENT = DEFAULTS.roy.experiment
+EXPERIMENT = DEFAULTS.roy
 
 
 def capability(p):
@@ -343,8 +343,8 @@ def test_criterion_09_roy_equilibrium_and_dispersion():
 
     exp = EXPERIMENT
     seed = 2024
-    mu_res = dispersion_experiment(exp, "mu", factor=2.0, replications=20, seed=seed)
-    delta_res = dispersion_experiment(exp, "delta", factor=2.0, replications=20, seed=seed)
+    mu_res = dispersion_experiment(replace(exp, replications=20), seed=seed)
+    delta_res = dispersion_experiment(replace(exp, treatment="delta", replications=20), seed=seed)
     mu_pos = sum(d > 0.0 for d in mu_res.variance_diffs)
     delta_pos = sum(d > 0.0 for d in delta_res.variance_diffs)
     dispersion_ok = (

@@ -868,6 +868,48 @@ def test_build_independent_outputs_keep_their_digests(tmp_path, command):
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == BUILD_INDEPENDENT_DIGESTS[command]
 
 
+def _dispatched_targets():
+    """The SIMD targets this numpy dispatches at run time on this CPU, or None where that cannot be read."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    except (ImportError, AttributeError):
+        return None
+
+
+def test_build_independent_outputs_match_with_simd_dispatch_off(tmp_path):
+    # The outputs the README calls build-independent, from the default
+    # config, are byte-identical when every SIMD target numpy dispatches is
+    # switched off: a second code path of the same build.
+    targets = _dispatched_targets()
+    if targets is None:
+        pytest.skip("numpy's dispatch list cannot be read")
+    if not targets:
+        pytest.skip("numpy dispatches no SIMD target on this CPU, so there is no second code path")
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    off = {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    probe = "from numpy._core import _multiarray_umath as m; print(any(m.__cpu_features__[t] for t in m.__cpu_dispatch__))"
+    run = subprocess.run([sys.executable, "-c", probe], env=off, capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.strip() == "False"  # the switch took
+
+    def outputs(label, environment):
+        files = {}
+        for command in ("steady-state", "calibrate", "simulate"):
+            out = tmp_path / label / command
+            args = [sys.executable, "-m", "structlabor.cli", command, "--out", str(out), "--format", "both", "--quiet"]
+            subprocess.run(args, env=environment, check=True, timeout=120)
+            files.update({p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.manifest.json"})
+        return files
+
+    on, dispatch_off = outputs("on", env), outputs("off", off)
+    assert sorted(on) == ["calibration.json", "path.csv", "path.json", "steady_state.json", "transition.json"]
+    assert sorted(dispatch_off) == sorted(on)
+    for name, data in on.items():
+        assert dispatch_off[name] == data, name
+
+
 def test_outputs_do_not_depend_on_workers(tmp_path, pin_cpus):
     # A panel of more than one CSV chunk, written serially and by two forked
     # workers; calibrate runs in one process, so its outputs must not move either.

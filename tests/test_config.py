@@ -18,7 +18,7 @@ from structlabor.core import BaselineParams, simulate_transition
 from structlabor.estimators import MaturityPanel, detect_degradation
 from structlabor.errors import ConfigError, DomainError
 from structlabor.portfolio import AggregatorSpec, DriftConfig, EntryConfig, Portfolio, PowerCodification
-from structlabor.roy import RoyExperiment, dispersion_experiment, maturity_skill_sigma, solve_roy
+from structlabor.roy import RoyExperiment, maturity_skill_sigma, solve_roy
 from structlabor.schema import (
     MAX_DRAWS,
     MAX_FAMILIES,
@@ -128,8 +128,9 @@ def test_out_of_range_values_surface_the_reason():
         AppConfig({"run": {"seed": -1}})
     with pytest.raises(ConfigError):
         AppConfig({"run": {"seed": 2**64}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         AppConfig({"priors": {"gamma": [0.08, 0.02]}})
+    assert (err.value.path, err.value.message) == ("priors.gamma", "gamma must have lo <= hi")
     with pytest.raises(ConfigError):
         AppConfig({"estimate": {"rel_drop": 1.0}})
 
@@ -153,20 +154,20 @@ def test_drift_numbers_validated_even_when_disabled():
 
 def test_roy_section_flows_into_experiment():
     cfg = AppConfig({"roy": {"n_workers": 60, "T": 12, "eval_window": 4}})
-    assert cfg.roy.experiment.n_workers == 60
-    assert cfg.roy.experiment.T == 12
-    assert cfg.roy.experiment.eval_window == 4
+    assert cfg.roy.n_workers == 60
+    assert cfg.roy.T == 12
+    assert cfg.roy.eval_window == 4
     # Defaults for fields not mentioned come from the experiment itself.
     base = AppConfig({})
-    assert base.roy.experiment.sigma_young == 1.5
-    assert base.roy.experiment.epsilon_floor == 0.25
-    assert base.roy.experiment.eval_window == 12
+    assert base.roy.sigma_young == 1.5
+    assert base.roy.epsilon_floor == 0.25
+    assert base.roy.eval_window == 12
 
 
 def test_entry_intensities_load_up_to_the_sampler_limit():
     # The treated intensity mu * factor is bounded only under treatment mu.
     cfg = AppConfig({"roy": {"mu": 300.0, "factor": 2.0, "treatment": "delta"}})
-    assert (cfg.roy.mu, cfg.roy.factor, cfg.roy.experiment.mu) == (300.0, 2.0, 300.0)
+    assert (cfg.roy.mu, cfg.roy.factor, cfg.roy.treatment) == (300.0, 2.0, "delta")
     assert AppConfig({"portfolio": {"entry": {"mu": 500.0}}}).portfolio.entry.mu == 500.0
 
 
@@ -243,7 +244,7 @@ def _library_calls():
     """(label, call taking one field's value, the schema rows of its fields)
     for every validating class and the functions that take schema rows."""
     cfg = AppConfig({"portfolio": {"drift": {"enabled": True}}})
-    exp = dataclasses.replace(cfg.roy.experiment, n_initial=2, T=3, eval_window=2, n_workers=5)
+    exp = dataclasses.replace(cfg.roy, n_initial=2, T=3, eval_window=2, n_workers=5)
     panel = MaturityPanel(
         family_id=np.zeros(2, dtype=np.int64), period=np.arange(2), maturity=np.array([1.0, 0.5]),
         tech_window=np.zeros(2, dtype=bool), org_window=np.zeros(2, dtype=bool),
@@ -260,8 +261,6 @@ def _library_calls():
          {name: schema.ROY[name] for name in ("Lambda", "tol")}),
         (maturity_skill_sigma, {"maturity": np.ones(2), "sigma_young": 0.5, "sigma_mature": 0.2, "k_ref": 1.0},
          {name: schema.ROY[name] for name in ("sigma_young", "sigma_mature", "k_ref")}),
-        (dispersion_experiment, {"experiment": exp, "treatment": "mu", "factor": 2.0, "replications": 1, "seed": 0},
-         schema.EXPERIMENT),
         (detect_degradation, {"panel": panel, "rel_drop": 0.3, "horizon": 1}, schema.DETECTION),
     ]
     for fn, given, rows in functions:
@@ -312,7 +311,7 @@ def test_a_value_that_cannot_be_judged_is_refused_like_one_out_of_range():
         dataclasses.replace(AppConfig().portfolio.initial, omega=["1.0"] * 8)
     # A column for a single value, within a cross-field rule's domain.
     with pytest.raises(DomainError, match="^sigma_young must be a real number$"):
-        dataclasses.replace(AppConfig().roy.experiment, sigma_young=np.array([0.5, 0.6]))
+        dataclasses.replace(AppConfig().roy, sigma_young=np.array([0.5, 0.6]))
 
 
 def test_each_section_class_takes_exactly_its_section():
@@ -324,7 +323,7 @@ def test_each_section_class_takes_exactly_its_section():
         BaselineParams: set(resolved["baseline"]),
         PriorSpec: set(resolved["priors"]) | {"seed"},
         EntryConfig: set(resolved["portfolio"]["entry"]),
-        RoyExperiment: set(resolved["roy"]) - set(schema.EXPERIMENT),
+        RoyExperiment: set(resolved["roy"]),
     }
     for cls, keys in sections.items():
         assert {f.name for f in dataclasses.fields(cls)} == keys, cls.__name__

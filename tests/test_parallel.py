@@ -210,8 +210,8 @@ def test_roy_workers_do_linear_algebra_after_blas_has_started_threads():
         "rng = np.random.default_rng(0)\n"
         "np.linalg.solve(rng.standard_normal((300, 300)), rng.standard_normal(300))\n"
         "parallel._cpu_count = lambda: 2\n"
-        "exp = replace(DEFAULTS.roy.experiment, n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4)\n"
-        "res = dispersion_experiment(exp, 'mu', factor=2.0, replications=2, seed=1)\n"
+        "exp = replace(DEFAULTS.roy, n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4, replications=2)\n"
+        "res = dispersion_experiment(exp, seed=1)\n"
         "print(len(res.base + res.treated), 'multiprocessing' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

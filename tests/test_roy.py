@@ -26,7 +26,7 @@ from oracles import roy_consistent_assignments
 
 TECH = PowerCodification(beta=0.5)
 # The config's Roy experiment, and its initial portfolio, aggregator (CES at rho 0.5) and entry.
-EXPERIMENT = DEFAULTS.roy.experiment
+EXPERIMENT = DEFAULTS.roy
 INITIAL = DEFAULTS.portfolio.initial
 CES = INITIAL.aggregator
 ADD = replace(CES, kind="additive", rho=None)
@@ -422,7 +422,7 @@ def test_default_experiment_solves_are_all_certified(monkeypatch, pin_cpus):
         return eq
 
     monkeypatch.setattr(roy, "solve_roy", recording)
-    dispersion_experiment(EXPERIMENT, "mu", 2.0, 10, derive_seed(0, "roy"))
+    dispersion_experiment(EXPERIMENT, derive_seed(0, "roy"))
     assert len(eqs) == 240
     for eq, n in eqs:
         assert eq.converged
@@ -551,48 +551,43 @@ def test_roy_experiment_applies_the_config_bounds(field, value, message):
 
 
 @pytest.mark.parametrize(
-    "arguments, message",
+    "changes, message",
     [
         ({"replications": 10**5}, r"^replications must be an integer in \[1, 10000\]$"),
-        ({"factor": 2.0, "experiment": replace(EXPERIMENT, mu=300.0)}, r"^factor \* mu must be <= 500 under treatment mu$"),
+        ({"replications": 0}, r"^replications must be an integer in \[1, 10000\]$"),
+        ({"mu": 300.0}, r"^factor \* mu must be <= 500 under treatment mu$"),
         ({"treatment": "sigma"}, r"^treatment must be one of mu, delta$"),
+        ({"factor": 0.0}, r"^factor must be positive$"),
     ],
 )
-def test_dispersion_experiment_checks_its_arguments_before_any_arm(monkeypatch, arguments, message):
-    def build_arm(*args, **kwargs):
-        raise AssertionError("an arm was built before the arguments were checked")
-
-    monkeypatch.setattr(roy, "_arm_inputs", build_arm)
-    arguments = {"experiment": EXPERIMENT, "treatment": "mu", "factor": 2.0, "replications": 1, **arguments}
+def test_roy_experiment_checks_its_treatment_factor_and_replications(changes, message):
+    # The whole design is checked where it is built, so a run never starts on one it cannot finish.
     with pytest.raises(DomainError, match=message):
-        dispersion_experiment(seed=0, **arguments)
+        replace(EXPERIMENT, **changes)
 
 
-SMALL = replace(EXPERIMENT, n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4)
+SMALL = replace(EXPERIMENT, n_initial=3, T=6, eval_window=3, n_workers=40, mu=0.4, replications=3)
 
 
 def test_dispersion_factor_one_is_an_exact_null():
     # With factor 1 the two arms share every draw, so the paired
     # differences must be exactly zero, not merely small.
     for treatment in ("mu", "delta"):
-        res = dispersion_experiment(SMALL, treatment, factor=1.0, replications=2, seed=5)
+        res = dispersion_experiment(replace(SMALL, treatment=treatment, factor=1.0, replications=2), seed=5)
         assert res.variance_diffs == (0.0, 0.0)
         assert res.mean_variance_diff == 0.0
         for b, t in zip(res.base, res.treated):
-            assert b.stats == t.stats
-            assert b.n_families == t.n_families
+            assert b == t
 
 
 def test_dispersion_experiment_bookkeeping():
-    res = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
-    assert res.treatment == "mu"
-    assert res.factor == 2.0
+    res = dispersion_experiment(SMALL, seed=1)
     assert len(res.base) == len(res.treated) == len(res.variance_diffs) == 3
     for b, t, d in zip(res.base, res.treated, res.variance_diffs):
-        assert d == t.stats.log_wage_variance - b.stats.log_wage_variance
+        assert d == t.log_wage_variance - b.log_wage_variance
         assert t.n_families >= b.n_families
     assert res.share_positive == np.mean([d > 0 for d in res.variance_diffs])
-    again = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
+    again = dispersion_experiment(SMALL, seed=1)
     assert again.variance_diffs == res.variance_diffs
 
 
@@ -614,9 +609,9 @@ def test_experiment_does_not_depend_on_workers(cpus, pin_cpus):
     # Three replications, more than the two workers.  Each replication's
     # solves run in a forked worker at two CPUs, and the outcome matches the
     # serial one bit for bit.
-    res = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
+    res = dispersion_experiment(SMALL, seed=1)
     pin_cpus(1)
-    serial = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
+    serial = dispersion_experiment(SMALL, seed=1)
     assert isinstance(res.base, tuple) and isinstance(res.treated, tuple)
     assert _bits(res) == _bits(serial)
 
@@ -633,7 +628,7 @@ def test_experiment_runs_one_forked_task_per_replication(monkeypatch, pin_cpus):
         return real(task, n)
 
     monkeypatch.setattr(roy, "forked_map", recording)
-    res = dispersion_experiment(SMALL, "mu", factor=2.0, replications=3, seed=1)
+    res = dispersion_experiment(SMALL, seed=1)
     assert tasks == [3]
     assert len(res.base) == len(res.treated) == len(res.variance_diffs) == 3
 
@@ -649,7 +644,7 @@ def test_arms_draw_skills_once_through_generate(monkeypatch, pin_cpus):
         return generate(n_workers, portfolio, seed)
 
     monkeypatch.setattr(WorkerSkillMatrix, "generate", classmethod(recording))
-    res = dispersion_experiment(SMALL, "mu", 2.0, replications=2, seed=3)
+    res = dispersion_experiment(replace(SMALL, replications=2), seed=3)
     arms = [arm for pair in zip(res.base, res.treated) for arm in pair]
     assert len(calls) == 4
     assert calls == [arm.n_families for arm in arms]
@@ -666,7 +661,7 @@ def test_arm_newton_steps_sum_its_solves(monkeypatch, pin_cpus):
         return eq
 
     monkeypatch.setattr(roy, "solve_roy", recording)
-    res = dispersion_experiment(SMALL, "delta", factor=2.0, replications=2, seed=3)
+    res = dispersion_experiment(replace(SMALL, treatment="delta", replications=2), seed=3)
     arms = [arm for pair in zip(res.base, res.treated) for arm in pair]
     window = SMALL.eval_window
     assert len(steps) == window * len(arms)
@@ -678,14 +673,6 @@ def test_arm_newton_steps_sum_its_solves(monkeypatch, pin_cpus):
 def test_default_experiment_newton_steps_come_back_from_workers(pin_cpus):
     # The 240 seed-0 solves take 3,961 Newton steps however they are spread.
     pin_cpus(2)
-    res = dispersion_experiment(EXPERIMENT, "mu", 2.0, 10, derive_seed(0, "roy"))
+    res = dispersion_experiment(EXPERIMENT, derive_seed(0, "roy"))
     assert sum(arm.newton_steps for arm in res.base + res.treated) == 3961
 
-
-def test_dispersion_rejects_unknown_treatment():
-    with pytest.raises(DomainError):
-        dispersion_experiment(SMALL, "sigma", factor=2.0, replications=1, seed=0)
-    with pytest.raises(DomainError):
-        dispersion_experiment(SMALL, "mu", factor=0.0, replications=1, seed=0)
-    with pytest.raises(DomainError):
-        dispersion_experiment(SMALL, "mu", factor=2.0, replications=0, seed=0)
