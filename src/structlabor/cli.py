@@ -229,14 +229,13 @@ def indices(scenario, L_bar: float) -> tuple[np.ndarray, ...]:
 
 def _cmd_estimate(cfg: AppConfig) -> tuple[list[dict], list[str]]:
     if cfg.estimate.panel is not None:
-        columns, index_columns = read_panel_csv(cfg.estimate.panel), None
+        panel, index_columns = MaturityPanel(**read_panel_csv(cfg.estimate.panel)), None
     else:
         scenario = _run_configured_scenario(cfg)
-        index_columns, columns = indices(scenario, cfg.baseline.L_bar), scenario._asdict()
+        index_columns = indices(scenario, cfg.baseline.L_bar)
+        panel = MaturityPanel(**{f.name: getattr(scenario, f.name) for f in fields(MaturityPanel) if f.init})
+        # Frees the scenario's labor and effective-weight columns before the estimators run.
         del scenario
-    panel = MaturityPanel(**{f.name: columns[f.name] for f in fields(MaturityPanel) if f.init})
-    # Frees the scenario's labor and effective-weight columns before the estimators run.
-    del columns
 
     births = count_births(panel)
     flags = detect_degradation(panel, rel_drop=cfg.estimate.rel_drop, horizon=cfg.estimate.horizon)

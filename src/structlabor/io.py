@@ -12,6 +12,7 @@ which strict JSON cannot carry, are rendered as the strings "inf",
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -403,11 +404,7 @@ def _sanitize(obj: Any) -> Any:
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
+        return f if math.isfinite(f) else str(f)  # "inf", "-inf" or "nan"
     return obj
 
 
@@ -463,8 +460,8 @@ def write_manifest(
 
 # Field types of a panel row, in column order.  Boolean cells are read as
 # bytes, one longer than the longest spelling, so that a longer cell cannot
-# truncate to one.
-_PANEL_DTYPE = np.dtype(list(zip(PANEL_COLUMNS, (np.int64, np.int64, float, float, float, "S6", "S6"))))
+# truncate to one.  labor and effective_weight are counted but not parsed.
+_PANEL_DTYPE = np.dtype(list(zip(PANEL_COLUMNS, (np.int64, np.int64, float, "S1", "S1", "S6", "S6"))))
 _TRUE, _FALSE = ("1", "true", "True"), ("0", "false", "False")
 
 
@@ -476,11 +473,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"invalid boolean {text!r}")
 
 
-def _open_panel(path: str):
-    # Undecodable bytes become U+FFFD, which neither the header nor any cell
-    # accepts, so they are reported as a bad header or a bad row's line
-    # instead of escaping as a bare UnicodeDecodeError.
-    return open(path, "r", encoding="utf-8", errors="replace", newline="")
+@contextlib.contextmanager
+def _panel_reader(path: str):
+    # Undecodable bytes become U+FFFD, a bad header or a bad row's line, not a
+    # bare UnicodeDecodeError.  A record past the csv module's field limit is
+    # refused at its line; the limit is process-wide, so it is not raised.
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _raise_first_bad_row(path: str) -> None:
@@ -490,22 +493,21 @@ def _raise_first_bad_row(path: str) -> None:
     Runs only after the fast reader has refused the file, to turn its
     error into a ``path:line:`` message.  The parsed values are discarded.
     """
-    with _open_panel(path) as handle:
-        reader = csv.reader(handle)
+    with _panel_reader(path) as reader:
         next(reader)
-        for row in reader:
-            if not row:
-                continue
+        for row in filter(None, reader):
             line = reader.line_num
             require(len(row) == len(PANEL_COLUMNS), f"{path}:{line}: expected {len(PANEL_COLUMNS)} columns")
             try:
                 # As numpy reads a number: stripped (\x1c-\x1f too), ASCII, no "_", int64 if an int.
-                for parse, cell in zip((int, int, float, float, float), row):
+                for parse, cell in zip((int, int, float), row):
                     value = parse(cell.strip())
                     if not cell.isascii() or "_" in cell or parse is int and not -(2**63) <= value < 2**63:
                         raise ValueError(f"invalid number {cell!r}")
                 for cell in row[5:]:
                     _parse_bool(cell)
+                # What the byte scan refused can now only be in the two unparsed cells.
+                require(all(cell.isascii() and "\0" not in cell for cell in row[3:5]), "NUL or non-ASCII byte")
             except ValueError as exc:
                 raise DomainError(f"{path}:{line}: {exc}") from None
 
@@ -518,8 +520,8 @@ def _spelled(cells: np.ndarray, spellings: tuple[str, ...]) -> np.ndarray:
 
 
 def _parse_panel(path: str) -> dict[str, np.ndarray]:
-    """The panel's columns from one ``np.loadtxt`` pass; raise ValueError if
-    a cell does not parse."""
+    """The five columns ``read_panel_csv`` returns, from one ``np.loadtxt``
+    pass; raise ValueError if a cell does not parse."""
     # numpy drops an S cell's trailing NULs ("1\0" reads as "1") and reads some
     # non-ASCII letters as digits ("\u01fe" as 462); a valid panel is ASCII.
     with open(path, "rb") as handle:
@@ -529,9 +531,9 @@ def _parse_panel(path: str) -> dict[str, np.ndarray]:
         path, dtype=_PANEL_DTYPE, delimiter=",", quotechar='"', comments=None, skiprows=1,
         encoding="utf-8", ndmin=1,
     )
-    columns = {name: table[name] for name in PANEL_COLUMNS}
+    columns = {name: table[name] for name in PANEL_COLUMNS[:3]}
     for name in PANEL_COLUMNS[5:]:
-        cells = columns[name]
+        cells = table[name]
         truth = _spelled(cells, _TRUE)
         known = truth | _spelled(cells, _FALSE)
         if not known.all():
@@ -541,29 +543,28 @@ def _parse_panel(path: str) -> dict[str, np.ndarray]:
 
 
 def read_panel_csv(path: str) -> dict[str, np.ndarray]:
-    """Read a maturity panel CSV back into parallel arrays.
+    """Read the five columns ``estimate`` uses from a maturity panel CSV, the fields
+    of ``MaturityPanel``: ``family_id``, ``period``, ``maturity``, ``tech_window``, ``org_window``.
 
-    The header must equal ``PANEL_COLUMNS``.  A data row has two integer,
-    three float and two boolean cells; booleans are spelled ``1``/``true``/
-    ``True`` or ``0``/``false``/``False``.  Cells may be double-quoted, and a
-    quoted cell may hold a newline.  Empty lines are skipped; a line of only
+    The header must equal ``PANEL_COLUMNS``.  A data row has seven cells:
+    two integers, a float, the ``labor`` and ``effective_weight`` cells,
+    which are not parsed, and two booleans, spelled ``1``/``true``/``True``
+    or ``0``/``false``/``False``.  Cells may be double-quoted, and a quoted
+    cell may hold a newline.  Empty lines are skipped; a line of only
     whitespace is a bad row, and there is no comment syntax.
 
     Values are parsed once, by ``np.loadtxt`` with no Python callback.  Its
     float parse is correctly rounded, so a file written by :func:`write_csv`
-    reads back bit-identically; boolean cells are read as byte strings in
-    the same pass and mapped to ``bool`` arrays in numpy, and the other
-    columns are views of one structured array.  If the file does not parse,
-    holds a NUL or non-ASCII byte or has a boolean cell of another spelling,
-    it is rescanned row by row so that the error names the physical line
-    the first bad row ends on.
+    reads back bit-identically.  Boolean cells are read as byte strings in
+    the same pass and mapped to ``bool`` arrays in numpy; the numbers are
+    views of one structured array.  If the file does not parse, holds a NUL
+    or non-ASCII byte or has a boolean cell of another spelling, it is
+    rescanned row by row so that the error names the physical line the
+    first bad row ends on.
     """
-    with _open_panel(path) as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty panel file") from None
+    with _panel_reader(path) as reader:
+        header = next(reader, None)
+        require(header is not None, f"{path}: empty panel file")
         require(tuple(header) == PANEL_COLUMNS, f"{path}: header {header!r} does not match panel schema")
         # Checked before parsing, as np.loadtxt warns on input without rows.
         require(any(reader), f"{path}: panel has no data rows")

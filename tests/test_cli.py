@@ -7,12 +7,14 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from structlabor.cli import main
-from structlabor.io import sha256_file
+from structlabor.estimators import MaturityPanel
+from structlabor.io import read_panel_csv, sha256_file
 from structlabor.parallel import _cpu_count
 from structlabor.rng import derive_seed
 from structlabor.schema import MAX_PERIODS
@@ -302,6 +304,46 @@ def test_header_only_panel_is_a_runtime_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["kind"] == "runtime"
     assert err["message"].startswith(f"{panel}:")
+
+
+@pytest.mark.parametrize("junk", ["x", ""], ids=["x", "empty"])
+def test_estimate_reads_neither_labor_nor_effective_weight(tmp_path, junk):
+    # estimate uses five of the panel's seven columns; the other two cells
+    # are counted but not parsed, so junk there changes no output.
+    cfg = write_config(tmp_path, SMALL_PORTFOLIO)
+    pf_out = tmp_path / "portfolio"
+    assert main(["portfolio", "--config", cfg, "--out", str(pf_out), "--quiet"]) == 0
+    header, *rows = (pf_out / "panel.csv").read_text(encoding="utf-8").splitlines()
+    junk_csv = tmp_path / "junk.csv"
+    junked = [",".join([*cells[:3], junk, junk, *cells[5:]]) for cells in (row.split(",") for row in rows)]
+    junk_csv.write_text("\n".join([header, *junked]) + "\n", encoding="utf-8")
+
+    def outputs(name, panel):
+        config = write_config(tmp_path, {**SMALL_PORTFOLIO, "estimate": {"panel": str(panel)}}, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["estimate", "--config", config, "--out", str(out), "--quiet"]) == 0
+        return [(out / file).read_bytes() for file in ("hazard.json", "births.csv")]
+
+    assert outputs("junk", junk_csv) == outputs("clean", pf_out / "panel.csv")
+    assert set(read_panel_csv(str(junk_csv))) == {f.name for f in fields(MaturityPanel) if f.init}
+
+
+@pytest.mark.parametrize("line", [1, 2, 3], ids=["header", "first-row", "later-row"])
+def test_a_record_past_the_csv_field_limit_is_a_runtime_error(tmp_path, capsys, line):
+    # The csv module refuses a field of more than 131,072 characters; the
+    # reader reports it at its line, without raising the process-wide limit.
+    lines = ["family_id,period,maturity,labor,effective_weight,tech_window,org_window", *["0,0,1.0,0.5,1.0,0,0"] * 2]
+    lines[line - 1] = "x" * 200_000 + ("" if line == 1 else ",0,1.0,0.5,1.0,0,0")
+    panel = tmp_path / "panel.csv"
+    panel.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"estimate": {"panel": str(panel)}})
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    (record,) = capsys.readouterr().err.splitlines()
+    err = json.loads(record)["error"]
+    assert err["kind"] == "runtime"
+    assert err["message"] == f"{panel}:{line}: field larger than field limit (131072)"
+    assert os.listdir(out) == []
 
 
 def test_far_off_panel_period_is_a_runtime_error(tmp_path, capsys):

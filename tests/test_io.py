@@ -357,6 +357,13 @@ def test_path_csv_header_and_round_trip(tmp_path):
     assert float(first[1]) == path.k[0]
 
 
+def _labor_and_weight(path):
+    # read_panel_csv does not parse these two columns, so the writer's
+    # round trip reads them with np.loadtxt, correctly rounded as well.
+    labor, weight = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(3, 4), unpack=True, ndmin=2)
+    return {"labor": labor, "effective_weight": weight}
+
+
 def test_panel_csv_round_trip_is_bitwise(tmp_path):
     tech = PowerCodification(beta=0.5)
     p = replace(
@@ -373,8 +380,9 @@ def test_panel_csv_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(back["period"], scenario.period)
     # Bit-exact floats thanks to shortest round-trip formatting.
     assert np.array_equal(back["maturity"], scenario.maturity)
-    assert np.array_equal(back["labor"], scenario.labor)
-    assert np.array_equal(back["effective_weight"], scenario.effective_weight)
+    unread = _labor_and_weight(csv_path)
+    assert np.array_equal(unread["labor"], scenario.labor)
+    assert np.array_equal(unread["effective_weight"], scenario.effective_weight)
     assert np.array_equal(back["tech_window"], scenario.tech_window)
     assert np.array_equal(back["org_window"], scenario.org_window)
 
@@ -455,6 +463,8 @@ def test_read_panel_csv_parses_booleans_without_a_python_callback(tmp_path, monk
         ("x,2,1.0,0.5,2.0,1,0", "invalid literal"),
         ("0,2,1.0,0.5,2.0,1,maybe", "invalid boolean"),
         ("0,2,1.0", "expected 7 columns"),
+        ("0,2,1.0,0.5,2.0,1", "expected 7 columns"),
+        ("0,2,1.0,0.5,2.0,1,0,9", "expected 7 columns"),
     ]
     # Spellings that an integer or truncating byte parse of a boolean cell would accept.
     + [
@@ -516,7 +526,7 @@ def test_panel_csv_round_trip_of_adversarial_doubles_is_bitwise(tmp_path):
     ]
     path = str(tmp_path / "adversarial.csv")
     write_csv(path, PANEL_COLUMNS, columns)
-    back = read_panel_csv(path)
+    back = {**read_panel_csv(path), **_labor_and_weight(path)}
     for name, column in zip(PANEL_COLUMNS, columns):
         assert back[name].dtype == column.dtype
         assert back[name].tobytes() == column.tobytes(), name
@@ -547,7 +557,7 @@ def test_read_panel_csv_rounds_long_decimals_like_float(tmp_path):
     back = read_panel_csv(str(path))
     expected = np.array([float(c) for c in cells])
     assert back["maturity"].tobytes() == expected.tobytes()
-    assert back["labor"].tobytes() == expected.tobytes()
+    assert _labor_and_weight(str(path))["labor"].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -631,6 +641,19 @@ def test_read_panel_csv_reports_undecodable_bytes_by_line(tmp_path):
     path = tmp_path / "bytes.csv"
     path.write_bytes((",".join(PANEL_COLUMNS) + "\n0,0,1.0,0.5,2.0,1,0\n0,1,1.\xff,0.5,2.0,1,0\n").encode("latin-1"))
     with pytest.raises(DomainError, match=r"bytes\.csv:3: could not convert string to float"):
+        read_panel_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["\u20ac", "1\x00", "\xa0"], ids=ascii)
+@pytest.mark.parametrize("column", [3, 4])
+def test_read_panel_csv_names_the_line_of_a_bad_byte_in_an_unparsed_cell(tmp_path, cell, column):
+    # labor and effective_weight are not parsed, but the file must still be
+    # ASCII without NUL, and the error still names the line.
+    row = ["0", "1", "1.0", "0.5", "2.0", "1", "0"]
+    row[column] = cell
+    path = tmp_path / "unparsed.csv"
+    path.write_text(",".join(PANEL_COLUMNS) + "\n0,0,1.0,0.5,2.0,1,0\n" + ",".join(row) + "\n", encoding="utf-8")
+    with pytest.raises(DomainError, match=r"unparsed\.csv:3: NUL or non-ASCII byte$"):
         read_panel_csv(str(path))
 
 
