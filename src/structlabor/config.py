@@ -70,7 +70,6 @@ FIELDS = (
     Field("portfolio.omega", PER_FAMILY, 1.0, schema.PORTFOLIO["omega"]),
     Field("portfolio.delta_j", PER_FAMILY, 0.15, schema.PORTFOLIO["delta"]),
     Field("portfolio.k0", PER_FAMILY, 1.0, schema.PORTFOLIO["k"]),
-    Field("portfolio.aggregator", str, "ces", schema.AGGREGATOR["kind"]),
     Field("portfolio.rho", float, 0.5, schema.AGGREGATOR["rho"]),
     Field("portfolio.epsilon_floor", float, 1e-6, schema.AGGREGATOR["epsilon_floor"]),
     Field("portfolio.beta", float, 0.5, schema.CODIFICATION["beta"]),
@@ -224,10 +223,10 @@ class AppConfig:
         self.baseline = BaselineParams(**c["baseline"])
         self.priors = PriorSpec(**c["priors"])
         entry = EntryConfig(**p["entry"])
-        n, agg, d = p["n_families"], p["aggregator"], p["drift"]
+        n, d = p["n_families"], p["drift"]
         initial = Portfolio(
             p["omega"], p["delta_j"], p["k0"], np.zeros(n, dtype=np.int64),
-            AggregatorSpec(agg, p["rho"] if agg == "ces" else None, p["epsilon_floor"]),
+            AggregatorSpec(p["rho"], p["epsilon_floor"]),
             PowerCodification(p["beta"]), p["Lambda"],
         )
         # Built even when disabled, so its values are checked either way.

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from types import SimpleNamespace
 from typing import Any, Iterable, Sequence
 
@@ -527,10 +528,13 @@ def _parse_panel(path: str) -> dict[str, np.ndarray]:
     with open(path, "rb") as handle:
         if any(b"\0" in block or not block.isascii() for block in iter(lambda: handle.read(1 << 20), b"")):
             raise ValueError("NUL or non-ASCII byte")
-    table = np.loadtxt(
-        path, dtype=_PANEL_DTYPE, delimiter=",", quotechar='"', comments=None, skiprows=1,
-        encoding="utf-8", ndmin=1,
-    )
+    with warnings.catch_warnings():
+        # A file without rows is refused by the caller, from the row count.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(
+            path, dtype=_PANEL_DTYPE, delimiter=",", quotechar='"', comments=None, skiprows=1,
+            encoding="utf-8", ndmin=1,
+        )
     columns = {name: table[name] for name in PANEL_COLUMNS[:3]}
     for name in PANEL_COLUMNS[5:]:
         cells = table[name]
@@ -560,16 +564,17 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray]:
     views of one structured array.  If the file does not parse, holds a NUL
     or non-ASCII byte or has a boolean cell of another spelling, it is
     rescanned row by row so that the error names the physical line the
-    first bad row ends on.
+    first bad row ends on.  Only the header and the rescan go through the
+    ``csv`` module, so its field limit binds there alone.
     """
     with _panel_reader(path) as reader:
         header = next(reader, None)
-        require(header is not None, f"{path}: empty panel file")
-        require(tuple(header) == PANEL_COLUMNS, f"{path}: header {header!r} does not match panel schema")
-        # Checked before parsing, as np.loadtxt warns on input without rows.
-        require(any(reader), f"{path}: panel has no data rows")
+    require(header is not None, f"{path}: empty panel file")
+    require(tuple(header) == PANEL_COLUMNS, f"{path}: header {header!r} does not match panel schema")
     try:
-        return _parse_panel(path)
+        columns = _parse_panel(path)
     except ValueError as exc:
         _raise_first_bad_row(path)
         raise DomainError(f"{path}: {exc}") from None
+    require(columns["period"].size > 0, f"{path}: panel has no data rows")
+    return columns

@@ -3,7 +3,7 @@
 The economy-wide capability stock is disaggregated into task families,
 each with its own maturity (stock level), decay rate, and importance
 weight.  A concave codification technology turns labor assigned to a
-family into new maturity; an aggregator (additive or CES) combines the
+family into new maturity; a CES aggregator combines the
 family stocks into the economy-wide index.  Each period a fixed
 maintenance-labor budget is split across families to maximize the
 weighted sum of codification output, new families arrive at random with
@@ -66,23 +66,19 @@ class PowerCodification:
 class AggregatorSpec:
     """How family maturities combine into the economy-wide capability index.
 
-    kind "additive" sums omega_j * k_j.  kind "ces" uses the CES form
-    (sum omega_j * k_j**rho)**(1/rho) with rho <= 1, rho != 0; rho < 0
-    makes families complements, and any family at zero maturity then
-    drives the whole index to zero.  ``epsilon_floor`` is the maturity
-    floor applied when differentiating the CES index so that newborn
-    families have finite marginal weights.
+    The CES form (sum omega_j * k_j**rho)**(1/rho) with rho <= 1, rho != 0;
+    rho = 1 is the additive index sum omega_j * k_j, and rho < 0 makes
+    families complements, so any family at zero maturity drives the whole
+    index to zero.  ``epsilon_floor`` is the maturity floor applied when
+    differentiating the index so that newborn families have finite
+    marginal weights.
     """
 
-    kind: str
-    rho: float | None
+    rho: float
     epsilon_floor: float
 
     def __post_init__(self) -> None:
-        # rho is read only by the CES form.
-        ces = isinstance(self.kind, str) and self.kind == "ces"
-        require(not ces or self.rho is not None, "ces aggregator needs rho")
-        check(vars(self), {k: d for k, d in AGGREGATOR.items() if k != "rho" or ces})
+        check(vars(self), AGGREGATOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,36 +132,28 @@ class AllocationResult(NamedTuple):
 def aggregate_capability(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSpec) -> float:
     """Capability index of one or more families with weights ``omega`` and maturities ``k``.
 
-    The additive index is sum omega_j * k_j; the CES index is
-    (sum omega_j * k_j**rho)**(1/rho).  An index that leaves the
-    floating-point range is a domain error.
+    The CES index is (sum omega_j * k_j**rho)**(1/rho); under complements a
+    zero maturity makes the sum inf and the index 0.  An index that leaves
+    the floating-point range is a domain error.
     """
-    rho = None if aggregator.kind == "additive" else float(aggregator.rho)
-    if rho is not None and rho < 0.0 and np.any(k == 0.0):
-        # Complements: one dead family zeroes the index.
-        return 0.0
+    rho = float(aggregator.rho)
     with np.errstate(over="ignore", divide="ignore"):
-        index = float(np.dot(omega, k) if rho is None else np.dot(omega, np.power(k, rho)) ** (1.0 / rho))
-    kind = "additive" if rho is None else "CES"
-    require(math.isfinite(index), f"capability index out of range: the {kind} index overflows")
+        index = float(np.dot(omega, np.power(k, rho)) ** (1.0 / rho))
+    require(math.isfinite(index), "capability index out of range: the CES index overflows")
     return index
 
 
 def effective_weights(omega: np.ndarray, k: np.ndarray, aggregator: AggregatorSpec, Lambda: float) -> np.ndarray:
     """Marginal value of maturity by family, scaled by Lambda.
 
-    ``omega`` and ``k`` are parallel family columns.  For the additive
-    aggregator this is Lambda * omega_j.  For CES it is Lambda times the
-    gradient of the index, evaluated with every maturity floored at
+    ``omega`` and ``k`` are parallel family columns.  This is Lambda times
+    the gradient of the index, evaluated with every maturity floored at
     ``epsilon_floor`` so that entrants with (near-)zero stocks get large
     but finite weights.  An index whose inner sum or power leaves the
     floating-point range is a domain error; weights that overflow are
     returned as inf or nan, which :func:`allocate_labor` refuses.
     """
     require(omega.shape[0] >= 1, "portfolio has no families")
-    if aggregator.kind == "additive":
-        with np.errstate(over="ignore"):
-            return Lambda * omega
     rho = float(aggregator.rho)
     k = np.maximum(k, aggregator.epsilon_floor)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -523,7 +523,7 @@ def _arm_inputs(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_facto
         delta=np.minimum(_DELTA_CAP, deltas * delta_factor),
         k=np.full(n, exp.initial_k),
         born_at=np.zeros(n, dtype=np.int64),
-        aggregator=AggregatorSpec(kind="ces", rho=exp.rho, epsilon_floor=exp.epsilon_floor),
+        aggregator=AggregatorSpec(rho=exp.rho, epsilon_floor=exp.epsilon_floor),
         tech=PowerCodification(beta=exp.beta),
         Lambda=exp.Lambda,
     )

@@ -177,7 +177,7 @@ PRIORS = {
 }
 PRIOR_RULES = tuple(map(ordered, ("alpha", "r", "delta_k", "gamma")))
 CODIFICATION = {"beta": OPEN_UNIT}
-AGGREGATOR = {"kind": one_of("additive", "ces"), "rho": RHO, "epsilon_floor": POSITIVE}
+AGGREGATOR = {"rho": RHO, "epsilon_floor": POSITIVE}
 PORTFOLIO = {"omega": array_of(POSITIVE), "delta": array_of(OPEN_UNIT), "k": array_of(NONNEGATIVE), "Lambda": POSITIVE}
 ENTRY = {
     "mu": INTENSITY, "k_seed": NONNEGATIVE, "omega_median": POSITIVE, "omega_sigma": NONNEGATIVE,

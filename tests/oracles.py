@@ -265,19 +265,28 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
     decayed stocks plus that period's entrants, keeps one column block
     per period, and joins the blocks at the end.  The weight, allocation
     and decay formulas are written out here in the package's operation
-    order, so the package's scenario must match this loop bit for bit.
-    Families are numbered by roster row.  Returns a ``ScenarioResult``.
+    order, so the package's scenario must match this loop bit for bit;
+    at rho = 1 they are the additive closed forms ``Lambda * omega`` and
+    ``omega . k``.  Families are numbered by roster row.  Returns a
+    ``ScenarioResult``.
     """
-    from structlabor.portfolio import Portfolio, ScenarioResult, _draw_entrants, aggregate_capability
+    from structlabor.portfolio import Portfolio, ScenarioResult, _draw_entrants
     from structlabor.rng import stream
 
     def weights(p):
-        if p.aggregator.kind == "additive":
-            return p.Lambda * p.omega
         rho = float(p.aggregator.rho)
+        if rho == 1.0:
+            return p.Lambda * p.omega
         k = np.maximum(p.k, p.aggregator.epsilon_floor)
         inner = float(np.dot(p.omega, np.power(k, rho)))
         return p.Lambda * p.omega * np.power(k, rho - 1.0) * inner ** ((1.0 - rho) / rho)
+
+    def aggregate(p):
+        rho = float(p.aggregator.rho)
+        if rho == 1.0:
+            return float(np.dot(p.omega, p.k))
+        with np.errstate(divide="ignore"):
+            return float(np.dot(p.omega, np.power(p.k, rho)) ** (1.0 / rho))
 
     def allocate(w, beta):
         if labor_budget == 0.0:
@@ -294,7 +303,7 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
         labor = allocate(w, p.tech.beta)
         for name, block in zip(blocks, (np.arange(p.size), p.k, labor, w)):
             blocks[name].append(block)
-        capability[t] = aggregate_capability(p.omega, p.k, p.aggregator)
+        capability[t] = aggregate(p)
         if t == T:
             break
         columns = [p.omega, p.delta, (1.0 - p.delta) * p.k + p.tech.g(labor), p.born_at]

@@ -399,7 +399,7 @@ def test_ces_index_out_of_range_is_a_runtime_error(tmp_path, capsys):
     "command, text",
     [
         ("portfolio", "portfolio:\n  omega: 1.0e+300\n"),
-        ("portfolio", "portfolio:\n  aggregator: additive\n  Lambda: 1.0e+300\n  omega: 1.0e+300\n"),
+        ("portfolio", "portfolio:\n  rho: 1.0\n  Lambda: 1.0e+300\n  omega: 1.0e+300\n"),
         ("estimate", "portfolio:\n  omega: 1.0e+300\n"),
         ("roy", "roy:\n  omega: 1.0e+300\n  replications: 1\n"),
     ],
@@ -686,7 +686,6 @@ BAD_VALUES = [
     ("portfolio.omega", [1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
     ("portfolio.delta_j", 1.5),
     ("portfolio.k0", -1.0),
-    ("portfolio.aggregator", "geometric"),
     ("portfolio.rho", 0.0),
     ("portfolio.epsilon_floor", 0.0),
     ("portfolio.beta", 1.0),
@@ -808,7 +807,7 @@ def test_bad_values_cover_every_field():
     from structlabor.config import FIELDS
 
     assert sorted(p for p, _ in BAD_VALUES) == sorted(f.path for f in FIELDS)
-    assert len(FIELDS) == 71
+    assert len(FIELDS) == 70
 
 
 @pytest.mark.parametrize("data, path", BAD_CASES)
@@ -832,11 +831,13 @@ def test_huge_integer_literals_are_not_finite(tmp_path, capsys, data, path):
     assert not out.exists()
 
 
-def test_unknown_key_error_names_the_path(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"portfolio": {"entry": {"mus": 0.1}}})
+# The index is CES only, and rho: 1 is the additive index, so there is no aggregator kind to choose.
+@pytest.mark.parametrize("path, value", [("portfolio.entry.mus", 0.1), ("portfolio.aggregator", "ces")])
+def test_unknown_key_error_names_the_path(tmp_path, capsys, path, value):
+    cfg = write_config(tmp_path, nested(path, value))
     assert main(["portfolio", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["path"] == "portfolio.entry.mus"
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["kind"], err["path"], err["message"]) == ("config", path, "unknown key")
 
 
 def test_usage_errors_follow_the_json_contract(capsys):
@@ -899,6 +900,8 @@ BUILD_INDEPENDENT_DIGESTS = {
     "steady-state": {"steady_state.json": "cbaa9ef9b6c6f5e0d536f01272e59bdfc5c39ae593aa14bbcf40e0268a47a9a0"},
     "calibrate": {"calibration.json": "0af66231f26e88e20dcdbfec74f858f967d82bc5bad3cbd8423d2b1e3540c3f2"},
 }
+# The default config's digest: a change to the config's keys or defaults re-pins it on purpose.
+DEFAULT_CONFIG_SHA256 = "21e3397d68ed31927251fceb1fed4301ee2ef7358e91c6135fb637c85996e718"
 
 
 @pytest.mark.parametrize("command", sorted(BUILD_INDEPENDENT_DIGESTS))
@@ -908,6 +911,12 @@ def test_build_independent_outputs_keep_their_digests(tmp_path, command):
     assert main([command, "--config", cfg, "--seed", "7", "--out", out, "--quiet"]) == 0
     manifest = read_json(out, "run.manifest.json")
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]} == BUILD_INDEPENDENT_DIGESTS[command]
+
+
+def test_the_default_config_keeps_its_digest(tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["steady-state", "--out", out, "--quiet"]) == 0
+    assert read_json(out, "run.manifest.json")["config_sha256"] == DEFAULT_CONFIG_SHA256
 
 
 def _dispatched_targets():

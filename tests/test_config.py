@@ -48,7 +48,7 @@ def test_empty_config_gives_documented_defaults():
     assert cfg.transition.T == 500
     assert cfg.transition.damping is None
     assert cfg.portfolio.n_families == 8
-    assert cfg.portfolio.aggregator == "ces"
+    assert cfg.portfolio.rho == 0.5
     assert cfg.roy.treatment == "mu"
     assert cfg.roy.replications == 10
     assert cfg.estimate.rel_drop == 0.2
@@ -114,8 +114,6 @@ def test_choice_fields_are_validated():
     with pytest.raises(ConfigError) as err:
         AppConfig({"run": {"format": "xml"}})
     assert err.value.path == "run.format"
-    with pytest.raises(ConfigError):
-        AppConfig({"portfolio": {"aggregator": "geometric"}})
     with pytest.raises(ConfigError):
         AppConfig({"roy": {"treatment": "sigma"}})
 
@@ -278,11 +276,7 @@ def test_the_library_refuses_what_is_no_real_number_with_a_domain_error():
                 with pytest.raises(DomainError) as err:
                     call(name, value)
                 if np.ndim(value) == 0 and domain.real and not domain.array:
-                    if (label, name, value) == ("AggregatorSpec", "rho", None):
-                        expected = "ces aggregator needs rho"  # the config's null rho, read first
-                    else:
-                        expected = f"{name} must be a real number"
-                    assert str(err.value) == expected, (label, name, value)
+                    assert str(err.value) == f"{name} must be a real number", (label, name, value)
                 if domain.wording.startswith("must be an integer"):
                     assert str(err.value) == f"{name} {domain.wording}", (label, name, value)
 

@@ -28,7 +28,7 @@ TECH = PowerCodification(beta=0.5)
 # The config's initial portfolio, aggregator (CES at rho 0.5) and entry.
 INITIAL = DEFAULTS.portfolio.initial
 CES = INITIAL.aggregator
-ADD = replace(CES, kind="additive", rho=None)
+ADD = replace(CES, rho=1.0)  # the additive index
 ENTRY = DEFAULTS.portfolio.entry
 
 

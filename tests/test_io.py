@@ -587,6 +587,24 @@ def test_read_panel_csv_header_only_raises_without_warning(tmp_path):
         assert caught == []
 
 
+def test_read_panel_csv_reads_a_cell_past_the_csv_field_limit_on_any_data_line(tmp_path):
+    # The csv module reads only the header, so an unparsed labor cell longer
+    # than its field limit reads alike on the first data line and a later one.
+    rows = ["0,0,1.0,0.25,2.0,1,0", "0,1,0.5,0.25,2.0,0,1"]
+    clean = tmp_path / "clean.csv"
+    clean.write_text("\n".join([",".join(PANEL_COLUMNS), *rows]) + "\n")
+    expected = read_panel_csv(str(clean))
+    for line in (2, 3):
+        long_rows = list(rows)
+        long_rows[line - 2] = long_rows[line - 2].replace(",0.25,", "," + "9" * 200_000 + ",")
+        path = tmp_path / f"long{line}.csv"
+        path.write_text("\n".join([",".join(PANEL_COLUMNS), *long_rows]) + "\n")
+        got = read_panel_csv(str(path))
+        assert got.keys() == expected.keys()
+        for name in expected:
+            np.testing.assert_array_equal(got[name], expected[name])
+
+
 @pytest.mark.parametrize(
     "bad_cell, message",
     [

@@ -96,7 +96,7 @@ def test_scenario_holds_its_panel_and_little_else():
     # period by period; 100 families, no entry, no drift.
     n = FAMILIES
     initial = DEFAULTS.portfolio.initial
-    additive = replace(initial.aggregator, kind="additive", rho=None)
+    additive = replace(initial.aggregator, rho=1.0)
     columns = {"omega": np.ones(n), "delta": np.full(n, 0.1), "k": np.ones(n), "born_at": np.zeros(n, dtype=np.int64)}
     p = replace(initial, **columns, aggregator=additive)
     entry = replace(DEFAULTS.portfolio.entry, mu=0.0)

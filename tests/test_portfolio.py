@@ -1,11 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from structlabor.errors import DomainError
 from structlabor.portfolio import (
+    AggregatorSpec,
     DriftConfig,
     EntryConfig,
     Portfolio,
@@ -35,7 +36,7 @@ TECH = PowerCodification(beta=0.5)
 # The config's initial portfolio, aggregator (CES at rho 0.5) and entry.
 INITIAL = DEFAULTS.portfolio.initial
 CES = INITIAL.aggregator
-ADD = replace(CES, kind="additive", rho=None)
+ADD = replace(CES, rho=1.0)  # the additive index
 ENTRY = DEFAULTS.portfolio.entry
 
 
@@ -132,14 +133,14 @@ def test_validate_codification_catches_broken_technology():
 
 
 def test_aggregator_spec_validation():
+    # One index, CES; rho = 1 is the additive one, so there is no kind to choose.
+    assert [f.name for f in fields(AggregatorSpec)] == ["rho", "epsilon_floor"]
     with pytest.raises(DomainError):
         replace(CES, rho=None)
     with pytest.raises(DomainError):
         replace(CES, rho=0.0)
     with pytest.raises(DomainError):
         replace(CES, rho=1.5)
-    with pytest.raises(DomainError):
-        replace(ADD, kind="geometric")
     with pytest.raises(DomainError):
         replace(CES, epsilon_floor=0.0)
 
@@ -152,18 +153,38 @@ def test_aggregate_capability_additive_and_ces():
     assert capability(p_ces) == pytest.approx(expected, rel=1e-14)
 
 
-def test_aggregate_capability_rho_one_equals_additive():
-    near = replace(CES, rho=1.0)
-    p1 = make_portfolio([1.0, 4.0, 0.3], omegas=[2.0, 0.5, 1.1], aggregator=near)
-    p2 = make_portfolio([1.0, 4.0, 0.3], omegas=[2.0, 0.5, 1.1], aggregator=ADD)
-    assert capability(p1) == pytest.approx(capability(p2), rel=1e-12)
+def test_rho_one_is_the_additive_index_bit_for_bit():
+    # At rho = 1 the index is np.dot(omega, k) and the weights Lambda * omega,
+    # exactly, over zero stocks and magnitudes from 1e-300 to 1e300; where
+    # the sum overflows, the index is refused.
+    rng = np.random.Generator(np.random.Philox(key=145))
+    refused = 0
+    for _ in range(2000):
+        J = int(rng.integers(1, 9))
+        omega = 10.0 ** rng.uniform(-300, 300, size=J)
+        k = np.where(rng.uniform(size=J) < 0.2, 0.0, 10.0 ** rng.uniform(-300, 300, size=J))
+        Lambda = float(10.0 ** rng.uniform(-3, 3))
+        with np.errstate(over="ignore"):
+            index, inner, expected = np.dot(omega, k), np.dot(omega, np.maximum(k, ADD.epsilon_floor)), Lambda * omega
+        if math.isfinite(index):
+            assert np.float64(aggregate_capability(omega, k, ADD)).view(np.int64) == index.view(np.int64)
+        else:
+            refused += 1
+            with pytest.raises(DomainError, match="capability index out of range"):
+                aggregate_capability(omega, k, ADD)
+        if math.isfinite(inner):
+            assert np.array_equal(effective_weights(omega, k, ADD, Lambda).view(np.int64), expected.view(np.int64))
+        else:
+            with pytest.raises(DomainError, match="effective weights out of range"):
+                effective_weights(omega, k, ADD, Lambda)
+    assert 0 < refused < 2000
 
 
-def test_aggregate_capability_negative_rho_zero_stock():
-    # Complements: one missing capability zeroes the aggregate.
-    spec = replace(CES, rho=-1.0)
-    p = make_portfolio([1.0, 0.0], aggregator=spec)
-    assert capability(p) == 0.0
+@pytest.mark.parametrize("rho", [-0.01, -1.0, -400.0])
+def test_aggregate_capability_negative_rho_zero_stock(rho):
+    # Complements: one missing capability zeroes the aggregate, as +0.0.
+    p = make_portfolio([1.0, 0.0], aggregator=replace(CES, rho=rho))
+    assert math.copysign(1.0, capability(p)) == 1.0 and capability(p) == 0.0
 
 
 def test_effective_weights_additive_case():

@@ -29,7 +29,7 @@ TECH = PowerCodification(beta=0.5)
 EXPERIMENT = DEFAULTS.roy
 INITIAL = DEFAULTS.portfolio.initial
 CES = INITIAL.aggregator
-ADD = replace(CES, kind="additive", rho=None)
+ADD = replace(CES, rho=1.0)  # the additive index
 ENTRY = DEFAULTS.portfolio.entry
 
 
