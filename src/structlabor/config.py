@@ -26,7 +26,6 @@ from .portfolio import (
     EntryConfig,
     Portfolio,
     PowerCodification,
-    periodic_windows,
 )
 from .roy import RoyExperiment
 from .schema import MAX_FAMILIES, MAX_PERIODS
@@ -85,10 +84,10 @@ FIELDS = (
     Field("portfolio.drift.env_hazard", float, 0.05, schema.DRIFT["env_hazard"]),
     Field("portfolio.drift.tech_hazard", float, 0.10, schema.DRIFT["tech_hazard"]),
     Field("portfolio.drift.org_hazard", float, 0.03, schema.DRIFT["org_hazard"]),
-    Field("portfolio.drift.tech_start", int, 1, schema.WINDOWS["start"]),
-    Field("portfolio.drift.tech_every", int, 5, schema.WINDOWS["every"]),
-    Field("portfolio.drift.org_start", int, 3, schema.WINDOWS["start"]),
-    Field("portfolio.drift.org_every", int, 7, schema.WINDOWS["every"]),
+    Field("portfolio.drift.tech_start", int, 1, schema.DRIFT["tech_start"]),
+    Field("portfolio.drift.tech_every", int, 5, schema.DRIFT["tech_every"]),
+    Field("portfolio.drift.org_start", int, 3, schema.DRIFT["org_start"]),
+    Field("portfolio.drift.org_every", int, 7, schema.DRIFT["org_every"]),
     Field("portfolio.drift.drop_frac", float, 0.5, schema.DRIFT["drop_frac"]),
     Field("roy.n_initial", int, 6, schema.ROY["n_initial"]),
     Field("roy.initial_k", float, 1.0, schema.ROY["initial_k"]),
@@ -230,11 +229,7 @@ class AppConfig:
             PowerCodification(p["beta"]), p["Lambda"],
         )
         # Built even when disabled, so its values are checked either way.
-        drift = DriftConfig(
-            **{k: d[k] for k in ("env_hazard", "tech_hazard", "org_hazard", "drop_frac")},
-            tech_windows=periodic_windows(d["tech_start"], d["tech_every"], p["T"]),
-            org_windows=periodic_windows(d["org_start"], d["org_every"], p["T"]),
-        )
+        drift = DriftConfig(**{k: v for k, v in d.items() if k != "enabled"})
         self.portfolio = SimpleNamespace(
             **{**p, "entry": entry, "initial": initial, "drift": drift if d["enabled"] else None}
         )

@@ -32,7 +32,6 @@ from .schema import (
     NONNEGATIVE,
     PORTFOLIO,
     SCENARIO,
-    WINDOWS,
     check,
     pair,
     real_column,
@@ -249,35 +248,36 @@ class DriftConfig:
     """Hazard of sudden maturity loss, decomposed by source.
 
     In every period each family independently suffers a degradation
-    event with probability env_hazard, plus tech_hazard in periods listed
-    in ``tech_windows``, plus org_hazard in periods listed in
-    ``org_windows``.  An event multiplies maturity by (1 - drop_frac).
+    event with probability env_hazard, plus tech_hazard in tech windows,
+    plus org_hazard in org windows.  Period t is a tech window when
+    t >= tech_start and (t - tech_start) % tech_every == 0, and org
+    windows follow the same rule.  An event multiplies maturity by
+    (1 - drop_frac).
     """
 
     env_hazard: float
     tech_hazard: float
     org_hazard: float
-    tech_windows: frozenset[int]
-    org_windows: frozenset[int]
+    tech_start: int
+    tech_every: int
+    org_start: int
+    org_every: int
     drop_frac: float
 
     def __post_init__(self) -> None:
         check(vars(self), DRIFT, (HAZARD_SUM,))
-        windows = self.tech_windows | self.org_windows
-        require(all(isinstance(t, int) and t >= 0 for t in windows), "window periods must be nonnegative integers")
 
-    def hazard_at(self, t: int) -> float:
+    def windows_at(self, t: int) -> tuple[bool, bool]:
+        """Whether period t is a tech window and whether it is an org window."""
+        # Python ints: a start or period may exceed the int64 range.
         return (
-            self.env_hazard
-            + (self.tech_hazard if t in self.tech_windows else 0.0)
-            + (self.org_hazard if t in self.org_windows else 0.0)
+            t >= self.tech_start and (t - self.tech_start) % self.tech_every == 0,
+            t >= self.org_start and (t - self.org_start) % self.org_every == 0,
         )
 
-
-def periodic_windows(start: int, every: int, T: int) -> frozenset[int]:
-    """Periods start, start+every, ... below T."""
-    check({"start": start, "every": every}, WINDOWS)
-    return frozenset(range(start, T, every))
+    def hazard_at(self, t: int) -> float:
+        tech, org = self.windows_at(t)
+        return self.env_hazard + (self.tech_hazard if tech else 0.0) + (self.org_hazard if org else 0.0)
 
 
 class ScenarioResult(NamedTuple):
@@ -286,10 +286,11 @@ class ScenarioResult(NamedTuple):
     The panel arrays are parallel and sorted by (period, family id); one
     row records a family's state and allocation at the start of a period.
     Window flags mark the hazard windows in force during the transition
-    out of that period.  ``event_family_id`` and ``event_period`` are the
-    parallel int64 columns of the (family_id, period) pairs where a
-    degradation event actually fired, in panel order, for use as ground
-    truth when exercising estimators.
+    out of that period, so the rows of the final period T carry none.
+    ``event_family_id`` and ``event_period`` are the parallel int64
+    columns of the (family_id, period) pairs where a degradation event
+    actually fired, in panel order, for use as ground truth when
+    exercising estimators.
     """
 
     family_id: np.ndarray
@@ -330,7 +331,7 @@ def run_portfolio_scenario(
     entry: EntryConfig,
     T: int,
     seed: int,
-    drift: DriftConfig | None = None,
+    drift: DriftConfig | None,
 ) -> ScenarioResult:
     """Simulate the portfolio for T transitions and record a maturity panel.
 
@@ -382,6 +383,7 @@ def run_portfolio_scenario(
     effective_weight = np.empty(rows)
     capability = np.empty(T + 1)
     fired = np.zeros(rows, dtype=bool)
+    windows = np.zeros((T + 1, 2), dtype=bool)  # period T stays unflagged: no transition leaves it
     lo = 0
     for t, n in enumerate(sizes):
         hi = lo + n
@@ -398,6 +400,7 @@ def run_portfolio_scenario(
 
         step_portfolio(k[:n], delta[:n], alloc.labor, final.tech)
         if drift is not None:
+            windows[t] = drift.windows_at(t)
             hit = stream(seed, "drift", t).uniform(size=n) < drift.hazard_at(t)
             if np.any(hit):
                 # Entrants sit past row n and are never hit.
@@ -406,16 +409,14 @@ def run_portfolio_scenario(
 
     periods = np.arange(T + 1, dtype=np.int64)
     period = np.repeat(periods, sizes)
-    in_tech = [drift is not None and t in drift.tech_windows for t in range(T + 1)]
-    in_org = [drift is not None and t in drift.org_windows for t in range(T + 1)]
     return ScenarioResult(
         family_id=family_id,
         period=period,
         maturity=maturity,
         labor=labor,
         effective_weight=effective_weight,
-        tech_window=np.repeat(np.asarray(in_tech, dtype=bool), sizes),
-        org_window=np.repeat(np.asarray(in_org, dtype=bool), sizes),
+        tech_window=np.repeat(windows[:, 0], sizes),
+        org_window=np.repeat(windows[:, 1], sizes),
         periods=periods,
         capability=capability,
         labor_budget=np.full(T + 1, float(labor_budget)),

@@ -535,7 +535,7 @@ def _arm_inputs(exp: RoyExperiment, rep_seed: int, mu_factor: float, delta_facto
         delta_j=tuple(min(_DELTA_CAP, d * delta_factor) for d in exp.delta_j),
     )
     scenario = run_portfolio_scenario(
-        p0, exp.labor_budget, entry, exp.T, seed=derive_seed(rep_seed, "scenario")
+        p0, exp.labor_budget, entry, exp.T, seed=derive_seed(rep_seed, "scenario"), drift=None
     )
     # Dispersion is averaged over the last eval_window periods so that the
     # measurement is not hostage to whether a family happened to be born

@@ -21,9 +21,9 @@ from .errors import DomainError, require
 
 # Most initial families a config may ask for; per-family values are broadcast to this length.
 MAX_FAMILIES = 100_000
-# Most portfolio, transition and Roy periods: loading builds the drift windows, about T/5 + T/7 ints, even with
-# drift off, a transition path that does not converge runs every period, about 10 us and 370 B each, and
-# each Roy arm runs a portfolio scenario of T periods before its solves, about 0.2 ms each with one family.
+# Most portfolio, transition and Roy periods: a portfolio scenario runs every period in Python, about 0.1 ms
+# each with one family, a transition path that does not converge runs every period, about 10 us and 370 B each,
+# and each Roy arm runs a portfolio scenario of T periods before its solves, about 0.2 ms each with one family.
 MAX_PERIODS = 100_000
 # Most calibration draws: the sample is regenerated for each of its two passes, never held, so
 # the bound is on time, about 0.16 us per draw for both passes in one process and 0.08 us split
@@ -184,7 +184,10 @@ ENTRY = {
     "delta_j": array_of(OPEN_UNIT),
 }
 DELTA_ORDER = ordered("delta_j")
-DRIFT = {"env_hazard": CLOSED_UNIT, "tech_hazard": CLOSED_UNIT, "org_hazard": CLOSED_UNIT, "drop_frac": OPEN_UNIT}
+DRIFT = {
+    "env_hazard": CLOSED_UNIT, "tech_hazard": CLOSED_UNIT, "org_hazard": CLOSED_UNIT,
+    "tech_start": count(0), "tech_every": COUNT, "org_start": count(0), "org_every": COUNT, "drop_frac": OPEN_UNIT,
+}
 HAZARD_SUM = Rule(
     "env_hazard", lambda c: c["env_hazard"] + c["tech_hazard"] + c["org_hazard"] <= 1.0,
     "+ tech_hazard + org_hazard must be <= 1",
@@ -207,5 +210,4 @@ TREATED_INTENSITY = Rule(
 # The arguments of the functions that read the other config fields.
 TRANSITION = {"k0": POSITIVE, "L_S0": NONNEGATIVE, "T": count(1, MAX_PERIODS), "damping": STEP, "tol": POSITIVE}
 SCENARIO = {"labor_budget": NONNEGATIVE, "T": COUNT}
-WINDOWS = {"start": count(0), "every": COUNT}
 DETECTION = {"rel_drop": OPEN_UNIT, "horizon": count(1, MAX_HORIZON)}

@@ -257,7 +257,7 @@ def corner_share_extremes(alpha_box, r_box, delta_box, gamma_box, share_fn) -> t
     return min(values), max(values)
 
 
-def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, drift=None):
+def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, drift):
     """The scenario as a per-period loop that rebuilds its portfolio every period.
 
     It pins arithmetic, not the model:
@@ -267,8 +267,9 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
     and decay formulas are written out here in the package's operation
     order, so the package's scenario must match this loop bit for bit;
     at rho = 1 they are the additive closed forms ``Lambda * omega`` and
-    ``omega . k``.  Families are numbered by roster row.  Returns a
-    ``ScenarioResult``.
+    ``omega . k``.  The drift windows are the periods
+    ``range(start, T, every)`` and the hazard is summed here as well.
+    Families are numbered by roster row.  Returns a ``ScenarioResult``.
     """
     from structlabor.portfolio import Portfolio, ScenarioResult, _draw_entrants
     from structlabor.rng import stream
@@ -294,6 +295,8 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
         shares = np.power(w, 1.0 / (1.0 - beta))
         return labor_budget * shares / shares.sum()
 
+    tech = set() if drift is None else set(range(drift.tech_start, T, drift.tech_every))
+    org = set() if drift is None else set(range(drift.org_start, T, drift.org_every))
     blocks = {"family_id": [], "maturity": [], "labor": [], "effective_weight": []}
     capability = np.empty(T + 1)
     events = []
@@ -314,7 +317,8 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
             columns = [np.concatenate([old, new]) for old, new in zip(columns, added)]
         stepped = Portfolio(*columns, p.aggregator, p.tech, p.Lambda)
         if drift is not None:
-            hit = stream(seed, "drift", t).uniform(size=p.size) < drift.hazard_at(t)
+            hazard = drift.env_hazard + (drift.tech_hazard if t in tech else 0.0) + (drift.org_hazard if t in org else 0.0)
+            hit = stream(seed, "drift", t).uniform(size=p.size) < hazard
             if np.any(hit):
                 k = stepped.k[: p.size]
                 k[hit] = k[hit] * (1.0 - drift.drop_frac)
@@ -324,8 +328,8 @@ def run_portfolio_scenario_reference(portfolio, labor_budget, entry, T, seed, dr
     periods = np.arange(T + 1, dtype=np.int64)
     pairs = np.array(events, dtype=np.int64).reshape(-1, 2)
     sizes = [block.shape[0] for block in blocks["family_id"]]
-    in_tech = [drift is not None and t in drift.tech_windows for t in range(T + 1)]
-    in_org = [drift is not None and t in drift.org_windows for t in range(T + 1)]
+    in_tech = [t in tech for t in range(T + 1)]
+    in_org = [t in org for t in range(T + 1)]
     return ScenarioResult(
         **{name: np.concatenate(column) for name, column in blocks.items()},
         period=np.repeat(periods, sizes),

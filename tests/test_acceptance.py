@@ -32,7 +32,6 @@ from structlabor.portfolio import (
     aggregate_capability,
     allocate_labor,
     effective_weights,
-    periodic_windows,
     _draw_entrants,
     run_portfolio_scenario,
     step_portfolio,
@@ -277,7 +276,7 @@ def test_criterion_07_maintenance_and_saturation():
     decay_ok = True
     p = replace(INITIAL, **columns(3, [1.0] * 3, [0.05, 0.15, 0.30], [1.0] * 3), aggregator=ADD, tech=TECH)
     bounds = [math.ceil(math.log(1e-6) / math.log(1.0 - d)) for d in p.delta.tolist()]
-    scenario = run_portfolio_scenario(p, 0.0, replace(ENTRY, mu=0.0), T=max(bounds), seed=0)
+    scenario = run_portfolio_scenario(p, 0.0, replace(ENTRY, mu=0.0), T=max(bounds), seed=0, drift=None)
     for family_id, bound in enumerate(bounds):
         at = (scenario.family_id == family_id) & (scenario.period == bound)
         decay_ok = decay_ok and float(scenario.maturity[at][0]) < 1e-6 * 1.0
@@ -371,9 +370,7 @@ def test_criterion_10_estimator_recovery():
     p = replace(INITIAL, **columns(J, np.ones(J), np.full(J, 0.15), np.full(J, kbar)), aggregator=ADD, tech=TECH)
     drift = DriftConfig(
         env_hazard=0.05, tech_hazard=0.10, org_hazard=0.03,
-        tech_windows=periodic_windows(1, 4, T),
-        org_windows=periodic_windows(3, 5, T),
-        drop_frac=0.5,
+        tech_start=1, tech_every=4, org_start=3, org_every=5, drop_frac=0.5,
     )
     scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=T, seed=6, drift=drift)
     estimate = DEFAULTS.estimate
@@ -405,8 +402,7 @@ def test_criterion_10_estimator_recovery():
 
 
 def run_cli(args, out, env_extra=None):
-    env = dict(os.environ)
-    env["STRUCTLABOR_OUT"] = ""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "STRUCTLABOR_OUT": ""}
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(

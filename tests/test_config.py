@@ -17,7 +17,14 @@ from structlabor.config import AppConfig, load_config, serialize
 from structlabor.core import BaselineParams, simulate_transition
 from structlabor.estimators import MaturityPanel, detect_degradation
 from structlabor.errors import ConfigError, DomainError
-from structlabor.portfolio import AggregatorSpec, DriftConfig, EntryConfig, Portfolio, PowerCodification
+from structlabor.portfolio import (
+    AggregatorSpec,
+    DriftConfig,
+    EntryConfig,
+    Portfolio,
+    PowerCodification,
+    run_portfolio_scenario,
+)
 from structlabor.roy import RoyExperiment, maturity_skill_sigma, solve_roy
 from structlabor.schema import (
     MAX_DRAWS,
@@ -191,10 +198,8 @@ def test_family_count_loads_up_to_its_bound():
     ],
 )
 def test_draw_and_worker_counts_load_up_to_their_bounds(section, key, bound):
-    # Loading allocates nothing per draw, worker, replication, transition or
-    # Roy period, and per portfolio period only the drift windows (about T/5
-    # + T/7 ints), so the bound itself loads; each count is checked before
-    # anything is built.
+    # Loading allocates nothing per draw, worker, replication or period, so
+    # the bound itself loads; each count is checked before anything is built.
     assert getattr(getattr(AppConfig({section: {key: bound}}), section), key) == bound
     for n in (bound + 1, 2**60):
         with pytest.raises(ConfigError) as exc:
@@ -224,6 +229,7 @@ def test_the_library_takes_every_config_fed_value():
     fed = [
         BaselineParams, PriorSpec, PowerCodification, AggregatorSpec, Portfolio, EntryConfig, DriftConfig,
         RoyExperiment, simulate_transition, detect_degradation, solve_roy, sample_shares, sample_parameters,
+        run_portfolio_scenario,
     ]
     defaults = {
         target.__name__: [name for name, p in inspect.signature(target).parameters.items() if p.default is not p.empty]
@@ -317,6 +323,7 @@ def test_each_section_class_takes_exactly_its_section():
         BaselineParams: set(resolved["baseline"]),
         PriorSpec: set(resolved["priors"]) | {"seed"},
         EntryConfig: set(resolved["portfolio"]["entry"]),
+        DriftConfig: set(resolved["portfolio"]["drift"]) - {"enabled"},
         RoyExperiment: set(resolved["roy"]),
     }
     for cls, keys in sections.items():

@@ -17,7 +17,6 @@ from structlabor.portfolio import (
     DriftConfig,
     PowerCodification,
     aggregate_capability,
-    periodic_windows,
     run_portfolio_scenario,
 )
 from structlabor.schema import MAX_HORIZON
@@ -357,9 +356,7 @@ def stationary_scenario(J, T, seed, env=0.05, tech=0.10, org=0.03):
     )
     drift = DriftConfig(
         env_hazard=env, tech_hazard=tech, org_hazard=org,
-        tech_windows=periodic_windows(1, 4, T),
-        org_windows=periodic_windows(3, 5, T),
-        drop_frac=0.5,
+        tech_start=1, tech_every=4, org_start=3, org_every=5, drop_frac=0.5,
     )
     return run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=T, seed=seed, drift=drift)
 
@@ -487,7 +484,7 @@ def test_scenario_indices_equal_the_scenario_capability(aggregator):
     )
     drift = DriftConfig(
         env_hazard=0.05, tech_hazard=0.1, org_hazard=0.0,
-        tech_windows=periodic_windows(2, 5, T), org_windows=frozenset(), drop_frac=0.5,
+        tech_start=2, tech_every=5, org_start=T, org_every=1, drop_frac=0.5,
     )
     sc = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.4), T=T, seed=11, drift=drift)
     assert sc.final.size > J and sc.event_period.size

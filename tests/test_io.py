@@ -370,7 +370,7 @@ def test_panel_csv_round_trip_is_bitwise(tmp_path):
         DEFAULTS.portfolio.initial, omega=np.ones(3), delta=np.full(3, 0.1), k=1.0 + np.arange(3),
         born_at=np.zeros(3, dtype=np.int64), aggregator=DEFAULTS.portfolio.initial.aggregator, tech=tech,
     )
-    scenario = run_portfolio_scenario(p, 1.0, replace(DEFAULTS.portfolio.entry, mu=0.3), T=8, seed=13)
+    scenario = run_portfolio_scenario(p, 1.0, replace(DEFAULTS.portfolio.entry, mu=0.3), T=8, seed=13, drift=None)
     csv_path = str(tmp_path / "panel.csv")
     write_csv(csv_path, PANEL_COLUMNS, [getattr(scenario, name) for name in PANEL_COLUMNS])
     lines = Path(csv_path).read_text(encoding="utf-8").splitlines()

@@ -101,8 +101,8 @@ def test_scenario_holds_its_panel_and_little_else():
     p = replace(initial, **columns, aggregator=additive)
     entry = replace(DEFAULTS.portfolio.entry, mu=0.0)
     # A first run pays one-time costs (about 1 MB of lazily built module state).
-    run_portfolio_scenario(p, 1.0, entry, 1, seed=0)
-    scenario, peak = traced_peak(run_portfolio_scenario, p, 1.0, entry, PERIODS - 1, seed=0)
+    run_portfolio_scenario(p, 1.0, entry, 1, seed=0, drift=None)
+    scenario, peak = traced_peak(run_portfolio_scenario, p, 1.0, entry, PERIODS - 1, seed=0, drift=None)
     panel_bytes = sum(getattr(scenario, name).nbytes for name in PANEL_COLUMNS)
     assert len(scenario.family_id) == PERIODS * FAMILIES
     assert peak <= 1.1 * panel_bytes
@@ -121,7 +121,7 @@ def test_scenario_beyond_the_row_bound_is_refused_before_its_panel():
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="^panel out of range"):
-            run_portfolio_scenario(p, 1.0, entry, T, seed=0)
+            run_portfolio_scenario(p, 1.0, entry, T, seed=0, drift=None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,7 +14,6 @@ from structlabor.portfolio import (
     aggregate_capability,
     allocate_labor,
     effective_weights,
-    periodic_windows,
     run_portfolio_scenario,
     step_portfolio,
 )
@@ -299,7 +298,7 @@ def test_step_portfolio_hand_check():
 def test_scenario_entrants_get_fresh_ids_and_birth_period():
     p = make_portfolio([1.0, 4.0])
     entry = EntryConfig(mu=6.0, k_seed=1e-3, omega_median=1.0, omega_sigma=0.5, delta_j=(0.1, 0.2))
-    sc = run_portfolio_scenario(p, 1.0, entry, T=7, seed=5)
+    sc = run_portfolio_scenario(p, 1.0, entry, T=7, seed=5, drift=None)
     final = sc.final
     born = final.born_at == 7
     assert np.count_nonzero(born) >= 1
@@ -335,7 +334,7 @@ def test_maintenance_allocation_is_stationary():
     # portfolio frozen.
     kbar = TECH.g(1.0 / 3.0) / 0.15
     p = make_portfolio([kbar] * 3, deltas=[0.15] * 3)
-    scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=30, seed=0)
+    scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=30, seed=0, drift=None)
     for t in (0, 15, 30):
         at = scenario.period == t
         assert np.allclose(scenario.maturity[at], p.k, rtol=0, atol=1e-12)
@@ -350,7 +349,7 @@ def test_exact_maintenance_labor_freezes_any_portfolio():
 
 def test_zero_budget_stocks_decay_geometrically():
     p = make_portfolio([1.0, 4.0], deltas=[0.1, 0.25])
-    scenario = run_portfolio_scenario(p, 0.0, replace(ENTRY, mu=0.0), T=10, seed=0)
+    scenario = run_portfolio_scenario(p, 0.0, replace(ENTRY, mu=0.0), T=10, seed=0, drift=None)
     at = scenario.period == 10
     assert scenario.maturity[at][0] == pytest.approx(1.0 * 0.9**10, rel=1e-12)
     assert scenario.maturity[at][1] == pytest.approx(4.0 * 0.75**10, rel=1e-12)
@@ -361,8 +360,7 @@ def test_scenario_is_deterministic():
     entry = replace(ENTRY, mu=0.4)
     drift = DriftConfig(
         env_hazard=0.05, tech_hazard=0.1, org_hazard=0.03,
-        tech_windows=periodic_windows(1, 4, 20), org_windows=periodic_windows(3, 5, 20),
-        drop_frac=0.5,
+        tech_start=1, tech_every=4, org_start=3, org_every=5, drop_frac=0.5,
     )
     a = run_portfolio_scenario(p, 1.0, entry, T=20, seed=99, drift=drift)
     b = run_portfolio_scenario(p, 1.0, entry, T=20, seed=99, drift=drift)
@@ -380,31 +378,32 @@ def test_scenario_is_deterministic():
 
 def test_scenario_without_entry_keeps_family_count():
     p = make_portfolio([1.0, 0.5])
-    scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=12, seed=1)
+    scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=12, seed=1, drift=None)
     assert scenario.final.size == 2
     assert len(scenario.family_id) == 2 * 13
 
 
 def test_scenario_panel_is_sorted_and_flags_windows():
+    # The rule puts windows on periods 1, 3 (tech) and 2, 4 (org), but the
+    # rows of period T = 4 carry none: no transition leaves it.
     p = make_portfolio([1.0, 0.5])
     drift = DriftConfig(
         env_hazard=0.0, tech_hazard=0.0, org_hazard=0.0,
-        tech_windows=frozenset({1, 3}), org_windows=frozenset({2}),
-        drop_frac=0.5,
+        tech_start=1, tech_every=2, org_start=2, org_every=2, drop_frac=0.5,
     )
     scenario = run_portfolio_scenario(p, 1.0, replace(ENTRY, mu=0.0), T=4, seed=0, drift=drift)
     order = np.lexsort((scenario.family_id, scenario.period))
     assert np.array_equal(order, np.arange(len(scenario.family_id)))
-    for t, expect in ((0, False), (1, True), (2, False), (3, True), (4, False)):
-        assert bool(scenario.tech_window[scenario.period == t][0]) is expect
-    assert bool(scenario.org_window[scenario.period == 2][0]) is True
+    for t, tech, org in ((0, False, False), (1, True, False), (2, False, True), (3, True, False), (4, False, False)):
+        assert scenario.tech_window[scenario.period == t].tolist() == [tech] * 2
+        assert scenario.org_window[scenario.period == t].tolist() == [org] * 2
 
 
 def test_certain_hazard_hits_every_family_every_period():
     p = make_portfolio([1.0, 0.5])
     drift = DriftConfig(
         env_hazard=1.0, tech_hazard=0.0, org_hazard=0.0,
-        tech_windows=frozenset(), org_windows=frozenset(), drop_frac=0.5,
+        tech_start=3, tech_every=1, org_start=3, org_every=1, drop_frac=0.5,
     )
     scenario = run_portfolio_scenario(p, 0.0, replace(ENTRY, mu=0.0), T=3, seed=0, drift=drift)
     assert scenario.event_period.size == 2 * 3
@@ -414,42 +413,38 @@ def test_certain_hazard_hits_every_family_every_period():
 
 
 def test_drift_config_validation():
-    with pytest.raises(DomainError):
-        DriftConfig(env_hazard=0.7, tech_hazard=0.4, org_hazard=0.0,
-                    tech_windows=frozenset(), org_windows=frozenset(), drop_frac=0.5)
-    with pytest.raises(DomainError):
-        DriftConfig(env_hazard=-0.1, tech_hazard=0.0, org_hazard=0.0,
-                    tech_windows=frozenset(), org_windows=frozenset(), drop_frac=0.5)
-    with pytest.raises(DomainError):
-        DriftConfig(env_hazard=0.1, tech_hazard=0.0, org_hazard=0.0,
-                    tech_windows=frozenset(), org_windows=frozenset(), drop_frac=1.0)
     good = DriftConfig(env_hazard=0.1, tech_hazard=0.2, org_hazard=0.05,
-                       tech_windows=frozenset({2}), org_windows=frozenset({3}), drop_frac=0.5)
+                       tech_start=2, tech_every=10, org_start=3, org_every=10, drop_frac=0.5)
+    for change, message in (
+        ({"env_hazard": 0.7, "tech_hazard": 0.4}, "env_hazard + tech_hazard + org_hazard must be <= 1"),
+        ({"env_hazard": -0.1}, "env_hazard must lie in [0, 1]"),
+        ({"drop_frac": 1.0}, "drop_frac must lie in (0, 1)"),
+        ({"tech_start": -1}, "tech_start must be an integer >= 0"),
+        ({"org_start": -1}, "org_start must be an integer >= 0"),
+        ({"tech_every": 0}, "tech_every must be an integer >= 1"),
+        ({"org_every": 0}, "org_every must be an integer >= 1"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            replace(good, **change)
+        assert str(exc.value) == message
     assert good.hazard_at(0) == pytest.approx(0.1)
     assert good.hazard_at(2) == pytest.approx(0.3)
     assert good.hazard_at(3) == pytest.approx(0.15)
-
-
-def test_periodic_windows():
-    assert periodic_windows(1, 4, 10) == frozenset({1, 5, 9})
-    assert periodic_windows(0, 3, 7) == frozenset({0, 3, 6})
-    with pytest.raises(DomainError):
-        periodic_windows(-1, 4, 10)
-    with pytest.raises(DomainError):
-        periodic_windows(0, 0, 10)
+    every_fourth = replace(good, tech_start=1, tech_every=4)
+    assert {t for t in range(10) if every_fourth.windows_at(t)[0]} == {1, 5, 9}
 
 
 def test_budget_path_length_is_checked():
     p = make_portfolio([1.0])
     for budget in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            run_portfolio_scenario(p, budget, replace(ENTRY, mu=0.0), T=5, seed=0)
+            run_portfolio_scenario(p, budget, replace(ENTRY, mu=0.0), T=5, seed=0, drift=None)
 
 
 def test_portfolio_at_reconstructs_the_recorded_state():
     p = make_portfolio([1.0, 0.5, 2.0])
     entry = replace(ENTRY, mu=0.5)
-    scenario = run_portfolio_scenario(p, 1.0, entry, T=15, seed=4)
+    scenario = run_portfolio_scenario(p, 1.0, entry, T=15, seed=4, drift=None)
     for t in range(16):
         snap = scenario.portfolio_at(t)
         at = scenario.period == t
@@ -469,8 +464,7 @@ def test_scenario_timing_contract_holds_in_every_period():
     entry = replace(ENTRY, mu=0.5, k_seed=2e-3)
     drift = DriftConfig(
         env_hazard=0.05, tech_hazard=0.2, org_hazard=0.1,
-        tech_windows=periodic_windows(1, 4, T), org_windows=periodic_windows(3, 5, T),
-        drop_frac=0.4,
+        tech_start=1, tech_every=4, org_start=3, org_every=5, drop_frac=0.4,
     )
     sc = run_portfolio_scenario(p, 1.0, entry, T=T, seed=21, drift=drift)
     events = set(zip(sc.event_family_id.tolist(), sc.event_period.tolist()))
@@ -497,8 +491,7 @@ def test_scenario_timing_contract_holds_in_every_period():
 
 DRIFT = DriftConfig(
     env_hazard=0.05, tech_hazard=0.2, org_hazard=0.1,
-    tech_windows=periodic_windows(1, 4, 60), org_windows=periodic_windows(3, 5, 60),
-    drop_frac=0.4,
+    tech_start=1, tech_every=4, org_start=3, org_every=5, drop_frac=0.4,
 )
 # (initial portfolio, labor budget, entry, drift) per case.
 REFERENCE_CASES = {
@@ -514,6 +507,15 @@ REFERENCE_CASES = {
         DRIFT,
     ),
     "one-family": (make_portfolio([1.0]), 1.0, replace(ENTRY, mu=0.5), DRIFT),
+    # A rule window on period T = 60 itself, which flags no row.
+    "window-at-T": (
+        make_portfolio([1.0, 0.5, 2.0]), 1.0, replace(ENTRY, mu=0.4),
+        replace(DRIFT, tech_start=0, tech_every=6, org_start=60, org_every=1),
+    ),
+    # Starts and periods past the int64 range.
+    "far-windows": (
+        make_portfolio([1.0, 0.5, 2.0]), 1.0, replace(ENTRY, mu=0.4), replace(DRIFT, tech_start=2**70, org_every=2**70),
+    ),
 }
 
 

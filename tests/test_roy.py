@@ -257,7 +257,7 @@ def _scenario_instance():
         born_at=np.zeros(n, dtype=np.int64), aggregator=replace(CES, epsilon_floor=0.25), tech=TECH,
     )
     entry = replace(ENTRY, mu=0.25, k_seed=1e-3, omega_sigma=0.5, delta_j=(0.08, 0.25))
-    pt = run_portfolio_scenario(p0, 1.0, entry, 40, seed=3).portfolio_at(40)
+    pt = run_portfolio_scenario(p0, 1.0, entry, 40, seed=3, drift=None).portfolio_at(40)
     assert pt.size >= 10
     sigmas = maturity_skill_sigma(pt.k, 1.5, 0.2, 1.0)
     return WorkerSkillMatrix.generate(400, pt, seed=5).skills(sigmas), weights(pt)
@@ -440,7 +440,7 @@ def test_arm_columns_match_per_period_portfolios(monkeypatch):
         born_at=np.zeros(6, dtype=np.int64), aggregator=replace(CES, epsilon_floor=0.25), tech=TECH, Lambda=3.0,
     )
     entry = replace(ENTRY, mu=0.5, k_seed=1e-3, omega_sigma=0.5, delta_j=(0.08, 0.25))
-    scenario = run_portfolio_scenario(p0, 1.0, entry, exp.T, seed=11)
+    scenario = run_portfolio_scenario(p0, 1.0, entry, exp.T, seed=11, drift=None)
     # The arm is cut from this scenario in place of the one it would build.
     monkeypatch.setattr(roy, "run_portfolio_scenario", lambda *args, **kwargs: scenario)
     arm = roy._arm_inputs(exp, 17, mu_factor=1.0, delta_factor=1.0)
